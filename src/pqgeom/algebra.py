@@ -154,10 +154,9 @@ class SplitQuaternion:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
-    def inverse(self, field: ScalarField | None = None) -> "SplitQuaternion":
+    def inverse(self) -> "SplitQuaternion":
         n = self.square_norm()
-        null = (n == 0) if field is None or field.exact else field.is_zero(n)
-        if null:
+        if n == 0:
             raise NullQuaternionError(f"{self} lies on the null cone")
         return self.conj().scale(1 / n if isinstance(n, float) else Fraction(1, 1) / n)
 
@@ -244,10 +243,6 @@ def _coerce(x):
     return None
 
 
-def mul(q: SplitQuaternion, qp: SplitQuaternion) -> SplitQuaternion:
-    return q * qp
-
-
 def scalar_product(q: SplitQuaternion, qp: SplitQuaternion):
     """Re(q conj(q')) = a a' + b b' - c c' - d d'."""
     return q.a * qp.a + q.b * qp.b - q.c * qp.c - q.d * qp.d
@@ -256,10 +251,6 @@ def scalar_product(q: SplitQuaternion, qp: SplitQuaternion):
 def conj_norm(q: SplitQuaternion, qp: SplitQuaternion):
     """(conj(q), |q|^2, <q, q'>) in one call."""
     return q.conj(), q.square_norm(), scalar_product(q, qp)
-
-
-def inverse(q: SplitQuaternion, field: ScalarField | None = None) -> SplitQuaternion:
-    return q.inverse(field)
 
 
 def unit_flow(axis: str, t: float) -> SplitQuaternion:
@@ -291,9 +282,3 @@ def hyperbola_point(t: Fraction | int) -> SplitQuaternion:
     if den == 0:
         raise ValueError("parameter on the asymptote")
     return SplitQuaternion((1 + t * t) / den, 0, 2 * t / den, 0)
-
-
-def exp_j(cosh_val, sinh_val) -> SplitQuaternion:
-    """cosh + j sinh from explicitly supplied coordinates (exact tests
-    feed rational pairs like (5/4, 3/4))."""
-    return SplitQuaternion(cosh_val, 0, sinh_val, 0)

@@ -8,7 +8,8 @@ Reports are deterministic for a fixed (suite, seed, config) triple,
 except for the wall_time field.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 bad
-configuration (unknown suite, invalid weights, malformed level value).
+configuration (unknown suite, invalid weights, a sample count or rank
+below 1, a malformed or unsupported level value).
 """
 
 from __future__ import annotations
@@ -31,11 +32,12 @@ from .algebra import (EPS, IMAGINARY_UNITS, UNITS, NullQuaternionError,
 from .forms import (BilinearForm, fundamental_four_form, hermitian_projector,
                     lie_derivative_residual, random_rotation, rotate_structure,
                     two_form)
-from .linalg import (HermitianStructure, PQMatrix, PQVector, adopted_basis,
-                     grassman_split, metric_matrix, module_scalar_product,
-                     random_antihermitian, random_pq_matrix, random_pq_vector,
-                     random_quaternion, real_rep, sp_membership,
-                     sp_group_membership, structure_endos)
+from .linalg import (TENSOR_BLOCKS, HermitianStructure, PQMatrix, PQVector,
+                     adopted_basis, grassman_split, metric_matrix,
+                     module_scalar_product, random_antihermitian,
+                     random_pq_matrix, random_pq_vector, random_quaternion,
+                     real_rep, sp_membership, sp_group_membership,
+                     structure_endos)
 from . import curvature as curv
 from . import projspace as proj
 from . import reduction as red
@@ -261,7 +263,6 @@ def _chk_adopted_basis(config, rng):
 
 
 def _chk_grassman(config, rng):
-    from .linalg import TENSOR_BLOCKS
     H = structure_endos(config.rank)
     gs = grassman_split(H)
     Cinv = exactla.inverse(gs.change)
@@ -708,8 +709,15 @@ def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckRep
             or config.p < 1 or config.q < 1:
         raise InvalidConfigError(
             f"weights ({config.p}, {config.q}) must be distinct coprime naturals")
-    if len(config.xi) != 3:
-        raise InvalidConfigError("level value must have three components")
+    if config.samples < 1:
+        raise InvalidConfigError(
+            f"sample count {config.samples} must be at least 1")
+    if config.rank < 1:
+        raise InvalidConfigError(f"rank {config.rank} must be at least 1")
+    if tuple(config.xi) != (-1, 0, 0):
+        raise InvalidConfigError(
+            "level value %s unsupported: the exact level-set sampler "
+            "implements only -1,0,0" % ",".join(str(x) for x in config.xi))
     if selector == "all":
         suites = list(REGISTRY)
     elif selector in REGISTRY:

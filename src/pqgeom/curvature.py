@@ -20,16 +20,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 
 from . import exactla
-from .algebra import EPS, ScalarField, SplitQuaternion
-from .forms import BilinearForm
-from .linalg import (HermitianStructure, PQMatrix, GrassmanSplit,
+from .algebra import EPS, SplitQuaternion
+from .forms import BilinearForm, _structure_average, hermitian_projector
+from .linalg import (HermitianStructure, PQMatrix, PQVector, GrassmanSplit,
                      left_structure_endos, metric_matrix, structure_endos)
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+# product-table convention of the stored tensors (see the algebra module)
+CONVENTION = "cyclic-ijk"
 
 
 class NotSymmetricPairError(ValueError):
@@ -37,7 +41,7 @@ class NotSymmetricPairError(ValueError):
 
 
 class SingularSystemError(ValueError):
-    """The Ricci system lost rank (floating tolerance misconfiguration)."""
+    """The linear system of the Ricci splitting is singular."""
 
 
 class NullDirectionError(ValueError):
@@ -87,17 +91,11 @@ def bianchi_residual(R: CurvatureTensor):
 
 def ricci(R: CurvatureTensor) -> np.ndarray:
     """Ric(Y, Z) = Tr(X -> R(X, Y) Z), traced over the first slot."""
-    d = R.dim
-    out = exactla.zeros((d, d)) if R.is_exact() else np.zeros((d, d))
-    for x in range(d):
-        out = out + R.tensor[x, :, :, x]
-    return out
+    return np.trace(R.tensor, axis1=0, axis2=3)
 
 
 def scalar_curvature(R: CurvatureTensor):
-    ginv = (exactla.inverse(R.metric) if R.is_exact()
-            else np.linalg.inv(R.metric))
-    return np.trace(ginv @ ricci(R))
+    return np.trace(exactla.inverse(R.metric) @ ricci(R))
 
 
 def einstein_check(R: CurvatureTensor):
@@ -105,7 +103,7 @@ def einstein_check(R: CurvatureTensor):
     K(R)/dim read off the metric trace."""
     ric = ricci(R)
     K = scalar_curvature(R)
-    const = (Fraction(K) if R.is_exact() else K) / R.dim
+    const = Fraction(K) / R.dim
     residual = exactla.max_abs(ric - const * R.metric)
     return const, residual
 
@@ -128,8 +126,7 @@ def curvature_from_bilinear(B: BilinearForm,
     """
     M = B.matrix
     d = H.dim
-    exact = M.dtype == object
-    t = exactla.zeros((d, d, d, d)) if exact else np.zeros((d, d, d, d))
+    t = exactla.zeros((d, d, d, d))
     BJ = [M @ Ja for Ja in H.J]   # BJ[a][x, y] = B(e_x, J_a e_y)
     cols = [[Ja[:, z] for z in range(d)] for Ja in H.J]
     for x in range(d):
@@ -151,8 +148,7 @@ def curvature_from_bilinear(B: BilinearForm,
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     """The three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y))."""
     d = R.dim
-    out = [exactla.zeros((d, d)) if R.is_exact() else np.zeros((d, d))
-           for _ in range(3)]
+    out = [exactla.zeros((d, d)) for _ in range(3)]
     for x in range(d):
         for y in range(d):
             Mxy = R.endomorphism(x, y)
@@ -161,8 +157,7 @@ def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     return out
 
 
-def normalizes_structure(R: CurvatureTensor, H: HermitianStructure,
-                         field: ScalarField | None = None):
+def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
     """Commutator membership test: R takes values in the normaliser of
     the structure span iff for every argument pair
 
@@ -170,9 +165,8 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure,
                                       - Tr(J_b R(X,Y)) J_c)
 
     over cyclic (a, b, c).  Returns (bool, residual)."""
-    field = field or ScalarField.exact_field()
     d = R.dim
-    worst = Fraction(0) if R.is_exact() else 0.0
+    worst = Fraction(0)
     for x in range(d):
         for y in range(x + 1, d):
             Mxy = R.endomorphism(x, y)
@@ -180,20 +174,17 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure,
             for (a, b, c) in CYCLES:
                 lhs = Mxy @ H.J[a] - H.J[a] @ Mxy
                 rhs = traces[c] * H.J[b] - traces[b] * H.J[c]
-                scale = (Fraction(2 * EPS[a], d) if R.is_exact()
-                         else 2 * EPS[a] / d)  # = eps_a / 2n
+                scale = Fraction(2 * EPS[a], d)  # = eps_a / 2n
                 diff = lhs - scale * rhs
                 worst = max(worst, exactla.max_abs(diff))
-    return field.is_zero(worst), worst
+    return worst == 0, worst
 
 
 def _ricci_phi_operator(B: np.ndarray, H: HermitianStructure) -> np.ndarray:
     """Closed form of Ric(R^B): (dim+3) B - B^T + Psi(B) + Psi(B)^T with
     Psi(B) = sum_a eps_a J_a^T B J_a."""
-    d = H.dim
-    psi = sum((EPS[a] * (H.J[a].T @ B @ H.J[a]) for a in range(3)),
-              exactla.zeros((d, d)) if B.dtype == object else np.zeros((d, d)))
-    return (d + 3) * B - B.T + psi + psi.T
+    psi = _structure_average(B, H)
+    return (H.dim + 3) * B - B.T + psi + psi.T
 
 
 def ricci_split(R: CurvatureTensor, H: HermitianStructure,
@@ -201,43 +192,33 @@ def ricci_split(R: CurvatureTensor, H: HermitianStructure,
     """Unique decomposition R = W + R^B with Ric(W) = 0.
 
     method 'solve' assembles the dense linear system Ric(R^B) = Ric(R)
-    over all bilinear forms and solves it exactly (floating mode uses
-    the numpy solver and raises SingularSystemError on rank loss);
-    method 'closed' inverts the operator on its four eigenspaces
-    (eigenvalues dim+8, dim, dim+10, dim+2 on the symmetric/antisymmetric
-    hermitian/mixed components).
+    over all bilinear forms and solves it exactly (SingularSystemError
+    if it is singular); method 'closed' inverts the operator on its four
+    eigenspaces (eigenvalues dim+8, dim, dim+10, dim+2 on the
+    symmetric/antisymmetric hermitian/mixed components).
     """
     d = R.dim
     ric = ricci(R)
-    exact = R.is_exact()
     if method == "closed":
-        from .forms import hermitian_projector
-        sym = (ric + ric.T) * (Fraction(1, 2) if exact else 0.5)
-        alt = (ric - ric.T) * (Fraction(1, 2) if exact else 0.5)
+        sym = (ric + ric.T) * Fraction(1, 2)
+        alt = (ric - ric.T) * Fraction(1, 2)
         parts = []
         for mat, herm_eig, mix_eig in ((sym, d + 8, d), (alt, d + 10, d + 2)):
             herm, mix, _ = hermitian_projector(BilinearForm(mat), H)
-            if exact:
-                parts.append(herm.matrix / Fraction(herm_eig)
-                             + mix.matrix / Fraction(mix_eig))
-            else:
-                parts.append(herm.matrix / herm_eig + mix.matrix / mix_eig)
+            parts.append(herm.matrix / Fraction(herm_eig)
+                         + mix.matrix / Fraction(mix_eig))
         Bmat = parts[0] + parts[1]
     elif method == "solve":
         N = d * d
-        op = exactla.zeros((N, N)) if exact else np.zeros((N, N))
+        op = exactla.zeros((N, N))
         for col in range(N):
-            basis = exactla.zeros((d, d)) if exact else np.zeros((d, d))
-            basis[col // d, col % d] = Fraction(1) if exact else 1.0
+            basis = exactla.zeros((d, d))
+            basis[col // d, col % d] = Fraction(1)
             op[:, col] = _ricci_phi_operator(basis, H).reshape(-1)
-        rhs = ric.reshape(-1)
-        if exact:
-            Bvec = exactla.solve(op, rhs)
-        else:
-            try:
-                Bvec = np.linalg.solve(op, rhs)
-            except np.linalg.LinAlgError as err:
-                raise SingularSystemError(str(err)) from err
+        try:
+            Bvec = exactla.solve(op, ric.reshape(-1))
+        except ValueError as err:
+            raise SingularSystemError(str(err)) from err
         Bmat = Bvec.reshape(d, d)
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -263,8 +244,7 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     """
     d = H.dim
     g = H.g
-    exact = H.is_exact()
-    t = exactla.zeros((d, d, d, d)) if exact else np.zeros((d, d, d, d))
+    t = exactla.zeros((d, d, d, d))
     W = [Ja.T @ g for Ja in H.J]  # W[a][x, y] = g(J_a e_x, e_y)
     for x in range(d):
         for y in range(d):
@@ -302,10 +282,6 @@ class SymmetricDecomposition:
     c_ff: np.ndarray
     g_m: np.ndarray
     structure: HermitianStructure | None = None
-
-    @property
-    def m_dim(self) -> int:
-        return self.c_mm.shape[0]
 
     @property
     def f_dim(self) -> int:
@@ -510,8 +486,6 @@ def projective_pair(n: int):
     bracket read back off the first column gives the curvature on the
     standard rank-n module with the standard metric and structure.
     """
-    from .linalg import PQVector
-
     def embed(v: PQVector) -> PQMatrix:
         entries = [[SplitQuaternion() for _ in range(n + 1)]
                    for _ in range(n + 1)]
@@ -585,42 +559,22 @@ def jacobi_operator(R: CurvatureTensor, X: np.ndarray) -> np.ndarray:
 
 def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
     """(matrix of K_X on X-orthogonal vectors, basis columns)."""
-    g = R.metric
-    row = (g @ X).reshape(1, -1)
-    if R.is_exact():
-        basis = exactla.nullspace(row)
-    else:
-        _, _, vt = np.linalg.svd(row)
-        basis = vt[1:].T
-    K = jacobi_operator(R, X)
-    img = K @ basis
-    if R.is_exact():
-        coords = exactla.solve(basis.T @ basis, basis.T @ img)
-    else:
-        coords = np.linalg.lstsq(basis, img, rcond=None)[0]
+    basis = exactla.nullspace((R.metric @ X).reshape(1, -1))
+    img = jacobi_operator(R, X) @ basis
+    coords = exactla.solve(basis.T @ basis, basis.T @ img)
     return coords, basis
 
 
-def minimal_polynomial_degree(M: np.ndarray, tol: float = 1e-9) -> int:
-    """Degree of the minimal polynomial (exact arithmetic when possible)."""
+def minimal_polynomial_degree(M: np.ndarray) -> int:
+    """Degree of the minimal polynomial of an exact matrix."""
     d = M.shape[0]
-    if M.dtype == object:
-        powers = [exactla.eye(d).reshape(-1)]
-        cur = exactla.eye(d)
-        for k in range(1, d + 1):
-            cur = cur @ M
-            powers.append(cur.reshape(-1))
-            stack = np.stack(powers, axis=1)
-            if exactla.rank(stack) < k + 1:
-                return k
-        return d
-    powers = [np.eye(d).reshape(-1)]
-    cur = np.eye(d)
+    powers = [exactla.eye(d).reshape(-1)]
+    cur = exactla.eye(d)
     for k in range(1, d + 1):
         cur = cur @ M
         powers.append(cur.reshape(-1))
         stack = np.stack(powers, axis=1)
-        if np.linalg.matrix_rank(stack, tol=tol) < k + 1:
+        if exactla.rank(stack) < k + 1:
             return k
     return d
 
@@ -672,12 +626,8 @@ def jacobi_spectrum_report(R: CurvatureTensor, directions,
         eig = sorted(eig, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
         deg = minimal_polynomial_degree(Kres)
         Kfull = jacobi_operator(R, X)
-        if R.is_exact():
-            nil = exactla.max_abs(Kfull @ Kfull) == 0
-            nonzero = exactla.max_abs(Kfull) != 0
-        else:
-            nil = exactla.max_abs(Kfull @ Kfull) <= tolerance
-            nonzero = exactla.max_abs(Kfull) > tolerance
+        nil = exactla.max_abs(Kfull @ Kfull) == 0
+        nonzero = exactla.max_abs(Kfull) != 0
         entries.append(DirectionSpectrum(
             direction_index=idx,
             metric_sign=1 if float(norm) > 0 else -1,
@@ -756,7 +706,6 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
 
 
 def _permutations4(i, j, k, l):
-    from itertools import permutations
     return set(permutations((i, j, k, l)))
 
 
@@ -765,8 +714,8 @@ def _permutations4(i, j, k, l):
 # ---------------------------------------------------------------------------
 
 
-def curvature_to_text(R: CurvatureTensor, convention: str = "cyclic-ijk") -> str:
-    header = {"n": R.dim // 4, "convention": convention,
+def curvature_to_text(R: CurvatureTensor) -> str:
+    header = {"n": R.dim // 4, "convention": CONVENTION,
               "mode": "exact" if R.is_exact() else "float"}
     entries = [str(x) for x in R.tensor.reshape(-1)]
     gvals = [str(x) for x in R.metric.reshape(-1)]
@@ -776,6 +725,10 @@ def curvature_to_text(R: CurvatureTensor, convention: str = "cyclic-ijk") -> str
 def curvature_from_text(text: str) -> CurvatureTensor:
     head, body, gline = text.strip().split("\n")
     header = json.loads(head)
+    convention = header.get("convention")
+    if convention != CONVENTION:
+        raise ValueError(f"unsupported product-table convention "
+                         f"{convention!r}; expected {CONVENTION!r}")
     d = 4 * header["n"]
     toks = body.split()
     gtoks = gline.split()

@@ -46,14 +46,6 @@ def eye(n) -> np.ndarray:
     return arr
 
 
-def is_exact(arr: np.ndarray) -> bool:
-    return arr.dtype == object
-
-
-def tofloat(arr: np.ndarray) -> np.ndarray:
-    return np.array(arr, dtype=float)
-
-
 def max_abs(arr) -> Fraction | float:
     """Max absolute entry; Fraction 0 for empty input."""
     flat = np.asarray(arr).reshape(-1)

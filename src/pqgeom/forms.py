@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import EPS, ScalarField
+from .algebra import EPS, circle_point, hyperbola_point
 from .linalg import HermitianStructure
 
 ETA = exactla.fracarray([[-EPS[0], 0, 0], [0, -EPS[1], 0], [0, 0, -EPS[2]]])
@@ -45,44 +45,36 @@ class BilinearForm:
     def __sub__(self, other):
         return BilinearForm(self.matrix - other.matrix)
 
-    def symmetric_part(self) -> "BilinearForm":
-        return BilinearForm((self.matrix + self.matrix.T) / 2
-                            if self.matrix.dtype != object else
-                            (self.matrix + self.matrix.T) * Fraction(1, 2))
-
-    def antisymmetric_part(self) -> "BilinearForm":
-        return BilinearForm((self.matrix - self.matrix.T) / 2
-                            if self.matrix.dtype != object else
-                            (self.matrix - self.matrix.T) * Fraction(1, 2))
-
     def max_abs(self):
         return exactla.max_abs(self.matrix)
 
 
-def two_form(Jop: np.ndarray, g: np.ndarray,
-             field: ScalarField | None = None) -> BilinearForm:
+def two_form(Jop: np.ndarray, g: np.ndarray) -> BilinearForm:
     """omega_J(X, Y) = g(J X, Y) for a g-skew endomorphism J."""
-    field = field or ScalarField.exact_field()
     Jop = np.asarray(Jop)
     g = np.asarray(g)
     res = exactla.max_abs(Jop.T @ g + g @ Jop)
-    if not field.is_zero(res):
+    if res != 0:
         raise NotSkewError(f"endomorphism not skew, residual {res}")
     return BilinearForm(Jop.T @ g)
+
+
+DENSE_LIMIT_RANK = 2
 
 
 class FourForm:
     """Alternating 4-linear evaluator sum_a eps_a (omega_a wedge omega_a).
 
-    For rank up to 2 the full coefficient array is materialised
-    (memory grows as dim^4); beyond that only the evaluator is kept.
+    For rank up to DENSE_LIMIT_RANK the full coefficient array is
+    materialised (memory grows as dim^4); beyond that only the evaluator
+    is kept.
     """
 
-    def __init__(self, omegas, dense_limit_rank: int = 2):
+    def __init__(self, omegas):
         self.omegas = [np.asarray(w) for w in omegas]
         self.dim = self.omegas[0].shape[0]
         self.array = None
-        if self.dim <= 4 * dense_limit_rank:
+        if self.dim <= 4 * DENSE_LIMIT_RANK:
             self.array = self._materialise()
 
     def __call__(self, x, y, z, w):
@@ -94,17 +86,14 @@ class FourForm:
         return terms
 
     def _materialise(self):
-        d = self.dim
-        arr = np.empty((d, d, d, d), dtype=self.omegas[0].dtype)
-        basis = np.identity(d, dtype=int)
-        if self.omegas[0].dtype == object:
-            basis = exactla.eye(d)
-        for a in range(d):
-            for b in range(d):
-                for c in range(d):
-                    for e in range(d):
-                        arr[a, b, c, e] = self(basis[a], basis[b],
-                                               basis[c], basis[e])
+        """Omega[p,q,r,s] = sum_a 2 eps_a (w[p,q] w[r,s] - w[p,r] w[q,s]
+        + w[p,s] w[q,r]) with w = omega_a: the evaluator on basis vectors."""
+        arr = 0
+        for eps, om in zip(EPS, self.omegas):
+            pq_rs = np.multiply.outer(om, om)            # w[p,q] w[r,s]
+            pr_qs = pq_rs.transpose(0, 2, 1, 3)          # w[p,r] w[q,s]
+            ps_qr = pq_rs.transpose(0, 2, 3, 1)          # w[p,s] w[q,r]
+            arr = arr + eps * 2 * (pq_rs - pr_qs + ps_qr)
         return arr
 
 
@@ -119,28 +108,24 @@ def fundamental_four_form(H: HermitianStructure) -> FourForm:
 # ---------------------------------------------------------------------------
 
 
-def in_rotation_group(R: np.ndarray, field: ScalarField | None = None):
+def in_rotation_group(R: np.ndarray):
     """(bool, residual) for R^T eta R = eta and det R = 1."""
-    field = field or ScalarField.exact_field()
     R = np.asarray(R)
     res = exactla.max_abs(R.T @ ETA @ R - ETA)
-    d = exactla.det(R) if R.dtype == object else float(np.linalg.det(R))
-    res = max(res, abs(d - 1))
-    return field.is_zero(res), res
+    res = max(res, abs(exactla.det(R) - 1))
+    return res == 0, res
 
 
-def rotate_structure(H: HermitianStructure, R: np.ndarray,
-                     field: ScalarField | None = None) -> HermitianStructure:
+def rotate_structure(H: HermitianStructure,
+                     R: np.ndarray) -> HermitianStructure:
     """Replace the basis by J'_a = sum_b R_ab J_b; the defining relation
     R^T eta R = eta (det 1) guarantees the cyclic table survives."""
-    ok, res = in_rotation_group(R, field)
+    ok, res = in_rotation_group(R)
     if not ok:
         raise NotInGroupError(f"defining-relation residual {res}")
-    Jnew = [sum((R[a, b] * H.J[b] for b in range(3)),
-                exactla.zeros(H.g.shape) if H.is_exact()
-                else np.zeros(H.g.shape))
+    Jnew = [sum((R[a, b] * H.J[b] for b in range(3)), exactla.zeros(H.g.shape))
             for a in range(3)]
-    return HermitianStructure(*Jnew, H.g, field=H.field)
+    return HermitianStructure(*Jnew, H.g)
 
 
 def hyperbolic_rotation(plane: tuple[int, int], cosh_val, sinh_val) -> np.ndarray:
@@ -176,15 +161,13 @@ def random_rotation(rng, factors: int = 3) -> np.ndarray:
         kind = rng.randrange(4)
         t = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         if kind == 0 or kind == 1:
-            den = 1 - t * t
-            if den == 0:
+            if t * t == 1:
                 continue
-            ch, sh = (1 + t * t) / den, 2 * t / den
-            R = R @ hyperbolic_rotation((0, kind + 1), ch, sh)
+            h = hyperbola_point(t)
+            R = R @ hyperbolic_rotation((0, kind + 1), h.a, h.c)
         elif kind == 2:
-            den = 1 + t * t
-            co, si = (1 - t * t) / den, 2 * t / den
-            R = R @ circular_rotation((1, 2), co, si)
+            c = circle_point(t)
+            R = R @ circular_rotation((1, 2), c.a, c.b)
         else:
             R = R @ exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     return R
@@ -196,8 +179,9 @@ def random_rotation(rng, factors: int = 3) -> np.ndarray:
 
 
 def _structure_average(B: np.ndarray, H: HermitianStructure) -> np.ndarray:
+    """Psi(B) = sum_a eps_a J_a^T B J_a, i.e. sum_a eps_a B(J_a ., J_a .)."""
     return sum((EPS[a] * (H.J[a].T @ B @ H.J[a]) for a in range(3)),
-               exactla.zeros(B.shape) if B.dtype == object else np.zeros(B.shape))
+               exactla.zeros(B.shape))
 
 
 def hermitian_projector(B: BilinearForm, H: HermitianStructure):
@@ -212,10 +196,9 @@ def hermitian_projector(B: BilinearForm, H: HermitianStructure):
     components; the four parts sum back to B.
     """
     M = B.matrix
-    quarter = Fraction(1, 4) if M.dtype == object else 0.25
-    herm = quarter * (M + _structure_average(M, H))
+    herm = Fraction(1, 4) * (M + _structure_average(M, H))
     mix = M - herm
-    half = Fraction(1, 2) if M.dtype == object else 0.5
+    half = Fraction(1, 2)
     sym_h = half * (herm + herm.T)
     alt_h = half * (herm - herm.T)
     sym_m = half * (mix + mix.T)

@@ -33,8 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import (EPS, IMAGINARY_UNITS, ScalarField, SplitQuaternion,
-                      scalar_product)
+from .algebra import EPS, IMAGINARY_UNITS, SplitQuaternion, scalar_product
 
 
 class RankMismatchError(ValueError):
@@ -235,14 +234,12 @@ class HermitianStructure:
     """A triple (J1, J2, J3) of endomorphisms with the cyclic product
     table, all skew-symmetric for a neutral metric g."""
 
-    def __init__(self, J1, J2, J3, g, validate: bool = True,
-                 field: ScalarField | None = None):
+    def __init__(self, J1, J2, J3, g, validate: bool = True):
         self.J = (np.asarray(J1), np.asarray(J2), np.asarray(J3))
         self.g = np.asarray(g)
-        self.field = field or ScalarField.exact_field()
         if validate:
             res = max(self.comrel_residual(), self.skew_residual())
-            if not self.field.is_zero(res):
+            if res != 0:
                 raise DegenerateStructureError(
                     f"structure relations violated, residual {res}")
 
@@ -257,7 +254,7 @@ class HermitianStructure:
     def comrel_residual(self):
         """Max deviation over the nine products J_a J_b from the cyclic table."""
         J1, J2, J3 = self.J
-        eye = exactla.eye(self.dim) if self.is_exact() else np.eye(self.dim)
+        eye = exactla.eye(self.dim)
         table = {
             (0, 0): -EPS[0] * eye, (1, 1): -EPS[1] * eye, (2, 2): -EPS[2] * eye,
             (0, 1): -EPS[2] * J3, (1, 0): EPS[2] * J3,
@@ -273,13 +270,7 @@ class HermitianStructure:
                    for Ja in self.J)
 
     def signature(self):
-        if self.is_exact():
-            return exactla.signature(self.g)
-        vals = np.linalg.eigvalsh(np.array(self.g, dtype=float))
-        return int((vals > 0).sum()), int((vals < 0).sum())
-
-    def is_exact(self) -> bool:
-        return self.g.dtype == object
+        return exactla.signature(self.g)
 
     def span_coefficients(self, A: np.ndarray):
         """Exact coefficients (c1, c2, c3) with A = sum c_a J_a, or None."""
@@ -293,17 +284,23 @@ class HermitianStructure:
         return tuple(coef)
 
 
-def structure_endos(n: int) -> HermitianStructure:
-    """Standard structure on H^n: J_a = right multiplication by conj(e_a),
-    with the metric of the neutral scalar product."""
+def _block_structure(n: int, blocks) -> HermitianStructure:
+    """Structure on H^n acting by the given 4x4 blocks entrywise, with the
+    metric of the neutral scalar product."""
     if n < 1:
         raise ValueError("rank must be at least 1")
-    blocks = [right_mult_matrix(u.conj()) for u in IMAGINARY_UNITS]
     J = [exactla.zeros((4 * n, 4 * n)) for _ in range(3)]
     for a in range(3):
         for v in range(n):
             J[a][4 * v:4 * v + 4, 4 * v:4 * v + 4] = blocks[a]
     return HermitianStructure(*J, metric_matrix(n))
+
+
+def structure_endos(n: int) -> HermitianStructure:
+    """Standard structure on H^n: J_a = right multiplication by conj(e_a),
+    with the metric of the neutral scalar product."""
+    return _block_structure(
+        n, [right_mult_matrix(u.conj()) for u in IMAGINARY_UNITS])
 
 
 def left_structure_endos(n: int) -> HermitianStructure:
@@ -313,12 +310,7 @@ def left_structure_endos(n: int) -> HermitianStructure:
     (right) structure; for n = 1 the two spans exhaust the conformal
     algebra's semisimple part.
     """
-    blocks = [left_mult_matrix(u) for u in IMAGINARY_UNITS]
-    J = [exactla.zeros((4 * n, 4 * n)) for _ in range(3)]
-    for a in range(3):
-        for v in range(n):
-            J[a][4 * v:4 * v + 4, 4 * v:4 * v + 4] = blocks[a]
-    return HermitianStructure(*J, metric_matrix(n))
+    return _block_structure(n, [left_mult_matrix(u) for u in IMAGINARY_UNITS])
 
 
 # ---------------------------------------------------------------------------

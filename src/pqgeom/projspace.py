@@ -24,12 +24,10 @@ import numpy as np
 
 from . import exactla
 from .algebra import IMAGINARY_UNITS, ScalarField, SplitQuaternion
-from .linalg import (HermitianStructure, PQMatrix, PQVector,
+from .linalg import (HermitianStructure, PQMatrix, PQVector, metric_matrix,
                      module_scalar_product, random_quaternion)
 
 VERTICAL_GRAM = exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-FRAME4_GRAM = exactla.fracarray(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
 
 
 class DegenerateOrbitError(ValueError):
@@ -148,7 +146,6 @@ def vertical_frame(x: SpherePoint) -> np.ndarray:
 
 
 def _ambient_metric(rank: int, exact: bool = True) -> np.ndarray:
-    from .linalg import metric_matrix
     g = metric_matrix(rank)
     return g if exact else np.asarray(g, dtype=float)
 
@@ -171,25 +168,16 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
+    # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk);
+    # float lifts take it from the SVD, whose rank test tolerates rounding
     frame4 = np.concatenate([x.x.to_real().reshape(-1, 1), vert], axis=1)
-    g4 = frame4.T @ g @ frame4
-    g4_inv = exactla.inverse(g4)
-    proj = frame4 @ g4_inv @ frame4.T @ g
-    kept = np.empty((dim, 0), dtype=object)
-    rank_kept = 0
-    for s in range(dim):
-        e = exactla.zeros(dim)
-        e[s] = Fraction(1)
-        cand = e - proj @ e
-        trial = np.concatenate([kept, cand.reshape(-1, 1)], axis=1)
-        if exactla.rank(trial) == rank_kept + 1:
-            kept = trial
-            rank_kept += 1
-            if rank_kept == dim - 4:
-                break
-    if rank_kept != dim - 4:
+    rows = frame4.T @ g
+    if not x.is_exact():
+        rows = np.asarray(rows, dtype=float)
+    horizontal = exactla.nullspace_any(rows)
+    if horizontal.shape[1] != dim - 4:
         raise DegenerateOrbitError("horizontal frame incomplete")
-    return TangentSplit(x, vert, kept)
+    return TangentSplit(x, vert, horizontal)
 
 
 def horizontal_project(x: SpherePoint, v: np.ndarray) -> np.ndarray:

@@ -49,6 +49,8 @@ duplicated middle label in the source formula is resolved that way.)
 from __future__ import annotations
 
 import json
+import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -62,10 +64,10 @@ from .curvature import (NullDirectionError, ambient_projective_curvature,
 from .linalg import (HermitianStructure, PQMatrix, PQVector, metric_matrix,
                      module_scalar_product, random_quaternion,
                      right_mult_matrix, structure_endos)
-from .projspace import (SpherePoint, base_point, hermitian_pairing,
-                        horizontal_project, random_sphere_point,
-                        random_unit_quaternion, transitive_element,
-                        vertical_frame)
+from .projspace import (VERTICAL_GRAM, SpherePoint, base_point,
+                        hermitian_pairing, horizontal_project,
+                        random_sphere_point, random_unit_quaternion,
+                        transitive_element, vertical_frame)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -296,7 +298,6 @@ def _weights(p: int, q: int):
 
 def weighted_flow(p: int, q: int, t: float, u: PQVector) -> PQVector:
     """Action at parameter t: entrywise left factor cosh(ct) + j sinh(ct)."""
-    import math
     out = []
     for c, h in zip(_weights(p, q), u.entries):
         flow = SplitQuaternion(math.cosh(c * t), 0, math.sinh(c * t), 0)
@@ -441,8 +442,6 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
 
 # -- covariant derivative of the Killing field on the sphere model ----------
 
-_VG_INV = exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-
 
 def _real_coords(v: PQVector, exact: bool) -> np.ndarray:
     out = v.to_real()
@@ -468,7 +467,8 @@ def killing_derivative(p: int, q: int, u: SpherePoint,
     Du = _real_coords(D @ x, exact)
     g = metric_matrix(3) if exact else np.asarray(metric_matrix(3),
                                                   dtype=float)
-    vg_inv = _VG_INV if exact else np.asarray(_VG_INV, dtype=float)
+    # the fiber Gram diag(1, -1, -1) is its own inverse
+    vg_inv = VERTICAL_GRAM if exact else np.asarray(VERTICAL_GRAM, dtype=float)
     vert_u = np.stack([_real_coords(x.right_mul(e), exact)
                        for e in IMAGINARY_UNITS], axis=1)
     vert_X = np.stack([_real_coords(Xq.right_mul(e), exact)
@@ -591,7 +591,7 @@ def weighted_level_sample_float(rng, p: int, q: int,
             if np.max(np.abs(residual)) < residual_tol:
                 ok = True
                 break
-            jac = _pq_system_jacobian(ws, vec)
+            jac = _pq_system_jacobian(p, q, vec)
             try:
                 step = jac.T @ np.linalg.solve(jac @ jac.T, residual)
             except np.linalg.LinAlgError:
@@ -626,24 +626,12 @@ def _pq_system(ws, vec: PQVector) -> np.ndarray:
     return np.array([total.b, total.c, total.d, sphere], dtype=float)
 
 
-def _pq_system_jacobian(ws, vec: PQVector) -> np.ndarray:
-    jac = np.zeros((4, 12))
+def _pq_system_jacobian(p: int, q: int, vec: PQVector) -> np.ndarray:
+    """Level-value rows of _level_gradient_rows plus the sphere row."""
     g = np.asarray(metric_matrix(3), dtype=float)
     coords = np.asarray(vec.to_real(), dtype=float)
-    for v in range(3):
-        for s in range(4):
-            T = PQVector([SplitQuaternion(*(1.0 if (w == v and r == s) else 0.0
-                                            for r in range(4)))
-                          for w in range(3)])
-            total = SplitQuaternion()
-            for c, (hv, tv) in zip(ws, zip(vec.entries, T.entries)):
-                total = total + (tv.conj() * J * hv
-                                 + hv.conj() * J * tv).scale(c)
-            jac[0, 4 * v + s] = total.b
-            jac[1, 4 * v + s] = total.c
-            jac[2, 4 * v + s] = total.d
-    jac[3] = 2.0 * (g @ coords)
-    return jac
+    level = _level_gradient_rows(p, q, SpherePoint(vec, check=False))
+    return np.vstack([level, 2.0 * (g @ coords)])
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +665,6 @@ class ReductionScene:
 
 def build_flat_scene(rank: int = 3, xi=(-1, 0, 0), seed: int = 0,
                      samples: int = 10) -> ReductionScene:
-    import random
     rng = random.Random(seed)
     scene = ReductionScene(action="flat-s1", rank=rank, xi=tuple(xi),
                            seed=seed)
@@ -704,7 +691,6 @@ def build_pq_scene(p: int = 1, q: int = 2, seed: int = 0,
     sphere (residual below 1e-11); 'exact' draws from the rational
     family, which is exact but confined to a special slice.
     """
-    import random
     _weights(p, q)
     rng = random.Random(seed)
     scene = ReductionScene(action="pq", rank=3, p=p, q=q, xi=(0, 0, 0),
@@ -752,7 +738,6 @@ def moment_gradient_check(scene: ReductionScene, samples: int = 200,
     zero set of the independently computed isotropy-route moment against
     the level function, on half on-level and half off-level samples.
     """
-    import random
     rng = rng or random.Random(scene.seed)
     if scene.action == "flat-s1":
         if step <= 1e-12:
@@ -809,7 +794,6 @@ def structure_orthogonality_check(scene: ReductionScene,
                                   samples: int = 10, rng=None):
     """Max |<J_a V, T>| over level-set tangents T: the images of the
     Killing field under the structure triple are normal to the level set."""
-    import random
     rng = rng or random.Random(scene.seed)
     worst = Fraction(0)
     if scene.action == "flat-s1":
@@ -845,7 +829,6 @@ def empty_levelset_check(p: int = 1, q: int = 2, samples: int = 10000,
     (cos t + i sin t factors) has i-component q|u0|_E^2 + p|u1|_E^2 +
     p|u2|_E^2 > 0, so its moment zero set on the sphere is empty.
     Returns the minimum over samples of the value's magnitude."""
-    import random
     rng = random.Random(seed)
     ws = _weights(p, q)
     smallest = None
@@ -868,10 +851,13 @@ def empty_levelset_check(p: int = 1, q: int = 2, samples: int = 10000,
 
 
 def scene_to_json(scene: ReductionScene) -> str:
+    """Exact coordinates are written as rational strings, float ones as
+    JSON numbers (which round-trip exactly)."""
     def encode_point(pt):
         if isinstance(pt, SpherePoint):
             pt = pt.x
-        return [[str(x) for x in h.coefficients()] for h in pt.entries]
+        return [[x if isinstance(x, float) else str(x)
+                 for x in h.coefficients()] for h in pt.entries]
 
     def plain(value):
         if isinstance(value, Fraction):
@@ -900,10 +886,13 @@ def scene_from_json(text: str) -> ReductionScene:
         xi=tuple(Fraction(x) for x in man["xi"]),
         seed=man["seed"], tolerance=man["tolerance"])
     for coords in payload["points"]:
-        vec = PQVector(SplitQuaternion(*(Fraction(c) for c in h))
+        vec = PQVector(SplitQuaternion(*(Fraction(c) if isinstance(c, str)
+                                         else float(c) for c in h))
                        for h in coords)
         if scene.action == "pq":
-            scene.points.append(SpherePoint(vec))
+            floating = isinstance(vec.entries[0].a, float)
+            scene.points.append(
+                SpherePoint(vec, tol=scene.tolerance if floating else 0))
         else:
             scene.points.append(vec)
     scene.derived = payload["derived"]

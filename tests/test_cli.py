@@ -1,0 +1,45 @@
+import json
+
+import pytest
+
+from pqgeom.cli import (CheckConfig, InvalidConfigError, UnknownSuiteError,
+                        main, run_suite)
+
+
+def test_algebra_suite_passes(capsys):
+    assert main(["--suite", "algebra", "--samples", "5",
+                 "--format", "json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks and all(c["status"] == "pass" for c in checks)
+
+
+@pytest.mark.parametrize("args", [
+    ["--samples", "0"],
+    ["--samples", "-3"],
+    ["--n", "0"],
+    ["--xi=-2,0,0"],
+    ["--xi=-1,0"],
+    ["--xi=a,b,c"],
+])
+def test_bad_configuration_exits_2(args, capsys):
+    assert main(["--suite", "algebra"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+
+
+def test_unknown_suite_exits_2(capsys):
+    with pytest.raises(UnknownSuiteError):
+        run_suite("nope")
+    assert main(["--suite", "nope"]) == 2
+    assert "unknown suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    CheckConfig(samples=0),
+    CheckConfig(rank=0),
+    CheckConfig(xi=(-2, 0, 0)),
+])
+def test_run_suite_rejects_bad_config(config):
+    with pytest.raises(InvalidConfigError):
+        run_suite("algebra", config)

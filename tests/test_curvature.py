@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from pqgeom import exactla
 from pqgeom.curvature import (CurvatureTensor, NotSymmetricPairError,
-                              NullDirectionError, abelian_decomposition,
+                              NullDirectionError, SingularSystemError,
+                              abelian_decomposition,
                               ambient_projective_curvature, bianchi_residual,
                               curvature_from_bilinear, curvature_from_text,
                               curvature_to_text, einstein_check,
@@ -19,7 +21,8 @@ from pqgeom.curvature import (CurvatureTensor, NotSymmetricPairError,
                               special_linear_decomposition, structure_traces,
                               symmetric_space_curvature, weyl_sample)
 from pqgeom.forms import BilinearForm
-from pqgeom.linalg import grassman_split, left_structure_endos, structure_endos
+from pqgeom.linalg import (HermitianStructure, grassman_split,
+                           left_structure_endos, structure_endos)
 
 
 def rand_bilinear(rng, dim):
@@ -126,6 +129,18 @@ def test_ricci_split_recovers_weyl_sample():
     Wc, Bc = ricci_split(R, H, method="closed")
     assert exactla.max_abs(Bc.matrix - B.matrix) == 0
     assert exactla.max_abs(Wc.tensor - Wp.tensor) == 0
+
+
+def test_ricci_split_singular_system():
+    # an unvalidated triple with J_2 = 2 Id in dimension 6 gives the
+    # operator (6 + 3) B - B^T - 4 (B + B^T), which kills symmetric B
+    d = 6
+    zero = exactla.zeros((d, d))
+    H = HermitianStructure(zero, 2 * exactla.eye(d), zero, exactla.eye(d),
+                           validate=False)
+    R = CurvatureTensor(exactla.zeros((d, d, d, d)), H.g)
+    with pytest.raises(SingularSystemError):
+        ricci_split(R, H)
 
 
 def test_weyl_sample_properties():
@@ -374,3 +389,13 @@ def test_curvature_text_roundtrip_float():
     R2 = curvature_from_text(curvature_to_text(Rf))
     assert not R2.is_exact()
     assert float(exactla.max_abs(R2.tensor - Rf.tensor)) == 0.0
+
+
+def test_curvature_text_rejects_other_convention():
+    R = projective_curvature(structure_endos(1))
+    head, rest = curvature_to_text(R).split("\n", 1)
+    header = json.loads(head)
+    assert header["convention"] == "cyclic-ijk"
+    header["convention"] = "ij=-k"
+    with pytest.raises(ValueError, match="convention"):
+        curvature_from_text(json.dumps(header) + "\n" + rest)

@@ -61,6 +61,24 @@ def test_four_form_volume_and_antisymmetry():
     assert Om3(x[0], x[0], x[1], x[2]) == 0
 
 
+def test_four_form_array_matches_evaluator():
+    # the closed-form array and the evaluator are independent routes
+    H = structure_endos(1)
+    Om = fundamental_four_form(H)
+    e = exactla.eye(4)
+    for idx in np.ndindex(4, 4, 4, 4):
+        val = Om(*(e[i] for i in idx))
+        assert Om.array[idx] == val and type(Om.array[idx]) is type(val)
+    # a full sweep at rank 2 through the evaluator is slow: sample it
+    rng = random.Random(6)
+    Om2 = fundamental_four_form(structure_endos(2))
+    e = exactla.eye(8)
+    for _ in range(200):
+        idx = tuple(rng.randrange(8) for _ in range(4))
+        val = Om2(*(e[i] for i in idx))
+        assert Om2.array[idx] == val and type(Om2.array[idx]) is type(val)
+
+
 def test_rotation_group_membership():
     ok, res = in_rotation_group(exactla.eye(3))
     assert ok and res == 0

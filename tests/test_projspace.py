@@ -115,6 +115,22 @@ def test_tangent_split_float_lifts():
         tangent_split(_float_lift(x, 1 + 1e-6))
 
 
+@pytest.mark.parametrize("seed", [5, 8, 18])
+def test_tangent_split_float_frame_full_rank(seed):
+    # float copies of these points once gave frames of singular-value
+    # ratio ~1e-17: rounding noise counted as a new direction
+    x = random_sphere_point(random.Random(seed), 3)
+    frame = np.asarray(tangent_split(_float_lift(x)).horizontal, dtype=float)
+    assert frame.shape == (12, 8)
+    s = np.linalg.svd(frame, compute_uv=False)
+    assert s[-1] / s[0] > 1e-6
+    # same space as the exact frame: adding its columns keeps the rank at 8
+    exact = np.asarray(tangent_split(x).horizontal, dtype=float)
+    both = np.linalg.svd(np.concatenate([frame, exact], axis=1),
+                         compute_uv=False)
+    assert both[7] / both[0] > 1e-6 and both[8] / both[0] < 1e-12
+
+
 def test_horizontal_spaces_structure_invariant():
     rng = random.Random(3)
     g = metric_matrix(3)

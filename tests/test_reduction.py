@@ -363,6 +363,17 @@ def test_pq_scene_build_and_serialise():
         build_pq_scene(p=2, q=4, seed=0, samples=1)
 
 
+@pytest.mark.parametrize("sampler, scalar", [("float", float),
+                                             ("exact", Fraction)])
+def test_pq_scene_json_roundtrip_keeps_points(sampler, scalar):
+    scene = build_pq_scene(samples=2, directions=1, sampler=sampler)
+    back = scene_from_json(scene_to_json(scene))
+    assert [u.x for u in back.points] == [u.x for u in scene.points]
+    assert all(type(c) is scalar
+               for u in back.points for h in u.x.entries
+               for c in h.coefficients())
+
+
 def test_moment_check_unknown_action():
     with pytest.raises(ValueError):
         moment_gradient_check(ReductionScene(action="nope"), samples=1)
