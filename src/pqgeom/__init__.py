@@ -3,8 +3,8 @@ decompositions, the projective-space model, and two moment-map
 reductions, with exact rational arithmetic as the ground truth and a
 verification CLI (`pqgeom` or `python -m pqgeom`)."""
 
-from .algebra import (NullQuaternionError, ScalarField, SplitQuaternion,
-                      conj_norm, scalar_product, unit_flow)
+from .algebra import (NullQuaternionError, SplitQuaternion, conj_norm,
+                      scalar_product, unit_flow)
 from .linalg import (DegenerateStructureError, HermitianStructure, PQMatrix,
                      PQVector, RankMismatchError, adopted_basis,
                      grassman_split, module_scalar_product, real_rep,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 EPS = (1, -1, -1)  # signs of -i^2, -j^2, -k^2
@@ -31,33 +30,6 @@ EPS = (1, -1, -1)  # signs of -i^2, -j^2, -k^2
 
 class NullQuaternionError(ZeroDivisionError):
     """Inversion attempted on the null cone |q|^2 = 0."""
-
-
-@dataclass(frozen=True)
-class ScalarField:
-    """Comparison policy: exact rationals, or floats with a relative tolerance."""
-
-    exact: bool = True
-    tolerance: float = 1e-9
-
-    @classmethod
-    def exact_field(cls) -> "ScalarField":
-        return cls(exact=True)
-
-    @classmethod
-    def floating(cls, tolerance: float = 1e-9) -> "ScalarField":
-        return cls(exact=False, tolerance=tolerance)
-
-    def close(self, a, b) -> bool:
-        if self.exact:
-            return a == b
-        scale = max(abs(a), abs(b), 1.0)
-        return abs(a - b) <= self.tolerance * scale
-
-    def is_zero(self, a) -> bool:
-        if self.exact:
-            return a == 0
-        return abs(a) <= self.tolerance
 
 
 class SplitQuaternion:

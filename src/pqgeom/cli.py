@@ -8,8 +8,8 @@ Reports are deterministic for a fixed (suite, seed, config) triple,
 except for the wall_time field.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 bad
-configuration (unknown suite, invalid weights, a sample count or rank
-below 1, a malformed or unsupported level value).
+configuration (unknown suite or option, invalid weights, a sample count
+or rank below 1).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -66,7 +66,6 @@ class CheckConfig:
     rank: int = 2
     p: int = 1
     q: int = 2
-    xi: tuple = (Fraction(-1), Fraction(0), Fraction(0))
     tolerance: float | None = None
     exact: bool = False
 
@@ -508,13 +507,12 @@ def _chk_lift_independence(config, rng):
         Hx, fx = proj.induced_geometry(x)
         fq = np.stack([PQVector.from_real(fx[:, c]).right_mul(qrot).to_real()
                        for c in range(fx.shape[1])], axis=1)
-        gram = fq.T @ fq
         for e in IMAGINARY_UNITS:
             img = np.stack(
                 [PQVector.from_real(fq[:, c]).right_mul(e.conj()).to_real()
                  for c in range(fq.shape[1])], axis=1)
-            coords = exactla.solve(gram, fq.T @ img)
-            worst = max(worst, float(exactla.max_abs(fq @ coords - img)))
+            coords, residual = exactla.frame_coordinates(fq, img)
+            worst = max(worst, float(residual))
             if Hx.span_coefficients(coords) is None:
                 worst = max(worst, 1.0)
     return worst, count
@@ -533,8 +531,8 @@ def _chk_s1_reduced_structure(config, rng):
     count = max(5, config.samples // 4)
     rank = config.rank + 1
     for _ in range(count):
-        h = red.flat_level_sample(rng, rank, config.xi)
-        out = red.flat_reduced_structure(h, config.xi)
+        h = red.flat_level_sample(rng, rank)
+        out = red.flat_reduced_structure(h)
         worst = max(worst, float(out.comrel_residual),
                     float(out.skew_residual))
         if out.signature != (2 * (rank - 1), 2 * (rank - 1)):
@@ -546,7 +544,7 @@ def _chk_s1_reduced_structure(config, rng):
 
 def _chk_s1_orthogonality(config, rng):
     scene = red.ReductionScene(action="flat-s1", rank=config.rank + 1,
-                               xi=config.xi, seed=config.seed)
+                               seed=config.seed)
     res = red.structure_orthogonality_check(
         scene, samples=max(3, config.samples // 30), rng=rng)
     return float(res), max(3, config.samples // 30)
@@ -567,7 +565,7 @@ def _chk_pq_eigen_identity(config, rng):
     for _ in range(count):
         u = red.weighted_level_sample(rng, config.p, config.q)
         X = red.admissible_directions(config.p, config.q, u, rng, 1)[0]
-        rj = red.reduced_jacobi(config.p, config.q, u, X, constant=const)
+        rj = red.reduced_jacobi(config.p, config.q, u, X)
         l1, _, l3 = rj.eigenvalues
         worst = max(worst, float(abs(2 * l1 + l3 - 3 * const)))
     return worst, count
@@ -714,10 +712,6 @@ def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckRep
             f"sample count {config.samples} must be at least 1")
     if config.rank < 1:
         raise InvalidConfigError(f"rank {config.rank} must be at least 1")
-    if tuple(config.xi) != (-1, 0, 0):
-        raise InvalidConfigError(
-            "level value %s unsupported: the exact level-set sampler "
-            "implements only -1,0,0" % ",".join(str(x) for x in config.xi))
     if selector == "all":
         suites = list(REGISTRY)
     elif selector in REGISTRY:
@@ -788,7 +782,7 @@ def _config_dict(config: CheckConfig) -> dict:
     return {
         "seed": config.seed, "samples": config.samples,
         "rank": config.rank, "p": config.p, "q": config.q,
-        "xi": [str(x) for x in config.xi],
+        "xi": [str(x) for x in red.FLAT_LEVEL],
         "tolerance": config.tolerance, "exact": config.exact,
     }
 
@@ -812,8 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="module rank for rank-parametrised checks")
     parser.add_argument("--p", type=int, default=1)
     parser.add_argument("--q", type=int, default=2)
-    parser.add_argument("--xi", default="-1,0,0",
-                        help="level value, three comma-separated rationals")
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--exact", action="store_true",
@@ -824,12 +816,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        xi = tuple(Fraction(tok) for tok in args.xi.split(","))
         config = CheckConfig(seed=args.seed, samples=args.samples,
-                             rank=args.rank, p=args.p, q=args.q, xi=xi,
+                             rank=args.rank, p=args.p, q=args.q,
                              tolerance=args.tol, exact=args.exact)
         reports = run_suite(args.suite, config)
-    except (UnknownSuiteError, InvalidConfigError, ValueError) as err:
+    except (UnknownSuiteError, InvalidConfigError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
     payload = emit_report(reports, fmt=args.format, out=args.out,

@@ -17,6 +17,7 @@ negative for the metric normalised by the unit-pseudosphere submersion.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import exactla
 from .algebra import EPS, SplitQuaternion
-from .forms import BilinearForm, _structure_average, hermitian_projector
+from .forms import BilinearForm, hermitian_projector
 from .linalg import (HermitianStructure, PQMatrix, PQVector, GrassmanSplit,
                      left_structure_endos, metric_matrix, structure_endos)
 
@@ -34,6 +35,8 @@ CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 # product-table convention of the stored tensors (see the algebra module)
 CONVENTION = "cyclic-ijk"
+
+SPECTRUM_TOLERANCE = 1e-9   # unit-norm slack and eigenvalue agreement
 
 
 class NotSymmetricPairError(ValueError):
@@ -180,41 +183,38 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
     return worst == 0, worst
 
 
-def _ricci_phi_operator(B: np.ndarray, H: HermitianStructure) -> np.ndarray:
-    """Closed form of Ric(R^B): (dim+3) B - B^T + Psi(B) + Psi(B)^T with
-    Psi(B) = sum_a eps_a J_a^T B J_a."""
-    psi = _structure_average(B, H)
-    return (H.dim + 3) * B - B.T + psi + psi.T
-
-
 def ricci_split(R: CurvatureTensor, H: HermitianStructure,
                 method: str = "solve"):
     """Unique decomposition R = W + R^B with Ric(W) = 0.
 
     method 'solve' assembles the dense linear system Ric(R^B) = Ric(R)
     over all bilinear forms and solves it exactly (SingularSystemError
-    if it is singular); method 'closed' inverts the operator on its four
-    eigenspaces (eigenvalues dim+8, dim, dim+10, dim+2 on the
-    symmetric/antisymmetric hermitian/mixed components).
+    if it is singular): Ric(R^B) = (dim+3) B - B^T + Psi(B) + Psi(B)^T
+    with Psi(B) = sum_a eps_a J_a^T B J_a is, on the row-major vec(B),
+    (dim+3) I - P + Psi + P Psi with Psi = sum_a eps_a J_a^T (x) J_a^T and
+    P the permutation taking vec(B) to vec(B^T).  Method 'closed' inverts
+    the operator on its eigenspaces: dim+8 on symmetric hermitian forms,
+    dim on symmetric mixed forms, dim+4 on antisymmetric forms.
     """
     d = R.dim
     ric = ricci(R)
     if method == "closed":
         sym = (ric + ric.T) * Fraction(1, 2)
         alt = (ric - ric.T) * Fraction(1, 2)
-        parts = []
-        for mat, herm_eig, mix_eig in ((sym, d + 8, d), (alt, d + 10, d + 2)):
-            herm, mix, _ = hermitian_projector(BilinearForm(mat), H)
-            parts.append(herm.matrix / Fraction(herm_eig)
-                         + mix.matrix / Fraction(mix_eig))
-        Bmat = parts[0] + parts[1]
+        herm, mix, _ = hermitian_projector(BilinearForm(sym), H)
+        Bmat = (herm.matrix / Fraction(d + 8) + mix.matrix / Fraction(d)
+                + alt / Fraction(d + 4))
     elif method == "solve":
         N = d * d
-        op = exactla.zeros((N, N))
-        for col in range(N):
-            basis = exactla.zeros((d, d))
-            basis[col // d, col % d] = Fraction(1)
-            op[:, col] = _ricci_phi_operator(basis, H).reshape(-1)
+        diag = np.arange(N)
+        transpose = diag.reshape(d, d).T.reshape(-1)   # P as a row order
+        # in-place sums keep one N x N temporary (the Kronecker product)
+        op = np.kron(Fraction(EPS[0]) * H.J[0].T, H.J[0].T)
+        for eps, Ja in zip(EPS[1:], H.J[1:]):
+            op += np.kron(Fraction(eps) * Ja.T, Ja.T)
+        op += op[transpose]
+        op[diag, diag] += d + 3
+        op[diag, transpose] -= 1
         try:
             Bvec = exactla.solve(op, ric.reshape(-1))
         except ValueError as err:
@@ -315,7 +315,8 @@ class SymmetricDecomposition:
             return np.stack([m.reshape(-1) for m in mats], axis=1)
 
         def project(space_flat, target, label):
-            sol, residual = _project_onto(space_flat, target.reshape(-1))
+            sol, residual = exactla.frame_coordinates(space_flat,
+                                                      target.reshape(-1))
             if residual != 0:
                 raise NotSymmetricPairError(f"bracket leaves {label}")
             return sol
@@ -341,15 +342,6 @@ class SymmetricDecomposition:
                 c_ff[a, b] = coef
                 c_ff[b, a] = -coef
         return cls(c_mm, c_fm, c_ff, g_m, structure)
-
-
-def _project_onto(columns: np.ndarray, target: np.ndarray):
-    """Exact least-squares-free projection: coefficients with
-    columns @ coef = target, plus the max-abs residual."""
-    gram = columns.T @ columns
-    coef = exactla.solve(gram, columns.T @ target)
-    residual = exactla.max_abs(columns @ coef - target)
-    return coef, residual
 
 
 def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
@@ -464,7 +456,7 @@ def special_linear_decomposition(n: int = 2) -> SymmetricDecomposition:
         cols = []
         for M in m_mats:
             br = big @ M - M @ big
-            coef, residual = _project_onto(
+            coef, residual = exactla.frame_coordinates(
                 np.stack([x.reshape(-1) for x in m_mats], axis=1),
                 br.reshape(-1))
             if residual != 0:
@@ -512,30 +504,30 @@ def projective_pair(n: int):
     return CurvatureTensor(tensor, metric_matrix(n))
 
 
-_FITTED_SCALE_CACHE: dict[int, Fraction] = {}
-
-
 def fitted_projective_scale(n: int) -> Fraction:
     """Exact scalar c with bracket curvature = c * closed formula on the
-    standard structure; cached per rank.  The pseudosphere-submersion
+    standard structure; fitted once per rank.  The pseudosphere-submersion
     normalisation makes c = -1."""
-    if n not in _FITTED_SCALE_CACHE:
-        bracket = projective_pair(n)
-        formula = projective_curvature(structure_endos(n))
-        num = den = None
-        flat_b = bracket.tensor.reshape(-1)
-        flat_f = formula.tensor.reshape(-1)
-        for b, f in zip(flat_b, flat_f):
-            if f != 0:
-                num, den = b, f
-                break
-        if num is None:
-            raise ValueError("formula tensor vanished")
-        c = num / den
-        if exactla.max_abs(bracket.tensor - c * formula.tensor) != 0:
-            raise ValueError("bracket and formula curvature not proportional")
-        _FITTED_SCALE_CACHE[n] = c
-    return _FITTED_SCALE_CACHE[n]
+    return _fitted_scale(n)
+
+
+@functools.cache
+def _fitted_scale(n: int) -> Fraction:
+    bracket = projective_pair(n)
+    formula = projective_curvature(structure_endos(n))
+    num = den = None
+    flat_b = bracket.tensor.reshape(-1)
+    flat_f = formula.tensor.reshape(-1)
+    for b, f in zip(flat_b, flat_f):
+        if f != 0:
+            num, den = b, f
+            break
+    if num is None:
+        raise ValueError("formula tensor vanished")
+    c = num / den
+    if exactla.max_abs(bracket.tensor - c * formula.tensor) != 0:
+        raise ValueError("bracket and formula curvature not proportional")
+    return c
 
 
 def ambient_projective_curvature(n: int) -> CurvatureTensor:
@@ -594,19 +586,17 @@ class SpectrumReport:
     directions: list
     spacelike_agree: bool
     timelike_agree: bool
-    tolerance: float
 
     @property
     def pointwise_osserman(self) -> bool:
         return self.spacelike_agree and self.timelike_agree
 
 
-def jacobi_spectrum_report(R: CurvatureTensor, directions,
-                           tolerance: float = 1e-9) -> SpectrumReport:
+def jacobi_spectrum_report(R: CurvatureTensor, directions) -> SpectrumReport:
     """Per-direction eigenvalues of K_X restricted to the orthogonal
     complement, with agreement verdicts split by the sign of g(X, X).
 
-    Directions must satisfy |g(X, X)| = 1 up to the tolerance; a null
+    Directions must satisfy |g(X, X)| = 1 up to SPECTRUM_TOLERANCE; a null
     direction raises NullDirectionError.  Nilpotent Jordan structure is
     detected through the minimal-polynomial degree and a K_X^2 = 0 test
     rather than full Jordan forms.
@@ -618,7 +608,7 @@ def jacobi_spectrum_report(R: CurvatureTensor, directions,
         norm = X @ g @ X
         if norm == 0 or abs(float(norm)) < 1e-15:
             raise NullDirectionError(f"direction {idx} is null")
-        if abs(abs(float(norm)) - 1.0) > max(tolerance, 1e-12):
+        if abs(abs(float(norm)) - 1.0) > SPECTRUM_TOLERANCE:
             raise ValueError(f"direction {idx} is not unit: g(X,X)={norm}")
         Kres, _ = restrict_to_complement(R, X)
         Kfloat = np.array(Kres, dtype=float)
@@ -641,13 +631,13 @@ def jacobi_spectrum_report(R: CurvatureTensor, directions,
         if len(group) < 2:
             return True
         first = np.array(group[0])
-        return all(np.allclose(np.array(other), first, atol=tolerance,
-                               rtol=tolerance) for other in group[1:])
+        return all(np.allclose(np.array(other), first,
+                               atol=SPECTRUM_TOLERANCE,
+                               rtol=SPECTRUM_TOLERANCE) for other in group[1:])
 
     return SpectrumReport(directions=entries,
                           spacelike_agree=agree(1),
-                          timelike_agree=agree(-1),
-                          tolerance=tolerance)
+                          timelike_agree=agree(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
+MOD_P_PRIME = 2147483629   # the modulus of rank_mod_p
+SVD_RANK_TOL = 1e-10       # relative to the largest singular value (or 1)
+
 
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -89,12 +92,13 @@ def rank(mat: np.ndarray) -> int:
     return len(pivots)
 
 
-def rank_mod_p(int_mat: np.ndarray, p: int = 2147483629) -> int:
-    """Rank of an integer matrix modulo a prime.
+def rank_mod_p(int_mat: np.ndarray) -> int:
+    """Rank of an integer matrix modulo MOD_P_PRIME.
 
     A lower bound for the rational rank; equality with the smaller matrix
     dimension certifies full rank over the rationals.
     """
+    p = MOD_P_PRIME
     a = np.array(int_mat, dtype=object) % p
     rows, cols = a.shape
     r = 0
@@ -131,6 +135,14 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def inverse(a: np.ndarray) -> np.ndarray:
     return solve(a, eye(a.shape[0]))
+
+
+def frame_coordinates(frame: np.ndarray, target: np.ndarray):
+    """(coords, residual): the solution of the Gram system frame^T frame
+    coords = frame^T target, and the max-abs entry of frame @ coords -
+    target, which is 0 exactly when target lies in the frame's span."""
+    coords = solve(frame.T @ frame, frame.T @ target)
+    return coords, max_abs(frame @ coords - target)
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
@@ -225,10 +237,10 @@ def solve_any(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                            np.asarray(b, dtype=float))
 
 
-def nullspace_any(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def nullspace_any(mat: np.ndarray) -> np.ndarray:
     if mat.dtype == object:
         return nullspace(mat)
     mat = np.asarray(mat, dtype=float)
     _, s, vt = np.linalg.svd(mat)
-    keep = s > tol * max(1.0, s[0] if len(s) else 1.0)
+    keep = s > SVD_RANK_TOL * max(1.0, s[0] if len(s) else 1.0)
     return vt[int(keep.sum()):].T

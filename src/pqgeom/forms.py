@@ -152,12 +152,12 @@ def circular_rotation(plane: tuple[int, int], cos_val, sin_val) -> np.ndarray:
     return R
 
 
-def random_rotation(rng, factors: int = 3) -> np.ndarray:
-    """Random exact element of the rotation group: a product of rational
-    hyperbolic rotations in the (1,2) / (1,3) planes, circular rotations
-    in the (2,3) plane, and occasionally the (1,2)-axis flip."""
+def random_rotation(rng) -> np.ndarray:
+    """Random exact element of the rotation group: a product of three
+    rational hyperbolic rotations in the (1,2) / (1,3) planes, circular
+    rotations in the (2,3) plane or (1,2)-axis flips."""
     R = exactla.eye(3)
-    for _ in range(factors):
+    for _ in range(3):
         kind = rng.randrange(4)
         t = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         if kind == 0 or kind == 1:

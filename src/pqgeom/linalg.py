@@ -28,6 +28,7 @@ algebra (hence Lie algebra) isomorphism.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -275,32 +276,33 @@ class HermitianStructure:
     def span_coefficients(self, A: np.ndarray):
         """Exact coefficients (c1, c2, c3) with A = sum c_a J_a, or None."""
         cols = np.stack([Ja.reshape(-1) for Ja in self.J], axis=1)
-        target = A.reshape(-1)
-        sys = np.concatenate([cols, target.reshape(-1, 1)], axis=1)
-        if exactla.rank(sys) > exactla.rank(cols):
-            return None
-        gram = cols.T @ cols
-        coef = exactla.solve(gram, cols.T @ target)
-        return tuple(coef)
+        coef, residual = exactla.frame_coordinates(cols, A.reshape(-1))
+        return None if residual != 0 else tuple(coef)
 
 
-def _block_structure(n: int, blocks) -> HermitianStructure:
-    """Structure on H^n acting by the given 4x4 blocks entrywise, with the
-    metric of the neutral scalar product."""
+@functools.cache
+def _block_structure(n: int, side: str) -> HermitianStructure:
+    """Structure on H^n acting entrywise by right multiplication with the
+    conjugated units or (side "left") left multiplication with the units,
+    with the neutral metric; built once per (n, side), arrays read-only."""
     if n < 1:
         raise ValueError("rank must be at least 1")
+    blocks = [right_mult_matrix(u.conj()) if side == "right"
+              else left_mult_matrix(u) for u in IMAGINARY_UNITS]
     J = [exactla.zeros((4 * n, 4 * n)) for _ in range(3)]
     for a in range(3):
         for v in range(n):
             J[a][4 * v:4 * v + 4, 4 * v:4 * v + 4] = blocks[a]
-    return HermitianStructure(*J, metric_matrix(n))
+    H = HermitianStructure(*J, metric_matrix(n))
+    for arr in (*H.J, H.g):
+        arr.flags.writeable = False
+    return H
 
 
 def structure_endos(n: int) -> HermitianStructure:
     """Standard structure on H^n: J_a = right multiplication by conj(e_a),
-    with the metric of the neutral scalar product."""
-    return _block_structure(
-        n, [right_mult_matrix(u.conj()) for u in IMAGINARY_UNITS])
+    with the metric of the neutral scalar product (shared, read-only)."""
+    return _block_structure(n, "right")
 
 
 def left_structure_endos(n: int) -> HermitianStructure:
@@ -308,9 +310,9 @@ def left_structure_endos(n: int) -> HermitianStructure:
 
     Satisfies the cyclic table directly and commutes with the standard
     (right) structure; for n = 1 the two spans exhaust the conformal
-    algebra's semisimple part.
+    algebra's semisimple part.  Shared and read-only like structure_endos.
     """
-    return _block_structure(n, [left_mult_matrix(u) for u in IMAGINARY_UNITS])
+    return _block_structure(n, "left")
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +468,7 @@ TENSOR_BLOCKS = (
 )
 
 
-def grassman_split(H: HermitianStructure, rng=None) -> GrassmanSplit:
+def grassman_split(H: HermitianStructure) -> GrassmanSplit:
     """Split V into E (x) H with h1 = Id - J3, h2 = J1 + J2.
 
     E is spanned by adopted seeds e_i together with J2 e_i; the images
@@ -474,7 +476,7 @@ def grassman_split(H: HermitianStructure, rng=None) -> GrassmanSplit:
     Id (x) (2x2 block), and the metric factors as omega_e (x) omega_h
     with omega_h = [[0, 1], [-1, 0]].
     """
-    seeds = adopted_basis(H, rng=rng)
+    seeds = adopted_basis(H)
     J1, J2, J3 = H.J
     dim = H.dim
     ident = exactla.eye(dim)
@@ -554,30 +556,30 @@ def structure_from_text(text: str) -> HermitianStructure:
 # ---------------------------------------------------------------------------
 
 
-def random_quaternion(rng, span: int = 5, denominators=(1, 1, 2, 3)) -> SplitQuaternion:
+def random_quaternion(rng, span: int = 5) -> SplitQuaternion:
     return SplitQuaternion(*[
-        Fraction(rng.randint(-span, span), rng.choice(denominators))
+        Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
         for _ in range(4)])
 
 
-def random_pq_vector(rng, n: int, span: int = 5) -> PQVector:
-    return PQVector(random_quaternion(rng, span) for _ in range(n))
+def random_pq_vector(rng, n: int) -> PQVector:
+    return PQVector(random_quaternion(rng, 5) for _ in range(n))
 
 
-def random_pq_matrix(rng, n: int, span: int = 3) -> PQMatrix:
-    return PQMatrix([[random_quaternion(rng, span) for _ in range(n)]
+def random_pq_matrix(rng, n: int) -> PQMatrix:
+    return PQMatrix([[random_quaternion(rng, 3) for _ in range(n)]
                      for _ in range(n)])
 
 
-def random_antihermitian(rng, n: int, span: int = 3) -> PQMatrix:
+def random_antihermitian(rng, n: int) -> PQMatrix:
     """Random member of the skew algebra: diagonal imaginary, opposite
     entries related by negated conjugation."""
     entries = [[SplitQuaternion() for _ in range(n)] for _ in range(n)]
     for p in range(n):
-        q0 = random_quaternion(rng, span)
+        q0 = random_quaternion(rng, 3)
         entries[p][p] = q0.imag()
         for q in range(p + 1, n):
-            x = random_quaternion(rng, span)
+            x = random_quaternion(rng, 3)
             entries[p][q] = x
             entries[q][p] = -x.conj()
     return PQMatrix(entries)

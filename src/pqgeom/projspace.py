@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import IMAGINARY_UNITS, ScalarField, SplitQuaternion
+from .algebra import IMAGINARY_UNITS, SplitQuaternion
 from .linalg import (HermitianStructure, PQMatrix, PQVector, metric_matrix,
                      module_scalar_product, random_quaternion)
 
@@ -87,21 +87,21 @@ def sphere_point_through(base: SpherePoint, direction: PQVector) -> SpherePoint:
     return SpherePoint(moved)
 
 
-def random_sphere_point(rng, rank: int, span: int = 4) -> SpherePoint:
+def random_sphere_point(rng, rank: int) -> SpherePoint:
     """Seeded rational point of the unit pseudosphere."""
     o = base_point(rank)
     while True:
-        d = PQVector(random_quaternion(rng, span) for _ in range(rank))
+        d = PQVector(random_quaternion(rng, 4) for _ in range(rank))
         try:
             return sphere_point_through(o, d)
         except ValueError:
             continue
 
 
-def random_unit_quaternion(rng, span: int = 4) -> SplitQuaternion:
+def random_unit_quaternion(rng) -> SplitQuaternion:
     """Seeded rational element of the unit-norm group."""
     while True:
-        d = random_quaternion(rng, span)
+        d = random_quaternion(rng, 4)
         dd = d.square_norm()
         if dd == 0:
             continue
@@ -159,10 +159,10 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
     vert = vertical_frame(x)
     gram = vert.T @ g @ vert
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
-    # comparison (not the inertia) detects a positive lift off the sphere
-    field = (ScalarField.exact_field() if x.is_exact()
-             else ScalarField.floating())
-    if not all(field.close(a, b)
+    # comparison (not the inertia) detects a positive lift off the sphere;
+    # exact lifts compare with ==, float lifts to a relative 1e-9
+    tol = 0 if x.is_exact() else 1e-9
+    if not all(abs(a - b) <= tol * max(abs(a), abs(b), 1)
                for a, b in zip(gram.flat, VERTICAL_GRAM.flat)):
         found = "; ".join(", ".join(str(a) for a in row) for row in gram)
         raise DegenerateOrbitError(
@@ -195,18 +195,16 @@ def horizontal_project(x: SpherePoint, v: np.ndarray) -> np.ndarray:
     return v - frame4 @ coef
 
 
-def induced_geometry(x: SpherePoint, split: TangentSplit | None = None):
+def induced_geometry(x: SpherePoint):
     """(HermitianStructure on the horizontal frame, the frame itself).
 
     The metric is the restriction of the ambient scalar product; the
     structure is right multiplication by the conjugated units expressed
     in frame coordinates.  Both are exact at rational points.
     """
-    split = split or tangent_split(x)
-    frame = split.horizontal
+    frame = tangent_split(x).horizontal
     g = _ambient_metric(x.rank)
     g_h = frame.T @ g @ frame
-    gram_e = frame.T @ frame
     Js = []
     for u in IMAGINARY_UNITS:
         image_cols = []
@@ -214,8 +212,8 @@ def induced_geometry(x: SpherePoint, split: TangentSplit | None = None):
             vec = PQVector.from_real(frame[:, c]).right_mul(u.conj()).to_real()
             image_cols.append(vec)
         img = np.stack(image_cols, axis=1)
-        coords = exactla.solve(gram_e, frame.T @ img)
-        if exactla.max_abs(frame @ coords - img) != 0:
+        coords, residual = exactla.frame_coordinates(frame, img)
+        if residual != 0:
             raise DegenerateOrbitError("structure does not preserve the frame")
         Js.append(coords)
     return HermitianStructure(*Js, g_h), frame
@@ -235,13 +233,12 @@ def hermitian_pairing(u: PQVector, v: PQVector) -> SplitQuaternion:
     return total
 
 
-def transitive_element(target: SpherePoint, rotate_pool: int = 0) -> PQMatrix:
+def transitive_element(target: SpherePoint) -> PQMatrix:
     """A scalar-product-preserving matrix sending the base point to target.
 
     Columns are built by Gram-Schmidt for the hermitian pairing, starting
     from the target; residual norms are rescaled to one exactly by a
-    right quaternion factor.  rotate_pool shifts the candidate order for
-    retries after a CompletionFailureError.
+    right quaternion factor.
     """
     rank = target.rank
     cols = [target.x]
@@ -249,9 +246,6 @@ def transitive_element(target: SpherePoint, rotate_pool: int = 0) -> PQMatrix:
     for s in range(rank):
         coords = [SplitQuaternion(1 if i == s else 0) for i in range(rank)]
         pool.append(PQVector(coords))
-    if rotate_pool:
-        shift = rotate_pool % rank
-        pool = pool[shift:] + pool[:shift]
     for cand in pool:
         if len(cols) == rank:
             break
@@ -263,7 +257,6 @@ def transitive_element(target: SpherePoint, rotate_pool: int = 0) -> PQMatrix:
             continue
         cols.append(v.right_mul(unit_scaling(r)))
     if len(cols) != rank:
-        raise CompletionFailureError(
-            "candidate pool exhausted; retry with rotate_pool shifted")
+        raise CompletionFailureError("candidate pool exhausted")
     entries = [[cols[c].entries[r] for c in range(rank)] for r in range(rank)]
     return PQMatrix(entries)

@@ -9,9 +9,10 @@ with e^{it}.  The moment map used here is
     f(h) = ( -(|z|^2 + |w|^2), -Re(z w), -Im(z w) ),
 
 in the complex coordinates h = z + j w (entrywise), with z w the
-bilinear complex pairing.  With this sign convention the level set of
-xi = (-1, 0, 0) is literally {|z|^2 + |w|^2 = 1, z w = 0}.  The
-components adapted to the structure triple (the ones whose directional
+bilinear complex pairing.  The level is fixed at FLAT_LEVEL,
+xi = (-1, 0, 0), the one level the exact sampler implements; with this
+sign convention its level set is literally {|z|^2 + |w|^2 = 1, z w = 0}.
+The components adapted to the structure triple (the ones whose directional
 derivatives equal omega_a(V, .) for the Killing field V(h) = i h) are
 the documented relabelling
 
@@ -48,6 +49,7 @@ duplicated middle label in the source formula is resolved that way.)
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -58,16 +60,15 @@ from math import gcd
 import numpy as np
 
 from . import exactla
-from .algebra import (IMAGINARY_UNITS, J, SplitQuaternion, scalar_product)
+from .algebra import IMAGINARY_UNITS, J, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
 from .linalg import (HermitianStructure, PQMatrix, PQVector, metric_matrix,
-                     module_scalar_product, random_quaternion,
-                     right_mult_matrix, structure_endos)
-from .projspace import (VERTICAL_GRAM, SpherePoint, base_point,
-                        hermitian_pairing, horizontal_project,
-                        random_sphere_point, random_unit_quaternion,
-                        transitive_element, vertical_frame)
+                     module_scalar_product, right_mult_matrix,
+                     structure_endos)
+from .projspace import (VERTICAL_GRAM, SpherePoint, horizontal_project,
+                        random_sphere_point, transitive_element,
+                        vertical_frame)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -90,6 +91,15 @@ class StepTooSmallError(ValueError):
     """Finite-difference step below the noise floor."""
 
 
+# the level value xi of each scene
+FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
+LEVELS = {"flat-s1": FLAT_LEVEL, "pq": (Fraction(0),) * 3}
+
+# acceptance residual and iteration cap of the float level-set sampler
+_ROOT_TOL = 1e-11
+_ROOT_MAX_ITER = 80
+
+
 @dataclass
 class ImValue:
     """Element of the imaginary span, as (i, j, k) coefficients."""
@@ -104,8 +114,8 @@ class ImValue:
     def max_abs(self):
         return max(abs(self.i), abs(self.j), abs(self.k))
 
-    def is_zero(self, tol=0) -> bool:
-        return self.max_abs() <= tol
+    def is_zero(self) -> bool:
+        return self.max_abs() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +164,13 @@ def _moment_gradient_rows(h: PQVector) -> np.ndarray:
     return rows
 
 
-def flat_level_sample(rng, rank: int, xi=(-1, 0, 0)) -> PQVector:
-    """Exact rational point of the level set of xi = (-1, 0, 0).
+def flat_level_sample(rng, rank: int) -> PQVector:
+    """Exact rational point of the level set of FLAT_LEVEL = (-1, 0, 0).
 
     Builds complex vectors z, w with disjoint supports (so z w = 0) and
     rational Euclidean norms s^2 + t^2 = 1 from a rational circle point,
     avoiding the null-orbit locus s = t.
     """
-    if tuple(xi) != (-1, 0, 0):
-        raise ValueError("exact sampler implemented for xi = (-1, 0, 0)")
     while True:
         u = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         den = 1 + u * u
@@ -194,8 +202,7 @@ def flat_level_sample(rng, rank: int, xi=(-1, 0, 0)) -> PQVector:
             wr, wi = t * wvec[2 * v], t * wvec[2 * v + 1]
             entries.append(SplitQuaternion(zr, zi, wr, -wi))
         h = PQVector(entries)
-        f = flat_circle_moment(h)
-        assert f == (Fraction(-1), Fraction(0), Fraction(0))
+        assert flat_circle_moment(h) == FLAT_LEVEL
         return h
 
 
@@ -226,13 +233,13 @@ class ReducedStructure:
     signature: tuple[int, int]
 
 
-def flat_reduced_structure(h: PQVector, xi=(-1, 0, 0)) -> ReducedStructure:
+def flat_reduced_structure(h: PQVector) -> ReducedStructure:
     """Descend metric and structure to the quotient tangent space at a
     level point: kernel of the constraint differentials, minus the orbit
     direction, with the structure restricted (the complement of the span
     (V, J1 V, J2 V, J3 V) is invariant, so no projection loss occurs)."""
     f = flat_circle_moment(h)
-    res = max(abs(a - Fraction(b)) for a, b in zip(f, xi))
+    res = max(abs(a - b) for a, b in zip(f, FLAT_LEVEL))
     if res != 0:
         raise DegenerateLevelSetError(f"point off the level set by {res}")
     rows = _moment_gradient_rows(h)
@@ -246,15 +253,12 @@ def flat_reduced_structure(h: PQVector, xi=(-1, 0, 0)) -> ReducedStructure:
     frame = exactla.nullspace(con)
     H = structure_endos(h.rank)
     g_red = frame.T @ g @ frame
-    gram_e = frame.T @ frame
-    Js = []
-    for Ja in H.J:
-        img = Ja @ frame
-        coords = exactla.solve(gram_e, frame.T @ img)
-        if exactla.max_abs(frame @ coords - img) != 0:
-            raise DegenerateLevelSetError("structure leaves the frame")
-        Js.append(coords)
-    Hred = HermitianStructure(*Js, g_red, validate=False)
+    coords, residual = exactla.frame_coordinates(
+        frame, np.concatenate([Ja @ frame for Ja in H.J], axis=1))
+    if residual != 0:
+        raise DegenerateLevelSetError("structure leaves the frame")
+    Hred = HermitianStructure(*np.split(coords, 3, axis=1), g_red,
+                              validate=False)
     return ReducedStructure(
         frame=frame,
         structure=Hred,
@@ -492,17 +496,21 @@ class ReducedJacobi:
     einstein_constant: Fraction | float
 
 
+@functools.cache
 def _ambient_constant() -> Fraction:
+    """Einstein constant of the rank-2 ambient projective model, built
+    once per process."""
     return einstein_check(ambient_projective_curvature(2))[0]
 
 
-def reduced_jacobi(p: int, q: int, u: SpherePoint, X: np.ndarray,
-                   constant=None) -> ReducedJacobi:
+def reduced_jacobi(p: int, q: int, u: SpherePoint,
+                   X: np.ndarray) -> ReducedJacobi:
     """Eigenvalue data (l1, l2, l3, ratio) of the reduced Jacobi operator.
 
     X must be horizontal and orthogonal to the span (V, J1 V, J2 V, J3 V)
     with g(X, X) != 0; the ratio is normalised by g(X, X), which makes it
-    scale invariant and uniform across causal classes.
+    scale invariant and uniform across causal classes.  The eigenvalues
+    are read off the Einstein constant of the ambient projective model.
     """
     regular, _ = weighted_regularity(p, q, u)
     if not regular:
@@ -526,7 +534,7 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint, X: np.ndarray,
                                            span.T @ (g @ VX))
     hnorm = h_part @ g @ h_part
     ratio = hnorm / (xnorm * vnorm)
-    const = constant if constant is not None else _ambient_constant()
+    const = _ambient_constant()
     lam1 = const - 2 * ratio
     lam3 = const + 4 * ratio
     return ReducedJacobi(eigenvalues=(lam1, lam1, lam3), ratio=ratio,
@@ -569,26 +577,30 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     return out
 
 
-def weighted_level_sample_float(rng, p: int, q: int,
-                                residual_tol: float = 1e-11,
-                                max_iter: int = 80) -> SpherePoint:
-    """Generic float point of the zero level set: randomized seeding plus
-    a damped Gauss-Newton iteration on the four equations (three level
-    components and the sphere constraint); accepted below residual_tol.
-    """
-    ws = _weights(p, q)
+def _float_sphere_seed(rng) -> np.ndarray:
+    """Real coordinates of a float point of the rank-3 unit sphere: a draw
+    from [-1.5, 1.5]^12, redrawn until its square norm exceeds 0.1."""
     while True:
         coords = np.array([rng.uniform(-1.5, 1.5) for _ in range(12)])
         vec = PQVector.from_real(coords)
         norm = float(module_scalar_product(vec, vec))
-        if norm <= 0.1:
-            continue
-        coords = coords / np.sqrt(norm)
+        if norm > 0.1:
+            return coords / np.sqrt(norm)
+
+
+def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
+    """Generic float point of the zero level set: randomized seeding plus
+    a damped Gauss-Newton iteration on the four equations (three level
+    components and the sphere constraint); accepted below _ROOT_TOL.
+    """
+    ws = _weights(p, q)
+    while True:
+        coords = _float_sphere_seed(rng)
         ok = False
-        for _ in range(max_iter):
+        for _ in range(_ROOT_MAX_ITER):
             vec = PQVector.from_real(coords)
             residual = _pq_system(ws, vec)
-            if np.max(np.abs(residual)) < residual_tol:
+            if np.max(np.abs(residual)) < _ROOT_TOL:
                 ok = True
                 break
             jac = _pq_system_jacobian(p, q, vec)
@@ -609,7 +621,7 @@ def weighted_level_sample_float(rng, p: int, q: int,
                 break
         if not ok:
             continue
-        u = SpherePoint(PQVector.from_real(coords), tol=10 * residual_tol)
+        u = SpherePoint(PQVector.from_real(coords), tol=10 * _ROOT_TOL)
         regular, _ = weighted_regularity(p, q, u)
         vnorm = float(killing_horizontal(p, q, u)
                       @ np.asarray(metric_matrix(3), dtype=float)
@@ -641,18 +653,21 @@ def _pq_system_jacobian(p: int, q: int, vec: PQVector) -> np.ndarray:
 
 @dataclass
 class ReductionScene:
-    """One configured reduction run: action data, level value, seed,
-    sampled points with derived quantities."""
+    """One configured reduction run: action data, seed, sampled points
+    with derived quantities; the level value follows from the action."""
 
     action: str                      # "flat-s1" or "pq"
     rank: int = 3
     p: int | None = None
     q: int | None = None
-    xi: tuple = (-1, 0, 0)
     seed: int = 0
     tolerance: float = 1e-9
     points: list = field(default_factory=list)
     derived: list = field(default_factory=list)
+
+    @property
+    def xi(self) -> tuple:
+        return LEVELS[self.action]
 
     def manifest(self) -> dict:
         return {
@@ -663,15 +678,14 @@ class ReductionScene:
         }
 
 
-def build_flat_scene(rank: int = 3, xi=(-1, 0, 0), seed: int = 0,
+def build_flat_scene(rank: int = 3, seed: int = 0,
                      samples: int = 10) -> ReductionScene:
     rng = random.Random(seed)
-    scene = ReductionScene(action="flat-s1", rank=rank, xi=tuple(xi),
-                           seed=seed)
+    scene = ReductionScene(action="flat-s1", rank=rank, seed=seed)
     for _ in range(samples):
-        h = flat_level_sample(rng, rank, xi)
+        h = flat_level_sample(rng, rank)
         scene.points.append(h)
-        red = flat_reduced_structure(h, xi)
+        red = flat_reduced_structure(h)
         qa, qb = flat_quotient_residuals(h)
         scene.derived.append({
             "comrel_residual": red.comrel_residual,
@@ -693,20 +707,15 @@ def build_pq_scene(p: int = 1, q: int = 2, seed: int = 0,
     """
     _weights(p, q)
     rng = random.Random(seed)
-    scene = ReductionScene(action="pq", rank=3, p=p, q=q, xi=(0, 0, 0),
-                           seed=seed)
-    const = _ambient_constant()
-    cfloat = float(const)
+    scene = ReductionScene(action="pq", rank=3, p=p, q=q, seed=seed)
     for _ in range(samples):
         if sampler == "exact":
             u = weighted_level_sample(rng, p, q)
-            kconst = const
         else:
             u = weighted_level_sample_float(rng, p, q)
-            kconst = cfloat
         scene.points.append(u)
         dirs = admissible_directions(p, q, u, rng, directions)
-        data = [reduced_jacobi(p, q, u, X, constant=kconst) for X in dirs]
+        data = [reduced_jacobi(p, q, u, X) for X in dirs]
         scene.derived.append({
             "ratios": [d.ratio for d in data],
             "eigenvalues": [d.eigenvalues for d in data],
@@ -799,7 +808,7 @@ def structure_orthogonality_check(scene: ReductionScene,
     if scene.action == "flat-s1":
         g = metric_matrix(scene.rank)
         for _ in range(samples):
-            h = flat_level_sample(rng, scene.rank, scene.xi)
+            h = flat_level_sample(rng, scene.rank)
             rows = _moment_gradient_rows(h)
             frame = exactla.nullspace(rows)
             V = flat_killing(h)
@@ -824,24 +833,22 @@ def structure_orthogonality_check(scene: ReductionScene,
 
 
 def empty_levelset_check(p: int = 1, q: int = 2, samples: int = 10000,
-                         seed: int = 0, tolerance: float = 1e-6):
+                         seed: int = 0) -> float:
     """Negative control: the variant action through the definite axis
     (cos t + i sin t factors) has i-component q|u0|_E^2 + p|u1|_E^2 +
-    p|u2|_E^2 > 0, so its moment zero set on the sphere is empty.
-    Returns the minimum over samples of the value's magnitude."""
+    p|u2|_E^2 >= min(p, q) > 0 on the sphere, so its moment zero set
+    there is empty.  Returns the minimum of the value's magnitude over
+    float sphere points drawn like the seeds of the float sampler."""
     rng = random.Random(seed)
     ws = _weights(p, q)
-    smallest = None
     axis = IMAGINARY_UNITS[0]
+    smallest = math.inf
     for _ in range(samples):
-        u = random_sphere_point(rng, 3, span=3)
+        u = PQVector.from_real(_float_sphere_seed(rng).tolist())
         total = SplitQuaternion()
-        for c, h in zip(ws, u.x.entries):
+        for c, h in zip(ws, u.entries):
             total = total + _sandwich(h, axis).scale(c)
-        mag = float(max(abs(total.b), abs(total.c), abs(total.d)))
-        smallest = mag if smallest is None else min(smallest, mag)
-        if mag <= tolerance:
-            break
+        smallest = min(smallest, ImValue(total.b, total.c, total.d).max_abs())
     return smallest
 
 
@@ -883,8 +890,10 @@ def scene_from_json(text: str) -> ReductionScene:
     man = payload["manifest"]
     scene = ReductionScene(
         action=man["action"], rank=man["rank"], p=man["p"], q=man["q"],
-        xi=tuple(Fraction(x) for x in man["xi"]),
         seed=man["seed"], tolerance=man["tolerance"])
+    if tuple(Fraction(x) for x in man["xi"]) != scene.xi:
+        raise ValueError(f"manifest level {man['xi']} does not match "
+                         f"action {scene.action!r}")
     for coords in payload["points"]:
         vec = PQVector(SplitQuaternion(*(Fraction(c) if isinstance(c, str)
                                          else float(c) for c in h))

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom.algebra import (EPS, I, J, K, ONE, UNITS, NullQuaternionError,
-                            ScalarField, SplitQuaternion, circle_point,
-                            conj_norm, hyperbola_point, scalar_product,
-                            unit_flow)
+                            SplitQuaternion, circle_point, conj_norm,
+                            hyperbola_point, scalar_product, unit_flow)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 quaternions = st.builds(SplitQuaternion, rationals, rationals, rationals,
@@ -171,16 +170,6 @@ def test_parse_variants():
         SplitQuaternion.parse("")
     with pytest.raises(ValueError):
         SplitQuaternion.parse("1 + x")
-
-
-def test_scalar_field_modes():
-    exact = ScalarField.exact_field()
-    assert exact.close(Fraction(1, 3), Fraction(1, 3))
-    assert not exact.close(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**12))
-    floating = ScalarField.floating(1e-9)
-    assert floating.close(1.0, 1.0 + 1e-12)
-    assert not floating.close(1.0, 1.0 + 1e-6)
-    assert floating.is_zero(1e-12)
 
 
 def test_eps_constants():

@@ -17,15 +17,31 @@ def test_algebra_suite_passes(capsys):
     ["--samples", "0"],
     ["--samples", "-3"],
     ["--n", "0"],
-    ["--xi=-2,0,0"],
-    ["--xi=-1,0"],
-    ["--xi=a,b,c"],
 ])
 def test_bad_configuration_exits_2(args, capsys):
     assert main(["--suite", "algebra"] + args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("args", [
+    ["--xi=-2,0,0"],
+    ["--xi=-1,0"],
+    ["--xi=a,b,c"],
+])
+def test_level_option_is_unknown(args):
+    # the flat level is fixed, so --xi is an unknown option (argparse exit 2)
+    with pytest.raises(SystemExit) as info:
+        main(["--suite", "algebra"] + args)
+    assert info.value.code == 2
+
+
+def test_report_config_keeps_fixed_level(capsys):
+    assert main(["--suite", "algebra", "--samples", "2",
+                 "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["xi"] == ["-1", "0", "0"]
 
 
 def test_unknown_suite_exits_2(capsys):
@@ -38,7 +54,6 @@ def test_unknown_suite_exits_2(capsys):
 @pytest.mark.parametrize("config", [
     CheckConfig(samples=0),
     CheckConfig(rank=0),
-    CheckConfig(xi=(-2, 0, 0)),
 ])
 def test_run_suite_rejects_bad_config(config):
     with pytest.raises(InvalidConfigError):

@@ -131,6 +131,20 @@ def test_ricci_split_recovers_weyl_sample():
     assert exactla.max_abs(Wc.tensor - Wp.tensor) == 0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_ricci_split_recovers_random_bilinear(n):
+    # a seeded non-symmetric B: the system must see B and B^T apart
+    rng = random.Random(40 + n)
+    H = structure_endos(n)
+    B = rand_bilinear(rng, H.dim)
+    assert exactla.max_abs(B.matrix - B.matrix.T) != 0
+    R = curvature_from_bilinear(B, H)
+    for method in ("solve", "closed"):
+        W, Bp = ricci_split(R, H, method=method)
+        assert exactla.max_abs(Bp.matrix - B.matrix) == 0
+        assert W.max_abs() == 0
+
+
 def test_ricci_split_singular_system():
     # an unvalidated triple with J_2 = 2 Id in dimension 6 gives the
     # operator (6 + 3) B - B^T - 4 (B + B^T), which kills symmetric B

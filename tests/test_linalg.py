@@ -76,6 +76,35 @@ def test_left_structure_commutes():
                    for A in H.J for B in L.J) == 0
 
 
+@pytest.mark.parametrize("build", [structure_endos, left_structure_endos])
+def test_structures_built_once_and_read_only(build):
+    H = build(2)
+    assert build(2) is H
+    assert build(1) is not H
+    for arr in (*H.J, H.g):
+        with pytest.raises(ValueError):
+            arr[0, 0] = Fraction(7)
+    # the two sides are cached apart
+    assert left_structure_endos(2) is not structure_endos(2)
+
+
+def test_span_coefficients_member_and_non_member():
+    H = structure_endos(1)
+    A = 2 * H.J[0] - H.J[2]
+    assert H.span_coefficients(A) == (2, 0, -1)
+    assert H.span_coefficients(H.g) is None
+
+
+def test_frame_coordinates_residual():
+    frame = exactla.fracarray([[1, 0], [1, 1], [0, 2]])
+    inside = exactla.fracarray([[2], [5], [6]])
+    coords, residual = exactla.frame_coordinates(frame, inside)
+    assert residual == 0 and list(coords[:, 0]) == [2, 3]
+    _, residual = exactla.frame_coordinates(
+        frame, exactla.fracarray([[1], [0], [0]]))
+    assert residual > 0
+
+
 def test_structure_validation():
     H = structure_endos(1)
     with pytest.raises(DegenerateStructureError):

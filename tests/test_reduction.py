@@ -8,7 +8,8 @@ import pytest
 from pqgeom import exactla
 from pqgeom.algebra import (IMAGINARY_UNITS, I, J, SplitQuaternion,
                             circle_point)
-from pqgeom.curvature import NullDirectionError
+from pqgeom.curvature import (NullDirectionError,
+                              ambient_projective_curvature, einstein_check)
 from pqgeom.linalg import PQVector, metric_matrix, module_scalar_product
 from pqgeom.projspace import SpherePoint, base_point, random_sphere_point
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
@@ -285,6 +286,9 @@ def test_reduced_jacobi_exact_point():
     assert l1 == l2
     assert 2 * l1 + l3 == 3 * first.einstein_constant
     assert first.einstein_constant == -16
+    # the constant is derived from the ambient model, not passed in
+    want = einstein_check(ambient_projective_curvature(2))[0]
+    assert first.einstein_constant == want
 
 
 def test_reduced_jacobi_guards():
@@ -372,6 +376,25 @@ def test_pq_scene_json_roundtrip_keeps_points(sampler, scalar):
     assert all(type(c) is scalar
                for u in back.points for h in u.x.entries
                for c in h.coefficients())
+
+
+FLAT = ["-1", "0", "0"]
+ZERO = ["0", "0", "0"]
+
+
+@pytest.mark.parametrize("builder, level, other", [
+    (lambda: build_flat_scene(rank=2, seed=8, samples=1), FLAT, ZERO),
+    (lambda: build_pq_scene(samples=1, directions=1, sampler="exact"),
+     ZERO, FLAT),
+], ids=["flat-s1", "pq"])
+def test_scene_level_follows_action(builder, level, other):
+    payload = json.loads(scene_to_json(builder()))
+    assert payload["manifest"]["xi"] == level
+    scene_from_json(json.dumps(payload))
+    # a manifest whose level does not match its action is rejected
+    payload["manifest"]["xi"] = other
+    with pytest.raises(ValueError, match="does not match"):
+        scene_from_json(json.dumps(payload))
 
 
 def test_moment_check_unknown_action():
