@@ -103,6 +103,8 @@ class SplitQuaternion:
     def __truediv__(self, scalar):
         if isinstance(scalar, SplitQuaternion):
             return self * scalar.inverse()
+        if isinstance(scalar, int):
+            scalar = Fraction(scalar)   # int / int would round to a float
         return SplitQuaternion(self.a / scalar, self.b / scalar,
                                self.c / scalar, self.d / scalar)
 

@@ -55,10 +55,6 @@ class ReportIOError(OSError):
     pass
 
 
-SUITE_NAMES = ("algebra", "linalg", "forms", "curvature", "projspace",
-               "reduce-s1", "reduce-pq")
-
-
 @dataclass
 class CheckConfig:
     seed: int = 0
@@ -718,7 +714,7 @@ def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckRep
         suites = [selector]
     else:
         raise UnknownSuiteError(
-            f"unknown suite {selector!r}; choose from {SUITE_NAMES + ('all',)}")
+            f"unknown suite {selector!r}; choose from {(*REGISTRY, 'all')}")
     reports = []
     for suite in suites:
         for name, fn, anchor, default_tol in REGISTRY[suite]:
@@ -758,7 +754,6 @@ def emit_report(reports: list[CheckReport], fmt: str = "json",
             "checks": [r.as_dict() for r in reports],
         }, indent=2, sort_keys=True)
     elif fmt == "text":
-        widths = (34, 6, 12, 10, 8)
         lines = ["%-34s %-6s %-12s %-10s %-8s  %s"
                  % ("check", "status", "residual", "tolerance", "samples",
                     "anchor")]
@@ -797,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pqgeom",
         description="Run the split-quaternion geometry verification suites.")
     parser.add_argument("--suite", default="all",
-                        help="one of %s or 'all'" % (", ".join(SUITE_NAMES)))
+                        help="one of %s or 'all'" % (", ".join(REGISTRY)))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--tol", type=float, default=None,
                         help="override every check tolerance")

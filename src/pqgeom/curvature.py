@@ -21,7 +21,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -116,6 +116,24 @@ def einstein_check(R: CurvatureTensor):
 # ---------------------------------------------------------------------------
 
 
+def _metric_terms(S) -> np.ndarray:
+    """t[x, y, z, w] = S[y, z] delta[x, w] - S[x, z] delta[y, w], the
+    leading terms of both the model formula and the R^B family."""
+    d = S.shape[0]
+    t = exactla.zeros((d, d, d, d))
+    diag = np.arange(d)
+    t[diag, :, :, diag] += S
+    t[:, diag, :, diag] -= S
+    return t
+
+
+def _structure_contraction(A, H: HermitianStructure) -> np.ndarray:
+    """K[p, q, r, s] = sum_a eps_a A_a[p, q] J_a[s, r]."""
+    signed = np.stack([eps * Aa for eps, Aa in zip(EPS, A)])
+    return np.tensordot(signed, np.stack([Ja.T for Ja in H.J]),
+                        axes=([0], [0]))
+
+
 def curvature_from_bilinear(B: BilinearForm,
                             H: HermitianStructure) -> CurvatureTensor:
     """The curvature tensor attached linearly to a bilinear form:
@@ -128,36 +146,22 @@ def curvature_from_bilinear(B: BilinearForm,
     and sends the metric itself to the projective-space curvature.
     """
     M = B.matrix
-    d = H.dim
-    t = exactla.zeros((d, d, d, d))
-    BJ = [M @ Ja for Ja in H.J]   # BJ[a][x, y] = B(e_x, J_a e_y)
-    cols = [[Ja[:, z] for z in range(d)] for Ja in H.J]
-    for x in range(d):
-        for y in range(d):
-            if x == y:
-                continue
-            for z in range(d):
-                row = t[x, y, z]
-                row[x] += M[y, z]
-                row[y] -= M[x, z]
-                row[z] += M[y, x] - M[x, y]
-                for a in range(3):
-                    row += EPS[a] * ((BJ[a][x, y] - BJ[a][y, x]) * cols[a][z]
-                                     + BJ[a][x, z] * cols[a][y]
-                                     - BJ[a][y, z] * cols[a][x])
+    t = _metric_terms(M)
+    diag = np.arange(H.dim)
+    t[:, :, diag, diag] += (M.T - M)[:, :, None]
+    # with A_a = B J_a, A_a[x, y] = B(e_x, J_a e_y), the four permutations
+    # of K are the four structure terms of the formula, in order
+    K = _structure_contraction([M @ Ja for Ja in H.J], H)
+    t += K
+    t -= K.transpose(1, 0, 2, 3)
+    t += K.transpose(0, 2, 1, 3)
+    t -= K.transpose(2, 0, 1, 3)
     return CurvatureTensor(t, H.g)
 
 
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     """The three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y))."""
-    d = R.dim
-    out = [exactla.zeros((d, d)) for _ in range(3)]
-    for x in range(d):
-        for y in range(d):
-            Mxy = R.endomorphism(x, y)
-            for a in range(3):
-                out[a][x, y] = np.trace(H.J[a] @ Mxy)
-    return out
+    return [np.tensordot(R.tensor, Ja, axes=([2, 3], [0, 1])) for Ja in H.J]
 
 
 def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
@@ -169,17 +173,15 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
 
     over cyclic (a, b, c).  Returns (bool, residual)."""
     d = R.dim
+    xs, ys = np.triu_indices(d, 1)
+    M = R.tensor[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
+    traces = [t[xs, ys][:, None, None] for t in structure_traces(R, H)]
     worst = Fraction(0)
-    for x in range(d):
-        for y in range(x + 1, d):
-            Mxy = R.endomorphism(x, y)
-            traces = [np.trace(H.J[a] @ Mxy) for a in range(3)]
-            for (a, b, c) in CYCLES:
-                lhs = Mxy @ H.J[a] - H.J[a] @ Mxy
-                rhs = traces[c] * H.J[b] - traces[b] * H.J[c]
-                scale = Fraction(2 * EPS[a], d)  # = eps_a / 2n
-                diff = lhs - scale * rhs
-                worst = max(worst, exactla.max_abs(diff))
+    for (a, b, c) in CYCLES:
+        lhs = M @ H.J[a] - H.J[a] @ M
+        rhs = traces[c] * H.J[b] - traces[b] * H.J[c]
+        scale = Fraction(2 * EPS[a], d)  # = eps_a / 2n
+        worst = max(worst, exactla.max_abs(lhs - scale * rhs))
     return worst == 0, worst
 
 
@@ -242,22 +244,16 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     Evaluates the formula for any hermitian structure (any comrel triple
     with its metric), not only the standard one.
     """
-    d = H.dim
     g = H.g
-    t = exactla.zeros((d, d, d, d))
-    W = [Ja.T @ g for Ja in H.J]  # W[a][x, y] = g(J_a e_x, e_y)
-    for x in range(d):
-        for y in range(d):
-            if x == y:
-                continue
-            for z in range(d):
-                row = t[x, y, z]
-                row[x] += g[y, z]
-                row[y] -= g[x, z]
-                for a in range(3):
-                    row += EPS[a] * (W[a][y, z] * H.J[a][:, x]
-                                     - W[a][x, z] * H.J[a][:, y]
-                                     - 2 * W[a][x, y] * H.J[a][:, z])
+    t = _metric_terms(g)
+    # with A_a = J_a^T g, A_a[x, y] = g(J_a e_x, e_y), the permutations of
+    # K are the three structure terms of the formula, in order; R(X, X)
+    # vanishes because every J_a is g-skew
+    K = _structure_contraction([Ja.T @ g for Ja in H.J], H)
+    t += K.transpose(2, 0, 1, 3)
+    t -= K.transpose(0, 2, 1, 3)
+    K *= 2   # in place: no third d^4 array
+    t -= K
     return CurvatureTensor(t, g)
 
 
@@ -311,37 +307,26 @@ class SymmetricDecomposition:
         span(m), [f,f] within span(f) exactly; matrix brackets make the
         Jacobi identity automatic.
         """
-        def flat(mats):
-            return np.stack([m.reshape(-1) for m in mats], axis=1)
-
-        def project(space_flat, target, label):
-            sol, residual = exactla.frame_coordinates(space_flat,
-                                                      target.reshape(-1))
-            if residual != 0:
-                raise NotSymmetricPairError(f"bracket leaves {label}")
-            return sol
-
-        mf, ff = flat(m_mats), flat(f_mats)
-        dm, df = len(m_mats), len(f_mats)
-        c_mm = exactla.zeros((dm, dm, df))
-        c_fm = exactla.zeros((df, dm, dm))
-        c_ff = exactla.zeros((df, df, df))
-        for i in range(dm):
-            for j in range(i + 1, dm):
-                br = m_mats[i] @ m_mats[j] - m_mats[j] @ m_mats[i]
-                coef = project(ff, br, "span(f)")
-                c_mm[i, j] = coef
-                c_mm[j, i] = -coef
-        for a in range(df):
-            for i in range(dm):
-                br = f_mats[a] @ m_mats[i] - m_mats[i] @ f_mats[a]
-                c_fm[a, i] = project(mf, br, "span(m)")
-            for b in range(a + 1, df):
-                br = f_mats[a] @ f_mats[b] - f_mats[b] @ f_mats[a]
-                coef = project(ff, br, "span(f)")
-                c_ff[a, b] = coef
-                c_ff[b, a] = -coef
+        c_mm = _bracket_coordinates(m_mats, m_mats, f_mats,
+                                    "bracket leaves span(f)")
+        c_fm = _bracket_coordinates(f_mats, m_mats, m_mats,
+                                    "bracket leaves span(m)")
+        c_ff = _bracket_coordinates(f_mats, f_mats, f_mats,
+                                    "bracket leaves span(f)")
         return cls(c_mm, c_fm, c_ff, g_m, structure)
+
+
+def _bracket_coordinates(left, right, basis, label) -> np.ndarray:
+    """c[i, j, k]: coefficient of basis[k] in [left[i], right[j]], from one
+    frame_coordinates call; NotSymmetricPairError(label) if a bracket
+    leaves span(basis)."""
+    brackets = [A @ B - B @ A for A in left for B in right]
+    coords, residual = exactla.frame_coordinates(
+        np.stack([M.reshape(-1) for M in basis], axis=1),
+        np.stack([M.reshape(-1) for M in brackets], axis=1))
+    if residual != 0:
+        raise NotSymmetricPairError(label)
+    return coords.T.reshape(len(left), len(right), len(basis))
 
 
 def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
@@ -443,26 +428,14 @@ def special_linear_decomposition(n: int = 2) -> SymmetricDecomposition:
         center[p, p] = Fraction(-2)
     f_mats.append(center)
 
-    dm = len(m_mats)
-    g_m = exactla.zeros((dm, dm))
-    for i in range(dm):
-        for j in range(dm):
-            g_m[i, j] = np.trace(m_mats[i] @ m_mats[j])
-
-    Jms = []
-    for j in SL2_TRIPLE:
-        big = exactla.zeros((N, N))
-        big[:2, :2] = j
-        cols = []
-        for M in m_mats:
-            br = big @ M - M @ big
-            coef, residual = exactla.frame_coordinates(
-                np.stack([x.reshape(-1) for x in m_mats], axis=1),
-                br.reshape(-1))
-            if residual != 0:
-                raise NotSymmetricPairError("structure action leaves m")
-            cols.append(coef)
-        Jms.append(np.stack(cols, axis=1))
+    # g_m[i, j] = Tr(m_i m_j), a sum over entries of m_i and m_j^T
+    g_m = (np.stack([M.reshape(-1) for M in m_mats])
+           @ np.stack([M.T.reshape(-1) for M in m_mats]).T)
+    # the structure is the adjoint action of the 2x2 triple, f_mats[:3];
+    # coords[a, i] holds the coordinates of [f_a, m_i], column i of J_a
+    coords = _bracket_coordinates(f_mats[:3], m_mats, m_mats,
+                                  "structure action leaves m")
+    Jms = [c.T for c in coords]
     H = HermitianStructure(*Jms, g_m)
     return SymmetricDecomposition.from_matrix_algebra(m_mats, f_mats, g_m, H)
 
@@ -660,31 +633,16 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     m = len(split.e_basis)          # 2n
     d = 2 * m
     s4 = exactla.zeros((m, m, m, m))
-    for i in range(m):
-        for j in range(i, m):
-            for k in range(j, m):
-                for l in range(k, m):
-                    val = Fraction(rng.randint(-3, 3))
-                    for perm in _permutations4(i, j, k, l):
-                        s4[perm] = val
+    for idx in combinations_with_replacement(range(m), 4):
+        val = Fraction(rng.randint(-3, 3))
+        for perm in permutations(idx):
+            s4[perm] = val
     omega_inv_t = exactla.inverse(split.omega_e).T
     shat = np.tensordot(s4, omega_inv_t, axes=([3], [0]))  # (i, j, k, l)
-    omega_h = split.omega_h
-    tensor = exactla.zeros((d, d, d, d))
-    for i in range(m):
-        for a in range(2):
-            x = 2 * i + a
-            for j in range(m):
-                for b in range(2):
-                    y = 2 * j + b
-                    if omega_h[a, b] == 0:
-                        continue
-                    for k in range(m):
-                        for c in range(2):
-                            z = 2 * k + c
-                            row = tensor[x, y, z]
-                            for l in range(m):
-                                row[2 * l + c] += omega_h[a, b] * shat[i, j, k, l]
+    # tensor[(i,a), (j,b), (k,c), (l,d)] = omega_h[a,b] shat[i,j,k,l] delta[c,d]
+    blocks = np.multiply.outer(np.multiply.outer(shat, split.omega_h),
+                               exactla.eye(2))
+    tensor = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d, d, d)
     # transform from tensor coordinates to the ambient basis:
     # R_V[x,y,z,w] = Cinv[p,x] Cinv[q,y] Cinv[r,z] R_t[p,q,r,t] C[w,t]
     C = split.change
@@ -693,10 +651,6 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     for axis in range(3):
         t = np.moveaxis(np.tensordot(Cinv, t, axes=([0], [axis])), 0, axis)
     return CurvatureTensor(t, H.g)
-
-
-def _permutations4(i, j, k, l):
-    return set(permutations((i, j, k, l)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def _echelon(mat: np.ndarray):
             continue
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        piv = a[r, c]
-        a[r] = a[r] / piv
+        # a Fraction divisor keeps int-valued object arrays exact
+        a[r] = a[r] / Fraction(a[r, c])
         for i in range(rows):
             if i != r and a[i, c] != 0:
                 a[i] = a[i] - a[i, c] * a[r]
@@ -172,7 +172,7 @@ def det(mat: np.ndarray) -> Fraction:
         d *= a[c, c]
         for i in range(c + 1, n):
             if a[i, c] != 0:
-                a[i] = a[i] - (a[i, c] / a[c, c]) * a[c]
+                a[i] = a[i] - (a[i, c] / Fraction(a[c, c])) * a[c]
     return d
 
 
@@ -214,7 +214,7 @@ def inertia(sym: np.ndarray) -> tuple[int, int, int]:
         rows.remove(i)
         for r in rows:
             if a[r, i] != 0:
-                coef = a[r, i] / d
+                coef = a[r, i] / Fraction(d)
                 a[r] = a[r] - coef * a[i]
                 a[:, r] = a[:, r] - coef * a[:, i]
     return plus, minus, zero

@@ -62,6 +62,20 @@ def test_conj_norm_examples():
     assert conj_norm(q, qp)[2] == 5 + 12 - 21 - 32
 
 
+def test_division_by_scalar():
+    # exact coefficients stay exact for int and Fraction divisors
+    q = SplitQuaternion(1, 2, Fraction(3, 2), 4)
+    for divisor in (3, Fraction(3)):
+        r = q / divisor
+        assert all(type(c) is Fraction for c in r.coefficients())
+        assert r == SplitQuaternion(Fraction(1, 3), Fraction(2, 3),
+                                    Fraction(1, 2), Fraction(4, 3))
+    # float coefficients or a float divisor divide in floats as before
+    f = SplitQuaternion(1.0, 2.0, 0.5, -4.0)
+    assert (f / 3).coefficients() == (1.0 / 3, 2.0 / 3, 0.5 / 3, -4.0 / 3)
+    assert (q / 3.0).coefficients() == (1 / 3.0, 2 / 3.0, 1.5 / 3.0, 4 / 3.0)
+
+
 def test_inverse():
     assert ONE.inverse() == ONE
     # j squares to +1, so it is its own inverse

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from pqgeom import exactla
-from pqgeom.curvature import (CurvatureTensor, NotSymmetricPairError,
-                              NullDirectionError, SingularSystemError,
+from pqgeom.algebra import EPS
+from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
+                              NotSymmetricPairError, NullDirectionError,
+                              SingularSystemError, SymmetricDecomposition,
                               abelian_decomposition,
                               ambient_projective_curvature, bianchi_residual,
                               curvature_from_bilinear, curvature_from_text,
@@ -33,6 +35,30 @@ def rand_bilinear(rng, dim):
 def zero_tensor(H):
     d = H.dim
     return CurvatureTensor(exactla.zeros((d, d, d, d)), H.g)
+
+
+def apply(R, X, Y, Z):
+    """R(X, Y) Z contracted from the stored array."""
+    t = np.tensordot(X, R.tensor, axes=([0], [0]))
+    t = np.tensordot(Y, t, axes=([0], [0]))
+    return np.tensordot(Z, t, axes=([0], [0]))
+
+
+def rand_rational(rng, shape):
+    return np.array([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(int(np.prod(shape)))],
+                    dtype=object).reshape(shape)
+
+
+def conjugated_structure(n, rng):
+    """Pinv J_a P with metric P^T g P for a seeded invertible P."""
+    H = structure_endos(n)
+    while True:
+        P = rand_rational(rng, (H.dim, H.dim))
+        if exactla.rank(P) == H.dim:
+            break
+    Pinv = exactla.inverse(P)
+    return HermitianStructure(*[Pinv @ Ja @ P for Ja in H.J], P.T @ H.g @ P)
 
 
 # -- Bianchi and the bilinear family ----------------------------------------
@@ -84,6 +110,42 @@ def test_bilinear_family_injective(n):
             cols.append([int(x) for x in R.tensor.reshape(-1)])
     mat = np.array(cols, dtype=object).T
     assert exactla.rank_mod_p(mat) == d * d
+
+
+@pytest.mark.parametrize("kind", ["conjugated", "special-linear"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_builders_match_docstring_formulas(kind, n):
+    # both builders, evaluated at seeded rational X, Y, Z, against the
+    # formulas of their docstrings on structures other than structure_endos
+    rng = random.Random(20 + n)
+    H = (conjugated_structure(n, rng) if kind == "conjugated"
+         else special_linear_decomposition(n).structure)
+    d, g, Js = H.dim, H.g, H.J
+    B = rand_rational(rng, (d, d))
+    assert exactla.max_abs(B - B.T) != 0
+    model = projective_curvature(H)
+    family = curvature_from_bilinear(BilinearForm(B), H)
+    for R in (model, family):
+        assert all(type(x) is Fraction for x in R.tensor.reshape(-1))
+
+    def gf(U, V):
+        return U @ g @ V
+
+    def bf(U, V):
+        return U @ B @ V
+
+    for _ in range(3):
+        X, Y, Z = (rand_rational(rng, (d,)) for _ in range(3))
+        want = gf(Y, Z) * X - gf(X, Z) * Y
+        want_b = bf(Y, Z) * X - bf(X, Z) * Y + (bf(Y, X) - bf(X, Y)) * Z
+        for eps, Ja in zip(EPS, Js):
+            JX, JY, JZ = Ja @ X, Ja @ Y, Ja @ Z
+            want = want + eps * (gf(JY, Z) * JX - gf(JX, Z) * JY
+                                 - 2 * gf(JX, Y) * JZ)
+            want_b = want_b + eps * ((bf(X, JY) - bf(Y, JX)) * JZ
+                                     + bf(X, JZ) * JY - bf(Y, JZ) * JX)
+        assert exactla.max_abs(apply(model, X, Y, Z) - want) == 0
+        assert exactla.max_abs(apply(family, X, Y, Z) - want_b) == 0
 
 
 # -- Ricci machinery ---------------------------------------------------------
@@ -213,6 +275,36 @@ def test_membership_model_and_perturbed():
     R.tensor[0, 1, 2, 3] += 1
     ok, _ = normalizes_structure(R, H)
     assert not ok
+
+
+def test_membership_residual_matches_pairwise_formula():
+    # R^B normalises the structure for every B, so a seeded perturbation
+    # of one argument pair at a time supplies the nonzero residual
+    rng = random.Random(31)
+    H = structure_endos(1)
+    d = H.dim
+    RB = curvature_from_bilinear(rand_bilinear(rng, d), H)
+    assert normalizes_structure(RB, H) == (True, 0)
+    for p in range(d):
+        for q in range(p + 1, d):
+            noise = exactla.zeros((d, d, d, d))
+            noise[p, q] = rand_rational(rng, (d, d))
+            noise[q, p] = -noise[p, q]
+            R = RB + CurvatureTensor(noise, H.g)
+            traces = structure_traces(R, H)
+            worst = Fraction(0)
+            for x in range(d):
+                for y in range(x + 1, d):
+                    M = R.endomorphism(x, y)
+                    tr = [np.trace(Ja @ M) for Ja in H.J]
+                    assert [t[x, y] for t in traces] == tr
+                    for (a, b, c) in CYCLES:
+                        diff = (M @ H.J[a] - H.J[a] @ M
+                                - Fraction(EPS[a], 2) * (tr[c] * H.J[b]
+                                                         - tr[b] * H.J[c]))
+                        worst = max(worst, exactla.max_abs(diff))
+            assert worst != 0
+            assert normalizes_structure(R, H) == (False, worst)
 
 
 def test_membership_weyl_commutes():
@@ -353,6 +445,33 @@ def test_special_linear_oracle():
     assert res == 0 and const != 0
     ok, _ = normalizes_structure(R, D.structure)
     assert ok
+
+
+def test_from_matrix_algebra_rejects_bracket_outside_f():
+    # sl(3) split by the 2 + 1 block involution: without the centre
+    # element diag(1, 1, -2), [E02, E20] leaves span(f)
+    def unit(p, q):
+        M = exactla.zeros((3, 3))
+        M[p, q] = Fraction(1)
+        return M
+
+    m_mats = [unit(0, 2), unit(1, 2), unit(2, 0), unit(2, 1)]
+    f_mats = []
+    for j in SL2_TRIPLE:
+        M = exactla.zeros((3, 3))
+        M[:2, :2] = j
+        f_mats.append(M)
+    g_m = exactla.fracarray([[np.trace(A @ B) for B in m_mats]
+                             for A in m_mats])
+    with pytest.raises(NotSymmetricPairError, match=r"leaves span\(f\)"):
+        SymmetricDecomposition.from_matrix_algebra(m_mats, f_mats, g_m)
+    centre = exactla.fracarray([[1, 0, 0], [0, 1, 0], [0, 0, -2]])
+    D = SymmetricDecomposition.from_matrix_algebra(m_mats, f_mats + [centre],
+                                                   g_m)
+    ref = special_linear_decomposition(1)
+    for got, want in ((D.c_mm, ref.c_mm), (D.c_fm, ref.c_fm),
+                      (D.c_ff, ref.c_ff), (D.g_m, ref.g_m)):
+        assert exactla.max_abs(got - want) == 0
 
 
 def test_symmetric_pair_validation():

@@ -105,6 +105,32 @@ def test_frame_coordinates_residual():
     assert residual > 0
 
 
+def test_exact_elimination_keeps_int_inputs_exact():
+    # int-valued object arrays must not pass through int / int division
+    a = np.array([[3, 1], [1, 1]], dtype=object)
+    H = structure_endos(1)
+    results = {
+        "solve": exactla.solve(a, np.array([1, 0], dtype=object)),
+        "inverse": exactla.inverse(a),
+        "det": np.array([exactla.det(a)]),
+        "nullspace": exactla.nullspace(np.array([[3, 1, 2]], dtype=object)),
+        "span": np.array(H.span_coefficients(H.J[0] + 2 * H.J[1])),
+    }
+    for name, arr in results.items():
+        assert all(type(x) is Fraction for x in arr.reshape(-1)), name
+    half = Fraction(1, 2)
+    assert list(results["solve"]) == [half, -half]
+    assert results["inverse"].tolist() == [[half, -half], [-half, 3 * half]]
+    assert results["det"][0] == 2
+    assert results["nullspace"].tolist() == [[Fraction(-1, 3), Fraction(-2, 3)],
+                                             [1, 0], [0, 1]]
+    assert list(results["span"]) == [1, 2, 0]
+    # 3 v v^T - 7 w w^T has rank 2; float pivots miss its null direction
+    sym = np.array([[-51, 81, 63], [81, -36, -63], [63, -63, -63]],
+                   dtype=object)
+    assert exactla.inertia(sym) == (1, 1, 1)
+
+
 def test_structure_validation():
     H = structure_endos(1)
     with pytest.raises(DegenerateStructureError):
