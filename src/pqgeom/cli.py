@@ -448,11 +448,10 @@ def _chk_special_linear(config, rng):
     return worst, 1
 
 
-def _chk_fitted_scale(config, rng):
-    c = curv.fitted_projective_scale(config.rank)
+def _chk_bracket_formula(config, rng):
     bracket = curv.projective_pair(config.rank)
     formula = curv.projective_curvature(structure_endos(config.rank))
-    return float(exactla.max_abs(bracket.tensor - c * formula.tensor)), 1
+    return float(exactla.max_abs(bracket.tensor - formula.tensor)), 1
 
 
 def _chk_vertical_gram(config, rng):
@@ -558,12 +557,14 @@ def _chk_pq_eigen_identity(config, rng):
     worst = 0
     count = max(3, config.samples // 30)
     const = curv.einstein_check(curv.ambient_projective_curvature(2))[0]
+    nu = const / 4   # reduced scalar curvature, const / (n + 2) at n = 2
+    # consistency only; the quotient-curvature oracle test is independent
     for _ in range(count):
         u = red.weighted_level_sample(rng, config.p, config.q)
         X = red.admissible_directions(config.p, config.q, u, rng, 1)[0]
         rj = red.reduced_jacobi(config.p, config.q, u, X)
         l1, _, l3 = rj.eigenvalues
-        worst = max(worst, float(abs(2 * l1 + l3 - 3 * const)))
+        worst = max(worst, float(abs(2 * l1 + l3 + 3 * nu)))
     return worst, count
 
 
@@ -661,7 +662,7 @@ REGISTRY: dict[str, list] = {
          "solvable-pair-rank2", 1e-6),
         ("special-linear-oracle", _chk_special_linear,
          "block-split-pair", 0.0),
-        ("bracket-formula-proportional", _chk_fitted_scale,
+        ("bracket-formula-proportional", _chk_bracket_formula,
          "fitted-scale", 0.0),
     ],
     "projspace": [

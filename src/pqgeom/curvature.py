@@ -7,17 +7,16 @@ slot, Ric(Y, Z) = Tr(X -> R(X, Y) Z); the Jacobi operator in a unit
 direction is K_X(Y) = R(X, Y) X.  Antisymmetry in (X, Y) then forces
 Tr K_X = -Ric(X, X), which is the form the trace identity is tested in.
 
-Symmetric-space oracles use the base-point formula R(A, B) C =
-[[A, B], C] on the tangent summand of a symmetric splitting.  The
-closed curvature formula of the projective-space model reproduces the
-bracket curvature only up to one global scale, which is fitted exactly
-(see fitted_projective_scale) rather than assumed; the fit comes out
-negative for the metric normalised by the unit-pseudosphere submersion.
+Every tensor follows R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X -
+nabla_[X,Y], under which the base-point curvature of a symmetric space
+is R(A, B) C = -[[A, B], C] on the tangent summand (Kobayashi-Nomizu II,
+ch. XI).  The symmetric-space oracles use that formula, so the bracket
+curvature of the projective-space model equals its closed formula entry
+for entry, for the metric of the unit-pseudosphere submersion.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -330,10 +329,10 @@ def _bracket_coordinates(left, right, basis, label) -> np.ndarray:
 
 
 def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
-    """Base-point curvature R(A, B) C = [[A, B], C] on the tangent
+    """Base-point curvature R(A, B) C = -[[A, B], C] on the tangent
     summand, in the chosen basis of m."""
     D.validate()
-    tensor = np.tensordot(D.c_mm, D.c_fm, axes=([2], [0]))
+    tensor = np.tensordot(-D.c_mm, D.c_fm, axes=([2], [0]))
     return CurvatureTensor(tensor, D.g_m)
 
 
@@ -447,9 +446,9 @@ def projective_pair(n: int):
     The isometry algebra consists of anti-hermitian (n+1) x (n+1)
     matrices over the split quaternions; the tangent summand is the
     first-column slice v -> M(v) with M(v) = [[0, -conj(v)^T], [v, 0]].
-    Brackets of such slices land in the isotropy block, and the double
-    bracket read back off the first column gives the curvature on the
-    standard rank-n module with the standard metric and structure.
+    Brackets of such slices land in the isotropy block, and the negated
+    double bracket read back off the first column gives the curvature on
+    the standard rank-n module with the standard metric and structure.
     """
     def embed(v: PQVector) -> PQMatrix:
         entries = [[SplitQuaternion() for _ in range(n + 1)]
@@ -469,7 +468,8 @@ def projective_pair(n: int):
     embedded = [embed(v) for v in basis]
     for x in range(d):
         for y in range(x + 1, d):
-            inner = embedded[x].commutator(embedded[y])
+            # [M(e_y), M(e_x)] negates the double bracket
+            inner = embedded[y].commutator(embedded[x])
             for z in range(d):
                 out = extract(inner.commutator(embedded[z]))
                 tensor[x, y, z] = out.to_real()
@@ -477,37 +477,11 @@ def projective_pair(n: int):
     return CurvatureTensor(tensor, metric_matrix(n))
 
 
-def fitted_projective_scale(n: int) -> Fraction:
-    """Exact scalar c with bracket curvature = c * closed formula on the
-    standard structure; fitted once per rank.  The pseudosphere-submersion
-    normalisation makes c = -1."""
-    return _fitted_scale(n)
-
-
-@functools.cache
-def _fitted_scale(n: int) -> Fraction:
-    bracket = projective_pair(n)
-    formula = projective_curvature(structure_endos(n))
-    num = den = None
-    flat_b = bracket.tensor.reshape(-1)
-    flat_f = formula.tensor.reshape(-1)
-    for b, f in zip(flat_b, flat_f):
-        if f != 0:
-            num, den = b, f
-            break
-    if num is None:
-        raise ValueError("formula tensor vanished")
-    c = num / den
-    if exactla.max_abs(bracket.tensor - c * formula.tensor) != 0:
-        raise ValueError("bracket and formula curvature not proportional")
-    return c
-
-
 def ambient_projective_curvature(n: int) -> CurvatureTensor:
-    """Projective-space curvature in the bracket normalisation (the one
-    induced by the unit-pseudosphere submersion metric)."""
-    return projective_curvature(structure_endos(n)).scale(
-        fitted_projective_scale(n))
+    """Curvature of the rank-n ambient projective model.  The metric of
+    the unit-pseudosphere submersion gives exactly the closed formula of
+    projective_curvature on the standard structure."""
+    return projective_curvature(structure_endos(n))
 
 
 # ---------------------------------------------------------------------------

@@ -57,9 +57,19 @@ def max_abs(arr) -> Fraction | float:
     return max(abs(x) for x in flat)
 
 
+def _exact_copy(mat: np.ndarray) -> np.ndarray:
+    """Object-array copy for the eliminations.  Integer dtypes become
+    Python ints (fixed-width ones would truncate divided rows); any other
+    non-object dtype raises TypeError."""
+    if mat.dtype != object and not np.issubdtype(mat.dtype, np.integer):
+        raise TypeError(f"exact elimination needs an object or integer "
+                        f"array, not {mat.dtype}")
+    return mat.astype(object)
+
+
 def _echelon(mat: np.ndarray):
     """Row echelon form in place (returns matrix copy, pivot column list)."""
-    a = mat.copy()
+    a = _exact_copy(mat)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -125,7 +135,7 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != n:
         raise ValueError("solve expects a square matrix")
     bcol = b.reshape(n, -1)
-    aug = np.concatenate([a.copy(), bcol.copy()], axis=1)
+    aug = np.concatenate([a, bcol], axis=1)
     red, pivots = _echelon(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular system")
@@ -159,7 +169,7 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
 
 
 def det(mat: np.ndarray) -> Fraction:
-    a = mat.copy()
+    a = _exact_copy(mat)
     n = a.shape[0]
     d = Fraction(1)
     for c in range(n):
@@ -182,7 +192,7 @@ def inertia(sym: np.ndarray) -> tuple[int, int, int]:
     Symmetric Gaussian reduction (congruence diagonalisation); Sylvester's
     law makes the signs basis independent.
     """
-    a = sym.copy()
+    a = _exact_copy(sym)
     n = a.shape[0]
     plus = minus = zero = 0
     rows = list(range(n))

@@ -35,15 +35,18 @@ is the adjoint action of the isotropy component) transported by group
 elements, and compares zero sets.
 
 Reduced Jacobi data: for a regular level point and a non-null
-admissible direction X the three eigenvalues are
+admissible direction X the three eigenvalues of X -> R(X, Y) X / g(X, X)
+on the quotient are
 
-    l1 = l2 = K/(4n) - 2 rho,   l3 = K/(4n) + 4 rho,
+    l1 = l2 = -(nu - 2 rho),   l3 = -(nu + 4 rho),
 
 with rho = |h(V_X)|^2 / (g(X,X) |V|^2), where V_X is the ambient
 covariant derivative of the Killing field and h(.) the projection onto
 the orthogonal complement of the span (V, J1 V, J2 V, J3 V).  The
-scalar curvature K is computed, not assumed, from the bracket-normalised
-ambient curvature.  (The eigenvalue list is read as (l1, l1, l3); the
+reduced scalar curvature nu = (Einstein constant) / (n + 2) is the same
+on the ambient model and on the quotient (Galicki-Lawson, Math. Ann.
+282, 1988); it is computed, not assumed, from the ambient model
+curvature.  (The eigenvalue list is read as (l1, l1, l3); the
 duplicated middle label in the source formula is resolved that way.)
 """
 
@@ -66,9 +69,9 @@ from .curvature import (NullDirectionError, ambient_projective_curvature,
 from .linalg import (HermitianStructure, PQMatrix, PQVector, metric_matrix,
                      module_scalar_product, right_mult_matrix,
                      structure_endos)
-from .projspace import (VERTICAL_GRAM, SpherePoint, horizontal_project,
-                        random_sphere_point, transitive_element,
-                        vertical_frame)
+from .projspace import (VERTICAL_GRAM, SpherePoint, _ambient_metric,
+                        horizontal_project, random_sphere_point,
+                        transitive_element, vertical_frame)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -142,8 +145,7 @@ def flat_adapted_moment(h: PQVector):
     """The component relabelling (-f1/2, f3, f2) whose differentials are
     omega_a(V, .) for the structure triple."""
     f1, f2, f3 = flat_circle_moment(h)
-    half = Fraction(1, 2) if not isinstance(f1, float) else 0.5
-    return (-f1 * half, f3, f2)
+    return (-f1 * Fraction(1, 2), f3, f2)
 
 
 def flat_killing(h: PQVector) -> PQVector:
@@ -469,8 +471,7 @@ def killing_derivative(p: int, q: int, u: SpherePoint,
     Xq = PQVector.from_real(X)
     DX = _real_coords(D @ Xq, exact)
     Du = _real_coords(D @ x, exact)
-    g = metric_matrix(3) if exact else np.asarray(metric_matrix(3),
-                                                  dtype=float)
+    g = _ambient_metric(3, exact)
     # the fiber Gram diag(1, -1, -1) is its own inverse
     vg_inv = VERTICAL_GRAM if exact else np.asarray(VERTICAL_GRAM, dtype=float)
     vert_u = np.stack([_real_coords(x.right_mul(e), exact)
@@ -498,7 +499,7 @@ class ReducedJacobi:
 
 @functools.cache
 def _ambient_constant() -> Fraction:
-    """Einstein constant of the rank-2 ambient projective model, built
+    """Einstein constant of the ambient projective model (n = 2), built
     once per process."""
     return einstein_check(ambient_projective_curvature(2))[0]
 
@@ -510,15 +511,14 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     X must be horizontal and orthogonal to the span (V, J1 V, J2 V, J3 V)
     with g(X, X) != 0; the ratio is normalised by g(X, X), which makes it
     scale invariant and uniform across causal classes.  The eigenvalues
-    are read off the Einstein constant of the ambient projective model.
+    are read off the reduced scalar curvature nu of the ambient model.
     """
     regular, _ = weighted_regularity(p, q, u)
     if not regular:
         raise NonRegularError("point fails the regularity condition")
     exact = u.is_exact()
     tol = 0 if exact else 1e-9
-    g = metric_matrix(3) if exact else np.asarray(metric_matrix(3),
-                                                  dtype=float)
+    g = _ambient_metric(3, exact)
     Vh = killing_horizontal(p, q, u)
     vnorm = Vh @ g @ Vh
     if abs(float(vnorm)) <= tol:
@@ -535,8 +535,9 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     hnorm = h_part @ g @ h_part
     ratio = hnorm / (xnorm * vnorm)
     const = _ambient_constant()
-    lam1 = const - 2 * ratio
-    lam3 = const + 4 * ratio
+    nu = const / 4   # reduced scalar curvature, const / (n + 2) at n = 2
+    lam1 = -(nu - 2 * ratio)
+    lam3 = -(nu + 4 * ratio)
     return ReducedJacobi(eigenvalues=(lam1, lam1, lam3), ratio=ratio,
                          killing_norm=vnorm, einstein_constant=const)
 
@@ -555,8 +556,7 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     """Seeded horizontal directions orthogonal to the Killing span, with
     g(X, X) != 0; exact rational at exact points."""
     exact = u.is_exact()
-    g = metric_matrix(3) if exact else np.asarray(metric_matrix(3),
-                                                  dtype=float)
+    g = _ambient_metric(3, exact)
     Vh = killing_horizontal(p, q, u)
     span = _killing_span(u, Vh)
     rows = [_real_coords(u.x, exact) @ g]
@@ -623,8 +623,7 @@ def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
             continue
         u = SpherePoint(PQVector.from_real(coords), tol=10 * _ROOT_TOL)
         regular, _ = weighted_regularity(p, q, u)
-        vnorm = float(killing_horizontal(p, q, u)
-                      @ np.asarray(metric_matrix(3), dtype=float)
+        vnorm = float(killing_horizontal(p, q, u) @ _ambient_metric(3, False)
                       @ killing_horizontal(p, q, u))
         if regular and abs(vnorm) > 1e-6:
             return u
@@ -640,7 +639,7 @@ def _pq_system(ws, vec: PQVector) -> np.ndarray:
 
 def _pq_system_jacobian(p: int, q: int, vec: PQVector) -> np.ndarray:
     """Level-value rows of _level_gradient_rows plus the sphere row."""
-    g = np.asarray(metric_matrix(3), dtype=float)
+    g = _ambient_metric(3, False)
     coords = np.asarray(vec.to_real(), dtype=float)
     level = _level_gradient_rows(p, q, SpherePoint(vec, check=False))
     return np.vstack([level, 2.0 * (g @ coords)])

@@ -14,7 +14,7 @@ from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
                               ambient_projective_curvature, bianchi_residual,
                               curvature_from_bilinear, curvature_from_text,
                               curvature_to_text, einstein_check,
-                              fitted_projective_scale, jacobi_operator,
+                              jacobi_operator,
                               jacobi_spectrum_report, minimal_polynomial_degree,
                               normalizes_structure, projective_curvature,
                               projective_pair, restrict_to_complement, ricci,
@@ -489,17 +489,16 @@ def test_symmetric_pair_validation():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_fitted_scale(n):
-    c = fitted_projective_scale(n)
-    assert c == -1
+    # the bracket curvature is the closed formula itself, entry for entry
     bracket = projective_pair(n)
     formula = projective_curvature(structure_endos(n))
-    assert exactla.max_abs(bracket.tensor - c * formula.tensor) == 0
+    assert exactla.max_abs(bracket.tensor - formula.tensor) == 0
     assert bianchi_residual(bracket) == 0
     ok, _ = normalizes_structure(bracket, structure_endos(n))
     assert ok
     const, res = einstein_check(ambient_projective_curvature(n))
     assert res == 0
-    assert const == -(4 * n + 8)
+    assert const == 4 * n + 8
 
 
 # -- serialisation ------------------------------------------------------------

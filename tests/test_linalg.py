@@ -131,6 +131,30 @@ def test_exact_elimination_keeps_int_inputs_exact():
     assert exactla.inertia(sym) == (1, 1, 1)
 
 
+def test_exact_elimination_on_fixed_width_arrays():
+    # int64 rows divided in place used to truncate: solve gave [0, 0]
+    a = np.array([[3, 1], [1, 1]])
+    half = Fraction(1, 2)
+    x = exactla.solve(a, np.array([1, 0]))
+    assert list(x) == [half, -half]
+    assert all(type(v) is Fraction for v in x)
+    d = exactla.det(a)
+    assert d == 2 and type(d) is Fraction
+    assert exactla.inertia(np.array([[0, 1], [1, 0]])) == (1, 1, 0)
+    assert exactla.rank(np.array([[2, 4], [1, 2]], dtype=np.int32)) == 1
+    null = exactla.nullspace(np.array([[3, 1, 2]]))
+    assert null.tolist() == [[Fraction(-1, 3), Fraction(-2, 3)],
+                             [1, 0], [0, 1]]
+    assert all(type(v) is Fraction for v in null.reshape(-1))
+    # floats have no exact elimination: refuse instead of rounding
+    for routine in (exactla.rank, exactla.nullspace, exactla.det,
+                    exactla.inertia):
+        with pytest.raises(TypeError):
+            routine(a.astype(float))
+    with pytest.raises(TypeError):
+        exactla.solve(a.astype(float), np.array([1.0, 0.0]))
+
+
 def test_structure_validation():
     H = structure_endos(1)
     with pytest.raises(DegenerateStructureError):

@@ -8,8 +8,9 @@ import pytest
 from pqgeom import exactla
 from pqgeom.algebra import (IMAGINARY_UNITS, I, J, SplitQuaternion,
                             circle_point)
-from pqgeom.curvature import (NullDirectionError,
-                              ambient_projective_curvature, einstein_check)
+from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
+                              ambient_projective_curvature, bianchi_residual,
+                              einstein_check, restrict_to_complement, ricci)
 from pqgeom.linalg import PQVector, metric_matrix, module_scalar_product
 from pqgeom.projspace import SpherePoint, base_point, random_sphere_point
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
@@ -29,7 +30,7 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value, weighted_regularity)
-from pqgeom.reduction import _moment_gradient_rows
+from pqgeom.reduction import _level_gradient_rows, _moment_gradient_rows
 
 
 # -- flat circle scene --------------------------------------------------------
@@ -282,10 +283,9 @@ def test_reduced_jacobi_exact_point():
     first = results[0]
     # scale-invariant ratio, identical across directions, exact
     assert all(r.ratio == first.ratio for r in results)
-    l1, l2, l3 = first.eigenvalues
-    assert l1 == l2
-    assert 2 * l1 + l3 == 3 * first.einstein_constant
-    assert first.einstein_constant == -16
+    assert first.ratio == Fraction(-1, 2)
+    assert first.eigenvalues == (-5, -5, -2)
+    assert first.einstein_constant == 16
     # the constant is derived from the ambient model, not passed in
     want = einstein_check(ambient_projective_curvature(2))[0]
     assert first.einstein_constant == want
@@ -400,3 +400,108 @@ def test_scene_level_follows_action(builder, level, other):
 def test_moment_check_unknown_action():
     with pytest.raises(ValueError):
         moment_gradient_check(ReductionScene(action="nope"), samples=1)
+
+
+# -- quotient-curvature oracle ------------------------------------------------
+#
+# The curvature of a reduction computed from first principles, with no
+# use of the eigenvalue formula: Gauss for the level set inside the flat
+# ambient module, then O'Neill for the submersion onto the orbit space.
+# Convention R(X, Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
+
+
+def _paired(gram, forms):
+    """P[x, y, z, w] = sum_ij gram^-1[i, j] forms[i][x, y] forms[j][z, w]."""
+    forms = np.stack(forms)
+    inner = np.tensordot(exactla.inverse(gram), forms, axes=([1], [0]))
+    return np.tensordot(forms, inner, axes=([0], [0]))
+
+
+def _quotient_curvature(g, u, rows, hessians, generators):
+    """(curvature, horizontal frame) of the quotient at the level point u.
+
+    rows: constraint differentials df_i at u; hessians: the Hessians H_i;
+    generators: matrices L_a of the linear Killing fields u -> L_a u.
+    """
+    killing = np.stack([L @ u for L in generators])
+    F = exactla.nullspace(np.concatenate([rows, killing @ g]))
+    # Gauss: <II(X,Y), II(Z,W)> = sum G^ij h_i(X,Y) h_j(Z,W)
+    II2 = _paired(rows @ exactla.inverse(g) @ rows.T,
+                  [F.T @ H @ F for H in hessians])
+    # O'Neill: <A_X Y, A_Z W> = sum Gv^ab Omega_a(X,Y) Omega_b(Z,W)
+    A2 = _paired(killing @ g @ killing.T,
+                 [F.T @ L.T @ g @ F for L in generators])
+    low = (II2.transpose(2, 0, 1, 3) - II2.transpose(0, 2, 1, 3)
+           - 2 * A2 + A2.transpose(2, 0, 1, 3) - A2.transpose(0, 2, 1, 3))
+    gF = F.T @ g @ F
+    tensor = np.tensordot(low, exactla.inverse(gF), axes=([3], [0]))
+    return CurvatureTensor(tensor, gF), F
+
+
+def _linear_data(u, rows_at, fields):
+    """Rows at u, Hessians (column k of H_i is row i at e_k) and the
+    matrices (column k is the field at e_k) of linear Killing fields."""
+    basis = list(exactla.eye(len(u)))
+    hessians = list(np.stack([rows_at(e) for e in basis], axis=2))
+    generators = [np.stack([field(e) for e in basis], axis=1)
+                  for field in fields]
+    return rows_at(u), hessians, generators
+
+
+def _weighted_quotient(p, q, u):
+    g = metric_matrix(3)
+
+    def rows_at(x):
+        point = SpherePoint(PQVector.from_real(x), check=False)
+        return np.concatenate([(2 * x @ g).reshape(1, -1),
+                               _level_gradient_rows(p, q, point)])
+
+    fields = [lambda x: weighted_killing(
+        p, q, SpherePoint(PQVector.from_real(x), check=False)).to_real()]
+    fields += [lambda x, e=e: PQVector.from_real(x).right_mul(e).to_real()
+               for e in IMAGINARY_UNITS]
+    x = u.x.to_real()
+    return _quotient_curvature(g, x, *_linear_data(x, rows_at, fields))
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (3, 4)])
+def test_reduced_jacobi_matches_quotient_curvature(p, q):
+    rng = random.Random(24)
+    u = weighted_level_sample(rng, p, q)
+    R, F = _weighted_quotient(p, q, u)
+    assert R.dim == 4
+    assert bianchi_residual(R) == 0
+    # Einstein with 12 = nu (n + 2): the reduced scalar curvature nu = 4
+    # of the ambient model survives the reduction
+    assert einstein_check(R) == (12, 0)
+    for X in admissible_directions(p, q, u, rng, 2):
+        coords, residual = exactla.frame_coordinates(F, X)
+        assert residual == 0
+        K, _ = restrict_to_complement(R, coords)
+        K = K / (coords @ R.metric @ coords)
+        # equal power sums of the 3 x 3 operator and of the formula's
+        # eigenvalues fix the eigenvalues with multiplicity
+        want = reduced_jacobi(p, q, u, X).eigenvalues
+        power = exactla.eye(3)
+        for k in (1, 2, 3):
+            power = power @ K
+            assert np.trace(power) == sum(lam ** k for lam in want)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_flat_quotient_is_para_hyperkahler(rank):
+    rng = random.Random(25)
+    h = flat_level_sample(rng, rank)
+    x = h.to_real()
+    R, F = _quotient_curvature(metric_matrix(rank), x, *_linear_data(
+        x, lambda y: _moment_gradient_rows(PQVector.from_real(y)),
+        [lambda y: flat_killing(PQVector.from_real(y)).to_real()]))
+    red = flat_reduced_structure(h)
+    assert exactla.max_abs(F - red.frame) == 0
+    assert R.max_abs() != 0
+    assert bianchi_residual(R) == 0
+    assert exactla.max_abs(ricci(R)) == 0
+    # every R(X, Y) commutes with the descended structure
+    M = R.tensor.transpose(0, 1, 3, 2)
+    for Ja in red.structure.J:
+        assert exactla.max_abs(M @ Ja - Ja @ M) == 0
