@@ -13,6 +13,12 @@ is R(A, B) C = -[[A, B], C] on the tangent summand (Kobayashi-Nomizu II,
 ch. XI).  The symmetric-space oracles use that formula, so the bracket
 curvature of the projective-space model equals its closed formula entry
 for entry, for the metric of the unit-pseudosphere submersion.
+
+Arithmetic.  The tensors are exact: object arrays of ``Fraction``.  The
+builders and diagnostics clear denominators first
+(``exactla.scaled_integers``), compute on Python ints, and convert to
+``Fraction`` once at the end, so every returned entry is a ``Fraction``
+and a float tensor raises TypeError.
 """
 
 from __future__ import annotations
@@ -84,11 +90,12 @@ class CurvatureTensor:
         return exactla.max_abs(self.tensor + self.tensor.transpose(1, 0, 2, 3))
 
 
-def bianchi_residual(R: CurvatureTensor):
+def bianchi_residual(R: CurvatureTensor) -> Fraction:
     """Max-norm of the cyclic sum R(X,Y)Z + R(Y,Z)X + R(Z,X)Y."""
-    t = R.tensor
-    cyc = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-    return exactla.max_abs(cyc)
+    t, L = exactla.scaled_integers(R.tensor)
+    cyc = t + t.transpose(1, 2, 0, 3)
+    cyc += t.transpose(2, 0, 1, 3)
+    return Fraction(exactla.max_abs(cyc), L)
 
 
 def ricci(R: CurvatureTensor) -> np.ndarray:
@@ -117,20 +124,21 @@ def einstein_check(R: CurvatureTensor):
 
 def _metric_terms(S) -> np.ndarray:
     """t[x, y, z, w] = S[y, z] delta[x, w] - S[x, z] delta[y, w], the
-    leading terms of both the model formula and the R^B family."""
+    leading terms of both the model formula and the R^B family, for an
+    integer matrix S."""
     d = S.shape[0]
-    t = exactla.zeros((d, d, d, d))
+    t = np.zeros((d, d, d, d), dtype=object)
     diag = np.arange(d)
     t[diag, :, :, diag] += S
     t[:, diag, :, diag] -= S
     return t
 
 
-def _structure_contraction(A, H: HermitianStructure) -> np.ndarray:
-    """K[p, q, r, s] = sum_a eps_a A_a[p, q] J_a[s, r]."""
+def _structure_contraction(A, J) -> np.ndarray:
+    """K[p, q, r, s] = sum_a eps_a A_a[p, q] J_a[s, r], for integer A_a
+    and the stacked integer J_a."""
     signed = np.stack([eps * Aa for eps, Aa in zip(EPS, A)])
-    return np.tensordot(signed, np.stack([Ja.T for Ja in H.J]),
-                        axes=([0], [0]))
+    return np.tensordot(signed, J.transpose(0, 2, 1), axes=([0], [0]))
 
 
 def curvature_from_bilinear(B: BilinearForm,
@@ -144,23 +152,36 @@ def curvature_from_bilinear(B: BilinearForm,
     Satisfies the first Bianchi identity for every B, is injective in B,
     and sends the metric itself to the projective-space curvature.
     """
-    M = B.matrix
+    M, LB = exactla.scaled_integers(B.matrix)
+    J, LJ = exactla.scaled_integers(np.stack(H.J))
     t = _metric_terms(M)
     diag = np.arange(H.dim)
     t[:, :, diag, diag] += (M.T - M)[:, :, None]
+    t *= LJ * LJ   # to the scale LB LJ^2 of K
     # with A_a = B J_a, A_a[x, y] = B(e_x, J_a e_y), the four permutations
     # of K are the four structure terms of the formula, in order
-    K = _structure_contraction([M @ Ja for Ja in H.J], H)
+    K = _structure_contraction([M @ Ja for Ja in J], J)
     t += K
     t -= K.transpose(1, 0, 2, 3)
     t += K.transpose(0, 2, 1, 3)
     t -= K.transpose(2, 0, 1, 3)
-    return CurvatureTensor(t, H.g)
+    del K
+    return CurvatureTensor(exactla.from_scaled_integers(t, LB * LJ * LJ),
+                           H.g)
+
+
+def _integer_traces(t, J) -> np.ndarray:
+    """T[x, y, a] = Tr(J_a R(e_x, e_y)) for integer t and stacked J."""
+    return np.tensordot(t, J, axes=([2, 3], [1, 2]))
 
 
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     """The three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y))."""
-    return [np.tensordot(R.tensor, Ja, axes=([2, 3], [0, 1])) for Ja in H.J]
+    t, LR = exactla.scaled_integers(R.tensor)
+    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    T = _integer_traces(t, J)
+    return [exactla.from_scaled_integers(T[:, :, a], LR * LJ)
+            for a in range(3)]
 
 
 def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
@@ -172,15 +193,20 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
 
     over cyclic (a, b, c).  Returns (bool, residual)."""
     d = R.dim
+    t, LR = exactla.scaled_integers(R.tensor)
+    J, LJ = exactla.scaled_integers(np.stack(H.J))
     xs, ys = np.triu_indices(d, 1)
-    M = R.tensor[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
-    traces = [t[xs, ys][:, None, None] for t in structure_traces(R, H)]
-    worst = Fraction(0)
+    M = t[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
+    T = _integer_traces(t, J)[xs, ys]
+    traces = [T[:, a, None, None] for a in range(3)]
+    worst = 0
     for (a, b, c) in CYCLES:
-        lhs = M @ H.J[a] - H.J[a] @ M
-        rhs = traces[c] * H.J[b] - traces[b] * H.J[c]
-        scale = Fraction(2 * EPS[a], d)  # = eps_a / 2n
-        worst = max(worst, exactla.max_abs(lhs - scale * rhs))
+        lhs = M @ J[a] - J[a] @ M                           # scale LR LJ
+        rhs = traces[c] * J[b] - traces[b] * J[c]           # scale LR LJ^2
+        # lhs - (eps_a / 2n) rhs over the scale LR LJ^2 d, as d = 4n
+        residual = (d * LJ) * lhs - (2 * EPS[a]) * rhs
+        worst = max(worst, exactla.max_abs(residual))
+    worst = Fraction(worst, LR * LJ * LJ * d)
     return worst == 0, worst
 
 
@@ -209,13 +235,16 @@ def ricci_split(R: CurvatureTensor, H: HermitianStructure,
         N = d * d
         diag = np.arange(N)
         transpose = diag.reshape(d, d).T.reshape(-1)   # P as a row order
-        # in-place sums keep one N x N temporary (the Kronecker product)
-        op = np.kron(Fraction(EPS[0]) * H.J[0].T, H.J[0].T)
-        for eps, Ja in zip(EPS[1:], H.J[1:]):
-            op += np.kron(Fraction(eps) * Ja.T, Ja.T)
+        # integer entries over the scale LJ^2; in-place sums keep one
+        # N x N temporary (the Kronecker product)
+        J, LJ = exactla.scaled_integers(np.stack(H.J))
+        op = np.kron(EPS[0] * J[0].T, J[0].T)
+        for eps, Ja in zip(EPS[1:], J[1:]):
+            op += np.kron(eps * Ja.T, Ja.T)
         op += op[transpose]
-        op[diag, diag] += d + 3
-        op[diag, transpose] -= 1
+        op[diag, diag] += (d + 3) * LJ * LJ
+        op[diag, transpose] -= LJ * LJ
+        op = exactla.from_scaled_integers(op, LJ * LJ)
         try:
             Bvec = exactla.solve(op, ric.reshape(-1))
         except ValueError as err:
@@ -243,17 +272,21 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     Evaluates the formula for any hermitian structure (any comrel triple
     with its metric), not only the standard one.
     """
-    g = H.g
+    g, Lg = exactla.scaled_integers(H.g)
+    J, LJ = exactla.scaled_integers(np.stack(H.J))
     t = _metric_terms(g)
+    t *= LJ * LJ   # to the scale Lg LJ^2 of K
     # with A_a = J_a^T g, A_a[x, y] = g(J_a e_x, e_y), the permutations of
     # K are the three structure terms of the formula, in order; R(X, X)
     # vanishes because every J_a is g-skew
-    K = _structure_contraction([Ja.T @ g for Ja in H.J], H)
+    K = _structure_contraction([Ja.T @ g for Ja in J], J)
     t += K.transpose(2, 0, 1, 3)
     t -= K.transpose(0, 2, 1, 3)
     K *= 2   # in place: no third d^4 array
     t -= K
-    return CurvatureTensor(t, g)
+    del K
+    return CurvatureTensor(exactla.from_scaled_integers(t, Lg * LJ * LJ),
+                           H.g)
 
 
 # ---------------------------------------------------------------------------
@@ -613,18 +646,25 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
             s4[perm] = val
     omega_inv_t = exactla.inverse(split.omega_e).T
     shat = np.tensordot(s4, omega_inv_t, axes=([3], [0]))  # (i, j, k, l)
+    # the rest runs on integers: shat, omega_h, C and Cinv each over
+    # their own scale, the product of which is the scale of the result
+    shat, Ls = exactla.scaled_integers(shat)
+    omega_h, Lh = exactla.scaled_integers(split.omega_h)
+    C, LC = exactla.scaled_integers(split.change)
+    Cinv, LCinv = exactla.scaled_integers(exactla.inverse(split.change))
     # tensor[(i,a), (j,b), (k,c), (l,d)] = omega_h[a,b] shat[i,j,k,l] delta[c,d]
-    blocks = np.multiply.outer(np.multiply.outer(shat, split.omega_h),
-                               exactla.eye(2))
+    blocks = np.multiply.outer(np.multiply.outer(shat, omega_h),
+                               np.eye(2, dtype=object))
     tensor = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d, d, d)
+    del blocks
     # transform from tensor coordinates to the ambient basis:
     # R_V[x,y,z,w] = Cinv[p,x] Cinv[q,y] Cinv[r,z] R_t[p,q,r,t] C[w,t]
-    C = split.change
-    Cinv = exactla.inverse(C)
     t = np.tensordot(tensor, C, axes=([3], [1]))
+    del tensor
     for axis in range(3):
         t = np.moveaxis(np.tensordot(Cinv, t, axes=([0], [axis])), 0, axis)
-    return CurvatureTensor(t, H.g)
+    return CurvatureTensor(
+        exactla.from_scaled_integers(t, Ls * Lh * LC * LCinv ** 3), H.g)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,20 @@ but none of ``numpy.linalg``.  This module supplies the missing pieces
 (elimination-based rank, solve, inverse, nullspace, determinant, inertia)
 with exact pivoting, plus a fast mod-p rank certificate for integer
 matrices.  Everything is deterministic.
+
+Scaled integers.  Every ``Fraction`` operation normalises by a gcd, so
+object arithmetic on Python ints is far cheaper.  The tensor builders
+therefore work on a common-denominator form: ``scaled_integers(arr)``
+returns an object array N of Python ints and the lcm L of the entry
+denominators with arr == N / L (TypeError on any entry that is not an
+int or a Fraction), and ``from_scaled_integers(N, L)`` turns a result
+back into a ``Fraction`` array.  Python ints do not overflow, so no
+magnitude bound is needed.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +65,32 @@ def max_abs(arr) -> Fraction | float:
     if flat.size == 0:
         return Fraction(0)
     return max(abs(x) for x in flat)
+
+
+def scaled_integers(arr) -> tuple[np.ndarray, int]:
+    """(N, L) with arr == N / L: N an object array of Python ints of the
+    same shape, L the lcm of the entry denominators (1 for integer input).
+    Raises TypeError on any entry that is not an int or a Fraction."""
+    flat = np.asarray(arr).reshape(-1)
+    for x in flat:
+        if not isinstance(x, (Fraction, int, np.integer)):
+            raise TypeError(f"scaled integers need int or Fraction "
+                            f"entries, not {type(x).__name__}")
+    L = math.lcm(*{x.denominator for x in flat})
+    N = np.empty(np.shape(arr), dtype=object)
+    out = N.reshape(-1)
+    for i, x in enumerate(flat):
+        out[i] = int(x.numerator) * (L // x.denominator)
+    return N, L
+
+
+def from_scaled_integers(N, L: int) -> np.ndarray:
+    """The Fraction array N / L of an integer array N and a scale L > 0."""
+    out = np.empty(np.shape(N), dtype=object)
+    flat = out.reshape(-1)
+    for i, x in enumerate(np.asarray(N).reshape(-1)):
+        flat[i] = Fraction(int(x), L)
+    return out
 
 
 def _exact_copy(mat: np.ndarray) -> np.ndarray:
@@ -134,8 +170,10 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("solve expects a square matrix")
-    bcol = b.reshape(n, -1)
-    aug = np.concatenate([a, bcol], axis=1)
+    # both operands pass the dtype check: concatenating a float matrix
+    # with an object right-hand side would hide its dtype from _echelon
+    aug = np.concatenate([_exact_copy(a), _exact_copy(b.reshape(n, -1))],
+                         axis=1)
     red, pivots = _echelon(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("singular system")

@@ -252,23 +252,28 @@ class HermitianStructure:
     def rank(self) -> int:
         return self.dim // 4
 
-    def comrel_residual(self):
-        """Max deviation over the nine products J_a J_b from the cyclic table."""
-        J1, J2, J3 = self.J
-        eye = exactla.eye(self.dim)
+    def comrel_residual(self) -> Fraction:
+        """Max deviation over the nine products J_a J_b from the cyclic
+        table, computed on the J_a scaled to integers over L."""
+        J, L = exactla.scaled_integers(np.stack(self.J))
+        J1, J2, J3 = J
+        # every product J_a J_b carries the scale L^2, so the table does too
+        eye = L * L * np.eye(self.dim, dtype=object)
         table = {
             (0, 0): -EPS[0] * eye, (1, 1): -EPS[1] * eye, (2, 2): -EPS[2] * eye,
-            (0, 1): -EPS[2] * J3, (1, 0): EPS[2] * J3,
-            (1, 2): -EPS[0] * J1, (2, 1): EPS[0] * J1,
-            (2, 0): -EPS[1] * J2, (0, 2): EPS[1] * J2,
+            (0, 1): -EPS[2] * L * J3, (1, 0): EPS[2] * L * J3,
+            (1, 2): -EPS[0] * L * J1, (2, 1): EPS[0] * L * J1,
+            (2, 0): -EPS[1] * L * J2, (0, 2): EPS[1] * L * J2,
         }
-        res = max(exactla.max_abs(self.J[a] @ self.J[b] - want)
+        res = max(exactla.max_abs(J[a] @ J[b] - want)
                   for (a, b), want in table.items())
-        return res
+        return Fraction(res, L * L)
 
-    def skew_residual(self):
-        return max(exactla.max_abs(Ja.T @ self.g + self.g @ Ja)
-                   for Ja in self.J)
+    def skew_residual(self) -> Fraction:
+        J, LJ = exactla.scaled_integers(np.stack(self.J))
+        g, Lg = exactla.scaled_integers(self.g)
+        res = max(exactla.max_abs(Ja.T @ g + g @ Ja) for Ja in J)
+        return Fraction(res, LJ * Lg)
 
     def signature(self):
         return exactla.signature(self.g)

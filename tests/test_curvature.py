@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -499,6 +500,107 @@ def test_fitted_scale(n):
     const, res = einstein_check(ambient_projective_curvature(n))
     assert res == 0
     assert const == 4 * n + 8
+
+
+# -- the scaled-integer path against a plain Fraction reference --------------
+#
+# The diagnostics and weyl_sample compute on scaled Python ints.  The
+# references below are the straightforward contractions on Fraction arrays.
+
+
+def ref_bianchi(R):
+    t = R.tensor
+    return exactla.max_abs(t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3))
+
+
+def ref_traces(R, H):
+    return [np.tensordot(R.tensor, Ja, axes=([2, 3], [0, 1])) for Ja in H.J]
+
+
+def ref_normalizes(R, H):
+    d = R.dim
+    xs, ys = np.triu_indices(d, 1)
+    M = R.tensor[xs, ys].transpose(0, 2, 1)
+    traces = [t[xs, ys][:, None, None] for t in ref_traces(R, H)]
+    worst = Fraction(0)
+    for (a, b, c) in CYCLES:
+        lhs = M @ H.J[a] - H.J[a] @ M
+        rhs = traces[c] * H.J[b] - traces[b] * H.J[c]
+        worst = max(worst,
+                    exactla.max_abs(lhs - Fraction(2 * EPS[a], d) * rhs))
+    return worst == 0, worst
+
+
+def ref_weyl(split, rng):
+    m = len(split.e_basis)
+    d = 2 * m
+    s4 = exactla.zeros((m, m, m, m))
+    for idx in combinations_with_replacement(range(m), 4):
+        val = Fraction(rng.randint(-3, 3))
+        for perm in permutations(idx):
+            s4[perm] = val
+    shat = np.tensordot(s4, exactla.inverse(split.omega_e).T,
+                        axes=([3], [0]))
+    blocks = np.multiply.outer(np.multiply.outer(shat, split.omega_h),
+                               exactla.eye(2))
+    tensor = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d, d, d)
+    C = split.change
+    Cinv = exactla.inverse(C)
+    t = np.tensordot(tensor, C, axes=([3], [1]))
+    for axis in range(3):
+        t = np.moveaxis(np.tensordot(Cinv, t, axes=([0], [axis])), 0, axis)
+    return t
+
+
+def all_fractions(arr):
+    return all(type(x) is Fraction for x in np.asarray(arr).reshape(-1))
+
+
+@pytest.mark.parametrize("kind, n", [("standard", 1), ("standard", 2),
+                                     ("standard", 3), ("conjugated", 1),
+                                     ("conjugated", 2)])
+def test_integer_path_matches_fraction_reference(kind, n):
+    rng = random.Random(40 + n)
+    H = structure_endos(n) if kind == "standard" else conjugated_structure(
+        n, rng)
+    split = grassman_split(H)
+    W = weyl_sample(H, split, random.Random(7))
+    assert all_fractions(W.tensor)
+    assert (W.tensor == ref_weyl(split, random.Random(7))).all()
+    # 2 R_0 + W + R^B lies in the normaliser and satisfies Bianchi; one
+    # perturbed entry with denominator 7 breaks both
+    R = (projective_curvature(H).scale(Fraction(2)) + W
+         + curvature_from_bilinear(BilinearForm(rand_rational(
+             rng, (H.dim, H.dim))), H))
+    perturbed = CurvatureTensor(R.tensor.copy(), R.metric)
+    perturbed.tensor[0, 1, 2, 3] += Fraction(1, 7)
+    # the Fraction reference of the membership test takes seconds at
+    # n = 3, so there only the perturbed tensor is compared
+    for T, zero in ([(perturbed, False)] if n == 3
+                    else [(R, True), (perturbed, False)]):
+        for got, want in zip(structure_traces(T, H), ref_traces(T, H)):
+            assert all_fractions(got) and (got == want).all()
+        ok, res = normalizes_structure(T, H)
+        assert (ok, res) == ref_normalizes(T, H) and ok is zero
+        assert type(res) is Fraction
+        bianchi = bianchi_residual(T)
+        assert bianchi == ref_bianchi(T) and (bianchi == 0) is zero
+        assert type(bianchi) is Fraction
+
+
+def test_exact_diagnostics_reject_float_tensors():
+    # a float tensor is not silently scaled: the diagnostics are exact-only
+    H = structure_endos(1)
+    R = projective_curvature(H)
+    mixed = R.tensor.copy()
+    mixed[0, 1, 2, 3] = 0.5
+    for tensor in (np.array(R.tensor, dtype=float), mixed):
+        Rf = CurvatureTensor(tensor, R.metric)
+        for diagnostic in (lambda: structure_traces(Rf, H),
+                           lambda: normalizes_structure(Rf, H),
+                           lambda: bianchi_residual(Rf)):
+            with pytest.raises(TypeError):
+                diagnostic()
 
 
 # -- serialisation ------------------------------------------------------------

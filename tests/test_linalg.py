@@ -155,10 +155,80 @@ def test_exact_elimination_on_fixed_width_arrays():
         exactla.solve(a.astype(float), np.array([1.0, 0.0]))
 
 
+def test_inverse_and_solve_check_both_operands():
+    # concatenating a float matrix with an object operand yields an object
+    # array; the float elimination that followed gave 0.49999999999999994
+    a = np.array([[3., 1.], [1., 1.]])
+    with pytest.raises(TypeError):
+        exactla.inverse(a)
+    with pytest.raises(TypeError):
+        exactla.solve(a, exactla.fracarray([1, 0]))
+    with pytest.raises(TypeError):
+        exactla.solve(exactla.fracarray([[3, 1], [1, 1]]), np.array([1., 0.]))
+
+
+def test_scaled_integers_roundtrip():
+    arr = np.array([[Fraction(1, 2), Fraction(-2, 3)], [3, np.int64(4)]],
+                   dtype=object)
+    N, L = exactla.scaled_integers(arr)
+    assert L == 6 and N.tolist() == [[3, -4], [18, 24]]
+    assert all(type(x) is int for x in N.reshape(-1))
+    back = exactla.from_scaled_integers(N, L)
+    assert back.shape == arr.shape and (back == arr).all()
+    assert all(type(x) is Fraction for x in back.reshape(-1))
+    N, L = exactla.scaled_integers(np.arange(3))
+    assert L == 1 and all(type(x) is int for x in N)
+    N, L = exactla.scaled_integers(exactla.zeros((0, 3)))
+    assert L == 1 and N.shape == (0, 3)
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([0.5, 1.0]),
+    np.array([1 + 2j]),
+    np.array([Fraction(1), 0.5], dtype=object),
+], ids=["float64", "complex", "object-float"])
+def test_scaled_integers_reject_inexact_entries(arr):
+    with pytest.raises(TypeError):
+        exactla.scaled_integers(arr)
+
+
 def test_structure_validation():
     H = structure_endos(1)
     with pytest.raises(DegenerateStructureError):
         HermitianStructure(H.J[0], H.J[1], H.J[0], H.g)
+
+
+def test_structure_residuals_match_fraction_reference():
+    # the residuals are computed on scaled integers; the plain Fraction
+    # products are the reference, on a conjugated structure (entries with
+    # denominators) with J_1 and g perturbed so that both are nonzero
+    rng = random.Random(11)
+    H = structure_endos(2)
+    while True:
+        P = exactla.fracarray([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                for _ in range(H.dim)] for _ in range(H.dim)])
+        if exactla.rank(P) == H.dim:
+            break
+    Pinv = exactla.inverse(P)
+    J = [Pinv @ Ja @ P for Ja in H.J]
+    g = P.T @ H.g @ P
+    J[0][1, 2] += Fraction(1, 7)
+    g[0, 3] += Fraction(2, 5)
+    Hp = HermitianStructure(*J, g, validate=False)
+    eye = exactla.eye(H.dim)
+    table = {
+        (0, 0): -EPS[0] * eye, (1, 1): -EPS[1] * eye, (2, 2): -EPS[2] * eye,
+        (0, 1): -EPS[2] * J[2], (1, 0): EPS[2] * J[2],
+        (1, 2): -EPS[0] * J[0], (2, 1): EPS[0] * J[0],
+        (2, 0): -EPS[1] * J[1], (0, 2): EPS[1] * J[1],
+    }
+    comrel = max(exactla.max_abs(J[a] @ J[b] - want)
+                 for (a, b), want in table.items())
+    skew = max(exactla.max_abs(Ja.T @ g + g @ Ja) for Ja in J)
+    assert comrel != 0 and skew != 0
+    for got, want in ((Hp.comrel_residual(), comrel),
+                      (Hp.skew_residual(), skew)):
+        assert got == want and type(got) is Fraction
 
 
 def test_real_rep_entry_formula():
