@@ -235,8 +235,8 @@ def ricci_split(R: CurvatureTensor, H: HermitianStructure,
         N = d * d
         diag = np.arange(N)
         transpose = diag.reshape(d, d).T.reshape(-1)   # P as a row order
-        # integer entries over the scale LJ^2; in-place sums keep one
-        # N x N temporary (the Kronecker product)
+        # LJ^2 times the operator, on integers, against LJ^2 ric; in-place
+        # sums keep one N x N temporary (the Kronecker product)
         J, LJ = exactla.scaled_integers(np.stack(H.J))
         op = np.kron(EPS[0] * J[0].T, J[0].T)
         for eps, Ja in zip(EPS[1:], J[1:]):
@@ -244,9 +244,8 @@ def ricci_split(R: CurvatureTensor, H: HermitianStructure,
         op += op[transpose]
         op[diag, diag] += (d + 3) * LJ * LJ
         op[diag, transpose] -= LJ * LJ
-        op = exactla.from_scaled_integers(op, LJ * LJ)
         try:
-            Bvec = exactla.solve(op, ric.reshape(-1))
+            Bvec = exactla.solve(op, ric.reshape(-1) * (LJ * LJ))
         except ValueError as err:
             raise SingularSystemError(str(err)) from err
         Bmat = Bvec.reshape(d, d)
@@ -311,25 +310,30 @@ class SymmetricDecomposition:
     g_m: np.ndarray
     structure: HermitianStructure | None = None
 
-    @property
-    def f_dim(self) -> int:
-        return self.c_mm.shape[2]
-
     def validate(self):
         """Symmetric-pair sanity: antisymmetry, metric invariance, and the
-        Jacobi identity on tangent triples (which is first Bianchi)."""
-        if exactla.max_abs(self.c_mm + self.c_mm.transpose(1, 0, 2)) != 0:
+        Jacobi identity on tangent triples (which is first Bianchi).  The
+        tests are zero tests, so they read the scaled integers directly."""
+        mm, _ = exactla.scaled_integers(self.c_mm)
+        if exactla.max_abs(mm + mm.transpose(1, 0, 2)) != 0:
             raise NotSymmetricPairError("[m, m] table is not antisymmetric")
-        # ad(f) must be g_m-skew
-        for a in range(self.f_dim):
-            ad = self.c_fm[a].T  # column i = [f_a, m_i]
-            if exactla.max_abs(ad.T @ self.g_m + self.g_m @ ad) != 0:
-                raise NotSymmetricPairError("metric is not ad(f)-invariant")
+        # ad(f) must be g_m-skew; fm[a] = ad(f_a)^T, row i = [f_a, m_i]
+        fm, _ = exactla.scaled_integers(self.c_fm)
+        g, _ = exactla.scaled_integers(self.g_m)
+        if exactla.max_abs(fm @ g + g @ fm.transpose(0, 2, 1)) != 0:
+            raise NotSymmetricPairError("metric is not ad(f)-invariant")
         # Jacobi on (m, m, m): sum_cyc [[m_i, m_j], m_k] = 0
-        dbl = np.tensordot(self.c_mm, self.c_fm, axes=([2], [0]))
+        dbl, _ = self._double_brackets()
         cyc = dbl + dbl.transpose(1, 2, 0, 3) + dbl.transpose(2, 0, 1, 3)
         if exactla.max_abs(cyc) != 0:
             raise NotSymmetricPairError("Jacobi identity fails on m triples")
+
+    def _double_brackets(self) -> tuple[np.ndarray, int]:
+        """(N, L): N / L is the coefficient of m_l in [[m_i, m_j], m_k],
+        contracted on scaled integers."""
+        mm, Lmm = exactla.scaled_integers(self.c_mm)
+        fm, Lfm = exactla.scaled_integers(self.c_fm)
+        return np.tensordot(mm, fm, axes=([2], [0])), Lmm * Lfm
 
     @classmethod
     def from_matrix_algebra(cls, m_mats, f_mats, g_m, structure=None):
@@ -352,10 +356,14 @@ def _bracket_coordinates(left, right, basis, label) -> np.ndarray:
     """c[i, j, k]: coefficient of basis[k] in [left[i], right[j]], from one
     frame_coordinates call; NotSymmetricPairError(label) if a bracket
     leaves span(basis)."""
-    brackets = [A @ B - B @ A for A in left for B in right]
+    A, LA = exactla.scaled_integers(np.stack(left))
+    B, LB = exactla.scaled_integers(np.stack(right))
+    # brackets[i, j] = [left[i], right[j]], on integers over LA * LB
+    brackets = A[:, None] @ B[None] - B[None] @ A[:, None]
     coords, residual = exactla.frame_coordinates(
         np.stack([M.reshape(-1) for M in basis], axis=1),
-        np.stack([M.reshape(-1) for M in brackets], axis=1))
+        exactla.from_scaled_integers(
+            brackets.reshape(len(left) * len(right), -1).T, LA * LB))
     if residual != 0:
         raise NotSymmetricPairError(label)
     return coords.T.reshape(len(left), len(right), len(basis))
@@ -365,8 +373,8 @@ def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
     """Base-point curvature R(A, B) C = -[[A, B], C] on the tangent
     summand, in the chosen basis of m."""
     D.validate()
-    tensor = np.tensordot(-D.c_mm, D.c_fm, axes=([2], [0]))
-    return CurvatureTensor(tensor, D.g_m)
+    dbl, L = D._double_brackets()
+    return CurvatureTensor(exactla.from_scaled_integers(-dbl, L), D.g_m)
 
 
 # -- concrete decompositions ------------------------------------------------

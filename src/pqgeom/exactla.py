@@ -8,12 +8,25 @@ matrices.  Everything is deterministic.
 
 Scaled integers.  Every ``Fraction`` operation normalises by a gcd, so
 object arithmetic on Python ints is far cheaper.  The tensor builders
-therefore work on a common-denominator form: ``scaled_integers(arr)``
-returns an object array N of Python ints and the lcm L of the entry
-denominators with arr == N / L (TypeError on any entry that is not an
-int or a Fraction), and ``from_scaled_integers(N, L)`` turns a result
-back into a ``Fraction`` array.  Python ints do not overflow, so no
-magnitude bound is needed.
+and the eliminations therefore work on a common-denominator form:
+``scaled_integers(arr)`` returns an object array N of Python ints and the
+lcm L of the entry denominators with arr == N / L (TypeError on any entry
+that is not an int or a Fraction), and ``from_scaled_integers(N, L)``
+turns a result back into a ``Fraction`` array.  Python ints do not
+overflow, so no magnitude bound is needed.
+
+Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
+scaled integers: it eliminates a pivot column from the rows that are
+nonzero there, row_i <- row_i * (p / g) - row_r * (f / g) with
+g = gcd(p, f), and divides each new row by its content.  It returns the
+integer rows and the pivot list, without dividing by the pivots; the
+callers divide only the entries they read (``solve`` the right-hand-side
+columns, ``nullspace`` the free columns, ``rank`` none).  ``det`` runs
+Bareiss elimination (Math. Comp. 22, 1968), whose divisions are exact.
+``frame_coordinates`` forms its Gram system and residual on integers.
+``solve``, ``inverse``, ``nullspace``, ``det`` and ``frame_coordinates``
+return ``Fraction`` entries; ``inertia`` checks that its input is square
+and symmetric.
 """
 
 from __future__ import annotations
@@ -85,50 +98,69 @@ def scaled_integers(arr) -> tuple[np.ndarray, int]:
 
 
 def from_scaled_integers(N, L: int) -> np.ndarray:
-    """The Fraction array N / L of an integer array N and a scale L > 0."""
+    """The Fraction array N / L of an integer array N and a scale L > 0.
+
+    Tensors repeat few values, so each distinct value becomes one
+    Fraction, shared by its entries (Fractions are immutable)."""
     out = np.empty(np.shape(N), dtype=object)
     flat = out.reshape(-1)
+    made = {}
     for i, x in enumerate(np.asarray(N).reshape(-1)):
-        flat[i] = Fraction(int(x), L)
+        q = made.get(x)
+        if q is None:
+            q = made[x] = Fraction(int(x), L)
+        flat[i] = q
     return out
 
 
-def _exact_copy(mat: np.ndarray) -> np.ndarray:
-    """Object-array copy for the eliminations.  Integer dtypes become
-    Python ints (fixed-width ones would truncate divided rows); any other
-    non-object dtype raises TypeError."""
-    if mat.dtype != object and not np.issubdtype(mat.dtype, np.integer):
-        raise TypeError(f"exact elimination needs an object or integer "
-                        f"array, not {mat.dtype}")
-    return mat.astype(object)
-
-
 def _echelon(mat: np.ndarray):
-    """Row echelon form in place (returns matrix copy, pivot column list)."""
-    a = _exact_copy(mat)
+    """Fraction-free Gauss-Jordan elimination: (a, pivots).
+
+    a is an object array of Python ints, row-equivalent to `mat`; row r
+    has the pivot a[r, pivots[r]] and zeros in every other pivot column,
+    so the reduced row echelon form is a[r] / a[r, pivots[r]].  Each
+    combination is divided by its row content, which keeps the entries
+    small and sparse rows sparse.  TypeError on an entry that is not an
+    int or a Fraction.
+    """
+    a, _ = scaled_integers(mat)
     rows, cols = a.shape
+    for i in range(rows):
+        g = math.gcd(*a[i])
+        if g > 1:
+            a[i] //= g
     pivots = []
     r = 0
     for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                pr = i
-                break
-        if pr is None:
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
             continue
-        if pr != r:
+        if below[0]:
+            pr = r + below[0]
             a[[r, pr]] = a[[pr, r]]
-        # a Fraction divisor keeps int-valued object arrays exact
-        a[r] = a[r] / Fraction(a[r, c])
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                a[i] = a[i] - a[i, c] * a[r]
+        p = a[r, c]
+        for i in np.flatnonzero(a[:, c]):
+            if i != r:
+                f = a[i, c]
+                g = math.gcd(p, f)
+                row = a[i] * (p // g) - a[r] * (f // g)
+                g = math.gcd(*row)
+                a[i] = row // g if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
     return a, pivots
+
+
+def _divide(a: np.ndarray, pivots: list[int], cols) -> np.ndarray:
+    """The Fractions a[r, cols] / a[r, pivots[r]]: columns `cols` of the
+    reduced row echelon form, one row per pivot."""
+    out = np.empty((len(pivots), len(cols)), dtype=object)
+    for r, pc in enumerate(pivots):
+        p = a[r, pc]
+        out[r] = [Fraction(x, p) for x in a[r, cols]]
+    return out
 
 
 def rank(mat: np.ndarray) -> int:
@@ -170,14 +202,10 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("solve expects a square matrix")
-    # both operands pass the dtype check: concatenating a float matrix
-    # with an object right-hand side would hide its dtype from _echelon
-    aug = np.concatenate([_exact_copy(a), _exact_copy(b.reshape(n, -1))],
-                         axis=1)
-    red, pivots = _echelon(aug)
+    red, pivots = _echelon(np.concatenate([a, b.reshape(n, -1)], axis=1))
     if pivots[:n] != list(range(n)):
         raise ValueError("singular system")
-    x = red[:n, n:]
+    x = _divide(red, pivots, range(n, red.shape[1]))
     return x.reshape(b.shape) if b.ndim == 1 else x
 
 
@@ -189,8 +217,13 @@ def frame_coordinates(frame: np.ndarray, target: np.ndarray):
     """(coords, residual): the solution of the Gram system frame^T frame
     coords = frame^T target, and the max-abs entry of frame @ coords -
     target, which is 0 exactly when target lies in the frame's span."""
-    coords = solve(frame.T @ frame, frame.T @ target)
-    return coords, max_abs(frame @ coords - target)
+    F, LF = scaled_integers(frame)
+    T, LT = scaled_integers(target)
+    # both sides times LF^2 LT: F^T F LT coords = F^T T LF
+    coords = solve((F.T @ F) * LT, (F.T @ T) * LF)
+    C, LC = scaled_integers(coords)
+    residual = max_abs((F @ C) * LT - T * (LF * LC))
+    return coords, Fraction(residual, LF * LC * LT)
 
 
 def nullspace(mat: np.ndarray) -> np.ndarray:
@@ -199,29 +232,33 @@ def nullspace(mat: np.ndarray) -> np.ndarray:
     red, pivots = _echelon(mat)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros((cols, len(free)))
-    for k, fc in enumerate(free):
-        basis[fc, k] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            basis[pc, k] = -red[r, fc]
+    basis[free, range(len(free))] = Fraction(1)
+    basis[pivots] = -_divide(red, pivots, free)
     return basis
 
 
 def det(mat: np.ndarray) -> Fraction:
-    a = _exact_copy(mat)
+    """Bareiss fraction-free elimination on the scaled integers N = L mat:
+    det(mat) = det(N) / L^n."""
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("det expects a square matrix")
+    a, L = scaled_integers(mat)
     n = a.shape[0]
-    d = Fraction(1)
+    sign, prev = 1, 1
     for c in range(n):
-        pr = next((i for i in range(c, n) if a[i, c] != 0), None)
-        if pr is None:
+        below = np.flatnonzero(a[c:, c])
+        if below.size == 0:
             return Fraction(0)
-        if pr != c:
+        if below[0]:
+            pr = c + below[0]
             a[[c, pr]] = a[[pr, c]]
-            d = -d
-        d *= a[c, c]
-        for i in range(c + 1, n):
-            if a[i, c] != 0:
-                a[i] = a[i] - (a[i, c] / Fraction(a[c, c])) * a[c]
-    return d
+            sign = -sign
+        p = a[c, c]
+        # every entry of the trailing block divides exactly by prev
+        a[c + 1:, c + 1:] = (a[c + 1:, c + 1:] * p
+                             - np.outer(a[c + 1:, c], a[c, c + 1:])) // prev
+        prev = p
+    return Fraction(sign * prev, L ** n)
 
 
 def inertia(sym: np.ndarray) -> tuple[int, int, int]:
@@ -230,7 +267,12 @@ def inertia(sym: np.ndarray) -> tuple[int, int, int]:
     Symmetric Gaussian reduction (congruence diagonalisation); Sylvester's
     law makes the signs basis independent.
     """
-    a = _exact_copy(sym)
+    if sym.ndim != 2 or sym.shape[0] != sym.shape[1]:
+        raise ValueError("inertia expects a square matrix")
+    # the scale is positive, so N has the inertia of sym
+    a, _ = scaled_integers(sym)
+    if (a != a.T).any():
+        raise ValueError("inertia expects a symmetric matrix")
     n = a.shape[0]
     plus = minus = zero = 0
     rows = list(range(n))

@@ -9,6 +9,7 @@ import pytest
 from pqgeom import exactla
 from pqgeom.algebra import EPS
 from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
+                              _bracket_coordinates,
                               NotSymmetricPairError, NullDirectionError,
                               SingularSystemError, SymmetricDecomposition,
                               abelian_decomposition,
@@ -485,6 +486,36 @@ def test_symmetric_pair_validation():
         symmetric_space_curvature(D2)
 
 
+def test_symmetric_pair_validation_metric_and_jacobi():
+    D = solvable_decomposition(1)
+    # A = ad(f) is skew for the neutral metric, not for the identity
+    D2 = type(D)(D.c_mm, D.c_fm, D.c_ff, exactla.eye(4))
+    with pytest.raises(NotSymmetricPairError, match=r"ad\(f\)-invariant"):
+        symmetric_space_curvature(D2)
+    # an antisymmetric change of one bracket breaks the Jacobi identity
+    c_mm = D.c_mm.copy()
+    c_mm[0, 1, 0] += 1
+    c_mm[1, 0, 0] -= 1
+    D3 = type(D)(c_mm, D.c_fm, D.c_ff, D.g_m)
+    with pytest.raises(NotSymmetricPairError, match="Jacobi"):
+        symmetric_space_curvature(D3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: solvable_decomposition(-1), lambda: special_linear_decomposition(1),
+    lambda: special_linear_decomposition(2)],
+    ids=["solvable", "special-linear-1", "special-linear-2"])
+def test_symmetric_oracles_match_fraction_reference(build):
+    # the double-bracket contraction runs on scaled ints; the reference is
+    # the Fraction tensordot
+    D = build()
+    R = symmetric_space_curvature(D)
+    want = np.tensordot(-D.c_mm, D.c_fm, axes=([2], [0]))
+    assert R.tensor.shape == want.shape and (R.tensor == want).all()
+    for arr in (R.tensor, D.c_mm, D.c_fm, D.c_ff):
+        assert all_fractions(arr)
+
+
 # -- bracket normalisation ----------------------------------------------------
 
 
@@ -633,3 +664,27 @@ def test_curvature_text_rejects_other_convention():
     header["convention"] = "ij=-k"
     with pytest.raises(ValueError, match="convention"):
         curvature_from_text(json.dumps(header) + "\n" + rest)
+
+
+def test_bracket_coordinates_rebuild_fraction_brackets():
+    # the brackets run on scaled ints; the coordinates must rebuild the
+    # Fraction products A @ B - B @ A, here with denominators on both sides
+    rng = random.Random(11)
+    left = [exactla.fracarray([[Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                                for _ in range(3)] for _ in range(3)])
+            for _ in range(3)]
+    right = left[::-1] + [exactla.eye(3) * Fraction(1, 5)]
+    basis = []
+    for p in range(3):
+        for q in range(3):
+            M = exactla.zeros((3, 3))
+            M[p, q] = Fraction(1, p + 2 * q + 1)
+            basis.append(M)
+    c = _bracket_coordinates(left, right, basis, "outside")
+    assert all_fractions(c)
+    for i, A in enumerate(left):
+        for j, B in enumerate(right):
+            rebuilt = sum(c[i, j, k] * M for k, M in enumerate(basis))
+            assert ((rebuilt - (A @ B - B @ A)) == 0).all()
+    with pytest.raises(NotSymmetricPairError, match="outside"):
+        _bracket_coordinates(left, right, basis[1:], "outside")

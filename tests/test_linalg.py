@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
 from pqgeom.algebra import EPS, I, J, K, SplitQuaternion
+from pqgeom.curvature import (projective_curvature, ricci, ricci_split,
+                              weyl_sample)
 from pqgeom.linalg import (TENSOR_BLOCKS, DegenerateStructureError,
                            HermitianStructure, PQMatrix, PQVector,
                            RankMismatchError, adopted_basis,
@@ -190,6 +193,230 @@ def test_scaled_integers_roundtrip():
 def test_scaled_integers_reject_inexact_entries(arr):
     with pytest.raises(TypeError):
         exactla.scaled_integers(arr)
+
+
+@pytest.mark.parametrize("routine", [
+    exactla.rank, exactla.nullspace, exactla.det, exactla.inertia,
+    exactla.inverse,
+    lambda a: exactla.solve(a, np.array([1, 1], dtype=object)),
+    lambda a: exactla.frame_coordinates(a, np.array([1, 1], dtype=object)),
+], ids=["rank", "nullspace", "det", "inertia", "inverse", "solve",
+        "frame_coordinates"])
+def test_exact_routines_reject_object_arrays_holding_floats(routine):
+    # the float used to ride along: solve returned [0.5, Fraction(1)]
+    with pytest.raises(TypeError):
+        routine(np.array([[1, 0.5], [0.5, 1]], dtype=object))
+
+
+def test_det_rejects_non_square():
+    # used to eliminate the leading square block: -3
+    with pytest.raises(ValueError):
+        exactla.det(exactla.fracarray([[1, 2, 3], [4, 5, 7]]))
+
+
+@pytest.mark.parametrize("mat", [[[1, 2], [0, 1]], [[1, 2, 3]]],
+                         ids=["non-symmetric", "non-square"])
+def test_inertia_rejects_non_symmetric_input(mat):
+    # used to give (2, 0, 0) and (1, 0, 0)
+    with pytest.raises(ValueError):
+        exactla.inertia(exactla.fracarray(mat))
+    with pytest.raises(ValueError):
+        exactla.signature(exactla.fracarray(mat))
+
+
+# -- integer elimination against the Fraction reference ----------------------
+#
+# exactla eliminates on scaled Python ints.  The references below are the
+# Fraction Gauss-Jordan elimination and determinant it replaced.
+
+
+def ref_echelon(mat):
+    a = mat.astype(object)
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if a[i, c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] / Fraction(a[r, c])
+        for i in range(rows):
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+def ref_solve(a, b):
+    n = a.shape[0]
+    red, pivots = ref_echelon(np.concatenate([a, b.reshape(n, -1)], axis=1))
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular system")
+    x = red[:n, n:]
+    return x.reshape(b.shape) if b.ndim == 1 else x
+
+
+def ref_nullspace(mat):
+    rows, cols = mat.shape
+    red, pivots = ref_echelon(mat)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = exactla.zeros((cols, len(free)))
+    for k, fc in enumerate(free):
+        basis[fc, k] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            basis[pc, k] = -red[r, fc]
+    return basis
+
+
+def ref_det(mat):
+    a = mat.astype(object)
+    n = a.shape[0]
+    d = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i, c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            a[[c, pr]] = a[[pr, c]]
+            d = -d
+        d *= a[c, c]
+        for i in range(c + 1, n):
+            if a[i, c] != 0:
+                a[i] = a[i] - (a[i, c] / Fraction(a[c, c])) * a[c]
+    return d
+
+
+def assert_same_fractions(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    for x, y in zip(got.reshape(-1), want.reshape(-1)):
+        assert type(x) is Fraction and type(y) is Fraction
+        assert x == y
+
+
+def ref_outcome(routine, *args):
+    try:
+        return routine(*args)
+    except ValueError:
+        return ValueError
+
+
+entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                 max_denominator=10 ** 15),
+)
+
+
+def fraction_matrix(draw, rows, cols):
+    return exactla.fracarray(
+        draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows)))
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """Dense, rank-deficient, zero-column or int64 matrices; square when
+    rows == cols is forced, wide or tall otherwise."""
+    rows = rows or draw(st.integers(1, 6))
+    cols = cols or draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["dense", "low-rank", "zero-columns",
+                                 "int64"]))
+    if kind == "int64":
+        ints = st.integers(-2 ** 40, 2 ** 40) | st.integers(-3, 3)
+        return np.array(draw(st.lists(
+            st.lists(ints, min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)), dtype=np.int64)
+    if kind == "low-rank":
+        k = draw(st.integers(1, min(rows, cols)))
+        mat = (fraction_matrix(draw, rows, k - 1)
+               @ fraction_matrix(draw, k - 1, cols))
+        return mat if k > 1 else exactla.zeros((rows, cols))
+    mat = fraction_matrix(draw, rows, cols)
+    if kind == "zero-columns":
+        for c in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+            mat[:, c] = Fraction(0)
+    return mat
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 6))
+    a = draw(rational_matrices(n, n))
+    b = draw(rational_matrices(n, draw(st.integers(1, 3))))
+    return a, b
+
+
+@settings(max_examples=150)
+@given(rational_matrices())
+def test_rank_and_nullspace_match_fraction_reference(mat):
+    _, pivots = ref_echelon(mat)
+    assert exactla.rank(mat) == len(pivots)
+    assert_same_fractions(exactla.nullspace(mat), ref_nullspace(mat))
+
+
+@settings(max_examples=150)
+@given(square_systems())
+def test_solve_inverse_det_match_fraction_reference(system):
+    a, b = system
+    for got, want in [
+        (lambda: exactla.solve(a, b), ref_outcome(ref_solve, a, b)),
+        (lambda: exactla.solve(a, b[:, 0]),
+         ref_outcome(ref_solve, a, b[:, 0])),
+        (lambda: exactla.inverse(a),
+         ref_outcome(ref_solve, a, exactla.eye(len(a)))),
+    ]:
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                got()
+        else:
+            assert_same_fractions(got(), want)
+    assert_same_fractions(exactla.det(a), ref_det(a))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_frame_coordinates_match_fraction_reference(data):
+    rows = data.draw(st.integers(1, 6))
+    frame = data.draw(rational_matrices(rows, data.draw(st.integers(1, rows))))
+    target = data.draw(rational_matrices(rows, data.draw(st.integers(1, 3))))
+    if data.draw(st.booleans()):
+        target = target[:, 0]
+    # Python ints: int64 products of 2^40-sized entries would overflow
+    f, t = frame.astype(object), target.astype(object)
+    want = ref_outcome(ref_solve, f.T @ f, f.T @ t)
+    if want is ValueError:
+        with pytest.raises(ValueError):
+            exactla.frame_coordinates(frame, target)
+        return
+    coords, residual = exactla.frame_coordinates(frame, target)
+    assert_same_fractions(coords, want)
+    assert_same_fractions(residual, exactla.max_abs(f @ want - t))
+
+
+def test_ricci_operator_solve_matches_fraction_reference():
+    # the 144 x 144 system of ricci_split at n = 3, assembled on Fractions:
+    # (d + 3) I - P + Psi + P Psi, Psi = sum_a eps_a J_a^T (x) J_a^T
+    H = structure_endos(3)
+    d = H.dim
+    psi = sum(eps * np.kron(Ja.T, Ja.T) for eps, Ja in zip(EPS, H.J))
+    transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
+    P = exactla.eye(d * d)[transpose]
+    op = (d + 3) * exactla.eye(d * d) - P + psi + psi[transpose]
+    R = (projective_curvature(H).scale(Fraction(3, 7))
+         + weyl_sample(H, grassman_split(H), random.Random(5)))
+    rhs = ricci(R).reshape(-1)
+    want = ref_solve(op, rhs)
+    assert_same_fractions(exactla.solve(op, rhs), want)
+    _, B = ricci_split(R, H)
+    assert_same_fractions(B.matrix, want.reshape(d, d))
 
 
 def test_structure_validation():
