@@ -13,12 +13,11 @@ from .forms import (BilinearForm, FourForm, NotInGroupError, NotSkewError,
                     fundamental_four_form, hermitian_projector,
                     rotate_structure, two_form)
 from .curvature import (CurvatureTensor, NotSymmetricPairError,
-                        NullDirectionError, SingularSystemError,
-                        SymmetricDecomposition, bianchi_residual,
-                        curvature_from_bilinear, einstein_check,
-                        jacobi_spectrum_report, normalizes_structure,
-                        projective_curvature, ricci_split,
-                        symmetric_space_curvature)
+                        NullDirectionError, SymmetricDecomposition,
+                        bianchi_residual, curvature_from_bilinear,
+                        einstein_check, jacobi_spectrum_report,
+                        normalizes_structure, projective_curvature,
+                        ricci_split, symmetric_space_curvature)
 from .projspace import (CompletionFailureError, DegenerateOrbitError,
                         SpherePoint, TangentSplit, induced_geometry,
                         tangent_split, transitive_element)

@@ -556,13 +556,12 @@ def _chk_pq_zero_sets(config, rng):
 def _chk_pq_eigen_identity(config, rng):
     worst = 0
     count = max(3, config.samples // 30)
-    const = curv.einstein_check(curv.ambient_projective_curvature(2))[0]
-    nu = const / 4   # reduced scalar curvature, const / (n + 2) at n = 2
     # consistency only; the quotient-curvature oracle test is independent
     for _ in range(count):
         u = red.weighted_level_sample(rng, config.p, config.q)
         X = red.admissible_directions(config.p, config.q, u, rng, 1)[0]
         rj = red.reduced_jacobi(config.p, config.q, u, X)
+        nu = rj.einstein_constant / 4   # reduced scalar curvature at n = 2
         l1, _, l3 = rj.eigenvalues
         worst = max(worst, float(abs(2 * l1 + l3 + 3 * nu)))
     return worst, count

@@ -17,8 +17,14 @@ for entry, for the metric of the unit-pseudosphere submersion.
 Arithmetic.  The tensors are exact: object arrays of ``Fraction``.  The
 builders and diagnostics clear denominators first
 (``exactla.scaled_integers``), compute on Python ints, and convert to
-``Fraction`` once at the end, so every returned entry is a ``Fraction``
-and a float tensor raises TypeError.
+``Fraction`` once at the end, so every returned entry is a ``Fraction``.
+A float tensor raises TypeError in the diagnostics and in
+``curvature_to_text``; the text format has the single mode "exact".
+
+Ricci splitting.  ``ricci_split`` inverts the Ricci map of the linear
+family R^B on its three eigenspaces (closed formula); the dense
+Kronecker system of the same map is assembled and solved only in the
+tests, as the reference the closed route is compared with.
 """
 
 from __future__ import annotations
@@ -48,10 +54,6 @@ class NotSymmetricPairError(ValueError):
     """Structure constants fail the symmetric-pair or Jacobi conditions."""
 
 
-class SingularSystemError(ValueError):
-    """The linear system of the Ricci splitting is singular."""
-
-
 class NullDirectionError(ValueError):
     """A sampled Jacobi direction is null."""
 
@@ -66,9 +68,6 @@ class CurvatureTensor:
     @property
     def dim(self) -> int:
         return self.metric.shape[0]
-
-    def is_exact(self) -> bool:
-        return self.tensor.dtype == object
 
     def endomorphism(self, x: int, y: int) -> np.ndarray:
         """Matrix of R(e_x, e_y); column z is the image of e_z."""
@@ -210,47 +209,26 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
     return worst == 0, worst
 
 
-def ricci_split(R: CurvatureTensor, H: HermitianStructure,
-                method: str = "solve"):
+def ricci_split(R: CurvatureTensor, H: HermitianStructure):
     """Unique decomposition R = W + R^B with Ric(W) = 0.
 
-    method 'solve' assembles the dense linear system Ric(R^B) = Ric(R)
-    over all bilinear forms and solves it exactly (SingularSystemError
-    if it is singular): Ric(R^B) = (dim+3) B - B^T + Psi(B) + Psi(B)^T
-    with Psi(B) = sum_a eps_a J_a^T B J_a is, on the row-major vec(B),
-    (dim+3) I - P + Psi + P Psi with Psi = sum_a eps_a J_a^T (x) J_a^T and
-    P the permutation taking vec(B) to vec(B^T).  Method 'closed' inverts
-    the operator on its eigenspaces: dim+8 on symmetric hermitian forms,
-    dim on symmetric mixed forms, dim+4 on antisymmetric forms.
+    Ric(R^B) = (dim+3) B - B^T + Psi(B) + Psi(B)^T with Psi(B) =
+    sum_a eps_a J_a^T B J_a.  The operator acts by dim+8 on symmetric
+    hermitian forms, by dim on symmetric mixed forms and by dim+4 on
+    antisymmetric forms, so B is Ric(R) split by the hermitian projector
+    and divided on each part.  The eigenvalues hold for a structure with
+    the cyclic product table and metric-skew members only:
+    DegenerateStructureError for any other triple (one built with
+    validate=False).
     """
+    H.check_relations()
     d = R.dim
     ric = ricci(R)
-    if method == "closed":
-        sym = (ric + ric.T) * Fraction(1, 2)
-        alt = (ric - ric.T) * Fraction(1, 2)
-        herm, mix, _ = hermitian_projector(BilinearForm(sym), H)
-        Bmat = (herm.matrix / Fraction(d + 8) + mix.matrix / Fraction(d)
-                + alt / Fraction(d + 4))
-    elif method == "solve":
-        N = d * d
-        diag = np.arange(N)
-        transpose = diag.reshape(d, d).T.reshape(-1)   # P as a row order
-        # LJ^2 times the operator, on integers, against LJ^2 ric; in-place
-        # sums keep one N x N temporary (the Kronecker product)
-        J, LJ = exactla.scaled_integers(np.stack(H.J))
-        op = np.kron(EPS[0] * J[0].T, J[0].T)
-        for eps, Ja in zip(EPS[1:], J[1:]):
-            op += np.kron(eps * Ja.T, Ja.T)
-        op += op[transpose]
-        op[diag, diag] += (d + 3) * LJ * LJ
-        op[diag, transpose] -= LJ * LJ
-        try:
-            Bvec = exactla.solve(op, ric.reshape(-1) * (LJ * LJ))
-        except ValueError as err:
-            raise SingularSystemError(str(err)) from err
-        Bmat = Bvec.reshape(d, d)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    sym = (ric + ric.T) * Fraction(1, 2)
+    alt = (ric - ric.T) * Fraction(1, 2)
+    herm, mix, _ = hermitian_projector(BilinearForm(sym), H)
+    Bmat = (herm.matrix / Fraction(d + 8) + mix.matrix / Fraction(d)
+            + alt / Fraction(d + 4))
     B = BilinearForm(Bmat)
     W = R - curvature_from_bilinear(B, H)
     return W, B
@@ -681,10 +659,11 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
 
 
 def curvature_to_text(R: CurvatureTensor) -> str:
-    header = {"n": R.dim // 4, "convention": CONVENTION,
-              "mode": "exact" if R.is_exact() else "float"}
-    entries = [str(x) for x in R.tensor.reshape(-1)]
-    gvals = [str(x) for x in R.metric.reshape(-1)]
+    """Header line, tensor entries, metric entries; TypeError unless every
+    entry is an int or a Fraction."""
+    entries = [str(x) for x in exactla.require_exact(R.tensor)]
+    gvals = [str(x) for x in exactla.require_exact(R.metric)]
+    header = {"n": R.dim // 4, "convention": CONVENTION, "mode": "exact"}
     return json.dumps(header) + "\n" + " ".join(entries) + "\n" + " ".join(gvals) + "\n"
 
 
@@ -695,13 +674,10 @@ def curvature_from_text(text: str) -> CurvatureTensor:
     if convention != CONVENTION:
         raise ValueError(f"unsupported product-table convention "
                          f"{convention!r}; expected {CONVENTION!r}")
+    if header.get("mode") != "exact":
+        raise ValueError(f"unsupported mode {header.get('mode')!r}; "
+                         f"curvature tensors are exact")
     d = 4 * header["n"]
-    toks = body.split()
-    gtoks = gline.split()
-    if header["mode"] == "exact":
-        tensor = exactla.fracarray(toks).reshape(d, d, d, d)
-        metric = exactla.fracarray(gtoks).reshape(d, d)
-    else:
-        tensor = np.array([float(x) for x in toks]).reshape(d, d, d, d)
-        metric = np.array([float(x) for x in gtoks]).reshape(d, d)
+    tensor = exactla.fracarray(body.split()).reshape(d, d, d, d)
+    metric = exactla.fracarray(gline.split()).reshape(d, d)
     return CurvatureTensor(tensor, metric)

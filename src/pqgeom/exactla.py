@@ -11,9 +11,9 @@ object arithmetic on Python ints is far cheaper.  The tensor builders
 and the eliminations therefore work on a common-denominator form:
 ``scaled_integers(arr)`` returns an object array N of Python ints and the
 lcm L of the entry denominators with arr == N / L (TypeError on any entry
-that is not an int or a Fraction), and ``from_scaled_integers(N, L)``
-turns a result back into a ``Fraction`` array.  Python ints do not
-overflow, so no magnitude bound is needed.
+that is not an int or a Fraction, the check of ``require_exact``), and
+``from_scaled_integers(N, L)`` turns a result back into a ``Fraction``
+array.  Python ints do not overflow, so no magnitude bound is needed.
 
 Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
 scaled integers: it eliminates a pivot column from the rows that are
@@ -80,15 +80,22 @@ def max_abs(arr) -> Fraction | float:
     return max(abs(x) for x in flat)
 
 
+def require_exact(arr) -> np.ndarray:
+    """The entries of arr, flattened; TypeError on any entry that is not
+    an int or a Fraction."""
+    flat = np.asarray(arr).reshape(-1)
+    for x in flat:
+        if not isinstance(x, (Fraction, int, np.integer)):
+            raise TypeError(f"exact arithmetic needs int or Fraction "
+                            f"entries, not {type(x).__name__}")
+    return flat
+
+
 def scaled_integers(arr) -> tuple[np.ndarray, int]:
     """(N, L) with arr == N / L: N an object array of Python ints of the
     same shape, L the lcm of the entry denominators (1 for integer input).
     Raises TypeError on any entry that is not an int or a Fraction."""
-    flat = np.asarray(arr).reshape(-1)
-    for x in flat:
-        if not isinstance(x, (Fraction, int, np.integer)):
-            raise TypeError(f"scaled integers need int or Fraction "
-                            f"entries, not {type(x).__name__}")
+    flat = require_exact(arr)
     L = math.lcm(*{x.denominator for x in flat})
     N = np.empty(np.shape(arr), dtype=object)
     out = N.reshape(-1)

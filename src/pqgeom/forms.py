@@ -7,6 +7,11 @@ axis; rotations are accepted exactly when R^T eta R = eta with
 eta = diag(-1, 1, 1) and det R = 1.  Mixed-sign planes through the
 first axis are hyperbolic, the (2, 3) plane is definite (circular
 rotations only).
+
+The fundamental 4-form is the dense coefficient array of its closed
+formula at every rank (dim^4 entries: 256 at rank 1, 20736 at rank 3);
+evaluating it contracts the array.  The six-term evaluator on bilinear
+values is kept in the tests as the reference for the array.
 """
 
 from __future__ import annotations
@@ -59,42 +64,29 @@ def two_form(Jop: np.ndarray, g: np.ndarray) -> BilinearForm:
     return BilinearForm(Jop.T @ g)
 
 
-DENSE_LIMIT_RANK = 2
-
-
 class FourForm:
-    """Alternating 4-linear evaluator sum_a eps_a (omega_a wedge omega_a).
+    """Alternating 4-form sum_a eps_a (omega_a wedge omega_a), stored as
+    its dense coefficient array (dim^4 entries):
 
-    For rank up to DENSE_LIMIT_RANK the full coefficient array is
-    materialised (memory grows as dim^4); beyond that only the evaluator
-    is kept.
+        Omega[p,q,r,s] = sum_a 2 eps_a (w[p,q] w[r,s] - w[p,r] w[q,s]
+                                        + w[p,s] w[q,r]),  w = omega_a,
+
+    computed on the omega_a scaled to integers; every entry is a Fraction.
     """
 
     def __init__(self, omegas):
-        self.omegas = [np.asarray(w) for w in omegas]
-        self.dim = self.omegas[0].shape[0]
-        self.array = None
-        if self.dim <= 4 * DENSE_LIMIT_RANK:
-            self.array = self._materialise()
-
-    def __call__(self, x, y, z, w):
-        terms = 0
-        for eps, om in zip(EPS, self.omegas):
-            oxy, oxz, oxw = x @ om @ y, x @ om @ z, x @ om @ w
-            oyz, oyw, ozw = y @ om @ z, y @ om @ w, z @ om @ w
-            terms = terms + eps * 2 * (oxy * ozw - oxz * oyw + oxw * oyz)
-        return terms
-
-    def _materialise(self):
-        """Omega[p,q,r,s] = sum_a 2 eps_a (w[p,q] w[r,s] - w[p,r] w[q,s]
-        + w[p,s] w[q,r]) with w = omega_a: the evaluator on basis vectors."""
+        w, L = exactla.scaled_integers(np.stack(omegas))
         arr = 0
-        for eps, om in zip(EPS, self.omegas):
+        for eps, om in zip(EPS, w):
             pq_rs = np.multiply.outer(om, om)            # w[p,q] w[r,s]
             pr_qs = pq_rs.transpose(0, 2, 1, 3)          # w[p,r] w[q,s]
             ps_qr = pq_rs.transpose(0, 2, 3, 1)          # w[p,s] w[q,r]
             arr = arr + eps * 2 * (pq_rs - pr_qs + ps_qr)
-        return arr
+        self.array = exactla.from_scaled_integers(arr, L * L)
+
+    def __call__(self, x, y, z, w):
+        """Omega(x, y, z, w): the array contracted with the four vectors."""
+        return x @ (((self.array @ w) @ z) @ y)
 
 
 def fundamental_four_form(H: HermitianStructure) -> FourForm:
@@ -178,12 +170,6 @@ def random_rotation(rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _structure_average(B: np.ndarray, H: HermitianStructure) -> np.ndarray:
-    """Psi(B) = sum_a eps_a J_a^T B J_a, i.e. sum_a eps_a B(J_a ., J_a .)."""
-    return sum((EPS[a] * (H.J[a].T @ B @ H.J[a]) for a in range(3)),
-               exactla.zeros(B.shape))
-
-
 def hermitian_projector(B: BilinearForm, H: HermitianStructure):
     """Project onto forms hermitian for the whole structure span.
 
@@ -193,23 +179,24 @@ def hermitian_projector(B: BilinearForm, H: HermitianStructure):
         (B_herm, B_mix, fourway)
 
     with fourway the dict of the symmetric/antisymmetric hermitian/mixed
-    components; the four parts sum back to B.
+    components; the four parts sum back to B.  Computed on B and the J_a
+    scaled to integers; every entry is a Fraction.
     """
-    M = B.matrix
-    herm = Fraction(1, 4) * (M + _structure_average(M, H))
-    mix = M - herm
-    half = Fraction(1, 2)
-    sym_h = half * (herm + herm.T)
-    alt_h = half * (herm - herm.T)
-    sym_m = half * (mix + mix.T)
-    alt_m = half * (mix - mix.T)
-    fourway = {
-        "sym_hermitian": BilinearForm(sym_h),
-        "alt_hermitian": BilinearForm(alt_h),
-        "sym_mixed": BilinearForm(sym_m),
-        "alt_mixed": BilinearForm(alt_m),
-    }
-    return BilinearForm(herm), BilinearForm(mix), fourway
+    M, LB = exactla.scaled_integers(B.matrix)
+    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    # herm and mix over the scale S, the symmetric/antisymmetric parts
+    # over 2 S; B(J_a ., J_a .) = J_a^T B J_a
+    S = 4 * LJ * LJ * LB
+    herm = LJ * LJ * M
+    for eps, Ja in zip(EPS, J):
+        herm += eps * (Ja.T @ M @ Ja)
+    mix = 4 * LJ * LJ * M - herm
+    parts = {"sym_hermitian": herm + herm.T, "alt_hermitian": herm - herm.T,
+             "sym_mixed": mix + mix.T, "alt_mixed": mix - mix.T}
+    fourway = {key: BilinearForm(exactla.from_scaled_integers(part, 2 * S))
+               for key, part in parts.items()}
+    return (BilinearForm(exactla.from_scaled_integers(herm, S)),
+            BilinearForm(exactla.from_scaled_integers(mix, S)), fourway)
 
 
 def lie_derivative_residual(four_form: FourForm, A: np.ndarray,

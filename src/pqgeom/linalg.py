@@ -239,10 +239,7 @@ class HermitianStructure:
         self.J = (np.asarray(J1), np.asarray(J2), np.asarray(J3))
         self.g = np.asarray(g)
         if validate:
-            res = max(self.comrel_residual(), self.skew_residual())
-            if res != 0:
-                raise DegenerateStructureError(
-                    f"structure relations violated, residual {res}")
+            self.check_relations()
 
     @property
     def dim(self) -> int:
@@ -251,6 +248,14 @@ class HermitianStructure:
     @property
     def rank(self) -> int:
         return self.dim // 4
+
+    def check_relations(self):
+        """DegenerateStructureError unless the cyclic product table and
+        the metric skewness hold exactly."""
+        res = max(self.comrel_residual(), self.skew_residual())
+        if res != 0:
+            raise DegenerateStructureError(
+                f"structure relations violated, residual {res}")
 
     def comrel_residual(self) -> Fraction:
         """Max deviation over the nine products J_a J_b from the cyclic

@@ -66,8 +66,8 @@ from . import exactla
 from .algebra import IMAGINARY_UNITS, J, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
-from .linalg import (HermitianStructure, PQMatrix, PQVector, metric_matrix,
-                     module_scalar_product, right_mult_matrix,
+from .linalg import (HermitianStructure, PQMatrix, PQVector, left_mult_matrix,
+                     metric_matrix, module_scalar_product, right_mult_matrix,
                      structure_endos)
 from .projspace import (VERTICAL_GRAM, SpherePoint, _ambient_metric,
                         horizontal_project, random_sphere_point,
@@ -335,15 +335,17 @@ def weighted_killing(p: int, q: int, u: SpherePoint) -> PQVector:
     return PQVector(J.scale(c) * h for c, h in zip(ws, u.x.entries))
 
 
-def _sandwich(u: SplitQuaternion, axis: SplitQuaternion) -> SplitQuaternion:
-    return u.conj() * axis * u
+def _weighted_sandwich(ws, entries, axis: SplitQuaternion) -> SplitQuaternion:
+    """sum_v c_v conj(u_v) axis u_v over the weights c_v and entries u_v."""
+    total = SplitQuaternion()
+    for c, h in zip(ws, entries):
+        total = total + (h.conj() * axis * h).scale(c)
+    return total
 
 
 def weighted_level_value(p: int, q: int, u: SpherePoint) -> ImValue:
     """Imaginary value q conj(u0) j u0 + p conj(u1) j u1 + p conj(u2) j u2."""
-    total = SplitQuaternion()
-    for c, h in zip(_weights(p, q), u.x.entries):
-        total = total + _sandwich(h, J).scale(c)
+    total = _weighted_sandwich(_weights(p, q), u.x.entries, J)
     if abs(float(total.a)) > 1e-14:
         raise ArithmeticError("level value acquired a real part")
     return ImValue(total.b, total.c, total.d)
@@ -392,23 +394,13 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
 
 def _level_gradient_rows(p: int, q: int, u: SpherePoint) -> np.ndarray:
     """Differential of the three imaginary components of the level value:
-    d mu(T) = sum c_v (conj(T_v) j u_v + conj(u_v) j T_v); exact at
-    exact points."""
-    ws = _weights(p, q)
-    rows = exactla.zeros((3, 12)) if u.is_exact() else np.zeros((3, 12))
-    for v in range(3):
-        for s in range(4):
-            T = PQVector([SplitQuaternion(*(1 if (w == v and r == s) else 0
-                                            for r in range(4)))
-                          for w in range(3)])
-            total = SplitQuaternion()
-            for c, (hv, tv) in zip(ws, zip(u.x.entries, T.entries)):
-                total = total + (tv.conj() * J * hv
-                                 + hv.conj() * J * tv).scale(c)
-            rows[0, 4 * v + s] = total.b
-            rows[1, 4 * v + s] = total.c
-            rows[2, 4 * v + s] = total.d
-    return rows
+    d mu(T) = sum c_v (conj(T_v) j u_v + conj(u_v) j T_v)
+            = sum c_v 2 Im(conj(u_v) j T_v),
+    so block v holds 2 c_v times the imaginary rows of left
+    multiplication by conj(u_v) j; exact at exact points."""
+    return np.concatenate([2 * c * left_mult_matrix(h.conj() * J)[1:]
+                           for c, h in zip(_weights(p, q), u.x.entries)],
+                          axis=1)
 
 
 # -- independent moment route through the isotropy decomposition ------------
@@ -443,7 +435,8 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
     for v in range(2):
         L[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
     Hstd = structure_endos(2)
-    return tuple(np.trace(Ja @ L) for Ja in Hstd.J)
+    # Tr(J_a L) as an entrywise sum, without the matrix product
+    return tuple((Ja * L.T).sum() for Ja in Hstd.J)
 
 
 # -- covariant derivative of the Killing field on the sphere model ----------
@@ -630,9 +623,7 @@ def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
 
 
 def _pq_system(ws, vec: PQVector) -> np.ndarray:
-    total = SplitQuaternion()
-    for c, h in zip(ws, vec.entries):
-        total = total + _sandwich(h, J).scale(c)
+    total = _weighted_sandwich(ws, vec.entries, J)
     sphere = module_scalar_product(vec, vec) - 1.0
     return np.array([total.b, total.c, total.d, sphere], dtype=float)
 
@@ -642,7 +633,7 @@ def _pq_system_jacobian(p: int, q: int, vec: PQVector) -> np.ndarray:
     g = _ambient_metric(3, False)
     coords = np.asarray(vec.to_real(), dtype=float)
     level = _level_gradient_rows(p, q, SpherePoint(vec, check=False))
-    return np.vstack([level, 2.0 * (g @ coords)])
+    return np.vstack([np.asarray(level, dtype=float), 2.0 * (g @ coords)])
 
 
 # ---------------------------------------------------------------------------
@@ -844,9 +835,7 @@ def empty_levelset_check(p: int = 1, q: int = 2, samples: int = 10000,
     smallest = math.inf
     for _ in range(samples):
         u = PQVector.from_real(_float_sphere_seed(rng).tolist())
-        total = SplitQuaternion()
-        for c, h in zip(ws, u.entries):
-            total = total + _sandwich(h, axis).scale(c)
+        total = _weighted_sandwich(ws, u.entries, axis)
         smallest = min(smallest, ImValue(total.b, total.c, total.d).max_abs())
     return smallest
 

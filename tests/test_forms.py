@@ -6,7 +6,7 @@ import pytest
 
 from pqgeom import exactla
 from pqgeom.algebra import EPS
-from pqgeom.forms import (ETA, BilinearForm, FourForm, NotInGroupError,
+from pqgeom.forms import (ETA, BilinearForm, NotInGroupError,
                           NotSkewError, circular_rotation,
                           fundamental_four_form, hermitian_projector,
                           hyperbolic_rotation, in_rotation_group,
@@ -43,6 +43,30 @@ def test_two_form_pairing_identity():
             assert wa(x, H.J[a] @ x) == EPS[a] * (x @ H.g @ x)
 
 
+def ref_four_form(omegas, x, y, z, w):
+    """The six-term evaluator sum_a 2 eps_a (w(x,y) w(z,w) - w(x,z) w(y,w)
+    + w(x,w) w(y,z)), w = omega_a, on bilinear values: the reference for
+    the closed-formula array of FourForm."""
+    terms = 0
+    for eps, om in zip(EPS, omegas):
+        oxy, oxz, oxw = x @ om @ y, x @ om @ z, x @ om @ w
+        oyz, oyw, ozw = y @ om @ z, y @ om @ w, z @ om @ w
+        terms = terms + eps * 2 * (oxy * ozw - oxz * oyw + oxw * oyz)
+    return terms
+
+
+def four_form_omegas(H):
+    return [two_form(Ja, H.g).matrix for Ja in H.J]
+
+
+def integer_omegas(H):
+    """The 2-forms of a standard structure, which are integral, as int64
+    arrays: the reference sweeps over basis vectors run on machine ints."""
+    omegas = four_form_omegas(H)
+    assert all(x.denominator == 1 for om in omegas for x in om.reshape(-1))
+    return [om.astype(np.int64) for om in omegas]
+
+
 def test_four_form_volume_and_antisymmetry():
     H = structure_endos(1)
     Om = fundamental_four_form(H)
@@ -50,33 +74,40 @@ def test_four_form_volume_and_antisymmetry():
     assert Om(e[0], e[1], e[2], e[3]) != 0
     assert Om(e[0], e[0], e[1], e[2]) == 0
     # full antisymmetry on the stored array
-    assert Om.array is not None
     assert exactla.max_abs(Om.array + Om.array.transpose(1, 0, 2, 3)) == 0
     assert exactla.max_abs(Om.array + Om.array.transpose(0, 1, 3, 2)) == 0
-    # evaluator-only beyond rank 2
+    # the array is dense at every rank
     H3 = structure_endos(3)
     Om3 = fundamental_four_form(H3)
-    assert Om3.array is None
+    assert Om3.array.shape == (12,) * 4
     x = exactla.eye(12)
     assert Om3(x[0], x[0], x[1], x[2]) == 0
 
 
 def test_four_form_array_matches_evaluator():
-    # the closed-form array and the evaluator are independent routes
-    H = structure_endos(1)
-    Om = fundamental_four_form(H)
-    e = exactla.eye(4)
-    for idx in np.ndindex(4, 4, 4, 4):
-        val = Om(*(e[i] for i in idx))
-        assert Om.array[idx] == val and type(Om.array[idx]) is type(val)
-    # a full sweep at rank 2 through the evaluator is slow: sample it
-    rng = random.Random(6)
-    Om2 = fundamental_four_form(structure_endos(2))
-    e = exactla.eye(8)
-    for _ in range(200):
-        idx = tuple(rng.randrange(8) for _ in range(4))
-        val = Om2(*(e[i] for i in idx))
-        assert Om2.array[idx] == val and type(Om2.array[idx]) is type(val)
+    # the closed-formula array against the six-term reference evaluator:
+    # every entry at rank 1, 200 seeded entries at ranks 2 and 3
+    for n in (1, 2, 3):
+        H = structure_endos(n)
+        Om = fundamental_four_form(H)
+        omegas, int_omegas = four_form_omegas(H), integer_omegas(H)
+        e = np.eye(H.dim, dtype=np.int64)
+        rng = random.Random(6 + n)
+        idxs = (list(np.ndindex((4,) * 4)) if n == 1 else
+                [tuple(rng.randrange(H.dim) for _ in range(4))
+                 for _ in range(200)])
+        for idx in idxs:
+            got = Om.array[idx]
+            assert type(got) is Fraction
+            assert got == ref_four_form(int_omegas, *(e[i] for i in idx))
+        # evaluation contracts the array: seeded rational vectors
+        for _ in range(3):
+            xs = [exactla.fracarray([Fraction(rng.randint(-4, 4),
+                                              rng.randint(1, 3))
+                                     for _ in range(H.dim)])
+                  for _ in range(4)]
+            got = Om(*xs)
+            assert type(got) is Fraction and got == ref_four_form(omegas, *xs)
 
 
 def test_rotation_group_membership():
@@ -158,6 +189,40 @@ def test_projector_idempotent_and_fourway():
             assert exactla.max_abs(four2[key].matrix - part.matrix) == 0
             others = [k for k in four2 if k != key]
             assert all(exactla.max_abs(four2[k].matrix) == 0 for k in others)
+
+
+def ref_hermitian_projector(M, H):
+    """Pi(B) and the four-way parts on Fraction arrays: the reference for
+    the scaled-integer hermitian_projector."""
+    herm = Fraction(1, 4) * (M + sum(EPS[a] * (H.J[a].T @ M @ H.J[a])
+                                     for a in range(3)))
+    mix = M - herm
+    half = Fraction(1, 2)
+    return herm, mix, {
+        "sym_hermitian": half * (herm + herm.T),
+        "alt_hermitian": half * (herm - herm.T),
+        "sym_mixed": half * (mix + mix.T),
+        "alt_mixed": half * (mix - mix.T)}
+
+
+def test_projector_matches_fraction_reference():
+    # rational B on the standard structure and on rotated ones, whose
+    # members have denominators
+    rng = random.Random(8)
+    for n in (1, 2):
+        H = structure_endos(n)
+        for Hs in (H, rotate_structure(H, random_rotation(rng))):
+            M = exactla.fracarray([[Fraction(rng.randint(-5, 5),
+                                             rng.randint(1, 4))
+                                    for _ in range(Hs.dim)]
+                                   for _ in range(Hs.dim)])
+            herm, mix, four = hermitian_projector(BilinearForm(M), Hs)
+            rherm, rmix, rfour = ref_hermitian_projector(M, Hs)
+            pairs = [(herm.matrix, rherm), (mix.matrix, rmix)]
+            pairs += [(four[k].matrix, rfour[k]) for k in rfour]
+            for got, want in pairs:
+                assert all(type(x) is Fraction for x in got.reshape(-1))
+                assert (got == want).all()
 
 
 def test_projector_basis_independent():

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
 from pqgeom.algebra import EPS, I, J, K, SplitQuaternion
-from pqgeom.curvature import (projective_curvature, ricci, ricci_split,
-                              weyl_sample)
+from pqgeom.curvature import (curvature_from_bilinear, projective_curvature,
+                              ricci, ricci_split, weyl_sample)
+from pqgeom.forms import BilinearForm
 from pqgeom.linalg import (TENSOR_BLOCKS, DegenerateStructureError,
                            HermitianStructure, PQMatrix, PQVector,
                            RankMismatchError, adopted_basis,
@@ -401,15 +402,32 @@ def test_frame_coordinates_match_fraction_reference(data):
     assert_same_fractions(residual, exactla.max_abs(f @ want - t))
 
 
-def test_ricci_operator_solve_matches_fraction_reference():
-    # the 144 x 144 system of ricci_split at n = 3, assembled on Fractions:
-    # (d + 3) I - P + Psi + P Psi, Psi = sum_a eps_a J_a^T (x) J_a^T
-    H = structure_endos(3)
+def ref_ricci_operator(H):
+    """The Ricci map B -> Ric(R^B) of the linear family on the row-major
+    vec(B), assembled on Fractions: (d + 3) I - P + Psi + P Psi with
+    Psi = sum_a eps_a J_a^T (x) J_a^T and P the permutation taking vec(B)
+    to vec(B^T).  Solved with ref_solve, it is the reference for the
+    eigenspace inversion of ricci_split."""
     d = H.dim
     psi = sum(eps * np.kron(Ja.T, Ja.T) for eps, Ja in zip(EPS, H.J))
     transpose = np.arange(d * d).reshape(d, d).T.reshape(-1)
     P = exactla.eye(d * d)[transpose]
-    op = (d + 3) * exactla.eye(d * d) - P + psi + psi[transpose]
+    return (d + 3) * exactla.eye(d * d) - P + psi + psi[transpose]
+
+
+def random_invertible(rng, dim):
+    while True:
+        P = exactla.fracarray([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                                for _ in range(dim)] for _ in range(dim)])
+        if exactla.rank(P) == dim:
+            return P
+
+
+def test_ricci_operator_solve_matches_fraction_reference():
+    # the 144 x 144 system at n = 3
+    H = structure_endos(3)
+    d = H.dim
+    op = ref_ricci_operator(H)
     R = (projective_curvature(H).scale(Fraction(3, 7))
          + weyl_sample(H, grassman_split(H), random.Random(5)))
     rhs = ricci(R).reshape(-1)
@@ -417,6 +435,33 @@ def test_ricci_operator_solve_matches_fraction_reference():
     assert_same_fractions(exactla.solve(op, rhs), want)
     _, B = ricci_split(R, H)
     assert_same_fractions(B.matrix, want.reshape(d, d))
+
+
+@pytest.mark.parametrize("kind", ["standard", "conjugated"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_ricci_split_matches_operator_reference(n, kind):
+    # 2 R_0 + W + R^B with a Weyl sample W and a seeded non-symmetric B:
+    # the eigenspace inversion of ricci_split against the Fraction solve
+    # of the assembled operator, on the standard structure and on a
+    # conjugated one (entries with denominators)
+    rng = random.Random(30 + n)
+    H = structure_endos(n)
+    if kind == "conjugated":
+        P = random_invertible(rng, H.dim)
+        Pinv = exactla.inverse(P)
+        H = HermitianStructure(*[Pinv @ Ja @ P for Ja in H.J], P.T @ H.g @ P)
+    d = H.dim
+    B = exactla.fracarray([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(d)] for _ in range(d)])
+    assert exactla.max_abs(B - B.T) != 0
+    W = weyl_sample(H, grassman_split(H), rng)
+    R = (projective_curvature(H).scale(Fraction(2)) + W
+         + curvature_from_bilinear(BilinearForm(B), H))
+    want = ref_solve(ref_ricci_operator(H), ricci(R).reshape(-1))
+    Wp, Bp = ricci_split(R, H)
+    assert_same_fractions(Bp.matrix, want.reshape(d, d))
+    assert exactla.max_abs(Bp.matrix - (2 * H.g + B)) == 0
+    assert_same_fractions(Wp.tensor, W.tensor)
 
 
 def test_structure_validation():
@@ -431,11 +476,7 @@ def test_structure_residuals_match_fraction_reference():
     # denominators) with J_1 and g perturbed so that both are nonzero
     rng = random.Random(11)
     H = structure_endos(2)
-    while True:
-        P = exactla.fracarray([[Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                                for _ in range(H.dim)] for _ in range(H.dim)])
-        if exactla.rank(P) == H.dim:
-            break
+    P = random_invertible(rng, H.dim)
     Pinv = exactla.inverse(P)
     J = [Pinv @ Ja @ P for Ja in H.J]
     g = P.T @ H.g @ P
