@@ -175,19 +175,22 @@ class SplitQuaternion:
     def parse(cls, text: str) -> "SplitQuaternion":
         """Parse 'a + b i + c j + d k' with rational coefficients 'p/q'.
 
-        Terms may be omitted or reordered; repeated units accumulate.
+        Terms may be omitted or reordered; repeated units accumulate
+        ('i + i' is 2i).  Every term after the first needs a '+' or '-',
+        so juxtaposed terms such as '1 2' or 'ij' raise ValueError, as
+        does a zero denominator.
         """
         coeffs = {"": Fraction(0), "i": Fraction(0), "j": Fraction(0), "k": Fraction(0)}
         cleaned = text.replace("*", " ").strip()
         if not cleaned:
             raise ValueError("empty split-quaternion literal")
+        # a denominator needs a nonzero digit, so '1/0' stops at '/0'
         term_re = re.compile(
-            r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s*([ijk])?|([ijk]))\s*")
+            r"\s*([+-])?\s*(?:(\d+(?:/\d*[1-9]\d*)?)\s*([ijk])?|([ijk]))\s*")
         pos = 0
-        seen = False
         while pos < len(cleaned):
             m = term_re.match(cleaned, pos)
-            if not m or m.end() == pos:
+            if not m or (pos and m.group(1) is None):
                 raise ValueError(f"cannot parse {text!r} at {cleaned[pos:]!r}")
             sign, number, unit, bare = m.groups()
             value = Fraction(number) if number is not None else Fraction(1)
@@ -195,9 +198,6 @@ class SplitQuaternion:
                 value = -value
             coeffs[unit or bare or ""] += value
             pos = m.end()
-            seen = True
-        if not seen:
-            raise ValueError(f"cannot parse {text!r}")
         return cls(coeffs[""], coeffs["i"], coeffs["j"], coeffs["k"])
 
 

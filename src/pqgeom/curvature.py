@@ -15,9 +15,10 @@ curvature of the projective-space model equals its closed formula entry
 for entry, for the metric of the unit-pseudosphere submersion.
 
 Arithmetic.  The tensors are exact: object arrays of ``Fraction``.  The
-builders and diagnostics clear denominators first
-(``exactla.scaled_integers``), compute on Python ints, and convert to
-``Fraction`` once at the end, so every returned entry is a ``Fraction``.
+builders, the diagnostics and the sums and multiples of tensors clear
+denominators first (``exactla.scaled_integers``), compute on Python ints,
+and convert to ``Fraction`` once at the end, so every returned entry is a
+``Fraction``.
 A float tensor raises TypeError in the diagnostics and in
 ``curvature_to_text``; the text format has the single mode "exact".
 
@@ -30,6 +31,7 @@ tests, as the reference the closed route is compared with.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
@@ -74,13 +76,30 @@ class CurvatureTensor:
         return self.tensor[x, y].T
 
     def __add__(self, other):
-        return CurvatureTensor(self.tensor + other.tensor, self.metric)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return CurvatureTensor(self.tensor - other.tensor, self.metric)
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "CurvatureTensor":
+        """self + sign * other, on both tensors scaled to integers over
+        the lcm of their scales."""
+        A, LA = exactla.scaled_integers(self.tensor)
+        B, LB = exactla.scaled_integers(other.tensor)
+        L = math.lcm(LA, LB)
+        A *= L // LA
+        B *= sign * (L // LB)
+        A += B
+        return CurvatureTensor(exactla.from_scaled_integers(A, L), self.metric)
 
     def scale(self, c) -> "CurvatureTensor":
-        return CurvatureTensor(c * self.tensor, self.metric)
+        """c R on scaled integers; TypeError unless c is an int or a
+        Fraction."""
+        c = exactla.frac(c)
+        A, L = exactla.scaled_integers(self.tensor)
+        A *= c.numerator
+        return CurvatureTensor(
+            exactla.from_scaled_integers(A, L * c.denominator), self.metric)
 
     def max_abs(self):
         return exactla.max_abs(self.tensor)
@@ -668,8 +687,19 @@ def curvature_to_text(R: CurvatureTensor) -> str:
 
 
 def curvature_from_text(text: str) -> CurvatureTensor:
-    head, body, gline = text.strip().split("\n")
+    """Inverse of curvature_to_text.  ValueError on malformed text: not
+    three lines, a header that is not a JSON object with the exact mode,
+    this package's convention and an int n >= 1, entry counts other than
+    d^4 and d^2 (d = 4n), or a metric that is not a nondegenerate
+    symmetric form."""
+    lines = text.strip().split("\n")
+    if len(lines) != 3:
+        raise ValueError(f"curvature text has {len(lines)} lines, expected 3 "
+                         f"(header, tensor entries, metric entries)")
+    head, body, gline = lines
     header = json.loads(head)
+    if not isinstance(header, dict):
+        raise ValueError(f"curvature header is not a JSON object: {head!r}")
     convention = header.get("convention")
     if convention != CONVENTION:
         raise ValueError(f"unsupported product-table convention "
@@ -677,7 +707,15 @@ def curvature_from_text(text: str) -> CurvatureTensor:
     if header.get("mode") != "exact":
         raise ValueError(f"unsupported mode {header.get('mode')!r}; "
                          f"curvature tensors are exact")
-    d = 4 * header["n"]
-    tensor = exactla.fracarray(body.split()).reshape(d, d, d, d)
-    metric = exactla.fracarray(gline.split()).reshape(d, d)
+    n = header.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"header n must be an int >= 1, not {n!r}")
+    d = 4 * n
+    entries, gvals = body.split(), gline.split()
+    if len(entries) != d ** 4 or len(gvals) != d * d:
+        raise ValueError(f"n = {n} needs {d ** 4} tensor and {d * d} metric "
+                         f"entries, not {len(entries)} and {len(gvals)}")
+    tensor = exactla.fracarray(entries).reshape(d, d, d, d)
+    metric = exactla.fracarray(gvals).reshape(d, d)
+    exactla.signature(metric)   # ValueError unless symmetric, nondegenerate
     return CurvatureTensor(tensor, metric)

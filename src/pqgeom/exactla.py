@@ -14,6 +14,10 @@ lcm L of the entry denominators with arr == N / L (TypeError on any entry
 that is not an int or a Fraction, the check of ``require_exact``), and
 ``from_scaled_integers(N, L)`` turns a result back into a ``Fraction``
 array.  Python ints do not overflow, so no magnitude bound is needed.
+``product(*factors)`` is the Fraction array factors[0] @ factors[1] @ ...
+computed this way: each factor is scaled once, the chain of products runs
+on Python ints, and the result is divided by the product of the scales at
+the end (a Fraction, not an array, when the chain contracts to a scalar).
 
 Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
 scaled integers: it eliminates a pivot column from the rows that are
@@ -46,7 +50,10 @@ def frac(x) -> Fraction:
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot convert {type(x).__name__} to Fraction exactly")
 
 
@@ -118,6 +125,18 @@ def from_scaled_integers(N, L: int) -> np.ndarray:
             q = made[x] = Fraction(int(x), L)
         flat[i] = q
     return out
+
+
+def product(*factors):
+    """factors[0] @ factors[1] @ ... on scaled integers: the same Fraction
+    entries as the Fraction chain, and a Fraction when the chain contracts
+    to a scalar.  TypeError on an entry that is not an int or a Fraction."""
+    N, L = scaled_integers(factors[0])
+    for factor in factors[1:]:
+        M, LM = scaled_integers(factor)
+        N, L = N @ M, L * LM
+    out = from_scaled_integers(N, L)
+    return out[()] if out.ndim == 0 else out
 
 
 def _echelon(mat: np.ndarray):

@@ -12,6 +12,12 @@ The fundamental 4-form is the dense coefficient array of its closed
 formula at every rank (dim^4 entries: 256 at rank 1, 20736 at rank 3);
 evaluating it contracts the array.  The six-term evaluator on bilinear
 values is kept in the tests as the reference for the array.
+
+Exact arithmetic runs on scaled integers (see ``exactla``): the 2-forms,
+the 4-form array and its evaluation, and the rotated bases are computed
+on Python ints and divided by their common scale once, so every returned
+entry is a Fraction, and an entry that is not an int or a Fraction
+raises TypeError.
 """
 
 from __future__ import annotations
@@ -55,13 +61,16 @@ class BilinearForm:
 
 
 def two_form(Jop: np.ndarray, g: np.ndarray) -> BilinearForm:
-    """omega_J(X, Y) = g(J X, Y) for a g-skew endomorphism J."""
-    Jop = np.asarray(Jop)
-    g = np.asarray(g)
-    res = exactla.max_abs(Jop.T @ g + g @ Jop)
+    """omega_J(X, Y) = g(J X, Y) for a g-skew endomorphism J, computed
+    on J and g scaled to integers: omega = J^T g over the scale LJ Lg."""
+    J, LJ = exactla.scaled_integers(Jop)
+    G, LG = exactla.scaled_integers(g)
+    omega = J.T @ G
+    res = exactla.max_abs(omega + G @ J)
     if res != 0:
-        raise NotSkewError(f"endomorphism not skew, residual {res}")
-    return BilinearForm(Jop.T @ g)
+        raise NotSkewError(f"endomorphism not skew, residual "
+                           f"{Fraction(res, LJ * LG)}")
+    return BilinearForm(exactla.from_scaled_integers(omega, LJ * LG))
 
 
 class FourForm:
@@ -72,6 +81,7 @@ class FourForm:
                                         + w[p,s] w[q,r]),  w = omega_a,
 
     computed on the omega_a scaled to integers; every entry is a Fraction.
+    The integer array and its scale are kept for evaluation.
     """
 
     def __init__(self, omegas):
@@ -82,11 +92,16 @@ class FourForm:
             pr_qs = pq_rs.transpose(0, 2, 1, 3)          # w[p,r] w[q,s]
             ps_qr = pq_rs.transpose(0, 2, 3, 1)          # w[p,s] w[q,r]
             arr = arr + eps * 2 * (pq_rs - pr_qs + ps_qr)
+        self._coefficients, self._scale = arr, L * L
         self.array = exactla.from_scaled_integers(arr, L * L)
 
     def __call__(self, x, y, z, w):
-        """Omega(x, y, z, w): the array contracted with the four vectors."""
-        return x @ (((self.array @ w) @ z) @ y)
+        """Omega(x, y, z, w): the integer array contracted with the four
+        vectors scaled to integers, as one Fraction."""
+        (X, LX), (Y, LY), (Z, LZ), (W, LW) = (
+            exactla.scaled_integers(v) for v in (x, y, z, w))
+        value = X @ (((self._coefficients @ W) @ Z) @ Y)
+        return Fraction(value, self._scale * LX * LY * LZ * LW)
 
 
 def fundamental_four_form(H: HermitianStructure) -> FourForm:
@@ -115,9 +130,11 @@ def rotate_structure(H: HermitianStructure,
     ok, res = in_rotation_group(R)
     if not ok:
         raise NotInGroupError(f"defining-relation residual {res}")
-    Jnew = [sum((R[a, b] * H.J[b] for b in range(3)), exactla.zeros(H.g.shape))
-            for a in range(3)]
-    return HermitianStructure(*Jnew, H.g)
+    Rn, LR = exactla.scaled_integers(R)
+    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    Jnew = np.tensordot(Rn, J, axes=(1, 0))
+    return HermitianStructure(*exactla.from_scaled_integers(Jnew, LR * LJ),
+                              H.g)
 
 
 def hyperbolic_rotation(plane: tuple[int, int], cosh_val, sinh_val) -> np.ndarray:

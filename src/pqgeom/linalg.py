@@ -530,7 +530,7 @@ def parse_matrix(text: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix text")
-    return exactla.fracarray([[Fraction(tok) for tok in row] for row in rows])
+    return exactla.fracarray(rows)
 
 
 def format_named_matrices(named: dict[str, np.ndarray]) -> str:

@@ -254,9 +254,10 @@ def flat_reduced_structure(h: PQVector) -> ReducedStructure:
     con = np.concatenate([rows, (g @ V).reshape(1, -1)], axis=0)
     frame = exactla.nullspace(con)
     H = structure_endos(h.rank)
-    g_red = frame.T @ g @ frame
+    g_red = exactla.product(frame.T, g, frame)
     coords, residual = exactla.frame_coordinates(
-        frame, np.concatenate([Ja @ frame for Ja in H.J], axis=1))
+        frame, np.concatenate([exactla.product(Ja, frame) for Ja in H.J],
+                              axis=1))
     if residual != 0:
         raise DegenerateLevelSetError("structure leaves the frame")
     Hred = HermitianStructure(*np.split(coords, 3, axis=1), g_red,
@@ -423,20 +424,26 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
     summand as v -> B v + v conj(s); the moment value at the projective
     point of u is proportional to the triple Tr(J_a L).  Its zero set is
     the level set, which is what the cross-check consumes.
+
+    The conjugated generator eta is formed from real actions: the real
+    action is an algebra homomorphism, so that of eta is the product of
+    the real actions of the three factors, on scaled integers.  s is the
+    first column of its top-left 4 x 4 block (the left multiplication by
+    s), B acts through the lower-right 8 x 8 block, and the traces are
+    summed on integers.
     """
     gmat = transitive_element(u)
-    ginv = gmat.conj_transpose()
-    eta = ginv @ _generator_matrix(p, q) @ gmat
-    s = eta.entries[0][0]
-    block = PQMatrix([[eta.entries[r + 1][c + 1] for c in range(2)]
-                      for r in range(2)])
-    L = block.to_real_action()
-    rconj = right_mult_matrix(s.conj())
+    eta = exactla.product(gmat.conj_transpose().to_real_action(),
+                          _generator_matrix(p, q).to_real_action(),
+                          gmat.to_real_action())
+    E, scale = exactla.scaled_integers(eta)
+    L = E[4:, 4:]
+    rconj = right_mult_matrix(SplitQuaternion(*E[:4, 0]).conj())
     for v in range(2):
         L[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
-    Hstd = structure_endos(2)
+    Js, _ = exactla.scaled_integers(np.stack(structure_endos(2).J))
     # Tr(J_a L) as an entrywise sum, without the matrix product
-    return tuple((Ja * L.T).sum() for Ja in Hstd.J)
+    return tuple(Fraction((Ja * L.T).sum(), scale) for Ja in Js)
 
 
 # -- covariant derivative of the Killing field on the sphere model ----------

@@ -174,6 +174,34 @@ def test_parse_print_roundtrip():
         assert SplitQuaternion.parse(str(q)) == q
 
 
+wide_rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                              max_denominator=10 ** 6)
+
+
+@settings(max_examples=150)
+@given(st.builds(SplitQuaternion, wide_rationals, wide_rationals,
+                 wide_rationals, wide_rationals))
+def test_parse_print_roundtrip_drawn(q):
+    assert SplitQuaternion.parse(str(q)) == q
+
+
+@pytest.mark.parametrize("text", [
+    "1 2", "ij", "i2", "2 j 3", "3 4 i",   # juxtaposed terms
+    "1 + 2 3", "i - j k", "1/2 1/3 i",
+])
+def test_parse_rejects_juxtaposed_terms(text):
+    # each used to parse: "1 2" as 3, "ij" as i + j, "i2" as 2 + i
+    with pytest.raises(ValueError):
+        SplitQuaternion.parse(text)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0 i", "1 + 2/0 k"])
+def test_parse_rejects_zero_denominator(text):
+    # used to raise ZeroDivisionError from Fraction
+    with pytest.raises(ValueError):
+        SplitQuaternion.parse(text)
+
+
 def test_parse_variants():
     assert SplitQuaternion.parse("1/2 - 3 i + 0 j + 5/4 k") == \
         SplitQuaternion(Fraction(1, 2), -3, 0, Fraction(5, 4))
@@ -184,6 +212,10 @@ def test_parse_variants():
         SplitQuaternion.parse("")
     with pytest.raises(ValueError):
         SplitQuaternion.parse("1 + x")
+    # repeated units joined by a sign still accumulate
+    assert SplitQuaternion.parse("i + i") == SplitQuaternion(0, 2)
+    assert SplitQuaternion.parse("1 - 2 j + 3 * j") == \
+        SplitQuaternion(1, 0, 1, 0)
 
 
 def test_eps_constants():

@@ -676,6 +676,86 @@ def test_curvature_text_rejects_other_convention():
         curvature_from_text(json.dumps(header) + "\n" + rest)
 
 
+def test_tensor_sums_and_multiples_match_fraction_arithmetic():
+    # the scaled-integer sums and multiples against Fraction arithmetic on
+    # the arrays, for tensors with different denominators
+    rng = random.Random(21)
+    H = structure_endos(1)
+
+    def random_tensor(denominators):
+        return CurvatureTensor(exactla.fracarray(
+            [Fraction(rng.randint(-9, 9), rng.choice(denominators))
+             for _ in range(4 ** 4)]).reshape((4,) * 4), H.g)
+
+    for _ in range(5):
+        # scales 12 and 35: neither divides the other
+        A, B = random_tensor([1, 3, 4]), random_tensor([5, 7])
+        pairs = [((A + B).tensor, A.tensor + B.tensor),
+                 ((A - B).tensor, A.tensor - B.tensor),
+                 ((A - A).tensor, exactla.zeros((4,) * 4))]
+        pairs += [(A.scale(c).tensor, c * A.tensor)
+                  for c in (2, 0, Fraction(-3, 5))]
+        for got, want in pairs:
+            assert all_fractions(got) and (got == want).all()
+    with pytest.raises(TypeError):
+        A.scale(0.5)
+    with pytest.raises(TypeError):
+        A + CurvatureTensor(np.array(A.tensor, dtype=float), H.g)
+
+
+def replace_line(text, index, line):
+    lines = text.strip().split("\n")
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+def with_n(text, n):
+    header = json.loads(text.split("\n", 1)[0])
+    if n is None:
+        del header["n"]
+    else:
+        header["n"] = n
+    return replace_line(text, 0, json.dumps(header))
+
+
+def drop_first_entry(text, index):
+    return replace_line(text, index,
+                        text.strip().split("\n")[index].split(" ", 1)[1])
+
+
+MALFORMED_TEXTS = {
+    # header that is not a JSON object: used to raise AttributeError
+    "header-list": lambda t: replace_line(t, 0, '[1, "cyclic-ijk"]'),
+    "header-number": lambda t: replace_line(t, 0, "4"),
+    # missing n: used to raise KeyError; a string n: TypeError
+    "n-missing": lambda t: with_n(t, None),
+    "n-string": lambda t: with_n(t, "1"),
+    # used to be accepted as n = 1
+    "n-true": lambda t: with_n(t, True),
+    "n-zero": lambda t: with_n(t, 0),
+    "n-float": lambda t: with_n(t, 1.0),
+    # a symmetric metric of rank 1: used to be accepted
+    "metric-rank-1": lambda t: replace_line(t, 2, " ".join(["1"] * 16)),
+    "metric-non-symmetric": lambda t: replace_line(
+        t, 2, "1 1 0 0 0 1 0 0 0 0 -1 0 0 0 0 -1"),
+    "metric-short": lambda t: drop_first_entry(t, 2),
+    "tensor-short": lambda t: drop_first_entry(t, 1),
+    # used to raise ZeroDivisionError
+    "zero-denominator": lambda t: replace_line(
+        t, 2, "1/0 " + t.strip().split("\n")[2].split(" ", 1)[1]),
+    "two-lines": lambda t: "\n".join(t.split("\n")[:2]),
+    "four-lines": lambda t: t + "1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TEXTS))
+def test_curvature_text_rejects_malformed_text(case):
+    text = curvature_to_text(projective_curvature(structure_endos(1)))
+    assert curvature_from_text(text).dim == 4
+    with pytest.raises(ValueError):
+        curvature_from_text(MALFORMED_TEXTS[case](text))
+
+
 def test_bracket_coordinates_rebuild_fraction_brackets():
     # the brackets run on scaled ints; the coordinates must rebuild the
     # Fraction products A @ B - B @ A, here with denominators on both sides

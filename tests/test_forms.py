@@ -12,7 +12,8 @@ from pqgeom.forms import (ETA, BilinearForm, NotInGroupError,
                           hyperbolic_rotation, in_rotation_group,
                           lie_derivative_residual, random_rotation,
                           rotate_structure, two_form)
-from pqgeom.linalg import random_antihermitian, structure_endos
+from pqgeom.linalg import (HermitianStructure, random_antihermitian,
+                           structure_endos)
 
 
 def rand_vec(rng, dim):
@@ -24,6 +25,28 @@ def rand_form(rng, dim):
         [[rng.randint(-5, 5) for _ in range(dim)] for _ in range(dim)]))
 
 
+def rand_fraction_vec(rng, dim):
+    """Vector whose entries are all non-integers, so its scale is > 1."""
+    return exactla.fracarray([rng.randint(-4, 4)
+                              + Fraction(1, rng.randint(2, 6))
+                              for _ in range(dim)])
+
+
+def conjugated(H, rng):
+    """H moved by a unit upper-triangular P with rational entries,
+    J_a -> P^-1 J_a P and g -> P^T g P: a structure with denominators."""
+    P = exactla.eye(H.dim)
+    for i in range(H.dim):
+        for j in range(i + 1, H.dim):
+            P[i, j] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    Pinv = exactla.inverse(P)
+    return HermitianStructure(*(Pinv @ Ja @ P for Ja in H.J), P.T @ H.g @ P)
+
+
+def all_fractions(arr):
+    return all(type(x) is Fraction for x in np.asarray(arr).reshape(-1))
+
+
 def test_two_form_basic():
     H = structure_endos(1)
     w1 = two_form(H.J[0], H.g)
@@ -31,6 +54,24 @@ def test_two_form_basic():
     assert exactla.det(w1.matrix) != 0
     with pytest.raises(NotSkewError):
         two_form(exactla.eye(4), H.g)
+
+
+def test_two_form_matches_fraction_reference():
+    # the scaled-integer J^T g against the Fraction product, on structures
+    # with denominators in J and g
+    rng = random.Random(9)
+    for n in (1, 2):
+        H = conjugated(structure_endos(n), rng)
+        for Ja in H.J:
+            got = two_form(Ja, H.g).matrix
+            assert all_fractions(got) and (got == Ja.T @ H.g).all()
+
+
+def test_two_form_residual_has_scale_divided_out():
+    # J = Id / 3: J^T g + g J = (2/3) g, computed as 2 g over the scale 3
+    H = structure_endos(1)
+    with pytest.raises(NotSkewError, match=r"residual 2/3$"):
+        two_form(exactla.eye(4) * Fraction(1, 3), H.g)
 
 
 def test_two_form_pairing_identity():
@@ -110,6 +151,20 @@ def test_four_form_array_matches_evaluator():
             assert type(got) is Fraction and got == ref_four_form(omegas, *xs)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_four_form_evaluation_matches_fraction_contraction(n):
+    # the integer contraction against the Fraction contraction of the
+    # array, on vectors whose entries are all non-integers
+    rng = random.Random(10 + n)
+    for H in (structure_endos(n), conjugated(structure_endos(n), rng)):
+        Om = fundamental_four_form(H)
+        for _ in range(8):
+            x, y, z, w = (rand_fraction_vec(rng, H.dim) for _ in range(4))
+            got = Om(x, y, z, w)
+            assert type(got) is Fraction
+            assert got == x @ (((Om.array @ w) @ z) @ y)
+
+
 def test_rotation_group_membership():
     ok, res = in_rotation_group(exactla.eye(3))
     assert ok and res == 0
@@ -135,6 +190,50 @@ def test_rotate_structure():
     with pytest.raises(NotInGroupError):
         rotate_structure(H, hyperbolic_rotation((1, 2), Fraction(5, 4),
                                                 Fraction(3, 4)))
+
+
+def test_rotate_structure_matches_fraction_sum():
+    # one integer tensordot against sum_b R_ab J_b on Fractions
+    rng = random.Random(12)
+    H = conjugated(structure_endos(2), rng)
+    for _ in range(20):
+        R = random_rotation(rng)
+        rotated = rotate_structure(H, R)
+        for a in range(3):
+            want = sum((R[a, b] * H.J[b] for b in range(3)),
+                       exactla.zeros(H.g.shape))
+            assert all_fractions(rotated.J[a])
+            assert (rotated.J[a] == want).all()
+
+
+def as_float64(arr):
+    return np.array(arr, dtype=float)
+
+
+def holding_a_float(arr):
+    """Object copy of arr with its first entry replaced by an equal float."""
+    out = np.array(arr, dtype=object)
+    out.reshape(-1)[0] = float(out.reshape(-1)[0])
+    return out
+
+
+@pytest.mark.parametrize("inexact", [as_float64, holding_a_float],
+                         ids=["float64", "object-float"])
+def test_integer_routes_reject_inexact_input(inexact):
+    # two_form used to compute silently in float
+    H = structure_endos(1)
+    Om = fundamental_four_form(H)
+    x = rand_vec(random.Random(13), 4)
+    calls = [
+        lambda: two_form(inexact(H.J[0]), H.g),
+        lambda: two_form(H.J[0], inexact(H.g)),
+        lambda: rotate_structure(H, inexact(exactla.eye(3))),
+        lambda: Om(inexact(x), x, x, x),
+        lambda: Om(x, x, x, inexact(x)),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_random_rotations_preserve_relations():

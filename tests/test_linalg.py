@@ -402,6 +402,47 @@ def test_frame_coordinates_match_fraction_reference(data):
     assert_same_fractions(residual, exactla.max_abs(f @ want - t))
 
 
+@st.composite
+def product_chains(draw):
+    """1-3 factors with matching inner dimensions, each a rational_matrices
+    draw; the first factor may be a 1-D row and the last a 1-D column, so
+    a chain can contract to a scalar."""
+    count = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 4), min_size=count + 1,
+                         max_size=count + 1))
+    factors = [draw(rational_matrices(dims[i], dims[i + 1]))
+               for i in range(count)]
+    if draw(st.booleans()):
+        factors[0] = factors[0][0]
+    if factors[-1].ndim == 2 and draw(st.booleans()):
+        factors[-1] = factors[-1][:, 0]
+    return factors
+
+
+@settings(max_examples=150)
+@given(product_chains())
+def test_product_matches_fraction_chain(factors):
+    # the reference is the plain @ chain on Fraction copies of the factors
+    # (Python ints inside: int64 products of 2^40-sized entries overflow)
+    want = exactla.fracarray(factors[0].astype(object))
+    for factor in factors[1:]:
+        want = want @ exactla.fracarray(factor.astype(object))
+    got = exactla.product(*factors)
+    assert type(got) is type(want)
+    assert_same_fractions(got, want)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.5, 1.0], [1.0, 0.5]]),
+    np.array([[Fraction(1, 2), 1.0], [1, 0]], dtype=object),
+], ids=["float64", "object-float"])
+def test_product_rejects_inexact_factors(bad):
+    mat = exactla.fracarray([[1, Fraction(1, 2)], [0, 1]])
+    for factors in ((bad,), (mat, bad), (bad, mat), (mat, mat, bad[0])):
+        with pytest.raises(TypeError):
+            exactla.product(*factors)
+
+
 def ref_ricci_operator(H):
     """The Ricci map B -> Ric(R^B) of the linear family on the row-major
     vec(B), assembled on Fractions: (d + 3) I - P + Psi + P Psi with
@@ -685,6 +726,13 @@ def test_matrix_text_roundtrip():
         parse_matrix("")
     with pytest.raises(ValueError):
         parse_matrix("1 2\n3")
+
+
+@pytest.mark.parametrize("text", ["1/0", "1 2\n3 0/0"])
+def test_parse_matrix_rejects_zero_denominator(text):
+    # used to raise ZeroDivisionError from Fraction
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_matrix(text)
 
 
 def test_structure_text_roundtrip():

@@ -11,8 +11,11 @@ from pqgeom.algebra import (IMAGINARY_UNITS, I, J, SplitQuaternion,
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, restrict_to_complement, ricci)
-from pqgeom.linalg import PQVector, metric_matrix, module_scalar_product
-from pqgeom.projspace import SpherePoint, base_point, random_sphere_point
+from pqgeom.linalg import (PQMatrix, PQVector, metric_matrix,
+                           module_scalar_product, right_mult_matrix,
+                           structure_endos)
+from pqgeom.projspace import (SpherePoint, base_point, random_sphere_point,
+                              transitive_element)
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               NonRegularError, NullOrbitError,
                               ReductionScene, StepTooSmallError,
@@ -30,7 +33,8 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value, weighted_regularity)
-from pqgeom.reduction import _level_gradient_rows, _moment_gradient_rows
+from pqgeom.reduction import (_generator_matrix, _level_gradient_rows,
+                              _moment_gradient_rows)
 
 
 # -- flat circle scene --------------------------------------------------------
@@ -106,6 +110,22 @@ def test_flat_reduced_structure_exact():
             assert red.comrel_residual == 0
             assert red.skew_residual == 0
             assert red.signature == (2 * (rank - 1), 2 * (rank - 1))
+
+
+def test_flat_reduced_structure_matches_fraction_products():
+    # the frame images and the reduced metric, formed on scaled integers,
+    # against the Fraction products J_a @ frame and frame^T g frame
+    rng = random.Random(7)
+    for rank in (2, 3):
+        for _ in range(3):
+            h = flat_level_sample(rng, rank)
+            red = flat_reduced_structure(h)
+            F, g = red.frame, metric_matrix(rank)
+            for Ja, Jred in zip(structure_endos(rank).J, red.structure.J):
+                assert (F @ Jred == Ja @ F).all()
+            assert (red.structure.g == F.T @ g @ F).all()
+            assert all(type(x) is Fraction
+                       for x in red.structure.g.reshape(-1))
 
 
 def test_flat_reduced_structure_guards():
@@ -261,6 +281,33 @@ def test_isotropy_traces_nonzero_off_level():
     u = base_point(3)  # not on the level set
     traces = isotropy_moment_traces(1, 2, u)
     assert any(t != 0 for t in traces)
+
+
+def ref_isotropy_moment_traces(p, q, u):
+    """The PQMatrix route: eta = g^-1 G g as split-quaternion matrix
+    products, s = eta[0][0], L the real action of the lower-right 2 x 2
+    block plus right multiplication by conj(s) on each entry.  The
+    reference for the real-action route of isotropy_moment_traces."""
+    gmat = transitive_element(u)
+    eta = gmat.conj_transpose() @ _generator_matrix(p, q) @ gmat
+    s = eta.entries[0][0]
+    block = PQMatrix([[eta.entries[r + 1][c + 1] for c in range(2)]
+                      for r in range(2)])
+    L = block.to_real_action()
+    for v in range(2):
+        L[4 * v:4 * v + 4, 4 * v:4 * v + 4] += right_mult_matrix(s.conj())
+    return tuple((Ja * L.T).sum() for Ja in structure_endos(2).J)
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 2)])
+def test_isotropy_traces_match_pq_matrix_route(p, q):
+    rng = random.Random(17 + p)
+    points = ([weighted_level_sample(rng, p, q) for _ in range(20)]
+              + [random_sphere_point(rng, 3) for _ in range(20)])
+    for u in points:
+        got = isotropy_moment_traces(p, q, u)
+        assert all(type(t) is Fraction for t in got)
+        assert got == ref_isotropy_moment_traces(p, q, u)
 
 
 def test_killing_derivative_is_skew():
