@@ -17,6 +17,14 @@ inversion exists only off the null cone.
 
 Coefficients may be exact (int / fractions.Fraction) or floats; exact
 inputs are never rounded.
+
+Batches.  The coefficients may also be numpy arrays of one shape; the
+SplitQuaternion is then a batch, one element per array position (a
+split-quaternion matrix is one such batch, since M_n(H) = M_n(R) (x) H).
+``*``, ``+``, ``-``, ``conj`` and ``scale`` act entrywise on a batch,
+through the same product table as on scalars, so bulk work runs as a few
+array operations instead of one Python call per element.  ``==`` and
+``hash`` compare scalars only.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ import numpy as np
 from . import exactla
 from .algebra import EPS, SplitQuaternion
 from .forms import BilinearForm, hermitian_projector
-from .linalg import (HermitianStructure, PQMatrix, PQVector, GrassmanSplit,
+from .linalg import (HermitianStructure, GrassmanSplit, batch_matmul,
                      left_structure_endos, metric_matrix, structure_endos)
 
 CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
@@ -487,31 +487,37 @@ def projective_pair(n: int):
     Brackets of such slices land in the isotropy block, and the negated
     double bracket read back off the first column gives the curvature on
     the standard rank-n module with the standard metric and structure.
+
+    Batching.  The d = 4n slices M(e_s) are one coefficient array of
+    Python ints (see linalg.batch_matmul).  Every bracket
+    [M(e_y), M(e_x)], x < y, comes from one batch product; the double
+    brackets are then formed one third index z at a time, and only their
+    first column, the part that is read off.  A batch over all z at once
+    would hold d times larger intermediates for no fewer operations, so
+    the per-z slices bound the peak memory of the build by that of the
+    bracket batch.
     """
-    def embed(v: PQVector) -> PQMatrix:
-        entries = [[SplitQuaternion() for _ in range(n + 1)]
-                   for _ in range(n + 1)]
-        for r, h in enumerate(v.entries):
-            entries[r + 1][0] = h
-            entries[0][r + 1] = -h.conj()
-        return PQMatrix(entries)
-
-    def extract(M: PQMatrix) -> PQVector:
-        return PQVector(M.entries[r + 1][0] for r in range(n))
-
     d = 4 * n
+    # basis[u, s, r]: coefficient u of entry r of e_s (interleaved coordinates)
+    basis = np.zeros((4, d, n), dtype=object)
+    for s in range(d):
+        basis[s % 4, s, s // 4] = 1
+    M = np.zeros((4, d, n + 1, n + 1), dtype=object)
+    M[:, :, 1:, 0] = basis
+    M[:, :, 0, 1:] = (-SplitQuaternion(*basis).conj()).coefficients()
+    xs, ys = np.triu_indices(d, 1)
+    # [M(e_y), M(e_x)] negates the double bracket
+    inner = (batch_matmul(M[:, ys], M[:, xs])
+             - batch_matmul(M[:, xs], M[:, ys]))
     tensor = exactla.zeros((d, d, d, d))
-    basis = [PQVector.from_real([1 if r == s else 0 for r in range(d)])
-             for s in range(d)]
-    embedded = [embed(v) for v in basis]
-    for x in range(d):
-        for y in range(x + 1, d):
-            # [M(e_y), M(e_x)] negates the double bracket
-            inner = embedded[y].commutator(embedded[x])
-            for z in range(d):
-                out = extract(inner.commutator(embedded[z]))
-                tensor[x, y, z] = out.to_real()
-                tensor[y, x, z] = -tensor[x, y, z]
+    for z in range(d):
+        Mz = M[:, z]
+        # first column of [inner, M(e_z)], rows 1..n in real coordinates
+        col = (batch_matmul(inner, Mz[..., :1])
+               - batch_matmul(Mz, inner[..., :1]))
+        out = col[:, :, 1:, 0].transpose(1, 2, 0).reshape(len(xs), d)
+        tensor[xs, ys, z] = out
+        tensor[ys, xs, z] = -out
     return CurvatureTensor(tensor, metric_matrix(n))
 
 

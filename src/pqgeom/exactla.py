@@ -37,11 +37,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
 MOD_P_PRIME = 2147483629   # the modulus of rank_mod_p
 SVD_RANK_TOL = 1e-10       # relative to the largest singular value (or 1)
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def frac(x) -> Fraction:
@@ -89,26 +93,30 @@ def max_abs(arr) -> Fraction | float:
 
 def require_exact(arr) -> np.ndarray:
     """The entries of arr, flattened; TypeError on any entry that is not
-    an int or a Fraction."""
+    an int or a Fraction.  The test runs once per entry type."""
     flat = np.asarray(arr).reshape(-1)
-    for x in flat:
-        if not isinstance(x, (Fraction, int, np.integer)):
+    for kind in set(map(type, flat)):
+        if not issubclass(kind, (Fraction, int, np.integer)):
             raise TypeError(f"exact arithmetic needs int or Fraction "
-                            f"entries, not {type(x).__name__}")
+                            f"entries, not {kind.__name__}")
     return flat
 
 
 def scaled_integers(arr) -> tuple[np.ndarray, int]:
     """(N, L) with arr == N / L: N an object array of Python ints of the
     same shape, L the lcm of the entry denominators (1 for integer input).
-    Raises TypeError on any entry that is not an int or a Fraction."""
+    Raises TypeError on any entry that is not an int or a Fraction.
+
+    The entries are read by C-level maps: the set of their types, the
+    list of denominators, and the numerators streamed into N.  The only
+    Python-level loop rescales the numerators, and runs only when L > 1."""
     flat = require_exact(arr)
-    L = math.lcm(*{x.denominator for x in flat})
-    N = np.empty(np.shape(arr), dtype=object)
-    out = N.reshape(-1)
-    for i, x in enumerate(flat):
-        out[i] = int(x.numerator) * (L // x.denominator)
-    return N, L
+    dens = list(map(_denominator, flat))
+    L = math.lcm(*set(dens))
+    nums = map(int, map(_numerator, flat))
+    if L != 1:
+        nums = (x * (L // d) for x, d in zip(nums, dens))
+    return np.fromiter(nums, object, flat.size).reshape(np.shape(arr)), L
 
 
 def from_scaled_integers(N, L: int) -> np.ndarray:

@@ -153,10 +153,26 @@ class PQMatrix:
                 sum((a * h for a, h in zip(row, other.entries)),
                     SplitQuaternion())
                 for row in self.entries)
-        n = self.rank
-        return PQMatrix(
-            [[sum((self.entries[p][r] * other.entries[r][q] for r in range(n)),
-                  SplitQuaternion()) for q in range(n)] for p in range(n)])
+        if other.rank != self.rank:
+            raise RankMismatchError("rank mismatch")
+        # one batch product on scaled integers, divided by both scales once
+        A, LA = exactla.scaled_integers(self.coefficient_array())
+        B, LB = exactla.scaled_integers(other.coefficient_array())
+        return PQMatrix.from_coefficient_array(
+            exactla.from_scaled_integers(batch_matmul(A, B), LA * LB))
+
+    def coefficient_array(self) -> np.ndarray:
+        """The (4, n, n) object array of entry coefficients: C[u, p, q] is
+        coefficient u of entry (p, q), so the matrix is one batch."""
+        return np.array([[h.coefficients() for h in row]
+                         for row in self.entries],
+                        dtype=object).transpose(2, 0, 1)
+
+    @classmethod
+    def from_coefficient_array(cls, C) -> "PQMatrix":
+        n = C.shape[1]
+        return cls([[SplitQuaternion(*C[:, p, q]) for q in range(n)]
+                    for p in range(n)])
 
     def commutator(self, other: "PQMatrix") -> "PQMatrix":
         return self @ other - other @ self
@@ -185,6 +201,17 @@ class PQMatrix:
         rows = ["[" + ", ".join(str(x) for x in row) + "]"
                 for row in self.entries]
         return "PQMatrix(" + ", ".join(rows) + ")"
+
+
+def batch_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix products of split-quaternion matrices held as coefficient
+    arrays, axis 0 the four coefficients: C[:, ..., p, q] =
+    sum_r A[:, ..., p, r] B[:, ..., r, q], broadcast over the axes in
+    between.  All entry products are one SplitQuaternion product of
+    coefficient arrays of shape (..., p, r, q), summed over r."""
+    terms = (SplitQuaternion(*A[..., :, :, None])
+             * SplitQuaternion(*B[..., None, :, :]))
+    return np.stack([c.sum(axis=-2) for c in terms.coefficients()])
 
 
 def left_mult_matrix(q: SplitQuaternion) -> np.ndarray:

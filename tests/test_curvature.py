@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pqgeom import exactla
-from pqgeom.algebra import EPS
+from pqgeom.algebra import EPS, SplitQuaternion
 from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
                               _bracket_coordinates,
                               NotSymmetricPairError, NullDirectionError,
@@ -26,8 +26,10 @@ from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
                               symmetric_space_curvature, weyl_sample)
 from pqgeom.forms import BilinearForm
 from pqgeom.linalg import (DegenerateStructureError, HermitianStructure,
-                           grassman_split, left_structure_endos,
-                           structure_endos)
+                           PQMatrix, PQVector, grassman_split,
+                           left_structure_endos, structure_endos)
+
+from test_linalg import ref_pq_matmul
 
 
 def rand_bilinear(rng, dim):
@@ -517,7 +519,7 @@ def test_symmetric_oracles_match_fraction_reference(build):
 # -- bracket normalisation ----------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fitted_scale(n):
     # the bracket curvature is the closed formula itself, entry for entry
     bracket = projective_pair(n)
@@ -529,6 +531,48 @@ def test_fitted_scale(n):
     const, res = einstein_check(ambient_projective_curvature(n))
     assert res == 0
     assert const == 4 * n + 8
+
+
+def ref_projective_pair(n):
+    """The bracket curvature from scalar PQMatrix commutators: embed each
+    basis vector as M(v), form [[M(e_y), M(e_x)], M(e_z)] one entry at a
+    time and extract the first column.  The reference for the batched
+    projective_pair."""
+    def embed(v):
+        entries = [[SplitQuaternion() for _ in range(n + 1)]
+                   for _ in range(n + 1)]
+        for r, h in enumerate(v.entries):
+            entries[r + 1][0] = h
+            entries[0][r + 1] = -h.conj()
+        return PQMatrix(entries)
+
+    d = 4 * n
+    tensor = exactla.zeros((d, d, d, d))
+    embedded = [embed(PQVector.from_real([int(r == s) for r in range(d)]))
+                for s in range(d)]
+    for x in range(d):
+        for y in range(x + 1, d):
+            inner = ref_pq_matmul(embedded[y], embedded[x]) \
+                - ref_pq_matmul(embedded[x], embedded[y])
+            for z in range(d):
+                out = ref_pq_matmul(inner, embedded[z]) \
+                    - ref_pq_matmul(embedded[z], inner)
+                tensor[x, y, z] = PQVector(
+                    out.entries[r + 1][0] for r in range(n)).to_real()
+                tensor[y, x, z] = -tensor[x, y, z]
+    return tensor
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projective_pair_matches_scalar_commutators(n):
+    want = ref_projective_pair(n)
+    got = projective_pair(n).tensor
+    assert got.shape == want.shape
+    pairs = list(zip(got.reshape(-1), want.reshape(-1)))
+    assert all(a == b and type(a) is type(b) for a, b in pairs)
+    # off the diagonal x = y the entries are Python ints
+    xs, ys = np.triu_indices(4 * n, 1)
+    assert all(type(a) is int for a in got[xs, ys].reshape(-1))
 
 
 # -- the scaled-integer path against a plain Fraction reference --------------

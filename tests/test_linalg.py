@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -190,10 +191,48 @@ def test_scaled_integers_roundtrip():
     np.array([0.5, 1.0]),
     np.array([1 + 2j]),
     np.array([Fraction(1), 0.5], dtype=object),
-], ids=["float64", "complex", "object-float"])
+    np.array([True, False]),
+], ids=["float64", "complex", "object-float", "numpy-bool"])
 def test_scaled_integers_reject_inexact_entries(arr):
-    with pytest.raises(TypeError):
-        exactla.scaled_integers(arr)
+    # numpy bools are not integers, in the package and the reference alike
+    for routine in (exactla.scaled_integers, ref_scaled_integers):
+        with pytest.raises(TypeError):
+            routine(arr)
+
+
+def ref_scaled_integers(arr):
+    """The three-pass scaled_integers: a type check per entry, the set of
+    denominators, then one numerator at a time.  The reference for the
+    package routine."""
+    flat = np.asarray(arr).reshape(-1)
+    for x in flat:
+        if not isinstance(x, (Fraction, int, np.integer)):
+            raise TypeError(type(x).__name__)
+    L = math.lcm(*{x.denominator for x in flat})
+    N = np.empty(np.shape(arr), dtype=object)
+    out = N.reshape(-1)
+    for i, x in enumerate(flat):
+        out[i] = int(x.numerator) * (L // x.denominator)
+    return N, L
+
+
+_exact_entries = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(max_denominator=60),
+    st.integers(-2**40, 2**40).map(np.int64),
+    st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_exact_entries, max_size=24))
+def test_scaled_integers_matches_three_pass_reference(entries):
+    arr = np.empty(len(entries), dtype=object)
+    arr[:] = entries
+    N, L = exactla.scaled_integers(arr)
+    want, want_L = ref_scaled_integers(arr)
+    assert L == want_L and N.tolist() == want.tolist()
+    assert all(type(x) is int for x in N)
 
 
 @pytest.mark.parametrize("routine", [
@@ -575,6 +614,48 @@ def test_real_rep_is_algebra_isomorphism(n):
         lhs = real_rep(A.commutator(B))
         rhs = real_rep(A) @ real_rep(B) - real_rep(B) @ real_rep(A)
         assert exactla.max_abs(lhs - rhs) == 0
+
+
+def ref_pq_matmul(A, B):
+    """The scalar triple loop over split-quaternion entries: the reference
+    for the batch product of PQMatrix @."""
+    n = A.rank
+    return PQMatrix(
+        [[sum((A.entries[p][r] * B.entries[r][q] for r in range(n)),
+              SplitQuaternion()) for q in range(n)] for p in range(n)])
+
+
+_int_coefficient = st.integers(-50, 50)
+_fraction_coefficient = st.builds(Fraction, st.integers(-20, 20),
+                                  st.integers(1, 12))
+
+
+@st.composite
+def _pq_matrix_pair(draw, coefficient):
+    n = draw(st.integers(1, 4))
+    quaternions = st.builds(SplitQuaternion, coefficient, coefficient,
+                            coefficient, coefficient)
+    square = st.lists(st.lists(quaternions, min_size=n, max_size=n),
+                      min_size=n, max_size=n)
+    return PQMatrix(draw(square)), PQMatrix(draw(square))
+
+
+@pytest.mark.parametrize("coefficient", [_int_coefficient,
+                                         _fraction_coefficient],
+                         ids=["int", "Fraction"])
+def test_matmul_matches_scalar_triple_loop(coefficient):
+    @settings(max_examples=60, deadline=None)
+    @given(_pq_matrix_pair(coefficient))
+    def check(pair):
+        A, B = pair
+        assert A @ B == ref_pq_matmul(A, B)
+        assert A.commutator(B) == ref_pq_matmul(A, B) - ref_pq_matmul(B, A)
+    check()
+
+
+def test_matmul_rejects_rank_mismatch():
+    with pytest.raises(RankMismatchError):
+        PQMatrix.identity(2) @ PQMatrix.identity(3)
 
 
 def test_real_rep_injective():

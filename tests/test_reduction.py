@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -27,14 +28,15 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               flat_quotient_residuals, flat_reduced_structure,
                               isotropy_moment_traces, killing_derivative,
                               killing_horizontal, moment_gradient_check,
-                              reduced_jacobi, scene_from_json, scene_to_json,
-                              structure_orthogonality_check, weighted_flow,
-                              weighted_flow_exact, weighted_killing,
+                              reduced_jacobi, structure_orthogonality_check,
+                              weighted_flow, weighted_flow_exact,
+                              weighted_killing,
                               weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value, weighted_regularity)
 from pqgeom.reduction import (_generator_matrix, _level_gradient_rows,
                               _moment_gradient_rows)
+from pqgeom.scenes import scene_from_json, scene_to_json
 
 
 # -- flat circle scene --------------------------------------------------------
@@ -395,6 +397,36 @@ def test_empty_variant_level_set():
     assert smallest > 1.0 - 1e-9
 
 
+def ref_empty_levelset_check(p, q, samples, seed):
+    """The per-sample loop: draw one float sphere point, evaluate the
+    definite-axis sandwich on scalar split quaternions, keep the running
+    minimum.  The reference for the blocked batch of the package."""
+    rng = random.Random(seed)
+    smallest = math.inf
+    for _ in range(samples):
+        while True:
+            coords = np.array([rng.uniform(-1.5, 1.5) for _ in range(12)])
+            vec = PQVector.from_real(coords)
+            norm = float(module_scalar_product(vec, vec))
+            if norm > 0.1:
+                break
+        u = PQVector.from_real((coords / np.sqrt(norm)).tolist())
+        total = SplitQuaternion()
+        for c, h in zip((q, p, p), u.entries):
+            total = total + (h.conj() * I * h).scale(c)
+        smallest = min(smallest, ImValue(total.b, total.c, total.d).max_abs())
+    return smallest
+
+
+@pytest.mark.parametrize("samples", [1, 257, 10000])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (3, 4)])
+def test_empty_levelset_check_matches_per_sample_loop(p, q, seed, samples):
+    got = empty_levelset_check(p, q, samples=samples, seed=seed)
+    want = ref_empty_levelset_check(p, q, samples, seed)
+    assert type(got) is float and got == want
+
+
 def test_im_value_helpers():
     v = ImValue(Fraction(0), Fraction(0), Fraction(0))
     assert v.is_zero()
@@ -441,6 +473,45 @@ def test_scene_level_follows_action(builder, level, other):
     # a manifest whose level does not match its action is rejected
     payload["manifest"]["xi"] = other
     with pytest.raises(ValueError, match="does not match"):
+        scene_from_json(json.dumps(payload))
+
+
+def _set(*path_and_value):
+    """A change to a scene payload: the value at the key path."""
+    *path, value = path_and_value
+
+    def change(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return change
+
+
+def _drop_seed(payload):
+    del payload["manifest"]["seed"]
+
+
+@pytest.mark.parametrize("change", [
+    _drop_seed,
+    _set("manifest", "action", "nope"),
+    _set("points", 0, 0, 0, [1]),
+    _set("points", 0, 0, 0, None),
+    _set("manifest", "p", 2),
+    _set("manifest", "rank", 4),
+    _set("points", 0, [["1", "0", "0", "0"], ["0", "0", "0", "0"]]),
+    _set("points", 0, 1, ["0", "0", "0"]),
+    _set("points", 0, 0, 0, True),
+], ids=["missing-key", "unknown-action", "list-coordinate",
+        "null-coordinate", "p-equals-q", "pq-rank-4", "two-entry-point",
+        "three-coefficients", "bool-coordinate"])
+def test_scene_from_json_rejects_malformed_manifest(change):
+    scene = ReductionScene(action="pq", rank=3, p=1, q=2,
+                           points=[base_point(3)])
+    payload = json.loads(scene_to_json(scene))
+    assert scene_from_json(json.dumps(payload)).points[0].x == scene.points[0].x
+    change(payload)
+    with pytest.raises(ValueError):
         scene_from_json(json.dumps(payload))
 
 
