@@ -4,7 +4,7 @@ reductions, with exact rational arithmetic as the ground truth and a
 verification CLI (`pqgeom` or `python -m pqgeom`)."""
 
 from .algebra import (NullQuaternionError, SplitQuaternion, conj_norm,
-                      scalar_product, unit_flow)
+                      scalar_product)
 from .linalg import (DegenerateStructureError, HermitianStructure, PQMatrix,
                      PQVector, RankMismatchError, adopted_basis,
                      grassman_split, module_scalar_product, real_rep,
@@ -23,10 +23,9 @@ from .projspace import (CompletionFailureError, DegenerateOrbitError,
                         tangent_split, transitive_element)
 from .reduction import (DegenerateLevelSetError, ImValue, NonRegularError,
                         NullKillingError, NullOrbitError, ReductionScene,
-                        StepTooSmallError, flat_circle_moment,
-                        flat_reduced_structure, moment_gradient_check,
-                        reduced_jacobi, weighted_killing,
-                        weighted_level_value)
+                        flat_circle_moment, flat_moment_gradient_check,
+                        flat_reduced_structure, reduced_jacobi,
+                        weighted_killing, weighted_level_value)
 from .cli import CheckReport, emit_report, run_suite
 
 __version__ = "0.1.0"

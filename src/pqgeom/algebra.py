@@ -15,8 +15,12 @@ The indefinite square norm |q|^2 = a^2 + b^2 - c^2 - d^2 is
 multiplicative but has null vectors (1 + j is a zero divisor), so
 inversion exists only off the null cone.
 
-Coefficients may be exact (int / fractions.Fraction) or floats; exact
-inputs are never rounded.
+Coefficients are exact (int / fractions.Fraction) everywhere but in two
+places: the float level sampler of the weighted reduction with the
+reduced-Jacobi routines it feeds, and the definite-axis control.  The
+arithmetic is the same for floats, and exact inputs are never rounded.
+The rational points of the unit circle and hyperbola are
+``circle_point`` and ``hyperbola_point``.
 
 Batches.  The coefficients may also be numpy arrays of one shape; the
 SplitQuaternion is then a batch, one element per array position (a
@@ -29,7 +33,6 @@ array operations instead of one Python call per element.  ``==`` and
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -147,19 +150,15 @@ class SplitQuaternion:
 
     # -- complex picture -------------------------------------------------
 
-    def complex_rep(self) -> tuple[complex, complex]:
-        """Pair (z1, z2) = (a + b i, c - d i) with q = z1 + j z2."""
-        return complex(self.a, self.b), complex(self.c, -self.d)
-
     def complex_rep_exact(self):
-        """Same pair as (re, im) tuples, kept in the scalar type of q."""
+        """The pair (z1, z2) = (a + b i, c - d i) with q = z1 + j z2, as
+        (re, im) tuples kept in the scalar type of q."""
         return (self.a, self.b), (self.c, -self.d)
 
     @classmethod
     def from_complex_rep(cls, z1, z2) -> "SplitQuaternion":
-        """Inverse of complex_rep; accepts complex numbers or (re, im) pairs."""
-        r1, i1 = (z1.real, z1.imag) if isinstance(z1, complex) else z1
-        r2, i2 = (z2.real, z2.imag) if isinstance(z2, complex) else z2
+        """Inverse of complex_rep_exact, from (re, im) pairs."""
+        (r1, i1), (r2, i2) = z1, z2
         return cls(r1, i1, r2, -i2)
 
     # -- parse / print ----------------------------------------------------
@@ -233,20 +232,6 @@ def scalar_product(q: SplitQuaternion, qp: SplitQuaternion):
 def conj_norm(q: SplitQuaternion, qp: SplitQuaternion):
     """(conj(q), |q|^2, <q, q'>) in one call."""
     return q.conj(), q.square_norm(), scalar_product(q, qp)
-
-
-def unit_flow(axis: str, t: float) -> SplitQuaternion:
-    """One-parameter unit subgroup: cos t + i sin t, or cosh t + j sinh t.
-
-    Axis 'i' stays on the definite circle, axis 'j' on the hyperbola;
-    both have square norm exactly 1 in exact arithmetic at rational
-    points of those curves (see circle_point / hyperbola_point).
-    """
-    if axis == "i":
-        return SplitQuaternion(math.cos(t), math.sin(t), 0, 0)
-    if axis == "j":
-        return SplitQuaternion(math.cosh(t), 0, math.sinh(t), 0)
-    raise ValueError("axis must be 'i' or 'j'")
 
 
 def circle_point(t: Fraction | int) -> SplitQuaternion:

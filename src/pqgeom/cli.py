@@ -62,7 +62,6 @@ class CheckConfig:
     rank: int = 2
     p: int = 1
     q: int = 2
-    tolerance: float | None = None
     exact: bool = False
 
 
@@ -408,14 +407,15 @@ def _chk_ricci_split(config, rng):
 
 
 def _chk_jacobi_spectrum(config, rng):
+    # the spectrum -4 (three times), -1 (d - 4 times), as power sums
     H = structure_endos(config.rank)
     Rg = curv.projective_curvature(H)
     X = exactla.zeros(H.dim)
     X[0] = Fraction(1)
     Kres, _ = curv.restrict_to_complement(Rg, X)
-    eig = sorted(np.linalg.eigvals(np.array(Kres, dtype=float)).real)
-    want = [-4.0] * 3 + [-1.0] * (H.dim - 4)
-    worst = max(abs(a - b) for a, b in zip(eig, sorted(want)))
+    sums = curv.power_sums(Kres)
+    worst = max(abs(s - (3 * (-4) ** k + (H.dim - 4) * (-1) ** k))
+                for k, s in enumerate(sums, start=1))
     return worst, 1
 
 
@@ -435,8 +435,8 @@ def _chk_solvable(config, rng):
     for entry in rep.directions:
         if not (entry.is_nilpotent and entry.operator_nonzero):
             worst = max(worst, 1.0)
-        worst = max(worst, max(abs(z) for z in entry.eigenvalues)
-                    if entry.eigenvalues else 0.0)
+        # a nilpotent operator has every power sum 0
+        worst = max(worst, float(max(map(abs, entry.power_sums))))
     return worst, len(dirs)
 
 
@@ -515,11 +515,8 @@ def _chk_lift_independence(config, rng):
 
 
 def _chk_s1_gradient(config, rng):
-    scene = red.ReductionScene(action="flat-s1", rank=config.rank + 1,
-                               seed=config.seed)
-    rep = red.moment_gradient_check(scene, samples=max(config.samples, 200),
-                                    step=1e-5, rng=rng)
-    return rep.max_residual, rep.samples
+    count = max(config.samples, 200)
+    return red.flat_moment_gradient_check(config.rank + 1, count, rng), count
 
 
 def _chk_s1_reduced_structure(config, rng):
@@ -539,19 +536,13 @@ def _chk_s1_reduced_structure(config, rng):
 
 
 def _chk_s1_orthogonality(config, rng):
-    scene = red.ReductionScene(action="flat-s1", rank=config.rank + 1,
-                               seed=config.seed)
-    res = red.structure_orthogonality_check(
-        scene, samples=max(3, config.samples // 30), rng=rng)
-    return float(res), max(3, config.samples // 30)
+    count = max(3, config.samples // 30)
+    return red.flat_orthogonality_check(config.rank + 1, count, rng), count
 
 
 def _chk_pq_zero_sets(config, rng):
-    scene = red.ReductionScene(action="pq", p=config.p, q=config.q,
-                               seed=config.seed)
-    rep = red.moment_gradient_check(scene, samples=max(20, config.samples),
-                                    rng=rng)
-    return float(rep.disagreements or 0), rep.samples
+    count = max(20, config.samples)
+    return red.pq_zero_set_check(config.p, config.q, count, rng), count
 
 
 def _chk_pq_eigen_identity(config, rng):
@@ -597,11 +588,8 @@ def _chk_pq_point_variation(config, rng):
 
 
 def _chk_pq_orthogonality(config, rng):
-    scene = red.ReductionScene(action="pq", p=config.p, q=config.q,
-                               seed=config.seed)
-    res = red.structure_orthogonality_check(
-        scene, samples=max(3, config.samples // 30), rng=rng)
-    return float(res), max(3, config.samples // 30)
+    count = max(3, config.samples // 30)
+    return red.pq_orthogonality_check(config.p, config.q, count, rng), count
 
 
 def _chk_pq_empty_variant(config, rng):
@@ -615,7 +603,7 @@ def _chk_pq_empty_variant(config, rng):
 # registry
 # ---------------------------------------------------------------------------
 
-# name -> (function, anchor tag, default tolerance)
+# name -> (function, anchor tag, tolerance)
 REGISTRY: dict[str, list] = {
     "algebra": [
         ("norm-multiplicativity", _chk_norm_multiplicative, "norm-mult", 0.0),
@@ -663,7 +651,7 @@ REGISTRY: dict[str, list] = {
         ("special-linear-oracle", _chk_special_linear,
          "block-split-pair", 0.0),
         ("bracket-formula-proportional", _chk_bracket_formula,
-         "fitted-scale", 0.0),
+         "bracket-equals-closed-formula", 0.0),
     ],
     "projspace": [
         ("fiber-gram-signature", _chk_vertical_gram, "fiber-signature", 0.0),
@@ -718,9 +706,7 @@ def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckRep
             f"unknown suite {selector!r}; choose from {(*REGISTRY, 'all')}")
     reports = []
     for suite in suites:
-        for name, fn, anchor, default_tol in REGISTRY[suite]:
-            tol = config.tolerance if config.tolerance is not None \
-                else default_tol
+        for name, fn, anchor, tol in REGISTRY[suite]:
             rng = _check_rng(config, name)
             start = time.perf_counter()
             try:
@@ -778,8 +764,7 @@ def _config_dict(config: CheckConfig) -> dict:
     return {
         "seed": config.seed, "samples": config.samples,
         "rank": config.rank, "p": config.p, "q": config.q,
-        "xi": [str(x) for x in red.FLAT_LEVEL],
-        "tolerance": config.tolerance, "exact": config.exact,
+        "xi": [str(x) for x in red.FLAT_LEVEL], "exact": config.exact,
     }
 
 
@@ -795,8 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--suite", default="all",
                         help="one of %s or 'all'" % (", ".join(REGISTRY)))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override every check tolerance")
     parser.add_argument("--samples", type=int, default=100)
     parser.add_argument("--n", type=int, default=2, dest="rank",
                         help="module rank for rank-parametrised checks")
@@ -814,7 +797,7 @@ def main(argv=None) -> int:
     try:
         config = CheckConfig(seed=args.seed, samples=args.samples,
                              rank=args.rank, p=args.p, q=args.q,
-                             tolerance=args.tol, exact=args.exact)
+                             exact=args.exact)
         reports = run_suite(args.suite, config)
     except (UnknownSuiteError, InvalidConfigError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

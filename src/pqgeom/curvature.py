@@ -26,6 +26,10 @@ Ricci splitting.  ``ricci_split`` inverts the Ricci map of the linear
 family R^B on its three eigenspaces (closed formula); the dense
 Kronecker system of the same map is assembled and solved only in the
 tests, as the reference the closed route is compared with.
+
+Spectra.  A Jacobi spectrum is held as the exact power sums of the
+restricted operator (``power_sums``); float eigenvalues appear only in
+the tests, as the reference the power sums are compared with.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import accumulate, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -48,8 +52,6 @@ CYCLES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 # product-table convention of the stored tensors (see the algebra module)
 CONVENTION = "cyclic-ijk"
-
-SPECTRUM_TOLERANCE = 1e-9   # unit-norm slack and eigenvalue agreement
 
 
 class NotSymmetricPairError(ValueError):
@@ -562,11 +564,21 @@ def minimal_polynomial_degree(M: np.ndarray) -> int:
     return d
 
 
+def power_sums(M: np.ndarray) -> tuple:
+    """(tr M, ..., tr M^m) of an exact m x m matrix M = N / L, as the
+    Fractions tr N^k / L^k.  By Newton's identities they fix the m
+    eigenvalues with multiplicity, so equal power sums are equal spectra."""
+    N, L = exactla.scaled_integers(M)
+    powers = accumulate([N] * len(N), np.matmul)
+    return tuple(Fraction(int(np.trace(P)), L ** k)
+                 for k, P in enumerate(powers, start=1))
+
+
 @dataclass
 class DirectionSpectrum:
     direction_index: int
     metric_sign: int
-    eigenvalues: list
+    power_sums: tuple
     min_poly_degree: int
     is_nilpotent: bool
     operator_nonzero: bool
@@ -584,47 +596,35 @@ class SpectrumReport:
 
 
 def jacobi_spectrum_report(R: CurvatureTensor, directions) -> SpectrumReport:
-    """Per-direction eigenvalues of K_X restricted to the orthogonal
-    complement, with agreement verdicts split by the sign of g(X, X).
-
-    Directions must satisfy |g(X, X)| = 1 up to SPECTRUM_TOLERANCE; a null
-    direction raises NullDirectionError.  Nilpotent Jordan structure is
-    detected through the minimal-polynomial degree and a K_X^2 = 0 test
-    rather than full Jordan forms.
+    """Per-direction spectra (power sums) of K_X restricted to the
+    orthogonal complement, with agreement verdicts split by the sign of
+    g(X, X).  Directions must satisfy g(X, X) = +-1 exactly: a null
+    direction raises NullDirectionError, any other norm ValueError.
+    Nilpotent Jordan structure is detected through the minimal-polynomial
+    degree and a K_X^2 = 0 test rather than full Jordan forms.
     """
     g = R.metric
     entries = []
     for idx, X in enumerate(directions):
         X = np.asarray(X)
         norm = X @ g @ X
-        if norm == 0 or abs(float(norm)) < 1e-15:
+        if norm == 0:
             raise NullDirectionError(f"direction {idx} is null")
-        if abs(abs(float(norm)) - 1.0) > SPECTRUM_TOLERANCE:
+        if abs(norm) != 1:
             raise ValueError(f"direction {idx} is not unit: g(X,X)={norm}")
         Kres, _ = restrict_to_complement(R, X)
-        Kfloat = np.array(Kres, dtype=float)
-        eig = np.linalg.eigvals(Kfloat)
-        eig = sorted(eig, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-        deg = minimal_polynomial_degree(Kres)
         Kfull = jacobi_operator(R, X)
-        nil = exactla.max_abs(Kfull @ Kfull) == 0
-        nonzero = exactla.max_abs(Kfull) != 0
         entries.append(DirectionSpectrum(
             direction_index=idx,
-            metric_sign=1 if float(norm) > 0 else -1,
-            eigenvalues=[complex(z) for z in eig],
-            min_poly_degree=deg,
-            is_nilpotent=bool(nil),
-            operator_nonzero=bool(nonzero)))
+            metric_sign=1 if norm > 0 else -1,
+            power_sums=power_sums(Kres),
+            min_poly_degree=minimal_polynomial_degree(Kres),
+            is_nilpotent=exactla.max_abs(Kfull @ Kfull) == 0,
+            operator_nonzero=exactla.max_abs(Kfull) != 0))
 
     def agree(sign):
-        group = [e.eigenvalues for e in entries if e.metric_sign == sign]
-        if len(group) < 2:
-            return True
-        first = np.array(group[0])
-        return all(np.allclose(np.array(other), first,
-                               atol=SPECTRUM_TOLERANCE,
-                               rtol=SPECTRUM_TOLERANCE) for other in group[1:])
+        group = [e.power_sums for e in entries if e.metric_sign == sign]
+        return all(other == group[0] for other in group[1:])
 
     return SpectrumReport(directions=entries,
                           spacelike_agree=agree(1),

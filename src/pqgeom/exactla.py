@@ -84,11 +84,13 @@ def eye(n) -> np.ndarray:
 
 
 def max_abs(arr) -> Fraction | float:
-    """Max absolute entry; Fraction 0 for empty input."""
+    """Max absolute entry; Fraction 0 for empty input.  The larger of the
+    array max and the negated array min: comparisons only, no new
+    Fraction per entry."""
     flat = np.asarray(arr).reshape(-1)
     if flat.size == 0:
         return Fraction(0)
-    return max(abs(x) for x in flat)
+    return max(flat.max(), -flat.min())
 
 
 def require_exact(arr) -> np.ndarray:

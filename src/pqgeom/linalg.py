@@ -381,20 +381,6 @@ def real_rep(A: PQMatrix) -> np.ndarray:
     return out
 
 
-def complex_rep_matrix(A: PQMatrix) -> np.ndarray:
-    """Complex 2n x 2n block representation (float entries)."""
-    n = A.rank
-    out = np.zeros((2 * n, 2 * n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            z1, z2 = A.entries[p][q].complex_rep()
-            out[2 * p, 2 * q] = z1
-            out[2 * p, 2 * q + 1] = z2.conjugate()
-            out[2 * p + 1, 2 * q] = z2
-            out[2 * p + 1, 2 * q + 1] = z1.conjugate()
-    return out
-
-
 def symplectic_form(n: int) -> np.ndarray:
     """Block-diagonal standard form, blocks [[0, 1], [-1, 0]]."""
     F = exactla.zeros((2 * n, 2 * n))

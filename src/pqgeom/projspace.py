@@ -32,7 +32,7 @@ VERTICAL_GRAM = exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
 
 class DegenerateOrbitError(ValueError):
     """The lift is not on the unit sphere: its fiber Gram matrix is not
-    diag(1, -1, -1) (up to the float tolerance for float lifts)."""
+    diag(1, -1, -1)."""
 
 
 class CompletionFailureError(ValueError):
@@ -152,30 +152,24 @@ def _ambient_metric(rank: int, exact: bool = True) -> np.ndarray:
 
 def tangent_split(x: SpherePoint) -> TangentSplit:
     """Split the tangent space of the sphere at x into the fiber direction
-    frame and its orthogonal complement."""
-    rank = x.rank
-    dim = 4 * rank
-    g = _ambient_metric(rank)
-    vert = vertical_frame(x)
+    frame and its orthogonal complement.  Exact lifts only: a float lift
+    raises TypeError."""
+    g = metric_matrix(x.rank)
+    # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk)
+    frame4 = np.concatenate([x.x.to_real().reshape(-1, 1), vertical_frame(x)],
+                            axis=1)
+    exactla.require_exact(frame4)
+    vert = frame4[:, 1:]
     gram = vert.T @ g @ vert
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
-    # comparison (not the inertia) detects a positive lift off the sphere;
-    # exact lifts compare with ==, float lifts to a relative 1e-9
-    tol = 0 if x.is_exact() else 1e-9
-    if not all(abs(a - b) <= tol * max(abs(a), abs(b), 1)
-               for a, b in zip(gram.flat, VERTICAL_GRAM.flat)):
+    # comparison (not the inertia) detects a positive lift off the sphere
+    if (gram != VERTICAL_GRAM).any():
         found = "; ".join(", ".join(str(a) for a in row) for row in gram)
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
-    # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk);
-    # float lifts take it from the SVD, whose rank test tolerates rounding
-    frame4 = np.concatenate([x.x.to_real().reshape(-1, 1), vert], axis=1)
-    rows = frame4.T @ g
-    if not x.is_exact():
-        rows = np.asarray(rows, dtype=float)
-    horizontal = exactla.nullspace_any(rows)
-    if horizontal.shape[1] != dim - 4:
+    horizontal = exactla.nullspace(frame4.T @ g)
+    if horizontal.shape[1] != 4 * x.rank - 4:
         raise DegenerateOrbitError("horizontal frame incomplete")
     return TangentSplit(x, vert, horizontal)
 

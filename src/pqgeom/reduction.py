@@ -18,7 +18,9 @@ the documented relabelling
 
     fhat = ( -f1 / 2, f3, f2 ),
 
-which moment_gradient_check verifies by central differences.
+which flat_moment_gradient_check verifies exactly: fhat is quadratic, so
+(fhat(h + X) - fhat(h - X)) / 2 = omega_a(V, X) holds with no remainder
+at rational h and X.
 
 Weighted hyperbolic scene: on the rank-3 sphere model the group
 e^{jt} = cosh t + j sinh t acts through the weights (q, p, p) with
@@ -48,6 +50,10 @@ on the ambient model and on the quotient (Galicki-Lawson, Math. Ann.
 282, 1988); it is computed, not assumed, from the ambient model
 curvature.  (The eigenvalue list is read as (l1, l1, l3); the
 duplicated middle label in the source formula is resolved that way.)
+
+Arithmetic.  Everything is exact but two routes: the float level sampler
+``weighted_level_sample_float`` with the reduced-Jacobi routines it
+feeds, and ``empty_levelset_check``, the definite-axis control.
 """
 
 from __future__ import annotations
@@ -87,10 +93,6 @@ class NullKillingError(ValueError):
 
 class NonRegularError(ValueError):
     """The sampled point fails the regularity condition."""
-
-
-class StepTooSmallError(ValueError):
-    """Finite-difference step below the noise floor."""
 
 
 # the level value xi of each scene
@@ -217,9 +219,8 @@ def _euclidean_unit(direction, norm):
     base[pivot] = Fraction(1)
     dot = direction[pivot]
     lam = Fraction(-2) * dot / norm
+    # the reflection of a unit vector: never 0
     out = [b + lam * d for b, d in zip(base, direction)]
-    if all(x == 0 for x in out):
-        out = base
     assert sum(x * x for x in out) == 1
     return out
 
@@ -302,15 +303,6 @@ def _weights(p: int, q: int):
     if p == q or p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError("weights must be distinct coprime naturals")
     return (q, p, p)
-
-
-def weighted_flow(p: int, q: int, t: float, u: PQVector) -> PQVector:
-    """Action at parameter t: entrywise left factor cosh(ct) + j sinh(ct)."""
-    out = []
-    for c, h in zip(_weights(p, q), u.entries):
-        flow = SplitQuaternion(math.cosh(c * t), 0, math.sinh(c * t), 0)
-        out.append(flow * h)
-    return PQVector(out)
 
 
 def weighted_flow_exact(p: int, q: int, param: Fraction, u: PQVector) -> PQVector:
@@ -733,112 +725,76 @@ def build_pq_scene(p: int = 1, q: int = 2, seed: int = 0,
     return scene
 
 
-@dataclass
-class GradientCheckReport:
-    kind: str
-    samples: int
-    step: float | None
-    max_residual: float
-    agreements: int | None = None
-    disagreements: int | None = None
-
-    @property
-    def zero_sets_agree(self) -> bool:
-        return not self.disagreements
-
-
-def moment_gradient_check(scene: ReductionScene, samples: int = 200,
-                          step: float = 1e-5, rng=None) -> GradientCheckReport:
-    """Verify the defining property of the moment data.
-
-    Flat scene: central differences of the adapted components against
-    omega_a(V, .) at random points and directions.  Weighted scene: the
-    zero set of the independently computed isotropy-route moment against
-    the level function, on half on-level and half off-level samples.
-    """
-    rng = rng or random.Random(scene.seed)
-    if scene.action == "flat-s1":
-        if step <= 1e-12:
-            raise StepTooSmallError(f"step {step} below noise floor")
-        H = structure_endos(scene.rank)
-        g = metric_matrix(scene.rank)
-        worst = 0.0
-        for _ in range(samples):
-            coords = np.array([rng.uniform(-2, 2)
-                               for _ in range(4 * scene.rank)])
-            direction = np.array([rng.uniform(-1, 1)
-                                  for _ in range(4 * scene.rank)])
-            hplus = PQVector.from_real(coords + step * direction)
-            hminus = PQVector.from_real(coords - step * direction)
-            V = flat_killing(PQVector.from_real(coords)).to_real()
-            V = np.array(V, dtype=float)
-            fp = flat_adapted_moment(hplus)
-            fm = flat_adapted_moment(hminus)
-            for a in range(3):
-                numeric = (fp[a] - fm[a]) / (2 * step)
-                Jfl = np.array(H.J[a], dtype=float)
-                gfl = np.array(g, dtype=float)
-                exactval = (Jfl @ V) @ gfl @ direction
-                scale = max(abs(numeric), abs(exactval), 1.0)
-                worst = max(worst, abs(numeric - exactval) / scale)
-        return GradientCheckReport(kind="flat-s1", samples=samples,
-                                   step=step, max_residual=worst)
-    if scene.action == "pq":
-        agreements = disagreements = 0
-        worst = 0.0
-        for k in range(samples):
-            if k % 2 == 0:
-                u = weighted_level_sample(rng, scene.p, scene.q)
-            else:
-                u = random_sphere_point(rng, 3)
-            level = weighted_level_value(scene.p, scene.q, u)
-            traces = isotropy_moment_traces(scene.p, scene.q, u)
-            level_zero = level.is_zero()
-            trace_zero = all(t == 0 for t in traces)
-            if level_zero == trace_zero:
-                agreements += 1
-            else:
-                disagreements += 1
-                worst = max(worst, float(level.max_abs()),
-                            float(max(abs(t) for t in traces)))
-        return GradientCheckReport(kind="pq", samples=samples, step=None,
-                                   max_residual=worst,
-                                   agreements=agreements,
-                                   disagreements=disagreements)
-    raise ValueError(f"unknown action {scene.action!r}")
-
-
-def structure_orthogonality_check(scene: ReductionScene,
-                                  samples: int = 10, rng=None):
-    """Max |<J_a V, T>| over level-set tangents T: the images of the
-    Killing field under the structure triple are normal to the level set."""
-    rng = rng or random.Random(scene.seed)
+def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
+    """Max |(fhat_a(h + X) - fhat_a(h - X)) / 2 - g(J_a V(h), X)| over
+    seeded rational h = A / D, X = B / D (A, B integer vectors); exactly 0,
+    because fhat is quadratic.  Both terms are homogeneous of degree 2,
+    so they are formed at (A, B) on integers and divided by D^2."""
+    omega, scale = exactla.scaled_integers(
+        np.stack([Ja.T @ metric_matrix(rank) for Ja in structure_endos(rank).J]))
     worst = Fraction(0)
-    if scene.action == "flat-s1":
-        g = metric_matrix(scene.rank)
-        for _ in range(samples):
-            h = flat_level_sample(rng, scene.rank)
-            rows = _moment_gradient_rows(h)
-            frame = exactla.nullspace(rows)
-            V = flat_killing(h)
-            for e in IMAGINARY_UNITS:
-                JV = V.right_mul(e.conj()).to_real()
-                worst = max(worst, exactla.max_abs(frame.T @ (g @ JV)))
-        return worst
-    if scene.action == "pq":
-        g = metric_matrix(3)
-        for _ in range(samples):
-            u = weighted_level_sample(rng, scene.p, scene.q)
-            rows = _level_gradient_rows(scene.p, scene.q, u)
-            tangency = (u.x.to_real() @ g).reshape(1, -1)
-            frame = exactla.nullspace(np.concatenate([rows, tangency]))
-            Vh = killing_horizontal(scene.p, scene.q, u)
-            vq = PQVector.from_real(Vh)
-            for e in IMAGINARY_UNITS:
-                JV = vq.right_mul(e.conj()).to_real()
-                worst = max(worst, exactla.max_abs(frame.T @ (g @ JV)))
-        return worst
-    raise ValueError(f"unknown action {scene.action!r}")
+    for _ in range(samples):
+        A, B = (np.array([rng.randint(-20, 20) for _ in range(4 * rank)],
+                         dtype=object) for _ in range(2))
+        den = rng.randint(1, 8)
+        fp = flat_adapted_moment(PQVector.from_real(A + B))
+        fm = flat_adapted_moment(PQVector.from_real(A - B))
+        pairing = omega @ B @ flat_killing(PQVector.from_real(A)).to_real()
+        for a in range(3):
+            residual = abs(Fraction(fp[a] - fm[a], 2)
+                           - Fraction(pairing[a], scale))
+            worst = max(worst, residual / den ** 2)
+    return worst
+
+
+def pq_zero_set_check(p: int, q: int, samples: int, rng) -> int:
+    """Number of samples at which the level function and the isotropy
+    traces disagree on vanishing; samples alternate between exact level
+    points and random exact sphere points (off the level set)."""
+    disagreements = 0
+    for k in range(samples):
+        if k % 2 == 0:
+            u = weighted_level_sample(rng, p, q)
+        else:
+            u = random_sphere_point(rng, 3)
+        level_zero = weighted_level_value(p, q, u).is_zero()
+        trace_zero = all(t == 0 for t in isotropy_moment_traces(p, q, u))
+        disagreements += level_zero != trace_zero
+    return disagreements
+
+
+def _normal_residual(frame: np.ndarray, killing: PQVector, g) -> Fraction:
+    """Max |g(J_a V, T)| over the frame columns T and the three J_a V."""
+    return max(exactla.max_abs(frame.T @ (g @ killing.right_mul(e.conj())
+                                          .to_real()))
+               for e in IMAGINARY_UNITS)
+
+
+def flat_orthogonality_check(rank: int, samples: int, rng) -> Fraction:
+    """Max |<J_a V, T>| over tangents T of the flat level set: the images
+    of the Killing field under the structure triple are normal to it."""
+    g = metric_matrix(rank)
+    worst = Fraction(0)
+    for _ in range(samples):
+        h = flat_level_sample(rng, rank)
+        frame = exactla.nullspace(_moment_gradient_rows(h))
+        worst = max(worst, _normal_residual(frame, flat_killing(h), g))
+    return worst
+
+
+def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> Fraction:
+    """Max |<J_a V, T>| over tangents T of the weighted level set inside
+    the sphere, with V the horizontal Killing field."""
+    g = metric_matrix(3)
+    worst = Fraction(0)
+    for _ in range(samples):
+        u = weighted_level_sample(rng, p, q)
+        rows = _level_gradient_rows(p, q, u)
+        tangency = (u.x.to_real() @ g).reshape(1, -1)
+        frame = exactla.nullspace(np.concatenate([rows, tangency]))
+        Vh = PQVector.from_real(killing_horizontal(p, q, u))
+        worst = max(worst, _normal_residual(frame, Vh, g))
+    return worst
 
 
 def empty_levelset_check(p: int = 1, q: int = 2, samples: int = 10000,

@@ -14,7 +14,8 @@ from fractions import Fraction
 from .algebra import SplitQuaternion
 from .linalg import PQVector
 from .projspace import SpherePoint
-from .reduction import LEVELS, ReductionScene, _weights
+from .reduction import (FLAT_LEVEL, LEVELS, ReductionScene, _weights,
+                        flat_circle_moment)
 
 
 def scene_to_json(scene: ReductionScene) -> str:
@@ -50,8 +51,9 @@ def scene_from_json(text: str) -> ReductionScene:
     invalid JSON, a missing key, an unknown action, weights or a rank the
     action does not allow, a level that does not match the action, a
     point without `rank` entries or an entry without four coefficients, a
-    coordinate that is neither a rational string nor a number, and an
-    off-sphere point of the pq scene."""
+    coordinate that is neither a rational string nor a number, an
+    off-sphere point of the pq scene, and a point of the flat scene off
+    its level set FLAT_LEVEL."""
     try:
         return _scene_from_payload(json.loads(text))
     except (KeyError, TypeError, ZeroDivisionError) as err:
@@ -81,6 +83,8 @@ def _scene_from_payload(payload) -> ReductionScene:
             floating = isinstance(vec.entries[0].a, float)
             scene.points.append(
                 SpherePoint(vec, tol=scene.tolerance if floating else 0))
+        elif flat_circle_moment(vec) != FLAT_LEVEL:
+            raise ValueError(f"point {coords!r} is off the flat level set")
         else:
             scene.points.append(vec)
     scene.derived = payload["derived"]

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqgeom.algebra import (EPS, I, J, K, ONE, UNITS, NullQuaternionError,
                             SplitQuaternion, circle_point, conj_norm,
-                            hyperbola_point, scalar_product, unit_flow)
+                            hyperbola_point, scalar_product)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 quaternions = st.builds(SplitQuaternion, rationals, rationals, rationals,
@@ -97,9 +97,9 @@ def test_inverse_roundtrip(q):
 
 
 def test_complex_rep_examples():
-    assert ONE.complex_rep() == (1 + 0j, 0j)
-    assert J.complex_rep() == (0j, 1 + 0j)
-    assert K.complex_rep() == (0j, -1j)
+    assert ONE.complex_rep_exact() == ((1, 0), (0, 0))
+    assert J.complex_rep_exact() == ((0, 0), (1, 0))
+    assert K.complex_rep_exact() == ((0, 0), (0, -1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,25 +117,6 @@ def test_complex_rep_real_linear(a, b):
     (sr1, si1), (sr2, si2) = (a + b).complex_rep_exact()
     assert (sr1, si1) == (ar1 + br1, ai1 + bi1)
     assert (sr2, si2) == (ar2 + br2, ai2 + bi2)
-
-
-def test_unit_flow_values():
-    assert unit_flow("j", 0.0) == SplitQuaternion(1.0, 0.0, 0.0, 0.0)
-    q = unit_flow("j", 0.7)
-    assert abs(q.square_norm() - 1.0) < 1e-12
-    q = unit_flow("i", -1.3)
-    assert abs(q.square_norm() - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        unit_flow("k", 1.0)
-
-
-def test_unit_flow_group_law_float():
-    for axis in ("i", "j"):
-        a = unit_flow(axis, 0.4)
-        b = unit_flow(axis, 0.9)
-        c = unit_flow(axis, 1.3)
-        diff = a * b - c
-        assert max(abs(x) for x in diff.coefficients()) < 1e-12
 
 
 def test_rational_curve_points_exact():

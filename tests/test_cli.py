@@ -37,6 +37,23 @@ def test_level_option_is_unknown(args):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("args", [["--tol", "1"], ["--tol=0.5"]])
+def test_tolerance_option_is_unknown(args):
+    # every check has its own tolerance; no flag overrides them
+    with pytest.raises(SystemExit) as info:
+        main(["--suite", "algebra"] + args)
+    assert info.value.code == 2
+
+
+def test_seed_zero_residuals_are_exact():
+    # every check but the float ratio check reports an exact 0, also
+    # where its tolerance is not 0
+    residuals = {r.name: r.max_residual for r in run_suite("all")}
+    assert len(residuals) == 39
+    del residuals["ratio-direction-independence"]
+    assert {name: res for name, res in residuals.items() if res != 0.0} == {}
+
+
 def test_report_config_keeps_fixed_level(capsys):
     assert main(["--suite", "algebra", "--samples", "2",
                  "--format", "json"]) == 0

@@ -18,8 +18,9 @@ from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
                               curvature_to_text, einstein_check,
                               jacobi_operator,
                               jacobi_spectrum_report, minimal_polynomial_degree,
-                              normalizes_structure, projective_curvature,
-                              projective_pair, restrict_to_complement, ricci,
+                              normalizes_structure, power_sums,
+                              projective_curvature, projective_pair,
+                              restrict_to_complement, ricci,
                               ricci_split, scalar_curvature,
                               solvable_decomposition,
                               special_linear_decomposition, structure_traces,
@@ -328,9 +329,34 @@ def test_jacobi_spectrum_model(n):
     X = exactla.zeros(4 * n)
     X[0] = Fraction(1)
     Kres, _ = restrict_to_complement(R, X)
-    eig = sorted(np.linalg.eigvals(np.array(Kres, dtype=float)).real)
+    # float eigenvalues: the reference the exact power sums are checked by
+    eig = np.linalg.eigvals(np.array(Kres, dtype=float))
     want = sorted([-4.0] * 3 + [-1.0] * (4 * n - 4))
-    assert max(abs(a - b) for a, b in zip(eig, want)) < 1e-12
+    assert max(abs(a - b) for a, b in zip(sorted(eig.real), want)) < 1e-12
+    sums = power_sums(Kres)
+    assert sums == tuple(3 * (-4) ** k + (4 * n - 4) * (-1) ** k
+                         for k in range(1, 4 * n))
+    assert all(type(s) is Fraction for s in sums)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_power_sums_match_float_eigenvalues(seed):
+    # a generic Jacobi operator: restricted to a non-unit, non-basis
+    # direction of a model-plus-Weyl tensor
+    rng = random.Random(seed)
+    H = structure_endos(1)
+    R = projective_curvature(H).scale(Fraction(2)) \
+        + weyl_sample(H, grassman_split(H), rng)
+    X = exactla.fracarray([rng.randint(1, 3), rng.randint(-3, 3),
+                           rng.randint(-3, 3), 0])
+    Kres, _ = restrict_to_complement(R, X)
+    eig = np.linalg.eigvals(np.array(Kres, dtype=float))
+    sums = power_sums(Kres)
+    assert len(sums) == 3
+    for k, s in enumerate(sums, start=1):
+        want = (eig ** k).sum()
+        assert abs(float(s) - want.real) <= 1e-9 * max(1.0, abs(want))
+        assert abs(want.imag) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_jacobi_perpendicular_direction():
@@ -367,6 +393,10 @@ def test_jacobi_report_model():
     assert rep.pointwise_osserman
     signs = [d.metric_sign for d in rep.directions]
     assert signs == [1, 1, -1, -1, 1]
+    # the spectrum -4, -4, -4 in every unit direction, in both signs
+    for d in rep.directions:
+        assert d.power_sums == tuple(3 * (-4 * d.metric_sign) ** k
+                                     for k in (1, 2, 3))
     with pytest.raises(NullDirectionError):
         jacobi_spectrum_report(R, [exactla.fracarray([1, 0, 1, 0])])
     with pytest.raises(ValueError):
@@ -377,7 +407,7 @@ def test_zero_curvature_spectrum():
     H = structure_endos(1)
     rep = jacobi_spectrum_report(zero_tensor(H), [exactla.eye(4)[0]])
     entry = rep.directions[0]
-    assert all(abs(z) == 0 for z in entry.eigenvalues)
+    assert entry.power_sums == (0, 0, 0)
     assert not entry.operator_nonzero
 
 
@@ -422,7 +452,7 @@ def test_solvable_nilpotent_jacobi():
     rep = jacobi_spectrum_report(R, [e[0], e[1]])
     for entry in rep.directions:
         assert entry.is_nilpotent and entry.operator_nonzero
-        assert max(abs(z) for z in entry.eigenvalues) < 1e-6
+        assert entry.power_sums == (0, 0, 0)
 
 
 def test_solvable_weyl_commutes_with_left_structure():
@@ -520,7 +550,7 @@ def test_symmetric_oracles_match_fraction_reference(build):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fitted_scale(n):
+def test_bracket_equals_closed_formula(n):
     # the bracket curvature is the closed formula itself, entry for entry
     bracket = projective_pair(n)
     formula = projective_curvature(structure_endos(n))

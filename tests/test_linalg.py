@@ -14,7 +14,7 @@ from pqgeom.forms import BilinearForm
 from pqgeom.linalg import (TENSOR_BLOCKS, DegenerateStructureError,
                            HermitianStructure, PQMatrix, PQVector,
                            RankMismatchError, adopted_basis,
-                           complex_rep_matrix, format_matrix, grassman_split,
+                           format_matrix, grassman_split,
                            left_structure_endos, metric_matrix,
                            module_scalar_product, parse_matrix,
                            random_antihermitian, random_pq_matrix,
@@ -394,6 +394,33 @@ def square_systems(draw):
     return a, b
 
 
+def ref_max_abs(arr):
+    """The per-entry max_abs: one absolute value per entry.  The reference
+    for the package routine."""
+    flat = np.asarray(arr).reshape(-1)
+    if flat.size == 0:
+        return Fraction(0)
+    return max(abs(x) for x in flat)
+
+
+def _object_array(entries):
+    arr = np.empty(len(entries), dtype=object)
+    arr[:] = entries
+    return arr
+
+
+@settings(max_examples=150)
+@given(st.one_of(
+    rational_matrices(),
+    st.lists(st.integers(-10**20, 10**20), max_size=12).map(_object_array),
+    st.lists(st.floats(-1e6, 1e6), max_size=12).map(np.array),
+))
+def test_max_abs_matches_per_entry_reference(arr):
+    # arrays of one entry type: Fraction, Python int, int64 or float
+    got, want = exactla.max_abs(arr), ref_max_abs(arr)
+    assert got == want and type(got) is type(want)
+
+
 @settings(max_examples=150)
 @given(rational_matrices())
 def test_rank_and_nullspace_match_fraction_reference(mat):
@@ -589,6 +616,19 @@ def test_real_rep_entry_formula():
                            - exactla.eye(6)) == 0
 
 
+def ref_complex_rep_matrix(A):
+    """Complex 2n x 2n block representation (float entries): entry q maps
+    to [[z1, conj(z2)], [z2, conj(z1)]].  The reference for real_rep."""
+    n = A.rank
+    out = np.zeros((2 * n, 2 * n), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            z1, z2 = (complex(*z) for z in A.entries[p][q].complex_rep_exact())
+            out[2 * p:2 * p + 2, 2 * q:2 * q + 2] = [[z1, z2.conjugate()],
+                                                     [z2, z1.conjugate()]]
+    return out
+
+
 def test_real_rep_matches_conjugated_complex_block():
     # numerically conjugate the complex block picture by the fixed
     # change of basis and compare with the closed all-real formula
@@ -597,7 +637,7 @@ def test_real_rep_matches_conjugated_complex_block():
     for n in (1, 2):
         M = np.kron(np.eye(n), blocks)
         A = random_pq_matrix(rng, n)
-        conj = M @ complex_rep_matrix(A) @ np.linalg.inv(M)
+        conj = M @ ref_complex_rep_matrix(A) @ np.linalg.inv(M)
         assert np.max(np.abs(conj.imag)) < 1e-12
         assert np.max(np.abs(conj.real
                              - np.array(real_rep(A), dtype=float))) < 1e-12

@@ -105,28 +105,29 @@ def _float_lift(x: SpherePoint, scale: float = 1.0) -> SpherePoint:
 
 
 def test_tangent_split_float_lifts():
+    # tangent_split is exact-only: a float lift fails loudly, also one
+    # whose fiber Gram rounds to diag(1, -1, -1) exactly
     x = random_sphere_point(random.Random(9), 3)
-    # rounding moves the fiber Gram off diag(1, -1, -1) by ~1e-16,
-    # within the float tolerance
     near = _float_lift(x)
     assert not near.is_exact()
-    assert tangent_split(near).horizontal.shape == (12, 8)
-    with pytest.raises(DegenerateOrbitError):
-        tangent_split(_float_lift(x, 1 + 1e-6))
+    for lift in (near, _float_lift(base_point(3)), _float_lift(x, 1 + 1e-6)):
+        with pytest.raises(TypeError, match="exact arithmetic"):
+            tangent_split(lift)
+    assert tangent_split(x).horizontal.shape == (12, 8)
 
 
 @pytest.mark.parametrize("seed", [5, 8, 18])
 def test_tangent_split_float_frame_full_rank(seed):
-    # float copies of these points once gave frames of singular-value
-    # ratio ~1e-17: rounding noise counted as a new direction
+    # float copies of these points once gave tangent frames of
+    # singular-value ratio ~1e-17; the float route that remains is
+    # horizontal_project, whose images of the coordinate vectors must
+    # span the exact horizontal frame and nothing more
     x = random_sphere_point(random.Random(seed), 3)
-    frame = np.asarray(tangent_split(_float_lift(x)).horizontal, dtype=float)
-    assert frame.shape == (12, 8)
-    s = np.linalg.svd(frame, compute_uv=False)
-    assert s[-1] / s[0] > 1e-6
-    # same space as the exact frame: adding its columns keeps the rank at 8
+    images = horizontal_project(_float_lift(x), np.eye(12))
+    s = np.linalg.svd(images, compute_uv=False)
+    assert s[7] / s[0] > 1e-6 and s[8] / s[0] < 1e-12
     exact = np.asarray(tangent_split(x).horizontal, dtype=float)
-    both = np.linalg.svd(np.concatenate([frame, exact], axis=1),
+    both = np.linalg.svd(np.concatenate([images, exact], axis=1),
                          compute_uv=False)
     assert both[7] / both[0] > 1e-6 and both[8] / both[0] < 1e-12
 

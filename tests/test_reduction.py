@@ -19,18 +19,18 @@ from pqgeom.projspace import (SpherePoint, base_point, random_sphere_point,
                               transitive_element)
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               NonRegularError, NullOrbitError,
-                              ReductionScene, StepTooSmallError,
-                              admissible_directions, build_flat_scene,
-                              build_pq_scene, empty_levelset_check,
-                              flat_adapted_moment, flat_circle_moment,
+                              ReductionScene, admissible_directions,
+                              build_flat_scene, build_pq_scene,
+                              empty_levelset_check, flat_circle_moment,
                               flat_killing, flat_level_sample,
+                              flat_moment_gradient_check,
+                              flat_orthogonality_check,
                               flat_quotient_coordinates,
                               flat_quotient_residuals, flat_reduced_structure,
                               isotropy_moment_traces, killing_derivative,
-                              killing_horizontal, moment_gradient_check,
-                              reduced_jacobi, structure_orthogonality_check,
-                              weighted_flow, weighted_flow_exact,
-                              weighted_killing,
+                              pq_orthogonality_check, pq_zero_set_check,
+                              reduced_jacobi,
+                              weighted_flow_exact, weighted_killing,
                               weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value, weighted_regularity)
@@ -95,12 +95,13 @@ def test_flat_adapted_gradient_exact():
             assert exactla.max_abs(adapted[a] - want) == 0
 
 
-def test_flat_gradient_check_numeric():
-    scene = ReductionScene(action="flat-s1", rank=3, seed=3)
-    rep = moment_gradient_check(scene, samples=120, step=1e-5)
-    assert rep.max_residual <= 5e-4
-    with pytest.raises(StepTooSmallError):
-        moment_gradient_check(scene, samples=1, step=1e-13)
+def test_flat_gradient_check_numeric(monkeypatch):
+    # the halved difference of a quadratic is its differential: exact 0
+    assert flat_moment_gradient_check(3, 120, random.Random(3)) == 0
+    # the unrelabelled moment components fail the defining equation
+    import pqgeom.reduction as red
+    monkeypatch.setattr(red, "flat_adapted_moment", flat_circle_moment)
+    assert flat_moment_gradient_check(3, 5, random.Random(3)) > 0
 
 
 def test_flat_reduced_structure_exact():
@@ -166,8 +167,7 @@ def test_flat_quotient_image_equations():
 
 
 def test_flat_orthogonality():
-    scene = ReductionScene(action="flat-s1", rank=3, seed=7)
-    assert structure_orthogonality_check(scene, samples=4) == 0
+    assert flat_orthogonality_check(3, 4, random.Random(7)) == 0
 
 
 def test_flat_scene_build_and_serialise():
@@ -238,13 +238,13 @@ def test_level_sampler_other_weights():
     assert regular and value == -6
 
 
-def test_flow_float_preserves_norms():
+def test_flow_preserves_norms():
+    # off the level set too: the flow preserves the scalar product
     rng = random.Random(12)
     u = random_sphere_point(rng, 3)
-    coords = np.array(u.x.to_real(), dtype=float)
-    uf = PQVector.from_real(coords)
-    moved = weighted_flow(1, 2, 0.37, uf)
-    assert abs(float(module_scalar_product(moved, moved)) - 1.0) < 1e-12
+    for param in (Fraction(37, 100), Fraction(-2, 3)):
+        moved = weighted_flow_exact(1, 2, param, u.x)
+        assert module_scalar_product(moved, moved) == 1
 
 
 def test_level_value_fiber_translation():
@@ -273,10 +273,7 @@ def test_level_gradient_row_consistency():
 
 
 def test_isotropy_route_zero_set_agreement():
-    scene = ReductionScene(action="pq", p=1, q=2, seed=15)
-    rep = moment_gradient_check(scene, samples=30)
-    assert rep.zero_sets_agree
-    assert rep.agreements == 30 and rep.disagreements == 0
+    assert pq_zero_set_check(1, 2, 30, random.Random(15)) == 0
 
 
 def test_isotropy_traces_nonzero_off_level():
@@ -388,8 +385,7 @@ def test_float_sampler_quality():
 
 
 def test_pq_orthogonality_exact():
-    scene = ReductionScene(action="pq", p=1, q=2, seed=21)
-    assert structure_orthogonality_check(scene, samples=3) == 0
+    assert pq_orthogonality_check(1, 2, 3, random.Random(21)) == 0
 
 
 def test_empty_variant_level_set():
@@ -492,6 +488,16 @@ def _drop_seed(payload):
     del payload["manifest"]["seed"]
 
 
+def _flat(first):
+    """A change to a flat-s1 scene whose point has the first coefficient
+    `first`: the base point (1, 0, 0) lies on the flat level set, the
+    point (2, 0, 0) has the moment (-4, 0, 0)."""
+    def change(payload):
+        payload["manifest"].update(action="flat-s1", p=None, q=None, xi=FLAT)
+        payload["points"][0][0][0] = first
+    return change
+
+
 @pytest.mark.parametrize("change", [
     _drop_seed,
     _set("manifest", "action", "nope"),
@@ -502,9 +508,10 @@ def _drop_seed(payload):
     _set("points", 0, [["1", "0", "0", "0"], ["0", "0", "0", "0"]]),
     _set("points", 0, 1, ["0", "0", "0"]),
     _set("points", 0, 0, 0, True),
+    _flat("2"),
 ], ids=["missing-key", "unknown-action", "list-coordinate",
         "null-coordinate", "p-equals-q", "pq-rank-4", "two-entry-point",
-        "three-coefficients", "bool-coordinate"])
+        "three-coefficients", "bool-coordinate", "flat-off-level"])
 def test_scene_from_json_rejects_malformed_manifest(change):
     scene = ReductionScene(action="pq", rank=3, p=1, q=2,
                            points=[base_point(3)])
@@ -515,9 +522,15 @@ def test_scene_from_json_rejects_malformed_manifest(change):
         scene_from_json(json.dumps(payload))
 
 
-def test_moment_check_unknown_action():
-    with pytest.raises(ValueError):
-        moment_gradient_check(ReductionScene(action="nope"), samples=1)
+def test_flat_scene_from_json_checks_the_level():
+    scene = ReductionScene(action="pq", rank=3, p=1, q=2,
+                           points=[base_point(3)])
+    payload = json.loads(scene_to_json(scene))
+    _flat("1")(payload)
+    assert scene_from_json(json.dumps(payload)).points == [base_point(3).x]
+    _flat("2")(payload)
+    with pytest.raises(ValueError, match="off the flat level set"):
+        scene_from_json(json.dumps(payload))
 
 
 # -- quotient-curvature oracle ------------------------------------------------
