@@ -528,8 +528,13 @@ def test_flat_scene_from_json_checks_the_level():
     payload = json.loads(scene_to_json(scene))
     _flat("1")(payload)
     assert scene_from_json(json.dumps(payload)).points == [base_point(3).x]
+    # off the level: the moment is (-4, 0, 0)
     _flat("2")(payload)
-    with pytest.raises(ValueError, match="off the flat level set"):
+    with pytest.raises(ValueError, match="flat level set"):
+        scene_from_json(json.dumps(payload))
+    # on the level, but float coordinates: the flat scene is exact
+    _flat(1.0)(payload)
+    with pytest.raises(ValueError, match="flat level set"):
         scene_from_json(json.dumps(payload))
 
 
