@@ -18,6 +18,13 @@ array.  Python ints do not overflow, so no magnitude bound is needed.
 computed this way: each factor is scaled once, the chain of products runs
 on Python ints, and the result is divided by the product of the scales at
 the end (a Fraction, not an array, when the chain contracts to a scalar).
+Its users: the fiber Gram of ``projspace.tangent_split`` and the induced
+metric of ``induced_geometry``; the reduced metric of
+``reduction.flat_reduced_structure`` and the normal residuals of the
+orthogonality checks; ``linalg.adopted_basis`` and ``grassman_split``; and
+the CLI checks representation-homomorphism, adopted-basis-rank,
+tensor-split-blocks and lift-independence.  Products with the neutral
+metric are not among them: ``linalg.apply_metric`` is a sign flip.
 
 Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
 scaled integers: it eliminates a pivot column from the rows that are

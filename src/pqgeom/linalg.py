@@ -258,6 +258,16 @@ def metric_matrix(n: int) -> np.ndarray:
     return g
 
 
+def apply_metric(X) -> np.ndarray:
+    """g @ X for the neutral metric g = metric_matrix(n), on axis 0 of X
+    (4n rows): a sign flip of the j and k coordinates, with no product,
+    exact on every dtype.  X @ g is apply_metric(X.T).T."""
+    out = np.array(X)
+    rows = np.flatnonzero(np.arange(len(out)) % 4 > 1)
+    out[rows] = -out[rows]
+    return out
+
+
 class HermitianStructure:
     """A triple (J1, J2, J3) of endomorphisms with the cyclic product
     table, all skew-symmetric for a neutral metric g."""
@@ -340,6 +350,26 @@ def structure_endos(n: int) -> HermitianStructure:
     """Standard structure on H^n: J_a = right multiplication by conj(e_a),
     with the metric of the neutral scalar product (shared, read-only)."""
     return _block_structure(n, "right")
+
+
+@functools.cache
+def _unit_permutation(n: int, a: int):
+    """(cols, neg) of the signed permutation structure_endos(n).J[a]: row
+    r has its one nonzero entry in column cols[r], and that entry is -1
+    exactly for the rows r listed in neg."""
+    Ja = structure_endos(n).J[a]
+    cols = np.argmax(Ja != 0, axis=1)
+    return cols, np.flatnonzero(Ja[np.arange(4 * n), cols] < 0)
+
+
+def right_unit_action(X, a: int) -> np.ndarray:
+    """J_a @ X, i.e. x -> x conj(e_a) on axis 0 of real coordinates X: a
+    signed permutation, applied by indexing and negation, exact on every
+    dtype.  Right multiplication by e_a itself is its negative."""
+    cols, neg = _unit_permutation(len(X) // 4, a)
+    out = np.asarray(X)[cols]
+    out[neg] = -out[neg]
+    return out
 
 
 def left_structure_endos(n: int) -> HermitianStructure:
@@ -442,8 +472,9 @@ def adopted_basis(H: HermitianStructure, rng=None) -> list[np.ndarray]:
             candidates.append(exactla.fracarray(
                 [rng.randint(-5, 5) for _ in range(dim)]))
     current_rank = 0
+    Js = np.stack(H.J)
     for v in candidates:
-        quad = np.stack([v, H.J[0] @ v, H.J[1] @ v, H.J[2] @ v], axis=1)
+        quad = np.column_stack([v, *exactla.product(Js, v)])
         trial = np.concatenate([kept, quad], axis=1)
         if exactla.rank(trial) == current_rank + 4:
             kept = trial
@@ -505,15 +536,13 @@ def grassman_split(H: HermitianStructure) -> GrassmanSplit:
     ident = exactla.eye(dim)
     h1 = ident - J3
     h2 = J1 + J2
-    e_basis = seeds + [J2 @ e for e in seeds]
-    cols = []
-    for e in e_basis:
-        cols.append(h1 @ e)
-        cols.append(h2 @ e)
-    change = np.stack(cols, axis=1)
+    e_basis = seeds + list(exactla.product(J2, np.stack(seeds, axis=1)).T)
+    # columns h1 e, h2 e for each e of e_basis in turn
+    change = exactla.product(np.stack([h1, h2]), np.stack(e_basis, axis=1))
+    change = change.transpose(1, 2, 0).reshape(dim, -1)
     if exactla.rank(change) != dim:
         raise DegenerateStructureError("tensor basis is degenerate")
-    gt = change.T @ H.g @ change
+    gt = exactla.product(change.T, H.g, change)
     m = len(e_basis)
     omega_e = exactla.zeros((m, m))
     for i in range(m):

@@ -8,24 +8,36 @@ exactly diag(1, -1, -1), so fibers are nondegenerate of signature (2, 1)
 and the horizontal complement carries an induced metric of signature
 (2n, 2n) together with the structure triple v -> v conj(e_a).
 
+Real coordinates.  The neutral metric g is diagonal with entries
+(1, 1, -1, -1) per entry, so g @ X is a sign flip
+(``linalg.apply_metric``), and right multiplication by a unit is a signed
+permutation (``linalg.right_unit_action``); neither forms a product, and
+both are exact on every dtype.  The remaining exact products (the fiber
+and induced Grams) run through ``exactla.product``.
+
 The transitive-element construction completes a unit lift to a matrix
 preserving both the neutral scalar product and the quaternionic
 structure (the group whose real representation is the symplectic
 group), using Gram-Schmidt for the quaternion-valued hermitian pairing
-s(u, v) = sum conj(u_i) v_i.  Exact rational normalisation is always
+s(u, v) = sum conj(u_i) v_i.  The columns are s-orthonormal, so the
+classical and the modified process agree; it runs fraction-free on the
+scaled-integer real coordinates of the target, and each column becomes
+Fractions once, at the end.  Exact rational normalisation is always
 possible because the norm form represents every nonzero rational.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactla
-from .algebra import IMAGINARY_UNITS, SplitQuaternion
-from .linalg import (HermitianStructure, PQMatrix, PQVector, metric_matrix,
-                     module_scalar_product, random_quaternion)
+from .algebra import SplitQuaternion
+from .linalg import (HermitianStructure, PQMatrix, PQVector, apply_metric,
+                     module_scalar_product, random_quaternion,
+                     right_mult_matrix, right_unit_action)
 
 VERTICAL_GRAM = exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
 
@@ -111,15 +123,6 @@ def random_unit_quaternion(rng) -> SplitQuaternion:
         return SplitQuaternion(1) + d.scale(t)
 
 
-def unit_scaling(norm) -> SplitQuaternion:
-    """A quaternion q with |q|^2 = 1/norm, for any nonzero rational norm.
-
-    The norm form a^2 + b^2 - c^2 - d^2 represents every rational value:
-    with b = c = 0 it factors as (a - d)(a + d)."""
-    r = Fraction(1) / Fraction(norm)
-    return SplitQuaternion((1 + r) / 2, 0, 0, (r - 1) / 2)
-
-
 # ---------------------------------------------------------------------------
 # tangent splitting and induced geometry
 # ---------------------------------------------------------------------------
@@ -140,27 +143,22 @@ class TangentSplit:
         self.horizontal = horizontal
 
 
-def vertical_frame(x: SpherePoint) -> np.ndarray:
-    cols = [x.x.right_mul(u).to_real() for u in IMAGINARY_UNITS]
-    return np.stack(cols, axis=1)
-
-
-def _ambient_metric(rank: int, exact: bool = True) -> np.ndarray:
-    g = metric_matrix(rank)
-    return g if exact else np.asarray(g, dtype=float)
+def vertical_frame(coords: np.ndarray) -> np.ndarray:
+    """Real coordinates of (x i, x j, x k) from those of x (axis 0), on
+    every dtype: x e_a = -J_a x."""
+    return np.stack([-right_unit_action(coords, a) for a in range(3)], axis=1)
 
 
 def tangent_split(x: SpherePoint) -> TangentSplit:
     """Split the tangent space of the sphere at x into the fiber direction
     frame and its orthogonal complement.  Exact lifts only: a float lift
     raises TypeError."""
-    g = metric_matrix(x.rank)
     # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk)
-    frame4 = np.concatenate([x.x.to_real().reshape(-1, 1), vertical_frame(x)],
+    coords = x.x.to_real()
+    frame4 = np.concatenate([coords.reshape(-1, 1), vertical_frame(coords)],
                             axis=1)
-    exactla.require_exact(frame4)
     vert = frame4[:, 1:]
-    gram = vert.T @ g @ vert
+    gram = exactla.product(vert.T, apply_metric(vert))
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
     # comparison (not the inertia) detects a positive lift off the sphere
     if (gram != VERTICAL_GRAM).any():
@@ -168,7 +166,7 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
-    horizontal = exactla.nullspace(frame4.T @ g)
+    horizontal = exactla.nullspace(apply_metric(frame4).T)
     if horizontal.shape[1] != 4 * x.rank - 4:
         raise DegenerateOrbitError("horizontal frame incomplete")
     return TangentSplit(x, vert, horizontal)
@@ -177,15 +175,14 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
 def horizontal_project(x: SpherePoint, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection of an ambient vector onto the horizontal
     space at x (drops the position and fiber components)."""
-    exact = x.is_exact()
-    g = _ambient_metric(x.rank, exact)
-    frame4 = np.concatenate([x.x.to_real().reshape(-1, 1),
-                             vertical_frame(x)], axis=1)
-    if not exact:
-        frame4 = np.asarray(frame4, dtype=float)
+    coords = x.x.to_real()
+    if not x.is_exact():
+        coords = np.asarray(coords, dtype=float)
         v = np.asarray(v, dtype=float)
-    g4 = frame4.T @ g @ frame4
-    coef = exactla.solve_any(g4, frame4.T @ (g @ v))
+    frame4 = np.concatenate([coords.reshape(-1, 1), vertical_frame(coords)],
+                            axis=1)
+    g4 = apply_metric(frame4).T @ frame4
+    coef = exactla.solve_any(g4, frame4.T @ apply_metric(v))
     return v - frame4 @ coef
 
 
@@ -197,16 +194,11 @@ def induced_geometry(x: SpherePoint):
     in frame coordinates.  Both are exact at rational points.
     """
     frame = tangent_split(x).horizontal
-    g = _ambient_metric(x.rank)
-    g_h = frame.T @ g @ frame
+    g_h = exactla.product(frame.T, apply_metric(frame))
     Js = []
-    for u in IMAGINARY_UNITS:
-        image_cols = []
-        for c in range(frame.shape[1]):
-            vec = PQVector.from_real(frame[:, c]).right_mul(u.conj()).to_real()
-            image_cols.append(vec)
-        img = np.stack(image_cols, axis=1)
-        coords, residual = exactla.frame_coordinates(frame, img)
+    for a in range(3):
+        coords, residual = exactla.frame_coordinates(
+            frame, right_unit_action(frame, a))
         if residual != 0:
             raise DegenerateOrbitError("structure does not preserve the frame")
         Js.append(coords)
@@ -218,39 +210,40 @@ def induced_geometry(x: SpherePoint):
 # ---------------------------------------------------------------------------
 
 
-def hermitian_pairing(u: PQVector, v: PQVector) -> SplitQuaternion:
-    """Quaternion-valued pairing s(u, v) = sum conj(u_i) v_i; its real
-    part is the neutral scalar product."""
-    total = SplitQuaternion()
-    for a, b in zip(u.entries, v.entries):
-        total = total + a.conj() * b
-    return total
-
-
 def transitive_element(target: SpherePoint) -> PQMatrix:
     """A scalar-product-preserving matrix sending the base point to target.
 
     Columns are built by Gram-Schmidt for the hermitian pairing, starting
-    from the target; residual norms are rescaled to one exactly by a
-    right quaternion factor.
+    from the target and running through the coordinate vectors e_s, on
+    scaled integers: with s(c, e_s) = conj(c_s), the candidate is
+    v = e_s - sum_c c conj(c_s) = V / den.  Its square norm
+    r = (V^T g V) / den^2 = N / den^2 is rescaled to one exactly by the
+    right factor q = ((1 + 1/r) / 2, 0, 0, (1/r - 1) / 2), of square norm
+    1/r, so the new column is ((N + den^2) V + (den^2 - N) V k) / (2 den N),
+    reduced by its gcd.  A null candidate (N = 0) is skipped.
     """
     rank = target.rank
-    cols = [target.x]
-    pool = []
+    cols = [exactla.scaled_integers(target.x.to_real())]
     for s in range(rank):
-        coords = [SplitQuaternion(1 if i == s else 0) for i in range(rank)]
-        pool.append(PQVector(coords))
-    for cand in pool:
         if len(cols) == rank:
             break
-        v = cand
-        for c in cols:
-            v = v - c.right_mul(hermitian_pairing(c, v))
-        r = hermitian_pairing(v, v).a
-        if r == 0:
+        den = math.lcm(*(L * L for _, L in cols))
+        V = np.zeros(4 * rank, dtype=object)
+        V[4 * s] = den
+        for C, L in cols:
+            cs = SplitQuaternion(*C[4 * s:4 * s + 4]).conj()
+            V -= (den // (L * L)) * (C.reshape(-1, 4)
+                                     @ right_mult_matrix(cs).T).reshape(-1)
+        N = V @ apply_metric(V)
+        if N == 0:
             continue
-        cols.append(v.right_mul(unit_scaling(r)))
+        # V k = -J_3 V
+        C = ((N + den * den) * V
+             - (den * den - N) * right_unit_action(V, 2))
+        g = math.gcd(*C, 2 * den * N) * (1 if N > 0 else -1)
+        cols.append((C // g, 2 * den * N // g))
     if len(cols) != rank:
         raise CompletionFailureError("candidate pool exhausted")
-    entries = [[cols[c].entries[r] for c in range(rank)] for r in range(rank)]
-    return PQMatrix(entries)
+    coords = [exactla.from_scaled_integers(C, L) for C, L in cols]
+    return PQMatrix([[SplitQuaternion(*col[4 * r:4 * r + 4]) for col in coords]
+                     for r in range(rank)])

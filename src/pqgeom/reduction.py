@@ -71,11 +71,10 @@ from . import exactla
 from .algebra import IMAGINARY_UNITS, J, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
-from .linalg import (HermitianStructure, PQMatrix, PQVector, left_mult_matrix,
-                     metric_matrix, module_scalar_product, right_mult_matrix,
-                     structure_endos)
-from .projspace import (VERTICAL_GRAM, SpherePoint, _ambient_metric,
-                        horizontal_project, random_sphere_point,
+from .linalg import (HermitianStructure, PQMatrix, PQVector, apply_metric,
+                     left_mult_matrix, module_scalar_product,
+                     right_mult_matrix, right_unit_action, structure_endos)
+from .projspace import (SpherePoint, horizontal_project, random_sphere_point,
                         transitive_element, vertical_frame)
 
 
@@ -250,15 +249,13 @@ def flat_reduced_structure(h: PQVector) -> ReducedStructure:
     if exactla.rank(rows) != 3:
         raise DegenerateLevelSetError("constraint differentials degenerate")
     V = flat_killing(h).to_real()
-    g = metric_matrix(h.rank)
-    if V @ g @ V == 0:
+    gV = apply_metric(V)
+    if gV @ V == 0:
         raise NullOrbitError("orbit direction is null")
-    con = np.concatenate([rows, (g @ V).reshape(1, -1)], axis=0)
-    frame = exactla.nullspace(con)
-    H = structure_endos(h.rank)
-    g_red = exactla.product(frame.T, g, frame)
+    frame = exactla.nullspace(np.concatenate([rows, gV.reshape(1, -1)]))
+    g_red = exactla.product(frame.T, apply_metric(frame))
     coords, residual = exactla.frame_coordinates(
-        frame, np.concatenate([exactla.product(Ja, frame) for Ja in H.J],
+        frame, np.concatenate([right_unit_action(frame, a) for a in range(3)],
                               axis=1))
     if residual != 0:
         raise DegenerateLevelSetError("structure leaves the frame")
@@ -338,11 +335,16 @@ def _weighted_sandwich(ws, entries, axis: SplitQuaternion) -> SplitQuaternion:
 
 
 def weighted_level_value(p: int, q: int, u: SpherePoint) -> ImValue:
-    """Imaginary value q conj(u0) j u0 + p conj(u1) j u1 + p conj(u2) j u2."""
-    total = _weighted_sandwich(_weights(p, q), u.x.entries, J)
-    if abs(float(total.a)) > 1e-14:
-        raise ArithmeticError("level value acquired a real part")
-    return ImValue(total.b, total.c, total.d)
+    """Imaginary value q conj(u0) j u0 + p conj(u1) j u1 + p conj(u2) j u2,
+    by the closed form conj(h) j h = (0, -2(ad + bc), a^2 - b^2 - c^2 + d^2,
+    -2(ab + cd)) of h = a + b i + c j + d k, on any scalar type."""
+    i = j = k = 0
+    for w, h in zip(_weights(p, q), u.x.entries):
+        a, b, c, d = h.coefficients()
+        i -= 2 * w * (a * d + b * c)
+        j += w * (a * a - b * b - c * c + d * d)
+        k -= 2 * w * (a * b + c * d)
+    return ImValue(i, j, k)
 
 
 def weighted_regularity(p: int, q: int, u: SpherePoint):
@@ -420,16 +422,18 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
 
     The conjugated generator eta is formed from real actions: the real
     action is an algebra homomorphism, so that of eta is the product of
-    the real actions of the three factors, on scaled integers.  s is the
-    first column of its top-left 4 x 4 block (the left multiplication by
-    s), B acts through the lower-right 8 x 8 block, and the traces are
-    summed on integers.
+    the real actions of the three factors.  With A the real action of the
+    group element scaled to integers over LA, that of its conjugate
+    transpose is G A^T G / LA (L(conj q) = G L(q)^T G entrywise, G the
+    neutral metric), so E = G A^T G D A is eta over LA^2, one integer
+    chain.  s is the first column of its top-left 4 x 4 block (the left
+    multiplication by s), B acts through the lower-right 8 x 8 block, and
+    the traces are summed on integers.
     """
-    gmat = transitive_element(u)
-    eta = exactla.product(gmat.conj_transpose().to_real_action(),
-                          _generator_matrix(p, q).to_real_action(),
-                          gmat.to_real_action())
-    E, scale = exactla.scaled_integers(eta)
+    A, LA = exactla.scaled_integers(transitive_element(u).to_real_action())
+    D, _ = exactla.scaled_integers(_generator_matrix(p, q).to_real_action())
+    E = apply_metric(apply_metric(A).T) @ D @ A
+    scale = LA * LA
     L = E[4:, 4:]
     rconj = right_mult_matrix(SplitQuaternion(*E[:4, 0]).conj())
     for v in range(2):
@@ -460,20 +464,15 @@ def killing_derivative(p: int, q: int, u: SpherePoint,
     """
     exact = u.is_exact()
     D = _generator_matrix(p, q)
-    x = u.x
-    Xq = PQVector.from_real(X)
-    DX = _real_coords(D @ Xq, exact)
-    Du = _real_coords(D @ x, exact)
-    g = _ambient_metric(3, exact)
+    DX = _real_coords(D @ PQVector.from_real(X), exact)
+    Du = _real_coords(D @ u.x, exact)
+    vert_u = vertical_frame(_real_coords(u.x, exact))
+    vert_X = vertical_frame(X)
+    coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(Du)
+    coef_b = vert_u.T @ apply_metric(Du)
     # the fiber Gram diag(1, -1, -1) is its own inverse
-    vg_inv = VERTICAL_GRAM if exact else np.asarray(VERTICAL_GRAM, dtype=float)
-    vert_u = np.stack([_real_coords(x.right_mul(e), exact)
-                       for e in IMAGINARY_UNITS], axis=1)
-    vert_X = np.stack([_real_coords(Xq.right_mul(e), exact)
-                       for e in IMAGINARY_UNITS], axis=1)
-    coef_a = vert_u.T @ (g @ DX) + vert_X.T @ (g @ Du)
-    coef_b = vert_u.T @ (g @ Du)
-    deriv = DX - vert_u @ (vg_inv @ coef_a) - vert_X @ (vg_inv @ coef_b)
+    coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
+    deriv = DX - vert_u @ coef_a - vert_X @ coef_b
     return horizontal_project(u, deriv)
 
 
@@ -511,21 +510,20 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
         raise NonRegularError("point fails the regularity condition")
     exact = u.is_exact()
     tol = 0 if exact else 1e-9
-    g = _ambient_metric(3, exact)
     Vh = killing_horizontal(p, q, u)
-    vnorm = Vh @ g @ Vh
+    vnorm = apply_metric(Vh) @ Vh
     if abs(float(vnorm)) <= tol:
         raise NullKillingError("Killing field is null here")
-    xnorm = X @ g @ X
+    xnorm = apply_metric(X) @ X
     if abs(float(xnorm)) <= tol:
         raise NullDirectionError("direction is null")
-    span = _killing_span(u, Vh)
-    if float(exactla.max_abs(span.T @ (g @ X))) > 1e-8:
+    span = _killing_span(Vh)
+    if float(exactla.max_abs(span.T @ apply_metric(X))) > 1e-8:
         raise ValueError("direction not orthogonal to the Killing span")
     VX = killing_derivative(p, q, u, X)
-    h_part = VX - span @ exactla.solve_any(span.T @ g @ span,
-                                           span.T @ (g @ VX))
-    hnorm = h_part @ g @ h_part
+    h_part = VX - span @ exactla.solve_any(apply_metric(span).T @ span,
+                                           span.T @ apply_metric(VX))
+    hnorm = apply_metric(h_part) @ h_part
     ratio = hnorm / (xnorm * vnorm)
     const = _ambient_constant()
     nu = const / 4   # reduced scalar curvature, const / (n + 2) at n = 2
@@ -535,13 +533,10 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
                          killing_norm=vnorm, einstein_constant=const)
 
 
-def _killing_span(u: SpherePoint, Vh: np.ndarray) -> np.ndarray:
-    exact = u.is_exact()
-    cols = [Vh]
-    vq = PQVector.from_real(Vh)
-    for e in IMAGINARY_UNITS:
-        cols.append(_real_coords(vq.right_mul(e.conj()), exact))
-    return np.stack(cols, axis=1)
+def _killing_span(Vh: np.ndarray) -> np.ndarray:
+    """Columns V, J1 V, J2 V, J3 V, on the dtype of V."""
+    return np.stack([Vh] + [right_unit_action(Vh, a) for a in range(3)],
+                    axis=1)
 
 
 def admissible_directions(p: int, q: int, u: SpherePoint, rng,
@@ -549,23 +544,17 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     """Seeded horizontal directions orthogonal to the Killing span, with
     g(X, X) != 0; exact rational at exact points."""
     exact = u.is_exact()
-    g = _ambient_metric(3, exact)
-    Vh = killing_horizontal(p, q, u)
-    span = _killing_span(u, Vh)
-    rows = [_real_coords(u.x, exact) @ g]
-    vert = vertical_frame(u)
-    if not exact:
-        vert = np.asarray(vert, dtype=float)
-    rows.extend((vert[:, a] @ g) for a in range(3))
-    rows.extend((span[:, a] @ g) for a in range(4))
-    basis = exactla.nullspace_any(np.stack(rows, axis=0))
+    coords = _real_coords(u.x, exact)
+    span = _killing_span(killing_horizontal(p, q, u))
+    basis = exactla.nullspace_any(apply_metric(np.concatenate(
+        [coords.reshape(-1, 1), vertical_frame(coords), span], axis=1)).T)
     out = []
     while len(out) < count:
         raw = [rng.randint(-4, 4) for _ in range(basis.shape[1])]
         coef = exactla.fracarray(raw) if exact else np.asarray(raw,
                                                                dtype=float)
         X = basis @ coef
-        if abs(float(X @ g @ X)) > (0 if exact else 1e-8):
+        if abs(float(apply_metric(X) @ X)) > (0 if exact else 1e-8):
             out.append(X)
     return out
 
@@ -627,8 +616,8 @@ def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
             continue
         u = SpherePoint(PQVector.from_real(coords), tol=10 * _ROOT_TOL)
         regular, _ = weighted_regularity(p, q, u)
-        vnorm = float(killing_horizontal(p, q, u) @ _ambient_metric(3, False)
-                      @ killing_horizontal(p, q, u))
+        Vh = killing_horizontal(p, q, u)
+        vnorm = float(apply_metric(Vh) @ Vh)
         if regular and abs(vnorm) > 1e-6:
             return u
 
@@ -641,10 +630,10 @@ def _pq_system(ws, vec: PQVector) -> np.ndarray:
 
 def _pq_system_jacobian(p: int, q: int, vec: PQVector) -> np.ndarray:
     """Level-value rows of _level_gradient_rows plus the sphere row."""
-    g = _ambient_metric(3, False)
     coords = np.asarray(vec.to_real(), dtype=float)
     level = _level_gradient_rows(p, q, SpherePoint(vec, check=False))
-    return np.vstack([np.asarray(level, dtype=float), 2.0 * (g @ coords)])
+    return np.vstack([np.asarray(level, dtype=float),
+                      2.0 * apply_metric(coords)])
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +720,7 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
     because fhat is quadratic.  Both terms are homogeneous of degree 2,
     so they are formed at (A, B) on integers and divided by D^2."""
     omega, scale = exactla.scaled_integers(
-        np.stack([Ja.T @ metric_matrix(rank) for Ja in structure_endos(rank).J]))
+        np.stack([apply_metric(Ja).T for Ja in structure_endos(rank).J]))
     worst = Fraction(0)
     for _ in range(samples):
         A, B = (np.array([rng.randint(-20, 20) for _ in range(4 * rank)],
@@ -763,37 +752,35 @@ def pq_zero_set_check(p: int, q: int, samples: int, rng) -> int:
     return disagreements
 
 
-def _normal_residual(frame: np.ndarray, killing: PQVector, g) -> Fraction:
-    """Max |g(J_a V, T)| over the frame columns T and the three J_a V."""
-    return max(exactla.max_abs(frame.T @ (g @ killing.right_mul(e.conj())
-                                          .to_real()))
-               for e in IMAGINARY_UNITS)
+def _normal_residual(frame: np.ndarray, killing: np.ndarray) -> Fraction:
+    """Max |g(J_a V, T)| over the frame columns T and the three J_a V, from
+    the real coordinates of V."""
+    return exactla.max_abs(exactla.product(
+        frame.T, apply_metric(_killing_span(killing)[:, 1:])))
 
 
 def flat_orthogonality_check(rank: int, samples: int, rng) -> Fraction:
     """Max |<J_a V, T>| over tangents T of the flat level set: the images
     of the Killing field under the structure triple are normal to it."""
-    g = metric_matrix(rank)
     worst = Fraction(0)
     for _ in range(samples):
         h = flat_level_sample(rng, rank)
         frame = exactla.nullspace(_moment_gradient_rows(h))
-        worst = max(worst, _normal_residual(frame, flat_killing(h), g))
+        worst = max(worst, _normal_residual(frame, flat_killing(h).to_real()))
     return worst
 
 
 def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> Fraction:
     """Max |<J_a V, T>| over tangents T of the weighted level set inside
     the sphere, with V the horizontal Killing field."""
-    g = metric_matrix(3)
     worst = Fraction(0)
     for _ in range(samples):
         u = weighted_level_sample(rng, p, q)
         rows = _level_gradient_rows(p, q, u)
-        tangency = (u.x.to_real() @ g).reshape(1, -1)
+        tangency = apply_metric(u.x.to_real()).reshape(1, -1)
         frame = exactla.nullspace(np.concatenate([rows, tangency]))
-        Vh = PQVector.from_real(killing_horizontal(p, q, u))
-        worst = max(worst, _normal_residual(frame, Vh, g))
+        worst = max(worst, _normal_residual(frame,
+                                            killing_horizontal(p, q, u)))
     return worst
 
 

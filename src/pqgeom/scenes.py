@@ -52,8 +52,10 @@ def scene_from_json(text: str) -> ReductionScene:
     action does not allow, a level that does not match the action, a
     point without `rank` entries or an entry without four coefficients, a
     coordinate that is neither a rational string nor a number, an
-    off-sphere point of the pq scene, and a point of the flat scene that
-    is not exact (rational strings) or lies off its level set FLAT_LEVEL."""
+    off-sphere point of the pq scene (a float point within the reader's
+    bound ReductionScene.tolerance = 1e-9, whatever the manifest's
+    `tolerance`), and a point of the flat scene that is not exact
+    (rational strings) or lies off its level set FLAT_LEVEL."""
     try:
         return _scene_from_payload(json.loads(text))
     except (KeyError, TypeError, ZeroDivisionError) as err:
@@ -81,8 +83,9 @@ def _scene_from_payload(payload) -> ReductionScene:
         vec = PQVector(SplitQuaternion(*map(_coordinate, h)) for h in coords)
         if scene.action == "pq":
             floating = isinstance(vec.entries[0].a, float)
-            scene.points.append(
-                SpherePoint(vec, tol=scene.tolerance if floating else 0))
+            # the bound of float points is the reader's, not the file's
+            scene.points.append(SpherePoint(
+                vec, tol=ReductionScene.tolerance if floating else 0))
         elif any(not isinstance(c, str) for h in coords for c in h) \
                 or flat_circle_moment(vec) != FLAT_LEVEL:
             raise ValueError(f"point {coords!r} is not an exact point of "

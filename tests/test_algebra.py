@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqgeom.algebra import (EPS, I, J, K, ONE, UNITS, NullQuaternionError,
+from pqgeom.algebra import (EPS, I, J, K, ONE, NullQuaternionError,
                             SplitQuaternion, circle_point, conj_norm,
                             hyperbola_point, scalar_product)
 

@@ -75,3 +75,16 @@ def test_unknown_suite_exits_2(capsys):
 def test_run_suite_rejects_bad_config(config):
     with pytest.raises(InvalidConfigError):
         run_suite("algebra", config)
+
+
+def test_wrong_fiber_gram_is_a_failure(monkeypatch):
+    # tangent_split raises DegenerateOrbitError when the fiber Gram is not
+    # VERTICAL_GRAM; fiber-gram-signature counts each such sample as bad
+    from pqgeom import exactla, projspace
+    monkeypatch.setattr(projspace, "VERTICAL_GRAM",
+                        exactla.fracarray([[1, 0, 0], [0, 1, 0], [0, 0, -1]]))
+    reports = {r.name: r for r in run_suite("projspace",
+                                            CheckConfig(samples=50))}
+    gram = reports["fiber-gram-signature"]
+    assert gram.status == "fail"
+    assert gram.max_residual == gram.sample_count == 5

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
-from pqgeom.algebra import EPS, I, J, K, SplitQuaternion
+from pqgeom.algebra import EPS, I, J, SplitQuaternion
 from pqgeom.curvature import (curvature_from_bilinear, projective_curvature,
                               ricci, ricci_split, weyl_sample)
 from pqgeom.forms import BilinearForm

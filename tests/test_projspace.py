@@ -6,14 +6,57 @@ import pytest
 
 from pqgeom import exactla
 from pqgeom.algebra import IMAGINARY_UNITS, SplitQuaternion
-from pqgeom.linalg import (PQMatrix, PQVector, metric_matrix,
-                           module_scalar_product, sp_group_membership)
-from pqgeom.projspace import (DegenerateOrbitError, SpherePoint, base_point,
-                              hermitian_pairing, horizontal_project,
+from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
+                           module_scalar_product, random_pq_vector,
+                           right_unit_action, sp_group_membership)
+from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
+                              SpherePoint, base_point, horizontal_project,
                               induced_geometry, random_sphere_point,
                               random_unit_quaternion, sphere_point_through,
-                              tangent_split, transitive_element, unit_scaling,
+                              tangent_split, transitive_element,
                               vertical_frame)
+from pqgeom.reduction import weighted_level_sample
+
+
+def hermitian_pairing(u: PQVector, v: PQVector) -> SplitQuaternion:
+    """Quaternion-valued pairing s(u, v) = sum conj(u_i) v_i; its real
+    part is the neutral scalar product."""
+    total = SplitQuaternion()
+    for a, b in zip(u.entries, v.entries):
+        total = total + a.conj() * b
+    return total
+
+
+def unit_scaling(norm) -> SplitQuaternion:
+    """A quaternion q with |q|^2 = 1/norm, for any nonzero rational norm.
+
+    The norm form a^2 + b^2 - c^2 - d^2 represents every rational value:
+    with b = c = 0 it factors as (a - d)(a + d)."""
+    r = Fraction(1) / Fraction(norm)
+    return SplitQuaternion((1 + r) / 2, 0, 0, (r - 1) / 2)
+
+
+def ref_transitive_element(target: SpherePoint) -> PQMatrix:
+    """Modified Gram-Schmidt for the hermitian pairing on split-quaternion
+    columns, from the target through the coordinate vectors e_s, each
+    residual rescaled by unit_scaling.  The reference for the
+    scaled-integer route of transitive_element."""
+    rank = target.rank
+    cols = [target.x]
+    for s in range(rank):
+        if len(cols) == rank:
+            break
+        v = PQVector(SplitQuaternion(1 if i == s else 0) for i in range(rank))
+        for c in cols:
+            v = v - c.right_mul(hermitian_pairing(c, v))
+        r = hermitian_pairing(v, v).a
+        if r == 0:
+            continue
+        cols.append(v.right_mul(unit_scaling(r)))
+    if len(cols) != rank:
+        raise CompletionFailureError("candidate pool exhausted")
+    return PQMatrix([[cols[c].entries[r] for c in range(rank)]
+                     for r in range(rank)])
 
 
 def test_sphere_point_validation():
@@ -249,3 +292,45 @@ def test_sphere_point_through_errors():
     with pytest.raises(ValueError):
         sphere_point_through(o, PQVector([SplitQuaternion(0, 0, 1, 1),
                                           SplitQuaternion()]))
+
+
+def test_transitive_element_matches_scalar_gram_schmidt():
+    rng = random.Random(31)
+    targets = [base_point(rank) for rank in (2, 3, 4)]
+    for rank in (2, 3, 4):
+        targets += [random_sphere_point(rng, rank) for _ in range(16)]
+    targets += [weighted_level_sample(rng, p, q)
+                for p, q in ((1, 2), (2, 1), (3, 4)) for _ in range(5)]
+    for tgt in targets:
+        assert transitive_element(tgt) == ref_transitive_element(tgt)
+
+
+def test_transitive_element_skips_null_candidates():
+    # at the target (i, 0, 0) the first candidate e_0 projects to zero, so
+    # the completion takes e_1 and e_2
+    tgt = SpherePoint(PQVector([SplitQuaternion(0, 1), SplitQuaternion(),
+                                SplitQuaternion()]))
+    M = transitive_element(tgt)
+    assert M == ref_transitive_element(tgt)
+    assert sp_group_membership(M) == 0
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_unit_actions_match_right_multiplication(rank):
+    # right_unit_action is x -> x conj(e_a) and vertical_frame is
+    # x -> x e_a, on exact and on float columns
+    rng = random.Random(40 + rank)
+    exact = np.stack([random_pq_vector(rng, rank).to_real() for _ in range(3)],
+                     axis=1)
+    for cols in (exact, np.asarray(exact, dtype=float) / 7):
+        for a, e in enumerate(IMAGINARY_UNITS):
+            want = np.stack(
+                [PQVector.from_real(cols[:, c]).right_mul(e.conj()).to_real()
+                 for c in range(cols.shape[1])], axis=1)
+            got = right_unit_action(cols, a)
+            assert got.dtype == cols.dtype
+            assert (got == want).all()
+            frame = vertical_frame(cols[:, 0])
+            assert (frame[:, a] == PQVector.from_real(cols[:, 0])
+                    .right_mul(e).to_real()).all()
+        assert (apply_metric(cols) == metric_matrix(rank) @ cols).all()

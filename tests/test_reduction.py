@@ -217,6 +217,37 @@ def test_level_value_examples():
     assert regular and value == 4
 
 
+def ref_weighted_level_value(p, q, u):
+    """sum_v c_v conj(u_v) j u_v by SplitQuaternion products, real part
+    included: the reference for the closed form of weighted_level_value."""
+    total = SplitQuaternion()
+    for c, h in zip((q, p, p), u.x.entries):
+        total = total + (h.conj() * J * h).scale(c)
+    return total
+
+
+@pytest.mark.parametrize("p,q", [(1, 2), (3, 2)])
+def test_level_value_closed_form_matches_products(p, q):
+    rng = random.Random(23 + p)
+    exact = ([weighted_level_sample(rng, p, q) for _ in range(5)]
+             + [random_sphere_point(rng, 3) for _ in range(5)])
+    for u in exact:
+        want = ref_weighted_level_value(p, q, u)
+        val = weighted_level_value(p, q, u)
+        assert want.a == 0
+        assert val.coefficients() == (want.b, want.c, want.d)
+    for _ in range(3):
+        u = weighted_level_sample_float(rng, p, q)
+        want = ref_weighted_level_value(p, q, u)
+        val = weighted_level_value(p, q, u)
+        # rounding of both routes, relative to the Euclidean size of u
+        tol = 1e-13 * sum(c * sum(x * x for x in h.coefficients())
+                          for c, h in zip((q, p, p), u.x.entries))
+        assert abs(want.a) <= tol
+        assert all(abs(a - b) <= tol for a, b in zip(
+            val.coefficients(), (want.b, want.c, want.d)))
+
+
 def test_level_sampler_and_flow_invariance():
     rng = random.Random(10)
     for _ in range(6):
@@ -488,6 +519,14 @@ def _drop_seed(payload):
     del payload["manifest"]["seed"]
 
 
+def _both(*changes):
+    """The changes applied in turn."""
+    def change(payload):
+        for one in changes:
+            one(payload)
+    return change
+
+
 def _flat(first):
     """A change to a flat-s1 scene whose point has the first coefficient
     `first`: the base point (1, 0, 0) lies on the flat level set, the
@@ -509,9 +548,13 @@ def _flat(first):
     _set("points", 0, 1, ["0", "0", "0"]),
     _set("points", 0, 0, 0, True),
     _flat("2"),
+    # the float sphere bound is the reader's, not the file's tolerance
+    _both(_set("manifest", "tolerance", 1e9),
+          _set("points", 0, 0, [5.0, 0, 0, 0])),
 ], ids=["missing-key", "unknown-action", "list-coordinate",
         "null-coordinate", "p-equals-q", "pq-rank-4", "two-entry-point",
-        "three-coefficients", "bool-coordinate", "flat-off-level"])
+        "three-coefficients", "bool-coordinate", "flat-off-level",
+        "float-off-sphere-loose-tolerance"])
 def test_scene_from_json_rejects_malformed_manifest(change):
     scene = ReductionScene(action="pq", rank=3, p=1, q=2,
                            points=[base_point(3)])
