@@ -296,23 +296,16 @@ def test_sphere_point_through_errors():
 
 def test_transitive_element_matches_scalar_gram_schmidt():
     rng = random.Random(31)
-    targets = [base_point(rank) for rank in (2, 3, 4)]
+    # at (i, 0, 0) the first candidate e_0 projects to zero and is skipped
+    targets = [SpherePoint(PQVector([SplitQuaternion(0, 1), SplitQuaternion(),
+                                     SplitQuaternion()]))]
+    targets += [base_point(rank) for rank in (2, 3, 4)]
     for rank in (2, 3, 4):
         targets += [random_sphere_point(rng, rank) for _ in range(16)]
     targets += [weighted_level_sample(rng, p, q)
                 for p, q in ((1, 2), (2, 1), (3, 4)) for _ in range(5)]
     for tgt in targets:
         assert transitive_element(tgt) == ref_transitive_element(tgt)
-
-
-def test_transitive_element_skips_null_candidates():
-    # at the target (i, 0, 0) the first candidate e_0 projects to zero, so
-    # the completion takes e_1 and e_2
-    tgt = SpherePoint(PQVector([SplitQuaternion(0, 1), SplitQuaternion(),
-                                SplitQuaternion()]))
-    M = transitive_element(tgt)
-    assert M == ref_transitive_element(tgt)
-    assert sp_group_membership(M) == 0
 
 
 @pytest.mark.parametrize("rank", [1, 3])
