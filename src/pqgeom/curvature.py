@@ -14,13 +14,17 @@ ch. XI).  The symmetric-space oracles use that formula, so the bracket
 curvature of the projective-space model equals its closed formula entry
 for entry, for the metric of the unit-pseudosphere submersion.
 
-Arithmetic.  The tensors are exact: object arrays of ``Fraction``.  The
-builders, the diagnostics and the sums and multiples of tensors clear
-denominators first (``exactla.scaled_integers``), compute on Python ints,
-and convert to ``Fraction`` once at the end, so every returned entry is a
-``Fraction``.
-A float tensor raises TypeError in the diagnostics and in
-``curvature_to_text``; the text format has the single mode "exact".
+Arithmetic.  A ``CurvatureTensor`` is exact and held as scaled integers:
+``tensor`` is an object array of Python ints and ``scale`` a positive
+int, and the curvature is tensor / scale.  The builders compute on Python
+ints and return that pair as it is; the diagnostics, sums, differences
+and multiples (``times``) read it directly, and only their small results
+(Ricci forms, Jacobi operators, residuals) become ``Fraction``s.  The
+constructor raises TypeError on any entry that is not a Python int and on
+a scale that is not a positive int.  Exact ``Fraction``/int arrays enter
+through ``CurvatureTensor.from_fractions``, and ``fractions()`` is the
+``Fraction`` view that ``curvature_to_text`` writes out; the text format
+has the single mode "exact".
 
 Ricci splitting.  ``ricci_split`` inverts the Ricci map of the linear
 family R^B on its three eigenspaces (closed formula); the dense
@@ -63,11 +67,31 @@ class NullDirectionError(ValueError):
 
 
 class CurvatureTensor:
-    """Dense (1,3) curvature array with its companion metric."""
+    """Dense (1,3) curvature array tensor / scale with its companion
+    metric: tensor an object array of Python ints, scale an int >= 1.
+    TypeError on any other entry or scale."""
 
-    def __init__(self, tensor, metric):
+    def __init__(self, tensor, scale: int, metric):
+        if type(scale) is not int or scale < 1:
+            raise TypeError(f"curvature scale must be an int >= 1, "
+                            f"not {scale!r}")
         self.tensor = np.asarray(tensor)
+        kinds = set(map(type, self.tensor.reshape(-1)))
+        if not kinds <= {int}:
+            raise TypeError(f"curvature tensor entries must be Python ints, "
+                            f"not {sorted(k.__name__ for k in kinds)}")
+        self.scale = scale
         self.metric = np.asarray(metric)
+
+    @classmethod
+    def from_fractions(cls, tensor, metric) -> "CurvatureTensor":
+        """The tensor of an exact array; TypeError unless every entry is
+        an int or a Fraction."""
+        return cls(*exactla.scaled_integers(tensor), metric)
+
+    def fractions(self) -> np.ndarray:
+        """The Fraction array tensor / scale."""
+        return exactla.from_scaled_integers(self.tensor, self.scale)
 
     @property
     def dim(self) -> int:
@@ -75,7 +99,7 @@ class CurvatureTensor:
 
     def endomorphism(self, x: int, y: int) -> np.ndarray:
         """Matrix of R(e_x, e_y); column z is the image of e_z."""
-        return self.tensor[x, y].T
+        return exactla.from_scaled_integers(self.tensor[x, y].T, self.scale)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -84,43 +108,39 @@ class CurvatureTensor:
         return self._combine(other, -1)
 
     def _combine(self, other, sign: int) -> "CurvatureTensor":
-        """self + sign * other, on both tensors scaled to integers over
-        the lcm of their scales."""
-        A, LA = exactla.scaled_integers(self.tensor)
-        B, LB = exactla.scaled_integers(other.tensor)
-        L = math.lcm(LA, LB)
-        A *= L // LA
-        B *= sign * (L // LB)
-        A += B
-        return CurvatureTensor(exactla.from_scaled_integers(A, L), self.metric)
+        """self + sign * other over the lcm of the two scales."""
+        L = math.lcm(self.scale, other.scale)
+        A = self.tensor * (L // self.scale)
+        A += other.tensor * (sign * (L // other.scale))
+        return CurvatureTensor(A, L, self.metric)
 
-    def scale(self, c) -> "CurvatureTensor":
-        """c R on scaled integers; TypeError unless c is an int or a
-        Fraction."""
+    def times(self, c) -> "CurvatureTensor":
+        """The multiple c R; TypeError unless c is an int or a Fraction."""
         c = exactla.frac(c)
-        A, L = exactla.scaled_integers(self.tensor)
-        A *= c.numerator
-        return CurvatureTensor(
-            exactla.from_scaled_integers(A, L * c.denominator), self.metric)
+        return CurvatureTensor(self.tensor * c.numerator,
+                               self.scale * c.denominator, self.metric)
 
-    def max_abs(self):
-        return exactla.max_abs(self.tensor)
+    def max_abs(self) -> Fraction:
+        return Fraction(exactla.max_abs(self.tensor), self.scale)
 
-    def antisymmetry_residual(self):
-        return exactla.max_abs(self.tensor + self.tensor.transpose(1, 0, 2, 3))
+    def antisymmetry_residual(self) -> Fraction:
+        t = self.tensor
+        return Fraction(exactla.max_abs(t + t.transpose(1, 0, 2, 3)),
+                        self.scale)
 
 
 def bianchi_residual(R: CurvatureTensor) -> Fraction:
     """Max-norm of the cyclic sum R(X,Y)Z + R(Y,Z)X + R(Z,X)Y."""
-    t, L = exactla.scaled_integers(R.tensor)
+    t = R.tensor
     cyc = t + t.transpose(1, 2, 0, 3)
     cyc += t.transpose(2, 0, 1, 3)
-    return Fraction(exactla.max_abs(cyc), L)
+    return Fraction(exactla.max_abs(cyc), R.scale)
 
 
 def ricci(R: CurvatureTensor) -> np.ndarray:
     """Ric(Y, Z) = Tr(X -> R(X, Y) Z), traced over the first slot."""
-    return np.trace(R.tensor, axis1=0, axis2=3)
+    return exactla.from_scaled_integers(
+        np.trace(R.tensor, axis1=0, axis2=3), R.scale)
 
 
 def scalar_curvature(R: CurvatureTensor):
@@ -186,8 +206,7 @@ def curvature_from_bilinear(B: BilinearForm,
     t += K.transpose(0, 2, 1, 3)
     t -= K.transpose(2, 0, 1, 3)
     del K
-    return CurvatureTensor(exactla.from_scaled_integers(t, LB * LJ * LJ),
-                           H.g)
+    return CurvatureTensor(t, LB * LJ * LJ, H.g)
 
 
 def _integer_traces(t, J) -> np.ndarray:
@@ -197,10 +216,9 @@ def _integer_traces(t, J) -> np.ndarray:
 
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     """The three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y))."""
-    t, LR = exactla.scaled_integers(R.tensor)
     J, LJ = exactla.scaled_integers(np.stack(H.J))
-    T = _integer_traces(t, J)
-    return [exactla.from_scaled_integers(T[:, :, a], LR * LJ)
+    T = _integer_traces(R.tensor, J)
+    return [exactla.from_scaled_integers(T[:, :, a], R.scale * LJ)
             for a in range(3)]
 
 
@@ -213,7 +231,7 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
 
     over cyclic (a, b, c).  Returns (bool, residual)."""
     d = R.dim
-    t, LR = exactla.scaled_integers(R.tensor)
+    t, LR = R.tensor, R.scale
     J, LJ = exactla.scaled_integers(np.stack(H.J))
     xs, ys = np.triu_indices(d, 1)
     M = t[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
@@ -283,8 +301,7 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     K *= 2   # in place: no third d^4 array
     t -= K
     del K
-    return CurvatureTensor(exactla.from_scaled_integers(t, Lg * LJ * LJ),
-                           H.g)
+    return CurvatureTensor(t, Lg * LJ * LJ, H.g)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +390,7 @@ def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
     summand, in the chosen basis of m."""
     D.validate()
     dbl, L = D._double_brackets()
-    return CurvatureTensor(exactla.from_scaled_integers(-dbl, L), D.g_m)
+    return CurvatureTensor(-dbl, L, D.g_m)
 
 
 # -- concrete decompositions ------------------------------------------------
@@ -511,7 +528,7 @@ def projective_pair(n: int):
     # [M(e_y), M(e_x)] negates the double bracket
     inner = (batch_matmul(M[:, ys], M[:, xs])
              - batch_matmul(M[:, xs], M[:, ys]))
-    tensor = exactla.zeros((d, d, d, d))
+    tensor = np.zeros((d, d, d, d), dtype=object)
     for z in range(d):
         Mz = M[:, z]
         # first column of [inner, M(e_z)], rows 1..n in real coordinates
@@ -520,7 +537,7 @@ def projective_pair(n: int):
         out = col[:, :, 1:, 0].transpose(1, 2, 0).reshape(len(xs), d)
         tensor[xs, ys, z] = out
         tensor[ys, xs, z] = -out
-    return CurvatureTensor(tensor, metric_matrix(n))
+    return CurvatureTensor(tensor, 1, metric_matrix(n))
 
 
 def ambient_projective_curvature(n: int) -> CurvatureTensor:
@@ -537,9 +554,10 @@ def ambient_projective_curvature(n: int) -> CurvatureTensor:
 
 def jacobi_operator(R: CurvatureTensor, X: np.ndarray) -> np.ndarray:
     """Matrix of K_X: Y -> R(X, Y) X; column y is the image of e_y."""
-    t1 = np.tensordot(X, R.tensor, axes=([0], [0]))   # (y, z, w)
-    t2 = np.tensordot(X, t1, axes=([0], [1]))         # (y, w)
-    return t2.T
+    N, L = exactla.scaled_integers(X)
+    t1 = np.tensordot(N, R.tensor, axes=([0], [0]))   # (y, z, w)
+    t2 = np.tensordot(N, t1, axes=([0], [1]))         # (y, w)
+    return exactla.from_scaled_integers(t2.T, L * L * R.scale)
 
 
 def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
@@ -674,8 +692,7 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     del tensor
     for axis in range(3):
         t = np.moveaxis(np.tensordot(Cinv, t, axes=([0], [axis])), 0, axis)
-    return CurvatureTensor(
-        exactla.from_scaled_integers(t, Ls * Lh * LC * LCinv ** 3), H.g)
+    return CurvatureTensor(t, Ls * Lh * LC * LCinv ** 3, H.g)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +702,8 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
 
 def curvature_to_text(R: CurvatureTensor) -> str:
     """Header line, tensor entries, metric entries; TypeError unless every
-    entry is an int or a Fraction."""
-    entries = [str(x) for x in exactla.require_exact(R.tensor)]
+    metric entry is an int or a Fraction."""
+    entries = [str(x) for x in R.fractions().reshape(-1)]
     gvals = [str(x) for x in exactla.require_exact(R.metric)]
     header = {"n": R.dim // 4, "convention": CONVENTION, "mode": "exact"}
     return json.dumps(header) + "\n" + " ".join(entries) + "\n" + " ".join(gvals) + "\n"
@@ -724,4 +741,4 @@ def curvature_from_text(text: str) -> CurvatureTensor:
     tensor = exactla.fracarray(entries).reshape(d, d, d, d)
     metric = exactla.fracarray(gvals).reshape(d, d)
     exactla.signature(metric)   # ValueError unless symmetric, nondegenerate
-    return CurvatureTensor(tensor, metric)
+    return CurvatureTensor.from_fractions(tensor, metric)

@@ -14,6 +14,17 @@ lcm L of the entry denominators with arr == N / L (TypeError on any entry
 that is not an int or a Fraction, the check of ``require_exact``), and
 ``from_scaled_integers(N, L)`` turns a result back into a ``Fraction``
 array.  Python ints do not overflow, so no magnitude bound is needed.
+Their users: the 2-forms, the 4-form, the rotations and the hermitian
+projector of ``forms``; the structure checks and ``PQMatrix`` products of
+``linalg``; ``projspace.transitive_element``; the isotropy traces and
+the moment-gradient check of ``reduction``; and in ``curvature`` the
+structure and metric inputs of the builders and the small results of the
+diagnostics (Ricci forms, structure traces, Jacobi operators).  A d^4
+curvature tensor passes through them only when it is read from or
+written to ``Fraction`` form (``CurvatureTensor.from_fractions`` and
+``fractions``, for the text format and the tests): a
+``curvature.CurvatureTensor`` is held as the pair (N, L) from builder to
+residual.
 ``product(*factors)`` is the Fraction array factors[0] @ factors[1] @ ...
 computed this way: each factor is scaled once, the chain of products runs
 on Python ints, and the result is divided by the product of the scales at
@@ -35,9 +46,10 @@ callers divide only the entries they read (``solve`` the right-hand-side
 columns, ``nullspace`` the free columns, ``rank`` none).  ``det`` runs
 Bareiss elimination (Math. Comp. 22, 1968), whose divisions are exact.
 ``frame_coordinates`` forms its Gram system and residual on integers.
-``solve``, ``inverse``, ``nullspace``, ``det`` and ``frame_coordinates``
-return ``Fraction`` entries; ``inertia`` checks that its input is square
-and symmetric.
+``inertia`` reduces by fraction-free congruences and divides each
+remaining block by its content.  ``solve``, ``inverse``, ``nullspace``,
+``det`` and ``frame_coordinates`` return ``Fraction`` entries;
+``inertia`` checks that its input is square and symmetric.
 """
 
 from __future__ import annotations
@@ -307,8 +319,16 @@ def det(mat: np.ndarray) -> Fraction:
 def inertia(sym: np.ndarray) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) of an exact symmetric matrix.
 
-    Symmetric Gaussian reduction (congruence diagonalisation); Sylvester's
-    law makes the signs basis independent.
+    Fraction-free symmetric reduction on the scaled integers.  A nonzero
+    diagonal pivot d = a[i, i] counts by its sign.  The congruence that
+    takes every other row r to d * row r - a[r, i] * row i, and the same
+    for the columns, clears row and column i and leaves d (d B - f f^T)
+    on the other rows, with B the block without i and f = a[rest, i].
+    That block is divisible by |d|; the reduction keeps the quotient
+    |d| B - sign(d) f f^T divided by its content, a positive multiple, so
+    the entries stay integral and small.  With no nonzero diagonal left,
+    a coupling a[r, s] becomes a hyperbolic (+1, -1) pair by adding row
+    and column s to r.  Sylvester's law makes the signs basis independent.
     """
     if sym.ndim != 2 or sym.shape[0] != sym.shape[1]:
         raise ValueError("inertia expects a square matrix")
@@ -316,41 +336,30 @@ def inertia(sym: np.ndarray) -> tuple[int, int, int]:
     a, _ = scaled_integers(sym)
     if (a != a.T).any():
         raise ValueError("inertia expects a symmetric matrix")
-    n = a.shape[0]
-    plus = minus = zero = 0
-    rows = list(range(n))
-    while rows:
-        i = next((r for r in rows if a[r, r] != 0), None)
-        if i is None:
-            # all remaining diagonal entries vanish: find an off-diagonal
-            # coupling and split it into a hyperbolic (+1, -1) pair
-            pair = None
-            for r in rows:
-                for s in rows:
-                    if s > r and a[r, s] != 0:
-                        pair = (r, s)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                zero += len(rows)
+    plus = minus = 0
+    while a.size:
+        pivots = np.flatnonzero(a.diagonal())
+        if pivots.size == 0:
+            coupled = np.argwhere(a != 0)
+            if coupled.size == 0:
                 break
-            r, s = pair
-            a[r] = a[r] + a[s]
-            a[:, r] = a[:, r] + a[:, s]
+            r, s = coupled[0]
+            a[r] += a[s]
+            a[:, r] += a[:, s]
             continue
+        i = pivots[0]
         d = a[i, i]
         if d > 0:
             plus += 1
         else:
             minus += 1
-        rows.remove(i)
-        for r in rows:
-            if a[r, i] != 0:
-                coef = a[r, i] / Fraction(d)
-                a[r] = a[r] - coef * a[i]
-                a[:, r] = a[:, r] - coef * a[:, i]
-    return plus, minus, zero
+        rest = np.delete(np.arange(len(a)), i)
+        f = a[rest, i]
+        a = a[np.ix_(rest, rest)] * abs(d) - np.outer(f, f) * (d // abs(d))
+        g = math.gcd(*a.reshape(-1))
+        if g > 1:
+            a //= g
+    return plus, minus, len(a)
 
 
 def signature(sym: np.ndarray) -> tuple[int, int]:

@@ -426,21 +426,22 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
     group element scaled to integers over LA, that of its conjugate
     transpose is G A^T G / LA (L(conj q) = G L(q)^T G entrywise, G the
     neutral metric), so E = G A^T G D A is eta over LA^2, one integer
-    chain.  s is the first column of its top-left 4 x 4 block (the left
-    multiplication by s), B acts through the lower-right 8 x 8 block, and
-    the traces are summed on integers.
+    chain; D, the real action of the generator, is the integer block
+    diagonal of the weights times L(j).  s is the first column of the
+    top-left 4 x 4 block of E (the left multiplication by s), B acts
+    through its lower-right 8 x 8 block, and J_a L is the signed row
+    permutation of right_unit_action, so the traces are sums of integers.
     """
     A, LA = exactla.scaled_integers(transitive_element(u).to_real_action())
-    D, _ = exactla.scaled_integers(_generator_matrix(p, q).to_real_action())
+    D = np.kron(np.diag(np.array(_weights(p, q), dtype=object)),
+                left_mult_matrix(J))
     E = apply_metric(apply_metric(A).T) @ D @ A
-    scale = LA * LA
     L = E[4:, 4:]
     rconj = right_mult_matrix(SplitQuaternion(*E[:4, 0]).conj())
     for v in range(2):
         L[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
-    Js, _ = exactla.scaled_integers(np.stack(structure_endos(2).J))
-    # Tr(J_a L) as an entrywise sum, without the matrix product
-    return tuple(Fraction((Ja * L.T).sum(), scale) for Ja in Js)
+    return tuple(Fraction(np.trace(right_unit_action(L, a)), LA * LA)
+                 for a in range(3))
 
 
 # -- covariant derivative of the Killing field on the sphere model ----------

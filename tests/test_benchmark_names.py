@@ -1,10 +1,11 @@
 """The package names the benchmark in perfbench/ depends on.
 
 The benchmark traces the pqgeom functions it names (NAMED_SPANS of
-perfbench/run.py) and reads FourForm.array to count 4-form entries; a
-refactor that drops one of them must fail here, not only in a benchmark
-run.  Both checks run in subprocesses, because installing the tracer
-rebinds the pqgeom functions of the process.
+perfbench/run.py), reads FourForm.array to count 4-form entries and
+CurvatureTensor.tensor to count curvature entries; a refactor that drops
+one of them must fail here, not only in a benchmark run.  The checks run
+in subprocesses, because installing the tracer rebinds the pqgeom
+functions of the process.
 """
 
 import os
@@ -26,6 +27,18 @@ print(tracer.counts["forms.four_form_entries"])
 """
 
 
+COUNT_TENSOR_ENTRIES = """
+import sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer, install
+tracer = Tracer()
+install(tracer)
+from pqgeom import curvature, linalg
+curvature.projective_curvature(linalg.structure_endos(1))
+print(tracer.counts["curvature.tensor_entries"])
+"""
+
+
 def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -39,6 +52,7 @@ def test_benchmark_names_resolve():
     selftest = run_python("perfbench/selftest.py", "Installed",
                           "BenchmarkFile")
     assert selftest.returncode == 0, selftest.stderr
-    count = run_python("-c", COUNT_FOUR_FORM_ENTRIES)
-    assert count.returncode == 0, count.stderr
-    assert int(count.stdout) == 4 ** 4
+    for snippet in (COUNT_FOUR_FORM_ENTRIES, COUNT_TENSOR_ENTRIES):
+        count = run_python("-c", snippet)
+        assert count.returncode == 0, count.stderr
+        assert int(count.stdout) == 4 ** 4

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from pqgeom.cli import (CheckConfig, InvalidConfigError, UnknownSuiteError,
@@ -52,6 +53,22 @@ def test_seed_zero_residuals_are_exact():
     assert len(residuals) == 39
     del residuals["ratio-direction-independence"]
     assert {name: res for name, res in residuals.items() if res != 0.0} == {}
+
+
+def test_curvature_suite_converts_no_tensor(monkeypatch):
+    # curvature tensors stay scaled integers from builder to residual: at
+    # n = 3 no array of d^4 = 12^4 entries (or more) is converted to or
+    # from Fractions
+    from pqgeom import exactla
+    sizes = []
+    for name in ("scaled_integers", "from_scaled_integers"):
+        def record(arr, *rest, routine=getattr(exactla, name)):
+            sizes.append(np.size(arr))
+            return routine(arr, *rest)
+        monkeypatch.setattr(exactla, name, record)
+    reports = run_suite("curvature", CheckConfig(rank=3))
+    assert all(r.status == "pass" for r in reports)
+    assert sizes and max(sizes) < 12 ** 4
 
 
 def test_report_config_keeps_fixed_level(capsys):

@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from pqgeom import exactla
 from pqgeom.algebra import EPS, SplitQuaternion
@@ -40,12 +41,12 @@ def rand_bilinear(rng, dim):
 
 def zero_tensor(H):
     d = H.dim
-    return CurvatureTensor(exactla.zeros((d, d, d, d)), H.g)
+    return CurvatureTensor.from_fractions(exactla.zeros((d, d, d, d)), H.g)
 
 
 def apply(R, X, Y, Z):
-    """R(X, Y) Z contracted from the stored array."""
-    t = np.tensordot(X, R.tensor, axes=([0], [0]))
+    """R(X, Y) Z contracted from the Fraction view."""
+    t = np.tensordot(X, R.fractions(), axes=([0], [0]))
     t = np.tensordot(Y, t, axes=([0], [0]))
     return np.tensordot(Z, t, axes=([0], [0]))
 
@@ -80,7 +81,7 @@ def test_bianchi_model(n):
 def test_bianchi_detects_perturbation():
     H = structure_endos(1)
     R = projective_curvature(H)
-    R.tensor[0, 1, 2, 3] += 1
+    R.tensor[0, 1, 2, 3] += R.scale
     assert bianchi_residual(R) > 0
 
 
@@ -99,7 +100,8 @@ def test_bilinear_zero_and_metric():
     assert curvature_from_bilinear(
         BilinearForm(exactla.zeros((8, 8))), H).max_abs() == 0
     RB = curvature_from_bilinear(BilinearForm(H.g), H)
-    assert exactla.max_abs(RB.tensor - projective_curvature(H).tensor) == 0
+    assert exactla.max_abs(RB.fractions()
+                           - projective_curvature(H).fractions()) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -113,7 +115,7 @@ def test_bilinear_family_injective(n):
             basis = exactla.zeros((d, d))
             basis[i, j] = Fraction(1)
             R = curvature_from_bilinear(BilinearForm(basis), H)
-            cols.append([int(x) for x in R.tensor.reshape(-1)])
+            cols.append([int(x) for x in R.fractions().reshape(-1)])
     mat = np.array(cols, dtype=object).T
     assert exactla.rank_mod_p(mat) == d * d
 
@@ -132,7 +134,7 @@ def test_builders_match_docstring_formulas(kind, n):
     model = projective_curvature(H)
     family = curvature_from_bilinear(BilinearForm(B), H)
     for R in (model, family):
-        assert all(type(x) is Fraction for x in R.tensor.reshape(-1))
+        assert all(type(x) is Fraction for x in R.fractions().reshape(-1))
 
     def gf(U, V):
         return U @ g @ V
@@ -189,10 +191,10 @@ def test_ricci_split_recovers_weyl_sample():
     H = structure_endos(2)
     gs = grassman_split(H)
     W = weyl_sample(H, gs, rng)
-    R = projective_curvature(H).scale(Fraction(3)) + W
+    R = projective_curvature(H).times(Fraction(3)) + W
     Wp, B = ricci_split(R, H)
     assert exactla.max_abs(ricci(Wp)) == 0
-    assert exactla.max_abs(Wp.tensor - W.tensor) == 0
+    assert exactla.max_abs(Wp.fractions() - W.fractions()) == 0
     assert exactla.max_abs(B.matrix - 3 * H.g) == 0
 
 
@@ -217,7 +219,7 @@ def test_ricci_split_singular_system():
     zero = exactla.zeros((d, d))
     H = HermitianStructure(zero, 2 * exactla.eye(d), zero, exactla.eye(d),
                            validate=False)
-    R = CurvatureTensor(exactla.zeros((d, d, d, d)), H.g)
+    R = CurvatureTensor.from_fractions(exactla.zeros((d, d, d, d)), H.g)
     with pytest.raises(DegenerateStructureError):
         ricci_split(R, H)
 
@@ -246,7 +248,7 @@ def test_sp_samples_are_einstein():
     H = structure_endos(2)
     gs = grassman_split(H)
     for coef in (Fraction(1), Fraction(-2), Fraction(5, 3)):
-        R = projective_curvature(H).scale(coef) + weyl_sample(H, gs, rng)
+        R = projective_curvature(H).times(coef) + weyl_sample(H, gs, rng)
         const, res = einstein_check(R)
         assert res == 0
         assert const == coef * 16
@@ -259,10 +261,10 @@ def test_line_plus_weyl_trace_realisation():
     H = structure_endos(2)
     gs = grassman_split(H)
     Rg = projective_curvature(H)
-    R = Rg.scale(Fraction(7, 2)) + weyl_sample(H, gs, rng)
+    R = Rg.times(Fraction(7, 2)) + weyl_sample(H, gs, rng)
     Kfull = scalar_curvature(R)
     Kg = scalar_curvature(Rg)
-    W = R - Rg.scale(Fraction(Kfull) / Fraction(Kg))
+    W = R - Rg.times(Fraction(Kfull) / Fraction(Kg))
     for t in structure_traces(W, H):
         assert exactla.max_abs(t) == 0
 
@@ -275,7 +277,7 @@ def test_membership_model_and_perturbed():
     R = projective_curvature(H)
     ok, res = normalizes_structure(R, H)
     assert ok and res == 0
-    R.tensor[0, 1, 2, 3] += 1
+    R.tensor[0, 1, 2, 3] += R.scale
     ok, _ = normalizes_structure(R, H)
     assert not ok
 
@@ -293,7 +295,7 @@ def test_membership_residual_matches_pairwise_formula():
             noise = exactla.zeros((d, d, d, d))
             noise[p, q] = rand_rational(rng, (d, d))
             noise[q, p] = -noise[p, q]
-            R = RB + CurvatureTensor(noise, H.g)
+            R = RB + CurvatureTensor.from_fractions(noise, H.g)
             traces = structure_traces(R, H)
             worst = Fraction(0)
             for x in range(d):
@@ -345,7 +347,7 @@ def test_power_sums_match_float_eigenvalues(seed):
     # direction of a model-plus-Weyl tensor
     rng = random.Random(seed)
     H = structure_endos(1)
-    R = projective_curvature(H).scale(Fraction(2)) \
+    R = projective_curvature(H).times(Fraction(2)) \
         + weyl_sample(H, grassman_split(H), rng)
     X = exactla.fracarray([rng.randint(1, 3), rng.randint(-3, 3),
                            rng.randint(-3, 3), 0])
@@ -375,7 +377,7 @@ def test_jacobi_trace_is_minus_ricci():
     rng = random.Random(17)
     H = structure_endos(1)
     gs = grassman_split(H)
-    R = projective_curvature(H).scale(Fraction(2)) + weyl_sample(H, gs, rng)
+    R = projective_curvature(H).times(Fraction(2)) + weyl_sample(H, gs, rng)
     ric = ricci(R)
     for _ in range(6):
         X = exactla.fracarray([rng.randint(-3, 3) for _ in range(4)])
@@ -541,8 +543,9 @@ def test_symmetric_oracles_match_fraction_reference(build):
     D = build()
     R = symmetric_space_curvature(D)
     want = np.tensordot(-D.c_mm, D.c_fm, axes=([2], [0]))
-    assert R.tensor.shape == want.shape and (R.tensor == want).all()
-    for arr in (R.tensor, D.c_mm, D.c_fm, D.c_ff):
+    got = R.fractions()
+    assert got.shape == want.shape and (got == want).all()
+    for arr in (got, D.c_mm, D.c_fm, D.c_ff):
         assert all_fractions(arr)
 
 
@@ -554,7 +557,7 @@ def test_bracket_equals_closed_formula(n):
     # the bracket curvature is the closed formula itself, entry for entry
     bracket = projective_pair(n)
     formula = projective_curvature(structure_endos(n))
-    assert exactla.max_abs(bracket.tensor - formula.tensor) == 0
+    assert exactla.max_abs(bracket.fractions() - formula.fractions()) == 0
     assert bianchi_residual(bracket) == 0
     ok, _ = normalizes_structure(bracket, structure_endos(n))
     assert ok
@@ -596,13 +599,11 @@ def ref_projective_pair(n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_projective_pair_matches_scalar_commutators(n):
     want = ref_projective_pair(n)
-    got = projective_pair(n).tensor
-    assert got.shape == want.shape
-    pairs = list(zip(got.reshape(-1), want.reshape(-1)))
-    assert all(a == b and type(a) is type(b) for a, b in pairs)
-    # off the diagonal x = y the entries are Python ints
-    xs, ys = np.triu_indices(4 * n, 1)
-    assert all(type(a) is int for a in got[xs, ys].reshape(-1))
+    R = projective_pair(n)
+    # the bracket curvature is integral: scale 1, Python int entries
+    assert R.scale == 1
+    assert R.tensor.shape == want.shape and (R.tensor == want).all()
+    assert all(type(a) is int for a in R.tensor.reshape(-1))
 
 
 # -- the scaled-integer path against a plain Fraction reference --------------
@@ -612,18 +613,19 @@ def test_projective_pair_matches_scalar_commutators(n):
 
 
 def ref_bianchi(R):
-    t = R.tensor
+    t = R.fractions()
     return exactla.max_abs(t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3))
 
 
 def ref_traces(R, H):
-    return [np.tensordot(R.tensor, Ja, axes=([2, 3], [0, 1])) for Ja in H.J]
+    return [np.tensordot(R.fractions(), Ja, axes=([2, 3], [0, 1]))
+            for Ja in H.J]
 
 
 def ref_normalizes(R, H):
     d = R.dim
     xs, ys = np.triu_indices(d, 1)
-    M = R.tensor[xs, ys].transpose(0, 2, 1)
+    M = R.fractions()[xs, ys].transpose(0, 2, 1)
     traces = [t[xs, ys][:, None, None] for t in ref_traces(R, H)]
     worst = Fraction(0)
     for (a, b, c) in CYCLES:
@@ -668,15 +670,16 @@ def test_integer_path_matches_fraction_reference(kind, n):
         n, rng)
     split = grassman_split(H)
     W = weyl_sample(H, split, random.Random(7))
-    assert all_fractions(W.tensor)
-    assert (W.tensor == ref_weyl(split, random.Random(7))).all()
+    assert all_fractions(W.fractions())
+    assert (W.fractions() == ref_weyl(split, random.Random(7))).all()
     # 2 R_0 + W + R^B lies in the normaliser and satisfies Bianchi; one
     # perturbed entry with denominator 7 breaks both
-    R = (projective_curvature(H).scale(Fraction(2)) + W
+    R = (projective_curvature(H).times(Fraction(2)) + W
          + curvature_from_bilinear(BilinearForm(rand_rational(
              rng, (H.dim, H.dim))), H))
-    perturbed = CurvatureTensor(R.tensor.copy(), R.metric)
-    perturbed.tensor[0, 1, 2, 3] += Fraction(1, 7)
+    shifted = R.fractions()
+    shifted[0, 1, 2, 3] += Fraction(1, 7)
+    perturbed = CurvatureTensor.from_fractions(shifted, R.metric)
     # the Fraction reference of the membership test takes seconds at
     # n = 3, so there only the perturbed tensor is compared
     for T, zero in ([(perturbed, False)] if n == 3
@@ -692,18 +695,17 @@ def test_integer_path_matches_fraction_reference(kind, n):
 
 
 def test_exact_diagnostics_reject_float_tensors():
-    # a float tensor is not silently scaled: the diagnostics are exact-only
+    # a float tensor is not silently scaled: no CurvatureTensor holds one,
+    # so the diagnostics never see it
     H = structure_endos(1)
     R = projective_curvature(H)
-    mixed = R.tensor.copy()
+    mixed = R.fractions()
     mixed[0, 1, 2, 3] = 0.5
-    for tensor in (np.array(R.tensor, dtype=float), mixed):
-        Rf = CurvatureTensor(tensor, R.metric)
-        for diagnostic in (lambda: structure_traces(Rf, H),
-                           lambda: normalizes_structure(Rf, H),
-                           lambda: bianchi_residual(Rf)):
-            with pytest.raises(TypeError):
-                diagnostic()
+    for tensor in (np.array(R.fractions(), dtype=float), mixed):
+        with pytest.raises(TypeError):
+            CurvatureTensor.from_fractions(tensor, R.metric)
+        with pytest.raises(TypeError):
+            CurvatureTensor(tensor, 1, R.metric)
 
 
 # -- serialisation ------------------------------------------------------------
@@ -713,20 +715,20 @@ def test_curvature_text_roundtrip_exact():
     H = structure_endos(1)
     R = projective_curvature(H)
     R2 = curvature_from_text(curvature_to_text(R))
-    assert exactla.max_abs(R2.tensor - R.tensor) == 0
+    assert exactla.max_abs(R2.fractions() - R.fractions()) == 0
     assert exactla.max_abs(R2.metric - R.metric) == 0
-    assert all_fractions(R2.tensor) and all_fractions(R2.metric)
+    assert all_fractions(R2.fractions()) and all_fractions(R2.metric)
 
 
 def test_curvature_text_rejects_float_entries():
     R = projective_curvature(structure_endos(1))
-    mixed = R.tensor.copy()
+    mixed = R.fractions()
     mixed[0, 1, 2, 3] = 0.5
-    for tensor, metric in ((np.array(R.tensor, dtype=float), R.metric),
+    for tensor, metric in ((np.array(R.fractions(), dtype=float), R.metric),
                            (mixed, R.metric),
-                           (R.tensor, np.array(R.metric, dtype=float))):
+                           (R.fractions(), np.array(R.metric, dtype=float))):
         with pytest.raises(TypeError):
-            curvature_to_text(CurvatureTensor(tensor, metric))
+            curvature_to_text(CurvatureTensor.from_fractions(tensor, metric))
 
 
 @pytest.mark.parametrize("mode", ["float", None])
@@ -757,24 +759,83 @@ def test_tensor_sums_and_multiples_match_fraction_arithmetic():
     H = structure_endos(1)
 
     def random_tensor(denominators):
-        return CurvatureTensor(exactla.fracarray(
+        return CurvatureTensor.from_fractions(exactla.fracarray(
             [Fraction(rng.randint(-9, 9), rng.choice(denominators))
              for _ in range(4 ** 4)]).reshape((4,) * 4), H.g)
 
     for _ in range(5):
         # scales 12 and 35: neither divides the other
         A, B = random_tensor([1, 3, 4]), random_tensor([5, 7])
-        pairs = [((A + B).tensor, A.tensor + B.tensor),
-                 ((A - B).tensor, A.tensor - B.tensor),
-                 ((A - A).tensor, exactla.zeros((4,) * 4))]
-        pairs += [(A.scale(c).tensor, c * A.tensor)
+        FA, FB = A.fractions(), B.fractions()
+        pairs = [((A + B).fractions(), FA + FB),
+                 ((A - B).fractions(), FA - FB),
+                 ((A - A).fractions(), exactla.zeros((4,) * 4))]
+        pairs += [(A.times(c).fractions(), c * FA)
                   for c in (2, 0, Fraction(-3, 5))]
         for got, want in pairs:
             assert all_fractions(got) and (got == want).all()
     with pytest.raises(TypeError):
-        A.scale(0.5)
+        A.times(0.5)
     with pytest.raises(TypeError):
-        A + CurvatureTensor(np.array(A.tensor, dtype=float), H.g)
+        A + CurvatureTensor.from_fractions(np.array(FA, dtype=float), H.g)
+
+
+@st.composite
+def rational_tensors(draw):
+    """A d = 4 Fraction tensor whose entries take their denominators from
+    a drawn set, so two draws usually have different scales."""
+    dens = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    nums = draw(st.lists(st.integers(-30, 30), min_size=4 ** 4,
+                         max_size=4 ** 4))
+    picks = draw(st.lists(st.sampled_from(dens), min_size=4 ** 4,
+                          max_size=4 ** 4))
+    return exactla.fracarray([Fraction(a, b) for a, b in zip(nums, picks)]
+                             ).reshape((4,) * 4)
+
+
+# shrinking two 256-entry tensors takes minutes, so a failing draw is
+# reported as found
+@settings(max_examples=40,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(rational_tensors(), rational_tensors(),
+       st.fractions(max_denominator=9),
+       st.lists(st.fractions(max_denominator=5), min_size=4, max_size=4))
+def test_integer_tensor_matches_fraction_reference(FA, FB, c, x):
+    # every operation on (tensor, scale) against the same operation on the
+    # Fraction arrays the tensors were made from
+    H = structure_endos(1)
+    A = CurvatureTensor.from_fractions(FA, H.g)
+    B = CurvatureTensor.from_fractions(FB, H.g)
+    assert (A.fractions() == FA).all()
+    for got, want in [(A + B, FA + FB), (A - B, FA - FB), (A.times(c), c * FA),
+                      (B.times(c), c * FB)]:
+        assert all_fractions(got.fractions())
+        assert (got.fractions() == want).all()
+    assert A.max_abs() == exactla.max_abs(FA)
+    assert type(A.max_abs()) is Fraction
+    assert (ricci(A) == np.trace(FA, axis1=0, axis2=3)).all()
+    X = exactla.fracarray(x)
+    want = np.tensordot(X, np.tensordot(X, FA, axes=([0], [0])),
+                        axes=([0], [1])).T
+    assert (jacobi_operator(A, X) == want).all()
+    assert bianchi_residual(A) == exactla.max_abs(
+        FA + FA.transpose(1, 2, 0, 3) + FA.transpose(2, 0, 1, 3))
+    text = curvature_to_text(A)
+    assert text.split("\n")[1] == " ".join(str(v) for v in FA.reshape(-1))
+    assert (curvature_from_text(text).fractions() == FA).all()
+
+
+def test_tensor_constructor_rejects_non_integer_data():
+    R = projective_curvature(structure_endos(1))
+    floats = np.array(R.fractions(), dtype=float)
+    for tensor, scale in [(floats, 1), (R.fractions(), 1),
+                          (R.tensor.astype(np.int64), 1),
+                          (R.tensor, 0), (R.tensor, -2), (R.tensor, 1.0),
+                          (R.tensor, Fraction(1)), (R.tensor, True)]:
+        with pytest.raises(TypeError):
+            CurvatureTensor(tensor, scale, R.metric)
+    assert (CurvatureTensor(R.tensor, R.scale, R.metric).fractions()
+            == R.fractions()).all()
 
 
 def replace_line(text, index, line):

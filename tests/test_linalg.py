@@ -331,6 +331,47 @@ def ref_det(mat):
     return d
 
 
+def ref_inertia(sym):
+    """Symmetric Gaussian reduction with Fraction coefficients, the
+    routine the fraction-free inertia replaced; the reference for it."""
+    a = exactla.fracarray(sym)
+    n = a.shape[0]
+    plus = minus = zero = 0
+    rows = list(range(n))
+    while rows:
+        i = next((r for r in rows if a[r, r] != 0), None)
+        if i is None:
+            # all remaining diagonal entries vanish: find an off-diagonal
+            # coupling and split it into a hyperbolic (+1, -1) pair
+            pair = None
+            for r in rows:
+                for s in rows:
+                    if s > r and a[r, s] != 0:
+                        pair = (r, s)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                zero += len(rows)
+                break
+            r, s = pair
+            a[r] = a[r] + a[s]
+            a[:, r] = a[:, r] + a[:, s]
+            continue
+        d = a[i, i]
+        if d > 0:
+            plus += 1
+        else:
+            minus += 1
+        rows.remove(i)
+        for r in rows:
+            if a[r, i] != 0:
+                coef = a[r, i] / d
+                a[r] = a[r] - coef * a[i]
+                a[:, r] = a[:, r] - coef * a[:, i]
+    return plus, minus, zero
+
+
 def assert_same_fractions(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -448,6 +489,34 @@ def test_solve_inverse_det_match_fraction_reference(system):
     assert_same_fractions(exactla.det(a), ref_det(a))
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer or rational matrices: M + M^T, Gram matrices
+    P^T D P of a wide, tall or rank-deficient P (singular when P has
+    fewer independent rows than columns), and M + M^T with its diagonal
+    zeroed, which takes the hyperbolic-pair branch."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["sum", "gram", "zero-diagonal"]))
+    if kind == "gram":
+        P = draw(rational_matrices(cols=n)).astype(object)
+        signs = draw(st.lists(st.sampled_from([-3, -1, 1, 2]),
+                              min_size=len(P), max_size=len(P)))
+        return P.T @ np.diag(np.array(signs, dtype=object)) @ P
+    M = draw(rational_matrices(n, n)).astype(object)
+    sym = M + M.T
+    if kind == "zero-diagonal":
+        sym[range(n), range(n)] = 0
+    return sym
+
+
+@settings(max_examples=200)
+@given(symmetric_matrices())
+def test_inertia_matches_fraction_reference(sym):
+    got = exactla.inertia(sym)
+    assert got == ref_inertia(sym)
+    assert sum(got) == len(sym)
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_frame_coordinates_match_fraction_reference(data):
@@ -535,7 +604,7 @@ def test_ricci_operator_solve_matches_fraction_reference():
     H = structure_endos(3)
     d = H.dim
     op = ref_ricci_operator(H)
-    R = (projective_curvature(H).scale(Fraction(3, 7))
+    R = (projective_curvature(H).times(Fraction(3, 7))
          + weyl_sample(H, grassman_split(H), random.Random(5)))
     rhs = ricci(R).reshape(-1)
     want = ref_solve(op, rhs)
@@ -562,13 +631,13 @@ def test_ricci_split_matches_operator_reference(n, kind):
                             for _ in range(d)] for _ in range(d)])
     assert exactla.max_abs(B - B.T) != 0
     W = weyl_sample(H, grassman_split(H), rng)
-    R = (projective_curvature(H).scale(Fraction(2)) + W
+    R = (projective_curvature(H).times(Fraction(2)) + W
          + curvature_from_bilinear(BilinearForm(B), H))
     want = ref_solve(ref_ricci_operator(H), ricci(R).reshape(-1))
     Wp, Bp = ricci_split(R, H)
     assert_same_fractions(Bp.matrix, want.reshape(d, d))
     assert exactla.max_abs(Bp.matrix - (2 * H.g + B)) == 0
-    assert_same_fractions(Wp.tensor, W.tensor)
+    assert_same_fractions(Wp.fractions(), W.fractions())
 
 
 def test_structure_validation():

@@ -614,7 +614,7 @@ def _quotient_curvature(g, u, rows, hessians, generators):
            - 2 * A2 + A2.transpose(2, 0, 1, 3) - A2.transpose(0, 2, 1, 3))
     gF = F.T @ g @ F
     tensor = np.tensordot(low, exactla.inverse(gF), axes=([3], [0]))
-    return CurvatureTensor(tensor, gF), F
+    return CurvatureTensor.from_fractions(tensor, gF), F
 
 
 def _linear_data(u, rows_at, fields):
@@ -681,6 +681,6 @@ def test_flat_quotient_is_para_hyperkahler(rank):
     assert bianchi_residual(R) == 0
     assert exactla.max_abs(ricci(R)) == 0
     # every R(X, Y) commutes with the descended structure
-    M = R.tensor.transpose(0, 1, 3, 2)
+    M = R.fractions().transpose(0, 1, 3, 2)
     for Ja in red.structure.J:
         assert exactla.max_abs(M @ Ja - Ja @ M) == 0
