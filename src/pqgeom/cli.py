@@ -198,7 +198,7 @@ def _chk_rep_injective(config, rng):
                     img = real_rep(PQMatrix(entries))
                     basis_images.append([int(x) for x in img.reshape(-1)])
         mat = np.array(basis_images, dtype=object).T
-        if exactla.rank_mod_p(mat) != 4 * n * n:
+        if exactla.rank(mat) != 4 * n * n:
             bad += 1
     return bad, 3
 
@@ -577,14 +577,13 @@ def _chk_pq_direction_independence(config, rng):
 
 def _chk_pq_point_variation(config, rng):
     count = max(4, config.samples // 25)
-    ratios = []
+    ratios = set()
     for _ in range(count):
-        u = red.weighted_level_sample_float(rng, config.p, config.q)
+        u = red.weighted_level_sample(rng, config.p, config.q)
         X = red.admissible_directions(config.p, config.q, u, rng, 1)[0]
-        ratios.append(float(red.reduced_jacobi(config.p, config.q, u, X).ratio))
-    spread = max(ratios) - min(ratios)
-    # failure means the spread COLLAPSED: report how far under the bar
-    return (0.0 if spread > 1e-3 else 1.0), count
+        ratios.add(red.reduced_jacobi(config.p, config.q, u, X).ratio)
+    # failure means the ratio is the same exact value at every point
+    return (0.0 if len(ratios) >= 2 else 1.0), count
 
 
 def _chk_pq_orthogonality(config, rng):

@@ -3,8 +3,8 @@
 numpy object arrays of ``fractions.Fraction`` support +, *, @ and slicing,
 but none of ``numpy.linalg``.  This module supplies the missing pieces
 (elimination-based rank, solve, inverse, nullspace, determinant, inertia)
-with exact pivoting, plus a fast mod-p rank certificate for integer
-matrices.  Everything is deterministic.
+with exact pivoting; ``rank`` also serves the full-rank certificates of
+integer matrices.  Everything is deterministic.
 
 Scaled integers.  Every ``Fraction`` operation normalises by a gcd, so
 object arithmetic on Python ints is far cheaper.  The tensor builders
@@ -60,7 +60,6 @@ from operator import attrgetter
 
 import numpy as np
 
-MOD_P_PRIME = 2147483629   # the modulus of rank_mod_p
 SVD_RANK_TOL = 1e-10       # relative to the largest singular value (or 1)
 
 _numerator = attrgetter("numerator")
@@ -225,33 +224,6 @@ def rank(mat: np.ndarray) -> int:
     return len(pivots)
 
 
-def rank_mod_p(int_mat: np.ndarray) -> int:
-    """Rank of an integer matrix modulo MOD_P_PRIME.
-
-    A lower bound for the rational rank; equality with the smaller matrix
-    dimension certifies full rank over the rationals.
-    """
-    p = MOD_P_PRIME
-    a = np.array(int_mat, dtype=object) % p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if a[i, c] % p), None)
-        if pr is None:
-            continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b exactly; raises ValueError if singular."""
     n = a.shape[0]
@@ -370,13 +342,6 @@ def signature(sym: np.ndarray) -> tuple[int, int]:
 
 
 # -- dtype dispatch: exact object arrays vs float arrays --------------------
-
-
-def solve_any(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.dtype == object:
-        return solve(a, b)
-    return np.linalg.solve(np.asarray(a, dtype=float),
-                           np.asarray(b, dtype=float))
 
 
 def nullspace_any(mat: np.ndarray) -> np.ndarray:

@@ -20,10 +20,16 @@ preserving both the neutral scalar product and the quaternionic
 structure (the group whose real representation is the symplectic
 group), using Gram-Schmidt for the quaternion-valued hermitian pairing
 s(u, v) = sum conj(u_i) v_i.  The columns are s-orthonormal, so the
-classical and the modified process agree; it runs fraction-free on the
-scaled-integer real coordinates of the target, and each column becomes
-Fractions once, at the end.  Exact rational normalisation is always
-possible because the norm form represents every nonzero rational.
+classical and the modified process agree.  One private routine,
+``_transitive_columns``, runs it fraction-free on the scaled-integer real
+coordinates of the target and returns each column with its right unit
+multiples, which are the column's block of the real action:
+``transitive_element`` turns the columns into Fractions once, at the
+end, and ``transitive_action`` returns the real action as integers over
+one scale, with no Fraction.  The candidates are the coordinate vectors
+e_s and, where those run out, the e_s + e_t q; some candidate is always
+non-null.  Exact rational normalisation is always possible because the
+norm form represents every nonzero rational.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from . import exactla
 from .algebra import SplitQuaternion
 from .linalg import (HermitianStructure, PQMatrix, PQVector, apply_metric,
                      module_scalar_product, random_quaternion,
-                     right_mult_matrix, right_unit_action)
+                     right_unit_action)
 
 VERTICAL_GRAM = exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
 
@@ -174,16 +180,17 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
 
 def horizontal_project(x: SpherePoint, v: np.ndarray) -> np.ndarray:
     """Orthogonal projection of an ambient vector onto the horizontal
-    space at x (drops the position and fiber components)."""
+    space at x (drops the position and fiber components).  On the unit
+    sphere the frame (x, x i, x j, x k) has the Gram matrix
+    diag(1, 1, -1, -1), so the coefficients are a sign flip of its
+    pairings with v."""
     coords = x.x.to_real()
     if not x.is_exact():
         coords = np.asarray(coords, dtype=float)
         v = np.asarray(v, dtype=float)
     frame4 = np.concatenate([coords.reshape(-1, 1), vertical_frame(coords)],
                             axis=1)
-    g4 = apply_metric(frame4).T @ frame4
-    coef = exactla.solve_any(g4, frame4.T @ apply_metric(v))
-    return v - frame4 @ coef
+    return v - frame4 @ apply_metric(frame4.T @ apply_metric(v))
 
 
 def induced_geometry(x: SpherePoint):
@@ -210,40 +217,75 @@ def induced_geometry(x: SpherePoint):
 # ---------------------------------------------------------------------------
 
 
-def transitive_element(target: SpherePoint) -> PQMatrix:
-    """A scalar-product-preserving matrix sending the base point to target.
+def _transitive_columns(target: SpherePoint) -> list[tuple[np.ndarray, int]]:
+    """Columns of transitive_element(target) as (F, L): F = [C, C i, C j,
+    C k] holds the integer real coordinates of the column C / L and of its
+    right unit multiples, so that F over L is the column's block of the
+    real action.
 
-    Columns are built by Gram-Schmidt for the hermitian pairing, starting
-    from the target and running through the coordinate vectors e_s, on
-    scaled integers: with s(c, e_s) = conj(c_s), the candidate is
-    v = e_s - sum_c c conj(c_s) = V / den.  Its square norm
-    r = (V^T g V) / den^2 = N / den^2 is rescaled to one exactly by the
-    right factor q = ((1 + 1/r) / 2, 0, 0, (1/r - 1) / 2), of square norm
-    1/r, so the new column is ((N + den^2) V + (den^2 - N) V k) / (2 den N),
-    reduced by its gcd.  A null candidate (N = 0) is skipped.
+    Gram-Schmidt for the hermitian pairing, from the target through the
+    candidates W, on scaled integers: s(c, W) = sum conj(c_r) W_r has the
+    coefficients eps * F^T g W (eps = (1, 1, -1, -1), a sign flip), and the
+    residual v = W - sum_c c s(c, W) is V / den with V = den W - sum F s.
+    Its square norm r = (V^T g V) / den^2 = N / den^2 is rescaled to one
+    exactly by the right factor q = ((1 + 1/r) / 2, 0, 0, (1/r - 1) / 2), of
+    square norm 1/r, so the new column is ((N + den^2) V + (den^2 - N) V k)
+    / (2 den N), reduced by its gcd.  A null candidate (N = 0) is skipped.
+    The candidates are first the coordinate vectors e_s, once each; while
+    columns are missing, the first non-null one of the e_s and the
+    e_s + e_t q (s < t, q = 1, i, j, k) is taken.  That one exists: were
+    every residual of them null, polarisation would make the hermitian
+    pairing vanish on the nondegenerate complement of the columns.
     """
     rank = target.rank
-    cols = [exactla.scaled_integers(target.x.to_real())]
-    for s in range(rank):
-        if len(cols) == rank:
-            break
+    cols = []
+
+    def append(C, L):
+        cols.append((np.concatenate([C.reshape(-1, 1), vertical_frame(C)],
+                                    axis=1), L))
+
+    def take(W) -> bool:
         den = math.lcm(*(L * L for _, L in cols))
-        V = np.zeros(4 * rank, dtype=object)
-        V[4 * s] = den
-        for C, L in cols:
-            cs = SplitQuaternion(*C[4 * s:4 * s + 4]).conj()
-            V -= (den // (L * L)) * (C.reshape(-1, 4)
-                                     @ right_mult_matrix(cs).T).reshape(-1)
+        V = den * W
+        for F, L in cols:
+            V -= (den // (L * L)) * (F @ apply_metric(F.T @ apply_metric(W)))
         N = V @ apply_metric(V)
         if N == 0:
-            continue
+            return False
         # V k = -J_3 V
         C = ((N + den * den) * V
              - (den * den - N) * right_unit_action(V, 2))
         g = math.gcd(*C, 2 * den * N) * (1 if N > 0 else -1)
-        cols.append((C // g, 2 * den * N // g))
-    if len(cols) != rank:
-        raise CompletionFailureError("candidate pool exhausted")
-    coords = [exactla.from_scaled_integers(C, L) for C, L in cols]
+        append(C // g, 2 * den * N // g)
+        return True
+
+    append(*exactla.scaled_integers(target.x.to_real()))
+    e = np.eye(4 * rank, dtype=object)
+    for s in range(rank):
+        if len(cols) == rank:
+            break
+        take(e[4 * s])
+    pool = [e[4 * s] for s in range(rank)]
+    pool += [e[4 * s] + e[4 * t + m] for s in range(rank)
+             for t in range(s + 1, rank) for m in range(4)]
+    while len(cols) < rank:
+        if not any(take(W) for W in pool):
+            raise CompletionFailureError("candidate pool exhausted")
+    return cols
+
+
+def transitive_element(target: SpherePoint) -> PQMatrix:
+    """A scalar-product-preserving matrix sending the base point to target,
+    completed by the Gram-Schmidt of _transitive_columns."""
+    coords = [exactla.from_scaled_integers(F[:, 0], L)
+              for F, L in _transitive_columns(target)]
     return PQMatrix([[SplitQuaternion(*col[4 * r:4 * r + 4]) for col in coords]
-                     for r in range(rank)])
+                     for r in range(target.rank)])
+
+
+def transitive_action(target: SpherePoint) -> tuple[np.ndarray, int]:
+    """(A, LA): the real action of transitive_element(target) is A / LA,
+    with A an integer matrix; no Fraction is formed."""
+    cols = _transitive_columns(target)
+    LA = math.lcm(*(L for _, L in cols))
+    return np.concatenate([F * (LA // L) for F, L in cols], axis=1), LA

@@ -51,9 +51,18 @@ on the ambient model and on the quotient (Galicki-Lawson, Math. Ann.
 curvature.  (The eigenvalue list is read as (l1, l1, l3); the
 duplicated middle label in the source formula is resolved that way.)
 
-Arithmetic.  Everything is exact but two routes: the float level sampler
-``weighted_level_sample_float`` with the reduced-Jacobi routines it
-feeds, and ``empty_levelset_check``, the definite-axis control.
+Level points.  ``weighted_level_sample`` draws generic exact rational
+points of the zero level set by a closed construction (a rational point
+of a conic, then a solved last entry; see its docstring), so the ratio
+rho differs from point to point; on the sphere V is horizontal at every
+point of the zero level set, so the reduced-Jacobi routines read V
+directly.
+
+Arithmetic.  Everything is exact but two routes: the float level points
+of ``weighted_level_sample_float``, which are the exact points rounded
+to floats, with the reduced-Jacobi routines they feed, and
+``empty_levelset_check``, the definite-axis control, which draws float
+sphere points.
 """
 
 from __future__ import annotations
@@ -68,14 +77,14 @@ from math import gcd
 import numpy as np
 
 from . import exactla
-from .algebra import IMAGINARY_UNITS, J, SplitQuaternion
+from .algebra import IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
-from .linalg import (HermitianStructure, PQMatrix, PQVector, apply_metric,
+from .linalg import (HermitianStructure, PQVector, apply_metric,
                      left_mult_matrix, module_scalar_product,
                      right_mult_matrix, right_unit_action, structure_endos)
 from .projspace import (SpherePoint, horizontal_project, random_sphere_point,
-                        transitive_element, vertical_frame)
+                        transitive_action, vertical_frame)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -86,10 +95,6 @@ class NullOrbitError(ValueError):
     """The orbit direction is null at the sampled point."""
 
 
-class NullKillingError(ValueError):
-    """The Killing field is null at the sampled point."""
-
-
 class NonRegularError(ValueError):
     """The sampled point fails the regularity condition."""
 
@@ -98,9 +103,6 @@ class NonRegularError(ValueError):
 FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
 LEVELS = {"flat-s1": FLAT_LEVEL, "pq": (Fraction(0),) * 3}
 
-# acceptance residual and iteration cap of the float level-set sampler
-_ROOT_TOL = 1e-11
-_ROOT_MAX_ITER = 80
 # samples per batch of the definite-axis control (empty_levelset_check)
 _LEVEL_BLOCK = 256
 
@@ -340,10 +342,8 @@ def weighted_level_value(p: int, q: int, u: SpherePoint) -> ImValue:
     -2(ab + cd)) of h = a + b i + c j + d k, on any scalar type."""
     i = j = k = 0
     for w, h in zip(_weights(p, q), u.x.entries):
-        a, b, c, d = h.coefficients()
-        i -= 2 * w * (a * d + b * c)
-        j += w * (a * a - b * b - c * c + d * d)
-        k -= 2 * w * (a * b + c * d)
+        yi, yj, yk = _sandwich(h)
+        i, j, k = i + w * yi, j + w * yj, k + w * yk
     return ImValue(i, j, k)
 
 
@@ -354,38 +354,86 @@ def weighted_regularity(p: int, q: int, u: SpherePoint):
     return val != 0, val
 
 
-def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
-    """Exact rational point of the zero level set.
+def _imaginary_form(x, y):
+    """Polarisation of the square norm on imaginary (i, j, k) triples."""
+    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
 
-    Entries of the form x + y j make the level value proportional to
-    x^2 - y^2 per entry; the weighted sum cancels at sigma = p/(p-q) in
-    the first slot, split rationally across the other two, and every
-    point of this family is regular (the regularity value is -pq).
-    Hyperbola rotations per entry randomise within the family.
+
+def _sandwich(h: SplitQuaternion):
+    """conj(h) j h as an (i, j, k) triple; its square norm is -|h|^4."""
+    a, b, c, d = h.coefficients()
+    return (-2 * (a * d + b * c), a * a - b * b - c * c + d * d,
+            -2 * (a * b + c * d))
+
+
+def _norm_factor(r: Fraction, unit: SplitQuaternion) -> SplitQuaternion:
+    """x + y unit of square norm x^2 - y^2 = r, for a unit squaring to +1:
+    x + y = t and x - y = r / t with t the power of two nearest sqrt|r|,
+    which keeps the coordinates small."""
+    t = Fraction(2) ** round(math.log2(abs(r)) / 2)
+    return SplitQuaternion((t + r / t) / 2) + unit.scale((t - r / t) / 2)
+
+
+def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
+    """Generic exact rational point of the zero level set.
+
+    With weights c = (q, p, p) and Y(h) = conj(h) j h, draw small integer
+    entries u0, u1 off the null cone.  The conic s^2 = -|W|^2 in the
+    plane (m, s), W = c0 Y(u0) + m c1 Y(u1), has the rational point
+    (0, c0 |u0|^2); the line of a random rational slope through it meets
+    the conic again at (m, s).  Left multiplication by x + y j (which
+    commutes with j) scales Y by x^2 - y^2, so u1 is scaled to m.  Then
+    X = -W / s has |X|^2 = -1, and u2 with u2 X = j u2 gives
+    Y(u2) = |u2|^2 X.  Both j + X and i (X - j) solve that equation, with
+    square norms -2(1 + X_j) and -2(1 - X_j); u2 is the first if X_j >= 0,
+    else the second, so |u2|^2 <= -2, scaled by x + y j to
+    |u2|^2 = nu = s / c2, so that c2 Y(u2) = -W and the level value is 0.
+    Right multiplication of every entry by x + y k of square norm
+    1 / sum |u_v|^2 moves the point to the sphere and conjugates the level
+    value, which stays 0.  Only degenerate draws and non-regular points
+    are redrawn: m = 0, s = 0, a zero sum of norms, and a conic that
+    splits into two lines (<Y0, Y1>^2 = |Y0|^2 |Y1|^2), whose second line
+    carries only points with sum c_v |u_v|^2 = 0, where rho = -p/q.
     """
-    sigma = Fraction(p, p - q)
-    rest = 1 - sigma
+    c0, c1, c2 = _weights(p, q)
     while True:
-        split = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        s1, s2 = rest / 2 + split, rest / 2 - split
-        entries = []
-        for target in (sigma, s1, s2):
-            x, y = (target + 1) / 2, (target - 1) / 2
-            t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-            den = 1 - t * t
-            if den == 0:
-                break
-            ch, sh = (1 + t * t) / den, 2 * t / den
-            entries.append(SplitQuaternion(x * ch + y * sh, 0,
-                                           x * sh + y * ch, 0))
-        if len(entries) != 3:
+        u0, u1 = (SplitQuaternion(*(rng.randint(-3, 3) for _ in range(4)))
+                  for _ in range(2))
+        n0, n1 = u0.square_norm(), u1.square_norm()
+        if n0 == 0 or n1 == 0:
             continue
-        u = SpherePoint(PQVector(entries))
-        value = weighted_level_value(p, q, u)
-        assert value.is_zero()
-        regular, _ = weighted_regularity(p, q, u)
-        if regular:
-            return u
+        Y0 = tuple(c0 * x for x in _sandwich(u0))
+        Y1 = tuple(c1 * x for x in _sandwich(u1))
+        s0, cross = c0 * n0, _imaginary_form(Y0, Y1)
+        if cross * cross == (s0 * c1 * n1) ** 2:
+            # the conic is a pair of lines
+            continue
+        slope = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        den = slope * slope + _imaginary_form(Y1, Y1)
+        if den == 0:
+            continue
+        m = -2 * (cross + s0 * slope) / den
+        s = s0 + slope * m
+        if m == 0 or s == 0:
+            continue
+        nu = s / c2
+        X = SplitQuaternion(0, *(-(y0 + m * y1) / s for y0, y1 in zip(Y0, Y1)))
+        u2 = J + X if X.c >= 0 else I * (X - J)
+        total = n0 + m * n1 + nu
+        regularity = c0 * c0 * n0 + c1 * c1 * m * n1 + c2 * c2 * nu
+        if total == 0 or regularity == 0:
+            continue
+        # the entries (1, f1, f2) (u0, u1, u2) unit as one batch product
+        # on scaled integers: Fraction products would each take a gcd
+        (F, dF), (U, dU), (W, dW) = (
+            exactla.scaled_integers(np.array([h.coefficients() for h in hs],
+                                             dtype=object).T)
+            for hs in ((SplitQuaternion(1), _norm_factor(m, J),
+                        _norm_factor(nu / u2.square_norm(), J)),
+                       (u0, u1, u2), (_norm_factor(1 / total, K),)))
+        x = SplitQuaternion(*F) * SplitQuaternion(*U) * SplitQuaternion(*W)
+        return SpherePoint(PQVector.from_real(exactla.from_scaled_integers(
+            np.stack(x.coefficients(), axis=1).reshape(-1), dF * dU * dW)))
 
 
 def _level_gradient_rows(p: int, q: int, u: SpherePoint) -> np.ndarray:
@@ -402,13 +450,15 @@ def _level_gradient_rows(p: int, q: int, u: SpherePoint) -> np.ndarray:
 # -- independent moment route through the isotropy decomposition ------------
 
 
-def _generator_matrix(p: int, q: int) -> PQMatrix:
-    ws = _weights(p, q)
-    n = 3
-    entries = [[SplitQuaternion() for _ in range(n)] for _ in range(n)]
-    for v, c in enumerate(ws):
-        entries[v][v] = J.scale(c)
-    return PQMatrix(entries)
+def _generator_action(p: int, q: int, X) -> np.ndarray:
+    """Real coordinates of D x = (q j x0, p j x1, p j x2), the action
+    generator, on axis 0 of X and on its dtype: left multiplication by j
+    maps the coordinates (a, b, c, d) to (c, -d, a, -b), so D is the
+    weights times a signed row permutation."""
+    signs = np.array([c * e for c in _weights(p, q) for e in (1, -1, 1, -1)],
+                     dtype=object)
+    out = np.asarray(X)[[4 * v + r for v in range(3) for r in (2, 3, 0, 1)]]
+    return (out.T * signs).T.astype(out.dtype)
 
 
 def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
@@ -422,22 +472,22 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
 
     The conjugated generator eta is formed from real actions: the real
     action is an algebra homomorphism, so that of eta is the product of
-    the real actions of the three factors.  With A the real action of the
-    group element scaled to integers over LA, that of its conjugate
-    transpose is G A^T G / LA (L(conj q) = G L(q)^T G entrywise, G the
-    neutral metric), so E = G A^T G D A is eta over LA^2, one integer
-    chain; D, the real action of the generator, is the integer block
-    diagonal of the weights times L(j).  s is the first column of the
-    top-left 4 x 4 block of E (the left multiplication by s), B acts
-    through its lower-right 8 x 8 block, and J_a L is the signed row
-    permutation of right_unit_action, so the traces are sums of integers.
+    the real actions of the three factors.  With A / LA the real action of
+    the group element, integer from its Gram-Schmidt
+    (projspace.transitive_action), that of its conjugate transpose is
+    G A^T G / LA (L(conj q) = G L(q)^T G entrywise, G the neutral
+    metric), so E = G A^T G D A is eta over LA^2, on integers; D is
+    _generator_action.  s is the first column of the top-left 4 x 4 block of
+    E (the left multiplication by s), B acts through its lower-right
+    8 x 8 block, and only these blocks are formed; J_a L is the signed
+    row permutation of right_unit_action, so the traces are sums of
+    integers.
     """
-    A, LA = exactla.scaled_integers(transitive_element(u).to_real_action())
-    D = np.kron(np.diag(np.array(_weights(p, q), dtype=object)),
-                left_mult_matrix(J))
-    E = apply_metric(apply_metric(A).T) @ D @ A
-    L = E[4:, 4:]
-    rconj = right_mult_matrix(SplitQuaternion(*E[:4, 0]).conj())
+    A, LA = transitive_action(u)
+    DA = _generator_action(p, q, A)
+    GAG = apply_metric(apply_metric(A).T)
+    L = GAG[4:] @ DA[:, 4:]
+    rconj = right_mult_matrix(SplitQuaternion(*(GAG[:4] @ DA[:, 0])).conj())
     for v in range(2):
         L[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
     return tuple(Fraction(np.trace(right_unit_action(L, a)), LA * LA)
@@ -463,11 +513,10 @@ def killing_derivative(p: int, q: int, u: SpherePoint,
     quotient (the sphere's second-fundamental term is not horizontal
     and drops out).
     """
-    exact = u.is_exact()
-    D = _generator_matrix(p, q)
-    DX = _real_coords(D @ PQVector.from_real(X), exact)
-    Du = _real_coords(D @ u.x, exact)
-    vert_u = vertical_frame(_real_coords(u.x, exact))
+    coords = _real_coords(u.x, u.is_exact())
+    DX = _generator_action(p, q, X)
+    Du = _generator_action(p, q, coords)
+    vert_u = vertical_frame(coords)
     vert_X = vertical_frame(X)
     coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(Du)
     coef_b = vert_u.T @ apply_metric(Du)
@@ -475,11 +524,6 @@ def killing_derivative(p: int, q: int, u: SpherePoint,
     coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
     deriv = DX - vert_u @ coef_a - vert_X @ coef_b
     return horizontal_project(u, deriv)
-
-
-def killing_horizontal(p: int, q: int, u: SpherePoint) -> np.ndarray:
-    V = _real_coords(weighted_killing(p, q, u), u.is_exact())
-    return horizontal_project(u, V)
 
 
 @dataclass
@@ -501,29 +545,34 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
                    X: np.ndarray) -> ReducedJacobi:
     """Eigenvalue data (l1, l2, l3, ratio) of the reduced Jacobi operator.
 
-    X must be horizontal and orthogonal to the span (V, J1 V, J2 V, J3 V)
-    with g(X, X) != 0; the ratio is normalised by g(X, X), which makes it
-    scale invariant and uniform across causal classes.  The eigenvalues
-    are read off the reduced scalar curvature nu of the ambient model.
+    u must lie on the zero level set (DegenerateLevelSetError otherwise;
+    within 1e-9 at a float point).  There the Killing field V is
+    horizontal: g(V, x) = 0 on the sphere, and the g(V, x e_a) are the
+    components of the level value; and g(V, V) = -sum c_v^2 |u_v|^2 is
+    minus the regularity value.  X must be horizontal and orthogonal to
+    the span (V, J1 V, J2 V, J3 V) with g(X, X) != 0; the ratio is
+    normalised by g(X, X), which makes it scale invariant and uniform
+    across causal classes.  The eigenvalues are read off the reduced
+    scalar curvature nu of the ambient model.
     """
-    regular, _ = weighted_regularity(p, q, u)
-    if not regular:
-        raise NonRegularError("point fails the regularity condition")
     exact = u.is_exact()
     tol = 0 if exact else 1e-9
-    Vh = killing_horizontal(p, q, u)
-    vnorm = apply_metric(Vh) @ Vh
-    if abs(float(vnorm)) <= tol:
-        raise NullKillingError("Killing field is null here")
+    _, value = weighted_regularity(p, q, u)
+    if abs(value) <= tol:
+        raise NonRegularError("point fails the regularity condition")
+    off = weighted_level_value(p, q, u).max_abs()
+    if off > tol:
+        raise DegenerateLevelSetError(f"point off the zero level set by {off}")
+    vnorm = -value
     xnorm = apply_metric(X) @ X
     if abs(float(xnorm)) <= tol:
         raise NullDirectionError("direction is null")
-    span = _killing_span(Vh)
+    span = _killing_span(_generator_action(p, q, _real_coords(u.x, exact)))
     if float(exactla.max_abs(span.T @ apply_metric(X))) > 1e-8:
         raise ValueError("direction not orthogonal to the Killing span")
     VX = killing_derivative(p, q, u, X)
-    h_part = VX - span @ exactla.solve_any(apply_metric(span).T @ span,
-                                           span.T @ apply_metric(VX))
+    # the Gram matrix of the span is g(V, V) diag(1, 1, -1, -1)
+    h_part = VX - span @ (apply_metric(span.T @ apply_metric(VX)) / vnorm)
     hnorm = apply_metric(h_part) @ h_part
     ratio = hnorm / (xnorm * vnorm)
     const = _ambient_constant()
@@ -534,19 +583,20 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
                          killing_norm=vnorm, einstein_constant=const)
 
 
-def _killing_span(Vh: np.ndarray) -> np.ndarray:
+def _killing_span(V: np.ndarray) -> np.ndarray:
     """Columns V, J1 V, J2 V, J3 V, on the dtype of V."""
-    return np.stack([Vh] + [right_unit_action(Vh, a) for a in range(3)],
+    return np.stack([V] + [right_unit_action(V, a) for a in range(3)],
                     axis=1)
 
 
 def admissible_directions(p: int, q: int, u: SpherePoint, rng,
                           count: int) -> list[np.ndarray]:
     """Seeded horizontal directions orthogonal to the Killing span, with
-    g(X, X) != 0; exact rational at exact points."""
+    g(X, X) != 0; exact rational at exact points.  u lies on the zero
+    level set, where the Killing field is horizontal (reduced_jacobi)."""
     exact = u.is_exact()
     coords = _real_coords(u.x, exact)
-    span = _killing_span(killing_horizontal(p, q, u))
+    span = _killing_span(_generator_action(p, q, coords))
     basis = exactla.nullspace_any(apply_metric(np.concatenate(
         [coords.reshape(-1, 1), vertical_frame(coords), span], axis=1)).T)
     out = []
@@ -583,58 +633,11 @@ def _float_sphere_seeds(rng, count: int) -> np.ndarray:
 
 
 def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
-    """Generic float point of the zero level set: randomized seeding plus
-    a damped Gauss-Newton iteration on the four equations (three level
-    components and the sphere constraint); accepted below _ROOT_TOL.
-    """
-    ws = _weights(p, q)
-    while True:
-        coords = _float_sphere_seeds(rng, 1)[0]
-        ok = False
-        for _ in range(_ROOT_MAX_ITER):
-            vec = PQVector.from_real(coords)
-            residual = _pq_system(ws, vec)
-            if np.max(np.abs(residual)) < _ROOT_TOL:
-                ok = True
-                break
-            jac = _pq_system_jacobian(p, q, vec)
-            try:
-                step = jac.T @ np.linalg.solve(jac @ jac.T, residual)
-            except np.linalg.LinAlgError:
-                break
-            damping = 1.0
-            base = np.linalg.norm(residual)
-            while damping > 1e-4:
-                trial = coords - damping * step
-                trial_res = _pq_system(ws, PQVector.from_real(trial))
-                if np.linalg.norm(trial_res) < base:
-                    coords = trial
-                    break
-                damping /= 2
-            else:
-                break
-        if not ok:
-            continue
-        u = SpherePoint(PQVector.from_real(coords), tol=10 * _ROOT_TOL)
-        regular, _ = weighted_regularity(p, q, u)
-        Vh = killing_horizontal(p, q, u)
-        vnorm = float(apply_metric(Vh) @ Vh)
-        if regular and abs(vnorm) > 1e-6:
-            return u
-
-
-def _pq_system(ws, vec: PQVector) -> np.ndarray:
-    total = _weighted_sandwich(ws, vec.entries, J)
-    sphere = module_scalar_product(vec, vec) - 1.0
-    return np.array([total.b, total.c, total.d, sphere], dtype=float)
-
-
-def _pq_system_jacobian(p: int, q: int, vec: PQVector) -> np.ndarray:
-    """Level-value rows of _level_gradient_rows plus the sphere row."""
-    coords = np.asarray(vec.to_real(), dtype=float)
-    level = _level_gradient_rows(p, q, SpherePoint(vec, check=False))
-    return np.vstack([np.asarray(level, dtype=float),
-                      2.0 * apply_metric(coords)])
+    """The float image of weighted_level_sample(rng, p, q): the same draws,
+    coordinates rounded to floats (on the sphere within 1e-9)."""
+    u = weighted_level_sample(rng, p, q)
+    return SpherePoint(PQVector(SplitQuaternion(*map(float, h.coefficients()))
+                                for h in u.x.entries), tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -692,9 +695,8 @@ def build_pq_scene(p: int = 1, q: int = 2, seed: int = 0,
                    sampler: str = "float") -> ReductionScene:
     """Sample the zero level set and attach reduced Jacobi data per point.
 
-    sampler 'float' is the generic damped root-finder on the ambient
-    sphere (residual below 1e-11); 'exact' draws from the rational
-    family, which is exact but confined to a special slice.
+    sampler 'exact' draws generic exact points (weighted_level_sample);
+    'float' draws the same points rounded to floats.
     """
     _weights(p, q)
     rng = random.Random(seed)
@@ -773,15 +775,15 @@ def flat_orthogonality_check(rank: int, samples: int, rng) -> Fraction:
 
 def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> Fraction:
     """Max |<J_a V, T>| over tangents T of the weighted level set inside
-    the sphere, with V the horizontal Killing field."""
+    the sphere, with V the Killing field (horizontal on the level set)."""
     worst = Fraction(0)
     for _ in range(samples):
         u = weighted_level_sample(rng, p, q)
         rows = _level_gradient_rows(p, q, u)
         tangency = apply_metric(u.x.to_real()).reshape(1, -1)
         frame = exactla.nullspace(np.concatenate([rows, tangency]))
-        worst = max(worst, _normal_residual(frame,
-                                            killing_horizontal(p, q, u)))
+        worst = max(worst, _normal_residual(
+            frame, weighted_killing(p, q, u).to_real()))
     return worst
 
 
@@ -791,7 +793,7 @@ def empty_levelset_check(p: int = 1, q: int = 2, samples: int = 10000,
     (cos t + i sin t factors) has i-component q|u0|_E^2 + p|u1|_E^2 +
     p|u2|_E^2 >= min(p, q) > 0 on the sphere, so its moment zero set
     there is empty.  Returns the minimum of the value's magnitude over
-    float sphere points drawn like the seeds of the float sampler.
+    float sphere points (_float_sphere_seeds).
 
     The points are drawn and evaluated in blocks of _LEVEL_BLOCK samples:
     each block is one batch of split quaternions with float coefficient

@@ -55,6 +55,12 @@ def test_seed_zero_residuals_are_exact():
     assert {name: res for name, res in residuals.items() if res != 0.0} == {}
 
 
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["float", "exact"])
+@pytest.mark.parametrize("seed", range(5))
+def test_reduce_pq_suite_passes(seed, exact, capsys):
+    assert main(["--suite", "reduce-pq", "--seed", str(seed)] + exact) == 0
+
+
 def test_curvature_suite_converts_no_tensor(monkeypatch):
     # curvature tensors stay scaled integers from builder to residual: at
     # n = 3 no array of d^4 = 12^4 entries (or more) is converted to or

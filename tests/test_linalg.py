@@ -780,7 +780,7 @@ def test_real_rep_injective():
                     cols.append([int(x) for x in
                                  real_rep(PQMatrix(entries)).reshape(-1)])
         mat = np.array(cols, dtype=object).T
-        assert exactla.rank_mod_p(mat) == 4 * n * n
+        assert exactla.rank(mat) == 4 * n * n
 
 
 def test_sp_membership():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pqgeom import exactla
-from pqgeom.algebra import IMAGINARY_UNITS, SplitQuaternion
+from pqgeom.algebra import IMAGINARY_UNITS, UNITS, SplitQuaternion
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, random_pq_vector,
                            right_unit_action, sp_group_membership)
@@ -38,25 +38,47 @@ def unit_scaling(norm) -> SplitQuaternion:
 
 def ref_transitive_element(target: SpherePoint) -> PQMatrix:
     """Modified Gram-Schmidt for the hermitian pairing on split-quaternion
-    columns, from the target through the coordinate vectors e_s, each
-    residual rescaled by unit_scaling.  The reference for the
-    scaled-integer route of transitive_element."""
+    columns, from the target through the coordinate vectors e_s, then,
+    while columns are missing, through the first non-null of the e_s and
+    the e_s + e_t q (s < t, q = 1, i, j, k); each residual is rescaled by
+    unit_scaling.  The reference for the scaled-integer route of
+    transitive_element."""
     rank = target.rank
     cols = [target.x]
-    for s in range(rank):
-        if len(cols) == rank:
-            break
-        v = PQVector(SplitQuaternion(1 if i == s else 0) for i in range(rank))
+
+    def unit(s):
+        return PQVector(SplitQuaternion(1 if i == s else 0)
+                        for i in range(rank))
+
+    def take(v) -> bool:
         for c in cols:
             v = v - c.right_mul(hermitian_pairing(c, v))
         r = hermitian_pairing(v, v).a
         if r == 0:
-            continue
+            return False
         cols.append(v.right_mul(unit_scaling(r)))
-    if len(cols) != rank:
-        raise CompletionFailureError("candidate pool exhausted")
+        return True
+
+    for s in range(rank):
+        if len(cols) == rank:
+            break
+        take(unit(s))
+    pool = [unit(s) for s in range(rank)]
+    pool += [unit(s) + unit(t).right_mul(q) for s in range(rank)
+             for t in range(s + 1, rank) for q in UNITS]
+    while len(cols) < rank:
+        if not any(take(v) for v in pool):
+            raise CompletionFailureError("candidate pool exhausted")
     return PQMatrix([[cols[c].entries[r] for c in range(rank)]
                      for r in range(rank)])
+
+
+# targets with two entries of square norm 1: after the first column the
+# candidates e_s have square norm 1 - |x_s|^2, so the e_s alone can run out
+UNIT_ENTRY_TARGETS = [
+    SpherePoint(PQVector([SplitQuaternion(*c) for c in coeffs]))
+    for coeffs in [((1,), (1,), (0, 0, 1)), ((1,), (0, 0, 1), (1,)),
+                   ((0, 0, 1), (1,), (1,))]]
 
 
 def test_sphere_point_validation():
@@ -287,6 +309,14 @@ def test_transitive_element_orthogonality_table():
         assert module_scalar_product(col, other) == 0
 
 
+@pytest.mark.parametrize("target", UNIT_ENTRY_TARGETS,
+                         ids=["1-1-j", "1-j-1", "j-1-1"])
+def test_transitive_element_completes_past_the_coordinate_vectors(target):
+    M = transitive_element(target)
+    assert sp_group_membership(M) == 0
+    assert (M @ base_point(3).x) == target.x
+
+
 def test_sphere_point_through_errors():
     o = base_point(2)
     with pytest.raises(ValueError):
@@ -304,6 +334,7 @@ def test_transitive_element_matches_scalar_gram_schmidt():
         targets += [random_sphere_point(rng, rank) for _ in range(16)]
     targets += [weighted_level_sample(rng, p, q)
                 for p, q in ((1, 2), (2, 1), (3, 4)) for _ in range(5)]
+    targets += UNIT_ENTRY_TARGETS
     for tgt in targets:
         assert transitive_element(tgt) == ref_transitive_element(tgt)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
 from pqgeom.algebra import (IMAGINARY_UNITS, I, J, SplitQuaternion,
@@ -12,11 +13,11 @@ from pqgeom.algebra import (IMAGINARY_UNITS, I, J, SplitQuaternion,
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, restrict_to_complement, ricci)
-from pqgeom.linalg import (PQMatrix, PQVector, metric_matrix,
+from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, right_mult_matrix,
                            structure_endos)
-from pqgeom.projspace import (SpherePoint, base_point, random_sphere_point,
-                              transitive_element)
+from pqgeom.projspace import (SpherePoint, base_point, horizontal_project,
+                              random_sphere_point, transitive_element)
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               NonRegularError, NullOrbitError,
                               ReductionScene, admissible_directions,
@@ -34,7 +35,7 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value, weighted_regularity)
-from pqgeom.reduction import (_generator_matrix, _level_gradient_rows,
+from pqgeom.reduction import (_generator_action, _level_gradient_rows,
                               _moment_gradient_rows)
 from pqgeom.scenes import scene_from_json, scene_to_json
 
@@ -184,6 +185,42 @@ def test_flat_scene_build_and_serialise():
 # -- weighted hyperbolic scene ------------------------------------------------
 
 
+PQ_WEIGHTS = [(1, 2), (2, 1), (3, 4), (1, 3), (2, 5)]
+
+
+def slice_level_sample(rng, p, q):
+    """Exact level point of the slice family of entries x + y j.
+
+    On it the level value is proportional to x^2 - y^2 per entry; the
+    weighted sum cancels at sigma = p/(p-q) in the first slot, split
+    rationally across the other two, hyperbola rotations per entry
+    randomise within the family.  Every point of the family has the
+    regularity value -pq and the reduced ratio -p/q, which the pinned
+    values below refer to; weighted_level_sample draws generic points.
+    """
+    sigma = Fraction(p, p - q)
+    rest = 1 - sigma
+    while True:
+        split = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        s1, s2 = rest / 2 + split, rest / 2 - split
+        entries = []
+        for target in (sigma, s1, s2):
+            x, y = (target + 1) / 2, (target - 1) / 2
+            t = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            den = 1 - t * t
+            if den == 0:
+                break
+            ch, sh = (1 + t * t) / den, 2 * t / den
+            entries.append(SplitQuaternion(x * ch + y * sh, 0,
+                                           x * sh + y * ch, 0))
+        if len(entries) != 3:
+            continue
+        u = SpherePoint(PQVector(entries))
+        assert weighted_level_value(p, q, u).is_zero()
+        if weighted_regularity(p, q, u)[0]:
+            return u
+
+
 def test_weighted_killing_example():
     u = base_point(3)
     V = weighted_killing(1, 2, u)
@@ -250,23 +287,69 @@ def test_level_value_closed_form_matches_products(p, q):
 
 def test_level_sampler_and_flow_invariance():
     rng = random.Random(10)
-    for _ in range(6):
-        u = weighted_level_sample(rng, 1, 2)
-        assert module_scalar_product(u.x, u.x) == 1
-        assert weighted_level_value(1, 2, u).is_zero()
-        regular, value = weighted_regularity(1, 2, u)
-        assert regular and value == -2
-        moved = weighted_flow_exact(1, 2, Fraction(1, 4), u.x)
-        assert module_scalar_product(moved, moved) == 1
-        assert weighted_level_value(1, 2, SpherePoint(moved)).is_zero()
+    for sampler in (slice_level_sample, weighted_level_sample):
+        values = set()
+        for _ in range(6):
+            u = sampler(rng, 1, 2)
+            assert module_scalar_product(u.x, u.x) == 1
+            assert weighted_level_value(1, 2, u).is_zero()
+            regular, value = weighted_regularity(1, 2, u)
+            assert regular
+            values.add(value)
+            moved = weighted_flow_exact(1, 2, Fraction(1, 4), u.x)
+            assert module_scalar_product(moved, moved) == 1
+            assert weighted_level_value(1, 2, SpherePoint(moved)).is_zero()
+        # the slice family has the one regularity value -pq; generic
+        # points have many
+        assert values == {-2} if sampler is slice_level_sample \
+            else len(values) == 6
 
 
 def test_level_sampler_other_weights():
     rng = random.Random(11)
-    u = weighted_level_sample(rng, 2, 3)
+    u = slice_level_sample(rng, 2, 3)
     assert weighted_level_value(2, 3, u).is_zero()
     regular, value = weighted_regularity(2, 3, u)
     assert regular and value == -6
+    u = weighted_level_sample(rng, 2, 3)
+    assert weighted_level_value(2, 3, u).is_zero()
+    regular, value = weighted_regularity(2, 3, u)
+    assert regular and value != -6
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PQ_WEIGHTS))
+def test_level_sampler_generic_points(seed, weights):
+    # exactly on the sphere and on the zero level set, regular, and the
+    # float sampler's point is the float image of the same exact draw
+    p, q = weights
+    u = weighted_level_sample(random.Random(seed), p, q)
+    assert all(type(c) in (int, Fraction)
+               for h in u.x.entries for c in h.coefficients())
+    assert module_scalar_product(u.x, u.x) == 1
+    assert weighted_level_value(p, q, u).is_zero()
+    assert weighted_regularity(p, q, u)[0]
+    uf = weighted_level_sample_float(random.Random(seed), p, q)
+    assert [h.coefficients() for h in uf.x.entries] == [
+        tuple(map(float, h.coefficients())) for h in u.x.entries]
+
+
+@pytest.mark.parametrize("p, q", PQ_WEIGHTS)
+def test_killing_field_horizontal_on_level_set(p, q):
+    # g(V, x) = 0 on the sphere and the g(V, x e_a) are the components of
+    # the level value, so V is horizontal exactly on the zero level set;
+    # g(V, V) is minus the regularity value
+    rng = random.Random(26)
+    for _ in range(4):
+        u = weighted_level_sample(rng, p, q)
+        V = weighted_killing(p, q, u).to_real()
+        assert exactla.max_abs(horizontal_project(u, V) - V) == 0
+        _, value = weighted_regularity(p, q, u)
+        assert apply_metric(V) @ V == -value
+    off = random_sphere_point(rng, 3)
+    assert not weighted_level_value(p, q, off).is_zero()
+    V = weighted_killing(p, q, off).to_real()
+    assert exactla.max_abs(horizontal_project(off, V) - V) != 0
 
 
 def test_flow_preserves_norms():
@@ -313,6 +396,26 @@ def test_isotropy_traces_nonzero_off_level():
     assert any(t != 0 for t in traces)
 
 
+def _generator_matrix(p, q):
+    """The action generator diag(q j, p j, p j) as a PQMatrix."""
+    return PQMatrix([[J.scale(c) if r == v else SplitQuaternion()
+                      for r in range(3)] for v, c in enumerate((q, p, p))])
+
+
+def test_generator_action_matches_pq_matrix():
+    rng = random.Random(28)
+    for p, q in PQ_WEIGHTS:
+        x = random_sphere_point(rng, 3).x
+        want = (_generator_matrix(p, q) @ x).to_real()
+        assert (_generator_action(p, q, x.to_real()) == want).all()
+        assert (weighted_killing(p, q, SpherePoint(x)).to_real() == want).all()
+        # on float columns too (dyadic entries, so both routes are exact)
+        cols = np.arange(24).reshape(12, 2).astype(object) * Fraction(1, 4)
+        got = _generator_action(p, q, np.asarray(cols, dtype=float))
+        assert got.dtype == float
+        assert (got == _generator_action(p, q, cols)).all()
+
+
 def ref_isotropy_moment_traces(p, q, u):
     """The PQMatrix route: eta = g^-1 G g as split-quaternion matrix
     products, s = eta[0][0], L the real action of the lower-right 2 x 2
@@ -354,7 +457,7 @@ def test_killing_derivative_is_skew():
 
 def test_reduced_jacobi_exact_point():
     rng = random.Random(17)
-    u = weighted_level_sample(rng, 1, 2)
+    u = slice_level_sample(rng, 1, 2)
     dirs = admissible_directions(1, 2, u, rng, 6)
     results = [reduced_jacobi(1, 2, u, X) for X in dirs]
     first = results[0]
@@ -366,6 +469,19 @@ def test_reduced_jacobi_exact_point():
     # the constant is derived from the ambient model, not passed in
     want = einstein_check(ambient_projective_curvature(2))[0]
     assert first.einstein_constant == want
+    # at generic points: one exact ratio per point, the same formula
+    ratios = set()
+    for _ in range(3):
+        u = weighted_level_sample(rng, 1, 2)
+        results = [reduced_jacobi(1, 2, u, X)
+                   for X in admissible_directions(1, 2, u, rng, 4)]
+        rho = results[0].ratio
+        assert type(rho) is Fraction and rho != Fraction(-1, 2)
+        assert all(r.ratio == rho for r in results)
+        assert results[0].eigenvalues == (-4 + 2 * rho, -4 + 2 * rho,
+                                          -4 - 4 * rho)
+        ratios.add(rho)
+    assert len(ratios) == 3
 
 
 def test_reduced_jacobi_guards():
@@ -378,20 +494,39 @@ def test_reduced_jacobi_guards():
     assert not ok and value == 0
     with pytest.raises(NonRegularError):
         reduced_jacobi(1, 2, bad, exactla.fracarray([0] * 12))
-    # null direction at a good point
-    u = weighted_level_sample(rng, 1, 2)
-    basis = admissible_directions(1, 2, u, rng, 2)
-    g = np.array(metric_matrix(3), dtype=float)
-    a = np.array(basis[0], dtype=float)
-    b = np.array(basis[1], dtype=float)
-    qa, qb = a @ g @ a, b @ g @ b
-    if qa * qb < 0:
-        t = np.sqrt(-qa / qb)
-        null_dir = a + t * b
-        uf = SpherePoint(PQVector.from_real(
-            np.array(u.x.to_real(), dtype=float)), tol=1e-9)
-        with pytest.raises((NullDirectionError, ValueError)):
-            reduced_jacobi(1, 2, uf, null_dir)
+    # null direction at a good point: a slice point, then a generic one
+    for sampler in (slice_level_sample, weighted_level_sample):
+        u = sampler(rng, 1, 2)
+        basis = admissible_directions(1, 2, u, rng, 2)
+        g = np.array(metric_matrix(3), dtype=float)
+        a = np.array(basis[0], dtype=float)
+        b = np.array(basis[1], dtype=float)
+        qa, qb = a @ g @ a, b @ g @ b
+        if qa * qb < 0:
+            t = np.sqrt(-qa / qb)
+            null_dir = a + t * b
+            uf = SpherePoint(PQVector.from_real(
+                np.array(u.x.to_real(), dtype=float)), tol=1e-9)
+            with pytest.raises((NullDirectionError, ValueError)):
+                reduced_jacobi(1, 2, uf, null_dir)
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (3, 4)])
+def test_reduced_jacobi_rejects_points_off_the_level_set(p, q):
+    # reduced_jacobi reads the Killing field as horizontal, which holds
+    # only on the zero level set
+    rng = random.Random(27)
+    X = admissible_directions(p, q, weighted_level_sample(rng, p, q), rng,
+                              1)[0]
+    off = random_sphere_point(rng, 3)
+    assert weighted_regularity(p, q, off)[0]
+    with pytest.raises(DegenerateLevelSetError, match="off the zero level"):
+        reduced_jacobi(p, q, off, X)
+    uf = weighted_level_sample_float(rng, p, q)
+    shifted = SpherePoint(PQVector([uf.x.entries[0] + SplitQuaternion(0, 1e-6),
+                                    *uf.x.entries[1:]]), check=False)
+    with pytest.raises(ValueError):
+        reduced_jacobi(p, q, shifted, X)
 
 
 def test_ratio_varies_across_generic_points():
@@ -402,6 +537,26 @@ def test_ratio_varies_across_generic_points():
         X = admissible_directions(1, 2, u, rng, 1)[0]
         ratios.append(float(reduced_jacobi(1, 2, u, X).ratio))
     assert max(ratios) - min(ratios) > 1e-3
+
+
+@pytest.mark.parametrize("collapsed", ["slice", "one-point"])
+def test_collapsed_sampler_fails_point_variation(monkeypatch, collapsed):
+    # ratio-point-variation fails unless its points give two distinct
+    # exact ratios: the slice family has rho = -p/q everywhere, and a
+    # sampler stuck at one point has one rho
+    import pqgeom.reduction as red
+    from pqgeom.cli import run_suite
+
+    def status():
+        reports = {r.name: r for r in run_suite("reduce-pq")}
+        return reports["ratio-point-variation"].status
+
+    assert status() == "pass"
+    point = weighted_level_sample(random.Random(0), 1, 2)
+    sampler = {"slice": slice_level_sample,
+               "one-point": lambda rng, p, q: point}[collapsed]
+    monkeypatch.setattr(red, "weighted_level_sample", sampler)
+    assert status() == "fail"
 
 
 def test_float_sampler_quality():
@@ -646,25 +801,31 @@ def _weighted_quotient(p, q, u):
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (3, 4)])
 def test_reduced_jacobi_matches_quotient_curvature(p, q):
     rng = random.Random(24)
-    u = weighted_level_sample(rng, p, q)
-    R, F = _weighted_quotient(p, q, u)
-    assert R.dim == 4
-    assert bianchi_residual(R) == 0
-    # Einstein with 12 = nu (n + 2): the reduced scalar curvature nu = 4
-    # of the ambient model survives the reduction
-    assert einstein_check(R) == (12, 0)
-    for X in admissible_directions(p, q, u, rng, 2):
-        coords, residual = exactla.frame_coordinates(F, X)
-        assert residual == 0
-        K, _ = restrict_to_complement(R, coords)
-        K = K / (coords @ R.metric @ coords)
-        # equal power sums of the 3 x 3 operator and of the formula's
-        # eigenvalues fix the eigenvalues with multiplicity
-        want = reduced_jacobi(p, q, u, X).eigenvalues
-        power = exactla.eye(3)
-        for k in (1, 2, 3):
-            power = power @ K
-            assert np.trace(power) == sum(lam ** k for lam in want)
+    ratios = set()
+    for _ in range(3):
+        u = weighted_level_sample(rng, p, q)
+        R, F = _weighted_quotient(p, q, u)
+        assert R.dim == 4
+        assert bianchi_residual(R) == 0
+        # Einstein with 12 = nu (n + 2): the reduced scalar curvature
+        # nu = 4 of the ambient model survives the reduction
+        assert einstein_check(R) == (12, 0)
+        for X in admissible_directions(p, q, u, rng, 2):
+            coords, residual = exactla.frame_coordinates(F, X)
+            assert residual == 0
+            K, _ = restrict_to_complement(R, coords)
+            K = K / (coords @ R.metric @ coords)
+            # equal power sums of the 3 x 3 operator and of the formula's
+            # eigenvalues fix the eigenvalues with multiplicity
+            jacobi = reduced_jacobi(p, q, u, X)
+            ratios.add(jacobi.ratio)
+            power = exactla.eye(3)
+            for k in (1, 2, 3):
+                power = power @ K
+                assert np.trace(power) == sum(lam ** k
+                                              for lam in jacobi.eigenvalues)
+    # generic points: the oracle sees the formula at several ratios
+    assert len(ratios) >= 3
 
 
 @pytest.mark.parametrize("rank", [2, 3])
