@@ -386,8 +386,8 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
     X = -W / s has |X|^2 = -1, and u2 with u2 X = j u2 gives
     Y(u2) = |u2|^2 X.  Both j + X and i (X - j) solve that equation, with
     square norms -2(1 + X_j) and -2(1 - X_j); u2 is the first if X_j >= 0,
-    else the second, so |u2|^2 <= -2, scaled by x + y j to
-    |u2|^2 = nu = s / c2, so that c2 Y(u2) = -W and the level value is 0.
+    else the second, so |u2|^2 <= -2.  Scaled by x + y j to
+    |u2|^2 = nu = s / c2, it has c2 Y(u2) = -W, and the level value is 0.
     Right multiplication of every entry by x + y k of square norm
     1 / sum |u_v|^2 moves the point to the sphere and conjugates the level
     value, which stays 0.  Only degenerate draws and non-regular points
@@ -423,8 +423,9 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
         regularity = c0 * c0 * n0 + c1 * c1 * m * n1 + c2 * c2 * nu
         if total == 0 or regularity == 0:
             continue
-        # the entries (1, f1, f2) (u0, u1, u2) unit as one batch product
-        # on scaled integers: Fraction products would each take a gcd
+        # the entries f_v u_v unit, with the j-factors f = (1, f1, f2), as
+        # one batch product on scaled integers: Fraction products would
+        # each take a gcd
         (F, dF), (U, dU), (W, dW) = (
             exactla.scaled_integers(np.array([h.coefficients() for h in hs],
                                              dtype=object).T)

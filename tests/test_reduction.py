@@ -301,8 +301,10 @@ def test_level_sampler_and_flow_invariance():
             assert weighted_level_value(1, 2, SpherePoint(moved)).is_zero()
         # the slice family has the one regularity value -pq; generic
         # points have many
-        assert values == {-2} if sampler is slice_level_sample \
-            else len(values) == 6
+        if sampler is slice_level_sample:
+            assert values == {-2}
+        else:
+            assert len(values) == 6
 
 
 def test_level_sampler_other_weights():
@@ -494,21 +496,22 @@ def test_reduced_jacobi_guards():
     assert not ok and value == 0
     with pytest.raises(NonRegularError):
         reduced_jacobi(1, 2, bad, exactla.fracarray([0] * 12))
-    # null direction at a good point: a slice point, then a generic one
+    # a null direction at the float copy of a good point (a slice point,
+    # then a generic one): a + t b with g(a + t b, a + t b) = 0, for two
+    # admissible directions a, b of opposite causal type
+    g = np.array(metric_matrix(3), dtype=float)
     for sampler in (slice_level_sample, weighted_level_sample):
         u = sampler(rng, 1, 2)
-        basis = admissible_directions(1, 2, u, rng, 2)
-        g = np.array(metric_matrix(3), dtype=float)
-        a = np.array(basis[0], dtype=float)
-        b = np.array(basis[1], dtype=float)
-        qa, qb = a @ g @ a, b @ g @ b
-        if qa * qb < 0:
-            t = np.sqrt(-qa / qb)
-            null_dir = a + t * b
-            uf = SpherePoint(PQVector.from_real(
-                np.array(u.x.to_real(), dtype=float)), tol=1e-9)
-            with pytest.raises((NullDirectionError, ValueError)):
-                reduced_jacobi(1, 2, uf, null_dir)
+        dirs = [np.array(X, dtype=float)
+                for X in admissible_directions(1, 2, u, rng, 8)]
+        a, b = next((a, b) for a in dirs for b in dirs
+                    if (a @ g @ a) * (b @ g @ b) < 0)
+        qa, ab, qb = a @ g @ a, a @ g @ b, b @ g @ b
+        t = (-ab + np.sqrt(ab * ab - qa * qb)) / qb
+        uf = SpherePoint(PQVector.from_real(
+            np.array(u.x.to_real(), dtype=float)), tol=1e-9)
+        with pytest.raises(NullDirectionError):
+            reduced_jacobi(1, 2, uf, a + t * b)
 
 
 @pytest.mark.parametrize("p, q", [(1, 2), (3, 4)])
