@@ -355,7 +355,7 @@ def _chk_lie_annihilation(config, rng):
 
 def _chk_bianchi(config, rng):
     H = structure_endos(config.rank)
-    Rg = curv.projective_curvature(H)
+    Rg = curv.ambient_projective_curvature(config.rank)
     worst = float(curv.bianchi_residual(Rg))
     B = BilinearForm(exactla.fracarray(
         [[rng.randint(-3, 3) for _ in range(H.dim)] for _ in range(H.dim)]))
@@ -371,14 +371,14 @@ def _chk_bianchi(config, rng):
 
 def _chk_formula_matches_bilinear(config, rng):
     H = structure_endos(config.rank)
-    Rg = curv.projective_curvature(H)
+    Rg = curv.ambient_projective_curvature(config.rank)
     RB = curv.curvature_from_bilinear(BilinearForm(H.g), H)
     return float((Rg - RB).max_abs()), 1
 
 
 def _chk_membership(config, rng):
     H = structure_endos(config.rank)
-    Rg = curv.projective_curvature(H)
+    Rg = curv.ambient_projective_curvature(config.rank)
     ok, res = curv.normalizes_structure(Rg, H)
     worst = float(res)
     # perturbing one entry by 1 in value must break membership
@@ -391,8 +391,8 @@ def _chk_membership(config, rng):
 
 
 def _chk_einstein(config, rng):
-    H = structure_endos(config.rank)
-    _, res = curv.einstein_check(curv.projective_curvature(H))
+    _, res = curv.einstein_check(
+        curv.ambient_projective_curvature(config.rank))
     return float(res), 1
 
 
@@ -400,7 +400,7 @@ def _chk_ricci_split(config, rng):
     H = structure_endos(config.rank)
     gs = grassman_split(H)
     W = curv.weyl_sample(H, gs, rng)
-    R = curv.projective_curvature(H).times(2) + W
+    R = curv.ambient_projective_curvature(config.rank).times(2) + W
     Wp, B = curv.ricci_split(R, H)
     worst = float(exactla.max_abs(curv.ricci(Wp)))
     worst = max(worst, float(exactla.max_abs(B.matrix - 2 * H.g)))
@@ -411,7 +411,7 @@ def _chk_ricci_split(config, rng):
 def _chk_jacobi_spectrum(config, rng):
     # the spectrum -4 (three times), -1 (d - 4 times), as power sums
     H = structure_endos(config.rank)
-    Rg = curv.projective_curvature(H)
+    Rg = curv.ambient_projective_curvature(config.rank)
     X = exactla.zeros(H.dim)
     X[0] = Fraction(1)
     Kres, _ = curv.restrict_to_complement(Rg, X)
@@ -453,7 +453,7 @@ def _chk_special_linear(config, rng):
 
 def _chk_bracket_formula(config, rng):
     bracket = curv.projective_pair(config.rank)
-    formula = curv.projective_curvature(structure_endos(config.rank))
+    formula = curv.ambient_projective_curvature(config.rank)
     return float((bracket - formula).max_abs()), 1
 
 

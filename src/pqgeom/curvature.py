@@ -24,7 +24,12 @@ constructor raises TypeError on any entry that is not a Python int and on
 a scale that is not a positive int.  Exact ``Fraction``/int arrays enter
 through ``CurvatureTensor.from_fractions``, and ``fractions()`` is the
 ``Fraction`` view that ``curvature_to_text`` writes out; the text format
-has the single mode "exact".
+has the single mode "exact".  The commutators with the J_a and the
+change of basis of the tensor splitting go through ``exactla.contract``,
+one slice operation per nonzero matrix entry: on the standard structure
+each J_a is a signed permutation and the change of basis has at most two
+nonzeros per row.  The standard model (``ambient_projective_curvature``)
+is built once per rank and shared, and its tensor is read-only.
 
 Ricci splitting.  ``ricci_split`` inverts the Ricci map of the linear
 family R^B on its three eigenspaces (closed formula); the dense
@@ -38,6 +43,7 @@ the tests, as the reference the power sums are compared with.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -143,8 +149,11 @@ def ricci(R: CurvatureTensor) -> np.ndarray:
         np.trace(R.tensor, axis1=0, axis2=3), R.scale)
 
 
-def scalar_curvature(R: CurvatureTensor):
-    return np.trace(exactla.inverse(R.metric) @ ricci(R))
+def scalar_curvature(R: CurvatureTensor) -> Fraction:
+    """K = Tr(g^-1 Ric), summed elementwise on scaled integers."""
+    G, LG = exactla.scaled_integers(exactla.inverse(R.metric))
+    ric = np.trace(R.tensor, axis1=0, axis2=3)
+    return Fraction(int((G * ric.T).sum()), LG * R.scale)
 
 
 def einstein_check(R: CurvatureTensor):
@@ -239,7 +248,8 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
     traces = [T[:, a, None, None] for a in range(3)]
     worst = 0
     for (a, b, c) in CYCLES:
-        lhs = M @ J[a] - J[a] @ M                           # scale LR LJ
+        # M @ J_a - J_a @ M, scale LR LJ
+        lhs = exactla.contract(M, J[a].T, 2) - exactla.contract(M, J[a], 1)
         rhs = traces[c] * J[b] - traces[b] * J[c]           # scale LR LJ^2
         # lhs - (eps_a / 2n) rhs over the scale LR LJ^2 d, as d = 4n
         residual = (d * LJ) * lhs - (2 * EPS[a]) * rhs
@@ -431,15 +441,6 @@ def solvable_decomposition(sign: int = 1) -> SymmetricDecomposition:
                                   structure=left_structure_endos(1))
 
 
-def abelian_decomposition(n: int = 1) -> SymmetricDecomposition:
-    """All tangent brackets zero: the flat oracle."""
-    dm = 4 * n
-    return SymmetricDecomposition(
-        exactla.zeros((dm, dm, 1)), exactla.zeros((1, dm, dm)),
-        exactla.zeros((1, 1, 1)), metric_matrix(n),
-        structure=structure_endos(n))
-
-
 # 2x2 generators with j1^2 = -1, j2^2 = j3^2 = +1 and the cyclic table
 SL2_TRIPLE = (
     exactla.fracarray([[0, 1], [-1, 0]]),
@@ -540,11 +541,22 @@ def projective_pair(n: int):
     return CurvatureTensor(tensor, 1, metric_matrix(n))
 
 
+@functools.cache
+def _model_curvature(n: int) -> CurvatureTensor:
+    """projective_curvature of the standard rank-n structure, built once
+    per rank; its tensor is read-only."""
+    R = projective_curvature(structure_endos(n))
+    R.tensor.flags.writeable = False
+    return R
+
+
 def ambient_projective_curvature(n: int) -> CurvatureTensor:
     """Curvature of the rank-n ambient projective model.  The metric of
     the unit-pseudosphere submersion gives exactly the closed formula of
-    projective_curvature on the standard structure."""
-    return projective_curvature(structure_endos(n))
+    projective_curvature on the standard structure.  Every call returns
+    the same shared tensor, built on the first call for the rank and
+    read-only; sums, differences and multiples of it are new tensors."""
+    return _model_curvature(n)
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +573,12 @@ def jacobi_operator(R: CurvatureTensor, X: np.ndarray) -> np.ndarray:
 
 
 def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
-    """(matrix of K_X on X-orthogonal vectors, basis columns)."""
+    """(matrix of K_X on X-orthogonal vectors, basis columns): the
+    solution of the Gram system basis^T basis coords = basis^T K_X basis."""
     basis = exactla.nullspace((R.metric @ X).reshape(1, -1))
-    img = jacobi_operator(R, X) @ basis
-    coords = exactla.solve(basis.T @ basis, basis.T @ img)
+    coords = exactla.solve(exactla.product(basis.T, basis),
+                           exactla.product(basis.T, jacobi_operator(R, X),
+                                           basis))
     return coords, basis
 
 
@@ -668,13 +682,13 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     """
     m = len(split.e_basis)          # 2n
     d = 2 * m
-    s4 = exactla.zeros((m, m, m, m))
+    s4 = np.zeros((m, m, m, m), dtype=object)   # Python ints
     for idx in combinations_with_replacement(range(m), 4):
-        val = Fraction(rng.randint(-3, 3))
+        val = rng.randint(-3, 3)
         for perm in permutations(idx):
             s4[perm] = val
-    omega_inv_t = exactla.inverse(split.omega_e).T
-    shat = np.tensordot(s4, omega_inv_t, axes=([3], [0]))  # (i, j, k, l)
+    # shat[i, j, k, l] = sum_t s4[i, j, k, t] omega_E^-1[l, t]
+    shat = exactla.product(s4, exactla.inverse(split.omega_e).T)
     # the rest runs on integers: shat, omega_h, C and Cinv each over
     # their own scale, the product of which is the scale of the result
     shat, Ls = exactla.scaled_integers(shat)
@@ -688,10 +702,10 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     del blocks
     # transform from tensor coordinates to the ambient basis:
     # R_V[x,y,z,w] = Cinv[p,x] Cinv[q,y] Cinv[r,z] R_t[p,q,r,t] C[w,t]
-    t = np.tensordot(tensor, C, axes=([3], [1]))
+    t = exactla.contract(tensor, C, 3)
     del tensor
     for axis in range(3):
-        t = np.moveaxis(np.tensordot(Cinv, t, axes=([0], [axis])), 0, axis)
+        t = exactla.contract(t, Cinv.T, axis)
     return CurvatureTensor(t, Ls * Lh * LC * LCinv ** 3, H.g)
 
 

@@ -32,10 +32,20 @@ the end (a Fraction, not an array, when the chain contracts to a scalar).
 Its users: the fiber Gram of ``projspace.tangent_split`` and the induced
 metric of ``induced_geometry``; the reduced metric of
 ``reduction.flat_reduced_structure`` and the normal residuals of the
-orthogonality checks; ``linalg.adopted_basis`` and ``grassman_split``; and
-the CLI checks representation-homomorphism, adopted-basis-rank,
-tensor-split-blocks and lift-independence.  Products with the neutral
-metric are not among them: ``linalg.apply_metric`` is a sign flip.
+orthogonality checks; ``linalg.adopted_basis`` and ``grassman_split``;
+``curvature.restrict_to_complement`` (the Gram matrix and the projected
+image of its solve) and ``curvature.weyl_sample`` (the integer 4-tensor
+s^4 contracted with the inverse of omega_E); and the CLI checks
+representation-homomorphism, adopted-basis-rank, tensor-split-blocks and
+lift-independence.  Products with the neutral metric are not among them:
+``linalg.apply_metric`` is a sign flip.
+``contract(T, A, axis)`` contracts one axis of a Python-int tensor with
+a small integer matrix, one slice operation per nonzero entry of A, so a
+product with a sparse matrix (a signed permutation, or at most two
+nonzeros per row) costs about d^4 operations on a d^4 tensor, not d^5.
+Its users: the four change-of-basis contractions of
+``curvature.weyl_sample`` and the commutators [R(X, Y), J_a] of
+``curvature.normalizes_structure``.
 
 Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
 scaled integers: it eliminates a pivot column from the rows that are
@@ -165,6 +175,24 @@ def product(*factors):
         N, L = N @ M, L * LM
     out = from_scaled_integers(N, L)
     return out[()] if out.ndim == 0 else out
+
+
+def contract(T, A, axis: int) -> np.ndarray:
+    """out[..., i, ...] = sum_j A[i, j] T[..., j, ...] on `axis` of an
+    object array T of Python ints, for an integer matrix A: the array
+    np.moveaxis(np.tensordot(A, T, axes=([1], [axis])), 0, axis), formed
+    by one slice operation per nonzero entry of A."""
+    T = np.moveaxis(np.asarray(T), axis, 0)
+    out = np.zeros((len(A),) + T.shape[1:], dtype=object)
+    for i, j in zip(*np.nonzero(A)):
+        c = int(A[i, j])
+        if c == 1:
+            out[i] += T[j]
+        elif c == -1:
+            out[i] -= T[j]
+        else:
+            out[i] += T[j] * c
+    return np.moveaxis(out, 0, axis)
 
 
 def _echelon(mat: np.ndarray):

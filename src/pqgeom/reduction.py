@@ -304,24 +304,6 @@ def _weights(p: int, q: int):
     return (q, p, p)
 
 
-def weighted_flow_exact(p: int, q: int, param: Fraction, u: PQVector) -> PQVector:
-    """Rational point of the flow: parameter s on the unit hyperbola acts
-    with (cosh, sinh) = ((1+s^2)/(1-s^2), 2s/(1-s^2)) raised to the
-    integer weights."""
-    s = Fraction(param)
-    den = 1 - s * s
-    if den == 0:
-        raise ValueError("parameter on the asymptote")
-    one_step = SplitQuaternion((1 + s * s) / den, 0, 2 * s / den, 0)
-    out = []
-    for c, h in zip(_weights(p, q), u.entries):
-        flow = SplitQuaternion(1)
-        for _ in range(c):
-            flow = flow * one_step
-        out.append(flow * h)
-    return PQVector(out)
-
-
 def weighted_killing(p: int, q: int, u: SpherePoint) -> PQVector:
     """Flow derivative at parameter zero: (j q u0, j p u1, j p u2)."""
     ws = _weights(p, q)

@@ -13,7 +13,6 @@ from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
                               _bracket_coordinates,
                               NotSymmetricPairError, NullDirectionError,
                               SymmetricDecomposition,
-                              abelian_decomposition,
                               ambient_projective_curvature, bianchi_residual,
                               curvature_from_bilinear, curvature_from_text,
                               curvature_to_text, einstein_check,
@@ -29,7 +28,8 @@ from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
 from pqgeom.forms import BilinearForm
 from pqgeom.linalg import (DegenerateStructureError, HermitianStructure,
                            PQMatrix, PQVector, grassman_split,
-                           left_structure_endos, structure_endos)
+                           left_structure_endos, metric_matrix,
+                           structure_endos)
 
 from test_linalg import ref_pq_matmul
 
@@ -416,6 +416,15 @@ def test_zero_curvature_spectrum():
 # -- symmetric-space oracles --------------------------------------------------
 
 
+def abelian_decomposition(n=1):
+    """All tangent brackets zero: the flat oracle."""
+    dm = 4 * n
+    return SymmetricDecomposition(
+        exactla.zeros((dm, dm, 1)), exactla.zeros((1, dm, dm)),
+        exactla.zeros((1, 1, 1)), metric_matrix(n),
+        structure=structure_endos(n))
+
+
 def test_abelian_oracle_flat():
     R = symmetric_space_curvature(abelian_decomposition(1))
     assert R.max_abs() == 0
@@ -566,6 +575,25 @@ def test_bracket_equals_closed_formula(n):
     assert const == 4 * n + 8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ambient_model_is_shared_and_read_only(n):
+    R = ambient_projective_curvature(n)
+    assert ambient_projective_curvature(n) is R
+    fresh = projective_curvature(structure_endos(n))
+    assert R.scale == fresh.scale
+    assert (R.fractions() == fresh.fractions()).all()
+    with pytest.raises(ValueError):
+        R.tensor[0, 1, 2, 3] = 1
+    with pytest.raises(ValueError):
+        R.tensor += 1
+    # sums, differences and multiples are new, writable tensors
+    for derived in (R.times(2), R + fresh, R - fresh, fresh - R):
+        assert derived.tensor is not R.tensor
+        assert not np.shares_memory(derived.tensor, R.tensor)
+        derived.tensor[0, 1, 2, 3] += 1
+    assert (R.tensor == fresh.tensor).all()
+
+
 def ref_projective_pair(n):
     """The bracket curvature from scalar PQMatrix commutators: embed each
     basis vector as M(v), form [[M(e_y), M(e_x)], M(e_z)] one entry at a
@@ -692,6 +720,40 @@ def test_integer_path_matches_fraction_reference(kind, n):
         bianchi = bianchi_residual(T)
         assert bianchi == ref_bianchi(T) and (bianchi == 0) is zero
         assert type(bianchi) is Fraction
+
+
+def ref_restrict(R, X):
+    """restrict_to_complement on Fraction arrays: the products of the
+    Gram system and of the image are plain @ chains."""
+    basis = exactla.nullspace((R.metric @ X).reshape(1, -1))
+    img = jacobi_operator(R, X) @ basis
+    return exactla.solve(basis.T @ basis, basis.T @ img), basis
+
+
+@pytest.mark.parametrize("kind, n", [("model", 1), ("model", 2),
+                                     ("model", 3), ("conjugated", 1),
+                                     ("conjugated", 2)])
+def test_restrict_to_complement_matches_fraction_reference(kind, n):
+    # the model in a basis direction, and 2 R_0 + W + R^B on a conjugated
+    # structure in a direction off the basis
+    if kind == "model":
+        R = ambient_projective_curvature(n)
+        X = exactla.zeros(4 * n)
+        X[0] = Fraction(1)
+    else:
+        rng = random.Random(60 + n)
+        H = conjugated_structure(n, rng)
+        R = (projective_curvature(H).times(Fraction(2))
+             + weyl_sample(H, grassman_split(H), rng)
+             + curvature_from_bilinear(BilinearForm(rand_rational(
+                 rng, (H.dim, H.dim))), H))
+        X = exactla.fracarray([rng.randint(1, 3)]
+                              + [rng.randint(-3, 3) for _ in range(H.dim - 1)])
+    coords, basis = restrict_to_complement(R, X)
+    want_coords, want_basis = ref_restrict(R, X)
+    for got, want in ((coords, want_coords), (basis, want_basis)):
+        assert got.shape == want.shape and (got == want).all()
+        assert all_fractions(got)
 
 
 def test_exact_diagnostics_reject_float_tensors():

@@ -578,6 +578,33 @@ def test_product_rejects_inexact_factors(bad):
             exactla.product(*factors)
 
 
+def test_contract_matches_tensordot():
+    # every axis of a random Python-int 4-tensor, against tensordot
+    rng = random.Random(3)
+    shape = (3, 4, 2, 5)
+    T = np.array([rng.randint(-9, 9) for _ in range(int(np.prod(shape)))],
+                 dtype=object).reshape(shape)
+    for axis, k in enumerate(shape):
+        perm = list(range(k))
+        rng.shuffle(perm)
+        signed = np.zeros((k, k), dtype=object)
+        for i, j in enumerate(perm):
+            signed[i, j] = rng.choice((1, -1))
+        dense = np.array([[rng.randint(-5, 5) for _ in range(k)]
+                          for _ in range(k)], dtype=object)
+        rect = np.array([[rng.randint(-5, 5) for _ in range(k)]
+                         for _ in range(k + 2)], dtype=object)
+        zero = np.zeros((k + 1, k), dtype=object)
+        for A in (signed, dense, rect, zero, dense.astype(np.int64)):
+            got = exactla.contract(T, A, axis)
+            want = np.moveaxis(np.tensordot(A, T, axes=([1], [axis])),
+                               0, axis)
+            assert got.shape == want.shape
+            assert (got == want).all()
+            assert all(type(x) is int for x in got.reshape(-1))
+        assert not exactla.contract(T, zero, axis).any()
+
+
 def ref_ricci_operator(H):
     """The Ricci map B -> Ric(R^B) of the linear family on the row-major
     vec(B), assembled on Fractions: (d + 3) I - P + Psi + P Psi with

@@ -30,13 +30,12 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               flat_quotient_residuals, flat_reduced_structure,
                               isotropy_moment_traces, killing_derivative,
                               pq_orthogonality_check, pq_zero_set_check,
-                              reduced_jacobi,
-                              weighted_flow_exact, weighted_killing,
+                              reduced_jacobi, weighted_killing,
                               weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value, weighted_regularity)
 from pqgeom.reduction import (_generator_action, _level_gradient_rows,
-                              _moment_gradient_rows)
+                              _moment_gradient_rows, _weights)
 from pqgeom.scenes import scene_from_json, scene_to_json
 
 
@@ -219,6 +218,24 @@ def slice_level_sample(rng, p, q):
         assert weighted_level_value(p, q, u).is_zero()
         if weighted_regularity(p, q, u)[0]:
             return u
+
+
+def weighted_flow_exact(p, q, param, u):
+    """Rational point of the flow: parameter s on the unit hyperbola acts
+    with (cosh, sinh) = ((1+s^2)/(1-s^2), 2s/(1-s^2)) raised to the
+    integer weights."""
+    s = Fraction(param)
+    den = 1 - s * s
+    if den == 0:
+        raise ValueError("parameter on the asymptote")
+    one_step = SplitQuaternion((1 + s * s) / den, 0, 2 * s / den, 0)
+    out = []
+    for c, h in zip(_weights(p, q), u.entries):
+        flow = SplitQuaternion(1)
+        for _ in range(c):
+            flow = flow * one_step
+        out.append(flow * h)
+    return PQVector(out)
 
 
 def test_weighted_killing_example():
