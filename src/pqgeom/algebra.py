@@ -16,10 +16,10 @@ multiplicative but has null vectors (1 + j is a zero divisor), so
 inversion exists only off the null cone.
 
 Coefficients are exact (int / fractions.Fraction) everywhere but in two
-places: the float image of the exact level points of the weighted
-reduction with the reduced-Jacobi routines it feeds, and the
-definite-axis control.  The arithmetic is the same for floats, and exact
-inputs are never rounded.
+places of the weighted reduction: the definite-axis control, and the
+rounded image of the exact level points, which no routine of the package
+consumes.  The arithmetic is the same for floats, and exact inputs are
+never rounded.
 The rational points of the unit circle and hyperbola are
 ``circle_point`` and ``hyperbola_point``.
 

@@ -62,7 +62,6 @@ class CheckConfig:
     rank: int = 2
     p: int = 1
     q: int = 2
-    exact: bool = False
 
 
 @dataclass
@@ -563,14 +562,11 @@ def _chk_pq_direction_independence(config, rng):
     worst = 0
     count = max(3, config.samples // 30)
     for _ in range(count):
-        if config.exact:
-            u = red.weighted_level_sample(rng, config.p, config.q)
-        else:
-            u = red.weighted_level_sample_float(rng, config.p, config.q)
+        u = red.weighted_level_sample(rng, config.p, config.q)
         dirs = red.admissible_directions(config.p, config.q, u, rng, 8)
-        vals = [float(red.reduced_jacobi(config.p, config.q, u, X).ratio)
+        vals = [red.reduced_jacobi(config.p, config.q, u, X).ratio
                 for X in dirs]
-        scale = max(1.0, max(abs(v) for v in vals))
+        scale = max(1, max(abs(v) for v in vals))
         worst = max(worst, (max(vals) - min(vals)) / scale)
     return worst, count
 
@@ -763,7 +759,7 @@ def _config_dict(config: CheckConfig) -> dict:
     return {
         "seed": config.seed, "samples": config.samples,
         "rank": config.rank, "p": config.p, "q": config.q,
-        "xi": [str(x) for x in red.FLAT_LEVEL], "exact": config.exact,
+        "xi": [str(x) for x in red.FLAT_LEVEL],
     }
 
 
@@ -787,7 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"), default="text")
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--exact", action="store_true",
-                        help="force rational arithmetic where supported")
+                        help="no effect: every check is exact; accepted so "
+                             "that existing command lines (the reduce-pq-"
+                             "exact workload of perfbench/run.py) still run")
     return parser
 
 
@@ -795,8 +793,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = CheckConfig(seed=args.seed, samples=args.samples,
-                             rank=args.rank, p=args.p, q=args.q,
-                             exact=args.exact)
+                             rank=args.rank, p=args.p, q=args.q)
         reports = run_suite(args.suite, config)
     except (UnknownSuiteError, InvalidConfigError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

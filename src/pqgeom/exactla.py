@@ -16,8 +16,11 @@ that is not an int or a Fraction, the check of ``require_exact``), and
 array.  Python ints do not overflow, so no magnitude bound is needed.
 Their users: the 2-forms, the 4-form, the rotations and the hermitian
 projector of ``forms``; the structure checks and ``PQMatrix`` products of
-``linalg``; ``projspace.transitive_element``; the isotropy traces and
-the moment-gradient check of ``reduction``; and in ``curvature`` the
+``linalg``; ``projspace.transitive_element`` and
+``horizontal_project``; the isotropy traces, the moment-gradient check
+and the reduced-Jacobi chain (``admissible_directions``,
+``killing_derivative``, ``reduced_jacobi``) of ``reduction``; and in
+``curvature`` the
 structure and metric inputs of the builders and the small results of the
 diagnostics (Ricci forms, structure traces, Jacobi operators).  A d^4
 curvature tensor passes through them only when it is read from or
@@ -69,8 +72,6 @@ from fractions import Fraction
 from operator import attrgetter
 
 import numpy as np
-
-SVD_RANK_TOL = 1e-10       # relative to the largest singular value (or 1)
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -367,15 +368,3 @@ def signature(sym: np.ndarray) -> tuple[int, int]:
     if z:
         raise ValueError("degenerate symmetric form")
     return p, m
-
-
-# -- dtype dispatch: exact object arrays vs float arrays --------------------
-
-
-def nullspace_any(mat: np.ndarray) -> np.ndarray:
-    if mat.dtype == object:
-        return nullspace(mat)
-    mat = np.asarray(mat, dtype=float)
-    _, s, vt = np.linalg.svd(mat)
-    keep = s > SVD_RANK_TOL * max(1.0, s[0] if len(s) else 1.0)
-    return vt[int(keep.sum()):].T

@@ -12,8 +12,9 @@ Real coordinates.  The neutral metric g is diagonal with entries
 (1, 1, -1, -1) per entry, so g @ X is a sign flip
 (``linalg.apply_metric``), and right multiplication by a unit is a signed
 permutation (``linalg.right_unit_action``); neither forms a product, and
-both are exact on every dtype.  The remaining exact products (the fiber
-and induced Grams) run through ``exactla.product``.
+both are exact.  The remaining exact products (the fiber and induced
+Grams) run through ``exactla.product``, and the horizontal projection
+runs on scaled integers.
 
 The transitive-element construction completes a unit lift to a matrix
 preserving both the neutral scalar product and the quaternionic
@@ -58,19 +59,18 @@ class CompletionFailureError(ValueError):
 
 
 class SpherePoint:
-    """Unit vector of the rank-(n+1) module (tolerance for float lifts)."""
+    """Unit vector of the rank-(n+1) module.  The check asks |x|^2 == 1
+    exactly, so only a lift with exact coordinates passes it, and the
+    routines of this package raise TypeError on a float lift."""
 
     __slots__ = ("x",)
 
-    def __init__(self, x: PQVector, check: bool = True, tol=0):
+    def __init__(self, x: PQVector, check: bool = True):
         if check:
             err = abs(module_scalar_product(x, x) - 1)
-            if err > tol:
+            if err != 0:
                 raise ValueError(f"not a unit vector, off by {err}")
         self.x = x
-
-    def is_exact(self) -> bool:
-        return not isinstance(self.x.entries[0].a, float)
 
     @property
     def rank(self) -> int:
@@ -179,18 +179,23 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
 
 
 def horizontal_project(x: SpherePoint, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of an ambient vector onto the horizontal
-    space at x (drops the position and fiber components).  On the unit
-    sphere the frame (x, x i, x j, x k) has the Gram matrix
-    diag(1, 1, -1, -1), so the coefficients are a sign flip of its
-    pairings with v."""
-    coords = x.x.to_real()
-    if not x.is_exact():
-        coords = np.asarray(coords, dtype=float)
-        v = np.asarray(v, dtype=float)
-    frame4 = np.concatenate([coords.reshape(-1, 1), vertical_frame(coords)],
-                            axis=1)
-    return v - frame4 @ apply_metric(frame4.T @ apply_metric(v))
+    """Orthogonal projection of an ambient vector (or of the columns of a
+    matrix) onto the horizontal space at x (drops the position and fiber
+    components), on scaled integers: see horizontal_integers.  TypeError on
+    an entry of x or v that is not an int or a Fraction."""
+    C, L = exactla.scaled_integers(x.x.to_real())
+    V, LV = exactla.scaled_integers(v)
+    return exactla.from_scaled_integers(horizontal_integers(C, L, V),
+                                        L * L * LV)
+
+
+def horizontal_integers(C: np.ndarray, L: int, V: np.ndarray) -> np.ndarray:
+    """L^2 times the horizontal part of V at the sphere point x = C / L,
+    for integer arrays C and V: an integer array.  On the unit sphere the
+    frame (x, x i, x j, x k) has the Gram matrix diag(1, 1, -1, -1), so the
+    coefficients are a sign flip of its pairings with V."""
+    frame4 = np.concatenate([C.reshape(-1, 1), vertical_frame(C)], axis=1)
+    return L * L * V - frame4 @ apply_metric(frame4.T @ apply_metric(V))
 
 
 def induced_geometry(x: SpherePoint):

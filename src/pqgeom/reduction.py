@@ -58,11 +58,15 @@ rho differs from point to point; on the sphere V is horizontal at every
 point of the zero level set, so the reduced-Jacobi routines read V
 directly.
 
-Arithmetic.  Everything is exact but two routes: the float level points
-of ``weighted_level_sample_float``, which are the exact points rounded
-to floats, with the reduced-Jacobi routines they feed, and
-``empty_levelset_check``, the definite-axis control, which draws float
-sphere points.
+Arithmetic.  Everything is exact but two routes: the definite-axis
+control ``empty_levelset_check``, which draws its sphere points in double
+precision, and the rounded image of the exact level points, which the
+benchmark in perfbench/ traces by name and no routine of the package
+calls.  The reduced-Jacobi chain (``admissible_directions``,
+``killing_derivative``, ``reduced_jacobi``) scales the point and the
+direction to integers once each, forms every pairing and product on
+Python ints, and forms Fractions only for its results; it raises
+TypeError on a lift with inexact coordinates.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ from .curvature import (NullDirectionError, ambient_projective_curvature,
 from .linalg import (HermitianStructure, PQVector, apply_metric,
                      left_mult_matrix, module_scalar_product,
                      right_mult_matrix, right_unit_action, structure_endos)
-from .projspace import (SpherePoint, horizontal_project, random_sphere_point,
+from .projspace import (SpherePoint, horizontal_integers, random_sphere_point,
                         transitive_action, vertical_frame)
 
 
@@ -111,9 +115,9 @@ _LEVEL_BLOCK = 256
 class ImValue:
     """Element of the imaginary span, as (i, j, k) coefficients."""
 
-    i: Fraction | float
-    j: Fraction | float
-    k: Fraction | float
+    i: Fraction
+    j: Fraction
+    k: Fraction
 
     def coefficients(self):
         return (self.i, self.j, self.k)
@@ -233,8 +237,8 @@ class ReducedStructure:
 
     frame: np.ndarray
     structure: HermitianStructure
-    comrel_residual: Fraction | float
-    skew_residual: Fraction | float
+    comrel_residual: Fraction
+    skew_residual: Fraction
     signature: tuple[int, int]
 
 
@@ -480,9 +484,22 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
 # -- covariant derivative of the Killing field on the sphere model ----------
 
 
-def _real_coords(v: PQVector, exact: bool) -> np.ndarray:
-    out = v.to_real()
-    return out if exact else np.asarray(out, dtype=float)
+def _killing_derivative_integers(p: int, q: int, U: np.ndarray, L: int,
+                                 X: np.ndarray) -> np.ndarray:
+    """L^4 times killing_derivative(p, q, u, X) at u = U / L, for integer
+    arrays U and X: an integer array.  The unprojected derivative is
+    quadratic in u (its terms have degree 0, 2 and 2), so L^2 times it is
+    formed at U; horizontal_integers multiplies by a further L^2."""
+    DX = _generator_action(p, q, X)
+    DU = _generator_action(p, q, U)
+    vert_u = vertical_frame(U)
+    vert_X = vertical_frame(X)
+    coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(DU)
+    coef_b = vert_u.T @ apply_metric(DU)
+    # the fiber Gram diag(1, -1, -1) is its own inverse
+    coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
+    deriv = L * L * DX - vert_u @ coef_a - vert_X @ coef_b
+    return horizontal_integers(U, L, deriv)
 
 
 def killing_derivative(p: int, q: int, u: SpherePoint,
@@ -494,27 +511,21 @@ def killing_derivative(p: int, q: int, u: SpherePoint,
     fiber Gram inverse; differentiating along a tangent X and projecting
     horizontally gives the lift of the covariant derivative on the
     quotient (the sphere's second-fundamental term is not horizontal
-    and drops out).
+    and drops out).  Formed on scaled integers; TypeError on an entry of
+    u or X that is not an int or a Fraction.
     """
-    coords = _real_coords(u.x, u.is_exact())
-    DX = _generator_action(p, q, X)
-    Du = _generator_action(p, q, coords)
-    vert_u = vertical_frame(coords)
-    vert_X = vertical_frame(X)
-    coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(Du)
-    coef_b = vert_u.T @ apply_metric(Du)
-    # the fiber Gram diag(1, -1, -1) is its own inverse
-    coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
-    deriv = DX - vert_u @ coef_a - vert_X @ coef_b
-    return horizontal_project(u, deriv)
+    U, L = exactla.scaled_integers(u.x.to_real())
+    XN, LX = exactla.scaled_integers(X)
+    return exactla.from_scaled_integers(
+        _killing_derivative_integers(p, q, U, L, XN), L ** 4 * LX)
 
 
 @dataclass
 class ReducedJacobi:
     eigenvalues: tuple
-    ratio: Fraction | float
-    killing_norm: Fraction | float
-    einstein_constant: Fraction | float
+    ratio: Fraction
+    killing_norm: Fraction
+    einstein_constant: Fraction
 
 
 @functools.cache
@@ -528,42 +539,50 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
                    X: np.ndarray) -> ReducedJacobi:
     """Eigenvalue data (l1, l2, l3, ratio) of the reduced Jacobi operator.
 
-    u must lie on the zero level set (DegenerateLevelSetError otherwise;
-    within 1e-9 at a float point).  There the Killing field V is
-    horizontal: g(V, x) = 0 on the sphere, and the g(V, x e_a) are the
-    components of the level value; and g(V, V) = -sum c_v^2 |u_v|^2 is
-    minus the regularity value.  X must be horizontal and orthogonal to
-    the span (V, J1 V, J2 V, J3 V) with g(X, X) != 0; the ratio is
-    normalised by g(X, X), which makes it scale invariant and uniform
-    across causal classes.  The eigenvalues are read off the reduced
-    scalar curvature nu of the ambient model.
+    u must lie on the zero level set (DegenerateLevelSetError otherwise).
+    There the Killing field V is horizontal: g(V, x) = 0 on the sphere,
+    and the g(V, x e_a) are the components of the level value up to
+    sign; and g(V, V) = -sum c_v^2 |u_v|^2 is minus the regularity value.
+    X must be horizontal and orthogonal to the span (V, J1 V, J2 V, J3 V)
+    with g(X, X) != 0; the ratio is normalised by g(X, X), which makes it
+    scale invariant and uniform across causal classes.  The eigenvalues
+    are read off the reduced scalar curvature nu of the ambient model.
+
+    The chain runs on scaled integers: u = U / L, and X is replaced by its
+    integer multiple, which leaves the ratio unchanged.  The span of D U
+    is L times the Killing span, with the Gram matrix VV s, where
+    VV = L^2 g(V, V) and s = diag(1, 1, -1, -1); P = L^4 V_X (times the
+    scale of X), and H = VV P - span s (span^T g P) is VV P times the part
+    h(V_X) of V_X orthogonal to the span, so
+    rho = H^T g H / (VV^3 L^6 g(X, X)) with g(X, X) of the integer X.
+    Every guard is an exact comparison with 0; TypeError on an entry of u
+    or X that is not an int or a Fraction.
     """
-    exact = u.is_exact()
-    tol = 0 if exact else 1e-9
-    _, value = weighted_regularity(p, q, u)
-    if abs(value) <= tol:
+    U, L = exactla.scaled_integers(u.x.to_real())
+    XN, _ = exactla.scaled_integers(X)
+    span = _killing_span(_generator_action(p, q, U))
+    g_span = apply_metric(span)
+    VV = span[:, 0] @ g_span[:, 0]
+    if VV == 0:
         raise NonRegularError("point fails the regularity condition")
-    off = weighted_level_value(p, q, u).max_abs()
-    if off > tol:
+    if (vertical_frame(U).T @ g_span[:, 0]).any():
+        off = weighted_level_value(p, q, u).max_abs()
         raise DegenerateLevelSetError(f"point off the zero level set by {off}")
-    vnorm = -value
-    xnorm = apply_metric(X) @ X
-    if abs(float(xnorm)) <= tol:
+    xnorm = XN @ apply_metric(XN)
+    if xnorm == 0:
         raise NullDirectionError("direction is null")
-    span = _killing_span(_generator_action(p, q, _real_coords(u.x, exact)))
-    if float(exactla.max_abs(span.T @ apply_metric(X))) > 1e-8:
+    if (g_span.T @ XN).any():
         raise ValueError("direction not orthogonal to the Killing span")
-    VX = killing_derivative(p, q, u, X)
-    # the Gram matrix of the span is g(V, V) diag(1, 1, -1, -1)
-    h_part = VX - span @ (apply_metric(span.T @ apply_metric(VX)) / vnorm)
-    hnorm = apply_metric(h_part) @ h_part
-    ratio = hnorm / (xnorm * vnorm)
+    P = _killing_derivative_integers(p, q, U, L, XN)
+    H = VV * P - span @ apply_metric(g_span.T @ P)
+    ratio = Fraction(H @ apply_metric(H), VV ** 3 * L ** 6 * xnorm)
     const = _ambient_constant()
     nu = const / 4   # reduced scalar curvature, const / (n + 2) at n = 2
     lam1 = -(nu - 2 * ratio)
     lam3 = -(nu + 4 * ratio)
     return ReducedJacobi(eigenvalues=(lam1, lam1, lam3), ratio=ratio,
-                         killing_norm=vnorm, einstein_constant=const)
+                         killing_norm=Fraction(VV, L * L),
+                         einstein_constant=const)
 
 
 def _killing_span(V: np.ndarray) -> np.ndarray:
@@ -574,22 +593,23 @@ def _killing_span(V: np.ndarray) -> np.ndarray:
 
 def admissible_directions(p: int, q: int, u: SpherePoint, rng,
                           count: int) -> list[np.ndarray]:
-    """Seeded horizontal directions orthogonal to the Killing span, with
-    g(X, X) != 0; exact rational at exact points.  u lies on the zero
-    level set, where the Killing field is horizontal (reduced_jacobi)."""
-    exact = u.is_exact()
-    coords = _real_coords(u.x, exact)
-    span = _killing_span(_generator_action(p, q, coords))
-    basis = exactla.nullspace_any(apply_metric(np.concatenate(
-        [coords.reshape(-1, 1), vertical_frame(coords), span], axis=1)).T)
+    """Seeded exact horizontal directions orthogonal to the Killing span,
+    with g(X, X) != 0.  u lies on the zero level set, where the Killing
+    field is horizontal (reduced_jacobi).  The kernel basis is that of the
+    integer coordinates U of u, which spans the same space; each direction
+    is formed on scaled integers.  TypeError on a lift with inexact
+    coordinates."""
+    U, _ = exactla.scaled_integers(u.x.to_real())
+    basis, LB = exactla.scaled_integers(exactla.nullspace(apply_metric(
+        np.concatenate([U.reshape(-1, 1), vertical_frame(U),
+                        _killing_span(_generator_action(p, q, U))],
+                       axis=1)).T))
     out = []
     while len(out) < count:
-        raw = [rng.randint(-4, 4) for _ in range(basis.shape[1])]
-        coef = exactla.fracarray(raw) if exact else np.asarray(raw,
-                                                               dtype=float)
-        X = basis @ coef
-        if abs(float(apply_metric(X) @ X)) > (0 if exact else 1e-8):
-            out.append(X)
+        X = basis @ np.array([rng.randint(-4, 4)
+                              for _ in range(basis.shape[1])], dtype=object)
+        if X @ apply_metric(X) != 0:
+            out.append(exactla.from_scaled_integers(X, LB))
     return out
 
 
@@ -617,10 +637,11 @@ def _float_sphere_seeds(rng, count: int) -> np.ndarray:
 
 def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
     """The float image of weighted_level_sample(rng, p, q): the same draws,
-    coordinates rounded to floats (on the sphere within 1e-9)."""
+    coordinates rounded to floats.  Not checked again: the exact point it
+    rounds was checked on the sphere."""
     u = weighted_level_sample(rng, p, q)
     return SpherePoint(PQVector(SplitQuaternion(*map(float, h.coefficients()))
-                                for h in u.x.entries), tol=1e-9)
+                                for h in u.x.entries), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +659,6 @@ class ReductionScene:
     p: int | None = None
     q: int | None = None
     seed: int = 0
-    tolerance: float = 1e-9
     points: list = field(default_factory=list)
     derived: list = field(default_factory=list)
 
@@ -651,7 +671,7 @@ class ReductionScene:
             "action": self.action, "rank": self.rank,
             "p": self.p, "q": self.q,
             "xi": [str(x) for x in self.xi],
-            "seed": self.seed, "tolerance": self.tolerance,
+            "seed": self.seed,
         }
 
 
@@ -674,21 +694,14 @@ def build_flat_scene(rank: int = 3, seed: int = 0,
 
 
 def build_pq_scene(p: int = 1, q: int = 2, seed: int = 0,
-                   samples: int = 10, directions: int = 5,
-                   sampler: str = "float") -> ReductionScene:
-    """Sample the zero level set and attach reduced Jacobi data per point.
-
-    sampler 'exact' draws generic exact points (weighted_level_sample);
-    'float' draws the same points rounded to floats.
-    """
+                   samples: int = 10, directions: int = 5) -> ReductionScene:
+    """Sample generic exact points of the zero level set
+    (weighted_level_sample) and attach reduced Jacobi data per point."""
     _weights(p, q)
     rng = random.Random(seed)
     scene = ReductionScene(action="pq", rank=3, p=p, q=q, seed=seed)
     for _ in range(samples):
-        if sampler == "exact":
-            u = weighted_level_sample(rng, p, q)
-        else:
-            u = weighted_level_sample_float(rng, p, q)
+        u = weighted_level_sample(rng, p, q)
         scene.points.append(u)
         dirs = admissible_directions(p, q, u, rng, directions)
         data = [reduced_jacobi(p, q, u, X) for X in dirs]

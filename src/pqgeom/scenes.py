@@ -19,13 +19,11 @@ from .reduction import (FLAT_LEVEL, LEVELS, ReductionScene, _weights,
 
 
 def scene_to_json(scene: ReductionScene) -> str:
-    """Exact coordinates are written as rational strings, float ones as
-    JSON numbers (which round-trip exactly)."""
+    """Coordinates are written as rational strings."""
     def encode_point(pt):
         if isinstance(pt, SpherePoint):
             pt = pt.x
-        return [[x if isinstance(x, float) else str(x)
-                 for x in h.coefficients()] for h in pt.entries]
+        return [[str(x) for x in h.coefficients()] for h in pt.entries]
 
     def plain(value):
         if isinstance(value, Fraction):
@@ -51,11 +49,9 @@ def scene_from_json(text: str) -> ReductionScene:
     invalid JSON, a missing key, an unknown action, weights or a rank the
     action does not allow, a level that does not match the action, a
     point without `rank` entries or an entry without four coefficients, a
-    coordinate that is neither a rational string nor a number, an
-    off-sphere point of the pq scene (a float point within the reader's
-    bound ReductionScene.tolerance = 1e-9, whatever the manifest's
-    `tolerance`), and a point of the flat scene that is not exact
-    (rational strings) or lies off its level set FLAT_LEVEL."""
+    coordinate that is not a rational string (a JSON number included, in
+    the scenes of both actions), a point of the pq scene off the unit
+    sphere, and a point of the flat scene off its level set FLAT_LEVEL."""
     try:
         return _scene_from_payload(json.loads(text))
     except (KeyError, TypeError, ZeroDivisionError) as err:
@@ -66,7 +62,7 @@ def _scene_from_payload(payload) -> ReductionScene:
     man = payload["manifest"]
     scene = ReductionScene(
         action=man["action"], rank=man["rank"], p=man["p"], q=man["q"],
-        seed=man["seed"], tolerance=man["tolerance"])
+        seed=man["seed"])
     if scene.action not in LEVELS:
         raise ValueError(f"unknown action {scene.action!r}")
     if scene.action == "pq":
@@ -82,14 +78,10 @@ def _scene_from_payload(payload) -> ReductionScene:
                              f"entries of four coefficients")
         vec = PQVector(SplitQuaternion(*map(_coordinate, h)) for h in coords)
         if scene.action == "pq":
-            floating = isinstance(vec.entries[0].a, float)
-            # the bound of float points is the reader's, not the file's
-            scene.points.append(SpherePoint(
-                vec, tol=ReductionScene.tolerance if floating else 0))
-        elif any(not isinstance(c, str) for h in coords for c in h) \
-                or flat_circle_moment(vec) != FLAT_LEVEL:
-            raise ValueError(f"point {coords!r} is not an exact point of "
-                             f"the flat level set")
+            scene.points.append(SpherePoint(vec))
+        elif flat_circle_moment(vec) != FLAT_LEVEL:
+            raise ValueError(f"point {coords!r} is not a point of the flat "
+                             f"level set")
         else:
             scene.points.append(vec)
     scene.derived = payload["derived"]
@@ -97,10 +89,7 @@ def _scene_from_payload(payload) -> ReductionScene:
 
 
 def _coordinate(c):
-    """A point coordinate: a rational string (exact) or a JSON number."""
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, bool) or not isinstance(c, (int, float)):
-        raise ValueError(f"coordinate {c!r} is neither a rational string "
-                         f"nor a number")
-    return float(c)
+    """A point coordinate: a rational string."""
+    if not isinstance(c, str):
+        raise ValueError(f"coordinate {c!r} is not a rational string")
+    return Fraction(c)

@@ -8,6 +8,7 @@ in subprocesses, because installing the tracer rebinds the pqgeom
 functions of the process.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -56,3 +57,14 @@ def test_benchmark_names_resolve():
         count = run_python("-c", snippet)
         assert count.returncode == 0, count.stderr
         assert int(count.stdout) == 4 ** 4
+
+
+def test_reduce_pq_exact_workload_runs():
+    # the hand-run workload of perfbench/run.py; it is the one caller of
+    # the pqgeom option --exact
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "reduce-pq-exact",
+         "--seconds", "0"], cwd=ROOT, capture_output=True, text=True,
+        timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["correct"] is True

@@ -15,7 +15,9 @@ from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
                               random_unit_quaternion, sphere_point_through,
                               tangent_split, transitive_element,
                               vertical_frame)
-from pqgeom.reduction import weighted_level_sample
+from pqgeom.reduction import (admissible_directions, killing_derivative,
+                              reduced_jacobi, weighted_level_sample,
+                              weighted_level_sample_float)
 
 
 def hermitian_pairing(u: PQVector, v: PQVector) -> SplitQuaternion:
@@ -86,9 +88,10 @@ def test_sphere_point_validation():
         SpherePoint(PQVector([SplitQuaternion(2), SplitQuaternion()]))
     x = base_point(2)
     assert module_scalar_product(x.x, x.x) == 1
-    # float lifts go through with a tolerance
-    SpherePoint(PQVector([SplitQuaternion(1.0 + 1e-12), SplitQuaternion(0.0)]),
-                tol=1e-9)
+    # the check is exact: a float lift off by rounding is refused
+    with pytest.raises(ValueError):
+        SpherePoint(PQVector([SplitQuaternion(1.0 + 1e-12),
+                              SplitQuaternion(0.0)]))
 
 
 def test_random_sphere_points_exact():
@@ -174,7 +177,6 @@ def test_tangent_split_float_lifts():
     # whose fiber Gram rounds to diag(1, -1, -1) exactly
     x = random_sphere_point(random.Random(9), 3)
     near = _float_lift(x)
-    assert not near.is_exact()
     for lift in (near, _float_lift(base_point(3)), _float_lift(x, 1 + 1e-6)):
         with pytest.raises(TypeError, match="exact arithmetic"):
             tangent_split(lift)
@@ -182,19 +184,20 @@ def test_tangent_split_float_lifts():
 
 
 @pytest.mark.parametrize("seed", [5, 8, 18])
-def test_tangent_split_float_frame_full_rank(seed):
-    # float copies of these points once gave tangent frames of
-    # singular-value ratio ~1e-17; the float route that remains is
-    # horizontal_project, whose images of the coordinate vectors must
-    # span the exact horizontal frame and nothing more
-    x = random_sphere_point(random.Random(seed), 3)
-    images = horizontal_project(_float_lift(x), np.eye(12))
-    s = np.linalg.svd(images, compute_uv=False)
-    assert s[7] / s[0] > 1e-6 and s[8] / s[0] < 1e-12
-    exact = np.asarray(tangent_split(x).horizontal, dtype=float)
-    both = np.linalg.svd(np.concatenate([images, exact], axis=1),
-                         compute_uv=False)
-    assert both[7] / both[0] > 1e-6 and both[8] / both[0] < 1e-12
+def test_float_lifts_raise_type_error(seed):
+    # the projection and the reduced-Jacobi chain are exact-only: a float
+    # lift fails loudly, also the float image of an exact level point
+    u = weighted_level_sample(random.Random(seed), 1, 2)
+    X = admissible_directions(1, 2, u, random.Random(seed), 1)[0]
+    for lift in (weighted_level_sample_float(random.Random(seed), 1, 2),
+                 _float_lift(u)):
+        for routine in (lambda: horizontal_project(lift, X),
+                        lambda: killing_derivative(1, 2, lift, X),
+                        lambda: reduced_jacobi(1, 2, lift, X),
+                        lambda: admissible_directions(
+                            1, 2, lift, random.Random(seed), 1)):
+            with pytest.raises(TypeError, match="exact arithmetic"):
+                routine()
 
 
 def test_horizontal_spaces_structure_invariant():

@@ -15,9 +15,10 @@ from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               einstein_check, restrict_to_complement, ricci)
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, right_mult_matrix,
-                           structure_endos)
+                           right_unit_action, structure_endos)
 from pqgeom.projspace import (SpherePoint, base_point, horizontal_project,
-                              random_sphere_point, transitive_element)
+                              random_sphere_point, transitive_element,
+                              vertical_frame)
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               NonRegularError, NullOrbitError,
                               ReductionScene, admissible_directions,
@@ -34,8 +35,9 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value, weighted_regularity)
-from pqgeom.reduction import (_generator_action, _level_gradient_rows,
-                              _moment_gradient_rows, _weights)
+from pqgeom.reduction import (_generator_action, _killing_span,
+                              _level_gradient_rows, _moment_gradient_rows,
+                              _weights)
 from pqgeom.scenes import scene_from_json, scene_to_json
 
 
@@ -474,6 +476,57 @@ def test_killing_derivative_is_skew():
             assert a + b == 0
 
 
+def ref_killing_derivative(p, q, u, X):
+    """The Fraction-array route of killing_derivative: the derivative
+    DX - vert_u coef_a - vert_X coef_b at the coordinates of u, then the
+    horizontal projection v - F diag(1, 1, -1, -1) F^T g v with the frame
+    F = (x, x i, x j, x k).  The reference for the scaled-integer chain."""
+    coords = u.x.to_real()
+    DX = _generator_action(p, q, X)
+    Du = _generator_action(p, q, coords)
+    vert_u = vertical_frame(coords)
+    vert_X = vertical_frame(X)
+    coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(Du)
+    coef_b = vert_u.T @ apply_metric(Du)
+    coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
+    deriv = DX - vert_u @ coef_a - vert_X @ coef_b
+    frame4 = np.concatenate([coords.reshape(-1, 1), vertical_frame(coords)],
+                            axis=1)
+    return deriv - frame4 @ apply_metric(frame4.T @ apply_metric(deriv))
+
+
+def ref_reduced_jacobi(p, q, u, X):
+    """(eigenvalues, ratio, killing_norm) by Fraction arrays: h(V_X) is
+    V_X minus its part in the Killing span, whose Gram matrix is
+    g(V, V) diag(1, 1, -1, -1) with g(V, V) minus the regularity value,
+    and rho = |h(V_X)|^2 / (g(X, X) g(V, V)).  The reference for
+    reduced_jacobi."""
+    vnorm = -weighted_regularity(p, q, u)[1]
+    xnorm = apply_metric(X) @ X
+    span = _killing_span(_generator_action(p, q, u.x.to_real()))
+    VX = ref_killing_derivative(p, q, u, X)
+    h_part = VX - span @ (apply_metric(span.T @ apply_metric(VX)) / vnorm)
+    ratio = (apply_metric(h_part) @ h_part) / (xnorm * vnorm)
+    nu = einstein_check(ambient_projective_curvature(2))[0] / 4
+    lam1, lam3 = -(nu - 2 * ratio), -(nu + 4 * ratio)
+    return (lam1, lam1, lam3), ratio, vnorm
+
+
+@pytest.mark.parametrize("p, q", PQ_WEIGHTS)
+def test_reduced_jacobi_matches_fraction_route(p, q):
+    rng = random.Random(31 + p + q)
+    for _ in range(3):
+        u = weighted_level_sample(rng, p, q)
+        for X in admissible_directions(p, q, u, rng, 4):
+            got = reduced_jacobi(p, q, u, X)
+            eigenvalues, ratio, killing_norm = ref_reduced_jacobi(p, q, u, X)
+            assert got.eigenvalues == eigenvalues
+            assert got.ratio == ratio
+            assert got.killing_norm == killing_norm
+            assert (killing_derivative(p, q, u, X)
+                    == ref_killing_derivative(p, q, u, X)).all()
+
+
 def test_reduced_jacobi_exact_point():
     rng = random.Random(17)
     u = slice_level_sample(rng, 1, 2)
@@ -513,22 +566,19 @@ def test_reduced_jacobi_guards():
     assert not ok and value == 0
     with pytest.raises(NonRegularError):
         reduced_jacobi(1, 2, bad, exactla.fracarray([0] * 12))
-    # a null direction at the float copy of a good point (a slice point,
-    # then a generic one): a + t b with g(a + t b, a + t b) = 0, for two
-    # admissible directions a, b of opposite causal type
-    g = np.array(metric_matrix(3), dtype=float)
-    for sampler in (slice_level_sample, weighted_level_sample):
-        u = sampler(rng, 1, 2)
-        dirs = [np.array(X, dtype=float)
-                for X in admissible_directions(1, 2, u, rng, 8)]
-        a, b = next((a, b) for a in dirs for b in dirs
-                    if (a @ g @ a) * (b @ g @ b) < 0)
-        qa, ab, qb = a @ g @ a, a @ g @ b, b @ g @ b
-        t = (-ab + np.sqrt(ab * ab - qa * qb)) / qb
-        uf = SpherePoint(PQVector.from_real(
-            np.array(u.x.to_real(), dtype=float)), tol=1e-9)
+    # an exact null direction at a slice point and at generic points:
+    # X = a + J2 a is admissible (the complement of the Killing span is
+    # invariant under the structure) and g(X, X) = g(a, a) - g(a, a) = 0,
+    # J2 being an anti-isometry skew for g
+    points = [slice_level_sample(rng, 1, 2)]
+    points += [weighted_level_sample(rng, p, q)
+               for p, q in [(1, 2), (3, 4), (2, 1)]]
+    for (p, q), u in zip([(1, 2), (1, 2), (3, 4), (2, 1)], points):
+        a = admissible_directions(p, q, u, rng, 1)[0]
+        X = a + right_unit_action(a, 1)
+        assert X.any() and apply_metric(X) @ X == 0
         with pytest.raises(NullDirectionError):
-            reduced_jacobi(1, 2, uf, a + t * b)
+            reduced_jacobi(p, q, u, X)
 
 
 @pytest.mark.parametrize("p, q", [(1, 2), (3, 4)])
@@ -542,21 +592,16 @@ def test_reduced_jacobi_rejects_points_off_the_level_set(p, q):
     assert weighted_regularity(p, q, off)[0]
     with pytest.raises(DegenerateLevelSetError, match="off the zero level"):
         reduced_jacobi(p, q, off, X)
-    uf = weighted_level_sample_float(rng, p, q)
-    shifted = SpherePoint(PQVector([uf.x.entries[0] + SplitQuaternion(0, 1e-6),
-                                    *uf.x.entries[1:]]), check=False)
-    with pytest.raises(ValueError):
-        reduced_jacobi(p, q, shifted, X)
 
 
 def test_ratio_varies_across_generic_points():
     rng = random.Random(19)
     ratios = []
     for _ in range(4):
-        u = weighted_level_sample_float(rng, 1, 2)
+        u = weighted_level_sample(rng, 1, 2)
         X = admissible_directions(1, 2, u, rng, 1)[0]
-        ratios.append(float(reduced_jacobi(1, 2, u, X).ratio))
-    assert max(ratios) - min(ratios) > 1e-3
+        ratios.append(reduced_jacobi(1, 2, u, X).ratio)
+    assert max(ratios) - min(ratios) > Fraction(1, 1000)
 
 
 @pytest.mark.parametrize("collapsed", ["slice", "one-point"])
@@ -584,10 +629,6 @@ def test_float_sampler_quality():
     u = weighted_level_sample_float(rng, 1, 2)
     assert abs(float(module_scalar_product(u.x, u.x)) - 1.0) < 1e-10
     assert float(weighted_level_value(1, 2, u).max_abs()) < 1e-10
-    dirs = admissible_directions(1, 2, u, rng, 8)
-    vals = [float(reduced_jacobi(1, 2, u, X).ratio) for X in dirs]
-    scale = max(1.0, max(abs(v) for v in vals))
-    assert (max(vals) - min(vals)) / scale < 1e-6
 
 
 def test_pq_orthogonality_exact():
@@ -637,8 +678,7 @@ def test_im_value_helpers():
 
 
 def test_pq_scene_build_and_serialise():
-    scene = build_pq_scene(p=1, q=2, seed=23, samples=2, directions=2,
-                           sampler="exact")
+    scene = build_pq_scene(p=1, q=2, seed=23, samples=2, directions=2)
     assert len(scene.points) == 2
     text = scene_to_json(scene)
     back = scene_from_json(text)
@@ -648,15 +688,15 @@ def test_pq_scene_build_and_serialise():
         build_pq_scene(p=2, q=4, seed=0, samples=1)
 
 
-@pytest.mark.parametrize("sampler, scalar", [("float", float),
-                                             ("exact", Fraction)])
+@pytest.mark.parametrize("sampler, scalar", [("exact", Fraction)])
 def test_pq_scene_json_roundtrip_keeps_points(sampler, scalar):
-    scene = build_pq_scene(samples=2, directions=1, sampler=sampler)
+    scene = build_pq_scene(samples=2, directions=1)
     back = scene_from_json(scene_to_json(scene))
     assert [u.x for u in back.points] == [u.x for u in scene.points]
     assert all(type(c) is scalar
                for u in back.points for h in u.x.entries
                for c in h.coefficients())
+
 
 
 FLAT = ["-1", "0", "0"]
@@ -665,7 +705,7 @@ ZERO = ["0", "0", "0"]
 
 @pytest.mark.parametrize("builder, level, other", [
     (lambda: build_flat_scene(rank=2, seed=8, samples=1), FLAT, ZERO),
-    (lambda: build_pq_scene(samples=1, directions=1, sampler="exact"),
+    (lambda: build_pq_scene(samples=1, directions=1),
      ZERO, FLAT),
 ], ids=["flat-s1", "pq"])
 def test_scene_level_follows_action(builder, level, other):
@@ -722,13 +762,18 @@ def _flat(first):
     _set("points", 0, [["1", "0", "0", "0"], ["0", "0", "0", "0"]]),
     _set("points", 0, 1, ["0", "0", "0"]),
     _set("points", 0, 0, 0, True),
+    # scene files are exact: a number coordinate is refused, also the
+    # exact coordinate of a point on the sphere
+    _set("points", 0, 0, 0, 1.0),
+    _set("points", 0, 0, 0, 1),
     _flat("2"),
-    # the float sphere bound is the reader's, not the file's tolerance
+    # a number coordinate is refused, whatever bound the manifest names
     _both(_set("manifest", "tolerance", 1e9),
           _set("points", 0, 0, [5.0, 0, 0, 0])),
 ], ids=["missing-key", "unknown-action", "list-coordinate",
         "null-coordinate", "p-equals-q", "pq-rank-4", "two-entry-point",
-        "three-coefficients", "bool-coordinate", "flat-off-level",
+        "three-coefficients", "bool-coordinate", "float-coordinate",
+        "int-coordinate", "flat-off-level",
         "float-off-sphere-loose-tolerance"])
 def test_scene_from_json_rejects_malformed_manifest(change):
     scene = ReductionScene(action="pq", rank=3, p=1, q=2,
@@ -750,9 +795,9 @@ def test_flat_scene_from_json_checks_the_level():
     _flat("2")(payload)
     with pytest.raises(ValueError, match="flat level set"):
         scene_from_json(json.dumps(payload))
-    # on the level, but float coordinates: the flat scene is exact
+    # on the level, but a number coordinate: scene files are exact
     _flat(1.0)(payload)
-    with pytest.raises(ValueError, match="flat level set"):
+    with pytest.raises(ValueError, match="not a rational string"):
         scene_from_json(json.dumps(payload))
 
 
