@@ -15,11 +15,10 @@ The indefinite square norm |q|^2 = a^2 + b^2 - c^2 - d^2 is
 multiplicative but has null vectors (1 + j is a zero divisor), so
 inversion exists only off the null cone.
 
-Coefficients are exact (int / fractions.Fraction) everywhere but in two
-places of the weighted reduction: the definite-axis control, and the
-rounded image of the exact level points, which no routine of the package
-consumes.  The arithmetic is the same for floats, and exact inputs are
-never rounded.
+Coefficients are exact (int / fractions.Fraction) everywhere but in one
+place of the weighted reduction: the rounded image of the exact level
+points, which no routine of the package consumes.  The arithmetic is the
+same for floats, and exact inputs are never rounded.
 The rational points of the unit circle and hyperbola are
 ``circle_point`` and ``hyperbola_point``.
 
@@ -144,7 +143,7 @@ class SplitQuaternion:
         n = self.square_norm()
         if n == 0:
             raise NullQuaternionError(f"{self} lies on the null cone")
-        return self.conj().scale(1 / n if isinstance(n, float) else Fraction(1, 1) / n)
+        return self.conj().scale(Fraction(1) / n)
 
     def commutator(self, other: "SplitQuaternion") -> "SplitQuaternion":
         return self * other - other * self

@@ -22,7 +22,6 @@ import time
 import zlib
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -89,7 +88,8 @@ def _check_rng(config: CheckConfig, name: str) -> random.Random:
 
 
 # ---------------------------------------------------------------------------
-# individual checks: each returns (max_residual, sample_count)
+# individual checks: each returns (max_residual, sample_count), the residual
+# exact (an int or a Fraction)
 # ---------------------------------------------------------------------------
 
 
@@ -178,8 +178,8 @@ def _chk_rep_homomorphism(config, rng):
             RAB = exactla.product(RA, RB)
             lhs = real_rep(A.commutator(B))
             rhs = RAB - exactla.product(RB, RA)
-            worst = max(worst, float(exactla.max_abs(lhs - rhs)))
-            worst = max(worst, float(exactla.max_abs(real_rep(A @ B) - RAB)))
+            worst = max(worst, exactla.max_abs(lhs - rhs))
+            worst = max(worst, exactla.max_abs(real_rep(A @ B) - RAB))
             count += 1
     return worst, count
 
@@ -210,7 +210,7 @@ def _chk_sp_closure(config, rng):
         B = random_antihermitian(rng, config.rank)
         ok_a, res_a = sp_membership(A)
         ok_c, res_c = sp_membership(A.commutator(B))
-        worst = max(worst, float(res_a), float(res_c))
+        worst = max(worst, res_a, res_c)
     return worst, count
 
 
@@ -263,19 +263,18 @@ def _chk_grassman(config, rng):
     worst = 0
     for a in range(3):
         want = np.kron(exactla.eye(2 * config.rank), TENSOR_BLOCKS[a])
-        worst = max(worst, float(exactla.max_abs(
-            exactla.product(Cinv, H.J[a], gs.change) - want)))
-    worst = max(worst, float(exactla.max_abs(
+        worst = max(worst, exactla.max_abs(
+            exactla.product(Cinv, H.J[a], gs.change) - want))
+    worst = max(worst, exactla.max_abs(
         exactla.product(gs.change.T, H.g, gs.change)
-        - np.kron(gs.omega_e, gs.omega_h))))
+        - np.kron(gs.omega_e, gs.omega_h)))
     for (c, s) in ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
                    (Fraction(0), Fraction(1)), (Fraction(3, 5), Fraction(4, 5))):
         vs = [gs.isotropic_member(
             c, s, [Fraction(rng.randint(-3, 3)) for _ in range(2 * config.rank)])
             for _ in range(3)]
         V = np.stack(vs)
-        worst = max(worst, float(exactla.max_abs(
-            exactla.product(V, H.g, V.T))))
+        worst = max(worst, exactla.max_abs(exactla.product(V, H.g, V.T)))
     return worst, 1
 
 
@@ -290,7 +289,7 @@ def _chk_omega_invariance(config, rng):
         for _ in range(2):
             xs = [exactla.fracarray([rng.randint(-3, 3) for _ in range(4)])
                   for _ in range(4)]
-            worst = max(worst, float(abs(Om(*xs) - Om2(*xs))))
+            worst = max(worst, abs(Om(*xs) - Om2(*xs)))
     return worst, rotations
 
 
@@ -304,9 +303,9 @@ def _chk_projector_idempotent(config, rng):
              for _ in range(H.dim)]))
         herm, mix, four = hermitian_projector(B, H)
         herm2, _, _ = hermitian_projector(herm, H)
-        worst = max(worst, float(exactla.max_abs(herm2.matrix - herm.matrix)))
+        worst = max(worst, exactla.max_abs(herm2.matrix - herm.matrix))
         total = sum(f.matrix for f in four.values())
-        worst = max(worst, float(exactla.max_abs(total - B.matrix)))
+        worst = max(worst, exactla.max_abs(total - B.matrix))
     return worst, count
 
 
@@ -320,7 +319,7 @@ def _chk_projector_basis_independent(config, rng):
         R = random_rotation(rng)
         h1, _, _ = hermitian_projector(B, H)
         h2, _, _ = hermitian_projector(B, rotate_structure(H, R))
-        worst = max(worst, float(exactla.max_abs(h1.matrix - h2.matrix)))
+        worst = max(worst, exactla.max_abs(h1.matrix - h2.matrix))
     return worst, count
 
 
@@ -329,11 +328,11 @@ def _chk_two_form(config, rng):
     worst = 0
     for a in range(3):
         wa = two_form(H.J[a], H.g)
-        worst = max(worst, float(exactla.max_abs(wa.matrix + wa.matrix.T)))
+        worst = max(worst, exactla.max_abs(wa.matrix + wa.matrix.T))
         for _ in range(config.samples // 10 + 1):
             x = exactla.fracarray([rng.randint(-4, 4) for _ in range(4)])
             val = wa(x, H.J[a] @ x) - EPS[a] * (x @ H.g @ x)
-            worst = max(worst, float(abs(val)))
+            worst = max(worst, abs(val))
     return worst, config.samples // 10 + 1
 
 
@@ -348,23 +347,23 @@ def _chk_lie_annihilation(config, rng):
                 exactla.zeros((4, 4)))
         tuples = [[exactla.fracarray([rng.randint(-3, 3) for _ in range(4)])
                    for _ in range(4)] for _ in range(2)]
-        worst = max(worst, float(lie_derivative_residual(Om, A + S, tuples)))
+        worst = max(worst, lie_derivative_residual(Om, A + S, tuples))
     return worst, count
 
 
 def _chk_bianchi(config, rng):
     H = structure_endos(config.rank)
     Rg = curv.ambient_projective_curvature(config.rank)
-    worst = float(curv.bianchi_residual(Rg))
+    worst = curv.bianchi_residual(Rg)
     B = BilinearForm(exactla.fracarray(
         [[rng.randint(-3, 3) for _ in range(H.dim)] for _ in range(H.dim)]))
-    worst = max(worst, float(curv.bianchi_residual(
-        curv.curvature_from_bilinear(B, H))))
+    worst = max(worst, curv.bianchi_residual(
+        curv.curvature_from_bilinear(B, H)))
     # perturbing one entry by 1 in value must break the identity
     perturbed = curv.CurvatureTensor(Rg.tensor.copy(), Rg.scale, Rg.metric)
     perturbed.tensor[0, 1, 2, 3] += Rg.scale
     if curv.bianchi_residual(perturbed) == 0:
-        worst = max(worst, 1.0)
+        worst = max(worst, 1)
     return worst, 2
 
 
@@ -372,27 +371,27 @@ def _chk_formula_matches_bilinear(config, rng):
     H = structure_endos(config.rank)
     Rg = curv.ambient_projective_curvature(config.rank)
     RB = curv.curvature_from_bilinear(BilinearForm(H.g), H)
-    return float((Rg - RB).max_abs()), 1
+    return (Rg - RB).max_abs(), 1
 
 
 def _chk_membership(config, rng):
     H = structure_endos(config.rank)
     Rg = curv.ambient_projective_curvature(config.rank)
     ok, res = curv.normalizes_structure(Rg, H)
-    worst = float(res)
+    worst = res
     # perturbing one entry by 1 in value must break membership
     perturbed = curv.CurvatureTensor(Rg.tensor.copy(), Rg.scale, Rg.metric)
     perturbed.tensor[0, 1, 2, 3] += Rg.scale
     ok2, _ = curv.normalizes_structure(perturbed, H)
     if ok2:
-        worst = max(worst, 1.0)
+        worst = max(worst, 1)
     return worst, 2
 
 
 def _chk_einstein(config, rng):
     _, res = curv.einstein_check(
         curv.ambient_projective_curvature(config.rank))
-    return float(res), 1
+    return res, 1
 
 
 def _chk_ricci_split(config, rng):
@@ -401,9 +400,9 @@ def _chk_ricci_split(config, rng):
     W = curv.weyl_sample(H, gs, rng)
     R = curv.ambient_projective_curvature(config.rank).times(2) + W
     Wp, B = curv.ricci_split(R, H)
-    worst = float(exactla.max_abs(curv.ricci(Wp)))
-    worst = max(worst, float(exactla.max_abs(B.matrix - 2 * H.g)))
-    worst = max(worst, float((Wp - W).max_abs()))
+    worst = exactla.max_abs(curv.ricci(Wp))
+    worst = max(worst, exactla.max_abs(B.matrix - 2 * H.g))
+    worst = max(worst, (Wp - W).max_abs())
     return worst, 1
 
 
@@ -423,37 +422,37 @@ def _chk_jacobi_spectrum(config, rng):
 def _chk_solvable(config, rng):
     D = curv.solvable_decomposition(+1)
     Rs = curv.symmetric_space_curvature(D)
-    worst = float(curv.bianchi_residual(Rs))
+    worst = curv.bianchi_residual(Rs)
     if Rs.max_abs() == 0:
-        worst = max(worst, 1.0)
+        worst = max(worst, 1)
     ok, res = curv.normalizes_structure(Rs, D.structure)
-    worst = max(worst, float(res))
+    worst = max(worst, res)
     traces = curv.structure_traces(Rs, D.structure)
-    worst = max(worst, float(max(exactla.max_abs(t) for t in traces)))
+    worst = max(worst, max(exactla.max_abs(t) for t in traces))
     dirs = [exactla.fracarray([1, 0, 0, 0]), exactla.fracarray([0, 1, 0, 0]),
             exactla.fracarray([0, 0, 1, 0])]
     rep = curv.jacobi_spectrum_report(Rs, dirs)
     for entry in rep.directions:
         if not (entry.is_nilpotent and entry.operator_nonzero):
-            worst = max(worst, 1.0)
+            worst = max(worst, 1)
         # a nilpotent operator has every power sum 0
-        worst = max(worst, float(max(map(abs, entry.power_sums))))
+        worst = max(worst, max(map(abs, entry.power_sums)))
     return worst, len(dirs)
 
 
 def _chk_special_linear(config, rng):
     D = curv.special_linear_decomposition(2)
     R = curv.symmetric_space_curvature(D)
-    worst = float(curv.bianchi_residual(R))
+    worst = curv.bianchi_residual(R)
     _, res = curv.einstein_check(R)
-    worst = max(worst, float(res))
+    worst = max(worst, res)
     return worst, 1
 
 
 def _chk_bracket_formula(config, rng):
     bracket = curv.projective_pair(config.rank)
     formula = curv.ambient_projective_curvature(config.rank)
-    return float((bracket - formula).max_abs()), 1
+    return (bracket - formula).max_abs(), 1
 
 
 def _chk_vertical_gram(config, rng):
@@ -474,10 +473,9 @@ def _chk_induced_structure(config, rng):
     for _ in range(count):
         x = proj.random_sphere_point(rng, 3)
         Hx, _ = proj.induced_geometry(x)
-        worst = max(worst, float(Hx.comrel_residual()),
-                    float(Hx.skew_residual()))
+        worst = max(worst, Hx.comrel_residual(), Hx.skew_residual())
         if Hx.signature() != (4, 4):
-            worst = max(worst, 1.0)
+            worst = max(worst, 1)
     return worst, count
 
 
@@ -487,10 +485,10 @@ def _chk_transitive(config, rng):
     for _ in range(count):
         tgt = proj.random_sphere_point(rng, 3)
         M = proj.transitive_element(tgt)
-        worst = max(worst, float(sp_group_membership(M)))
+        worst = max(worst, sp_group_membership(M))
         image = M @ proj.base_point(3).x
         if image != tgt.x:
-            worst = max(worst, 1.0)
+            worst = max(worst, 1)
     return worst, count
 
 
@@ -507,9 +505,9 @@ def _chk_lift_independence(config, rng):
         for a in range(3):
             coords, residual = exactla.frame_coordinates(
                 fq, right_unit_action(fq, a))
-            worst = max(worst, float(residual))
+            worst = max(worst, residual)
             if Hx.span_coefficients(coords) is None:
-                worst = max(worst, 1.0)
+                worst = max(worst, 1)
     return worst, count
 
 
@@ -525,12 +523,11 @@ def _chk_s1_reduced_structure(config, rng):
     for _ in range(count):
         h = red.flat_level_sample(rng, rank)
         out = red.flat_reduced_structure(h)
-        worst = max(worst, float(out.comrel_residual),
-                    float(out.skew_residual))
+        worst = max(worst, out.comrel_residual, out.skew_residual)
         if out.signature != (2 * (rank - 1), 2 * (rank - 1)):
-            worst = max(worst, 1.0)
+            worst = max(worst, 1)
         qa, qb = red.flat_quotient_residuals(h)
-        worst = max(worst, float(qa), float(qb))
+        worst = max(worst, qa, qb)
     return worst, count
 
 
@@ -554,7 +551,7 @@ def _chk_pq_eigen_identity(config, rng):
         rj = red.reduced_jacobi(config.p, config.q, u, X)
         nu = rj.einstein_constant / 4   # reduced scalar curvature at n = 2
         l1, _, l3 = rj.eigenvalues
-        worst = max(worst, float(abs(2 * l1 + l3 + 3 * nu)))
+        worst = max(worst, abs(2 * l1 + l3 + 3 * nu))
     return worst, count
 
 
@@ -579,7 +576,7 @@ def _chk_pq_point_variation(config, rng):
         X = red.admissible_directions(config.p, config.q, u, rng, 1)[0]
         ratios.add(red.reduced_jacobi(config.p, config.q, u, X).ratio)
     # failure means the ratio is the same exact value at every point
-    return (0.0 if len(ratios) >= 2 else 1.0), count
+    return (0 if len(ratios) >= 2 else 1), count
 
 
 def _chk_pq_orthogonality(config, rng):
@@ -588,10 +585,8 @@ def _chk_pq_orthogonality(config, rng):
 
 
 def _chk_pq_empty_variant(config, rng):
-    smallest = red.empty_levelset_check(config.p, config.q,
-                                        samples=max(10000, config.samples),
-                                        seed=config.seed)
-    return (0.0 if smallest > 1e-6 else 1.0), max(10000, config.samples)
+    count = max(10000, config.samples)
+    return red.empty_levelset_check(config.p, config.q, count, rng), count
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +678,11 @@ REGISTRY: dict[str, list] = {
 def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckReport]:
     """Run one suite (or 'all'); returns reports ordered by check name."""
     config = config or CheckConfig()
-    if config.p == config.q or gcd(config.p, config.q) != 1 \
-            or config.p < 1 or config.q < 1:
+    try:
+        red._weights(config.p, config.q)
+    except ValueError as err:
         raise InvalidConfigError(
-            f"weights ({config.p}, {config.q}) must be distinct coprime naturals")
+            f"{err}, got ({config.p}, {config.q})") from err
     if config.samples < 1:
         raise InvalidConfigError(
             f"sample count {config.samples} must be at least 1")
@@ -706,8 +702,9 @@ def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckRep
             start = time.perf_counter()
             try:
                 residual, count = fn(config, rng)
-                residual = float(residual)
+                # compared exactly; the report holds the float
                 status = "pass" if residual <= tol else "fail"
+                residual = float(residual)
             except Exception:
                 residual, count, status = float("nan"), 0, "error"
             reports.append(CheckReport(

@@ -336,31 +336,6 @@ class SymmetricDecomposition:
     g_m: np.ndarray
     structure: HermitianStructure | None = None
 
-    def validate(self):
-        """Symmetric-pair sanity: antisymmetry, metric invariance, and the
-        Jacobi identity on tangent triples (which is first Bianchi).  The
-        tests are zero tests, so they read the scaled integers directly."""
-        mm, _ = exactla.scaled_integers(self.c_mm)
-        if exactla.max_abs(mm + mm.transpose(1, 0, 2)) != 0:
-            raise NotSymmetricPairError("[m, m] table is not antisymmetric")
-        # ad(f) must be g_m-skew; fm[a] = ad(f_a)^T, row i = [f_a, m_i]
-        fm, _ = exactla.scaled_integers(self.c_fm)
-        g, _ = exactla.scaled_integers(self.g_m)
-        if exactla.max_abs(fm @ g + g @ fm.transpose(0, 2, 1)) != 0:
-            raise NotSymmetricPairError("metric is not ad(f)-invariant")
-        # Jacobi on (m, m, m): sum_cyc [[m_i, m_j], m_k] = 0
-        dbl, _ = self._double_brackets()
-        cyc = dbl + dbl.transpose(1, 2, 0, 3) + dbl.transpose(2, 0, 1, 3)
-        if exactla.max_abs(cyc) != 0:
-            raise NotSymmetricPairError("Jacobi identity fails on m triples")
-
-    def _double_brackets(self) -> tuple[np.ndarray, int]:
-        """(N, L): N / L is the coefficient of m_l in [[m_i, m_j], m_k],
-        contracted on scaled integers."""
-        mm, Lmm = exactla.scaled_integers(self.c_mm)
-        fm, Lfm = exactla.scaled_integers(self.c_fm)
-        return np.tensordot(mm, fm, axes=([2], [0])), Lmm * Lfm
-
     @classmethod
     def from_matrix_algebra(cls, m_mats, f_mats, g_m, structure=None):
         """Assemble structure constants from explicit real matrices.
@@ -397,10 +372,29 @@ def _bracket_coordinates(left, right, basis, label) -> np.ndarray:
 
 def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
     """Base-point curvature R(A, B) C = -[[A, B], C] on the tangent
-    summand, in the chosen basis of m."""
-    D.validate()
-    dbl, L = D._double_brackets()
-    return CurvatureTensor(-dbl, L, D.g_m)
+    summand, in the chosen basis of m.
+
+    NotSymmetricPairError unless the pair passes the symmetric-pair
+    sanity tests: antisymmetry of [m, m], ad(f)-invariance of the metric,
+    and the Jacobi identity on tangent triples (which is first Bianchi).
+    The tables are scaled to integers once; the tests are zero tests on
+    them, and the double brackets are formed once, for the Jacobi test
+    and the tensor."""
+    mm, Lmm = exactla.scaled_integers(D.c_mm)
+    fm, Lfm = exactla.scaled_integers(D.c_fm)
+    g, _ = exactla.scaled_integers(D.g_m)
+    if exactla.max_abs(mm + mm.transpose(1, 0, 2)) != 0:
+        raise NotSymmetricPairError("[m, m] table is not antisymmetric")
+    # ad(f) must be g_m-skew; fm[a] = ad(f_a)^T, row i = [f_a, m_i]
+    if exactla.max_abs(fm @ g + g @ fm.transpose(0, 2, 1)) != 0:
+        raise NotSymmetricPairError("metric is not ad(f)-invariant")
+    # dbl / (Lmm Lfm) is the coefficient of m_l in [[m_i, m_j], m_k];
+    # Jacobi on (m, m, m): sum_cyc [[m_i, m_j], m_k] = 0
+    dbl = np.tensordot(mm, fm, axes=([2], [0]))
+    cyc = dbl + dbl.transpose(1, 2, 0, 3) + dbl.transpose(2, 0, 1, 3)
+    if exactla.max_abs(cyc) != 0:
+        raise NotSymmetricPairError("Jacobi identity fails on m triples")
+    return CurvatureTensor(-dbl, Lmm * Lfm, D.g_m)
 
 
 # -- concrete decompositions ------------------------------------------------

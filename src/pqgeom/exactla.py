@@ -112,7 +112,7 @@ def eye(n) -> np.ndarray:
     return arr
 
 
-def max_abs(arr) -> Fraction | float:
+def max_abs(arr) -> Fraction | int:
     """Max absolute entry; Fraction 0 for empty input.  The larger of the
     array max and the negated array min: comparisons only, no new
     Fraction per entry."""

@@ -217,7 +217,7 @@ def hermitian_projector(B: BilinearForm, H: HermitianStructure):
 
 
 def lie_derivative_residual(four_form: FourForm, A: np.ndarray,
-                            tuples) -> Fraction | float:
+                            tuples) -> Fraction | int:
     """Max of the infinitesimal-invariance defect
     sum_slots Omega(..., A X_slot, ...) over the sampled 4-tuples."""
     worst = Fraction(0)

@@ -58,11 +58,11 @@ rho differs from point to point; on the sphere V is horizontal at every
 point of the zero level set, so the reduced-Jacobi routines read V
 directly.
 
-Arithmetic.  Everything is exact but two routes: the definite-axis
-control ``empty_levelset_check``, which draws its sphere points in double
-precision, and the rounded image of the exact level points, which the
-benchmark in perfbench/ traces by name and no routine of the package
-calls.  The reduced-Jacobi chain (``admissible_directions``,
+Arithmetic.  Everything is exact but one route: the rounded image of the
+exact level points (``weighted_level_sample_float``), which the benchmark
+in perfbench/ traces by name and no routine of the package calls.  The
+definite-axis control ``empty_levelset_check`` runs on integer sphere
+points.  The reduced-Jacobi chain (``admissible_directions``,
 ``killing_derivative``, ``reduced_jacobi``) scales the point and the
 direction to integers once each, forms every pairing and product on
 Python ints, and forms Fractions only for its results; it raises
@@ -85,8 +85,8 @@ from .algebra import IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
 from .linalg import (HermitianStructure, PQVector, apply_metric,
-                     left_mult_matrix, module_scalar_product,
-                     right_mult_matrix, right_unit_action, structure_endos)
+                     left_mult_matrix, right_mult_matrix, right_unit_action,
+                     structure_endos)
 from .projspace import (SpherePoint, horizontal_integers, random_sphere_point,
                         transitive_action, vertical_frame)
 
@@ -107,7 +107,8 @@ class NonRegularError(ValueError):
 FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
 LEVELS = {"flat-s1": FLAT_LEVEL, "pq": (Fraction(0),) * 3}
 
-# samples per batch of the definite-axis control (empty_levelset_check)
+# most directions per round of the definite-axis control
+# (empty_levelset_check)
 _LEVEL_BLOCK = 256
 
 
@@ -613,28 +614,6 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     return out
 
 
-def _float_sphere_seeds(rng, count: int) -> np.ndarray:
-    """count float points of the rank-3 unit sphere, as rows of real
-    coordinates.  Each row is a draw from [-1.5, 1.5]^12, redrawn until
-    its square norm exceeds 0.1.  Every round draws as many candidates as
-    rows are still missing, so the draws are those of one sample at a
-    time; the norms are one batch."""
-    out = np.empty((count, 12))
-    filled = 0
-    while filled < count:
-        missing = count - filled
-        draws = np.fromiter((rng.uniform(-1.5, 1.5)
-                             for _ in range(12 * missing)),
-                            float, 12 * missing).reshape(missing, 12)
-        vec = PQVector.from_real(draws.T)
-        norm = module_scalar_product(vec, vec)
-        keep = norm > 0.1
-        kept = np.count_nonzero(keep)
-        out[filled:filled + kept] = draws[keep] / np.sqrt(norm[keep])[:, None]
-        filled += kept
-    return out
-
-
 def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
     """The float image of weighted_level_sample(rng, p, q): the same draws,
     coordinates rounded to floats.  Not checked again: the exact point it
@@ -783,27 +762,39 @@ def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> Fraction:
     return worst
 
 
-def empty_levelset_check(p: int = 1, q: int = 2, samples: int = 10000,
-                         seed: int = 0) -> float:
+def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
     """Negative control: the variant action through the definite axis
     (cos t + i sin t factors) has i-component q|u0|_E^2 + p|u1|_E^2 +
-    p|u2|_E^2 >= min(p, q) > 0 on the sphere, so its moment zero set
-    there is empty.  Returns the minimum of the value's magnitude over
-    float sphere points (_float_sphere_seeds).
+    p|u2|_E^2 >= min(p, q) (|u0|_E^2 + |u1|_E^2 + |u2|_E^2) >= min(p, q) > 0
+    on the sphere, so its moment zero set there is empty.  Returns the
+    number of exact sphere points that miss this: off the sphere, or with
+    an i-component below min(p, q); 0 by the inequality.
 
-    The points are drawn and evaluated in blocks of _LEVEL_BLOCK samples:
-    each block is one batch of split quaternions with float coefficient
-    arrays, so the value is the per-sample one, bit for bit.  The blocks
-    bound the arrays live at once: one batch of all 10,000 samples raised
-    the peak memory of `pqgeom --suite all` by 1.6 MB."""
-    rng = random.Random(seed)
+    Each point is X / L with X = L o - 2 <o, d> d, the reflection of the
+    base point o in an integer direction d with L = <d, d>; d is redrawn
+    when L = 0 or <o, d> = 0.  The checks <X, X> = L^2 and
+    i-component(X) >= min(p, q) L^2 (the value at X is L^2 times the value
+    at X / L) are made on Python ints, the value as one batch product.
+
+    Every round draws as many directions as points are still missing, up
+    to _LEVEL_BLOCK, with one rng.choices call, so the draws are those of
+    one point at a time.  The cap bounds the object arrays live at once:
+    one round of all 10,000 points raised the peak memory of
+    `pqgeom --suite all` by 5.8 MB."""
     ws = _weights(p, q)
-    axis = IMAGINARY_UNITS[0]
-    smallest = math.inf
-    for start in range(0, samples, _LEVEL_BLOCK):
-        coords = _float_sphere_seeds(rng, min(_LEVEL_BLOCK, samples - start))
-        total = _weighted_sandwich(ws, PQVector.from_real(coords.T).entries,
-                                   axis)
-        values = np.abs([total.b, total.c, total.d]).max(axis=0)
-        smallest = min(smallest, float(values.min()))
-    return smallest
+    failures = 0
+    while samples > 0:
+        m = min(samples, _LEVEL_BLOCK)
+        d = np.array(rng.choices(range(-3, 4), k=12 * m),
+                     dtype=object).reshape(m, 12).T
+        L = (d * apply_metric(d)).sum(axis=0)
+        keep = (L != 0) & (d[0] != 0)
+        d, L = d[:, keep], L[keep]
+        X = -2 * d[0] * d
+        X[0] += L
+        value = _weighted_sandwich(ws, PQVector.from_real(X).entries, I)
+        failures += int(np.count_nonzero(
+            ((X * apply_metric(X)).sum(axis=0) != L * L)
+            | (value.b < min(ws) * L * L)))
+        samples -= len(L)
+    return failures

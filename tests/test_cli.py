@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pqgeom.cli import (CheckConfig, InvalidConfigError, UnknownSuiteError,
-                        main, run_suite)
+from pqgeom.cli import (REGISTRY, CheckConfig, InvalidConfigError,
+                        UnknownSuiteError, _check_rng, main, run_suite)
 
 
 def test_algebra_suite_passes(capsys):
@@ -18,6 +19,9 @@ def test_algebra_suite_passes(capsys):
     ["--samples", "0"],
     ["--samples", "-3"],
     ["--n", "0"],
+    ["--p", "2", "--q", "2"],
+    ["--p", "2", "--q", "4"],
+    ["--p", "0"],
 ])
 def test_bad_configuration_exits_2(args, capsys):
     assert main(["--suite", "algebra"] + args) == 2
@@ -51,6 +55,26 @@ def test_seed_zero_residuals_are_exact():
     residuals = {r.name: r.max_residual for r in run_suite("all")}
     assert len(residuals) == 39
     assert {name: res for name, res in residuals.items() if res != 0.0} == {}
+
+
+@pytest.mark.parametrize("name, check", [
+    (name, check) for rows in REGISTRY.values() for name, check, _, _ in rows])
+def test_check_returns_exact_residual(name, check):
+    # run_suite converts the residual to a float once, for the report
+    config = CheckConfig(samples=10)
+    residual, _ = check(config, _check_rng(config, name))
+    assert type(residual) in (int, Fraction)
+
+
+def test_empty_level_set_shortfall_is_a_failure(monkeypatch):
+    # a point of the definite-axis control that misses the bound fails the
+    # check
+    import pqgeom.reduction as red
+    monkeypatch.setattr(red, "empty_levelset_check", lambda *args: 1)
+    reports = {r.name: r for r in run_suite("reduce-pq")}
+    control = reports["definite-axis-empty-level-set"]
+    assert control.status == "fail" and control.max_residual == 1.0
+    assert control.sample_count == 10000
 
 
 def _without_wall_time(report: dict) -> dict:

@@ -1,5 +1,4 @@
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -636,38 +635,58 @@ def test_pq_orthogonality_exact():
 
 
 def test_empty_variant_level_set():
-    smallest = empty_levelset_check(1, 2, samples=3000, seed=22)
-    assert smallest > 1.0 - 1e-9
+    assert empty_levelset_check(1, 2, 3000, random.Random(22)) == 0
 
 
-def ref_empty_levelset_check(p, q, samples, seed):
-    """The per-sample loop: draw one float sphere point, evaluate the
-    definite-axis sandwich on scalar split quaternions, keep the running
-    minimum.  The reference for the blocked batch of the package."""
-    rng = random.Random(seed)
-    smallest = math.inf
-    for _ in range(samples):
-        while True:
-            coords = np.array([rng.uniform(-1.5, 1.5) for _ in range(12)])
-            vec = PQVector.from_real(coords)
-            norm = float(module_scalar_product(vec, vec))
-            if norm > 0.1:
-                break
-        u = PQVector.from_real((coords / np.sqrt(norm)).tolist())
+def ref_empty_levelset_check(p, q, samples, rng):
+    """The per-sample loop on scalar split quaternions: draw one integer
+    direction d at a time, reflect the base point o in it to the sphere
+    point X / L, and count the points off the sphere or with an
+    i-component of the definite-axis value below min(p, q) L^2.  The
+    value is also compared with its closed form sum c_v |X_v|_E^2."""
+    ws = (q, p, p)
+    o = [1] + [0] * 11
+    failures = 0
+    while samples > 0:
+        d = rng.choices(range(-3, 4), k=12)
+        dv = PQVector.from_real(d)
+        L = module_scalar_product(dv, dv)
+        if L == 0 or d[0] == 0:
+            continue
+        X = PQVector.from_real([L * a - 2 * d[0] * b for a, b in zip(o, d)])
         total = SplitQuaternion()
-        for c, h in zip((q, p, p), u.entries):
+        for c, h in zip(ws, X.entries):
             total = total + (h.conj() * I * h).scale(c)
-        smallest = min(smallest, ImValue(total.b, total.c, total.d).max_abs())
-    return smallest
+        assert total.b == sum(c * sum(x * x for x in h.coefficients())
+                              for c, h in zip(ws, X.entries))
+        failures += (module_scalar_product(X, X) != L * L
+                     or total.b < min(ws) * L * L)
+        samples -= 1
+    return failures
 
 
 @pytest.mark.parametrize("samples", [1, 257, 10000])
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (3, 4)])
 def test_empty_levelset_check_matches_per_sample_loop(p, q, seed, samples):
-    got = empty_levelset_check(p, q, samples=samples, seed=seed)
-    want = ref_empty_levelset_check(p, q, samples, seed)
-    assert type(got) is float and got == want
+    # the batch draws are those of one point at a time: both routes leave
+    # the generator in the same state
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    got = empty_levelset_check(p, q, samples, rng)
+    want = ref_empty_levelset_check(p, q, samples, ref_rng)
+    assert type(got) is int and got == want == 0
+    assert rng.getstate() == ref_rng.getstate()
+
+
+def test_empty_levelset_check_counts_shortfalls(monkeypatch):
+    # at half scale the i-component is a quarter of the sphere value, which
+    # falls below the bound min(p, q) at some points: the count sees them
+    import pqgeom.reduction as red
+    sandwich = red._weighted_sandwich
+    monkeypatch.setattr(red, "_weighted_sandwich", lambda ws, entries, axis:
+                        sandwich(ws, [h.scale(Fraction(1, 2))
+                                      for h in entries], axis))
+    assert empty_levelset_check(1, 2, 257, random.Random(0)) > 0
 
 
 def test_im_value_helpers():
