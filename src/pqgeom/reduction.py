@@ -72,7 +72,6 @@ TypeError on a lift with inexact coordinates.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -355,9 +354,16 @@ def _sandwich(h: SplitQuaternion):
 
 def _norm_factor(r: Fraction, unit: SplitQuaternion) -> SplitQuaternion:
     """x + y unit of square norm x^2 - y^2 = r, for a unit squaring to +1:
-    x + y = t and x - y = r / t with t the power of two nearest sqrt|r|,
-    which keeps the coordinates small."""
-    t = Fraction(2) ** round(math.log2(abs(r)) / 2)
+    x + y = t and x - y = r / t with t = 2^k, k the integer nearest
+    log2|r| / 2 (ties to even), which keeps the coordinates small.  k comes
+    from e = floor(log2|r|), the difference of the bit lengths of the
+    numerator and the denominator of |r|, less one when |r| < 2^e: it is
+    (e + 1) // 2, less one at a tie |r| = 2^e with e = 1 mod 4."""
+    a = abs(r)
+    e = a.numerator.bit_length() - a.denominator.bit_length()
+    e -= a < Fraction(2) ** e
+    tie = e % 4 == 1 and a == Fraction(2) ** e
+    t = Fraction(2) ** ((e + 1) // 2 - tie)
     return SplitQuaternion((t + r / t) / 2) + unit.scale((t - r / t) / 2)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -36,7 +37,7 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               weighted_level_value, weighted_regularity)
 from pqgeom.reduction import (_generator_action, _killing_span,
                               _level_gradient_rows, _moment_gradient_rows,
-                              _weights)
+                              _norm_factor, _weights)
 from pqgeom.scenes import scene_from_json, scene_to_json
 
 
@@ -621,6 +622,20 @@ def test_collapsed_sampler_fails_point_variation(monkeypatch, collapsed):
                "one-point": lambda rng, p, q: point}[collapsed]
     monkeypatch.setattr(red, "weighted_level_sample", sampler)
     assert status() == "fail"
+
+
+def test_norm_factor_picks_the_float_power_of_two():
+    # the exact exponent is the float rule round(log2|r| / 2), ties at odd
+    # powers of two included, so the level points are those of that rule
+    rng = random.Random(3)
+    values = [Fraction(2) ** e for e in range(-9, 10)]
+    values += [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
+               for _ in range(2000)]
+    for r in values:
+        t = Fraction(2) ** round(math.log2(r) / 2)
+        for s in (r, -r):
+            x = _norm_factor(s, J)
+            assert x.square_norm() == s and x.a + x.c == t
 
 
 def test_float_sampler_quality():
