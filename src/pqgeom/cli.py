@@ -33,7 +33,7 @@ from .forms import (BilinearForm, fundamental_four_form, hermitian_projector,
                     two_form)
 from .linalg import (TENSOR_BLOCKS, HermitianStructure, PQMatrix,
                      adopted_basis, grassman_split, module_scalar_product,
-                     random_antihermitian, random_pq_matrix,
+                     random_antihermitian, random_integers, random_pq_matrix,
                      random_pq_vector, random_quaternion, real_rep,
                      right_mult_matrix, right_unit_action, sp_membership,
                      sp_group_membership, structure_endos)
@@ -174,12 +174,12 @@ def _chk_rep_homomorphism(config, rng):
         for _ in range(max(1, config.samples // 3)):
             A = random_pq_matrix(rng, n)
             B = random_pq_matrix(rng, n)
-            RA, RB = real_rep(A), real_rep(B)
-            RAB = exactla.product(RA, RB)
-            lhs = real_rep(A.commutator(B))
-            rhs = RAB - exactla.product(RB, RA)
-            worst = max(worst, exactla.max_abs(lhs - rhs))
-            worst = max(worst, exactla.max_abs(real_rep(A @ B) - RAB))
+            (RA, LA), (RB, LB) = real_rep(A), real_rep(B)
+            RAB = RA @ RB                              # over LA LB
+            worst = max(worst, exactla.scaled_distance(
+                *real_rep(A.commutator(B)), RAB - RB @ RA, LA * LB))
+            worst = max(worst, exactla.scaled_distance(
+                *real_rep(A @ B), RAB, LA * LB))
             count += 1
     return worst, count
 
@@ -187,17 +187,11 @@ def _chk_rep_homomorphism(config, rng):
 def _chk_rep_injective(config, rng):
     bad = 0
     for n in (1, 2, 3):
-        basis_images = []
-        for p in range(n):
-            for q in range(n):
-                for u in UNITS:
-                    entries = [[SplitQuaternion() for _ in range(n)]
-                               for _ in range(n)]
-                    entries[p][q] = u
-                    img = real_rep(PQMatrix(entries))
-                    basis_images.append([int(x) for x in img.reshape(-1)])
-        mat = np.array(basis_images, dtype=object).T
-        if exactla.rank(mat) != 4 * n * n:
+        # the images of the 4 n^2 basis matrices, one coefficient 1 each
+        basis = np.eye(4 * n * n, dtype=object).reshape(-1, 4, n, n)
+        images = [real_rep(PQMatrix.from_scaled_integers(E, 1))[0].reshape(-1)
+                  for E in basis]
+        if exactla.rank(np.array(images).T) != 4 * n * n:
             bad += 1
     return bad, 3
 
@@ -233,24 +227,22 @@ def _chk_adopted_basis(config, rng):
     bad = 0
     count = max(2, config.samples // 20)
     H = structure_endos(config.rank)
+    (J, LJ), (g, Lg) = H.scaled_J, H.scaled_g
     for k in range(count):
         if k == 0:
             Hc = H
         else:
-            dim = H.dim
             while True:
-                P = exactla.fracarray(
-                    [[rng.randint(-2, 2) for _ in range(dim)]
-                     for _ in range(dim)])
-                if exactla.rank(P) == dim:
+                P = random_integers(rng, (H.dim, H.dim), -2, 2)
+                if exactla.rank(P) == H.dim:
                     break
-            Pinv = exactla.inverse(P)
-            Hc = HermitianStructure(
-                *[exactla.product(Pinv, Ja, P) for Ja in H.J],
-                exactla.product(P.T, H.g, P))
-        # the seeds and their images, in any column order
+            Pinv, LP = exactla.scaled_integers(exactla.inverse(P))
+            Hc = HermitianStructure(*(Pinv @ J @ P), P.T @ g @ P,
+                                    scales=(LP * LJ, Lg))
+        # the seeds and their images, in any column order; the images are
+        # over the scale of the members, which leaves det != 0 unchanged
         seeds = np.stack(adopted_basis(Hc, rng=rng), axis=1)
-        images = exactla.product(np.stack(Hc.J), seeds)
+        images = Hc.scaled_J[0] @ seeds
         if exactla.det(np.concatenate([seeds, *images], axis=1)) == 0:
             bad += 1
     return bad, count
@@ -258,38 +250,38 @@ def _chk_adopted_basis(config, rng):
 
 def _chk_grassman(config, rng):
     H = structure_endos(config.rank)
+    (J, LJ), (g, Lg) = H.scaled_J, H.scaled_g
     gs = grassman_split(H)
-    Cinv = exactla.inverse(gs.change)
-    worst = 0
-    for a in range(3):
-        want = np.kron(exactla.eye(2 * config.rank), TENSOR_BLOCKS[a])
-        worst = max(worst, exactla.max_abs(
-            exactla.product(Cinv, H.J[a], gs.change) - want))
-    worst = max(worst, exactla.max_abs(
-        exactla.product(gs.change.T, H.g, gs.change)
-        - np.kron(gs.omega_e, gs.omega_h)))
-    for (c, s) in ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)),
-                   (Fraction(0), Fraction(1)), (Fraction(3, 5), Fraction(4, 5))):
-        vs = [gs.isotropic_member(
-            c, s, [Fraction(rng.randint(-3, 3)) for _ in range(2 * config.rank)])
-            for _ in range(3)]
-        V = np.stack(vs)
-        worst = max(worst, exactla.max_abs(exactla.product(V, H.g, V.T)))
+    C, LC = exactla.scaled_integers(gs.change)
+    Cinv, LCinv = exactla.scaled_integers(exactla.inverse(gs.change))
+    # every J_a in the tensor basis against Id (x) its 2 x 2 block
+    want = np.kron(np.eye(2 * config.rank, dtype=object),
+                   np.stack(TENSOR_BLOCKS))
+    worst = exactla.scaled_distance(Cinv @ J @ C, LCinv * LJ * LC, want, 1)
+    omega, Lomega = exactla.scaled_integers(np.kron(gs.omega_e, gs.omega_h))
+    worst = max(worst, exactla.scaled_distance(C.T @ g @ C, LC * LC * Lg,
+                                               omega, Lomega))
+    for (c, s) in ((1, 0), (1, 1), (0, 1), (Fraction(3, 5), Fraction(4, 5))):
+        V, LV = exactla.scaled_integers(np.stack([gs.isotropic_member(
+            c, s, [rng.randint(-3, 3) for _ in range(2 * config.rank)])
+            for _ in range(3)]))
+        worst = max(worst, Fraction(exactla.max_abs(V @ g @ V.T),
+                                    LV * LV * Lg))
     return worst, 1
 
 
 def _chk_omega_invariance(config, rng):
     H = structure_endos(1)
-    Om = fundamental_four_form(H)
+    C, L = fundamental_four_form(H).scaled
     worst = 0
     rotations = max(100, config.samples)
     for _ in range(rotations):
-        R = random_rotation(rng)
-        Om2 = fundamental_four_form(rotate_structure(H, R))
-        for _ in range(2):
-            xs = [exactla.fracarray([rng.randint(-3, 3) for _ in range(4)])
-                  for _ in range(4)]
-            worst = max(worst, abs(Om(*xs) - Om2(*xs)))
+        H2 = rotate_structure(H, random_rotation(rng))
+        C2, L2 = fundamental_four_form(H2).scaled
+        diff = C * L2 - C2 * L      # Omega - Omega' over L L2
+        for x, y, z, w in random_integers(rng, (2, 4, 4), -3, 3):
+            worst = max(worst, Fraction(abs(x @ (((diff @ w) @ z) @ y)),
+                                        L * L2))
     return worst, rotations
 
 
@@ -298,14 +290,12 @@ def _chk_projector_idempotent(config, rng):
     worst = 0
     count = max(5, config.samples // 10)
     for _ in range(count):
-        B = BilinearForm(exactla.fracarray(
-            [[rng.randint(-5, 5) for _ in range(H.dim)]
-             for _ in range(H.dim)]))
+        B = BilinearForm(random_integers(rng, (H.dim, H.dim), -5, 5), 1)
         herm, mix, four = hermitian_projector(B, H)
         herm2, _, _ = hermitian_projector(herm, H)
-        worst = max(worst, exactla.max_abs(herm2.matrix - herm.matrix))
-        total = sum(f.matrix for f in four.values())
-        worst = max(worst, exactla.max_abs(total - B.matrix))
+        sym_herm, alt_herm, sym_mix, alt_mix = four.values()
+        total = sym_herm + alt_herm + sym_mix + alt_mix
+        worst = max(worst, (herm2 - herm).max_abs(), (total - B).max_abs())
     return worst, count
 
 
@@ -314,40 +304,44 @@ def _chk_projector_basis_independent(config, rng):
     worst = 0
     count = max(5, config.samples // 10)
     for _ in range(count):
-        B = BilinearForm(exactla.fracarray(
-            [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]))
+        B = BilinearForm(random_integers(rng, (4, 4), -5, 5), 1)
         R = random_rotation(rng)
         h1, _, _ = hermitian_projector(B, H)
         h2, _, _ = hermitian_projector(B, rotate_structure(H, R))
-        worst = max(worst, exactla.max_abs(h1.matrix - h2.matrix))
+        worst = max(worst, (h1 - h2).max_abs())
     return worst, count
 
 
 def _chk_two_form(config, rng):
     H = structure_endos(1)
+    (J, LJ), (g, Lg) = H.scaled_J, H.scaled_g
     worst = 0
+    count = config.samples // 10 + 1
     for a in range(3):
-        wa = two_form(H.J[a], H.g)
-        worst = max(worst, exactla.max_abs(wa.matrix + wa.matrix.T))
-        for _ in range(config.samples // 10 + 1):
-            x = exactla.fracarray([rng.randint(-4, 4) for _ in range(4)])
-            val = wa(x, H.J[a] @ x) - EPS[a] * (x @ H.g @ x)
-            worst = max(worst, abs(val))
-    return worst, config.samples // 10 + 1
+        wa, Lw = two_form(H.J[a], H.g).scaled
+        worst = max(worst, Fraction(exactla.max_abs(wa + wa.T), Lw))
+        # per row x: wa(x, J_a x) against eps_a g(x, x)
+        X = random_integers(rng, (count, 4), -4, 4)
+        worst = max(worst, exactla.scaled_distance(
+            ((X @ wa) * (X @ J[a].T)).sum(axis=1), Lw * LJ,
+            EPS[a] * ((X @ g) * X).sum(axis=1), Lg))
+    return worst, count
 
 
 def _chk_lie_annihilation(config, rng):
     H = structure_endos(1)
     Om = fundamental_four_form(H)
+    J, LJ = H.scaled_J
     worst = 0
     count = max(3, config.samples // 20)
     for _ in range(count):
-        A = random_antihermitian(rng, 1).to_real_action()
-        S = sum((Fraction(rng.randint(-3, 3)) * H.J[a] for a in range(3)),
-                exactla.zeros((4, 4)))
-        tuples = [[exactla.fracarray([rng.randint(-3, 3) for _ in range(4)])
-                   for _ in range(4)] for _ in range(2)]
-        worst = max(worst, lie_derivative_residual(Om, A + S, tuples))
+        A, LA = random_antihermitian(rng, 1).to_real_action()
+        c = random_integers(rng, (3,), -3, 3)
+        # the member A + sum_a c_a J_a, over LA LJ
+        member = exactla.from_scaled_integers(
+            A * LJ + np.tensordot(c, J, axes=1) * LA, LA * LJ)
+        tuples = random_integers(rng, (2, 4, 4), -3, 3)
+        worst = max(worst, lie_derivative_residual(Om, member, tuples))
     return worst, count
 
 

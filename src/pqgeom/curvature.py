@@ -17,9 +17,12 @@ for entry, for the metric of the unit-pseudosphere submersion.
 Arithmetic.  A ``CurvatureTensor`` is exact and held as scaled integers:
 ``tensor`` is an object array of Python ints and ``scale`` a positive
 int, and the curvature is tensor / scale.  The builders compute on Python
-ints and return that pair as it is; the diagnostics, sums, differences
-and multiples (``times``) read it directly, and only their small results
-(Ricci forms, Jacobi operators, residuals) become ``Fraction``s.  The
+ints, from the integer pairs of their inputs (``scaled_J`` and
+``scaled_g`` of a ``HermitianStructure``, ``scaled`` of a
+``BilinearForm``), and return that pair as it is; the diagnostics, sums,
+differences and multiples (``times``) read it directly, and only their
+small results (Ricci forms, Jacobi operators, residuals) become
+``Fraction``s.  The
 constructor raises TypeError on any entry that is not a Python int and on
 a scale that is not a positive int.  Exact ``Fraction``/int arrays enter
 through ``CurvatureTensor.from_fractions``, and ``fractions()`` is the
@@ -115,10 +118,9 @@ class CurvatureTensor:
 
     def _combine(self, other, sign: int) -> "CurvatureTensor":
         """self + sign * other over the lcm of the two scales."""
-        L = math.lcm(self.scale, other.scale)
-        A = self.tensor * (L // self.scale)
-        A += other.tensor * (sign * (L // other.scale))
-        return CurvatureTensor(A, L, self.metric)
+        return CurvatureTensor(*exactla.add_scaled(
+            self.tensor, self.scale, other.tensor, other.scale, sign),
+            self.metric)
 
     def times(self, c) -> "CurvatureTensor":
         """The multiple c R; TypeError unless c is an int or a Fraction."""
@@ -201,8 +203,8 @@ def curvature_from_bilinear(B: BilinearForm,
     Satisfies the first Bianchi identity for every B, is injective in B,
     and sends the metric itself to the projective-space curvature.
     """
-    M, LB = exactla.scaled_integers(B.matrix)
-    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    M, LB = B.scaled
+    J, LJ = H.scaled_J
     t = _metric_terms(M)
     diag = np.arange(H.dim)
     t[:, :, diag, diag] += (M.T - M)[:, :, None]
@@ -225,7 +227,7 @@ def _integer_traces(t, J) -> np.ndarray:
 
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     """The three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y))."""
-    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    J, LJ = H.scaled_J
     T = _integer_traces(R.tensor, J)
     return [exactla.from_scaled_integers(T[:, :, a], R.scale * LJ)
             for a in range(3)]
@@ -241,7 +243,7 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
     over cyclic (a, b, c).  Returns (bool, residual)."""
     d = R.dim
     t, LR = R.tensor, R.scale
-    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    J, LJ = H.scaled_J
     xs, ys = np.triu_indices(d, 1)
     M = t[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
     T = _integer_traces(t, J)[xs, ys]
@@ -265,20 +267,30 @@ def ricci_split(R: CurvatureTensor, H: HermitianStructure):
     sum_a eps_a J_a^T B J_a.  The operator acts by dim+8 on symmetric
     hermitian forms, by dim on symmetric mixed forms and by dim+4 on
     antisymmetric forms, so B is Ric(R) split by the hermitian projector
-    and divided on each part.  The eigenvalues hold for a structure with
-    the cyclic product table and metric-skew members only:
+    and divided on each part, all on integers: the Ricci trace of the
+    tensor, the integer members of H and one common scale for B, which
+    reaches curvature_from_bilinear as an integer-backed form.  The
+    eigenvalues hold for a structure with the cyclic product table and
+    metric-skew members only:
     DegenerateStructureError for any other triple (one built with
     validate=False).
     """
     H.check_relations()
     d = R.dim
-    ric = ricci(R)
-    sym = (ric + ric.T) * Fraction(1, 2)
-    alt = (ric - ric.T) * Fraction(1, 2)
-    herm, mix, _ = hermitian_projector(BilinearForm(sym), H)
-    Bmat = (herm.matrix / Fraction(d + 8) + mix.matrix / Fraction(d)
-            + alt / Fraction(d + 4))
-    B = BilinearForm(Bmat)
+    # on integers: ric over LR, its symmetric and antisymmetric parts over
+    # 2 LR, herm and mix over S = 4 LJ^2 (2 LR) = 4 LJ^2 times that
+    ric = np.trace(R.tensor, axis1=0, axis2=3)
+    LJ = H.scaled_J[1]
+    herm, mix, _ = hermitian_projector(
+        BilinearForm(ric + ric.T, 2 * R.scale), H)
+    (Nh, S), (Nm, _) = herm.scaled, mix.scaled
+    # B = herm / (d+8) + mix / d + alt / (d+4) over S d (d+4) (d+8),
+    # reduced by the common gcd
+    N = (Nh * (d * (d + 4)) + Nm * ((d + 4) * (d + 8))
+         + (ric - ric.T) * (4 * LJ * LJ * d * (d + 8)))
+    L = S * d * (d + 4) * (d + 8)
+    common = math.gcd(L, *N.reshape(-1))
+    B = BilinearForm(N // common, L // common)
     W = R - curvature_from_bilinear(B, H)
     return W, B
 
@@ -298,8 +310,8 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     Evaluates the formula for any hermitian structure (any comrel triple
     with its metric), not only the standard one.
     """
-    g, Lg = exactla.scaled_integers(H.g)
-    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    g, Lg = H.scaled_g
+    J, LJ = H.scaled_J
     t = _metric_terms(g)
     t *= LJ * LJ   # to the scale Lg LJ^2 of K
     # with A_a = J_a^T g, A_a[x, y] = g(J_a e_x, e_y), the permutations of

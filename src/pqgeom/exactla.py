@@ -14,15 +14,18 @@ lcm L of the entry denominators with arr == N / L (TypeError on any entry
 that is not an int or a Fraction, the check of ``require_exact``), and
 ``from_scaled_integers(N, L)`` turns a result back into a ``Fraction``
 array.  Python ints do not overflow, so no magnitude bound is needed.
-Their users: the 2-forms, the 4-form, the rotations and the hermitian
-projector of ``forms``; the structure checks and ``PQMatrix`` products of
-``linalg``; ``projspace.transitive_element`` and
+Most data stays in that form between calls: ``linalg.PQMatrix``,
+``linalg.HermitianStructure``, ``forms.BilinearForm``, ``forms.FourForm``
+and ``curvature.CurvatureTensor`` hold (N, L) pairs, built once where the
+data is made, so ``scaled_integers`` runs where exact data enters (a
+structure, form or matrix built from ``Fraction`` arrays, a rotation
+matrix, a sample vector) and ``from_scaled_integers`` where a ``Fraction``
+view is asked for.  Other users: ``projspace.transitive_element`` and
 ``horizontal_project``; the isotropy traces, the moment-gradient check
 and the reduced-Jacobi chain (``admissible_directions``,
 ``killing_derivative``, ``reduced_jacobi``) of ``reduction``; and in
-``curvature`` the
-structure and metric inputs of the builders and the small results of the
-diagnostics (Ricci forms, structure traces, Jacobi operators).  A d^4
+``curvature`` the small results of the diagnostics (Ricci forms,
+structure traces, Jacobi operators).  A d^4
 curvature tensor passes through them only when it is read from or
 written to ``Fraction`` form (``CurvatureTensor.from_fractions`` and
 ``fractions``, for the text format and the tests): a
@@ -35,11 +38,10 @@ the end (a Fraction, not an array, when the chain contracts to a scalar).
 Its users: the fiber Gram of ``projspace.tangent_split`` and the induced
 metric of ``induced_geometry``; the reduced metric of
 ``reduction.flat_reduced_structure`` and the normal residuals of the
-orthogonality checks; ``linalg.adopted_basis`` and ``grassman_split``;
+orthogonality checks; ``linalg.grassman_split``;
 ``curvature.restrict_to_complement`` (the Gram matrix and the projected
 image of its solve) and ``curvature.weyl_sample`` (the integer 4-tensor
-s^4 contracted with the inverse of omega_E); and the CLI checks
-representation-homomorphism, adopted-basis-rank, tensor-split-blocks and
+s^4 contracted with the inverse of omega_E); and the CLI check
 lift-independence.  Products with the neutral metric are not among them:
 ``linalg.apply_metric`` is a sign flip.
 ``contract(T, A, axis)`` contracts one axis of a Python-int tensor with
@@ -176,6 +178,25 @@ def product(*factors):
         N, L = N @ M, L * LM
     out = from_scaled_integers(N, L)
     return out[()] if out.ndim == 0 else out
+
+
+def add_scaled(A, LA: int, B, LB: int, sign: int = 1):
+    """(N, L) with N / L = A / LA + sign * B / LB for integer arrays A and
+    B, over the lcm L of the two scales.  B is rescaled and added one
+    leading slice at a time, so besides N no temporary larger than a
+    slice is formed (for a d^4 tensor, d^3 entries)."""
+    L = math.lcm(LA, LB)
+    N = A * (L // LA)
+    c = sign * (L // LB)
+    for i in range(len(N)):
+        N[i] += B[i] * c
+    return N, L
+
+
+def scaled_distance(A, LA: int, B, LB: int) -> Fraction:
+    """max |A / LA - B / LB| over the entries of two integer arrays."""
+    N, L = add_scaled(A, LA, B, LB, -1)
+    return Fraction(max_abs(N), L)
 
 
 def contract(T, A, axis: int) -> np.ndarray:

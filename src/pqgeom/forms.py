@@ -13,24 +13,32 @@ formula at every rank (dim^4 entries: 256 at rank 1, 20736 at rank 3);
 evaluating it contracts the array.  The six-term evaluator on bilinear
 values is kept in the tests as the reference for the array.
 
-Exact arithmetic runs on scaled integers (see ``exactla``): the 2-forms,
-the 4-form array and its evaluation, and the rotated bases are computed
-on Python ints and divided by their common scale once, so every returned
-entry is a Fraction, and an entry that is not an int or a Fraction
+Exact arithmetic runs on scaled integers (see ``exactla``), and the
+results stay in that form: a ``BilinearForm`` and a ``FourForm`` are each
+held as the pair ``scaled`` of an object array of Python ints and one
+positive int scale, and a structure as the pairs of
+``linalg.HermitianStructure``.  The 2-forms, the 4-form array, the
+hermitian projector and the rotated structures are computed on those
+pairs and returned as pairs, with no ``Fraction`` formed; ``matrix`` and
+``array`` are the ``Fraction`` views, formed on request, and a 4-form
+value or a residual is one ``Fraction``.  Exact input enters through
+``exactla.scaled_integers``, so an entry that is not an int or a Fraction
 raises TypeError.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactla
-from .algebra import EPS, circle_point, hyperbola_point
+from .algebra import EPS
 from .linalg import HermitianStructure
 
-ETA = exactla.fracarray([[-EPS[0], 0, 0], [0, -EPS[1], 0], [0, 0, -EPS[2]]])
+# the invariant form on the structure span, an object array of Python ints
+ETA = np.diag(np.array([-eps for eps in EPS], dtype=object))
 
 
 class NotSkewError(ValueError):
@@ -42,22 +50,51 @@ class NotInGroupError(ValueError):
 
 
 class BilinearForm:
-    """Dense bilinear form B(X, Y) = X^T M Y; no symmetry assumed."""
+    """Dense bilinear form B(X, Y) = X^T M Y; no symmetry assumed.
 
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix)
+    Held as the pair ``scaled`` = (N, L) with M = N / L, N an object array
+    of Python ints and L an int >= 1; ``matrix`` is the Fraction view,
+    formed on first access.  The constructor takes an exact array
+    (TypeError on an entry that is not an int or a Fraction), or with
+    ``scale`` an integer array over that scale.
+    """
+
+    def __init__(self, matrix, scale: int | None = None):
+        self.scaled = (exactla.scaled_integers(matrix) if scale is None
+                       else (np.asarray(matrix), scale))
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        return exactla.from_scaled_integers(*self.scaled)
 
     def __call__(self, x, y):
         return x @ self.matrix @ y
 
     def __add__(self, other):
-        return BilinearForm(self.matrix + other.matrix)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return BilinearForm(self.matrix - other.matrix)
+        return self._combine(other, -1)
 
-    def max_abs(self):
-        return exactla.max_abs(self.matrix)
+    def _combine(self, other, sign: int) -> "BilinearForm":
+        return BilinearForm(*exactla.add_scaled(*self.scaled, *other.scaled,
+                                                sign))
+
+    def max_abs(self) -> Fraction:
+        N, L = self.scaled
+        return Fraction(exactla.max_abs(N), L)
+
+
+def _two_forms(J, G, scale: int) -> np.ndarray:
+    """The integer omega_a = J_a^T G of stacked integer members J_a and an
+    integer metric G; NotSkewError unless every J_a is G-skew.  The scale
+    of the J_a times that of G is passed for the message only."""
+    omega = J.transpose(0, 2, 1) @ G
+    res = exactla.max_abs(omega + G @ J)
+    if res != 0:
+        raise NotSkewError(f"endomorphism not skew, residual "
+                           f"{Fraction(res, scale)}")
+    return omega
 
 
 def two_form(Jop: np.ndarray, g: np.ndarray) -> BilinearForm:
@@ -65,49 +102,49 @@ def two_form(Jop: np.ndarray, g: np.ndarray) -> BilinearForm:
     on J and g scaled to integers: omega = J^T g over the scale LJ Lg."""
     J, LJ = exactla.scaled_integers(Jop)
     G, LG = exactla.scaled_integers(g)
-    omega = J.T @ G
-    res = exactla.max_abs(omega + G @ J)
-    if res != 0:
-        raise NotSkewError(f"endomorphism not skew, residual "
-                           f"{Fraction(res, LJ * LG)}")
-    return BilinearForm(exactla.from_scaled_integers(omega, LJ * LG))
+    return BilinearForm(_two_forms(J[None], G, LJ * LG)[0], LJ * LG)
 
 
 class FourForm:
-    """Alternating 4-form sum_a eps_a (omega_a wedge omega_a), stored as
-    its dense coefficient array (dim^4 entries):
+    """Alternating 4-form sum_a eps_a (omega_a wedge omega_a), held as
+    the pair ``scaled`` of its dense integer coefficient array (dim^4
+    entries) and its scale:
 
         Omega[p,q,r,s] = sum_a 2 eps_a (w[p,q] w[r,s] - w[p,r] w[q,s]
                                         + w[p,s] w[q,r]),  w = omega_a,
 
-    computed on the omega_a scaled to integers; every entry is a Fraction.
-    The integer array and its scale are kept for evaluation.
+    built from the stacked integer 2-forms w over the scale L, so the
+    array is over L^2.  ``array`` is the Fraction view, formed on each
+    access.
     """
 
-    def __init__(self, omegas):
-        w, L = exactla.scaled_integers(np.stack(omegas))
-        arr = 0
-        for eps, om in zip(EPS, w):
-            pq_rs = np.multiply.outer(om, om)            # w[p,q] w[r,s]
-            pr_qs = pq_rs.transpose(0, 2, 1, 3)          # w[p,r] w[q,s]
-            ps_qr = pq_rs.transpose(0, 2, 3, 1)          # w[p,s] w[q,r]
-            arr = arr + eps * 2 * (pq_rs - pr_qs + ps_qr)
-        self._coefficients, self._scale = arr, L * L
-        self.array = exactla.from_scaled_integers(arr, L * L)
+    def __init__(self, w, L: int):
+        # S[p,q,r,s] = sum_a 2 eps_a w[p,q] w[r,s]; the three terms of the
+        # formula are S and two transposes of it
+        signed = np.stack([2 * eps * om for eps, om in zip(EPS, w)])
+        S = np.tensordot(signed, w, axes=([0], [0]))
+        self.scaled = (S - S.transpose(0, 2, 1, 3) + S.transpose(0, 2, 3, 1),
+                       L * L)
+
+    @property
+    def array(self) -> np.ndarray:
+        return exactla.from_scaled_integers(*self.scaled)
 
     def __call__(self, x, y, z, w):
         """Omega(x, y, z, w): the integer array contracted with the four
         vectors scaled to integers, as one Fraction."""
+        C, L = self.scaled
         (X, LX), (Y, LY), (Z, LZ), (W, LW) = (
             exactla.scaled_integers(v) for v in (x, y, z, w))
-        value = X @ (((self._coefficients @ W) @ Z) @ Y)
-        return Fraction(value, self._scale * LX * LY * LZ * LW)
+        value = X @ (((C @ W) @ Z) @ Y)
+        return Fraction(value, L * LX * LY * LZ * LW)
 
 
 def fundamental_four_form(H: HermitianStructure) -> FourForm:
-    """omega_1 ^ omega_1 - omega_2 ^ omega_2 - omega_3 ^ omega_3."""
-    omegas = [two_form(Ja, H.g).matrix for Ja in H.J]
-    return FourForm(omegas)
+    """omega_1 ^ omega_1 - omega_2 ^ omega_2 - omega_3 ^ omega_3, from the
+    integer members and metric of H."""
+    (J, LJ), (G, LG) = H.scaled_J, H.scaled_g
+    return FourForm(_two_forms(J, G, LJ * LG), LJ * LG)
 
 
 # ---------------------------------------------------------------------------
@@ -115,71 +152,87 @@ def fundamental_four_form(H: HermitianStructure) -> FourForm:
 # ---------------------------------------------------------------------------
 
 
+def _rotation_defect(R, L: int) -> int:
+    """L^3 times the residual of R / L in the rotation group, for a 3 x 3
+    integer R: the max of the entries of R^T eta R - eta and of
+    det R - 1, with det R = R_0 . (R_1 x R_2)."""
+    res = exactla.max_abs(R.T @ ETA @ R - ETA * (L * L)) * L
+    return max(res, abs(R[0] @ np.cross(R[1], R[2]) - L ** 3))
+
+
 def in_rotation_group(R: np.ndarray):
     """(bool, residual) for R^T eta R = eta and det R = 1."""
-    R = np.asarray(R)
-    res = exactla.max_abs(R.T @ ETA @ R - ETA)
-    res = max(res, abs(exactla.det(R) - 1))
+    Rn, L = exactla.scaled_integers(R)
+    res = Fraction(_rotation_defect(Rn, L), L ** 3)
     return res == 0, res
 
 
 def rotate_structure(H: HermitianStructure,
                      R: np.ndarray) -> HermitianStructure:
     """Replace the basis by J'_a = sum_b R_ab J_b; the defining relation
-    R^T eta R = eta (det 1) guarantees the cyclic table survives."""
-    ok, res = in_rotation_group(R)
-    if not ok:
-        raise NotInGroupError(f"defining-relation residual {res}")
+    R^T eta R = eta (det 1) guarantees the cyclic table survives.  Runs on
+    integers: the new members are R J over the product of the scales."""
     Rn, LR = exactla.scaled_integers(R)
-    J, LJ = exactla.scaled_integers(np.stack(H.J))
-    Jnew = np.tensordot(Rn, J, axes=(1, 0))
-    return HermitianStructure(*exactla.from_scaled_integers(Jnew, LR * LJ),
-                              H.g)
+    if _rotation_defect(Rn, LR) != 0:
+        raise NotInGroupError(
+            f"defining-relation residual {in_rotation_group(R)[1]}")
+    J, LJ = H.scaled_J
+    g, Lg = H.scaled_g
+    return HermitianStructure(*(Rn @ J.reshape(3, -1)).reshape(J.shape), g,
+                              scales=(LR * LJ, Lg))
+
+
+def _plane_rotation(plane: tuple[int, int], c, s, sign: int,
+                    one=1) -> np.ndarray:
+    """Object array equal to one * Id off the plane (a, b), with c on its
+    diagonal, s at (b, a) and sign * s at (a, b)."""
+    a, b = plane
+    R = np.diag(np.array([one] * 3, dtype=object))
+    R[a, a] = R[b, b] = c
+    R[a, b], R[b, a] = sign * s, s
+    return R
 
 
 def hyperbolic_rotation(plane: tuple[int, int], cosh_val, sinh_val) -> np.ndarray:
     """Rotation by a rational point (cosh, sinh) of the unit hyperbola in
     a mixed-sign plane; plane indices are 0-based into (1, 2, 3)."""
-    a, b = plane
-    R = exactla.eye(3)
-    R[a, a] = Fraction(cosh_val)
-    R[b, b] = Fraction(cosh_val)
-    R[a, b] = Fraction(sinh_val)
-    R[b, a] = Fraction(sinh_val)
-    return R
+    return exactla.fracarray(_plane_rotation(plane, cosh_val, sinh_val, 1))
 
 
 def circular_rotation(plane: tuple[int, int], cos_val, sin_val) -> np.ndarray:
     """Rotation by a rational point (cos, sin) of the unit circle in a
     definite plane."""
-    a, b = plane
-    R = exactla.eye(3)
-    R[a, a] = Fraction(cos_val)
-    R[b, b] = Fraction(cos_val)
-    R[a, b] = -Fraction(sin_val)
-    R[b, a] = Fraction(sin_val)
-    return R
+    return exactla.fracarray(_plane_rotation(plane, cos_val, sin_val, -1))
 
 
 def random_rotation(rng) -> np.ndarray:
     """Random exact element of the rotation group: a product of three
     rational hyperbolic rotations in the (1,2) / (1,3) planes, circular
-    rotations in the (2,3) plane or (1,2)-axis flips."""
-    R = exactla.eye(3)
+    rotations in the (2,3) plane or (1,2)-axis flips, at the parameters
+    t = p / q of algebra.hyperbola_point and circle_point.  Each factor
+    is formed as an integer matrix over its scale from p and q, and the
+    factors are composed on Python ints; the product becomes Fractions
+    once, at the end."""
+    R, L = np.eye(3, dtype=object), 1
     for _ in range(3):
         kind = rng.randrange(4)
-        t = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        p, q = rng.randint(-3, 3), rng.randint(1, 4)
         if kind == 0 or kind == 1:
-            if t * t == 1:
+            if p * p == q * q:          # t^2 = 1, the asymptote
                 continue
-            h = hyperbola_point(t)
-            R = R @ hyperbolic_rotation((0, kind + 1), h.a, h.c)
+            # hyperbola_point(t) = ((q^2 + p^2) + 2pq j) / (q^2 - p^2)
+            LF = q * q - p * p
+            F = _plane_rotation((0, kind + 1), q * q + p * p, 2 * p * q, 1, LF)
         elif kind == 2:
-            c = circle_point(t)
-            R = R @ circular_rotation((1, 2), c.a, c.b)
+            # circle_point(t) = ((q^2 - p^2) + 2pq i) / (q^2 + p^2)
+            LF = q * q + p * p
+            F = _plane_rotation((1, 2), q * q - p * p, 2 * p * q, -1, LF)
         else:
-            R = R @ exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    return R
+            F, LF = np.diag(np.array([1, -1, -1], dtype=object)), 1
+        R, L = R @ F, L * LF
+    if L < 0:   # the scale of a hyperbolic factor may be negative
+        R, L = -R, -L
+    return exactla.from_scaled_integers(R, L)
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +249,11 @@ def hermitian_projector(B: BilinearForm, H: HermitianStructure):
         (B_herm, B_mix, fourway)
 
     with fourway the dict of the symmetric/antisymmetric hermitian/mixed
-    components; the four parts sum back to B.  Computed on B and the J_a
-    scaled to integers; every entry is a Fraction.
+    components; the four parts sum back to B.  Computed on the integer
+    pairs of B and of the J_a; every returned form is integer-backed.
     """
-    M, LB = exactla.scaled_integers(B.matrix)
-    J, LJ = exactla.scaled_integers(np.stack(H.J))
+    M, LB = B.scaled
+    J, LJ = H.scaled_J
     # herm and mix over the scale S, the symmetric/antisymmetric parts
     # over 2 S; B(J_a ., J_a .) = J_a^T B J_a
     S = 4 * LJ * LJ * LB
@@ -210,10 +263,8 @@ def hermitian_projector(B: BilinearForm, H: HermitianStructure):
     mix = 4 * LJ * LJ * M - herm
     parts = {"sym_hermitian": herm + herm.T, "alt_hermitian": herm - herm.T,
              "sym_mixed": mix + mix.T, "alt_mixed": mix - mix.T}
-    fourway = {key: BilinearForm(exactla.from_scaled_integers(part, 2 * S))
-               for key, part in parts.items()}
-    return (BilinearForm(exactla.from_scaled_integers(herm, S)),
-            BilinearForm(exactla.from_scaled_integers(mix, S)), fourway)
+    fourway = {key: BilinearForm(part, 2 * S) for key, part in parts.items()}
+    return BilinearForm(herm, S), BilinearForm(mix, S), fourway
 
 
 def lie_derivative_residual(four_form: FourForm, A: np.ndarray,

@@ -24,17 +24,30 @@ commute with the right scalar action.  real_rep is the composition of
 the complex 2x2-block representation with conjugation by the fixed
 block-diagonal change of basis; it lands in gl_{2n}(R) and is an
 algebra (hence Lie algebra) isomorphism.
+
+Exact arithmetic.  Matrices and structures are held as scaled integers
+(see ``exactla``): one object array of Python ints and one positive int
+scale, the value being array / scale.  A ``PQMatrix`` is the pair
+(C, L) of its (4, n, n) coefficient array, and a ``HermitianStructure``
+the pairs (J, LJ) of its stacked members and (g, Lg) of its metric, each
+formed once, where the data is made.  Every operation reads and returns
+such pairs (``real_rep`` and ``to_real_action`` return (N, L)), so no
+``Fraction`` is formed between calls; the ``Fraction`` arrays
+``PQMatrix.entries``, ``HermitianStructure.J`` and ``.g`` are views
+formed on request.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from . import exactla
-from .algebra import EPS, IMAGINARY_UNITS, SplitQuaternion, scalar_product
+from .algebra import (EPS, IMAGINARY_UNITS, UNITS, SplitQuaternion,
+                      scalar_product)
 
 
 class RankMismatchError(ValueError):
@@ -108,94 +121,123 @@ class PQVector:
 
 
 class PQMatrix:
-    """Square matrix of split quaternions acting on columns from the left."""
+    """Square matrix of split quaternions acting on columns from the left.
 
-    __slots__ = ("entries",)
+    Held as the pair ``scaled`` = (C, L): C a (4, n, n) object array of
+    Python ints and L an int >= 1, with coefficient u of entry (p, q)
+    equal to C[u, p, q] / L, so the matrix is one batch.  The arithmetic
+    below runs on C and L; ``entries`` is the view as rows of
+    SplitQuaternions with Fraction coefficients, formed on first access.
+    The constructor takes rows of SplitQuaternions with int or Fraction
+    coefficients (TypeError on any other); ``from_scaled_integers`` takes
+    the pair.  ``==`` compares values, so (2C, 2L) equals (C, L).
+    """
+
+    __slots__ = ("scaled", "_entries")
 
     def __init__(self, entries):
         rows = [tuple(row) for row in entries]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        self.entries = tuple(rows)
+        coefficients = np.array([[h.coefficients() for h in row]
+                                 for row in rows], dtype=object)
+        self.scaled = exactla.scaled_integers(
+            coefficients.reshape(n, n, 4).transpose(2, 0, 1))
+        self._entries = None
+
+    @classmethod
+    def from_scaled_integers(cls, C, L: int) -> "PQMatrix":
+        """The matrix C / L of a (4, n, n) integer array C and a scale L."""
+        M = cls.__new__(cls)
+        M.scaled, M._entries = (C, L), None
+        return M
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return self.scaled[0].shape[1]
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            F = exactla.from_scaled_integers(*self.scaled)
+            self._entries = tuple(
+                tuple(SplitQuaternion(*F[:, p, q]) for q in range(self.rank))
+                for p in range(self.rank))
+        return self._entries
 
     @classmethod
     def identity(cls, n: int) -> "PQMatrix":
-        return cls([[SplitQuaternion(1 if p == q else 0) for q in range(n)]
-                    for p in range(n)])
+        C = np.zeros((4, n, n), dtype=object)
+        C[0] = np.eye(n, dtype=object)
+        return cls.from_scaled_integers(C, 1)
 
     def __eq__(self, other):
-        return isinstance(other, PQMatrix) and self.entries == other.entries
+        if not isinstance(other, PQMatrix) or other.rank != self.rank:
+            return False
+        diff, _ = exactla.add_scaled(*self.scaled, *other.scaled, -1)
+        return not np.count_nonzero(diff)
+
+    def _check(self, other):
+        if not isinstance(other, PQMatrix) or other.rank != self.rank:
+            raise RankMismatchError("rank mismatch")
 
     def __add__(self, other):
-        return PQMatrix([[a + b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.entries, other.entries)])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return PQMatrix([[a - b for a, b in zip(ra, rb)]
-                         for ra, rb in zip(self.entries, other.entries)])
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "PQMatrix":
+        self._check(other)
+        return PQMatrix.from_scaled_integers(
+            *exactla.add_scaled(*self.scaled, *other.scaled, sign))
 
     def __neg__(self):
-        return PQMatrix([[-a for a in row] for row in self.entries])
+        C, L = self.scaled
+        return PQMatrix.from_scaled_integers(-C, L)
 
     def scale(self, s) -> "PQMatrix":
-        return PQMatrix([[a.scale(s) for a in row] for row in self.entries])
+        """The multiple s A; TypeError unless s is an int or a Fraction."""
+        if not isinstance(s, (int, Fraction)):
+            raise TypeError(f"cannot scale exactly by {type(s).__name__}")
+        C, L = self.scaled
+        return PQMatrix.from_scaled_integers(C * s.numerator,
+                                             L * s.denominator)
 
     def __matmul__(self, other):
+        C, L = self.scaled
         if isinstance(other, PQVector):
             if other.rank != self.rank:
                 raise RankMismatchError("rank mismatch")
-            return PQVector(
-                sum((a * h for a, h in zip(row, other.entries)),
-                    SplitQuaternion())
-                for row in self.entries)
-        if other.rank != self.rank:
-            raise RankMismatchError("rank mismatch")
-        # one batch product on scaled integers, divided by both scales once
-        A, LA = exactla.scaled_integers(self.coefficient_array())
-        B, LB = exactla.scaled_integers(other.coefficient_array())
-        return PQMatrix.from_coefficient_array(
-            exactla.from_scaled_integers(batch_matmul(A, B), LA * LB))
-
-    def coefficient_array(self) -> np.ndarray:
-        """The (4, n, n) object array of entry coefficients: C[u, p, q] is
-        coefficient u of entry (p, q), so the matrix is one batch."""
-        return np.array([[h.coefficients() for h in row]
-                         for row in self.entries],
-                        dtype=object).transpose(2, 0, 1)
-
-    @classmethod
-    def from_coefficient_array(cls, C) -> "PQMatrix":
-        n = C.shape[1]
-        return cls([[SplitQuaternion(*C[:, p, q]) for q in range(n)]
-                    for p in range(n)])
+            V, LV = exactla.scaled_integers(
+                other.to_real().reshape(-1, 4).T[..., None])
+            F = exactla.from_scaled_integers(batch_matmul(C, V), L * LV)
+            return PQVector(SplitQuaternion(*F[:, p, 0])
+                            for p in range(self.rank))
+        self._check(other)
+        B, LB = other.scaled
+        return PQMatrix.from_scaled_integers(batch_matmul(C, B), L * LB)
 
     def commutator(self, other: "PQMatrix") -> "PQMatrix":
         return self @ other - other @ self
 
     def conj_transpose(self) -> "PQMatrix":
-        n = self.rank
-        return PQMatrix([[self.entries[q][p].conj() for q in range(n)]
-                         for p in range(n)])
+        C, L = self.scaled
+        return PQMatrix.from_scaled_integers(
+            np.concatenate([C[:1], -C[1:]]).transpose(0, 2, 1), L)
 
     def is_antihermitian(self) -> bool:
-        n = self.rank
-        return all(self.entries[p][q] == -self.entries[q][p].conj()
-                   for p in range(n) for q in range(n))
+        return self == -self.conj_transpose()
 
-    def to_real_action(self) -> np.ndarray:
-        """4n x 4n real matrix of the left action on interleaved coordinates."""
+    def to_real_action(self) -> tuple[np.ndarray, int]:
+        """(N, L): the 4n x 4n real matrix N / L of the left action on
+        interleaved coordinates, block (p, q) left_mult_matrix of entry
+        (p, q), formed on the coefficient batch at once."""
+        C, L = self.scaled
         n = self.rank
-        out = exactla.zeros((4 * n, 4 * n))
-        for p in range(n):
-            for q in range(n):
-                out[4 * p:4 * p + 4, 4 * q:4 * q + 4] = left_mult_matrix(
-                    self.entries[p][q])
-        return out
+        blocks = left_mult_matrix(SplitQuaternion(*C))    # (4, 4, n, n)
+        return blocks.transpose(2, 0, 3, 1).reshape(4 * n, 4 * n), L
 
     def __repr__(self):
         rows = ["[" + ", ".join(str(x) for x in row) + "]"
@@ -203,15 +245,24 @@ class PQMatrix:
         return "PQMatrix(" + ", ".join(rows) + ")"
 
 
+# (s, t, u, sign): e_s e_t = sign e_u for the units e = (1, i, j, k)
+_UNIT_PRODUCTS = tuple(
+    (s, t, u, c) for s, es in enumerate(UNITS) for t, et in enumerate(UNITS)
+    for u, c in enumerate((es * et).coefficients()) if c)
+
+
 def batch_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix products of split-quaternion matrices held as coefficient
     arrays, axis 0 the four coefficients: C[:, ..., p, q] =
     sum_r A[:, ..., p, r] B[:, ..., r, q], broadcast over the axes in
-    between.  All entry products are one SplitQuaternion product of
-    coefficient arrays of shape (..., p, r, q), summed over r."""
-    terms = (SplitQuaternion(*A[..., :, :, None])
-             * SplitQuaternion(*B[..., None, :, :]))
-    return np.stack([c.sum(axis=-2) for c in terms.coefficients()])
+    between.  Coefficient u of the product is the signed sum of the
+    coefficient products A[s] @ B[t] with e_s e_t = +-e_u: sixteen
+    matmuls, four per coefficient."""
+    out = [0] * 4
+    for s, t, u, sign in _UNIT_PRODUCTS:
+        P = np.matmul(A[s], B[t])
+        out[u] = out[u] + P if sign > 0 else out[u] - P
+    return np.stack(out)
 
 
 def left_mult_matrix(q: SplitQuaternion) -> np.ndarray:
@@ -250,12 +301,8 @@ def module_scalar_product(h: PQVector, hp: PQVector):
 
 
 def metric_matrix(n: int) -> np.ndarray:
-    g = exactla.zeros((4 * n, 4 * n))
-    signs = (1, 1, -1, -1)
-    for v in range(n):
-        for s in range(4):
-            g[4 * v + s, 4 * v + s] = Fraction(signs[s])
-    return g
+    """The neutral metric diag(1, 1, -1, -1, ...) as Python ints."""
+    return np.diag(np.array([1, 1, -1, -1] * n, dtype=object))
 
 
 def apply_metric(X) -> np.ndarray:
@@ -268,19 +315,49 @@ def apply_metric(X) -> np.ndarray:
     return out
 
 
+def _fraction_view(N, L: int) -> np.ndarray:
+    """The Fraction array N / L, read-only when N is."""
+    view = exactla.from_scaled_integers(N, L)
+    view.flags.writeable = N.flags.writeable
+    return view
+
+
 class HermitianStructure:
     """A triple (J1, J2, J3) of endomorphisms with the cyclic product
-    table, all skew-symmetric for a neutral metric g."""
+    table, all skew-symmetric for a neutral metric g.
 
-    def __init__(self, J1, J2, J3, g, validate: bool = True):
-        self.J = (np.asarray(J1), np.asarray(J2), np.asarray(J3))
-        self.g = np.asarray(g)
+    Held as scaled integers, formed once at construction: ``scaled_J`` is
+    the pair (J, LJ) of the stacked (3, d, d) integer array with
+    J_a = J[a] / LJ, and ``scaled_g`` the pair (g, Lg) of the metric.
+    Every reader in the package computes on these pairs; ``J`` (a tuple of
+    three arrays) and ``g`` are the Fraction views, formed on first
+    access.  The members and the metric are exact arrays (TypeError on an
+    entry that is not an int or a Fraction), or with ``scales=(LJ, Lg)``
+    integer arrays over those scales.
+    """
+
+    def __init__(self, J1, J2, J3, g, validate: bool = True, *,
+                 scales=None):
+        if scales is None:
+            self.scaled_J = exactla.scaled_integers(np.stack([J1, J2, J3]))
+            self.scaled_g = exactla.scaled_integers(g)
+        else:
+            self.scaled_J = (np.stack([J1, J2, J3]), scales[0])
+            self.scaled_g = (np.asarray(g), scales[1])
         if validate:
             self.check_relations()
 
+    @functools.cached_property
+    def J(self) -> tuple:
+        return tuple(_fraction_view(*self.scaled_J))
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        return _fraction_view(*self.scaled_g)
+
     @property
     def dim(self) -> int:
-        return self.g.shape[0]
+        return self.scaled_g[0].shape[0]
 
     @property
     def rank(self) -> int:
@@ -289,59 +366,64 @@ class HermitianStructure:
     def check_relations(self):
         """DegenerateStructureError unless the cyclic product table and
         the metric skewness hold exactly."""
-        res = max(self.comrel_residual(), self.skew_residual())
-        if res != 0:
+        if self._comrel_defect() or self._skew_defect():
+            res = max(self.comrel_residual(), self.skew_residual())
             raise DegenerateStructureError(
                 f"structure relations violated, residual {res}")
 
+    def _comrel_defect(self) -> int:
+        """LJ^2 times the max deviation of the nine products J_a J_b from
+        the cyclic table, all formed by one batch product."""
+        J, L = self.scaled_J
+        # every product J_a J_b carries the scale L^2, so the table does too
+        table = np.empty((3, 3) + J.shape[1:], dtype=object)
+        eye = np.eye(self.dim, dtype=object)
+        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            table[a, a] = eye * (-EPS[a] * L * L)
+            table[a, b] = J[c] * (-EPS[c] * L)
+            table[b, a] = -table[a, b]
+        return exactla.max_abs(J[:, None] @ J - table)
+
+    def _skew_defect(self) -> int:
+        """LJ Lg times the max entry of J_a^T g + g J_a over the three a."""
+        (J, _), (g, _) = self.scaled_J, self.scaled_g
+        return exactla.max_abs(J.transpose(0, 2, 1) @ g + g @ J)
+
     def comrel_residual(self) -> Fraction:
         """Max deviation over the nine products J_a J_b from the cyclic
-        table, computed on the J_a scaled to integers over L."""
-        J, L = exactla.scaled_integers(np.stack(self.J))
-        J1, J2, J3 = J
-        # every product J_a J_b carries the scale L^2, so the table does too
-        eye = L * L * np.eye(self.dim, dtype=object)
-        table = {
-            (0, 0): -EPS[0] * eye, (1, 1): -EPS[1] * eye, (2, 2): -EPS[2] * eye,
-            (0, 1): -EPS[2] * L * J3, (1, 0): EPS[2] * L * J3,
-            (1, 2): -EPS[0] * L * J1, (2, 1): EPS[0] * L * J1,
-            (2, 0): -EPS[1] * L * J2, (0, 2): EPS[1] * L * J2,
-        }
-        res = max(exactla.max_abs(J[a] @ J[b] - want)
-                  for (a, b), want in table.items())
-        return Fraction(res, L * L)
+        table."""
+        return Fraction(self._comrel_defect(), self.scaled_J[1] ** 2)
 
     def skew_residual(self) -> Fraction:
-        J, LJ = exactla.scaled_integers(np.stack(self.J))
-        g, Lg = exactla.scaled_integers(self.g)
-        res = max(exactla.max_abs(Ja.T @ g + g @ Ja) for Ja in J)
-        return Fraction(res, LJ * Lg)
+        return Fraction(self._skew_defect(),
+                        self.scaled_J[1] * self.scaled_g[1])
 
     def signature(self):
-        return exactla.signature(self.g)
+        # the scale is positive, so g / Lg has the inertia of g
+        return exactla.signature(self.scaled_g[0])
 
     def span_coefficients(self, A: np.ndarray):
         """Exact coefficients (c1, c2, c3) with A = sum c_a J_a, or None."""
-        cols = np.stack([Ja.reshape(-1) for Ja in self.J], axis=1)
-        coef, residual = exactla.frame_coordinates(cols, A.reshape(-1))
-        return None if residual != 0 else tuple(coef)
+        J, LJ = self.scaled_J
+        coef, residual = exactla.frame_coordinates(J.reshape(3, -1).T,
+                                                   A.reshape(-1))
+        return None if residual != 0 else tuple(c * LJ for c in coef)
 
 
 @functools.cache
 def _block_structure(n: int, side: str) -> HermitianStructure:
     """Structure on H^n acting entrywise by right multiplication with the
     conjugated units or (side "left") left multiplication with the units,
-    with the neutral metric; built once per (n, side), arrays read-only."""
+    with the neutral metric; built once per (n, side) on integers, with
+    read-only arrays."""
     if n < 1:
         raise ValueError("rank must be at least 1")
     blocks = [right_mult_matrix(u.conj()) if side == "right"
               else left_mult_matrix(u) for u in IMAGINARY_UNITS]
-    J = [exactla.zeros((4 * n, 4 * n)) for _ in range(3)]
-    for a in range(3):
-        for v in range(n):
-            J[a][4 * v:4 * v + 4, 4 * v:4 * v + 4] = blocks[a]
-    H = HermitianStructure(*J, metric_matrix(n))
-    for arr in (*H.J, H.g):
+    eye = np.eye(n, dtype=object)
+    H = HermitianStructure(*[np.kron(eye, block) for block in blocks],
+                           metric_matrix(n), scales=(1, 1))
+    for arr in (H.scaled_J[0], H.scaled_g[0]):
         arr.flags.writeable = False
     return H
 
@@ -357,7 +439,7 @@ def _unit_permutation(n: int, a: int):
     """(cols, neg) of the signed permutation structure_endos(n).J[a]: row
     r has its one nonzero entry in column cols[r], and that entry is -1
     exactly for the rows r listed in neg."""
-    Ja = structure_endos(n).J[a]
+    Ja = structure_endos(n).scaled_J[0][a]
     cols = np.argmax(Ja != 0, axis=1)
     return cols, np.flatnonzero(Ja[np.arange(4 * n), cols] < 0)
 
@@ -387,8 +469,9 @@ def left_structure_endos(n: int) -> HermitianStructure:
 # ---------------------------------------------------------------------------
 
 
-def real_rep(A: PQMatrix) -> np.ndarray:
-    """2n x 2n all-real image of the complex block representation.
+def real_rep(A: PQMatrix) -> tuple[np.ndarray, int]:
+    """(N, L): the 2n x 2n all-real image N / L of the complex block
+    representation, N an integer array and L the scale of A.
 
     Entry q = a + b i + c j + d k maps to the block
 
@@ -397,27 +480,23 @@ def real_rep(A: PQMatrix) -> np.ndarray:
 
     which is conjugation of the complex block [[z1, conj(z2)], [z2, conj(z1)]]
     by the fixed unitary; the composition is an algebra isomorphism onto
-    gl_{2n}(R), computed here entirely in the base scalars.
+    gl_{2n}(R), computed here entirely in the base scalars, one block
+    position at a time for all entries.
     """
-    n = A.rank
-    out = exactla.zeros((2 * n, 2 * n))
-    for p in range(n):
-        for q in range(n):
-            a, b, c, d = A.entries[p][q].coefficients()
-            out[2 * p, 2 * q] = a + d
-            out[2 * p, 2 * q + 1] = b + c
-            out[2 * p + 1, 2 * q] = c - b
-            out[2 * p + 1, 2 * q + 1] = a - d
-    return out
+    (a, b, c, d), L = A.scaled
+    out = np.empty((2 * A.rank, 2 * A.rank), dtype=object)
+    out[0::2, 0::2] = a + d
+    out[0::2, 1::2] = b + c
+    out[1::2, 0::2] = c - b
+    out[1::2, 1::2] = a - d
+    return out, L
 
 
 def symplectic_form(n: int) -> np.ndarray:
-    """Block-diagonal standard form, blocks [[0, 1], [-1, 0]]."""
-    F = exactla.zeros((2 * n, 2 * n))
-    for p in range(n):
-        F[2 * p, 2 * p + 1] = Fraction(1)
-        F[2 * p + 1, 2 * p] = Fraction(-1)
-    return F
+    """Block-diagonal standard form, blocks [[0, 1], [-1, 0]], as an
+    object array of Python ints."""
+    return np.kron(np.eye(n, dtype=object),
+                   np.array([[0, 1], [-1, 0]], dtype=object))
 
 
 def sp_membership(A: PQMatrix):
@@ -426,24 +505,22 @@ def sp_membership(A: PQMatrix):
     Membership is equivalent to A being anti-hermitian entrywise, i.e. to
     the left action being skew for the neutral scalar product.
     """
-    R = real_rep(A)
+    R, L = real_rep(A)
     F = symplectic_form(A.rank)
-    residual = exactla.max_abs(R.T @ F + F @ R)
+    residual = Fraction(exactla.max_abs(R.T @ F + F @ R), L)
     return residual == 0, residual
 
 
-def sp_group_membership(M: PQMatrix):
+def sp_group_membership(M: PQMatrix) -> Fraction:
     """Residual of the two group conditions: the real representation
     preserves the symplectic form, and the matrix preserves the neutral
     scalar product (the hermitian form of the complex picture)."""
-    R = real_rep(M)
+    R, L = real_rep(M)
     F = symplectic_form(M.rank)
-    r1 = exactla.max_abs(R.T @ F @ R - F)
-    prod = M.conj_transpose() @ M
-    ident = PQMatrix.identity(M.rank)
-    r2 = max(max(abs(x) for x in (prod.entries[p][q] - ident.entries[p][q]).coefficients())
-             for p in range(M.rank) for q in range(M.rank))
-    return max(r1, r2)
+    r1 = Fraction(exactla.max_abs(R.T @ F @ R - F * (L * L)), L * L)
+    P, LP = (M.conj_transpose() @ M).scaled
+    ident, _ = PQMatrix.identity(M.rank).scaled
+    return max(r1, Fraction(exactla.max_abs(P - ident * LP), LP))
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +542,17 @@ def adopted_basis(H: HermitianStructure, rng=None) -> list[np.ndarray]:
     n = H.rank
     seeds = []
     kept = np.empty((dim, 0), dtype=object)
-    candidates = [exactla.fracarray([1 if r == s else 0 for r in range(dim)])
-                  for s in range(dim)]
+    candidates = list(np.eye(dim, dtype=object))
     if rng is not None:
         for _ in range(4 * dim):
-            candidates.append(exactla.fracarray(
-                [rng.randint(-5, 5) for _ in range(dim)]))
+            candidates.append(np.array(
+                [rng.randint(-5, 5) for _ in range(dim)], dtype=object))
     current_rank = 0
-    Js = np.stack(H.J)
+    # the images J_a v are taken over the common scale of the J_a, which
+    # scales columns only and so leaves every rank unchanged
+    Js, _ = H.scaled_J
     for v in candidates:
-        quad = np.column_stack([v, *exactla.product(Js, v)])
+        quad = np.column_stack([v, *(Js @ v)])
         trial = np.concatenate([kept, quad], axis=1)
         if exactla.rank(trial) == current_rank + 4:
             kept = trial
@@ -514,11 +592,12 @@ class GrassmanSplit:
         return c * (h1 @ e) + s * (h2 @ e)
 
 
-# 2x2 blocks of the structure triple in any tensor basis (h1, h2)
+# 2x2 blocks of the structure triple in any tensor basis (h1, h2), as
+# object arrays of Python ints
 TENSOR_BLOCKS = (
-    exactla.fracarray([[0, -1], [1, 0]]),
-    exactla.fracarray([[0, 1], [1, 0]]),
-    exactla.fracarray([[-1, 0], [0, 1]]),
+    np.array([[0, -1], [1, 0]], dtype=object),
+    np.array([[0, 1], [1, 0]], dtype=object),
+    np.array([[-1, 0], [0, 1]], dtype=object),
 )
 
 
@@ -543,11 +622,7 @@ def grassman_split(H: HermitianStructure) -> GrassmanSplit:
     if exactla.rank(change) != dim:
         raise DegenerateStructureError("tensor basis is degenerate")
     gt = exactla.product(change.T, H.g, change)
-    m = len(e_basis)
-    omega_e = exactla.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            omega_e[i, j] = gt[2 * i, 2 * j + 1]
+    omega_e = gt[0::2, 1::2]     # omega_e[i, j] = gt[2i, 2j + 1]
     omega_h = exactla.fracarray([[0, 1], [-1, 0]])
     # factorisation check: gt must be exactly omega_e (x) omega_h
     kron = np.kron(omega_e, omega_h)
@@ -576,10 +651,8 @@ def parse_matrix(text: str) -> np.ndarray:
 
 
 def format_named_matrices(named: dict[str, np.ndarray]) -> str:
-    blocks = []
-    for name, mat in named.items():
-        blocks.append(f"{name}:\n{format_matrix(mat)}")
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(f"{name}:\n{format_matrix(mat)}"
+                       for name, mat in named.items()) + "\n"
 
 
 def parse_named_matrices(text: str) -> dict[str, np.ndarray]:
@@ -618,20 +691,39 @@ def random_pq_vector(rng, n: int) -> PQVector:
     return PQVector(random_quaternion(rng, 5) for _ in range(n))
 
 
+def random_integers(rng, shape, low: int, high: int) -> np.ndarray:
+    """Object array of Python ints rng.randint(low, high), drawn in
+    row-major order."""
+    return np.array([rng.randint(low, high) for _ in range(math.prod(shape))],
+                    dtype=object).reshape(shape)
+
+
+def _random_coefficients(rng, count: int, span: int):
+    """(C, L): the coefficients of count random_quaternion(rng, span)
+    draws, from the same rng calls in the same order, as the columns of a
+    (4, count) integer array C over the scale L; no Fraction is formed."""
+    draws = [(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
+             for _ in range(4 * count)]
+    L = math.lcm(*{den for _, den in draws})
+    C = np.array([num * (L // den) for num, den in draws], dtype=object)
+    return C.reshape(count, 4).T, L
+
+
 def random_pq_matrix(rng, n: int) -> PQMatrix:
-    return PQMatrix([[random_quaternion(rng, 3) for _ in range(n)]
-                     for _ in range(n)])
+    """The entries are random_quaternion(rng, 3) draws, row by row."""
+    C, L = _random_coefficients(rng, n * n, 3)
+    return PQMatrix.from_scaled_integers(C.reshape(4, n, n), L)
 
 
 def random_antihermitian(rng, n: int) -> PQMatrix:
     """Random member of the skew algebra: diagonal imaginary, opposite
-    entries related by negated conjugation."""
-    entries = [[SplitQuaternion() for _ in range(n)] for _ in range(n)]
-    for p in range(n):
-        q0 = random_quaternion(rng, 3)
-        entries[p][p] = q0.imag()
-        for q in range(p + 1, n):
-            x = random_quaternion(rng, 3)
-            entries[p][q] = x
-            entries[q][p] = -x.conj()
-    return PQMatrix(entries)
+    entries related by negated conjugation.  The draws are
+    random_quaternion(rng, 3) for the upper triangle, diagonal included,
+    row by row; a diagonal draw keeps its imaginary part."""
+    C, L = _random_coefficients(rng, n * (n + 1) // 2, 3)
+    rows, cols = np.triu_indices(n)
+    M = np.zeros((4, n, n), dtype=object)
+    M[:, cols, rows] = np.concatenate([-C[:1], C[1:]])   # -conj
+    M[:, rows, cols] = C
+    M[0, range(n), range(n)] = 0
+    return PQMatrix.from_scaled_integers(M, L)

@@ -25,12 +25,13 @@ classical and the modified process agree.  One private routine,
 ``_transitive_columns``, runs it fraction-free on the scaled-integer real
 coordinates of the target and returns each column with its right unit
 multiples, which are the column's block of the real action:
-``transitive_element`` turns the columns into Fractions once, at the
-end, and ``transitive_action`` returns the real action as integers over
-one scale, with no Fraction.  The candidates are the coordinate vectors
-e_s and, where those run out, the e_s + e_t q; some candidate is always
-non-null.  Exact rational normalisation is always possible because the
-norm form represents every nonzero rational.
+``transitive_element`` stacks the columns into the integer coefficient
+array of a ``PQMatrix``, and ``transitive_action`` returns the real
+action as integers; each is over one scale, with no Fraction.  The
+candidates are the coordinate vectors e_s and, where those run out, the
+e_s + e_t q; some candidate is always non-null.  Exact rational
+normalisation is always possible because the norm form represents every
+nonzero rational.
 """
 
 from __future__ import annotations
@@ -279,18 +280,25 @@ def _transitive_columns(target: SpherePoint) -> list[tuple[np.ndarray, int]]:
     return cols
 
 
+def _common_scale(cols) -> tuple[list, int]:
+    """The blocks F of _transitive_columns brought to their lcm scale."""
+    LA = math.lcm(*(L for _, L in cols))
+    return [F * (LA // L) for F, L in cols], LA
+
+
 def transitive_element(target: SpherePoint) -> PQMatrix:
     """A scalar-product-preserving matrix sending the base point to target,
-    completed by the Gram-Schmidt of _transitive_columns."""
-    coords = [exactla.from_scaled_integers(F[:, 0], L)
-              for F, L in _transitive_columns(target)]
-    return PQMatrix([[SplitQuaternion(*col[4 * r:4 * r + 4]) for col in coords]
-                     for r in range(target.rank)])
+    completed by the Gram-Schmidt of _transitive_columns; its coefficient
+    array is formed from the integer columns, with no Fraction."""
+    blocks, LA = _common_scale(_transitive_columns(target))
+    # column c of the matrix has interleaved coordinates blocks[c][:, 0]
+    cols = np.stack([F[:, 0] for F in blocks], axis=1)
+    return PQMatrix.from_scaled_integers(
+        cols.reshape(target.rank, 4, -1).transpose(1, 0, 2), LA)
 
 
 def transitive_action(target: SpherePoint) -> tuple[np.ndarray, int]:
     """(A, LA): the real action of transitive_element(target) is A / LA,
     with A an integer matrix; no Fraction is formed."""
-    cols = _transitive_columns(target)
-    LA = math.lcm(*(L for _, L in cols))
-    return np.concatenate([F * (LA // L) for F, L in cols], axis=1), LA
+    blocks, LA = _common_scale(_transitive_columns(target))
+    return np.concatenate(blocks, axis=1), LA

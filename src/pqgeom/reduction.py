@@ -703,8 +703,8 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
     seeded rational h = A / D, X = B / D (A, B integer vectors); exactly 0,
     because fhat is quadratic.  Both terms are homogeneous of degree 2,
     so they are formed at (A, B) on integers and divided by D^2."""
-    omega, scale = exactla.scaled_integers(
-        np.stack([apply_metric(Ja).T for Ja in structure_endos(rank).J]))
+    J, scale = structure_endos(rank).scaled_J
+    omega = np.stack([apply_metric(Ja).T for Ja in J])
     worst = Fraction(0)
     for _ in range(samples):
         A, B = (np.array([rng.randint(-20, 20) for _ in range(4 * rank)],

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pqgeom import exactla
-from pqgeom.algebra import EPS
+from pqgeom.algebra import EPS, circle_point, hyperbola_point
 from pqgeom.forms import (ETA, BilinearForm, NotInGroupError,
                           NotSkewError, circular_rotation,
                           fundamental_four_form, hermitian_projector,
@@ -236,6 +236,35 @@ def test_integer_routes_reject_inexact_input(inexact):
             call()
 
 
+def ref_random_rotation(rng):
+    """The Fraction chain random_rotation ran before it composed its
+    factors on integers: the reference for it."""
+    R = exactla.eye(3)
+    for _ in range(3):
+        kind = rng.randrange(4)
+        t = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        if kind == 0 or kind == 1:
+            if t * t == 1:
+                continue
+            h = hyperbola_point(t)
+            R = R @ hyperbolic_rotation((0, kind + 1), h.a, h.c)
+        elif kind == 2:
+            c = circle_point(t)
+            R = R @ circular_rotation((1, 2), c.a, c.b)
+        else:
+            R = R @ exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    return R
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_random_rotation_matches_fraction_chain(seed):
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for _ in range(4):
+        got, want = random_rotation(rng), ref_random_rotation(ref_rng)
+        assert all_fractions(got) and (got == want).all()
+    assert rng.getstate() == ref_rng.getstate()
+
+
 def test_random_rotations_preserve_relations():
     rng = random.Random(1)
     H = structure_endos(1)
@@ -340,7 +369,8 @@ def test_four_form_annihilated_by_skew_members():
     H = structure_endos(1)
     Om = fundamental_four_form(H)
     for _ in range(8):
-        A = random_antihermitian(rng, 1).to_real_action()
+        A = exactla.from_scaled_integers(
+            *random_antihermitian(rng, 1).to_real_action())
         S = sum((Fraction(rng.randint(-3, 3)) * H.J[a] for a in range(3)),
                 exactla.zeros((4, 4)))
         tuples = [[rand_vec(rng, 4) for _ in range(4)] for _ in range(3)]

@@ -1,0 +1,77 @@
+"""No Fraction in the integer paths of linalg and forms.
+
+Split-quaternion matrices, structures, bilinear forms and 4-forms are
+held as integer arrays over one scale, and the operations below compute
+on those pairs from input to result.  A Fraction formed inside one of
+them is a conversion the design removed (an array turned into Fractions
+and back), so this test counts every Fraction constructed during the
+calls and requires none.  The count wraps ``Fraction.__new__``, through
+which Fraction arithmetic builds its results too.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pqgeom.forms import (BilinearForm, fundamental_four_form,
+                          hermitian_projector, random_rotation,
+                          rotate_structure, two_form)
+from pqgeom.linalg import (random_antihermitian, random_pq_matrix, real_rep,
+                           structure_endos)
+
+
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """A one-item list holding the number of Fractions constructed since
+    the fixture was set up."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return count
+
+
+def test_counter_sees_fraction_construction_and_arithmetic(fraction_count):
+    x = Fraction(1, 3)
+    assert fraction_count[0] == 1
+    x + x
+    assert fraction_count[0] == 2
+
+
+def test_integer_paths_form_no_fraction(fraction_count):
+    rng = random.Random(0)
+    H = structure_endos(2)
+    R = random_rotation(rng)
+    B = BilinearForm(np.array([[rng.randint(-5, 5) for _ in range(8)]
+                               for _ in range(8)], dtype=object))
+    J1, g = H.J[0], H.g
+    A, C = random_pq_matrix(rng, 3), random_pq_matrix(rng, 3)
+    S = random_antihermitian(rng, 3)
+    calls = {
+        "random draws": lambda: (random_pq_matrix(rng, 3),
+                                 random_antihermitian(rng, 3)),
+        "matmul": lambda: A @ C,
+        "commutator": lambda: A.commutator(S),
+        "add and sub": lambda: (A + S) - C,
+        "conj_transpose": lambda: A.conj_transpose().is_antihermitian(),
+        "real_rep": lambda: real_rep(A),
+        "to_real_action": lambda: A.to_real_action(),
+        "rotate_structure": lambda: rotate_structure(H, R),
+        "fundamental_four_form": lambda: fundamental_four_form(
+            rotate_structure(H, R)),
+        "hermitian_projector": lambda: hermitian_projector(
+            B, rotate_structure(H, R)),
+        "two_form": lambda: two_form(J1, g),
+    }
+    formed = {}
+    for name, call in calls.items():
+        fraction_count[0] = 0
+        call()
+        formed[name] = fraction_count[0]
+    assert formed == dict.fromkeys(calls, 0)

@@ -13,8 +13,8 @@ from pqgeom.curvature import (curvature_from_bilinear, projective_curvature,
 from pqgeom.forms import BilinearForm
 from pqgeom.linalg import (TENSOR_BLOCKS, DegenerateStructureError,
                            HermitianStructure, PQMatrix, PQVector,
-                           RankMismatchError, adopted_basis,
-                           format_matrix, grassman_split,
+                           RankMismatchError, adopted_basis, batch_matmul,
+                           format_matrix, grassman_split, left_mult_matrix,
                            left_structure_endos, metric_matrix,
                            module_scalar_product, parse_matrix,
                            random_antihermitian, random_pq_matrix,
@@ -702,13 +702,23 @@ def test_structure_residuals_match_fraction_reference():
         assert got == want and type(got) is Fraction
 
 
+def real_rep_fractions(A):
+    """The Fraction array of the (integer array, scale) pair real_rep(A)."""
+    return exactla.from_scaled_integers(*real_rep(A))
+
+
+def real_action_fractions(A):
+    """The Fraction array of the pair A.to_real_action()."""
+    return exactla.from_scaled_integers(*A.to_real_action())
+
+
 def test_real_rep_entry_formula():
     q = SplitQuaternion(Fraction(1), Fraction(2), Fraction(3), Fraction(4))
-    R = real_rep(PQMatrix([[q]]))
+    R = real_rep_fractions(PQMatrix([[q]]))
     a, b, c, d = 1, 2, 3, 4
     assert R[0, 0] == a + d and R[0, 1] == b + c
     assert R[1, 0] == c - b and R[1, 1] == a - d
-    assert exactla.max_abs(real_rep(PQMatrix.identity(3))
+    assert exactla.max_abs(real_rep_fractions(PQMatrix.identity(3))
                            - exactla.eye(6)) == 0
 
 
@@ -735,8 +745,8 @@ def test_real_rep_matches_conjugated_complex_block():
         A = random_pq_matrix(rng, n)
         conj = M @ ref_complex_rep_matrix(A) @ np.linalg.inv(M)
         assert np.max(np.abs(conj.imag)) < 1e-12
-        assert np.max(np.abs(conj.real
-                             - np.array(real_rep(A), dtype=float))) < 1e-12
+        assert np.max(np.abs(conj.real - np.array(real_rep_fractions(A),
+                                                  dtype=float))) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -745,10 +755,10 @@ def test_real_rep_is_algebra_isomorphism(n):
     for _ in range(40):
         A = random_pq_matrix(rng, n)
         B = random_pq_matrix(rng, n)
-        assert exactla.max_abs(real_rep(A @ B)
-                               - real_rep(A) @ real_rep(B)) == 0
-        lhs = real_rep(A.commutator(B))
-        rhs = real_rep(A) @ real_rep(B) - real_rep(B) @ real_rep(A)
+        RA, RB = real_rep_fractions(A), real_rep_fractions(B)
+        assert exactla.max_abs(real_rep_fractions(A @ B) - RA @ RB) == 0
+        lhs = real_rep_fractions(A.commutator(B))
+        rhs = RA @ RB - RB @ RA
         assert exactla.max_abs(lhs - rhs) == 0
 
 
@@ -794,6 +804,148 @@ def test_matmul_rejects_rank_mismatch():
         PQMatrix.identity(2) @ PQMatrix.identity(3)
 
 
+def test_add_sub_reject_rank_mismatch():
+    # both used to zip the rows and return the smaller rank silently
+    for op in (PQMatrix.__add__, PQMatrix.__sub__, PQMatrix.commutator):
+        with pytest.raises(RankMismatchError):
+            op(PQMatrix.identity(2), PQMatrix.identity(3))
+        with pytest.raises(RankMismatchError):
+            op(PQMatrix.identity(3), PQMatrix.identity(2))
+
+
+def ref_entrywise(A, B, op):
+    """op applied entry by entry to the SplitQuaternion entries."""
+    return PQMatrix([[op(a, b) for a, b in zip(ra, rb)]
+                     for ra, rb in zip(A.entries, B.entries)])
+
+
+def ref_conj_transpose(A):
+    n = A.rank
+    return PQMatrix([[A.entries[q][p].conj() for q in range(n)]
+                     for p in range(n)])
+
+
+def ref_real_rep(A):
+    """The per-entry loop over Fraction entries that real_rep ran before
+    it moved to the integer coefficient array: the reference for it."""
+    n = A.rank
+    out = exactla.zeros((2 * n, 2 * n))
+    for p in range(n):
+        for q in range(n):
+            a, b, c, d = A.entries[p][q].coefficients()
+            out[2 * p, 2 * q] = a + d
+            out[2 * p, 2 * q + 1] = b + c
+            out[2 * p + 1, 2 * q] = c - b
+            out[2 * p + 1, 2 * q + 1] = a - d
+    return out
+
+
+def ref_real_action(A):
+    """The left action assembled block by block from left_mult_matrix of
+    each entry: the reference for to_real_action."""
+    n = A.rank
+    out = exactla.zeros((4 * n, 4 * n))
+    for p in range(n):
+        for q in range(n):
+            out[4 * p:4 * p + 4, 4 * q:4 * q + 4] = left_mult_matrix(
+                A.entries[p][q])
+    return out
+
+
+@pytest.mark.parametrize("coefficient", [_int_coefficient,
+                                         _fraction_coefficient],
+                         ids=["int", "Fraction"])
+def test_matrix_arithmetic_matches_entry_loops(coefficient):
+    # the operations on the integer coefficient array against loops over
+    # the SplitQuaternion entries
+    @settings(max_examples=40, deadline=None)
+    @given(_pq_matrix_pair(coefficient))
+    def check(pair):
+        A, B = pair
+        assert A + B == ref_entrywise(A, B, lambda a, b: a + b)
+        assert A - B == ref_entrywise(A, B, lambda a, b: a - b)
+        assert -A == ref_entrywise(A, A, lambda a, _: -a)
+        third = Fraction(-1, 3)
+        assert A.scale(third) == ref_entrywise(A, A,
+                                               lambda a, _: a.scale(third))
+        assert A.conj_transpose() == ref_conj_transpose(A)
+        assert A.is_antihermitian() == (A == -ref_conj_transpose(A))
+        assert (real_rep_fractions(A) == ref_real_rep(A)).all()
+        assert (real_action_fractions(A) == ref_real_action(A)).all()
+        assert A.is_antihermitian() == sp_membership(A)[0]
+    check()
+
+
+def test_equality_compares_values():
+    rng = random.Random(4)
+    rows = [[random_quaternion(rng) for _ in range(3)] for _ in range(3)]
+    A = PQMatrix(rows)
+    assert A.entries == tuple(map(tuple, rows))
+    C, L = A.scaled
+    assert PQMatrix.from_scaled_integers(2 * C, 2 * L) == A
+    C2 = C.copy()
+    C2[3, 2, 1] += 1
+    assert PQMatrix.from_scaled_integers(C2, L) != A
+    assert A != PQMatrix.identity(2)
+
+
+def ref_batch_matmul(A, B):
+    """One SplitQuaternion product of the broadcast coefficient arrays,
+    summed over the inner index: the reference for the sixteen
+    coefficient matmuls of batch_matmul."""
+    terms = (SplitQuaternion(*A[..., :, :, None])
+             * SplitQuaternion(*B[..., None, :, :]))
+    return np.stack([c.sum(axis=-2) for c in terms.coefficients()])
+
+
+def test_batch_matmul_matches_broadcast_product():
+    rng = random.Random(21)
+
+    def ints(*shape):
+        return np.array([rng.randint(-9, 9) for _ in range(math.prod(shape))],
+                        dtype=object).reshape(shape)
+
+    # a batch against one matrix and against a batch of columns, the
+    # shapes of the projective-pair brackets
+    for A, B in ((ints(4, 5, 3, 3), ints(4, 3, 3)),
+                 (ints(4, 3, 3), ints(4, 5, 3, 1)),
+                 (ints(4, 2, 2), ints(4, 2, 2))):
+        got = batch_matmul(A, B)
+        assert got.shape == ref_batch_matmul(A, B).shape
+        assert (got == ref_batch_matmul(A, B)).all()
+        assert all(type(x) is int for x in got.reshape(-1))
+
+
+def ref_random_pq_matrix(rng, n):
+    """The Fraction draws random_pq_matrix made before it drew integers."""
+    return PQMatrix([[random_quaternion(rng, 3) for _ in range(n)]
+                     for _ in range(n)])
+
+
+def ref_random_antihermitian(rng, n):
+    entries = [[SplitQuaternion() for _ in range(n)] for _ in range(n)]
+    for p in range(n):
+        entries[p][p] = random_quaternion(rng, 3).imag()
+        for q in range(p + 1, n):
+            x = random_quaternion(rng, 3)
+            entries[p][q] = x
+            entries[q][p] = -x.conj()
+    return PQMatrix(entries)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_matrices_match_fraction_draws(seed):
+    # the same coefficients from the same rng calls, so every sample of
+    # the linalg and forms checks is unchanged
+    for draw, ref in ((random_pq_matrix, ref_random_pq_matrix),
+                      (random_antihermitian, ref_random_antihermitian)):
+        for n in (1, 2, 3):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got, want = draw(rng, n), ref(ref_rng, n)
+            assert got == want and got.entries == want.entries
+            assert rng.getstate() == ref_rng.getstate()
+
+
 def test_real_rep_injective():
     from pqgeom.algebra import UNITS
     for n in (1, 2, 3):
@@ -804,8 +956,8 @@ def test_real_rep_injective():
                     entries = [[SplitQuaternion() for _ in range(n)]
                                for _ in range(n)]
                     entries[p][q] = u
-                    cols.append([int(x) for x in
-                                 real_rep(PQMatrix(entries)).reshape(-1)])
+                    cols.append([int(x) for x in real_rep_fractions(
+                        PQMatrix(entries)).reshape(-1)])
         mat = np.array(cols, dtype=object).T
         assert exactla.rank(mat) == 4 * n * n
 
@@ -832,7 +984,7 @@ def test_sp_membership_matches_metric_skewness():
     g = metric_matrix(2)
     for _ in range(20):
         A = random_pq_matrix(rng, 2)
-        L = A.to_real_action()
+        L = real_action_fractions(A)
         skew = exactla.max_abs(L.T @ g + g @ L) == 0
         assert sp_membership(A)[0] == skew
 
@@ -905,7 +1057,7 @@ def test_isotropic_family_invariant_under_commuting_members():
     gs = grassman_split(H)
     Cinv = exactla.inverse(gs.change)
     for _ in range(5):
-        L = random_antihermitian(rng, n).to_real_action()
+        L = real_action_fractions(random_antihermitian(rng, n))
         T = Cinv @ L @ gs.change
         # commuting with the whole structure forces the block pattern
         # (matrix) x (identity on the 2-dimensional factor)

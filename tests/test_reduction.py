@@ -447,7 +447,7 @@ def ref_isotropy_moment_traces(p, q, u):
     s = eta.entries[0][0]
     block = PQMatrix([[eta.entries[r + 1][c + 1] for c in range(2)]
                       for r in range(2)])
-    L = block.to_real_action()
+    L = exactla.from_scaled_integers(*block.to_real_action())
     for v in range(2):
         L[4 * v:4 * v + 4, 4 * v:4 * v + 4] += right_mult_matrix(s.conj())
     return tuple((Ja * L.T).sum() for Ja in structure_endos(2).J)
