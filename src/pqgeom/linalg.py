@@ -127,7 +127,8 @@ class PQMatrix:
     Python ints and L an int >= 1, with coefficient u of entry (p, q)
     equal to C[u, p, q] / L, so the matrix is one batch.  The arithmetic
     below runs on C and L; ``entries`` is the view as rows of
-    SplitQuaternions with Fraction coefficients, formed on first access.
+    SplitQuaternions, formed on first access, with int coefficients when
+    L is 1 and Fraction coefficients otherwise.
     The constructor takes rows of SplitQuaternions with int or Fraction
     coefficients (TypeError on any other); ``from_scaled_integers`` takes
     the pair.  ``==`` compares values, so (2C, 2L) equals (C, L).
@@ -160,7 +161,9 @@ class PQMatrix:
     @property
     def entries(self) -> tuple:
         if self._entries is None:
-            F = exactla.from_scaled_integers(*self.scaled)
+            C, L = self.scaled
+            # an integral matrix keeps int coefficients, as it was built
+            F = C if L == 1 else exactla.from_scaled_integers(C, L)
             self._entries = tuple(
                 tuple(SplitQuaternion(*F[:, p, q]) for q in range(self.rank))
                 for p in range(self.rank))

@@ -137,8 +137,9 @@ def test_four_form_array_matches_evaluator():
         idxs = (list(np.ndindex((4,) * 4)) if n == 1 else
                 [tuple(rng.randrange(H.dim) for _ in range(4))
                  for _ in range(200)])
+        array = Om.array   # formed on each access
         for idx in idxs:
-            got = Om.array[idx]
+            got = array[idx]
             assert type(got) is Fraction
             assert got == ref_four_form(int_omegas, *(e[i] for i in idx))
         # evaluation contracts the array: seeded rational vectors
