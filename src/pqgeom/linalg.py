@@ -162,10 +162,10 @@ class PQMatrix:
     def entries(self) -> tuple:
         if self._entries is None:
             C, L = self.scaled
-            # an integral matrix keeps int coefficients, as it was built
-            F = C if L == 1 else exactla.from_scaled_integers(C, L)
+            if L > 1:
+                C = exactla.from_scaled_integers(C, L)
             self._entries = tuple(
-                tuple(SplitQuaternion(*F[:, p, q]) for q in range(self.rank))
+                tuple(SplitQuaternion(*C[:, p, q]) for q in range(self.rank))
                 for p in range(self.rank))
         return self._entries
 
