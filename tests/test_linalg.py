@@ -876,6 +876,14 @@ def test_matrix_arithmetic_matches_entry_loops(coefficient):
     check()
 
 
+def test_matrix_rejects_inexact_coefficients():
+    # the integer coefficient array has no float form
+    with pytest.raises(TypeError):
+        PQMatrix([[SplitQuaternion(0.5)]])
+    with pytest.raises(TypeError):
+        PQMatrix.identity(2).scale(0.5)
+
+
 def test_equality_compares_values():
     rng = random.Random(4)
     rows = [[random_quaternion(rng) for _ in range(3)] for _ in range(3)]
