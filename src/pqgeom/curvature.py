@@ -75,6 +75,12 @@ class NullDirectionError(ValueError):
     """A sampled Jacobi direction is null."""
 
 
+class ComplementLeakError(ValueError):
+    """A Jacobi operator K_X maps a vector orthogonal to X out of the
+    orthogonal complement of X: the tensor lacks the symmetries of a
+    curvature tensor."""
+
+
 class CurvatureTensor:
     """Dense (1,3) curvature array tensor / scale with its companion
     metric: tensor an object array of Python ints, scale an int >= 1.
@@ -570,22 +576,35 @@ def ambient_projective_curvature(n: int) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
-def jacobi_operator(R: CurvatureTensor, X: np.ndarray) -> np.ndarray:
-    """Matrix of K_X: Y -> R(X, Y) X; column y is the image of e_y."""
+def _jacobi_integers(R: CurvatureTensor, X: np.ndarray):
+    """(K, LK) with K / LK the matrix of jacobi_operator(R, X)."""
     N, L = exactla.scaled_integers(X)
     t1 = np.tensordot(N, R.tensor, axes=([0], [0]))   # (y, z, w)
     t2 = np.tensordot(N, t1, axes=([0], [1]))         # (y, w)
-    return exactla.from_scaled_integers(t2.T, L * L * R.scale)
+    return t2.T, L * L * R.scale
+
+
+def jacobi_operator(R: CurvatureTensor, X: np.ndarray) -> np.ndarray:
+    """Matrix of K_X: Y -> R(X, Y) X; column y is the image of e_y."""
+    return exactla.from_scaled_integers(*_jacobi_integers(R, X))
 
 
 def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
-    """(matrix of K_X on X-orthogonal vectors, basis columns): the
-    solution of the Gram system basis^T basis coords = basis^T K_X basis."""
-    basis = exactla.nullspace((R.metric @ X).reshape(1, -1))
-    coords = exactla.solve(exactla.product(basis.T, basis),
-                           exactla.product(basis.T, jacobi_operator(R, X),
-                                           basis))
-    return coords, basis
+    """(matrix of K_X on X-orthogonal vectors, basis columns).
+
+    The basis is the kernel N / L of g(X, .) (exactla.nullspace), and
+    K_X N / L = T / (LK L) with K_X = K / LK and T = K @ N, so the matrix
+    is T[free] / (LK L), read off with no solve.  ComplementLeakError
+    unless N @ T[free] == L T, that is unless K_X maps the complement of X
+    into itself, as the Jacobi operator of a curvature tensor does."""
+    N, L, free = exactla.nullspace((R.metric @ X).reshape(1, -1))
+    K, LK = _jacobi_integers(R, X)
+    T = K @ N
+    if (N @ T[free] != L * T).any():
+        raise ComplementLeakError(
+            "the Jacobi operator maps the complement of X out of it")
+    return (exactla.from_scaled_integers(T[free], LK * L),
+            exactla.from_scaled_integers(N, L))
 
 
 def minimal_polynomial_degree(M: np.ndarray) -> int:

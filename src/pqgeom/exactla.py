@@ -20,8 +20,9 @@ and ``curvature.CurvatureTensor`` hold (N, L) pairs, built once where the
 data is made, so ``scaled_integers`` runs where exact data enters (a
 structure, form or matrix built from ``Fraction`` arrays, a rotation
 matrix, a sample vector) and ``from_scaled_integers`` where a ``Fraction``
-view is asked for.  Other users: ``projspace.transitive_element`` and
-``horizontal_project``; the isotropy traces, the moment-gradient check
+view is asked for.  Other users: ``projspace.transitive_element``,
+``tangent_split`` and ``horizontal_project``; the flat reduced structure,
+the orthogonality checks, the isotropy traces, the moment-gradient check
 and the reduced-Jacobi chain (``admissible_directions``,
 ``killing_derivative``, ``reduced_jacobi``) of ``reduction``; and in
 ``curvature`` the small results of the diagnostics (Ricci forms,
@@ -35,15 +36,11 @@ residual.
 computed this way: each factor is scaled once, the chain of products runs
 on Python ints, and the result is divided by the product of the scales at
 the end (a Fraction, not an array, when the chain contracts to a scalar).
-Its users: the fiber Gram of ``projspace.tangent_split`` and the induced
-metric of ``induced_geometry``; the reduced metric of
-``reduction.flat_reduced_structure`` and the normal residuals of the
-orthogonality checks; ``linalg.grassman_split``;
-``curvature.restrict_to_complement`` (the Gram matrix and the projected
-image of its solve) and ``curvature.weyl_sample`` (the integer 4-tensor
-s^4 contracted with the inverse of omega_E); and the CLI check
-lift-independence.  Products with the neutral metric are not among them:
-``linalg.apply_metric`` is a sign flip.
+Its users: ``linalg.grassman_split``, ``curvature.weyl_sample`` (the
+integer 4-tensor s^4 contracted with the inverse of omega_E) and the CLI
+check lift-independence.  Products with the neutral metric are not among
+them: ``linalg.apply_metric`` is a sign flip, and the Grams of kernel
+frames are formed on the integers of ``nullspace``.
 ``contract(T, A, axis)`` contracts one axis of a Python-int tensor with
 a small integer matrix, one slice operation per nonzero entry of A, so a
 product with a sparse matrix (a signed permutation, or at most two
@@ -58,13 +55,26 @@ nonzero there, row_i <- row_i * (p / g) - row_r * (f / g) with
 g = gcd(p, f), and divides each new row by its content.  It returns the
 integer rows and the pivot list, without dividing by the pivots; the
 callers divide only the entries they read (``solve`` the right-hand-side
-columns, ``nullspace`` the free columns, ``rank`` none).  ``det`` runs
+columns, ``rank`` none), and ``nullspace`` brings the free columns to the
+lcm of the pivots instead.  ``det`` runs
 Bareiss elimination (Math. Comp. 22, 1968), whose divisions are exact.
 ``frame_coordinates`` forms its Gram system and residual on integers.
 ``inertia`` reduces by fraction-free congruences and divides each
-remaining block by its content.  ``solve``, ``inverse``, ``nullspace``,
-``det`` and ``frame_coordinates`` return ``Fraction`` entries;
-``inertia`` checks that its input is square and symmetric.
+remaining block by its content.  ``solve``, ``inverse``, ``det`` and
+``frame_coordinates`` return ``Fraction`` entries; ``inertia`` checks
+that its input is square and symmetric.
+
+Kernel frames.  ``nullspace`` returns scaled integers (N, L, free): the
+columns of N / L are the reduced-echelon kernel basis, with
+N[free] == L * I.  A vector T / LT of their span therefore has the
+coordinates T[free] / LT, and N @ T[free] == L * T is the integer test
+that T lies in the span: no Gram solve, no Fraction.  Its callers
+(``projspace.tangent_split`` and ``induced_geometry``,
+``reduction.flat_reduced_structure``, the orthogonality checks and
+``admissible_directions``, ``curvature.restrict_to_complement``) read the
+coordinates off that way; ``frame_coordinates`` serves frames that are
+not kernel bases (``HermitianStructure.span_coefficients``, the bracket
+coordinates of ``curvature``, the CLI check lift-independence).
 """
 
 from __future__ import annotations
@@ -303,15 +313,27 @@ def frame_coordinates(frame: np.ndarray, target: np.ndarray):
     return coords, Fraction(residual, LF * LC * LT)
 
 
-def nullspace(mat: np.ndarray) -> np.ndarray:
-    """Columns form an exact basis of the right kernel (possibly empty)."""
-    rows, cols = mat.shape
+def nullspace(mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    """(N, L, free): the columns of N / L are the reduced-echelon basis of
+    the right kernel (possibly empty), one column per free column of the
+    echelon form, with N[free] == L * I.  N is an object array of Python
+    ints and L the lcm of the pivots, the least common denominator of the
+    basis, since every echelon row has content 1.
+
+    A vector T / LT lies in the kernel exactly when N @ T[free] == L * T,
+    and then T[free] / LT are its coordinates in the basis.  Rows scaled
+    by nonzero factors have the same reduced echelon form, so the kernel
+    of a system can be taken at integer multiples of its rows."""
+    cols = mat.shape[1]
     red, pivots = _echelon(mat)
     free = [c for c in range(cols) if c not in pivots]
-    basis = zeros((cols, len(free)))
-    basis[free, range(len(free))] = Fraction(1)
-    basis[pivots] = -_divide(red, pivots, free)
-    return basis
+    heads = np.array([red[r, c] for r, c in enumerate(pivots)], dtype=object)
+    L = math.lcm(*heads)
+    N = np.zeros((cols, len(free)), dtype=object)
+    N[free, range(len(free))] = L
+    # the basis entries of pivot row r are -red[r, free] / heads[r]
+    N[pivots] = -red[:len(pivots)][:, free] * (L // heads)[:, None]
+    return N, L, free
 
 
 def det(mat: np.ndarray) -> Fraction:

@@ -12,9 +12,13 @@ Real coordinates.  The neutral metric g is diagonal with entries
 (1, 1, -1, -1) per entry, so g @ X is a sign flip
 (``linalg.apply_metric``), and right multiplication by a unit is a signed
 permutation (``linalg.right_unit_action``); neither forms a product, and
-both are exact.  The remaining exact products (the fiber and induced
-Grams) run through ``exactla.product``, and the horizontal projection
-runs on scaled integers.
+both are exact.  Everything else runs on the integer coordinates C of a
+lift x = C / LC, with no Fraction but the results: the fiber Gram is
+compared with LC^2 diag(1, -1, -1), the horizontal frame is the integer
+kernel basis (N, L, free) of ``exactla.nullspace``, in which a vector
+T / LT of its span has the coordinates T[free] / LT, so the induced
+metric and structure are integer arrays over L^2 and L; the horizontal
+projection runs on the same integers.
 
 The transitive-element construction completes a unit lift to a matrix
 preserving both the neutral scalar product and the quaternionic
@@ -36,6 +40,7 @@ nonzero rational.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -47,7 +52,7 @@ from .linalg import (HermitianStructure, PQMatrix, PQVector, apply_metric,
                      module_scalar_product, random_quaternion,
                      right_unit_action)
 
-VERTICAL_GRAM = exactla.fracarray([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+VERTICAL_GRAM = np.diag(np.array([1, -1, -1], dtype=object))
 
 
 class DegenerateOrbitError(ValueError):
@@ -136,18 +141,27 @@ def random_unit_quaternion(rng) -> SplitQuaternion:
 
 
 class TangentSplit:
-    """Vertical and horizontal frames at a sphere point.
-
-    vertical: real coordinates of (x i, x j, x k), columns of shape
-    (4(n+1), 3); horizontal: 4n further columns spanning the orthogonal
-    complement of the fiber frame and the position vector.
+    """Vertical and horizontal frames at a sphere point x = C / LC, held as
+    integers: ``scaled_vertical`` = (V, LC) with V the real coordinates of
+    (C i, C j, C k), columns of shape (4(n+1), 3); ``kernel`` = (N, L, free)
+    as ``exactla.nullspace`` returns it, whose 4n columns N / L span the
+    orthogonal complement of the fiber frame and the position vector.
+    ``vertical`` and ``horizontal`` are the Fraction views, formed on first
+    access.
     """
 
-    def __init__(self, base: SpherePoint, vertical: np.ndarray,
-                 horizontal: np.ndarray):
+    def __init__(self, base: SpherePoint, scaled_vertical, kernel):
         self.base = base
-        self.vertical = vertical
-        self.horizontal = horizontal
+        self.scaled_vertical = scaled_vertical
+        self.kernel = kernel
+
+    @functools.cached_property
+    def vertical(self) -> np.ndarray:
+        return exactla.from_scaled_integers(*self.scaled_vertical)
+
+    @functools.cached_property
+    def horizontal(self) -> np.ndarray:
+        return exactla.from_scaled_integers(*self.kernel[:2])
 
 
 def vertical_frame(coords: np.ndarray) -> np.ndarray:
@@ -158,25 +172,27 @@ def vertical_frame(coords: np.ndarray) -> np.ndarray:
 
 def tangent_split(x: SpherePoint) -> TangentSplit:
     """Split the tangent space of the sphere at x into the fiber direction
-    frame and its orthogonal complement.  Exact lifts only: a float lift
-    raises TypeError."""
+    frame and its orthogonal complement, at the integer coordinates C of
+    x = C / LC: the fiber Gram is LC^2 times that at x, and the kernel of
+    the rows g (C, C i, C j, C k) is the horizontal space at x.  Exact lifts
+    only: a float lift raises TypeError."""
     # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk)
-    coords = x.x.to_real()
-    frame4 = np.concatenate([coords.reshape(-1, 1), vertical_frame(coords)],
-                            axis=1)
-    vert = frame4[:, 1:]
-    gram = exactla.product(vert.T, apply_metric(vert))
+    C, LC = exactla.scaled_integers(x.x.to_real())
+    vert = vertical_frame(C)
+    gram = vert.T @ apply_metric(vert)
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
     # comparison (not the inertia) detects a positive lift off the sphere
-    if (gram != VERTICAL_GRAM).any():
-        found = "; ".join(", ".join(str(a) for a in row) for row in gram)
+    if (gram != VERTICAL_GRAM * (LC * LC)).any():
+        found = "; ".join(", ".join(str(Fraction(a, LC * LC)) for a in row)
+                          for row in gram)
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
-    horizontal = exactla.nullspace(apply_metric(frame4).T)
-    if horizontal.shape[1] != 4 * x.rank - 4:
+    kernel = exactla.nullspace(apply_metric(
+        np.concatenate([C.reshape(-1, 1), vert], axis=1)).T)
+    if len(kernel[2]) != 4 * x.rank - 4:
         raise DegenerateOrbitError("horizontal frame incomplete")
-    return TangentSplit(x, vert, horizontal)
+    return TangentSplit(x, (vert, LC), kernel)
 
 
 def horizontal_project(x: SpherePoint, v: np.ndarray) -> np.ndarray:
@@ -199,23 +215,34 @@ def horizontal_integers(C: np.ndarray, L: int, V: np.ndarray) -> np.ndarray:
     return L * L * V - frame4 @ apply_metric(frame4.T @ apply_metric(V))
 
 
+def frame_structure(kernel) -> HermitianStructure | None:
+    """The structure v -> v conj(e_a) and the neutral metric on the span
+    of a kernel frame (N, L, free) of exactla.nullspace, unvalidated: J_a
+    has the coordinates (J_a N)[free] / L and the metric is N^T g N / L^2,
+    all on integers.  None unless N @ (J_a N)[free] == L J_a N for every
+    a, that is unless every J_a preserves the span."""
+    N, L, free = kernel
+    images = np.stack([right_unit_action(N, a) for a in range(3)])
+    if (N @ images[:, free] != L * images).any():
+        return None
+    return HermitianStructure(*images[:, free], N.T @ apply_metric(N),
+                              validate=False, scales=(L, L * L))
+
+
 def induced_geometry(x: SpherePoint):
     """(HermitianStructure on the horizontal frame, the frame itself).
 
     The metric is the restriction of the ambient scalar product; the
     structure is right multiplication by the conjugated units expressed
-    in frame coordinates.  Both are exact at rational points.
+    in frame coordinates (frame_structure on the kernel of tangent_split).
+    Both are exact at rational points.
     """
-    frame = tangent_split(x).horizontal
-    g_h = exactla.product(frame.T, apply_metric(frame))
-    Js = []
-    for a in range(3):
-        coords, residual = exactla.frame_coordinates(
-            frame, right_unit_action(frame, a))
-        if residual != 0:
-            raise DegenerateOrbitError("structure does not preserve the frame")
-        Js.append(coords)
-    return HermitianStructure(*Js, g_h), frame
+    split = tangent_split(x)
+    H = frame_structure(split.kernel)
+    if H is None:
+        raise DegenerateOrbitError("structure does not preserve the frame")
+    H.check_relations()
+    return H, split.horizontal
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,13 @@ points.  The reduced-Jacobi chain (``admissible_directions``,
 ``killing_derivative``, ``reduced_jacobi``) scales the point and the
 direction to integers once each, forms every pairing and product on
 Python ints, and forms Fractions only for its results; it raises
-TypeError on a lift with inexact coordinates.
+TypeError on a lift with inexact coordinates.  The tangent frames of the
+level sets (``flat_reduced_structure``, the orthogonality checks) are
+integer kernel bases N / L of ``exactla.nullspace``, taken at the
+integer coordinates of the point (a row-scaled system has the same
+kernel); a vector T / LT of such a span has the coordinates T[free] / LT,
+so the reduced metric and structure are read off on integers, with no
+solve.
 """
 
 from __future__ import annotations
@@ -86,8 +92,9 @@ from .curvature import (NullDirectionError, ambient_projective_curvature,
 from .linalg import (HermitianStructure, PQVector, apply_metric,
                      left_mult_matrix, right_mult_matrix, right_unit_action,
                      structure_endos)
-from .projspace import (SpherePoint, horizontal_integers, random_sphere_point,
-                        transitive_action, vertical_frame)
+from .projspace import (SpherePoint, frame_structure, horizontal_integers,
+                        random_sphere_point, transitive_action,
+                        vertical_frame)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -162,16 +169,13 @@ def flat_killing(h: PQVector) -> PQVector:
 
 
 def _moment_gradient_rows(h: PQVector) -> np.ndarray:
-    """Exact gradients of the three moment components as rows."""
-    r = h.rank
-    rows = exactla.zeros((3, 4 * r))
-    for v, q in enumerate(h.entries):
-        a, b, c, d = (Fraction(x) for x in q.coefficients())
-        sl = slice(4 * v, 4 * v + 4)
-        rows[0, sl] = [-2 * a, -2 * b, -2 * c, -2 * d]
-        rows[1, sl] = [-c, -d, -a, -b]
-        rows[2, sl] = [d, -c, -b, a]
-    return rows
+    """Exact gradients of the three moment components as rows, on the
+    scalar type of the entries: linear in h, so integer at a point with
+    integer coordinates."""
+    blocks = [[[-2 * a, -2 * b, -2 * c, -2 * d], [-c, -d, -a, -b],
+               [d, -c, -b, a]]
+              for a, b, c, d in (q.coefficients() for q in h.entries)]
+    return np.array(blocks, dtype=object).transpose(1, 0, 2).reshape(3, -1)
 
 
 def flat_level_sample(rng, rank: int) -> PQVector:
@@ -179,8 +183,12 @@ def flat_level_sample(rng, rank: int) -> PQVector:
 
     Builds complex vectors z, w with disjoint supports (so z w = 0) and
     rational Euclidean norms s^2 + t^2 = 1 from a rational circle point,
-    avoiding the null-orbit locus s = t.
+    avoiding the null-orbit locus s = t.  Rank 1 leaves no room for the
+    two supports (ValueError).
     """
+    if rank < 2:
+        raise ValueError(f"the flat level set has a point with s, t != 0 "
+                         f"only at rank >= 2, not {rank}")
     while True:
         u = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         den = 1 + u * u
@@ -246,29 +254,34 @@ def flat_reduced_structure(h: PQVector) -> ReducedStructure:
     """Descend metric and structure to the quotient tangent space at a
     level point: kernel of the constraint differentials, minus the orbit
     direction, with the structure restricted (the complement of the span
-    (V, J1 V, J2 V, J3 V) is invariant, so no projection loss occurs)."""
-    f = flat_circle_moment(h)
-    res = max(abs(a - b) for a, b in zip(f, FLAT_LEVEL))
+    (V, J1 V, J2 V, J3 V) is invariant, so no projection loss occurs).
+
+    All on the integer coordinates U of h = U / LU: the moment map is
+    quadratic, so at U it is LU^2 times the level value; the gradient rows
+    and the Killing field are linear, so their kernel (exactla.nullspace)
+    is the one at h, and projspace.frame_structure reads the reduced
+    metric and structure off it on integers."""
+    U, LU = exactla.scaled_integers(h.to_real())
+    hU = PQVector.from_real(U)
+    # FLAT_LEVEL is integral
+    res = max(abs(a - LU * LU * int(b))
+              for a, b in zip(flat_circle_moment(hU), FLAT_LEVEL))
     if res != 0:
-        raise DegenerateLevelSetError(f"point off the level set by {res}")
-    rows = _moment_gradient_rows(h)
+        raise DegenerateLevelSetError(
+            f"point off the level set by {Fraction(res, LU * LU)}")
+    rows = _moment_gradient_rows(hU)
     if exactla.rank(rows) != 3:
         raise DegenerateLevelSetError("constraint differentials degenerate")
-    V = flat_killing(h).to_real()
+    V = flat_killing(hU).to_real()
     gV = apply_metric(V)
     if gV @ V == 0:
         raise NullOrbitError("orbit direction is null")
-    frame = exactla.nullspace(np.concatenate([rows, gV.reshape(1, -1)]))
-    g_red = exactla.product(frame.T, apply_metric(frame))
-    coords, residual = exactla.frame_coordinates(
-        frame, np.concatenate([right_unit_action(frame, a) for a in range(3)],
-                              axis=1))
-    if residual != 0:
+    kernel = exactla.nullspace(np.concatenate([rows, gV.reshape(1, -1)]))
+    Hred = frame_structure(kernel)
+    if Hred is None:
         raise DegenerateLevelSetError("structure leaves the frame")
-    Hred = HermitianStructure(*np.split(coords, 3, axis=1), g_red,
-                              validate=False)
     return ReducedStructure(
-        frame=frame,
+        frame=exactla.from_scaled_integers(*kernel[:2]),
         structure=Hred,
         comrel_residual=Hred.comrel_residual(),
         skew_residual=Hred.skew_residual(),
@@ -314,14 +327,6 @@ def weighted_killing(p: int, q: int, u: SpherePoint) -> PQVector:
     return PQVector(J.scale(c) * h for c, h in zip(ws, u.x.entries))
 
 
-def _weighted_sandwich(ws, entries, axis: SplitQuaternion) -> SplitQuaternion:
-    """sum_v c_v conj(u_v) axis u_v over the weights c_v and entries u_v."""
-    total = SplitQuaternion()
-    for c, h in zip(ws, entries):
-        total = total + (h.conj() * axis * h).scale(c)
-    return total
-
-
 def weighted_level_value(p: int, q: int, u: SpherePoint) -> ImValue:
     """Imaginary value q conj(u0) j u0 + p conj(u1) j u1 + p conj(u2) j u2,
     by the closed form conj(h) j h = (0, -2(ad + bc), a^2 - b^2 - c^2 + d^2,
@@ -350,6 +355,14 @@ def _sandwich(h: SplitQuaternion):
     a, b, c, d = h.coefficients()
     return (-2 * (a * d + b * c), a * a - b * b - c * c + d * d,
             -2 * (a * b + c * d))
+
+
+def _sandwich_i(h: SplitQuaternion):
+    """conj(h) i h as an (i, j, k) triple; its i-component is the Euclidean
+    square norm a^2 + b^2 + c^2 + d^2 of h = a + b i + c j + d k."""
+    a, b, c, d = h.coefficients()
+    return (a * a + b * b + c * c + d * d, 2 * (b * c - a * d),
+            2 * (a * c + b * d))
 
 
 def _norm_factor(r: Fraction, unit: SplitQuaternion) -> SplitQuaternion:
@@ -430,15 +443,17 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
             np.stack(x.coefficients(), axis=1).reshape(-1), dF * dU * dW)))
 
 
-def _level_gradient_rows(p: int, q: int, u: SpherePoint) -> np.ndarray:
-    """Differential of the three imaginary components of the level value:
+def _level_gradient_rows(p: int, q: int, x) -> np.ndarray:
+    """Differential of the three imaginary components of the level value
+    at the point with real coordinates x:
     d mu(T) = sum c_v (conj(T_v) j u_v + conj(u_v) j T_v)
             = sum c_v 2 Im(conj(u_v) j T_v),
     so block v holds 2 c_v times the imaginary rows of left
-    multiplication by conj(u_v) j; exact at exact points."""
-    return np.concatenate([2 * c * left_mult_matrix(h.conj() * J)[1:]
-                           for c, h in zip(_weights(p, q), u.x.entries)],
-                          axis=1)
+    multiplication by conj(u_v) j; on the scalar type of x, and linear
+    in x."""
+    return np.concatenate(
+        [2 * c * left_mult_matrix(SplitQuaternion(*h).conj() * J)[1:]
+         for c, h in zip(_weights(p, q), np.reshape(x, (-1, 4)))], axis=1)
 
 
 # -- independent moment route through the isotropy decomposition ------------
@@ -607,10 +622,10 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     is formed on scaled integers.  TypeError on a lift with inexact
     coordinates."""
     U, _ = exactla.scaled_integers(u.x.to_real())
-    basis, LB = exactla.scaled_integers(exactla.nullspace(apply_metric(
+    basis, LB, _ = exactla.nullspace(apply_metric(
         np.concatenate([U.reshape(-1, 1), vertical_frame(U),
                         _killing_span(_generator_action(p, q, U))],
-                       axis=1)).T))
+                       axis=1)).T)
     out = []
     while len(out) < count:
         X = basis @ np.array([rng.randint(-4, 4)
@@ -736,35 +751,41 @@ def pq_zero_set_check(p: int, q: int, samples: int, rng) -> int:
     return disagreements
 
 
-def _normal_residual(frame: np.ndarray, killing: np.ndarray) -> Fraction:
-    """Max |g(J_a V, T)| over the frame columns T and the three J_a V, from
-    the real coordinates of V."""
-    return exactla.max_abs(exactla.product(
-        frame.T, apply_metric(_killing_span(killing)[:, 1:])))
+def _normal_residual(frame: np.ndarray, killing: np.ndarray) -> int:
+    """Max |g(J_a V, T)| over the columns T of an integer frame and the
+    three J_a V, from the integer real coordinates of V: 0 exactly when
+    the J_a V are normal to the span of the frame."""
+    return exactla.max_abs(
+        frame.T @ apply_metric(_killing_span(killing)[:, 1:]))
 
 
-def flat_orthogonality_check(rank: int, samples: int, rng) -> Fraction:
+def flat_orthogonality_check(rank: int, samples: int, rng) -> int:
     """Max |<J_a V, T>| over tangents T of the flat level set: the images
-    of the Killing field under the structure triple are normal to it."""
-    worst = Fraction(0)
+    of the Killing field under the structure triple are normal to it.  At
+    the integer coordinates U of each point: the kernel of the gradient
+    rows at U is the tangent space, the Killing field at U is a multiple
+    of the one at the point, and T runs over the integer kernel basis."""
+    worst = 0
     for _ in range(samples):
-        h = flat_level_sample(rng, rank)
-        frame = exactla.nullspace(_moment_gradient_rows(h))
-        worst = max(worst, _normal_residual(frame, flat_killing(h).to_real()))
+        U, _ = exactla.scaled_integers(flat_level_sample(rng, rank).to_real())
+        hU = PQVector.from_real(U)
+        frame, _, _ = exactla.nullspace(_moment_gradient_rows(hU))
+        worst = max(worst, _normal_residual(frame, flat_killing(hU).to_real()))
     return worst
 
 
-def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> Fraction:
+def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> int:
     """Max |<J_a V, T>| over tangents T of the weighted level set inside
-    the sphere, with V the Killing field (horizontal on the level set)."""
-    worst = Fraction(0)
+    the sphere, with V the Killing field (horizontal on the level set); on
+    integers as in flat_orthogonality_check."""
+    worst = 0
     for _ in range(samples):
-        u = weighted_level_sample(rng, p, q)
-        rows = _level_gradient_rows(p, q, u)
-        tangency = apply_metric(u.x.to_real()).reshape(1, -1)
-        frame = exactla.nullspace(np.concatenate([rows, tangency]))
-        worst = max(worst, _normal_residual(
-            frame, weighted_killing(p, q, u).to_real()))
+        U, _ = exactla.scaled_integers(
+            weighted_level_sample(rng, p, q).x.to_real())
+        rows = _level_gradient_rows(p, q, U)
+        frame, _, _ = exactla.nullspace(
+            np.concatenate([rows, apply_metric(U).reshape(1, -1)]))
+        worst = max(worst, _normal_residual(frame, _generator_action(p, q, U)))
     return worst
 
 
@@ -780,7 +801,8 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
     base point o in an integer direction d with L = <d, d>; d is redrawn
     when L = 0 or <o, d> = 0.  The checks <X, X> = L^2 and
     i-component(X) >= min(p, q) L^2 (the value at X is L^2 times the value
-    at X / L) are made on Python ints, the value as one batch product.
+    at X / L) are made on Python ints, the i-components of the conj(X_v) i
+    X_v in the closed form of _sandwich_i, on the whole (12, m) batch.
 
     Every round draws as many directions as points are still missing, up
     to _LEVEL_BLOCK, with one rng.choices call, so the draws are those of
@@ -798,9 +820,11 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
         d, L = d[:, keep], L[keep]
         X = -2 * d[0] * d
         X[0] += L
-        value = _weighted_sandwich(ws, PQVector.from_real(X).entries, I)
+        # the entries X_v as one split quaternion with (3, m) coefficients
+        value = _sandwich_i(SplitQuaternion(*X.reshape(3, 4, -1)
+                                            .swapaxes(0, 1)))[0]
         failures += int(np.count_nonzero(
             ((X * apply_metric(X)).sum(axis=0) != L * L)
-            | (value.b < min(ws) * L * L)))
+            | (np.dot(ws, value) < min(ws) * L * L)))
         samples -= len(L)
     return failures

@@ -9,7 +9,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from pqgeom import exactla
 from pqgeom.algebra import EPS, SplitQuaternion
-from pqgeom.curvature import (CYCLES, SL2_TRIPLE, CurvatureTensor,
+from pqgeom.curvature import (CYCLES, SL2_TRIPLE, ComplementLeakError,
+                              CurvatureTensor,
                               _bracket_coordinates,
                               NotSymmetricPairError, NullDirectionError,
                               SymmetricDecomposition,
@@ -31,7 +32,7 @@ from pqgeom.linalg import (DegenerateStructureError, HermitianStructure,
                            left_structure_endos, metric_matrix,
                            structure_endos)
 
-from test_linalg import ref_pq_matmul
+from test_linalg import ref_nullspace, ref_pq_matmul
 
 
 def rand_bilinear(rng, dim):
@@ -723,9 +724,10 @@ def test_integer_path_matches_fraction_reference(kind, n):
 
 
 def ref_restrict(R, X):
-    """restrict_to_complement on Fraction arrays: the products of the
-    Gram system and of the image are plain @ chains."""
-    basis = exactla.nullspace((R.metric @ X).reshape(1, -1))
+    """restrict_to_complement on Fraction arrays: the Fraction kernel
+    basis, and the Gram system solved for the coordinates of the image,
+    with plain @ chains."""
+    basis = ref_nullspace((R.metric @ X).reshape(1, -1))
     img = jacobi_operator(R, X) @ basis
     return exactla.solve(basis.T @ basis, basis.T @ img), basis
 
@@ -734,7 +736,7 @@ def ref_restrict(R, X):
                                      ("model", 3), ("conjugated", 1),
                                      ("conjugated", 2)])
 def test_restrict_to_complement_matches_fraction_reference(kind, n):
-    # the model in a basis direction, and 2 R_0 + W + R^B on a conjugated
+    # the model in a basis direction, and 2 R_0 + W on a conjugated
     # structure in a direction off the basis
     if kind == "model":
         R = ambient_projective_curvature(n)
@@ -744,16 +746,34 @@ def test_restrict_to_complement_matches_fraction_reference(kind, n):
         rng = random.Random(60 + n)
         H = conjugated_structure(n, rng)
         R = (projective_curvature(H).times(Fraction(2))
-             + weyl_sample(H, grassman_split(H), rng)
-             + curvature_from_bilinear(BilinearForm(rand_rational(
-                 rng, (H.dim, H.dim))), H))
+             + weyl_sample(H, grassman_split(H), rng))
+        RB = curvature_from_bilinear(BilinearForm(rand_rational(
+            rng, (H.dim, H.dim))), H)
         X = exactla.fracarray([rng.randint(1, 3)]
                               + [rng.randint(-3, 3) for _ in range(H.dim - 1)])
+        # R^B of a generic B is not g-skew: its Jacobi operator leaves the
+        # complement of X, where the Fraction reference finds only the
+        # least-squares matrix of the projected image
+        with pytest.raises(ComplementLeakError):
+            restrict_to_complement(R + RB, X)
     coords, basis = restrict_to_complement(R, X)
     want_coords, want_basis = ref_restrict(R, X)
     for got, want in ((coords, want_coords), (basis, want_basis)):
         assert got.shape == want.shape and (got == want).all()
         assert all_fractions(got)
+
+
+def test_restrict_to_complement_rejects_leaking_tensor():
+    # random integer entries have no curvature symmetries: K_X maps the
+    # complement of X = e_0 out of it, and the Gram solve used to return
+    # the least-squares matrix of the projected image without a word
+    rng = random.Random(0)
+    T = np.array([rng.randint(-2, 2) for _ in range(4 ** 4)],
+                 dtype=object).reshape(4, 4, 4, 4)
+    R = CurvatureTensor(T, 1, metric_matrix(1))
+    X = np.array([1, 0, 0, 0], dtype=object)
+    with pytest.raises(ComplementLeakError):
+        restrict_to_complement(R, X)
 
 
 def test_exact_diagnostics_reject_float_tensors():

@@ -1,12 +1,14 @@
-"""No Fraction in the integer paths of linalg and forms.
+"""No Fraction in the integer paths of linalg, forms, the kernel frames
+and the reductions.
 
-Split-quaternion matrices, structures, bilinear forms and 4-forms are
-held as integer arrays over one scale, and the operations below compute
-on those pairs from input to result.  A Fraction formed inside one of
-them is a conversion the design removed (an array turned into Fractions
-and back), so this test counts every Fraction constructed during the
-calls and requires none.  The count wraps ``Fraction.__new__``, through
-which Fraction arithmetic builds its results too.
+Split-quaternion matrices, structures, bilinear forms, 4-forms and kernel
+bases are held as integer arrays over one scale, and the operations below
+compute on those pairs from input to result.  A Fraction formed inside one
+of them is a conversion the design removed (an array turned into
+Fractions and back), so these tests count every Fraction constructed
+during the calls and require none, or exactly those of the results that
+are Fractions.  The count wraps ``Fraction.__new__``, through which
+Fraction arithmetic builds its results too.
 """
 
 import random
@@ -15,11 +17,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pqgeom import exactla
 from pqgeom.forms import (BilinearForm, fundamental_four_form,
                           hermitian_projector, random_rotation,
                           rotate_structure, two_form)
 from pqgeom.linalg import (random_antihermitian, random_pq_matrix, real_rep,
                            structure_endos)
+from pqgeom.projspace import induced_geometry, random_sphere_point
+from pqgeom.reduction import (_generator_action, _level_gradient_rows,
+                              _normal_residual, empty_levelset_check,
+                              flat_level_sample, flat_reduced_structure,
+                              weighted_level_sample)
 
 
 @pytest.fixture
@@ -75,3 +83,41 @@ def test_integer_paths_form_no_fraction(fraction_count):
         call()
         formed[name] = fraction_count[0]
     assert formed == dict.fromkeys(calls, 0)
+
+
+def test_kernel_frames_form_no_fraction(fraction_count):
+    rng = random.Random(1)
+    mat = np.array([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(7)] for _ in range(3)], dtype=object)
+    u = weighted_level_sample(rng, 1, 2)
+    U, _ = exactla.scaled_integers(u.x.to_real())
+    frame, _, _ = exactla.nullspace(_level_gradient_rows(1, 2, U))
+    killing = _generator_action(1, 2, U)
+    calls = {
+        "nullspace": lambda: exactla.nullspace(mat),
+        "normal residual": lambda: _normal_residual(frame, killing),
+        "empty_levelset_check": lambda: empty_levelset_check(
+            1, 2, 300, random.Random(0)),
+    }
+    formed = {}
+    for name, call in calls.items():
+        fraction_count[0] = 0
+        call()
+        formed[name] = fraction_count[0]
+    assert formed == dict.fromkeys(calls, 0)
+
+
+def test_reduced_and_induced_structures_form_only_their_results(
+        fraction_count):
+    # flat_reduced_structure: the frame view (one Fraction per distinct
+    # value) and the two residuals; induced_geometry: the frame view
+    rng = random.Random(2)
+    for _ in range(3):
+        h = flat_level_sample(rng, 3)
+        fraction_count[0] = 0
+        red = flat_reduced_structure(h)
+        assert fraction_count[0] == len(set(red.frame.reshape(-1))) + 2
+        x = random_sphere_point(rng, 3)
+        fraction_count[0] = 0
+        _, frame = induced_geometry(x)
+        assert fraction_count[0] == len(set(frame.reshape(-1)))

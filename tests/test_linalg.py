@@ -118,7 +118,6 @@ def test_exact_elimination_keeps_int_inputs_exact():
         "solve": exactla.solve(a, np.array([1, 0], dtype=object)),
         "inverse": exactla.inverse(a),
         "det": np.array([exactla.det(a)]),
-        "nullspace": exactla.nullspace(np.array([[3, 1, 2]], dtype=object)),
         "span": np.array(H.span_coefficients(H.J[0] + 2 * H.J[1])),
     }
     for name, arr in results.items():
@@ -127,9 +126,11 @@ def test_exact_elimination_keeps_int_inputs_exact():
     assert list(results["solve"]) == [half, -half]
     assert results["inverse"].tolist() == [[half, -half], [-half, 3 * half]]
     assert results["det"][0] == 2
-    assert results["nullspace"].tolist() == [[Fraction(-1, 3), Fraction(-2, 3)],
-                                             [1, 0], [0, 1]]
     assert list(results["span"]) == [1, 2, 0]
+    # the kernel basis (-1/3, 1, 0), (-2/3, 0, 1) as Python ints over 3
+    N, L, free = exactla.nullspace(np.array([[3, 1, 2]], dtype=object))
+    assert (N.tolist(), L, free) == ([[-1, -2], [3, 0], [0, 3]], 3, [1, 2])
+    assert all(type(x) is int for x in N.reshape(-1))
     # 3 v v^T - 7 w w^T has rank 2; float pivots miss its null direction
     sym = np.array([[-51, 81, 63], [81, -36, -63], [63, -63, -63]],
                    dtype=object)
@@ -147,10 +148,9 @@ def test_exact_elimination_on_fixed_width_arrays():
     assert d == 2 and type(d) is Fraction
     assert exactla.inertia(np.array([[0, 1], [1, 0]])) == (1, 1, 0)
     assert exactla.rank(np.array([[2, 4], [1, 2]], dtype=np.int32)) == 1
-    null = exactla.nullspace(np.array([[3, 1, 2]]))
-    assert null.tolist() == [[Fraction(-1, 3), Fraction(-2, 3)],
-                             [1, 0], [0, 1]]
-    assert all(type(v) is Fraction for v in null.reshape(-1))
+    N, L, free = exactla.nullspace(np.array([[3, 1, 2]]))
+    assert (N.tolist(), L, free) == ([[-1, -2], [3, 0], [0, 3]], 3, [1, 2])
+    assert all(type(v) is int for v in N.reshape(-1)) and type(L) is int
     # floats have no exact elimination: refuse instead of rounding
     for routine in (exactla.rank, exactla.nullspace, exactla.det,
                     exactla.inertia):
@@ -467,7 +467,12 @@ def test_max_abs_matches_per_entry_reference(arr):
 def test_rank_and_nullspace_match_fraction_reference(mat):
     _, pivots = ref_echelon(mat)
     assert exactla.rank(mat) == len(pivots)
-    assert_same_fractions(exactla.nullspace(mat), ref_nullspace(mat))
+    N, L, free = exactla.nullspace(mat)
+    assert_same_fractions(exactla.from_scaled_integers(N, L),
+                          ref_nullspace(mat))
+    assert (N[free] == L * np.eye(len(free), dtype=object)).all()
+    # L is the least common denominator of the basis
+    assert L == exactla.scaled_integers(ref_nullspace(mat))[1]
 
 
 @settings(max_examples=150)
@@ -535,6 +540,33 @@ def test_frame_coordinates_match_fraction_reference(data):
     coords, residual = exactla.frame_coordinates(frame, target)
     assert_same_fractions(coords, want)
     assert_same_fractions(residual, exactla.max_abs(f @ want - t))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_kernel_coordinates_read_off_match_frame_coordinates(data):
+    # a target T / LT in the span of the kernel frame N / L has the
+    # coordinates T[free] / LT, certified by N @ T[free] == L T
+    mat = data.draw(rational_matrices())
+    N, L, free = exactla.nullspace(mat)
+    if not free:
+        return
+    mix = np.array(data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=len(free), max_size=len(free)),
+        min_size=1, max_size=3)), dtype=object).T
+    LT = data.draw(st.integers(1, 50))
+    T = N @ mix
+    assert (N @ T[free] == L * T).all()
+    coords, residual = exactla.frame_coordinates(
+        exactla.from_scaled_integers(N, L),
+        exactla.from_scaled_integers(T, LT))
+    assert residual == 0
+    assert_same_fractions(exactla.from_scaled_integers(T[free], LT), coords)
+    # a target off the span fails the integer test
+    if len(free) < mat.shape[1]:
+        off = T.copy()
+        off[[c for c in range(mat.shape[1]) if c not in free][0]] += 1
+        assert (N @ off[free] != L * off).any()
 
 
 @st.composite

@@ -37,8 +37,10 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               weighted_level_value, weighted_regularity)
 from pqgeom.reduction import (_generator_action, _killing_span,
                               _level_gradient_rows, _moment_gradient_rows,
-                              _norm_factor, _weights)
+                              _norm_factor, _sandwich, _sandwich_i, _weights)
 from pqgeom.scenes import scene_from_json, scene_to_json
+
+from test_linalg import ref_nullspace
 
 
 # -- flat circle scene --------------------------------------------------------
@@ -104,6 +106,18 @@ def test_flat_gradient_check_numeric(monkeypatch):
     import pqgeom.reduction as red
     monkeypatch.setattr(red, "flat_adapted_moment", flat_circle_moment)
     assert flat_moment_gradient_check(3, 5, random.Random(3)) > 0
+
+
+def test_flat_level_sample_rejects_rank_one():
+    # at rank 1 the two supports of z and w cannot both be nonempty; the
+    # sampler used to fail inside randrange with an unrelated message
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="rank >= 2"):
+        flat_level_sample(rng, 1)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="rank >= 2"):
+        build_flat_scene(rank=1)
 
 
 def test_flat_reduced_structure_exact():
@@ -282,6 +296,20 @@ def ref_weighted_level_value(p, q, u):
     return total
 
 
+@given(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+       st.integers(1, 12), st.booleans())
+def test_sandwich_closed_forms_match_products(coefficients, den, rational):
+    # conj(h) i h and conj(h) j h by SplitQuaternion products, on int and
+    # on Fraction coefficients
+    h = SplitQuaternion(*(Fraction(c, den) if rational else c
+                          for c in coefficients))
+    for unit, closed in ((I, _sandwich_i), (J, _sandwich)):
+        want = h.conj() * unit * h
+        got = closed(h)
+        assert want.a == 0 and got == (want.b, want.c, want.d)
+        assert all(type(x) is (Fraction if rational else int) for x in got)
+
+
 @pytest.mark.parametrize("p,q", [(1, 2), (3, 2)])
 def test_level_value_closed_form_matches_products(p, q):
     rng = random.Random(23 + p)
@@ -401,7 +429,7 @@ def test_level_gradient_row_consistency():
     rng = random.Random(14)
     from pqgeom.reduction import _level_gradient_rows
     u = weighted_level_sample(rng, 1, 2)
-    rows = _level_gradient_rows(1, 2, u)
+    rows = _level_gradient_rows(1, 2, u.x.to_real())
     V = weighted_killing(1, 2, u).to_real()
     # the flow preserves the level function, so its derivative kills V
     assert exactla.max_abs(rows @ V) == 0
@@ -697,10 +725,9 @@ def test_empty_levelset_check_counts_shortfalls(monkeypatch):
     # at half scale the i-component is a quarter of the sphere value, which
     # falls below the bound min(p, q) at some points: the count sees them
     import pqgeom.reduction as red
-    sandwich = red._weighted_sandwich
-    monkeypatch.setattr(red, "_weighted_sandwich", lambda ws, entries, axis:
-                        sandwich(ws, [h.scale(Fraction(1, 2))
-                                      for h in entries], axis))
+    sandwich = red._sandwich_i
+    monkeypatch.setattr(red, "_sandwich_i",
+                        lambda h: sandwich(h.scale(Fraction(1, 2))))
     assert empty_levelset_check(1, 2, 257, random.Random(0)) > 0
 
 
@@ -857,7 +884,7 @@ def _quotient_curvature(g, u, rows, hessians, generators):
     generators: matrices L_a of the linear Killing fields u -> L_a u.
     """
     killing = np.stack([L @ u for L in generators])
-    F = exactla.nullspace(np.concatenate([rows, killing @ g]))
+    F = ref_nullspace(np.concatenate([rows, killing @ g]))
     # Gauss: <II(X,Y), II(Z,W)> = sum G^ij h_i(X,Y) h_j(Z,W)
     II2 = _paired(rows @ exactla.inverse(g) @ rows.T,
                   [F.T @ H @ F for H in hessians])
@@ -885,9 +912,8 @@ def _weighted_quotient(p, q, u):
     g = metric_matrix(3)
 
     def rows_at(x):
-        point = SpherePoint(PQVector.from_real(x), check=False)
         return np.concatenate([(2 * x @ g).reshape(1, -1),
-                               _level_gradient_rows(p, q, point)])
+                               _level_gradient_rows(p, q, x)])
 
     fields = [lambda x: weighted_killing(
         p, q, SpherePoint(PQVector.from_real(x), check=False)).to_real()]
