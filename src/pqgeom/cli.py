@@ -9,7 +9,7 @@ except for the wall_time field.
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 bad
 configuration (unknown suite or option, invalid weights, a sample count
-or rank below 1).
+or rank below 1, a report path that cannot be written).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import random
 import sys
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -73,14 +73,6 @@ class CheckReport:
     seed: int
     wall_time: float
     anchor: str
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name, "status": self.status,
-            "max_residual": self.max_residual, "tolerance": self.tolerance,
-            "sample_count": self.sample_count, "seed": self.seed,
-            "wall_time": self.wall_time, "anchor": self.anchor,
-        }
 
 
 def _check_rng(config: CheckConfig, name: str) -> random.Random:
@@ -236,7 +228,7 @@ def _chk_adopted_basis(config, rng):
                 P = random_integers(rng, (H.dim, H.dim), -2, 2)
                 if exactla.rank(P) == H.dim:
                     break
-            Pinv, LP = exactla.scaled_integers(exactla.inverse(P))
+            Pinv, LP = exactla.inverse(P)
             Hc = HermitianStructure(*(Pinv @ J @ P), P.T @ g @ P,
                                     scales=(LP * LJ, Lg))
         # the seeds and their images, in any column order; the images are
@@ -252,19 +244,22 @@ def _chk_grassman(config, rng):
     H = structure_endos(config.rank)
     (J, LJ), (g, Lg) = H.scaled_J, H.scaled_g
     gs = grassman_split(H)
-    C, LC = exactla.scaled_integers(gs.change)
-    Cinv, LCinv = exactla.scaled_integers(exactla.inverse(gs.change))
+    C, LC = gs.change
+    # the inverse of C / LC is LC Cinv / LCinv
+    Cinv, LCinv = exactla.inverse(C)
     # every J_a in the tensor basis against Id (x) its 2 x 2 block
     want = np.kron(np.eye(2 * config.rank, dtype=object),
                    np.stack(TENSOR_BLOCKS))
-    worst = exactla.scaled_distance(Cinv @ J @ C, LCinv * LJ * LC, want, 1)
-    omega, Lomega = exactla.scaled_integers(np.kron(gs.omega_e, gs.omega_h))
-    worst = max(worst, exactla.scaled_distance(C.T @ g @ C, LC * LC * Lg,
-                                               omega, Lomega))
+    worst = exactla.scaled_distance(Cinv @ J @ C, LCinv * LJ, want, 1)
+    omega, Lomega = gs.omega_e
+    worst = max(worst, exactla.scaled_distance(
+        C.T @ g @ C, LC * LC * Lg, np.kron(omega, gs.omega_h), Lomega))
     for (c, s) in ((1, 0), (1, 1), (0, 1), (Fraction(3, 5), Fraction(4, 5))):
-        V, LV = exactla.scaled_integers(np.stack([gs.isotropic_member(
+        members = [gs.isotropic_member(
             c, s, [rng.randint(-3, 3) for _ in range(2 * config.rank)])
-            for _ in range(3)]))
+            for _ in range(3)]
+        # the three members share one scale
+        V, LV = np.stack([v for v, _ in members]), members[0][1]
         worst = max(worst, Fraction(exactla.max_abs(V @ g @ V.T),
                                     LV * LV * Lg))
     return worst, 1
@@ -492,14 +487,19 @@ def _chk_lift_independence(config, rng):
     for _ in range(count):
         x = proj.random_sphere_point(rng, 3)
         qrot = proj.random_unit_quaternion(rng)
-        Hx, fx = proj.induced_geometry(x)
-        # the frame translated along the fiber: each entry times qrot
-        fq = exactla.product(right_mult_matrix(qrot),
-                             fx.reshape(-1, 4, fx.shape[1])).reshape(fx.shape)
+        Hx, _ = proj.induced_geometry(x)
+        N, L, _ = proj.tangent_split(x).kernel
+        # the frame N / L translated along the fiber, each entry times
+        # qrot = Q / LQ on the right: FQ / (LQ L), on integers
+        Q, LQ = exactla.scaled_integers(right_mult_matrix(qrot))
+        FQ = (Q @ N.reshape(-1, 4, N.shape[1])).reshape(N.shape)
         for a in range(3):
-            coords, residual = exactla.frame_coordinates(
-                fq, right_unit_action(fq, a))
-            worst = max(worst, residual)
+            # frame and target share the scale LQ L; the coordinates do
+            # not depend on it, the residual is over it
+            (coords, _), residual = exactla.frame_coordinates(
+                FQ, right_unit_action(FQ, a))
+            worst = max(worst, residual / (LQ * L))
+            # span membership is unchanged by the scale of the coordinates
             if Hx.span_coefficients(coords) is None:
                 worst = max(worst, 1)
     return worst, count
@@ -723,8 +723,9 @@ def emit_report(reports: list[CheckReport], fmt: str = "json",
     if fmt == "json":
         payload = json.dumps({
             "version": "1",
-            "config": _config_dict(config or CheckConfig()),
-            "checks": [r.as_dict() for r in reports],
+            "config": {**asdict(config or CheckConfig()),
+                       "xi": [str(x) for x in red.FLAT_LEVEL]},
+            "checks": [asdict(r) for r in reports],
         }, indent=2, sort_keys=True)
     elif fmt == "text":
         lines = ["%-34s %-6s %-12s %-10s %-8s  %s"
@@ -744,14 +745,6 @@ def emit_report(reports: list[CheckReport], fmt: str = "json",
         except OSError as err:
             raise ReportIOError(str(err)) from err
     return payload
-
-
-def _config_dict(config: CheckConfig) -> dict:
-    return {
-        "seed": config.seed, "samples": config.samples,
-        "rank": config.rank, "p": config.p, "q": config.q,
-        "xi": [str(x) for x in red.FLAT_LEVEL],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +782,12 @@ def main(argv=None) -> int:
     except (UnknownSuiteError, InvalidConfigError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    payload = emit_report(reports, fmt=args.format, out=args.out,
-                          config=config)
+    try:
+        payload = emit_report(reports, fmt=args.format, out=args.out,
+                              config=config)
+    except ReportIOError as err:
+        print(f"report error: {err}", file=sys.stderr)
+        return 2
     print(payload, end="" if payload.endswith("\n") else "\n")
     return 0 if all(r.status == "pass" for r in reports) else 1
 

@@ -19,10 +19,17 @@ Arithmetic.  A ``CurvatureTensor`` is exact and held as scaled integers:
 int, and the curvature is tensor / scale.  The builders compute on Python
 ints, from the integer pairs of their inputs (``scaled_J`` and
 ``scaled_g`` of a ``HermitianStructure``, ``scaled`` of a
-``BilinearForm``), and return that pair as it is; the diagnostics, sums,
-differences and multiples (``times``) read it directly, and only their
-small results (Ricci forms, Jacobi operators, residuals) become
-``Fraction``s.  The
+``BilinearForm``, the pairs of a ``GrassmanSplit``), and return that
+pair as it is; the diagnostics, sums, differences and multiples
+(``times``) read it directly, and only their small results (Ricci forms,
+Jacobi operators, residuals) become ``Fraction``s.  The inverses of
+``weyl_sample`` and ``scalar_curvature`` are the (X, L) pairs of
+``exactla.inverse``, used as they are.  ``special_linear_decomposition``
+builds its matrices as Python ints, and ``_bracket_coordinates`` returns
+the integer pair of its ``frame_coordinates`` call, from which the
+structure of the pair is built; the structure constants of a
+``SymmetricDecomposition`` are ``Fraction`` arrays, one ``Fraction`` per
+distinct value.  The
 constructor raises TypeError on any entry that is not a Python int and on
 a scale that is not a positive int.  Exact ``Fraction``/int arrays enter
 through ``CurvatureTensor.from_fractions``, and ``fractions()`` is the
@@ -159,7 +166,7 @@ def ricci(R: CurvatureTensor) -> np.ndarray:
 
 def scalar_curvature(R: CurvatureTensor) -> Fraction:
     """K = Tr(g^-1 Ric), summed elementwise on scaled integers."""
-    G, LG = exactla.scaled_integers(exactla.inverse(R.metric))
+    G, LG = exactla.inverse(R.metric)
     ric = np.trace(R.tensor, axis1=0, axis2=3)
     return Fraction(int((G * ric.T).sum()), LG * R.scale)
 
@@ -362,30 +369,28 @@ class SymmetricDecomposition:
         span(m), [f,f] within span(f) exactly; matrix brackets make the
         Jacobi identity automatic.
         """
-        c_mm = _bracket_coordinates(m_mats, m_mats, f_mats,
-                                    "bracket leaves span(f)")
-        c_fm = _bracket_coordinates(f_mats, m_mats, m_mats,
-                                    "bracket leaves span(m)")
-        c_ff = _bracket_coordinates(f_mats, f_mats, f_mats,
-                                    "bracket leaves span(f)")
+        c_mm, c_fm, c_ff = (
+            exactla.from_scaled_integers(*_bracket_coordinates(*args))
+            for args in ((m_mats, m_mats, f_mats, "bracket leaves span(f)"),
+                         (f_mats, m_mats, m_mats, "bracket leaves span(m)"),
+                         (f_mats, f_mats, f_mats, "bracket leaves span(f)")))
         return cls(c_mm, c_fm, c_ff, g_m, structure)
 
 
-def _bracket_coordinates(left, right, basis, label) -> np.ndarray:
-    """c[i, j, k]: coefficient of basis[k] in [left[i], right[j]], from one
-    frame_coordinates call; NotSymmetricPairError(label) if a bracket
-    leaves span(basis)."""
+def _bracket_coordinates(left, right, basis, label):
+    """(c, L): c[i, j, k] / L is the coefficient of basis[k] in
+    [left[i], right[j]], from one frame_coordinates call on integers;
+    NotSymmetricPairError(label) if a bracket leaves span(basis)."""
     A, LA = exactla.scaled_integers(np.stack(left))
     B, LB = exactla.scaled_integers(np.stack(right))
     # brackets[i, j] = [left[i], right[j]], on integers over LA * LB
     brackets = A[:, None] @ B[None] - B[None] @ A[:, None]
-    coords, residual = exactla.frame_coordinates(
+    (c, Lc), residual = exactla.frame_coordinates(
         np.stack([M.reshape(-1) for M in basis], axis=1),
-        exactla.from_scaled_integers(
-            brackets.reshape(len(left) * len(right), -1).T, LA * LB))
+        brackets.reshape(len(left) * len(right), -1).T)
     if residual != 0:
         raise NotSymmetricPairError(label)
-    return coords.T.reshape(len(left), len(right), len(basis))
+    return c.T.reshape(len(left), len(right), len(basis)), Lc * LA * LB
 
 
 def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
@@ -453,11 +458,12 @@ def solvable_decomposition(sign: int = 1) -> SymmetricDecomposition:
                                   structure=left_structure_endos(1))
 
 
-# 2x2 generators with j1^2 = -1, j2^2 = j3^2 = +1 and the cyclic table
+# 2x2 generators with j1^2 = -1, j2^2 = j3^2 = +1 and the cyclic table,
+# as object arrays of Python ints
 SL2_TRIPLE = (
-    exactla.fracarray([[0, 1], [-1, 0]]),
-    exactla.fracarray([[0, 1], [1, 0]]),
-    exactla.fracarray([[1, 0], [0, -1]]),
+    np.array([[0, 1], [-1, 0]], dtype=object),
+    np.array([[0, 1], [1, 0]], dtype=object),
+    np.array([[1, 0], [0, -1]], dtype=object),
 )
 
 
@@ -468,20 +474,20 @@ def special_linear_decomposition(n: int = 2) -> SymmetricDecomposition:
     2x2 and n x n traceless blocks plus the one-dimensional relative
     trace, which is needed to close [m, m]); m is the off-diagonal part,
     with the trace form as metric and the adjoint action of the 2x2
-    triple as structure.
+    triple as structure.  Every matrix is an object array of Python ints.
     """
     N = n + 2
 
     def unit(p, q):
-        M = exactla.zeros((N, N))
-        M[p, q] = Fraction(1)
+        M = np.zeros((N, N), dtype=object)
+        M[p, q] = 1
         return M
 
     m_mats = [unit(p, q) for p in range(2) for q in range(2, N)]
     m_mats += [unit(q, p) for p in range(2) for q in range(2, N)]
     f_mats = []
     for j in SL2_TRIPLE:
-        M = exactla.zeros((N, N))
+        M = np.zeros((N, N), dtype=object)
         M[:2, :2] = j
         f_mats.append(M)
     for p in range(2, N):
@@ -490,22 +496,16 @@ def special_linear_decomposition(n: int = 2) -> SymmetricDecomposition:
                 f_mats.append(unit(p, q))
     for p in range(2, N - 1):
         f_mats.append(unit(p, p) - unit(p + 1, p + 1))
-    center = exactla.zeros((N, N))
-    for p in range(2):
-        center[p, p] = Fraction(n)
-    for p in range(2, N):
-        center[p, p] = Fraction(-2)
-    f_mats.append(center)
+    f_mats.append(np.diag([n] * 2 + [-2] * n).astype(object))
 
     # g_m[i, j] = Tr(m_i m_j), a sum over entries of m_i and m_j^T
     g_m = (np.stack([M.reshape(-1) for M in m_mats])
            @ np.stack([M.T.reshape(-1) for M in m_mats]).T)
     # the structure is the adjoint action of the 2x2 triple, f_mats[:3];
-    # coords[a, i] holds the coordinates of [f_a, m_i], column i of J_a
-    coords = _bracket_coordinates(f_mats[:3], m_mats, m_mats,
-                                  "structure action leaves m")
-    Jms = [c.T for c in coords]
-    H = HermitianStructure(*Jms, g_m)
+    # coords[a, i] / L holds the coordinates of [f_a, m_i], column i of J_a
+    coords, L = _bracket_coordinates(f_mats[:3], m_mats, m_mats,
+                                     "structure action leaves m")
+    H = HermitianStructure(*coords.transpose(0, 2, 1), g_m, scales=(L, 1))
     return SymmetricDecomposition.from_matrix_algebra(m_mats, f_mats, g_m, H)
 
 
@@ -705,23 +705,26 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     against the full symmetry of s), takes values commuting with every
     J_a, and is traceless in the Ricci sense.
     """
-    m = len(split.e_basis)          # 2n
+    Oe, Le = split.omega_e
+    m = len(Oe)                     # 2n
     d = 2 * m
     s4 = np.zeros((m, m, m, m), dtype=object)   # Python ints
     for idx in combinations_with_replacement(range(m), 4):
         val = rng.randint(-3, 3)
         for perm in permutations(idx):
             s4[perm] = val
+    # everything runs on integers, each factor over its own scale, the
+    # product of which is the scale of the result; with omega_E = Oe / Le
+    # its inverse is Le Oinv / Linv, and with change = C / LC the inverse
+    # of the change of basis is LC Cinv / LCinv
+    Oinv, Linv = exactla.inverse(Oe)
     # shat[i, j, k, l] = sum_t s4[i, j, k, t] omega_E^-1[l, t]
-    shat = exactla.product(s4, exactla.inverse(split.omega_e).T)
-    # the rest runs on integers: shat, omega_h, C and Cinv each over
-    # their own scale, the product of which is the scale of the result
-    shat, Ls = exactla.scaled_integers(shat)
-    omega_h, Lh = exactla.scaled_integers(split.omega_h)
-    C, LC = exactla.scaled_integers(split.change)
-    Cinv, LCinv = exactla.scaled_integers(exactla.inverse(split.change))
+    shat = s4 @ (Oinv.T * Le)
+    C, LC = split.change
+    Cinv, LCinv = exactla.inverse(C)
+    Cinv *= LC
     # tensor[(i,a), (j,b), (k,c), (l,d)] = omega_h[a,b] shat[i,j,k,l] delta[c,d]
-    blocks = np.multiply.outer(np.multiply.outer(shat, omega_h),
+    blocks = np.multiply.outer(np.multiply.outer(shat, split.omega_h),
                                np.eye(2, dtype=object))
     tensor = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d, d, d)
     del blocks
@@ -731,7 +734,7 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     del tensor
     for axis in range(3):
         t = exactla.contract(t, Cinv.T, axis)
-    return CurvatureTensor(t, Ls * Lh * LC * LCinv ** 3, H.g)
+    return CurvatureTensor(t, Linv * LC * LCinv ** 3, H.g)
 
 
 # ---------------------------------------------------------------------------

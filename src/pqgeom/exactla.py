@@ -15,8 +15,9 @@ that is not an int or a Fraction, the check of ``require_exact``), and
 ``from_scaled_integers(N, L)`` turns a result back into a ``Fraction``
 array.  Python ints do not overflow, so no magnitude bound is needed.
 Most data stays in that form between calls: ``linalg.PQMatrix``,
-``linalg.HermitianStructure``, ``forms.BilinearForm``, ``forms.FourForm``
-and ``curvature.CurvatureTensor`` hold (N, L) pairs, built once where the
+``linalg.HermitianStructure``, ``linalg.GrassmanSplit``,
+``forms.BilinearForm``, ``forms.FourForm`` and
+``curvature.CurvatureTensor`` hold (N, L) pairs, built once where the
 data is made, so ``scaled_integers`` runs where exact data enters (a
 structure, form or matrix built from ``Fraction`` arrays, a rotation
 matrix, a sample vector) and ``from_scaled_integers`` where a ``Fraction``
@@ -32,15 +33,6 @@ written to ``Fraction`` form (``CurvatureTensor.from_fractions`` and
 ``fractions``, for the text format and the tests): a
 ``curvature.CurvatureTensor`` is held as the pair (N, L) from builder to
 residual.
-``product(*factors)`` is the Fraction array factors[0] @ factors[1] @ ...
-computed this way: each factor is scaled once, the chain of products runs
-on Python ints, and the result is divided by the product of the scales at
-the end (a Fraction, not an array, when the chain contracts to a scalar).
-Its users: ``linalg.grassman_split``, ``curvature.weyl_sample`` (the
-integer 4-tensor s^4 contracted with the inverse of omega_E) and the CLI
-check lift-independence.  Products with the neutral metric are not among
-them: ``linalg.apply_metric`` is a sign flip, and the Grams of kernel
-frames are formed on the integers of ``nullspace``.
 ``contract(T, A, axis)`` contracts one axis of a Python-int tensor with
 a small integer matrix, one slice operation per nonzero entry of A, so a
 product with a sparse matrix (a signed permutation, or at most two
@@ -53,28 +45,35 @@ Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
 scaled integers: it eliminates a pivot column from the rows that are
 nonzero there, row_i <- row_i * (p / g) - row_r * (f / g) with
 g = gcd(p, f), and divides each new row by its content.  It returns the
-integer rows and the pivot list, without dividing by the pivots; the
-callers divide only the entries they read (``solve`` the right-hand-side
-columns, ``rank`` none), and ``nullspace`` brings the free columns to the
-lcm of the pivots instead.  ``det`` runs
-Bareiss elimination (Math. Comp. 22, 1968), whose divisions are exact.
-``frame_coordinates`` forms its Gram system and residual on integers.
-``inertia`` reduces by fraction-free congruences and divides each
-remaining block by its content.  ``solve``, ``inverse``, ``det`` and
-``frame_coordinates`` return ``Fraction`` entries; ``inertia`` checks
-that its input is square and symmetric.
+integer rows and the pivot list, without dividing by the pivots.  Every
+elimination result is then read off those rows in one format, an object
+array of Python ints and one positive scale: ``solve(a, b)`` and
+``inverse(a)`` return (X, L), ``nullspace`` returns (N, L, free), and
+``frame_coordinates`` returns its coordinates as such a pair beside the
+residual.  The scale is the lcm of the pivots, the least common
+denominator of the result: every echelon row has content 1, so the
+entries of a pivot row over its pivot are in lowest terms together.
+``rank`` reads only the pivot count.  ``det`` runs Bareiss elimination
+(Math. Comp. 22, 1968), whose divisions are exact, and returns one
+``Fraction``.  ``inertia`` reduces by fraction-free congruences, divides
+each remaining block by its content, and checks that its input is square
+and symmetric.  No routine forms a ``Fraction`` array; the callers keep
+the pairs (``curvature.weyl_sample``, ``scalar_curvature``, the tensor
+splitting of ``linalg``) and form a ``Fraction`` view only where one is
+asked for.
 
-Kernel frames.  ``nullspace`` returns scaled integers (N, L, free): the
-columns of N / L are the reduced-echelon kernel basis, with
-N[free] == L * I.  A vector T / LT of their span therefore has the
-coordinates T[free] / LT, and N @ T[free] == L * T is the integer test
-that T lies in the span: no Gram solve, no Fraction.  Its callers
-(``projspace.tangent_split`` and ``induced_geometry``,
-``reduction.flat_reduced_structure``, the orthogonality checks and
-``admissible_directions``, ``curvature.restrict_to_complement``) read the
-coordinates off that way; ``frame_coordinates`` serves frames that are
-not kernel bases (``HermitianStructure.span_coefficients``, the bracket
-coordinates of ``curvature``, the CLI check lift-independence).
+Kernel frames.  ``nullspace`` returns (N, L, free): the columns of N / L
+are the reduced-echelon kernel basis, with N[free] == L * I.  A vector
+T / LT of their span therefore has the coordinates T[free] / LT, and
+N @ T[free] == L * T is the integer test that T lies in the span: no
+Gram solve.  Its callers (``projspace.tangent_split`` and
+``induced_geometry``, ``reduction.flat_reduced_structure``, the
+orthogonality checks and ``admissible_directions``,
+``curvature.restrict_to_complement``) read the coordinates off that
+way; ``frame_coordinates`` serves frames that are not kernel bases
+(``HermitianStructure.span_coefficients``, the bracket coordinates of
+``curvature``, and the CLI check lift-independence, whose frame is the
+integer kernel frame of ``tangent_split`` translated along the fiber).
 """
 
 from __future__ import annotations
@@ -178,18 +177,6 @@ def from_scaled_integers(N, L: int) -> np.ndarray:
     return out
 
 
-def product(*factors):
-    """factors[0] @ factors[1] @ ... on scaled integers: the same Fraction
-    entries as the Fraction chain, and a Fraction when the chain contracts
-    to a scalar.  TypeError on an entry that is not an int or a Fraction."""
-    N, L = scaled_integers(factors[0])
-    for factor in factors[1:]:
-        M, LM = scaled_integers(factor)
-        N, L = N @ M, L * LM
-    out = from_scaled_integers(N, L)
-    return out[()] if out.ndim == 0 else out
-
-
 def add_scaled(A, LA: int, B, LB: int, sign: int = 1):
     """(N, L) with N / L = A / LA + sign * B / LB for integer arrays A and
     B, over the lcm L of the two scales.  B is rescaled and added one
@@ -267,16 +254,6 @@ def _echelon(mat: np.ndarray):
     return a, pivots
 
 
-def _divide(a: np.ndarray, pivots: list[int], cols) -> np.ndarray:
-    """The Fractions a[r, cols] / a[r, pivots[r]]: columns `cols` of the
-    reduced row echelon form, one row per pivot."""
-    out = np.empty((len(pivots), len(cols)), dtype=object)
-    for r, pc in enumerate(pivots):
-        p = a[r, pc]
-        out[r] = [Fraction(x, p) for x in a[r, cols]]
-    return out
-
-
 def rank(mat: np.ndarray) -> int:
     if mat.size == 0:
         return 0
@@ -284,33 +261,45 @@ def rank(mat: np.ndarray) -> int:
     return len(pivots)
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b exactly; raises ValueError if singular."""
+def _pivot_scale(red: np.ndarray, pivots: list[int]):
+    """(heads, L): the pivots red[r, pivots[r]] of an echelon form and
+    their lcm L, over which every reduced-echelon entry is an integer."""
+    heads = np.array([red[r, c] for r, c in enumerate(pivots)], dtype=object)
+    return heads, math.lcm(*heads)
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(X, L) with a (X / L) = b exactly: X an object array of Python ints
+    of the shape of b, L the least common denominator of the solution.
+    ValueError if a is singular."""
     n = a.shape[0]
     if a.shape[1] != n:
         raise ValueError("solve expects a square matrix")
     red, pivots = _echelon(np.concatenate([a, b.reshape(n, -1)], axis=1))
     if pivots[:n] != list(range(n)):
         raise ValueError("singular system")
-    x = _divide(red, pivots, range(n, red.shape[1]))
-    return x.reshape(b.shape) if b.ndim == 1 else x
+    heads, L = _pivot_scale(red, pivots)
+    # row r of the solution is red[r, n:] / heads[r]
+    X = red[:n, n:] * (L // heads)[:, None]
+    return X.reshape(b.shape), L
 
 
-def inverse(a: np.ndarray) -> np.ndarray:
-    return solve(a, eye(a.shape[0]))
+def inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(X, L) with X / L the inverse of a; ValueError if a is singular."""
+    return solve(a, np.eye(a.shape[0], dtype=object))
 
 
 def frame_coordinates(frame: np.ndarray, target: np.ndarray):
-    """(coords, residual): the solution of the Gram system frame^T frame
-    coords = frame^T target, and the max-abs entry of frame @ coords -
-    target, which is 0 exactly when target lies in the frame's span."""
+    """((C, LC), residual): C / LC solves the Gram system frame^T frame
+    coords = frame^T target, and the residual is the max-abs entry of
+    frame @ coords - target, 0 exactly when target lies in the frame's
+    span."""
     F, LF = scaled_integers(frame)
     T, LT = scaled_integers(target)
     # both sides times LF^2 LT: F^T F LT coords = F^T T LF
-    coords = solve((F.T @ F) * LT, (F.T @ T) * LF)
-    C, LC = scaled_integers(coords)
+    C, LC = solve((F.T @ F) * LT, (F.T @ T) * LF)
     residual = max_abs((F @ C) * LT - T * (LF * LC))
-    return coords, Fraction(residual, LF * LC * LT)
+    return (C, LC), Fraction(residual, LF * LC * LT)
 
 
 def nullspace(mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
@@ -327,8 +316,7 @@ def nullspace(mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     cols = mat.shape[1]
     red, pivots = _echelon(mat)
     free = [c for c in range(cols) if c not in pivots]
-    heads = np.array([red[r, c] for r, c in enumerate(pivots)], dtype=object)
-    L = math.lcm(*heads)
+    heads, L = _pivot_scale(red, pivots)
     N = np.zeros((cols, len(free)), dtype=object)
     N[free, range(len(free))] = L
     # the basis entries of pivot row r are -red[r, free] / heads[r]

@@ -28,11 +28,13 @@ algebra (hence Lie algebra) isomorphism.
 Exact arithmetic.  Matrices and structures are held as scaled integers
 (see ``exactla``): one object array of Python ints and one positive int
 scale, the value being array / scale.  A ``PQMatrix`` is the pair
-(C, L) of its (4, n, n) coefficient array, and a ``HermitianStructure``
-the pairs (J, LJ) of its stacked members and (g, Lg) of its metric, each
-formed once, where the data is made.  Every operation reads and returns
-such pairs (``real_rep`` and ``to_real_action`` return (N, L)), so no
-``Fraction`` is formed between calls; the ``Fraction`` arrays
+(C, L) of its (4, n, n) coefficient array, a ``HermitianStructure``
+the pairs (J, LJ) of its stacked members and (g, Lg) of its metric, and
+a ``GrassmanSplit`` the pairs of its E basis, H endomorphisms, change
+of basis and E form, each formed once, where the data is made.  Every
+operation reads and returns such pairs (``real_rep`` and
+``to_real_action`` return (N, L)), so no ``Fraction`` is formed between
+calls; the ``Fraction`` arrays
 ``PQMatrix.entries``, ``HermitianStructure.J`` and ``.g`` are views
 formed on request.
 """
@@ -408,9 +410,10 @@ class HermitianStructure:
     def span_coefficients(self, A: np.ndarray):
         """Exact coefficients (c1, c2, c3) with A = sum c_a J_a, or None."""
         J, LJ = self.scaled_J
-        coef, residual = exactla.frame_coordinates(J.reshape(3, -1).T,
-                                                   A.reshape(-1))
-        return None if residual != 0 else tuple(c * LJ for c in coef)
+        (C, LC), residual = exactla.frame_coordinates(J.reshape(3, -1).T,
+                                                      A.reshape(-1))
+        return None if residual != 0 else tuple(Fraction(c * LJ, LC)
+                                                for c in C)
 
 
 @functools.cache
@@ -567,15 +570,21 @@ def adopted_basis(H: HermitianStructure, rng=None) -> list[np.ndarray]:
 
 
 class GrassmanSplit:
-    """Tensor factorisation V = E (x) H exhibited by explicit data.
+    """Tensor factorisation V = E (x) H exhibited by explicit data, held as
+    scaled integers (see ``exactla``): each of ``e_basis``, ``h_endos``,
+    ``change`` and ``omega_e`` is a pair (N, L) of an object array of
+    Python ints and a positive int scale, the value being N / L.
 
     Attributes:
-        e_basis: 2n vectors spanning the E factor (seeds and their J2 images).
-        h_endos: the pair (Id - J3, J1 + J2) of endomorphisms spanning H.
-        change: 4n x 4n matrix whose columns are h_b(e_i), ordered with the
-            H index fastest; in these coordinates every J_a is block
+        e_basis: dim x 2n matrix whose columns span the E factor (the seeds
+            and then their J2 images).
+        h_endos: the stacked pair (Id - J3, J1 + J2) of endomorphisms
+            spanning H, shape (2, dim, dim).
+        change: dim x dim matrix whose columns are h_b(e_i), ordered with
+            the H index fastest; in these coordinates every J_a is block
             diagonal with identical 2x2 blocks.
-        omega_e, omega_h: forms with g = omega_e (x) omega_h.
+        omega_e: the 2n x 2n form on E; omega_h, the int array
+            [[0, 1], [-1, 0]] on H; g = omega_e (x) omega_h.
     """
 
     def __init__(self, e_basis, h_endos, change, omega_e, omega_h):
@@ -585,14 +594,14 @@ class GrassmanSplit:
         self.omega_e = omega_e
         self.omega_h = omega_h
 
-    def isotropic_member(self, c, s, e_coords) -> np.ndarray:
-        """Vector of the isotropic family: (c h1 + s h2) applied to the
-        E-vector with the given coordinates."""
-        h1, h2 = self.h_endos
-        e = exactla.zeros(self.change.shape[0])
-        for coef, v in zip(e_coords, self.e_basis):
-            e = e + coef * v
-        return c * (h1 @ e) + s * (h2 @ e)
+    def isotropic_member(self, c, s, e_coords) -> tuple[np.ndarray, int]:
+        """(V, L): the vector V / L of the isotropic family, (c h1 + s h2)
+        applied to the E-vector with the given coordinates; c, s and the
+        coordinates are ints or Fractions."""
+        (h, Lh), (E, LE) = self.h_endos, self.e_basis
+        cs, Lcs = exactla.scaled_integers(np.array([c, s]))
+        k, Lk = exactla.scaled_integers(np.array(e_coords))
+        return (cs[0] * h[0] + cs[1] * h[1]) @ (E @ k), Lcs * Lh * LE * Lk
 
 
 # 2x2 blocks of the structure triple in any tensor basis (h1, h2), as
@@ -610,28 +619,28 @@ def grassman_split(H: HermitianStructure) -> GrassmanSplit:
     E is spanned by adopted seeds e_i together with J2 e_i; the images
     h_b(e) for e in that span form a basis in which each J_a acts as
     Id (x) (2x2 block), and the metric factors as omega_e (x) omega_h
-    with omega_h = [[0, 1], [-1, 0]].
+    with omega_h = [[0, 1], [-1, 0]].  Computed on the integer pairs of
+    H: with J = LJ J_a, every vector and endomorphism below is over LJ,
+    so the change of basis is over LJ^2 and its Gram matrix over
+    LJ^4 Lg.
     """
-    seeds = adopted_basis(H)
-    J1, J2, J3 = H.J
+    (J, LJ), (g, Lg) = H.scaled_J, H.scaled_g
     dim = H.dim
-    ident = exactla.eye(dim)
-    h1 = ident - J3
-    h2 = J1 + J2
-    e_basis = seeds + list(exactla.product(J2, np.stack(seeds, axis=1)).T)
-    # columns h1 e, h2 e for each e of e_basis in turn
-    change = exactla.product(np.stack([h1, h2]), np.stack(e_basis, axis=1))
-    change = change.transpose(1, 2, 0).reshape(dim, -1)
-    if exactla.rank(change) != dim:
+    seeds = np.stack(adopted_basis(H), axis=1)
+    h = np.stack([np.eye(dim, dtype=object) * LJ - J[2], J[0] + J[1]])
+    E = np.concatenate([seeds * LJ, J[1] @ seeds], axis=1)
+    # columns h1 e, h2 e for each column e of E in turn
+    C = (h @ E).transpose(1, 2, 0).reshape(dim, -1)
+    if exactla.rank(C) != dim:
         raise DegenerateStructureError("tensor basis is degenerate")
-    gt = exactla.product(change.T, H.g, change)
+    gt = C.T @ g @ C
     omega_e = gt[0::2, 1::2]     # omega_e[i, j] = gt[2i, 2j + 1]
-    omega_h = exactla.fracarray([[0, 1], [-1, 0]])
+    omega_h = np.array([[0, 1], [-1, 0]], dtype=object)
     # factorisation check: gt must be exactly omega_e (x) omega_h
-    kron = np.kron(omega_e, omega_h)
-    if exactla.max_abs(gt - kron) != 0:
+    if (gt != np.kron(omega_e, omega_h)).any():
         raise DegenerateStructureError("metric does not factor over the split")
-    return GrassmanSplit(e_basis, (h1, h2), change, omega_e, omega_h)
+    return GrassmanSplit((E, LJ), (h, LJ), (C, LJ * LJ),
+                         (omega_e, LJ ** 4 * Lg), omega_h)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pqgeom.cli import (REGISTRY, CheckConfig, InvalidConfigError,
-                        UnknownSuiteError, _check_rng, main, run_suite)
+                        ReportIOError, UnknownSuiteError, _check_rng,
+                        emit_report, main, run_suite)
 
 
 def test_algebra_suite_passes(capsys):
@@ -120,6 +121,36 @@ def test_report_config_keeps_fixed_level(capsys):
                  "--format", "json"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
     assert config["xi"] == ["-1", "0", "0"]
+
+
+def test_report_fields(capsys):
+    # the schema-1 fields of the config and of every check row
+    assert main(["--suite", "algebra", "--samples", "2", "--seed", "4",
+                 "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["version"] == "1"
+    assert report["config"] == {"seed": 4, "samples": 2, "rank": 2, "p": 1,
+                                "q": 2, "xi": ["-1", "0", "0"]}
+    for row in report["checks"]:
+        assert sorted(row) == ["anchor", "max_residual", "name",
+                               "sample_count", "seed", "status",
+                               "tolerance", "wall_time"]
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    # the suite runs but its report cannot be written: a message and the
+    # bad-configuration code, not a traceback and the code of a failure
+    out = tmp_path / "no" / "such" / "dir" / "r.json"
+    assert main(["--suite", "algebra", "--samples", "1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("report error:")
+    assert not out.exists()
+    # library callers still get the exception
+    with pytest.raises(ReportIOError):
+        emit_report(run_suite("algebra", CheckConfig(samples=1)),
+                    out=str(out))
 
 
 def test_unknown_suite_exits_2(capsys):

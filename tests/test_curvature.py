@@ -32,7 +32,8 @@ from pqgeom.linalg import (DegenerateStructureError, HermitianStructure,
                            left_structure_endos, metric_matrix,
                            structure_endos)
 
-from test_linalg import ref_nullspace, ref_pq_matmul
+from test_linalg import (ref_grassman_split, ref_inverse, ref_nullspace,
+                         ref_pq_matmul, ref_solve)
 
 
 def rand_bilinear(rng, dim):
@@ -65,7 +66,7 @@ def conjugated_structure(n, rng):
         P = rand_rational(rng, (H.dim, H.dim))
         if exactla.rank(P) == H.dim:
             break
-    Pinv = exactla.inverse(P)
+    Pinv = ref_inverse(P)
     return HermitianStructure(*[Pinv @ Ja @ P for Ja in H.J], P.T @ H.g @ P)
 
 
@@ -666,6 +667,8 @@ def ref_normalizes(R, H):
 
 
 def ref_weyl(split, rng):
+    """weyl_sample on the Fraction splitting of ref_grassman_split, with
+    tensordot contractions: the reference for the integer builder."""
     m = len(split.e_basis)
     d = 2 * m
     s4 = exactla.zeros((m, m, m, m))
@@ -673,13 +676,13 @@ def ref_weyl(split, rng):
         val = Fraction(rng.randint(-3, 3))
         for perm in permutations(idx):
             s4[perm] = val
-    shat = np.tensordot(s4, exactla.inverse(split.omega_e).T,
+    shat = np.tensordot(s4, ref_inverse(split.omega_e).T,
                         axes=([3], [0]))
     blocks = np.multiply.outer(np.multiply.outer(shat, split.omega_h),
                                exactla.eye(2))
     tensor = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d, d, d)
     C = split.change
-    Cinv = exactla.inverse(C)
+    Cinv = ref_inverse(C)
     t = np.tensordot(tensor, C, axes=([3], [1]))
     for axis in range(3):
         t = np.moveaxis(np.tensordot(Cinv, t, axes=([0], [axis])), 0, axis)
@@ -697,10 +700,10 @@ def test_integer_path_matches_fraction_reference(kind, n):
     rng = random.Random(40 + n)
     H = structure_endos(n) if kind == "standard" else conjugated_structure(
         n, rng)
-    split = grassman_split(H)
-    W = weyl_sample(H, split, random.Random(7))
+    W = weyl_sample(H, grassman_split(H), random.Random(7))
     assert all_fractions(W.fractions())
-    assert (W.fractions() == ref_weyl(split, random.Random(7))).all()
+    assert (W.fractions()
+            == ref_weyl(ref_grassman_split(H), random.Random(7))).all()
     # 2 R_0 + W + R^B lies in the normaliser and satisfies Bianchi; one
     # perturbed entry with denominator 7 breaks both
     R = (projective_curvature(H).times(Fraction(2)) + W
@@ -729,7 +732,7 @@ def ref_restrict(R, X):
     with plain @ chains."""
     basis = ref_nullspace((R.metric @ X).reshape(1, -1))
     img = jacobi_operator(R, X) @ basis
-    return exactla.solve(basis.T @ basis, basis.T @ img), basis
+    return ref_solve(basis.T @ basis, basis.T @ img), basis
 
 
 @pytest.mark.parametrize("kind, n", [("model", 1), ("model", 2),
@@ -974,8 +977,9 @@ def test_curvature_text_rejects_malformed_text(case):
 
 
 def test_bracket_coordinates_rebuild_fraction_brackets():
-    # the brackets run on scaled ints; the coordinates must rebuild the
-    # Fraction products A @ B - B @ A, here with denominators on both sides
+    # the brackets and their coordinates run on scaled ints; the pair
+    # (C, L) must rebuild the Fraction products A @ B - B @ A, here with
+    # denominators on both sides
     rng = random.Random(11)
     left = [exactla.fracarray([[Fraction(rng.randint(-5, 5), rng.randint(1, 6))
                                 for _ in range(3)] for _ in range(3)])
@@ -987,8 +991,9 @@ def test_bracket_coordinates_rebuild_fraction_brackets():
             M = exactla.zeros((3, 3))
             M[p, q] = Fraction(1, p + 2 * q + 1)
             basis.append(M)
-    c = _bracket_coordinates(left, right, basis, "outside")
-    assert all_fractions(c)
+    C, L = _bracket_coordinates(left, right, basis, "outside")
+    assert all(type(x) is int for x in [*C.reshape(-1), L])
+    c = exactla.from_scaled_integers(C, L)
     for i, A in enumerate(left):
         for j, B in enumerate(right):
             rebuilt = sum(c[i, j, k] * M for k, M in enumerate(basis))

@@ -1,9 +1,10 @@
-"""No Fraction in the integer paths of linalg, forms, the kernel frames
-and the reductions.
+"""No Fraction in the integer paths of exactla, linalg, forms, the kernel
+frames, the curvature builders and the reductions.
 
-Split-quaternion matrices, structures, bilinear forms, 4-forms and kernel
-bases are held as integer arrays over one scale, and the operations below
-compute on those pairs from input to result.  A Fraction formed inside one
+Split-quaternion matrices, structures, bilinear forms, 4-forms, the tensor
+splitting, elimination results and kernel bases are held as integer
+arrays over one scale, and the operations below compute on those pairs
+from input to result.  A Fraction formed inside one
 of them is a conversion the design removed (an array turned into
 Fractions and back), so these tests count every Fraction constructed
 during the calls and require none, or exactly those of the results that
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 
 from pqgeom import exactla
+from pqgeom.curvature import special_linear_decomposition, weyl_sample
 from pqgeom.forms import (BilinearForm, fundamental_four_form,
                           hermitian_projector, random_rotation,
                           rotate_structure, two_form)
-from pqgeom.linalg import (random_antihermitian, random_pq_matrix, real_rep,
-                           structure_endos)
+from pqgeom.linalg import (grassman_split, random_antihermitian,
+                           random_pq_matrix, real_rep, structure_endos)
 from pqgeom.projspace import induced_geometry, random_sphere_point
 from pqgeom.reduction import (_generator_action, _level_gradient_rows,
                               _normal_residual, empty_levelset_check,
@@ -105,6 +107,43 @@ def test_kernel_frames_form_no_fraction(fraction_count):
         call()
         formed[name] = fraction_count[0]
     assert formed == dict.fromkeys(calls, 0)
+
+
+def test_eliminations_and_tensor_splitting_form_no_fraction(
+        fraction_count):
+    # solve and inverse of a matrix with denominators, the tensor splitting
+    # of the standard structure and a Weyl sample drawn from it; the
+    # metric view the sample carries is formed before the count
+    rng = random.Random(3)
+    a = np.array([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                   for _ in range(6)] for _ in range(6)], dtype=object)
+    a += np.eye(6, dtype=object) * 40      # diagonally dominant: invertible
+    b = a[:, :2] * Fraction(1, 3)
+    H = structure_endos(2)
+    H.g
+    split = grassman_split(H)
+    calls = {
+        "solve": lambda: exactla.solve(a, b),
+        "inverse": lambda: exactla.inverse(a),
+        "grassman_split": lambda: [grassman_split(structure_endos(n))
+                                   for n in (1, 2, 3)],
+        "weyl_sample": lambda: weyl_sample(H, split, rng),
+    }
+    formed = {}
+    for name, call in calls.items():
+        fraction_count[0] = 0
+        call()
+        formed[name] = fraction_count[0]
+    assert formed == dict.fromkeys(calls, 0)
+
+
+def test_special_linear_decomposition_forms_only_its_results(fraction_count):
+    # the structure constants are Fraction arrays, one Fraction per
+    # distinct value, and each of the four frame_coordinates calls forms
+    # its residual
+    D = special_linear_decomposition(2)
+    distinct = sum(len(set(c.reshape(-1))) for c in (D.c_mm, D.c_fm, D.c_ff))
+    assert fraction_count[0] == distinct + 4
 
 
 def test_reduced_and_induced_structures_form_only_their_results(

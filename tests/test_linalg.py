@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,8 +104,8 @@ def test_span_coefficients_member_and_non_member():
 def test_frame_coordinates_residual():
     frame = exactla.fracarray([[1, 0], [1, 1], [0, 2]])
     inside = exactla.fracarray([[2], [5], [6]])
-    coords, residual = exactla.frame_coordinates(frame, inside)
-    assert residual == 0 and list(coords[:, 0]) == [2, 3]
+    (C, LC), residual = exactla.frame_coordinates(frame, inside)
+    assert residual == 0 and (C[:, 0].tolist(), LC) == ([2, 3], 1)
     _, residual = exactla.frame_coordinates(
         frame, exactla.fracarray([[1], [0], [0]]))
     assert residual > 0
@@ -114,17 +115,18 @@ def test_exact_elimination_keeps_int_inputs_exact():
     # int-valued object arrays must not pass through int / int division
     a = np.array([[3, 1], [1, 1]], dtype=object)
     H = structure_endos(1)
+    # solve and inverse: Python ints over the least common denominator
+    X, L = exactla.solve(a, np.array([1, 0], dtype=object))
+    assert (X.tolist(), L) == ([1, -1], 2)
+    Y, LY = exactla.inverse(a)
+    assert (Y.tolist(), LY) == ([[1, -1], [-1, 3]], 2)
+    assert all(type(x) is int for x in [*X, *Y.reshape(-1), L, LY])
     results = {
-        "solve": exactla.solve(a, np.array([1, 0], dtype=object)),
-        "inverse": exactla.inverse(a),
         "det": np.array([exactla.det(a)]),
         "span": np.array(H.span_coefficients(H.J[0] + 2 * H.J[1])),
     }
     for name, arr in results.items():
         assert all(type(x) is Fraction for x in arr.reshape(-1)), name
-    half = Fraction(1, 2)
-    assert list(results["solve"]) == [half, -half]
-    assert results["inverse"].tolist() == [[half, -half], [-half, 3 * half]]
     assert results["det"][0] == 2
     assert list(results["span"]) == [1, 2, 0]
     # the kernel basis (-1/3, 1, 0), (-2/3, 0, 1) as Python ints over 3
@@ -140,10 +142,9 @@ def test_exact_elimination_keeps_int_inputs_exact():
 def test_exact_elimination_on_fixed_width_arrays():
     # int64 rows divided in place used to truncate: solve gave [0, 0]
     a = np.array([[3, 1], [1, 1]])
-    half = Fraction(1, 2)
-    x = exactla.solve(a, np.array([1, 0]))
-    assert list(x) == [half, -half]
-    assert all(type(v) is Fraction for v in x)
+    X, L = exactla.solve(a, np.array([1, 0]))
+    assert (X.tolist(), L) == ([1, -1], 2)
+    assert all(type(v) is int for v in [*X, L])
     d = exactla.det(a)
     assert d == 2 and type(d) is Fraction
     assert exactla.inertia(np.array([[0, 1], [1, 0]])) == (1, 1, 0)
@@ -299,6 +300,10 @@ def ref_solve(a, b):
         raise ValueError("singular system")
     x = red[:n, n:]
     return x.reshape(b.shape) if b.ndim == 1 else x
+
+
+def ref_inverse(a):
+    return ref_solve(a, exactla.eye(len(a)))
 
 
 def ref_nullspace(mat):
@@ -478,19 +483,23 @@ def test_rank_and_nullspace_match_fraction_reference(mat):
 @settings(max_examples=150)
 @given(square_systems())
 def test_solve_inverse_det_match_fraction_reference(system):
+    # solve and inverse return (X, L): X / L must be the Fraction solution,
+    # and L its least common denominator
     a, b = system
     for got, want in [
         (lambda: exactla.solve(a, b), ref_outcome(ref_solve, a, b)),
         (lambda: exactla.solve(a, b[:, 0]),
          ref_outcome(ref_solve, a, b[:, 0])),
-        (lambda: exactla.inverse(a),
-         ref_outcome(ref_solve, a, exactla.eye(len(a)))),
+        (lambda: exactla.inverse(a), ref_outcome(ref_inverse, a)),
     ]:
         if want is ValueError:
             with pytest.raises(ValueError):
                 got()
         else:
-            assert_same_fractions(got(), want)
+            X, L = got()
+            assert_same_fractions(exactla.from_scaled_integers(X, L), want)
+            assert L == exactla.scaled_integers(want)[1]
+            assert all(type(x) is int for x in [*X.reshape(-1), L])
     assert_same_fractions(exactla.det(a), ref_det(a))
 
 
@@ -537,8 +546,9 @@ def test_frame_coordinates_match_fraction_reference(data):
         with pytest.raises(ValueError):
             exactla.frame_coordinates(frame, target)
         return
-    coords, residual = exactla.frame_coordinates(frame, target)
-    assert_same_fractions(coords, want)
+    (C, LC), residual = exactla.frame_coordinates(frame, target)
+    assert_same_fractions(exactla.from_scaled_integers(C, LC), want)
+    assert LC == exactla.scaled_integers(want)[1]
     assert_same_fractions(residual, exactla.max_abs(f @ want - t))
 
 
@@ -561,53 +571,13 @@ def test_kernel_coordinates_read_off_match_frame_coordinates(data):
         exactla.from_scaled_integers(N, L),
         exactla.from_scaled_integers(T, LT))
     assert residual == 0
-    assert_same_fractions(exactla.from_scaled_integers(T[free], LT), coords)
+    assert_same_fractions(exactla.from_scaled_integers(T[free], LT),
+                          exactla.from_scaled_integers(*coords))
     # a target off the span fails the integer test
     if len(free) < mat.shape[1]:
         off = T.copy()
         off[[c for c in range(mat.shape[1]) if c not in free][0]] += 1
         assert (N @ off[free] != L * off).any()
-
-
-@st.composite
-def product_chains(draw):
-    """1-3 factors with matching inner dimensions, each a rational_matrices
-    draw; the first factor may be a 1-D row and the last a 1-D column, so
-    a chain can contract to a scalar."""
-    count = draw(st.integers(1, 3))
-    dims = draw(st.lists(st.integers(1, 4), min_size=count + 1,
-                         max_size=count + 1))
-    factors = [draw(rational_matrices(dims[i], dims[i + 1]))
-               for i in range(count)]
-    if draw(st.booleans()):
-        factors[0] = factors[0][0]
-    if factors[-1].ndim == 2 and draw(st.booleans()):
-        factors[-1] = factors[-1][:, 0]
-    return factors
-
-
-@settings(max_examples=150)
-@given(product_chains())
-def test_product_matches_fraction_chain(factors):
-    # the reference is the plain @ chain on Fraction copies of the factors
-    # (Python ints inside: int64 products of 2^40-sized entries overflow)
-    want = exactla.fracarray(factors[0].astype(object))
-    for factor in factors[1:]:
-        want = want @ exactla.fracarray(factor.astype(object))
-    got = exactla.product(*factors)
-    assert type(got) is type(want)
-    assert_same_fractions(got, want)
-
-
-@pytest.mark.parametrize("bad", [
-    np.array([[0.5, 1.0], [1.0, 0.5]]),
-    np.array([[Fraction(1, 2), 1.0], [1, 0]], dtype=object),
-], ids=["float64", "object-float"])
-def test_product_rejects_inexact_factors(bad):
-    mat = exactla.fracarray([[1, Fraction(1, 2)], [0, 1]])
-    for factors in ((bad,), (mat, bad), (bad, mat), (mat, mat, bad[0])):
-        with pytest.raises(TypeError):
-            exactla.product(*factors)
 
 
 def test_contract_matches_tensordot():
@@ -667,7 +637,8 @@ def test_ricci_operator_solve_matches_fraction_reference():
          + weyl_sample(H, grassman_split(H), random.Random(5)))
     rhs = ricci(R).reshape(-1)
     want = ref_solve(op, rhs)
-    assert_same_fractions(exactla.solve(op, rhs), want)
+    assert_same_fractions(exactla.from_scaled_integers(*exactla.solve(op, rhs)),
+                          want)
     _, B = ricci_split(R, H)
     assert_same_fractions(B.matrix, want.reshape(d, d))
 
@@ -683,7 +654,7 @@ def test_ricci_split_matches_operator_reference(n, kind):
     H = structure_endos(n)
     if kind == "conjugated":
         P = random_invertible(rng, H.dim)
-        Pinv = exactla.inverse(P)
+        Pinv = ref_inverse(P)
         H = HermitianStructure(*[Pinv @ Ja @ P for Ja in H.J], P.T @ H.g @ P)
     d = H.dim
     B = exactla.fracarray([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -712,7 +683,7 @@ def test_structure_residuals_match_fraction_reference():
     rng = random.Random(11)
     H = structure_endos(2)
     P = random_invertible(rng, H.dim)
-    Pinv = exactla.inverse(P)
+    Pinv = ref_inverse(P)
     J = [Pinv @ Ja @ P for Ja in H.J]
     g = P.T @ H.g @ P
     J[0][1, 2] += Fraction(1, 7)
@@ -1056,7 +1027,7 @@ def test_adopted_basis_conjugated():
                                    for _ in range(dim)])
             if exactla.rank(P) == dim:
                 break
-        Pinv = exactla.inverse(P)
+        Pinv = ref_inverse(P)
         Hc = HermitianStructure(*[Pinv @ Ja @ P for Ja in H.J],
                                 P.T @ H.g @ P)
         seeds = adopted_basis(Hc, rng=rng)
@@ -1066,24 +1037,81 @@ def test_adopted_basis_conjugated():
         assert exactla.det(np.stack(cols, axis=1)) != 0
 
 
+def fractions_of(pair):
+    """The Fraction view N / L of a scaled-integer pair (N, L)."""
+    return exactla.from_scaled_integers(*pair)
+
+
+def ref_grassman_split(H):
+    """The tensor splitting on the Fraction views H.J and H.g with plain @
+    chains: the reference for grassman_split, which computes on integers.
+    Its fields are Fraction arrays: e_basis a list of vectors, h_endos the
+    pair (h1, h2), change, omega_e and omega_h."""
+    seeds = adopted_basis(H)
+    J1, J2, J3 = H.J
+    dim = H.dim
+    h1 = exactla.eye(dim) - J3
+    h2 = J1 + J2
+    e_basis = seeds + list((J2 @ np.stack(seeds, axis=1)).T)
+    change = np.stack([h1, h2]) @ np.stack(e_basis, axis=1)
+    change = change.transpose(1, 2, 0).reshape(dim, -1)
+    assert exactla.rank(change) == dim
+    gt = change.T @ H.g @ change
+    omega_e = gt[0::2, 1::2]
+    omega_h = exactla.fracarray([[0, 1], [-1, 0]])
+    assert exactla.max_abs(gt - np.kron(omega_e, omega_h)) == 0
+    return SimpleNamespace(e_basis=e_basis, h_endos=(h1, h2), change=change,
+                           omega_e=omega_e, omega_h=omega_h)
+
+
+@pytest.mark.parametrize("kind, n", [("standard", 1), ("standard", 2),
+                                     ("conjugated", 1), ("conjugated", 2)])
+def test_grassman_split_matches_fraction_reference(kind, n):
+    # the integer pairs of grassman_split against the Fraction splitting,
+    # on the standard structure and on a conjugated one (denominators)
+    rng = random.Random(30 + n)
+    H = structure_endos(n)
+    if kind == "conjugated":
+        P = random_invertible(rng, H.dim)
+        Pinv = ref_inverse(P)
+        H = HermitianStructure(*[Pinv @ Ja @ P for Ja in H.J], P.T @ H.g @ P)
+    gs, ref = grassman_split(H), ref_grassman_split(H)
+    for got, want in ((gs.e_basis, np.stack(ref.e_basis, axis=1)),
+                      (gs.h_endos, np.stack(ref.h_endos)),
+                      (gs.change, ref.change), (gs.omega_e, ref.omega_e)):
+        N, L = got
+        assert all(type(x) is int for x in [*N.reshape(-1), L])
+        assert (fractions_of(got) == want).all()
+    assert gs.omega_h.tolist() == [[0, 1], [-1, 0]]
+    assert all(type(x) is int for x in gs.omega_h.reshape(-1))
+    h1, h2 = ref.h_endos
+    for c, s in [(1, 0), (0, 1), (Fraction(3, 5), Fraction(4, 5))]:
+        coords = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                  for _ in range(2 * n)]
+        e = sum(k * v for k, v in zip(coords, ref.e_basis))
+        want = c * (h1 @ e) + s * (h2 @ e)
+        assert (fractions_of(gs.isotropic_member(c, s, coords)) == want).all()
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_grassman_split(n):
     rng = random.Random(8)
     H = structure_endos(n)
     gs = grassman_split(H)
-    Cinv = exactla.inverse(gs.change)
+    change, omega_e = fractions_of(gs.change), fractions_of(gs.omega_e)
+    Cinv = ref_inverse(change)
     for a in range(3):
         want = np.kron(exactla.eye(2 * n), TENSOR_BLOCKS[a])
-        assert exactla.max_abs(Cinv @ H.J[a] @ gs.change - want) == 0
+        assert exactla.max_abs(Cinv @ H.J[a] @ change - want) == 0
     # the metric factors through the split
-    gt = gs.change.T @ H.g @ gs.change
-    assert exactla.max_abs(gt - np.kron(gs.omega_e, gs.omega_h)) == 0
-    assert exactla.max_abs(gs.omega_e + gs.omega_e.T) == 0
+    gt = change.T @ H.g @ change
+    assert exactla.max_abs(gt - np.kron(omega_e, gs.omega_h)) == 0
+    assert exactla.max_abs(omega_e + omega_e.T) == 0
     # the one-parameter family of subspaces is totally isotropic
     for (c, s) in [(1, 0), (1, 1), (0, 1), (Fraction(3, 5), Fraction(4, 5))]:
-        vecs = [gs.isotropic_member(Fraction(c), Fraction(s),
-                                    [Fraction(rng.randint(-3, 3))
-                                     for _ in range(2 * n)])
+        vecs = [fractions_of(gs.isotropic_member(
+                    Fraction(c), Fraction(s),
+                    [Fraction(rng.randint(-3, 3)) for _ in range(2 * n)]))
                 for _ in range(4)]
         for v in vecs:
             for w in vecs:
@@ -1095,10 +1123,11 @@ def test_isotropic_family_invariant_under_commuting_members():
     n = 2
     H = structure_endos(n)
     gs = grassman_split(H)
-    Cinv = exactla.inverse(gs.change)
+    change = fractions_of(gs.change)
+    Cinv = ref_inverse(change)
     for _ in range(5):
         L = real_action_fractions(random_antihermitian(rng, n))
-        T = Cinv @ L @ gs.change
+        T = Cinv @ L @ change
         # commuting with the whole structure forces the block pattern
         # (matrix) x (identity on the 2-dimensional factor)
         for i in range(2 * n):
@@ -1109,9 +1138,9 @@ def test_isotropic_family_invariant_under_commuting_members():
         # hence each member maps the isotropic family member into itself
         for (c, s) in [(1, 0), (2, 3)]:
             family = np.stack(
-                [gs.isotropic_member(Fraction(c), Fraction(s),
-                                     [1 if k == m else 0
-                                      for k in range(2 * n)])
+                [fractions_of(gs.isotropic_member(
+                    Fraction(c), Fraction(s),
+                    [1 if k == m else 0 for k in range(2 * n)]))
                  for m in range(2 * n)], axis=1)
             base_rank = exactla.rank(family)
             assert base_rank == 2 * n
