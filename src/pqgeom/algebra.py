@@ -15,12 +15,11 @@ The indefinite square norm |q|^2 = a^2 + b^2 - c^2 - d^2 is
 multiplicative but has null vectors (1 + j is a zero divisor), so
 inversion exists only off the null cone.
 
-Coefficients are exact (int / fractions.Fraction) everywhere but in one
-place of the weighted reduction: the rounded image of the exact level
-points, which no routine of the package consumes.  The arithmetic is the
-same for floats, and exact inputs are never rounded.
-The rational points of the unit circle and hyperbola are
-``circle_point`` and ``hyperbola_point``.
+Coefficients are exact (int / fractions.Fraction) in every routine of
+the package.  The arithmetic is the same for floats, and exact inputs
+are never rounded; the module vectors and matrices of ``linalg`` hold
+integer coordinates over one scale, and a float coefficient cannot
+enter them (TypeError).
 
 Batches.  The coefficients may also be numpy arrays of one shape; the
 SplitQuaternion is then a batch, one element per array position (a
@@ -130,12 +129,6 @@ class SplitQuaternion:
     def square_norm(self):
         return self.a * self.a + self.b * self.b - self.c * self.c - self.d * self.d
 
-    def real(self):
-        return self.a
-
-    def imag(self) -> "SplitQuaternion":
-        return SplitQuaternion(0, self.b, self.c, self.d)
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
 
@@ -154,12 +147,6 @@ class SplitQuaternion:
         """The pair (z1, z2) = (a + b i, c - d i) with q = z1 + j z2, as
         (re, im) tuples kept in the scalar type of q."""
         return (self.a, self.b), (self.c, -self.d)
-
-    @classmethod
-    def from_complex_rep(cls, z1, z2) -> "SplitQuaternion":
-        """Inverse of complex_rep_exact, from (re, im) pairs."""
-        (r1, i1), (r2, i2) = z1, z2
-        return cls(r1, i1, r2, -i2)
 
     # -- parse / print ----------------------------------------------------
 
@@ -233,19 +220,3 @@ def conj_norm(q: SplitQuaternion, qp: SplitQuaternion):
     """(conj(q), |q|^2, <q, q'>) in one call."""
     return q.conj(), q.square_norm(), scalar_product(q, qp)
 
-
-def circle_point(t: Fraction | int) -> SplitQuaternion:
-    """Rational point cos + i sin of the unit circle, parametrised by
-    the tangent half-angle: ((1-t^2) + 2t i) / (1+t^2)."""
-    t = Fraction(t)
-    den = 1 + t * t
-    return SplitQuaternion((1 - t * t) / den, 2 * t / den, 0, 0)
-
-
-def hyperbola_point(t: Fraction | int) -> SplitQuaternion:
-    """Rational point cosh + j sinh of the unit hyperbola: t -> ((1+t^2) + 2t j)/(1-t^2)."""
-    t = Fraction(t)
-    den = 1 - t * t
-    if den == 0:
-        raise ValueError("parameter on the asymptote")
-    return SplitQuaternion((1 + t * t) / den, 0, 2 * t / den, 0)

@@ -119,10 +119,6 @@ class CurvatureTensor:
     def dim(self) -> int:
         return self.metric.shape[0]
 
-    def endomorphism(self, x: int, y: int) -> np.ndarray:
-        """Matrix of R(e_x, e_y); column z is the image of e_z."""
-        return exactla.from_scaled_integers(self.tensor[x, y].T, self.scale)
-
     def __add__(self, other):
         return self._combine(other, 1)
 
@@ -143,11 +139,6 @@ class CurvatureTensor:
 
     def max_abs(self) -> Fraction:
         return Fraction(exactla.max_abs(self.tensor), self.scale)
-
-    def antisymmetry_residual(self) -> Fraction:
-        t = self.tensor
-        return Fraction(exactla.max_abs(t + t.transpose(1, 0, 2, 3)),
-                        self.scale)
 
 
 def bianchi_residual(R: CurvatureTensor) -> Fraction:
@@ -646,10 +637,6 @@ class SpectrumReport:
     directions: list
     spacelike_agree: bool
     timelike_agree: bool
-
-    @property
-    def pointwise_osserman(self) -> bool:
-        return self.spacelike_agree and self.timelike_agree
 
 
 def jacobi_spectrum_report(R: CurvatureTensor, directions) -> SpectrumReport:

@@ -14,20 +14,20 @@ lcm L of the entry denominators with arr == N / L (TypeError on any entry
 that is not an int or a Fraction, the check of ``require_exact``), and
 ``from_scaled_integers(N, L)`` turns a result back into a ``Fraction``
 array.  Python ints do not overflow, so no magnitude bound is needed.
-Most data stays in that form between calls: ``linalg.PQMatrix``,
-``linalg.HermitianStructure``, ``linalg.GrassmanSplit``,
-``forms.BilinearForm``, ``forms.FourForm`` and
+Most data stays in that form between calls: ``linalg.PQVector`` (and
+with it every point of ``projspace`` and ``reduction``),
+``linalg.PQMatrix``, ``linalg.HermitianStructure``,
+``linalg.GrassmanSplit``, ``forms.BilinearForm``, ``forms.FourForm`` and
 ``curvature.CurvatureTensor`` hold (N, L) pairs, built once where the
 data is made, so ``scaled_integers`` runs where exact data enters (a
-structure, form or matrix built from ``Fraction`` arrays, a rotation
-matrix, a sample vector) and ``from_scaled_integers`` where a ``Fraction``
-view is asked for.  Other users: ``projspace.transitive_element``,
-``tangent_split`` and ``horizontal_project``; the flat reduced structure,
-the orthogonality checks, the isotropy traces, the moment-gradient check
-and the reduced-Jacobi chain (``admissible_directions``,
-``killing_derivative``, ``reduced_jacobi``) of ``reduction``; and in
-``curvature`` the small results of the diagnostics (Ricci forms,
-structure traces, Jacobi operators).  A d^4
+vector, structure, form or matrix built from ``Fraction``s, a rotation
+matrix, a direction handed to ``reduction.reduced_jacobi``) and
+``from_scaled_integers`` where a ``Fraction`` view is asked for (the
+kernel frames of ``projspace.tangent_split`` and
+``reduction.flat_reduced_structure``, the directions of
+``reduction.admissible_directions``, and in ``curvature`` the small
+results of the diagnostics: Ricci forms, structure traces, Jacobi
+operators).  A d^4
 curvature tensor passes through them only when it is read from or
 written to ``Fraction`` form (``CurvatureTensor.from_fractions`` and
 ``fractions``, for the text format and the tests): a

@@ -183,7 +183,7 @@ def rotate_structure(H: HermitianStructure,
 
 
 def _plane_rotation(plane: tuple[int, int], c, s, sign: int,
-                    one=1) -> np.ndarray:
+                    one) -> np.ndarray:
     """Object array equal to one * Id off the plane (a, b), with c on its
     diagonal, s at (b, a) and sign * s at (a, b)."""
     a, b = plane
@@ -193,25 +193,13 @@ def _plane_rotation(plane: tuple[int, int], c, s, sign: int,
     return R
 
 
-def hyperbolic_rotation(plane: tuple[int, int], cosh_val, sinh_val) -> np.ndarray:
-    """Rotation by a rational point (cosh, sinh) of the unit hyperbola in
-    a mixed-sign plane; plane indices are 0-based into (1, 2, 3)."""
-    return exactla.fracarray(_plane_rotation(plane, cosh_val, sinh_val, 1))
-
-
-def circular_rotation(plane: tuple[int, int], cos_val, sin_val) -> np.ndarray:
-    """Rotation by a rational point (cos, sin) of the unit circle in a
-    definite plane."""
-    return exactla.fracarray(_plane_rotation(plane, cos_val, sin_val, -1))
-
-
 def random_rotation(rng) -> np.ndarray:
     """Random exact element of the rotation group: a product of three
     rational hyperbolic rotations in the (1,2) / (1,3) planes, circular
-    rotations in the (2,3) plane or (1,2)-axis flips, at the parameters
-    t = p / q of algebra.hyperbola_point and circle_point.  Each factor
-    is formed as an integer matrix over its scale from p and q, and the
-    factors are composed on Python ints; the product becomes Fractions
+    rotations in the (2,3) plane or (1,2)-axis flips, at the rational
+    points of the unit hyperbola and circle of parameter t = p / q.  Each
+    factor is formed as an integer matrix over its scale from p and q, and
+    the factors are composed on Python ints; the product becomes Fractions
     once, at the end."""
     R, L = np.eye(3, dtype=object), 1
     for _ in range(3):
@@ -220,11 +208,11 @@ def random_rotation(rng) -> np.ndarray:
         if kind == 0 or kind == 1:
             if p * p == q * q:          # t^2 = 1, the asymptote
                 continue
-            # hyperbola_point(t) = ((q^2 + p^2) + 2pq j) / (q^2 - p^2)
+            # (cosh, sinh) = (q^2 + p^2, 2pq) / (q^2 - p^2) at t = p / q
             LF = q * q - p * p
             F = _plane_rotation((0, kind + 1), q * q + p * p, 2 * p * q, 1, LF)
         elif kind == 2:
-            # circle_point(t) = ((q^2 - p^2) + 2pq i) / (q^2 + p^2)
+            # (cos, sin) = (q^2 - p^2, 2pq) / (q^2 + p^2) at t = p / q
             LF = q * q + p * p
             F = _plane_rotation((1, 2), q * q - p * p, 2 * p * q, -1, LF)
         else:

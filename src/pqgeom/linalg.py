@@ -25,16 +25,18 @@ the complex 2x2-block representation with conjugation by the fixed
 block-diagonal change of basis; it lands in gl_{2n}(R) and is an
 algebra (hence Lie algebra) isomorphism.
 
-Exact arithmetic.  Matrices and structures are held as scaled integers
-(see ``exactla``): one object array of Python ints and one positive int
-scale, the value being array / scale.  A ``PQMatrix`` is the pair
-(C, L) of its (4, n, n) coefficient array, a ``HermitianStructure``
+Exact arithmetic.  Vectors, matrices and structures are held as scaled
+integers (see ``exactla``): one object array of Python ints and one
+positive int scale, the value being array / scale.  A ``PQVector`` is the
+pair (C, L) of its (4n,) interleaved real coordinates, a ``PQMatrix``
+the pair of its (4, n, n) coefficient array, a ``HermitianStructure``
 the pairs (J, LJ) of its stacked members and (g, Lg) of its metric, and
 a ``GrassmanSplit`` the pairs of its E basis, H endomorphisms, change
 of basis and E form, each formed once, where the data is made.  Every
 operation reads and returns such pairs (``real_rep`` and
 ``to_real_action`` return (N, L)), so no ``Fraction`` is formed between
-calls; the ``Fraction`` arrays
+calls; ``module_scalar_product`` forms one, its result.  The
+``Fraction`` forms ``PQVector.entries`` and ``to_real()``,
 ``PQMatrix.entries``, ``HermitianStructure.J`` and ``.g`` are views
 formed on request.
 """
@@ -48,8 +50,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import (EPS, IMAGINARY_UNITS, UNITS, SplitQuaternion,
-                      scalar_product)
+from .algebra import EPS, IMAGINARY_UNITS, UNITS, SplitQuaternion
 
 
 class RankMismatchError(ValueError):
@@ -66,60 +67,59 @@ class DegenerateStructureError(ValueError):
 
 
 class PQVector:
-    """Column vector with split-quaternion entries (a right module element)."""
+    """Column vector with split-quaternion entries (a right module element).
 
-    __slots__ = ("entries",)
+    Held as the pair ``scaled`` = (C, L): C the (4n,) object array of
+    Python ints of the interleaved real coordinates (1, i, j, k per
+    entry) and L an int >= 1, the vector being C / L.  The constructor
+    takes SplitQuaternions with int or Fraction coefficients (TypeError
+    on any other); ``from_scaled_integers`` takes the pair.  ``entries``
+    is the view as SplitQuaternions, formed on first access, with int
+    coefficients when L is 1, and ``to_real()`` the Fraction coordinates.
+    ``==`` compares values.
+    """
+
+    __slots__ = ("scaled", "_entries")
 
     def __init__(self, entries):
-        self.entries = tuple(entries)
+        coefficients = [c for h in entries for c in h.coefficients()]
+        self.scaled = exactla.scaled_integers(
+            np.array(coefficients, dtype=object))
+        self._entries = None
+
+    @classmethod
+    def from_scaled_integers(cls, C, L: int) -> "PQVector":
+        """The vector C / L of interleaved integer coordinates C, scale L."""
+        v = cls.__new__(cls)
+        v.scaled, v._entries = (C, L), None
+        return v
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return len(self.scaled[0]) // 4
 
-    def __eq__(self, other):
-        return isinstance(other, PQVector) and self.entries == other.entries
-
-    def __add__(self, other):
-        self._check(other)
-        return PQVector(a + b for a, b in zip(self.entries, other.entries))
-
-    def __sub__(self, other):
-        self._check(other)
-        return PQVector(a - b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self):
-        return PQVector(-a for a in self.entries)
-
-    def right_mul(self, q: SplitQuaternion) -> "PQVector":
-        return PQVector(h * q for h in self.entries)
-
-    def left_mul(self, q: SplitQuaternion) -> "PQVector":
-        return PQVector(q * h for h in self.entries)
-
-    def scale(self, s) -> "PQVector":
-        return PQVector(h.scale(s) for h in self.entries)
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            C, L = self.scaled
+            if L > 1:
+                C = exactla.from_scaled_integers(C, L)
+            self._entries = tuple(SplitQuaternion(*C[4 * v:4 * v + 4])
+                                  for v in range(self.rank))
+        return self._entries
 
     def to_real(self) -> np.ndarray:
-        out = np.empty(4 * self.rank, dtype=object)
-        for v, h in enumerate(self.entries):
-            out[4 * v:4 * v + 4] = h.coefficients()
-        return out
+        """The interleaved real coordinates as Fractions."""
+        return exactla.from_scaled_integers(*self.scaled)
 
-    @classmethod
-    def from_real(cls, coords) -> "PQVector":
-        coords = list(coords)
-        if len(coords) % 4:
-            raise ValueError("coordinate length must be a multiple of 4")
-        return cls(SplitQuaternion(*coords[4 * v:4 * v + 4])
-                   for v in range(len(coords) // 4))
+    def __eq__(self, other):
+        if not isinstance(other, PQVector) or other.rank != self.rank:
+            return False
+        (C, L), (D, M) = self.scaled, other.scaled
+        return not np.count_nonzero(C * M - D * L)
 
     def __repr__(self):
         return "PQVector(" + ", ".join(str(h) for h in self.entries) + ")"
-
-    def _check(self, other):
-        if not isinstance(other, PQVector) or other.rank != self.rank:
-            raise RankMismatchError("rank mismatch")
 
 
 class PQMatrix:
@@ -215,11 +215,11 @@ class PQMatrix:
         if isinstance(other, PQVector):
             if other.rank != self.rank:
                 raise RankMismatchError("rank mismatch")
-            V, LV = exactla.scaled_integers(
-                other.to_real().reshape(-1, 4).T[..., None])
-            F = exactla.from_scaled_integers(batch_matmul(C, V), L * LV)
-            return PQVector(SplitQuaternion(*F[:, p, 0])
-                            for p in range(self.rank))
+            V, LV = other.scaled
+            # the coordinates as a (4, n, 1) coefficient batch and back
+            P = batch_matmul(C, V.reshape(-1, 4).T[..., None])
+            return PQVector.from_scaled_integers(P[..., 0].T.reshape(-1),
+                                                 L * LV)
         self._check(other)
         B, LB = other.scaled
         return PQMatrix.from_scaled_integers(batch_matmul(C, B), L * LB)
@@ -231,9 +231,6 @@ class PQMatrix:
         C, L = self.scaled
         return PQMatrix.from_scaled_integers(
             np.concatenate([C[:1], -C[1:]]).transpose(0, 2, 1), L)
-
-    def is_antihermitian(self) -> bool:
-        return self == -self.conj_transpose()
 
     def to_real_action(self) -> tuple[np.ndarray, int]:
         """(N, L): the 4n x 4n real matrix N / L of the left action on
@@ -297,12 +294,14 @@ def right_mult_matrix(q: SplitQuaternion) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def module_scalar_product(h: PQVector, hp: PQVector):
+def module_scalar_product(h: PQVector, hp: PQVector) -> Fraction:
     """Re sum h_v conj(h'_v); agrees with the hermitian form of the
-    complex picture, Re sum (z1 z1bar' - z2 z2bar')."""
+    complex picture, Re sum (z1 z1bar' - z2 z2bar').  One Fraction, from
+    the integer coordinates: C^T g D / (L M)."""
     if h.rank != hp.rank:
         raise RankMismatchError("rank mismatch")
-    return sum(scalar_product(a, b) for a, b in zip(h.entries, hp.entries))
+    (C, L), (D, M) = h.scaled, hp.scaled
+    return Fraction(C @ apply_metric(D), L * M)
 
 
 def metric_matrix(n: int) -> np.ndarray:
@@ -700,7 +699,9 @@ def random_quaternion(rng, span: int = 5) -> SplitQuaternion:
 
 
 def random_pq_vector(rng, n: int) -> PQVector:
-    return PQVector(random_quaternion(rng, 5) for _ in range(n))
+    """The entries are random_quaternion(rng, 5) draws."""
+    C, L = _random_coefficients(rng, n, 5)
+    return PQVector.from_scaled_integers(C.T.reshape(-1), L)
 
 
 def random_integers(rng, shape, low: int, high: int) -> np.ndarray:

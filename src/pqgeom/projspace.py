@@ -12,13 +12,14 @@ Real coordinates.  The neutral metric g is diagonal with entries
 (1, 1, -1, -1) per entry, so g @ X is a sign flip
 (``linalg.apply_metric``), and right multiplication by a unit is a signed
 permutation (``linalg.right_unit_action``); neither forms a product, and
-both are exact.  Everything else runs on the integer coordinates C of a
-lift x = C / LC, with no Fraction but the results: the fiber Gram is
-compared with LC^2 diag(1, -1, -1), the horizontal frame is the integer
-kernel basis (N, L, free) of ``exactla.nullspace``, in which a vector
-T / LT of its span has the coordinates T[free] / LT, so the induced
-metric and structure are integer arrays over L^2 and L; the horizontal
-projection runs on the same integers.
+both are exact.  A lift x = C / LC is held as its integer pair (C, LC)
+(``SpherePoint``, on ``linalg.PQVector``), and everything runs on it,
+with no Fraction but the results: the unit check is C^T g C == LC^2,
+the sampled points are reflections formed on integers, the fiber Gram
+is compared with LC^2 diag(1, -1, -1), and the horizontal frame is the
+integer kernel basis (N, L, free) of ``exactla.nullspace``, in which a
+vector T / LT of its span has the coordinates T[free] / LT, so the
+induced metric and structure are integer arrays over L^2 and L.
 
 The transitive-element construction completes a unit lift to a matrix
 preserving both the neutral scalar product and the quaternionic
@@ -48,8 +49,8 @@ import numpy as np
 
 from . import exactla
 from .algebra import SplitQuaternion
-from .linalg import (HermitianStructure, PQMatrix, PQVector, apply_metric,
-                     module_scalar_product, random_quaternion,
+from .linalg import (HermitianStructure, PQMatrix, PQVector,
+                     _random_coefficients, apply_metric, random_quaternion,
                      right_unit_action)
 
 VERTICAL_GRAM = np.diag(np.array([1, -1, -1], dtype=object))
@@ -65,59 +66,66 @@ class CompletionFailureError(ValueError):
 
 
 class SpherePoint:
-    """Unit vector of the rank-(n+1) module.  The check asks |x|^2 == 1
-    exactly, so only a lift with exact coordinates passes it, and the
-    routines of this package raise TypeError on a float lift."""
+    """Unit vector x = C / L of the rank-(n+1) module, held as the pair
+    ``x.scaled`` = (C, L) of its ``PQVector``.  The check asks
+    C^T g C == L^2 on the integers, that is |x|^2 == 1 exactly; a lift
+    with float coordinates cannot be formed (the PQVector raises
+    TypeError)."""
 
     __slots__ = ("x",)
 
     def __init__(self, x: PQVector, check: bool = True):
         if check:
-            err = abs(module_scalar_product(x, x) - 1)
-            if err != 0:
-                raise ValueError(f"not a unit vector, off by {err}")
+            C, L = x.scaled
+            defect = C @ apply_metric(C) - L * L
+            if defect != 0:
+                raise ValueError(f"not a unit vector, off by "
+                                 f"{Fraction(abs(defect), L * L)}")
         self.x = x
 
     @property
     def rank(self) -> int:
         return self.x.rank
 
-    def right_translate(self, q: SplitQuaternion) -> "SpherePoint":
-        if q.square_norm() != 1:
-            raise ValueError("fiber translation needs a unit quaternion")
-        return SpherePoint(self.x.right_mul(q), check=False)
-
     def __repr__(self):
         return f"SpherePoint({self.x!r})"
 
 
 def base_point(rank: int) -> SpherePoint:
-    coords = [SplitQuaternion(1 if i == 0 else 0) for i in range(rank)]
-    return SpherePoint(PQVector(coords), check=False)
+    """The point e_0 = (1, 0, ..., 0), over the scale 1."""
+    C = np.zeros(4 * rank, dtype=object)
+    C[0] = 1
+    return SpherePoint(PQVector.from_scaled_integers(C, 1), check=False)
 
 
 def sphere_point_through(base: SpherePoint, direction: PQVector) -> SpherePoint:
     """Second intersection of the line base + t*direction with the sphere;
-    rational input gives a rational point."""
-    d = direction
-    dd = module_scalar_product(d, d)
+    rational input gives a rational point.  On the integer coordinates of
+    base = B / LB and direction = D / LD it is the reflection
+    (<D, D> B - 2 <B, D> D) / (LB <D, D>), reduced by its gcd."""
+    (B, LB), (D, _) = base.x.scaled, direction.scaled
+    dd = D @ apply_metric(D)
     if dd == 0:
         raise ValueError("null direction")
-    t = Fraction(-2) * module_scalar_product(base.x, d) / dd
-    if t == 0:
+    bd = B @ apply_metric(D)
+    if bd == 0:
         raise ValueError("direction tangent to the sphere at the base")
-    moved = PQVector(a + b for a, b in zip(base.x.entries,
-                                           d.scale(t).entries))
-    return SpherePoint(moved)
+    X, L = dd * B - 2 * bd * D, LB * dd
+    g = math.gcd(*X, L) * (1 if L > 0 else -1)
+    return SpherePoint(PQVector.from_scaled_integers(X // g, L // g))
 
 
 def random_sphere_point(rng, rank: int) -> SpherePoint:
-    """Seeded rational point of the unit pseudosphere."""
+    """Seeded rational point of the unit pseudosphere: the base point
+    reflected in directions of random_quaternion(rng, 4) entries, drawn
+    on integers by the same rng calls, until one is neither null nor
+    tangent."""
     o = base_point(rank)
     while True:
-        d = PQVector(random_quaternion(rng, 4) for _ in range(rank))
+        C, L = _random_coefficients(rng, rank, 4)
         try:
-            return sphere_point_through(o, d)
+            return sphere_point_through(
+                o, PQVector.from_scaled_integers(C.T.reshape(-1), L))
         except ValueError:
             continue
 
@@ -174,10 +182,9 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
     """Split the tangent space of the sphere at x into the fiber direction
     frame and its orthogonal complement, at the integer coordinates C of
     x = C / LC: the fiber Gram is LC^2 times that at x, and the kernel of
-    the rows g (C, C i, C j, C k) is the horizontal space at x.  Exact lifts
-    only: a float lift raises TypeError."""
+    the rows g (C, C i, C j, C k) is the horizontal space at x."""
     # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk)
-    C, LC = exactla.scaled_integers(x.x.to_real())
+    C, LC = x.x.scaled
     vert = vertical_frame(C)
     gram = vert.T @ apply_metric(vert)
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
@@ -193,26 +200,6 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
     if len(kernel[2]) != 4 * x.rank - 4:
         raise DegenerateOrbitError("horizontal frame incomplete")
     return TangentSplit(x, (vert, LC), kernel)
-
-
-def horizontal_project(x: SpherePoint, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of an ambient vector (or of the columns of a
-    matrix) onto the horizontal space at x (drops the position and fiber
-    components), on scaled integers: see horizontal_integers.  TypeError on
-    an entry of x or v that is not an int or a Fraction."""
-    C, L = exactla.scaled_integers(x.x.to_real())
-    V, LV = exactla.scaled_integers(v)
-    return exactla.from_scaled_integers(horizontal_integers(C, L, V),
-                                        L * L * LV)
-
-
-def horizontal_integers(C: np.ndarray, L: int, V: np.ndarray) -> np.ndarray:
-    """L^2 times the horizontal part of V at the sphere point x = C / L,
-    for integer arrays C and V: an integer array.  On the unit sphere the
-    frame (x, x i, x j, x k) has the Gram matrix diag(1, 1, -1, -1), so the
-    coefficients are a sign flip of its pairings with V."""
-    frame4 = np.concatenate([C.reshape(-1, 1), vertical_frame(C)], axis=1)
-    return L * L * V - frame4 @ apply_metric(frame4.T @ apply_metric(V))
 
 
 def frame_structure(kernel) -> HermitianStructure | None:
@@ -292,7 +279,7 @@ def _transitive_columns(target: SpherePoint) -> list[tuple[np.ndarray, int]]:
         append(C // g, 2 * den * N // g)
         return True
 
-    append(*exactla.scaled_integers(target.x.to_real()))
+    append(*target.x.scaled)
     e = np.eye(4 * rank, dtype=object)
     for s in range(rank):
         if len(cols) == rank:

@@ -59,20 +59,24 @@ point of the zero level set, so the reduced-Jacobi routines read V
 directly.
 
 Arithmetic.  Everything is exact but one route: the rounded image of the
-exact level points (``weighted_level_sample_float``), which the benchmark
-in perfbench/ traces by name and no routine of the package calls.  The
-definite-axis control ``empty_levelset_check`` runs on integer sphere
-points.  The reduced-Jacobi chain (``admissible_directions``,
-``killing_derivative``, ``reduced_jacobi``) scales the point and the
-direction to integers once each, forms every pairing and product on
-Python ints, and forms Fractions only for its results; it raises
-TypeError on a lift with inexact coordinates.  The tangent frames of the
-level sets (``flat_reduced_structure``, the orthogonality checks) are
-integer kernel bases N / L of ``exactla.nullspace``, taken at the
-integer coordinates of the point (a row-scaled system has the same
-kernel); a vector T / LT of such a span has the coordinates T[free] / LT,
-so the reduced metric and structure are read off on integers, with no
-solve.
+exact level points (``weighted_level_sample_float``, float64 real
+coordinates), which the benchmark in perfbench/ traces by name and no
+routine of the package calls.  A point is a ``linalg.PQVector`` (the
+flat scene) or a ``projspace.SpherePoint`` (the weighted scene), held as
+integer coordinates U over a scale L, and every routine reads that
+pair: the moment maps and the level value are quadratic, so they are
+formed at U and compared with L^2 times the level; the flat moment, its
+gradient rows and the flat Killing field take real coordinates, on any
+scalar type.  The definite-axis control ``empty_levelset_check`` runs on
+integer sphere points.  The reduced-Jacobi chain
+(``admissible_directions``, ``reduced_jacobi``) scales the direction to
+integers once, forms every pairing and product on Python ints, and
+forms Fractions only for its results.  The tangent frames of the level
+sets (``flat_reduced_structure``, the orthogonality checks) are integer
+kernel bases N / L of ``exactla.nullspace``, taken at the integer
+coordinates of the point (a row-scaled system has the same kernel); a
+vector T / LT of such a span has the coordinates T[free] / LT, so the
+reduced metric and structure are read off on integers, with no solve.
 """
 
 from __future__ import annotations
@@ -86,15 +90,14 @@ from math import gcd
 import numpy as np
 
 from . import exactla
-from .algebra import IMAGINARY_UNITS, I, J, K, SplitQuaternion
+from .algebra import I, J, K, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
 from .linalg import (HermitianStructure, PQVector, apply_metric,
                      left_mult_matrix, right_mult_matrix, right_unit_action,
                      structure_endos)
-from .projspace import (SpherePoint, frame_structure, horizontal_integers,
-                        random_sphere_point, transitive_action,
-                        vertical_frame)
+from .projspace import (SpherePoint, frame_structure, random_sphere_point,
+                        transitive_action, vertical_frame)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -141,40 +144,47 @@ class ImValue:
 # ---------------------------------------------------------------------------
 
 
-def flat_circle_moment(h: PQVector):
+def flat_circle_moment(x):
     """Moment triple (-(|z|^2+|w|^2), -Re(zw), -Im(zw)) of the circle
-    action; see the module docstring for the sign conventions."""
-    e_norm = 0
-    re_zw = 0
-    im_zw = 0
-    for q in h.entries:
-        a, b, c, d = q.coefficients()
-        e_norm = e_norm + a * a + b * b + c * c + d * d
-        # z = a + b i, w = c - d i:  z w = (ac + bd) + (bc - ad) i
-        re_zw = re_zw + a * c + b * d
-        im_zw = im_zw + b * c - a * d
-    return (-e_norm, -re_zw, -im_zw)
+    action at the point with real coordinates x, on the scalar type of x;
+    see the module docstring for the sign conventions."""
+    a, b, c, d = np.reshape(x, (-1, 4)).T
+    # z = a + b i, w = c - d i:  z w = (ac + bd) + (bc - ad) i
+    return (-(a * a + b * b + c * c + d * d).sum(), -(a * c + b * d).sum(),
+            -(b * c - a * d).sum())
 
 
-def flat_adapted_moment(h: PQVector):
+def flat_adapted_moment(x):
     """The component relabelling (-f1/2, f3, f2) whose differentials are
     omega_a(V, .) for the structure triple."""
-    f1, f2, f3 = flat_circle_moment(h)
+    f1, f2, f3 = flat_circle_moment(x)
     return (-f1 * Fraction(1, 2), f3, f2)
 
 
-def flat_killing(h: PQVector) -> PQVector:
-    """Killing value of the circle action: left multiplication by i."""
-    return h.left_mul(IMAGINARY_UNITS[0])
+def flat_level_defect(h: PQVector) -> int:
+    """LU^2 times the largest deviation of the moment of h = U / LU from
+    FLAT_LEVEL: the moment is quadratic, so at U it is LU^2 times its
+    value.  0 exactly on the level set."""
+    U, LU = h.scaled
+    return max(abs(a - LU * LU * int(b))
+               for a, b in zip(flat_circle_moment(U), FLAT_LEVEL))
 
 
-def _moment_gradient_rows(h: PQVector) -> np.ndarray:
-    """Exact gradients of the three moment components as rows, on the
-    scalar type of the entries: linear in h, so integer at a point with
-    integer coordinates."""
+def flat_killing(x) -> np.ndarray:
+    """Real coordinates of the Killing value i h (left multiplication by
+    i) at the point with real coordinates x, on their scalar type:
+    i (a + b i + c j + d k) = -b + a i - d j + c k."""
+    a, b, c, d = np.reshape(x, (-1, 4)).T
+    return np.stack([-b, a, -d, c], axis=1).reshape(-1)
+
+
+def _moment_gradient_rows(x) -> np.ndarray:
+    """Exact gradients of the three moment components as rows, at the
+    point with real coordinates x and on their scalar type: linear in x,
+    so integer at integer coordinates."""
     blocks = [[[-2 * a, -2 * b, -2 * c, -2 * d], [-c, -d, -a, -b],
                [d, -c, -b, a]]
-              for a, b, c, d in (q.coefficients() for q in h.entries)]
+              for a, b, c, d in np.reshape(x, (-1, 4))]
     return np.array(blocks, dtype=object).transpose(1, 0, 2).reshape(3, -1)
 
 
@@ -220,7 +230,7 @@ def flat_level_sample(rng, rank: int) -> PQVector:
             wr, wi = t * wvec[2 * v], t * wvec[2 * v + 1]
             entries.append(SplitQuaternion(zr, zi, wr, -wi))
         h = PQVector(entries)
-        assert flat_circle_moment(h) == FLAT_LEVEL
+        assert flat_level_defect(h) == 0
         return h
 
 
@@ -261,18 +271,15 @@ def flat_reduced_structure(h: PQVector) -> ReducedStructure:
     and the Killing field are linear, so their kernel (exactla.nullspace)
     is the one at h, and projspace.frame_structure reads the reduced
     metric and structure off it on integers."""
-    U, LU = exactla.scaled_integers(h.to_real())
-    hU = PQVector.from_real(U)
-    # FLAT_LEVEL is integral
-    res = max(abs(a - LU * LU * int(b))
-              for a, b in zip(flat_circle_moment(hU), FLAT_LEVEL))
+    U, LU = h.scaled
+    res = flat_level_defect(h)
     if res != 0:
         raise DegenerateLevelSetError(
             f"point off the level set by {Fraction(res, LU * LU)}")
-    rows = _moment_gradient_rows(hU)
+    rows = _moment_gradient_rows(U)
     if exactla.rank(rows) != 3:
         raise DegenerateLevelSetError("constraint differentials degenerate")
-    V = flat_killing(hU).to_real()
+    V = flat_killing(U)
     gV = apply_metric(V)
     if gV @ V == 0:
         raise NullOrbitError("orbit direction is null")
@@ -288,12 +295,12 @@ def flat_reduced_structure(h: PQVector) -> ReducedStructure:
         signature=Hred.signature())
 
 
-def flat_quotient_coordinates(h: PQVector):
+def flat_quotient_coordinates(x):
     """Projective coordinates (A, B) = (z + conj(w), z - conj(w)) of the
-    quotient embedding; the circle acts on both by the same phase."""
+    quotient embedding, as (re, im) pairs, at the point with real
+    coordinates x; the circle acts on both by the same phase."""
     A, B = [], []
-    for q in h.entries:
-        a, b, c, d = q.coefficients()
+    for a, b, c, d in np.reshape(x, (-1, 4)):
         # z = a + bi, w = c - di, conj(w) = c + di
         A.append((a + c, b + d))
         B.append((a - c, b - d))
@@ -302,12 +309,15 @@ def flat_quotient_coordinates(h: PQVector):
 
 def flat_quotient_residuals(h: PQVector):
     """Residuals of the quotient-image equations |A|^2 = |B|^2 and
-    Im(conj(A) . B) = 0; both vanish exactly on the level set."""
-    A, B = flat_quotient_coordinates(h)
+    Im(conj(A) . B) = 0; both vanish exactly on the level set.  Both are
+    quadratic, so they are formed at the integer coordinates U of
+    h = U / LU and divided by LU^2."""
+    U, LU = h.scaled
+    A, B = flat_quotient_coordinates(U)
     na = sum(x * x + y * y for x, y in A)
     nb = sum(x * x + y * y for x, y in B)
     im = sum(x * t - y * s for (x, y), (s, t) in zip(A, B))
-    return abs(na - nb), abs(im)
+    return Fraction(abs(na - nb), LU * LU), Fraction(abs(im), LU * LU)
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +332,21 @@ def _weights(p: int, q: int):
 
 
 def weighted_killing(p: int, q: int, u: SpherePoint) -> PQVector:
-    """Flow derivative at parameter zero: (j q u0, j p u1, j p u2)."""
-    ws = _weights(p, q)
-    return PQVector(J.scale(c) * h for c, h in zip(ws, u.x.entries))
+    """Flow derivative at parameter zero: (j q u0, j p u1, j p u2), on the
+    integer coordinates of u and over its scale."""
+    U, L = u.x.scaled
+    return PQVector.from_scaled_integers(_generator_action(p, q, U), L)
 
 
 def weighted_level_value(p: int, q: int, u: SpherePoint) -> ImValue:
     """Imaginary value q conj(u0) j u0 + p conj(u1) j u1 + p conj(u2) j u2,
     by the closed form conj(h) j h = (0, -2(ad + bc), a^2 - b^2 - c^2 + d^2,
-    -2(ab + cd)) of h = a + b i + c j + d k, on any scalar type."""
-    i = j = k = 0
-    for w, h in zip(_weights(p, q), u.x.entries):
-        yi, yj, yk = _sandwich(h)
-        i, j, k = i + w * yi, j + w * yj, k + w * yk
-    return ImValue(i, j, k)
-
-
-def weighted_regularity(p: int, q: int, u: SpherePoint):
-    """(is_regular, value) for q^2 |u0|^2 + p^2 |u1|^2 + p^2 |u2|^2 != 0."""
-    ws = _weights(p, q)
-    val = sum(c * c * h.square_norm() for c, h in zip(ws, u.x.entries))
-    return val != 0, val
+    -2(ab + cd)) of h = a + b i + c j + d k.  The value is quadratic, so it
+    is formed at the integer coordinates U of u = U / L, on the three
+    entries as one batch, and divided by L^2."""
+    U, L = u.x.scaled
+    Y = _sandwich(SplitQuaternion(*np.reshape(U, (-1, 4)).T))
+    return ImValue(*(Fraction(np.dot(_weights(p, q), y), L * L) for y in Y))
 
 
 def _imaginary_form(x, y):
@@ -439,8 +443,8 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
                         _norm_factor(nu / u2.square_norm(), J)),
                        (u0, u1, u2), (_norm_factor(1 / total, K),)))
         x = SplitQuaternion(*F) * SplitQuaternion(*U) * SplitQuaternion(*W)
-        return SpherePoint(PQVector.from_real(exactla.from_scaled_integers(
-            np.stack(x.coefficients(), axis=1).reshape(-1), dF * dU * dW)))
+        return SpherePoint(PQVector.from_scaled_integers(
+            np.stack(x.coefficients(), axis=1).reshape(-1), dF * dU * dW))
 
 
 def _level_gradient_rows(p: int, q: int, x) -> np.ndarray:
@@ -508,10 +512,25 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
 
 def _killing_derivative_integers(p: int, q: int, U: np.ndarray, L: int,
                                  X: np.ndarray) -> np.ndarray:
-    """L^4 times killing_derivative(p, q, u, X) at u = U / L, for integer
-    arrays U and X: an integer array.  The unprojected derivative is
-    quadratic in u (its terms have degree 0, 2 and 2), so L^2 times it is
-    formed at U; horizontal_integers multiplies by a further L^2."""
+    """L^2 times the ambient-model covariant derivative V_X of the quotient
+    Killing field at u = U / L along X, for integer arrays U and X: an
+    integer array.
+
+    The horizontal part of the Killing field extends off the point as
+    Vh(x) = D x - sum_ab Ginv[a,b] <D x, x e_b> x e_a with the constant
+    fiber Gram inverse Ginv = diag(1, -1, -1); its derivative along X is
+    D X - sum_ab Ginv[a,b] (<D X, x e_b> + <D x, X e_b>) x e_a
+    - sum_ab Ginv[a,b] <D x, x e_b> X e_a, quadratic in x (its terms have
+    degree 0, 2 and 2), so L^2 times it is formed at U.
+
+    It is horizontal already at the inputs of reduced_jacobi, a point of
+    the zero level set on the sphere and X orthogonal to the Killing span
+    (V, J1 V, J2 V, J3 V), so no projection follows.  <Vh(x), x> = 0 for
+    every x (D is skew, and x e_a is orthogonal to x), so its derivative
+    gives <V_X, u> = -<V, X> = 0.  <Vh(x), x e_c> = (1 - |x|^2)
+    <D x, x e_c>, whose derivative at u is 0 (|u|^2 = 1 and
+    <V, u e_c> = 0 on the zero level set), so
+    <V_X, u e_c> = -<V, X e_c> = +-<J_c V, X> = 0."""
     DX = _generator_action(p, q, X)
     DU = _generator_action(p, q, U)
     vert_u = vertical_frame(U)
@@ -520,26 +539,7 @@ def _killing_derivative_integers(p: int, q: int, U: np.ndarray, L: int,
     coef_b = vert_u.T @ apply_metric(DU)
     # the fiber Gram diag(1, -1, -1) is its own inverse
     coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
-    deriv = L * L * DX - vert_u @ coef_a - vert_X @ coef_b
-    return horizontal_integers(U, L, deriv)
-
-
-def killing_derivative(p: int, q: int, u: SpherePoint,
-                       X: np.ndarray) -> np.ndarray:
-    """Ambient-model covariant derivative of the quotient Killing field.
-
-    The horizontal part of the Killing field extends off the point as
-    Vh(x) = D x - sum_ab Ginv[a,b] <D x, x e_b> x e_a with the constant
-    fiber Gram inverse; differentiating along a tangent X and projecting
-    horizontally gives the lift of the covariant derivative on the
-    quotient (the sphere's second-fundamental term is not horizontal
-    and drops out).  Formed on scaled integers; TypeError on an entry of
-    u or X that is not an int or a Fraction.
-    """
-    U, L = exactla.scaled_integers(u.x.to_real())
-    XN, LX = exactla.scaled_integers(X)
-    return exactla.from_scaled_integers(
-        _killing_derivative_integers(p, q, U, L, XN), L ** 4 * LX)
+    return L * L * DX - vert_u @ coef_a - vert_X @ coef_b
 
 
 @dataclass
@@ -565,39 +565,44 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     There the Killing field V is horizontal: g(V, x) = 0 on the sphere,
     and the g(V, x e_a) are the components of the level value up to
     sign; and g(V, V) = -sum c_v^2 |u_v|^2 is minus the regularity value.
-    X must be horizontal and orthogonal to the span (V, J1 V, J2 V, J3 V)
-    with g(X, X) != 0; the ratio is normalised by g(X, X), which makes it
-    scale invariant and uniform across causal classes.  The eigenvalues
-    are read off the reduced scalar curvature nu of the ambient model.
+    X must be horizontal (orthogonal to x and to the x e_a) and orthogonal
+    to the span (V, J1 V, J2 V, J3 V) with g(X, X) != 0 (ValueError
+    otherwise); the ratio is normalised by g(X, X), which makes it scale
+    invariant and uniform across causal classes.  The eigenvalues are read
+    off the reduced scalar curvature nu of the ambient model.
 
     The chain runs on scaled integers: u = U / L, and X is replaced by its
     integer multiple, which leaves the ratio unchanged.  The span of D U
     is L times the Killing span, with the Gram matrix VV s, where
-    VV = L^2 g(V, V) and s = diag(1, 1, -1, -1); P = L^4 V_X (times the
+    VV = L^2 g(V, V) and s = diag(1, 1, -1, -1); P = L^2 V_X (times the
     scale of X), and H = VV P - span s (span^T g P) is VV P times the part
     h(V_X) of V_X orthogonal to the span, so
-    rho = H^T g H / (VV^3 L^6 g(X, X)) with g(X, X) of the integer X.
-    Every guard is an exact comparison with 0; TypeError on an entry of u
-    or X that is not an int or a Fraction.
+    rho = H^T g H / (VV^3 L^2 g(X, X)) with g(X, X) of the integer X.
+    Every guard is an exact comparison with 0; TypeError on an entry of X
+    that is not an int or a Fraction.
     """
-    U, L = exactla.scaled_integers(u.x.to_real())
+    U, L = u.x.scaled
     XN, _ = exactla.scaled_integers(X)
     span = _killing_span(_generator_action(p, q, U))
     g_span = apply_metric(span)
     VV = span[:, 0] @ g_span[:, 0]
     if VV == 0:
         raise NonRegularError("point fails the regularity condition")
-    if (vertical_frame(U).T @ g_span[:, 0]).any():
+    vert_u = vertical_frame(U)
+    if (vert_u.T @ g_span[:, 0]).any():
         off = weighted_level_value(p, q, u).max_abs()
         raise DegenerateLevelSetError(f"point off the zero level set by {off}")
     xnorm = XN @ apply_metric(XN)
     if xnorm == 0:
         raise NullDirectionError("direction is null")
-    if (g_span.T @ XN).any():
+    gX = apply_metric(XN)
+    if U @ gX != 0 or (vert_u.T @ gX).any():
+        raise ValueError("direction not horizontal")
+    if (span.T @ gX).any():
         raise ValueError("direction not orthogonal to the Killing span")
     P = _killing_derivative_integers(p, q, U, L, XN)
     H = VV * P - span @ apply_metric(g_span.T @ P)
-    ratio = Fraction(H @ apply_metric(H), VV ** 3 * L ** 6 * xnorm)
+    ratio = Fraction(H @ apply_metric(H), VV ** 3 * L * L * xnorm)
     const = _ambient_constant()
     nu = const / 4   # reduced scalar curvature, const / (n + 2) at n = 2
     lam1 = -(nu - 2 * ratio)
@@ -619,9 +624,8 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     with g(X, X) != 0.  u lies on the zero level set, where the Killing
     field is horizontal (reduced_jacobi).  The kernel basis is that of the
     integer coordinates U of u, which spans the same space; each direction
-    is formed on scaled integers.  TypeError on a lift with inexact
-    coordinates."""
-    U, _ = exactla.scaled_integers(u.x.to_real())
+    is formed on scaled integers."""
+    U, _ = u.x.scaled
     basis, LB, _ = exactla.nullspace(apply_metric(
         np.concatenate([U.reshape(-1, 1), vertical_frame(U),
                         _killing_span(_generator_action(p, q, U))],
@@ -635,13 +639,12 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     return out
 
 
-def weighted_level_sample_float(rng, p: int, q: int) -> SpherePoint:
+def weighted_level_sample_float(rng, p: int, q: int) -> np.ndarray:
     """The float image of weighted_level_sample(rng, p, q): the same draws,
-    coordinates rounded to floats.  Not checked again: the exact point it
-    rounds was checked on the sphere."""
-    u = weighted_level_sample(rng, p, q)
-    return SpherePoint(PQVector(SplitQuaternion(*map(float, h.coefficients()))
-                                for h in u.x.entries), check=False)
+    the interleaved real coordinates C / L rounded to float64 (true
+    division of Python ints rounds correctly)."""
+    C, L = weighted_level_sample(rng, p, q).x.scaled
+    return np.array([c / L for c in C], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -725,9 +728,9 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
         A, B = (np.array([rng.randint(-20, 20) for _ in range(4 * rank)],
                          dtype=object) for _ in range(2))
         den = rng.randint(1, 8)
-        fp = flat_adapted_moment(PQVector.from_real(A + B))
-        fm = flat_adapted_moment(PQVector.from_real(A - B))
-        pairing = omega @ B @ flat_killing(PQVector.from_real(A)).to_real()
+        fp = flat_adapted_moment(A + B)
+        fm = flat_adapted_moment(A - B)
+        pairing = omega @ B @ flat_killing(A)
         for a in range(3):
             residual = abs(Fraction(fp[a] - fm[a], 2)
                            - Fraction(pairing[a], scale))
@@ -767,10 +770,9 @@ def flat_orthogonality_check(rank: int, samples: int, rng) -> int:
     of the one at the point, and T runs over the integer kernel basis."""
     worst = 0
     for _ in range(samples):
-        U, _ = exactla.scaled_integers(flat_level_sample(rng, rank).to_real())
-        hU = PQVector.from_real(U)
-        frame, _, _ = exactla.nullspace(_moment_gradient_rows(hU))
-        worst = max(worst, _normal_residual(frame, flat_killing(hU).to_real()))
+        U, _ = flat_level_sample(rng, rank).scaled
+        frame, _, _ = exactla.nullspace(_moment_gradient_rows(U))
+        worst = max(worst, _normal_residual(frame, flat_killing(U)))
     return worst
 
 
@@ -780,8 +782,7 @@ def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> int:
     integers as in flat_orthogonality_check."""
     worst = 0
     for _ in range(samples):
-        U, _ = exactla.scaled_integers(
-            weighted_level_sample(rng, p, q).x.to_real())
+        U, _ = weighted_level_sample(rng, p, q).x.scaled
         rows = _level_gradient_rows(p, q, U)
         frame, _, _ = exactla.nullspace(
             np.concatenate([rows, apply_metric(U).reshape(1, -1)]))

@@ -14,8 +14,7 @@ from fractions import Fraction
 from .algebra import SplitQuaternion
 from .linalg import PQVector
 from .projspace import SpherePoint
-from .reduction import (FLAT_LEVEL, LEVELS, ReductionScene, _weights,
-                        flat_circle_moment)
+from .reduction import LEVELS, ReductionScene, _weights, flat_level_defect
 
 
 def scene_to_json(scene: ReductionScene) -> str:
@@ -79,7 +78,7 @@ def _scene_from_payload(payload) -> ReductionScene:
         vec = PQVector(SplitQuaternion(*map(_coordinate, h)) for h in coords)
         if scene.action == "pq":
             scene.points.append(SpherePoint(vec))
-        elif flat_circle_moment(vec) != FLAT_LEVEL:
+        elif flat_level_defect(vec):
             raise ValueError(f"point {coords!r} is not a point of the flat "
                              f"level set")
         else:

@@ -5,12 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom.algebra import (EPS, I, J, K, ONE, NullQuaternionError,
-                            SplitQuaternion, circle_point, conj_norm,
-                            hyperbola_point, scalar_product)
+                            SplitQuaternion, conj_norm, scalar_product)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 quaternions = st.builds(SplitQuaternion, rationals, rationals, rationals,
                         rationals)
+
+
+def circle_point(t) -> SplitQuaternion:
+    """Rational point cos + i sin of the unit circle, parametrised by
+    the tangent half-angle: ((1-t^2) + 2t i) / (1+t^2)."""
+    t = Fraction(t)
+    den = 1 + t * t
+    return SplitQuaternion((1 - t * t) / den, 2 * t / den, 0, 0)
+
+
+def hyperbola_point(t) -> SplitQuaternion:
+    """Rational point cosh + j sinh of the unit hyperbola:
+    t -> ((1+t^2) + 2t j)/(1-t^2)."""
+    t = Fraction(t)
+    den = 1 - t * t
+    if den == 0:
+        raise ValueError("parameter on the asymptote")
+    return SplitQuaternion((1 + t * t) / den, 0, 2 * t / den, 0)
 
 
 def test_product_table():
@@ -106,7 +123,8 @@ def test_complex_rep_examples():
 @given(quaternions)
 def test_complex_rep_roundtrip(q):
     (r1, i1), (r2, i2) = q.complex_rep_exact()
-    assert SplitQuaternion.from_complex_rep((r1, i1), (r2, i2)) == q
+    # q = z1 + j z2 with z1 = r1 + i1 i and z2 = r2 + i2 i
+    assert SplitQuaternion(r1, i1, r2, -i2) == q
 
 
 @settings(max_examples=60, deadline=None)

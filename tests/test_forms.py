@@ -5,17 +5,39 @@ import numpy as np
 import pytest
 
 from pqgeom import exactla
-from pqgeom.algebra import EPS, circle_point, hyperbola_point
+from pqgeom.algebra import EPS
 from pqgeom.forms import (ETA, BilinearForm, NotInGroupError,
-                          NotSkewError, circular_rotation,
-                          fundamental_four_form, hermitian_projector,
-                          hyperbolic_rotation, in_rotation_group,
+                          NotSkewError, fundamental_four_form,
+                          hermitian_projector, in_rotation_group,
                           lie_derivative_residual, random_rotation,
                           rotate_structure, two_form)
 from pqgeom.linalg import (HermitianStructure, random_antihermitian,
                            structure_endos)
 
+from test_algebra import circle_point, hyperbola_point
 from test_linalg import ref_inverse
+
+
+def _plane_rotation(plane, c, s, sign):
+    """Fraction array equal to Id off the plane (a, b), with c on its
+    diagonal, s at (b, a) and sign * s at (a, b)."""
+    a, b = plane
+    R = exactla.eye(3)
+    R[a, a] = R[b, b] = exactla.frac(c)
+    R[a, b], R[b, a] = exactla.frac(sign * s), exactla.frac(s)
+    return R
+
+
+def hyperbolic_rotation(plane, cosh_val, sinh_val):
+    """Rotation by a rational point (cosh, sinh) of the unit hyperbola in
+    a mixed-sign plane; plane indices are 0-based into (1, 2, 3)."""
+    return _plane_rotation(plane, cosh_val, sinh_val, 1)
+
+
+def circular_rotation(plane, cos_val, sin_val):
+    """Rotation by a rational point (cos, sin) of the unit circle in a
+    definite plane."""
+    return _plane_rotation(plane, cos_val, sin_val, -1)
 
 
 def rand_vec(rng, dim):

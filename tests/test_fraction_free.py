@@ -23,13 +23,15 @@ from pqgeom.curvature import special_linear_decomposition, weyl_sample
 from pqgeom.forms import (BilinearForm, fundamental_four_form,
                           hermitian_projector, random_rotation,
                           rotate_structure, two_form)
-from pqgeom.linalg import (grassman_split, random_antihermitian,
-                           random_pq_matrix, real_rep, structure_endos)
-from pqgeom.projspace import induced_geometry, random_sphere_point
+from pqgeom.linalg import (grassman_split, module_scalar_product,
+                           random_antihermitian, random_pq_matrix,
+                           random_pq_vector, real_rep, structure_endos)
+from pqgeom.projspace import (induced_geometry, random_sphere_point,
+                              tangent_split)
 from pqgeom.reduction import (_generator_action, _level_gradient_rows,
                               _normal_residual, empty_levelset_check,
                               flat_level_sample, flat_reduced_structure,
-                              weighted_level_sample)
+                              weighted_level_sample, weighted_level_value)
 
 
 @pytest.fixture
@@ -69,7 +71,7 @@ def test_integer_paths_form_no_fraction(fraction_count):
         "matmul": lambda: A @ C,
         "commutator": lambda: A.commutator(S),
         "add and sub": lambda: (A + S) - C,
-        "conj_transpose": lambda: A.conj_transpose().is_antihermitian(),
+        "conj_transpose": lambda: A.conj_transpose() == -A,
         "real_rep": lambda: real_rep(A),
         "to_real_action": lambda: A.to_real_action(),
         "rotate_structure": lambda: rotate_structure(H, R),
@@ -92,7 +94,7 @@ def test_kernel_frames_form_no_fraction(fraction_count):
     mat = np.array([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for _ in range(7)] for _ in range(3)], dtype=object)
     u = weighted_level_sample(rng, 1, 2)
-    U, _ = exactla.scaled_integers(u.x.to_real())
+    U, _ = u.x.scaled
     frame, _, _ = exactla.nullspace(_level_gradient_rows(1, 2, U))
     killing = _generator_action(1, 2, U)
     calls = {
@@ -160,3 +162,29 @@ def test_reduced_and_induced_structures_form_only_their_results(
         fraction_count[0] = 0
         _, frame = induced_geometry(x)
         assert fraction_count[0] == len(set(frame.reshape(-1)))
+
+
+def test_module_points_form_only_their_results(fraction_count):
+    # module vectors and sphere points are integer pairs: drawing and
+    # splitting a point and the matrix action form no Fraction, the
+    # scalar product forms its value and the level value its three
+    # components
+    rng = random.Random(4)
+    A = random_pq_matrix(rng, 3)
+    h, hp = random_pq_vector(rng, 3), random_pq_vector(rng, 3)
+    x = random_sphere_point(rng, 3)
+    u = weighted_level_sample(rng, 1, 2)
+    calls = {
+        "random_sphere_point": (lambda: random_sphere_point(rng, 3), 0),
+        "tangent_split": (lambda: tangent_split(x), 0),
+        "matrix times vector": (lambda: A @ h, 0),
+        "module_scalar_product": (lambda: module_scalar_product(h, hp), 1),
+        "weighted_level_value": (lambda: [weighted_level_value(1, 2, p)
+                                          for p in (u, x)], 6),
+    }
+    formed = {}
+    for name, (call, _) in calls.items():
+        fraction_count[0] = 0
+        call()
+        formed[name] = fraction_count[0]
+    assert formed == {name: want for name, (_, want) in calls.items()}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
-from pqgeom.algebra import EPS, I, J, SplitQuaternion
+from pqgeom.algebra import EPS, I, J, SplitQuaternion, scalar_product
 from pqgeom.curvature import (curvature_from_bilinear, projective_curvature,
                               ricci, ricci_split, weyl_sample)
 from pqgeom.forms import BilinearForm
@@ -22,6 +22,39 @@ from pqgeom.linalg import (TENSOR_BLOCKS, DegenerateStructureError,
                            random_pq_vector, random_quaternion, real_rep,
                            sp_membership, structure_endos, structure_from_text,
                            structure_to_text, symplectic_form)
+
+
+def ref_right_mul(x, q) -> np.ndarray:
+    """Real coordinates of h q entrywise, for the vector h with the real
+    coordinates x, by SplitQuaternion products on the scalar type of x."""
+    x = np.asarray(x)
+    return np.array([c for v in range(len(x) // 4)
+                     for c in (SplitQuaternion(*x[4 * v:4 * v + 4])
+                               * q).coefficients()], dtype=x.dtype)
+
+
+def ref_left_mul(x, q) -> np.ndarray:
+    """Real coordinates of q h entrywise, as ref_right_mul."""
+    x = np.asarray(x)
+    return np.array([c for v in range(len(x) // 4)
+                     for c in (q * SplitQuaternion(*x[4 * v:4 * v + 4])
+                               ).coefficients()], dtype=x.dtype)
+
+
+def right_mul(h: PQVector, q) -> PQVector:
+    """The right scalar action h q, entry by entry."""
+    return PQVector(a * q for a in h.entries)
+
+
+def ref_module_scalar_product(h: PQVector, hp: PQVector):
+    """Re sum h_v conj(h'_v) by scalar products of the entries: the
+    reference for the integer route of module_scalar_product."""
+    return sum(scalar_product(a, b) for a, b in zip(h.entries, hp.entries))
+
+
+def ref_random_pq_vector(rng, n):
+    """The Fraction draws random_pq_vector made before it drew integers."""
+    return PQVector(random_quaternion(rng, 5) for _ in range(n))
 
 
 def test_module_scalar_product_examples():
@@ -52,9 +85,68 @@ def test_right_action_distributes():
     h = random_pq_vector(rng, 3)
     q = random_quaternion(rng)
     qp = random_quaternion(rng)
-    assert h.right_mul(q).right_mul(qp) == h.right_mul(q * qp)
+    assert right_mul(right_mul(h, q), qp) == right_mul(h, q * qp)
     A = random_pq_matrix(rng, 3)
-    assert (A @ h.right_mul(q)) == (A @ h).right_mul(q)
+    assert (A @ right_mul(h, q)) == right_mul(A @ h, q)
+
+
+def test_vector_holds_one_integer_pair():
+    rng = random.Random(2)
+    entries = [random_quaternion(rng) for _ in range(3)]
+    h = PQVector(entries)
+    C, L = h.scaled
+    assert C.shape == (12,) and all(type(c) is int for c in C)
+    # the pair is the least common denominator form of the coordinates
+    coords = np.array([c for q in entries for c in q.coefficients()],
+                      dtype=object)
+    want, LW = exactla.scaled_integers(coords)
+    assert (C == want).all() and L == LW
+    assert h.entries == tuple(entries) and h.rank == 3
+    assert (h.to_real() == coords).all()
+    assert all(type(c) is Fraction for c in h.to_real())
+    # == compares values: (2C, 2L) is the same vector
+    assert PQVector.from_scaled_integers(2 * C, 2 * L) == h
+    C2 = C.copy()
+    C2[5] += 1
+    assert PQVector.from_scaled_integers(C2, L) != h
+    assert h != PQVector(entries[:2])
+    # the view over the scale 1 has int coefficients
+    one = PQVector([SplitQuaternion(Fraction(2), 0, 1, Fraction(-3))])
+    assert one.scaled[1] == 1
+    assert all(type(c) is int for c in one.entries[0].coefficients())
+
+
+@pytest.mark.parametrize("bad", [SplitQuaternion(0.5),
+                                 SplitQuaternion(1, 2.0)])
+def test_vector_rejects_inexact_coefficients(bad):
+    with pytest.raises(TypeError, match="exact arithmetic"):
+        PQVector([SplitQuaternion(1), bad])
+
+
+def test_vector_products_match_entry_loops():
+    # the integer routes of module_scalar_product and PQMatrix @ PQVector
+    # against scalar products and sums over the entries
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        for _ in range(10):
+            h, hp = random_pq_vector(rng, n), random_pq_vector(rng, n)
+            got = module_scalar_product(h, hp)
+            assert type(got) is Fraction
+            assert got == ref_module_scalar_product(h, hp)
+            A = random_pq_matrix(rng, n)
+            want = PQVector(sum((A.entries[r][c] * h.entries[c]
+                                 for c in range(n)), SplitQuaternion())
+                            for r in range(n))
+            assert A @ h == want
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_vectors_match_fraction_draws(seed):
+    for n in (1, 2, 3):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got, want = random_pq_vector(rng, n), ref_random_pq_vector(ref_rng, n)
+        assert got == want and got.entries == want.entries
+        assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -872,10 +964,9 @@ def test_matrix_arithmetic_matches_entry_loops(coefficient):
         assert A.scale(third) == ref_entrywise(A, A,
                                                lambda a, _: a.scale(third))
         assert A.conj_transpose() == ref_conj_transpose(A)
-        assert A.is_antihermitian() == (A == -ref_conj_transpose(A))
         assert (real_rep_fractions(A) == ref_real_rep(A)).all()
         assert (real_action_fractions(A) == ref_real_action(A)).all()
-        assert A.is_antihermitian() == sp_membership(A)[0]
+        assert (A == -ref_conj_transpose(A)) == sp_membership(A)[0]
     check()
 
 
@@ -936,7 +1027,8 @@ def ref_random_pq_matrix(rng, n):
 def ref_random_antihermitian(rng, n):
     entries = [[SplitQuaternion() for _ in range(n)] for _ in range(n)]
     for p in range(n):
-        entries[p][p] = random_quaternion(rng, 3).imag()
+        x = random_quaternion(rng, 3)
+        entries[p][p] = SplitQuaternion(0, x.b, x.c, x.d)
         for q in range(p + 1, n):
             x = random_quaternion(rng, 3)
             entries[p][q] = x
@@ -983,7 +1075,7 @@ def test_sp_membership():
         A = random_antihermitian(rng, 2)
         B = random_antihermitian(rng, 2)
         assert sp_membership(A)[0]
-        assert A.is_antihermitian()
+        assert A == -A.conj_transpose()
         # membership is a linear condition and closed under brackets
         combo = A.scale(Fraction(2, 3)) - B.scale(Fraction(5))
         assert sp_membership(combo)[0]

@@ -8,27 +8,73 @@ from pqgeom import exactla
 from pqgeom.algebra import IMAGINARY_UNITS, UNITS, SplitQuaternion
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, random_pq_vector,
-                           right_unit_action, sp_group_membership)
+                           random_quaternion, right_unit_action,
+                           sp_group_membership)
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
-                              SpherePoint, base_point, horizontal_project,
-                              induced_geometry, random_sphere_point,
-                              random_unit_quaternion, sphere_point_through,
-                              tangent_split, transitive_element,
-                              vertical_frame)
-from pqgeom.reduction import (admissible_directions, killing_derivative,
-                              reduced_jacobi, weighted_level_sample,
+                              SpherePoint, base_point, induced_geometry,
+                              random_sphere_point, random_unit_quaternion,
+                              sphere_point_through, tangent_split,
+                              transitive_element, vertical_frame)
+from pqgeom.reduction import (admissible_directions, reduced_jacobi,
+                              weighted_level_sample,
                               weighted_level_sample_float)
 
-from test_linalg import ref_solve
+from test_linalg import (ref_module_scalar_product, ref_right_mul,
+                         ref_solve, right_mul)
 
 
-def hermitian_pairing(u: PQVector, v: PQVector) -> SplitQuaternion:
-    """Quaternion-valued pairing s(u, v) = sum conj(u_i) v_i; its real
-    part is the neutral scalar product."""
+def hermitian_pairing(u, v) -> SplitQuaternion:
+    """Quaternion-valued pairing s(u, v) = sum conj(u_i) v_i of two
+    sequences of SplitQuaternions; its real part is the neutral scalar
+    product."""
     total = SplitQuaternion()
-    for a, b in zip(u.entries, v.entries):
+    for a, b in zip(u, v):
         total = total + a.conj() * b
     return total
+
+
+def horizontal_integers(C, L, V):
+    """L^2 times the horizontal part of V at the sphere point x = C / L,
+    for integer arrays C and V: an integer array.  On the unit sphere the
+    frame (x, x i, x j, x k) has the Gram matrix diag(1, 1, -1, -1), so the
+    coefficients are a sign flip of its pairings with V."""
+    frame4 = np.concatenate([C.reshape(-1, 1), vertical_frame(C)], axis=1)
+    return L * L * V - frame4 @ apply_metric(frame4.T @ apply_metric(V))
+
+
+def horizontal_project(x: SpherePoint, v):
+    """Orthogonal projection of an ambient vector (or of the columns of a
+    matrix) onto the horizontal space at x (drops the position and fiber
+    components), on scaled integers."""
+    C, L = x.x.scaled
+    V, LV = exactla.scaled_integers(v)
+    return exactla.from_scaled_integers(horizontal_integers(C, L, V),
+                                        L * L * LV)
+
+
+def ref_sphere_point_through(base: SpherePoint, direction: PQVector):
+    """The Fraction route of sphere_point_through: t = -2 <b, d> / <d, d>
+    from scalar products of the entries, then b + t d entry by entry."""
+    dd = ref_module_scalar_product(direction, direction)
+    if dd == 0:
+        raise ValueError("null direction")
+    t = Fraction(-2) * ref_module_scalar_product(base.x, direction) / dd
+    if t == 0:
+        raise ValueError("direction tangent to the sphere at the base")
+    return SpherePoint(PQVector(a + b.scale(t) for a, b in
+                                zip(base.x.entries, direction.entries)))
+
+
+def ref_random_sphere_point(rng, rank: int) -> SpherePoint:
+    """The Fraction draws random_sphere_point made before it drew
+    integers: random_quaternion entries, through the Fraction route."""
+    o = base_point(rank)
+    while True:
+        d = PQVector(random_quaternion(rng, 4) for _ in range(rank))
+        try:
+            return ref_sphere_point_through(o, d)
+        except ValueError:
+            continue
 
 
 def unit_scaling(norm) -> SplitQuaternion:
@@ -48,19 +94,20 @@ def ref_transitive_element(target: SpherePoint) -> PQMatrix:
     unit_scaling.  The reference for the scaled-integer route of
     transitive_element."""
     rank = target.rank
-    cols = [target.x]
+    cols = [target.x.entries]
 
     def unit(s):
-        return PQVector(SplitQuaternion(1 if i == s else 0)
-                        for i in range(rank))
+        return tuple(SplitQuaternion(1 if i == s else 0) for i in range(rank))
 
     def take(v) -> bool:
         for c in cols:
-            v = v - c.right_mul(hermitian_pairing(c, v))
+            s = hermitian_pairing(c, v)
+            v = tuple(a - b * s for a, b in zip(v, c))
         r = hermitian_pairing(v, v).a
         if r == 0:
             return False
-        cols.append(v.right_mul(unit_scaling(r)))
+        scaling = unit_scaling(r)
+        cols.append(tuple(a * scaling for a in v))
         return True
 
     for s in range(rank):
@@ -68,12 +115,12 @@ def ref_transitive_element(target: SpherePoint) -> PQMatrix:
             break
         take(unit(s))
     pool = [unit(s) for s in range(rank)]
-    pool += [unit(s) + unit(t).right_mul(q) for s in range(rank)
-             for t in range(s + 1, rank) for q in UNITS]
+    pool += [tuple(a + b * q for a, b in zip(unit(s), unit(t)))
+             for s in range(rank) for t in range(s + 1, rank) for q in UNITS]
     while len(cols) < rank:
         if not any(take(v) for v in pool):
             raise CompletionFailureError("candidate pool exhausted")
-    return PQMatrix([[cols[c].entries[r] for c in range(rank)]
+    return PQMatrix([[cols[c][r] for c in range(rank)]
                      for r in range(rank)])
 
 
@@ -90,8 +137,8 @@ def test_sphere_point_validation():
         SpherePoint(PQVector([SplitQuaternion(2), SplitQuaternion()]))
     x = base_point(2)
     assert module_scalar_product(x.x, x.x) == 1
-    # the check is exact: a float lift off by rounding is refused
-    with pytest.raises(ValueError):
+    # the check is exact, and a float lift cannot be formed at all
+    with pytest.raises(TypeError, match="exact arithmetic"):
         SpherePoint(PQVector([SplitQuaternion(1.0 + 1e-12),
                               SplitQuaternion(0.0)]))
 
@@ -101,6 +148,35 @@ def test_random_sphere_points_exact():
     for _ in range(20):
         x = random_sphere_point(rng, 3)
         assert module_scalar_product(x.x, x.x) == 1
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_sphere_points_match_fraction_route(seed):
+    # the same points from the same rng calls, held as the least common
+    # denominator pair of their coordinates
+    for rank in (1, 2, 3, 4):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = random_sphere_point(rng, rank)
+        want = ref_random_sphere_point(ref_rng, rank)
+        assert got.x == want.x and got.x.entries == want.x.entries
+        C, L = exactla.scaled_integers(want.x.to_real())
+        assert (got.x.scaled[0] == C).all() and got.x.scaled[1] == L
+        assert rng.getstate() == ref_rng.getstate()
+    # through other base points, and the two refusals
+    rng = random.Random(100 + seed)
+    base = random_sphere_point(rng, 3)
+    for d in [random_pq_vector(rng, 3) for _ in range(5)] + [
+            PQVector([SplitQuaternion(0, 0, 1, 1), SplitQuaternion(),
+                      SplitQuaternion()]),
+            PQVector([SplitQuaternion(0, 1), SplitQuaternion(),
+                      SplitQuaternion()])]:
+        try:
+            want = ref_sphere_point_through(base, d)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=str(err)):
+                sphere_point_through(base, d)
+        else:
+            assert sphere_point_through(base, d).x == want.x
 
 
 def test_unit_scaling_represents_every_rational():
@@ -114,10 +190,10 @@ def test_fiber_translation():
     x = random_sphere_point(rng, 3)
     q = random_unit_quaternion(rng)
     assert q.square_norm() == 1
-    y = x.right_translate(q)
+    y = SpherePoint(right_mul(x.x, q))
     assert module_scalar_product(y.x, y.x) == 1
-    with pytest.raises(ValueError):
-        x.right_translate(SplitQuaternion(2))
+    with pytest.raises(ValueError, match="not a unit vector"):
+        SpherePoint(right_mul(x.x, SplitQuaternion(2)))
 
 
 def test_tangent_split_at_base():
@@ -175,31 +251,32 @@ def _float_lift(x: SpherePoint, scale: float = 1.0) -> SpherePoint:
 
 
 def test_tangent_split_float_lifts():
-    # tangent_split is exact-only: a float lift fails loudly, also one
-    # whose fiber Gram rounds to diag(1, -1, -1) exactly
+    # a lift is exact: one with float coordinates is refused when it is
+    # formed, also one whose fiber Gram rounds to diag(1, -1, -1) exactly
     x = random_sphere_point(random.Random(9), 3)
-    near = _float_lift(x)
-    for lift in (near, _float_lift(base_point(3)), _float_lift(x, 1 + 1e-6)):
+    for point, scale in ((x, 1.0), (base_point(3), 1.0), (x, 1 + 1e-6)):
         with pytest.raises(TypeError, match="exact arithmetic"):
-            tangent_split(lift)
+            _float_lift(point, scale)
     assert tangent_split(x).horizontal.shape == (12, 8)
 
 
 @pytest.mark.parametrize("seed", [5, 8, 18])
 def test_float_lifts_raise_type_error(seed):
-    # the projection and the reduced-Jacobi chain are exact-only: a float
-    # lift fails loudly, also the float image of an exact level point
+    # the float image of an exact level point is its rounded coordinates,
+    # which form no lift; the reduced-Jacobi chain refuses a float
+    # direction
     u = weighted_level_sample(random.Random(seed), 1, 2)
     X = admissible_directions(1, 2, u, random.Random(seed), 1)[0]
-    for lift in (weighted_level_sample_float(random.Random(seed), 1, 2),
-                 _float_lift(u)):
-        for routine in (lambda: horizontal_project(lift, X),
-                        lambda: killing_derivative(1, 2, lift, X),
-                        lambda: reduced_jacobi(1, 2, lift, X),
-                        lambda: admissible_directions(
-                            1, 2, lift, random.Random(seed), 1)):
-            with pytest.raises(TypeError, match="exact arithmetic"):
-                routine()
+    coords = weighted_level_sample_float(random.Random(seed), 1, 2)
+    assert coords.dtype == float
+    assert (coords == np.array(u.x.to_real(), dtype=float)).all()
+    for make in (lambda: PQVector(SplitQuaternion(*coords[4 * v:4 * v + 4])
+                                  for v in range(3)),
+                 lambda: _float_lift(u)):
+        with pytest.raises(TypeError, match="exact arithmetic"):
+            make()
+    with pytest.raises(TypeError, match="exact arithmetic"):
+        reduced_jacobi(1, 2, u, np.array(X, dtype=float))
 
 
 def test_horizontal_spaces_structure_invariant():
@@ -209,9 +286,8 @@ def test_horizontal_spaces_structure_invariant():
     split = tangent_split(x)
     frame = split.horizontal
     for u in IMAGINARY_UNITS:
-        img = np.stack(
-            [PQVector.from_real(frame[:, c]).right_mul(u.conj()).to_real()
-             for c in range(frame.shape[1])], axis=1)
+        img = np.stack([ref_right_mul(frame[:, c], u.conj())
+                        for c in range(frame.shape[1])], axis=1)
         # images stay horizontal: orthogonal to the fiber frame and x
         assert exactla.max_abs(img.T @ g @ split.vertical) == 0
         assert exactla.max_abs(img.T @ g @ x.x.to_real().reshape(-1, 1)) == 0
@@ -241,14 +317,13 @@ def test_lift_independence_of_structure_span():
     q = random_unit_quaternion(rng)
     Hx, fx = induced_geometry(x)
     # transport the frame along the fiber and read the structure there
-    fq = np.stack([PQVector.from_real(fx[:, c]).right_mul(q).to_real()
-                   for c in range(fx.shape[1])], axis=1)
+    fq = np.stack([ref_right_mul(fx[:, c], q) for c in range(fx.shape[1])],
+                  axis=1)
     gram = fq.T @ fq
     rows = []
     for e in IMAGINARY_UNITS:
-        img = np.stack(
-            [PQVector.from_real(fq[:, c]).right_mul(e.conj()).to_real()
-             for c in range(fq.shape[1])], axis=1)
+        img = np.stack([ref_right_mul(fq[:, c], e.conj())
+                        for c in range(fq.shape[1])], axis=1)
         coords = ref_solve(gram, fq.T @ img)
         assert exactla.max_abs(fq @ coords - img) == 0
         coeffs = Hx.span_coefficients(coords)
@@ -265,9 +340,9 @@ def test_horizontal_project():
     g = metric_matrix(3)
     v = exactla.fracarray([rng.randint(-4, 4) for _ in range(12)])
     h = horizontal_project(x, v)
-    assert module_scalar_product(PQVector.from_real(h), x.x) == 0
+    assert h @ g @ x.x.to_real() == 0
     for u in IMAGINARY_UNITS:
-        assert (h @ g @ x.x.right_mul(u).to_real()) == 0
+        assert (h @ g @ ref_right_mul(x.x.to_real(), u)) == 0
     # projection is idempotent
     assert exactla.max_abs(horizontal_project(x, h) - h) == 0
 
@@ -302,13 +377,13 @@ def test_transitive_element_orthogonality_table():
     for a in range(3):
         for b in range(3):
             want = SplitQuaternion(1 if a == b else 0)
-            assert hermitian_pairing(cols[a], cols[b]) == want
+            assert hermitian_pairing(cols[a].entries, cols[b].entries) == want
     for col in cols:
         swapped = []
         for h in col.entries:
             (r1, i1), (r2, i2) = h.complex_rep_exact()
-            swapped.append(SplitQuaternion.from_complex_rep((r2, -i2),
-                                                            (r1, -i1)))
+            # the companion with (z1, z2) = (conj(z2), conj(z1)) of h
+            swapped.append(SplitQuaternion(r2, -i2, r1, i1))
         other = PQVector(swapped)
         assert module_scalar_product(other, other) == -1
         assert module_scalar_product(col, other) == 0
@@ -353,13 +428,11 @@ def test_unit_actions_match_right_multiplication(rank):
                      axis=1)
     for cols in (exact, np.asarray(exact, dtype=float) / 7):
         for a, e in enumerate(IMAGINARY_UNITS):
-            want = np.stack(
-                [PQVector.from_real(cols[:, c]).right_mul(e.conj()).to_real()
-                 for c in range(cols.shape[1])], axis=1)
+            want = np.stack([ref_right_mul(cols[:, c], e.conj())
+                             for c in range(cols.shape[1])], axis=1)
             got = right_unit_action(cols, a)
             assert got.dtype == cols.dtype
             assert (got == want).all()
             frame = vertical_frame(cols[:, 0])
-            assert (frame[:, a] == PQVector.from_real(cols[:, 0])
-                    .right_mul(e).to_real()).all()
+            assert (frame[:, a] == ref_right_mul(cols[:, 0], e)).all()
         assert (apply_metric(cols) == metric_matrix(rank) @ cols).all()

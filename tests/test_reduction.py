@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
-from pqgeom.algebra import (IMAGINARY_UNITS, I, J, SplitQuaternion,
-                            circle_point)
+from pqgeom.algebra import IMAGINARY_UNITS, I, J, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, restrict_to_complement, ricci)
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, right_mult_matrix,
                            right_unit_action, structure_endos)
-from pqgeom.projspace import (SpherePoint, base_point, horizontal_project,
-                              random_sphere_point, transitive_element,
-                              vertical_frame)
+from pqgeom.projspace import (SpherePoint, base_point, random_sphere_point,
+                              transitive_element, vertical_frame)
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               NonRegularError, NullOrbitError,
                               ReductionScene, admissible_directions,
@@ -29,18 +27,38 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               flat_orthogonality_check,
                               flat_quotient_coordinates,
                               flat_quotient_residuals, flat_reduced_structure,
-                              isotropy_moment_traces, killing_derivative,
+                              isotropy_moment_traces,
                               pq_orthogonality_check, pq_zero_set_check,
                               reduced_jacobi, weighted_killing,
                               weighted_level_sample,
                               weighted_level_sample_float,
-                              weighted_level_value, weighted_regularity)
-from pqgeom.reduction import (_generator_action, _killing_span,
-                              _level_gradient_rows, _moment_gradient_rows,
-                              _norm_factor, _sandwich, _sandwich_i, _weights)
+                              weighted_level_value)
+from pqgeom.reduction import (_generator_action, _killing_derivative_integers,
+                              _killing_span, _level_gradient_rows,
+                              _moment_gradient_rows, _norm_factor, _sandwich,
+                              _sandwich_i, _weights)
 from pqgeom.scenes import scene_from_json, scene_to_json
 
-from test_linalg import ref_inverse, ref_nullspace
+from test_algebra import circle_point
+from test_linalg import (ref_inverse, ref_left_mul, ref_nullspace,
+                         ref_right_mul, right_mul)
+from test_projspace import horizontal_project
+
+
+def weighted_regularity(p, q, u: SpherePoint):
+    """(is_regular, value) for q^2 |u0|^2 + p^2 |u1|^2 + p^2 |u2|^2 != 0,
+    by the square norms of the entries."""
+    val = sum(c * c * h.square_norm() for c, h in zip((q, p, p), u.x.entries))
+    return val != 0, val
+
+
+def killing_derivative(p, q, u: SpherePoint, X):
+    """The covariant derivative V_X of the package chain as Fractions:
+    _killing_derivative_integers over L^2 and the scale of X."""
+    U, L = u.x.scaled
+    XN, LX = exactla.scaled_integers(X)
+    return exactla.from_scaled_integers(
+        _killing_derivative_integers(p, q, U, L, XN), L * L * LX)
 
 
 # -- flat circle scene --------------------------------------------------------
@@ -48,18 +66,19 @@ from test_linalg import ref_inverse, ref_nullspace
 
 def test_flat_moment_values():
     zero = PQVector([SplitQuaternion(), SplitQuaternion()])
-    assert flat_circle_moment(zero) == (0, 0, 0)
+    assert flat_circle_moment(zero.to_real()) == (0, 0, 0)
     # the first component is the negated euclidean norm of (z, w); the
     # basis lift therefore evaluates to (-1, 0, 0)
     e1 = PQVector([SplitQuaternion(1), SplitQuaternion(), SplitQuaternion()])
-    assert flat_circle_moment(e1) == (-1, 0, 0)
+    assert flat_circle_moment(e1.to_real()) == (-1, 0, 0)
+    assert flat_circle_moment(e1.scaled[0]) == (-1, 0, 0)
 
 
 def test_flat_level_sampler_equations():
     rng = random.Random(0)
     for _ in range(10):
         h = flat_level_sample(rng, 3)
-        f = flat_circle_moment(h)
+        f = flat_circle_moment(h.to_real())
         assert f == (Fraction(-1), Fraction(0), Fraction(0))
         # spelled out: unit euclidean norm and vanishing bilinear pairing
         zs = [(q.a, q.b) for q in h.entries]
@@ -74,9 +93,10 @@ def test_flat_level_sampler_equations():
 def test_flat_moment_circle_invariance():
     rng = random.Random(1)
     h = flat_level_sample(rng, 3)
+    x = h.to_real()
     for t in (Fraction(1, 3), Fraction(-2, 5)):
-        rotated = h.left_mul(circle_point(t))
-        assert flat_circle_moment(rotated) == flat_circle_moment(h)
+        rotated = ref_left_mul(x, circle_point(t))
+        assert flat_circle_moment(rotated) == flat_circle_moment(x)
 
 
 def test_flat_adapted_gradient_exact():
@@ -90,10 +110,11 @@ def test_flat_adapted_gradient_exact():
         coords = exactla.fracarray([Fraction(rng.randint(-5, 5),
                                              rng.randint(1, 4))
                                     for _ in range(12)])
-        h = PQVector.from_real(coords)
-        rows = _moment_gradient_rows(h)
+        rows = _moment_gradient_rows(coords)
         adapted = [-rows[0] * Fraction(1, 2), rows[2], rows[1]]
-        V = flat_killing(h).to_real()
+        V = flat_killing(coords)
+        # the Killing value is left multiplication by i
+        assert (V == ref_left_mul(coords, I)).all()
         for a in range(3):
             want = (H.J[a] @ V) @ g
             assert exactla.max_abs(adapted[a] - want) == 0
@@ -159,7 +180,7 @@ def test_flat_reduced_structure_guards():
     balanced = PQVector([SplitQuaternion(half, half, 0, 0),
                          SplitQuaternion(0, 0, half, -half),
                          SplitQuaternion()])
-    assert flat_circle_moment(balanced) == (-1, 0, 0)
+    assert flat_circle_moment(balanced.to_real()) == (-1, 0, 0)
     with pytest.raises(NullOrbitError):
         flat_reduced_structure(balanced)
 
@@ -171,8 +192,8 @@ def test_flat_quotient_image_equations():
         qa, qb = flat_quotient_residuals(h)
         assert qa == 0 and qb == 0
         # the circle acts projectively trivially on the image coordinates
-        rotated = h.left_mul(circle_point(Fraction(2, 7)))
-        A1, B1 = flat_quotient_coordinates(h)
+        rotated = ref_left_mul(h.to_real(), circle_point(Fraction(2, 7)))
+        A1, B1 = flat_quotient_coordinates(h.to_real())
         A2, B2 = flat_quotient_coordinates(rotated)
         # proportionality over the complexified coordinates
         flat1 = [complex(float(x), float(y)) for x, y in A1 + B1]
@@ -320,16 +341,6 @@ def test_level_value_closed_form_matches_products(p, q):
         val = weighted_level_value(p, q, u)
         assert want.a == 0
         assert val.coefficients() == (want.b, want.c, want.d)
-    for _ in range(3):
-        u = weighted_level_sample_float(rng, p, q)
-        want = ref_weighted_level_value(p, q, u)
-        val = weighted_level_value(p, q, u)
-        # rounding of both routes, relative to the Euclidean size of u
-        tol = 1e-13 * sum(c * sum(x * x for x in h.coefficients())
-                          for c, h in zip((q, p, p), u.x.entries))
-        assert abs(want.a) <= tol
-        assert all(abs(a - b) <= tol for a, b in zip(
-            val.coefficients(), (want.b, want.c, want.d)))
 
 
 def test_level_sampler_and_flow_invariance():
@@ -370,7 +381,7 @@ def test_level_sampler_other_weights():
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(PQ_WEIGHTS))
 def test_level_sampler_generic_points(seed, weights):
     # exactly on the sphere and on the zero level set, regular, and the
-    # float sampler's point is the float image of the same exact draw
+    # float sampler's coordinates are the float image of the same draw
     p, q = weights
     u = weighted_level_sample(random.Random(seed), p, q)
     assert all(type(c) in (int, Fraction)
@@ -379,8 +390,7 @@ def test_level_sampler_generic_points(seed, weights):
     assert weighted_level_value(p, q, u).is_zero()
     assert weighted_regularity(p, q, u)[0]
     uf = weighted_level_sample_float(random.Random(seed), p, q)
-    assert [h.coefficients() for h in uf.x.entries] == [
-        tuple(map(float, h.coefficients())) for h in u.x.entries]
+    assert list(uf) == [float(c) for c in u.x.to_real()]
 
 
 @pytest.mark.parametrize("p, q", PQ_WEIGHTS)
@@ -418,7 +428,7 @@ def test_level_value_fiber_translation():
     u = random_sphere_point(rng, 3)
     rho = random_unit_quaternion(rng)
     val = weighted_level_value(1, 2, u)
-    moved = weighted_level_value(1, 2, u.right_translate(rho))
+    moved = weighted_level_value(1, 2, SpherePoint(right_mul(u.x, rho)))
     v = SplitQuaternion(0, val.i, val.j, val.k)
     want = rho.conj() * v * rho
     assert (moved.i, moved.j, moved.k) == (want.b, want.c, want.d)
@@ -551,6 +561,8 @@ def test_reduced_jacobi_matches_fraction_route(p, q):
             assert got.eigenvalues == eigenvalues
             assert got.ratio == ratio
             assert got.killing_norm == killing_norm
+            # the unprojected derivative of the package equals the
+            # projected reference: it is horizontal at these inputs
             assert (killing_derivative(p, q, u, X)
                     == ref_killing_derivative(p, q, u, X)).all()
 
@@ -607,6 +619,20 @@ def test_reduced_jacobi_guards():
         assert X.any() and apply_metric(X) @ X == 0
         with pytest.raises(NullDirectionError):
             reduced_jacobi(p, q, u, X)
+
+
+def test_reduced_jacobi_rejects_non_horizontal_directions():
+    # X + x and X + x e_a are orthogonal to the Killing span, like X (V is
+    # horizontal on the zero level set), but not horizontal; the formula
+    # needs a horizontal X and read another ratio off them
+    rng = random.Random(3)
+    u = weighted_level_sample(rng, 1, 2)
+    X = admissible_directions(1, 2, u, rng, 1)[0]
+    assert reduced_jacobi(1, 2, u, X).ratio == Fraction(12167, 1458)
+    x = u.x.to_real()
+    for shift in (x, *vertical_frame(x).T):
+        with pytest.raises(ValueError, match="not horizontal"):
+            reduced_jacobi(1, 2, u, X + shift)
 
 
 @pytest.mark.parametrize("p, q", [(1, 2), (3, 4)])
@@ -668,9 +694,12 @@ def test_norm_factor_picks_the_float_power_of_two():
 
 def test_float_sampler_quality():
     rng = random.Random(20)
-    u = weighted_level_sample_float(rng, 1, 2)
-    assert abs(float(module_scalar_product(u.x, u.x)) - 1.0) < 1e-10
-    assert float(weighted_level_value(1, 2, u).max_abs()) < 1e-10
+    x = weighted_level_sample_float(rng, 1, 2)
+    assert abs(x @ apply_metric(x) - 1.0) < 1e-10
+    # the level value at the weights (q, p, p) = (2, 1, 1), in floats
+    sandwiches = _sandwich(SplitQuaternion(*x.reshape(3, 4).T))
+    value = np.array(sandwiches) @ (2, 1, 1)
+    assert np.abs(value).max() < 1e-10
 
 
 def test_pq_orthogonality_exact():
@@ -692,11 +721,14 @@ def ref_empty_levelset_check(p, q, samples, rng):
     failures = 0
     while samples > 0:
         d = rng.choices(range(-3, 4), k=12)
-        dv = PQVector.from_real(d)
+        dv = PQVector(SplitQuaternion(*d[4 * v:4 * v + 4]) for v in range(3))
         L = module_scalar_product(dv, dv)
         if L == 0 or d[0] == 0:
             continue
-        X = PQVector.from_real([L * a - 2 * d[0] * b for a, b in zip(o, d)])
+        X = PQVector(SplitQuaternion(*(L * a - 2 * d[0] * b for a, b in
+                                       zip(o[4 * v:4 * v + 4],
+                                           d[4 * v:4 * v + 4])))
+                     for v in range(3))
         total = SplitQuaternion()
         for c, h in zip(ws, X.entries):
             total = total + (h.conj() * I * h).scale(c)
@@ -915,10 +947,11 @@ def _weighted_quotient(p, q, u):
         return np.concatenate([(2 * x @ g).reshape(1, -1),
                                _level_gradient_rows(p, q, x)])
 
-    fields = [lambda x: weighted_killing(
-        p, q, SpherePoint(PQVector.from_real(x), check=False)).to_real()]
-    fields += [lambda x, e=e: PQVector.from_real(x).right_mul(e).to_real()
-               for e in IMAGINARY_UNITS]
+    def vector(x):
+        return PQVector(SplitQuaternion(*x[4 * v:4 * v + 4]) for v in range(3))
+
+    fields = [lambda x: (_generator_matrix(p, q) @ vector(x)).to_real()]
+    fields += [lambda x, e=e: ref_right_mul(x, e) for e in IMAGINARY_UNITS]
     x = u.x.to_real()
     return _quotient_curvature(g, x, *_linear_data(x, rows_at, fields))
 
@@ -960,8 +993,7 @@ def test_flat_quotient_is_para_hyperkahler(rank):
     h = flat_level_sample(rng, rank)
     x = h.to_real()
     R, F = _quotient_curvature(metric_matrix(rank), x, *_linear_data(
-        x, lambda y: _moment_gradient_rows(PQVector.from_real(y)),
-        [lambda y: flat_killing(PQVector.from_real(y)).to_real()]))
+        x, _moment_gradient_rows, [flat_killing]))
     red = flat_reduced_structure(h)
     assert exactla.max_abs(F - red.frame) == 0
     assert R.max_abs() != 0
