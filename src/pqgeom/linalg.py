@@ -74,24 +74,23 @@ class PQVector:
     entry) and L an int >= 1, the vector being C / L.  The constructor
     takes SplitQuaternions with int or Fraction coefficients (TypeError
     on any other); ``from_scaled_integers`` takes the pair.  ``entries``
-    is the view as SplitQuaternions, formed on first access, with int
-    coefficients when L is 1, and ``to_real()`` the Fraction coordinates.
-    ``==`` compares values.
+    is the view as SplitQuaternions, with int coefficients when L is 1,
+    and ``to_real()`` the Fraction coordinates; both are formed on each
+    access.  ``==`` compares values.
     """
 
-    __slots__ = ("scaled", "_entries")
+    __slots__ = ("scaled",)
 
     def __init__(self, entries):
         coefficients = [c for h in entries for c in h.coefficients()]
         self.scaled = exactla.scaled_integers(
             np.array(coefficients, dtype=object))
-        self._entries = None
 
     @classmethod
     def from_scaled_integers(cls, C, L: int) -> "PQVector":
         """The vector C / L of interleaved integer coordinates C, scale L."""
         v = cls.__new__(cls)
-        v.scaled, v._entries = (C, L), None
+        v.scaled = (C, L)
         return v
 
     @property
@@ -100,13 +99,11 @@ class PQVector:
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
-            C, L = self.scaled
-            if L > 1:
-                C = exactla.from_scaled_integers(C, L)
-            self._entries = tuple(SplitQuaternion(*C[4 * v:4 * v + 4])
-                                  for v in range(self.rank))
-        return self._entries
+        C, L = self.scaled
+        if L > 1:
+            C = exactla.from_scaled_integers(C, L)
+        return tuple(SplitQuaternion(*C[4 * v:4 * v + 4])
+                     for v in range(self.rank))
 
     def to_real(self) -> np.ndarray:
         """The interleaved real coordinates as Fractions."""
