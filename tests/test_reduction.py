@@ -201,6 +201,15 @@ def test_flat_quotient_image_equations():
         pivot = max(range(len(flat1)), key=lambda k: abs(flat1[k]))
         lam = flat2[pivot] / flat1[pivot]
         assert max(abs(a * lam - b) for a, b in zip(flat1, flat2)) < 1e-9
+    # off the level set the residuals are those of the Fraction coordinates
+    x = exactla.fracarray([Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                           for _ in range(12)])
+    A, B = flat_quotient_coordinates(x)
+    im = sum(a * t - b * s for (a, b), (s, t) in zip(A, B))
+    want = (abs(sum(a * a + b * b for a, b in A)
+                - sum(a * a + b * b for a, b in B)), abs(im))
+    h = PQVector(SplitQuaternion(*x[4 * v:4 * v + 4]) for v in range(3))
+    assert flat_quotient_residuals(h) == want and min(want) > 0
 
 
 def test_flat_orthogonality():
