@@ -19,8 +19,9 @@ from .curvature import (CurvatureTensor, NotSymmetricPairError,
                         normalizes_structure, projective_curvature,
                         ricci_split, symmetric_space_curvature)
 from .projspace import (CompletionFailureError, DegenerateOrbitError,
-                        SpherePoint, TangentSplit, induced_geometry,
-                        tangent_split, transitive_element)
+                        NullLineError, SpherePoint, TangentLineError,
+                        TangentSplit, induced_geometry, tangent_split,
+                        transitive_element)
 from .reduction import (DegenerateLevelSetError, ImValue, NonRegularError,
                         NullOrbitError, ReductionScene, flat_circle_moment,
                         flat_moment_gradient_check, flat_reduced_structure,

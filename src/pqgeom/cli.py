@@ -27,16 +27,16 @@ import numpy as np
 
 from . import exactla
 from .algebra import (EPS, IMAGINARY_UNITS, UNITS, NullQuaternionError,
-                      SplitQuaternion)
+                      SplitQuaternion, scalar_product)
 from .forms import (BilinearForm, fundamental_four_form, hermitian_projector,
                     lie_derivative_residual, random_rotation, rotate_structure,
                     two_form)
 from .linalg import (TENSOR_BLOCKS, HermitianStructure, PQMatrix,
-                     adopted_basis, grassman_split, module_scalar_product,
-                     random_antihermitian, random_integers, random_pq_matrix,
-                     random_pq_vector, random_quaternion, real_rep,
-                     right_mult_matrix, right_unit_action, sp_membership,
-                     sp_group_membership, structure_endos)
+                     _random_coefficients, adopted_basis, grassman_split,
+                     random_antihermitian, random_integers,
+                     random_quaternion, real_rep, right_mult_matrix,
+                     right_unit_action, sp_membership, sp_group_membership,
+                     structure_endos)
 from . import curvature as curv
 from . import projspace as proj
 from . import reduction as red
@@ -85,24 +85,29 @@ def _check_rng(config: CheckConfig, name: str) -> random.Random:
 # ---------------------------------------------------------------------------
 
 
+def _vanishes(h: SplitQuaternion) -> np.ndarray:
+    """Per position of a batch h: are all four coefficients 0?"""
+    return ~(np.stack(h.coefficients()) != 0).any(axis=0)
+
+
 def _chk_norm_multiplicative(config, rng):
-    worst = 0
-    for _ in range(config.samples):
-        a = SplitQuaternion(*[rng.randint(-99, 99) for _ in range(4)])
-        b = SplitQuaternion(*[rng.randint(-99, 99) for _ in range(4)])
-        worst = max(worst, abs((a * b).square_norm()
-                               - a.square_norm() * b.square_norm()))
-    return worst, config.samples
+    # one batch of pairs on int64: coefficients up to 99 keep every
+    # coefficient of a b below 4 * 99^2 and every square norm below 2^33
+    a, b = (SplitQuaternion(*C) for C in random_integers(
+        rng, (2, 4, config.samples), -99, 99, np.int64))
+    defect = (a * b).square_norm() - a.square_norm() * b.square_norm()
+    return int(exactla.max_abs(defect)), config.samples
 
 
 def _chk_anti_automorphism(config, rng):
-    worst = 0
-    for _ in range(config.samples):
-        a = random_quaternion(rng, span=9)
-        b = random_quaternion(rng, span=9)
-        diff = (a * b).conj() - b.conj() * a.conj()
-        worst = max(worst, max(abs(x) for x in diff.coefficients()))
-    return worst, config.samples
+    # the pairs (a, b) of random_quaternion(rng, 9) draws, as one batch of
+    # int64 coefficients (at most 54) over the scale L; the identity is
+    # quadratic, so its residual is over L^2
+    C, L = _random_coefficients(rng, 2 * config.samples, 9, np.int64)
+    a, b = SplitQuaternion(*C[:, 0::2]), SplitQuaternion(*C[:, 1::2])
+    diff = (a * b).conj() - b.conj() * a.conj()
+    return (Fraction(int(exactla.max_abs(np.stack(diff.coefficients()))),
+                     L * L), config.samples)
 
 
 def _chk_product_table(config, rng):
@@ -121,18 +126,17 @@ def _chk_product_table(config, rng):
 
 
 def _chk_center(config, rng):
-    bad = 0
-    for _ in range(config.samples):
-        q = random_quaternion(rng)
-        central = all((q * u - u * q).coefficients() == (0, 0, 0, 0)
-                      for u in IMAGINARY_UNITS)
-        is_real = q.coefficients()[1:] == (0, 0, 0)
-        real_part = SplitQuaternion(q.a)
-        commutes_real = all(
-            (real_part * u - u * real_part).is_zero() for u in UNITS)
-        if central != is_real or not commutes_real:
-            bad += 1
-    return bad, config.samples
+    # random_quaternion(rng) draws as one batch of int64 coefficients; the
+    # common scale leaves every vanishing unchanged
+    C, _ = _random_coefficients(rng, config.samples, 5, np.int64)
+    q, real_part = SplitQuaternion(*C), SplitQuaternion(C[0])
+    central = np.all([_vanishes(q * u - u * q) for u in IMAGINARY_UNITS],
+                     axis=0)
+    is_real = ~(C[1:] != 0).any(axis=0)
+    commutes_real = np.all([_vanishes(real_part * u - u * real_part)
+                            for u in UNITS], axis=0)
+    return (int(np.count_nonzero((central != is_real) | ~commutes_real)),
+            config.samples)
 
 
 def _chk_inverse(config, rng):
@@ -161,29 +165,33 @@ def _chk_parse_roundtrip(config, rng):
 
 def _chk_rep_homomorphism(config, rng):
     worst = 0
-    count = 0
+    per_rank = max(1, config.samples // 3)
     for n in (1, 2, 3):
-        for _ in range(max(1, config.samples // 3)):
-            A = random_pq_matrix(rng, n)
-            B = random_pq_matrix(rng, n)
-            (RA, LA), (RB, LB) = real_rep(A), real_rep(B)
-            RAB = RA @ RB                              # over LA LB
-            worst = max(worst, exactla.scaled_distance(
-                *real_rep(A.commutator(B)), RAB - RB @ RA, LA * LB))
-            worst = max(worst, exactla.scaled_distance(
-                *real_rep(A @ B), RAB, LA * LB))
-            count += 1
-    return worst, count
+        # pairs (A, B) of n x n matrices of random_quaternion(rng, 3)
+        # entries, as one batch of int64 coefficient arrays
+        # (4, per_rank, n, n) each, over one scale; the entries (at most 18)
+        # keep every product below 2^20
+        C, L = _random_coefficients(rng, 2 * per_rank * n * n, 3, np.int64)
+        C = C.reshape(4, per_rank, 2, n, n)
+        A, B = (PQMatrix.from_scaled_integers(C[:, :, k], L) for k in (0, 1))
+        (RA, LA), (RB, LB) = real_rep(A), real_rep(B)
+        RAB = RA @ RB                                  # over LA LB
+        worst = max(worst, exactla.scaled_distance(
+            *real_rep(A.commutator(B)), RAB - RB @ RA, LA * LB))
+        worst = max(worst, exactla.scaled_distance(
+            *real_rep(A @ B), RAB, LA * LB))
+    return worst, 3 * per_rank
 
 
 def _chk_rep_injective(config, rng):
     bad = 0
     for n in (1, 2, 3):
-        # the images of the 4 n^2 basis matrices, one coefficient 1 each
+        # the images of the 4 n^2 basis matrices, one coefficient 1 each,
+        # as one batch; a column per image
         basis = np.eye(4 * n * n, dtype=object).reshape(-1, 4, n, n)
-        images = [real_rep(PQMatrix.from_scaled_integers(E, 1))[0].reshape(-1)
-                  for E in basis]
-        if exactla.rank(np.array(images).T) != 4 * n * n:
+        images, _ = real_rep(PQMatrix.from_scaled_integers(
+            basis.swapaxes(0, 1), 1))
+        if exactla.rank(images.reshape(4 * n * n, -1).T) != 4 * n * n:
             bad += 1
     return bad, 3
 
@@ -194,25 +202,26 @@ def _chk_sp_closure(config, rng):
     for _ in range(count):
         A = random_antihermitian(rng, config.rank)
         B = random_antihermitian(rng, config.rank)
-        ok_a, res_a = sp_membership(A)
-        ok_c, res_c = sp_membership(A.commutator(B))
-        worst = max(worst, res_a, res_c)
+        worst = max(worst, sp_membership(A)[1],
+                    sp_membership(A.commutator(B))[1])
     return worst, count
 
 
 def _chk_scalar_product_forms(config, rng):
-    worst = 0
-    for _ in range(config.samples):
-        h = random_pq_vector(rng, config.rank)
-        hp = random_pq_vector(rng, config.rank)
-        lhs = module_scalar_product(h, hp)
-        rhs = 0
-        for a, b in zip(h.entries, hp.entries):
-            (r1, i1), (r2, i2) = a.complex_rep_exact()
-            (s1, t1), (s2, t2) = b.complex_rep_exact()
-            rhs += (r1 * s1 + i1 * t1) - (r2 * s2 + i2 * t2)
-        worst = max(worst, abs(lhs - rhs))
-    return worst, config.samples
+    # pairs (h, h') of vectors of n random_quaternion(rng, 5) entries, as
+    # one batch of int64 coefficients (4, samples, n) each (at most 30)
+    # over one scale L; both sides are bilinear, so the residual is over
+    # L^2
+    n = config.rank
+    C, L = _random_coefficients(rng, 2 * n * config.samples, 5, np.int64)
+    C = C.reshape(4, config.samples, 2, n)
+    h, hp = SplitQuaternion(*C[:, :, 0]), SplitQuaternion(*C[:, :, 1])
+    # Re sum_v h_v conj(h'_v) against the complex hermitian form
+    lhs = scalar_product(h, hp).sum(axis=1)
+    (r1, i1), (r2, i2) = h.complex_rep_exact()
+    (s1, t1), (s2, t2) = hp.complex_rep_exact()
+    rhs = ((r1 * s1 + i1 * t1) - (r2 * s2 + i2 * t2)).sum(axis=1)
+    return Fraction(int(exactla.max_abs(lhs - rhs)), L * L), config.samples
 
 
 def _chk_adopted_basis(config, rng):
@@ -255,9 +264,8 @@ def _chk_grassman(config, rng):
     worst = max(worst, exactla.scaled_distance(
         C.T @ g @ C, LC * LC * Lg, np.kron(omega, gs.omega_h), Lomega))
     for (c, s) in ((1, 0), (1, 1), (0, 1), (Fraction(3, 5), Fraction(4, 5))):
-        members = [gs.isotropic_member(
-            c, s, [rng.randint(-3, 3) for _ in range(2 * config.rank)])
-            for _ in range(3)]
+        members = [gs.isotropic_member(c, s, k) for k in random_integers(
+            rng, (3, 2 * config.rank), -3, 3)]
         # the three members share one scale
         V, LV = np.stack([v for v, _ in members]), members[0][1]
         worst = max(worst, Fraction(exactla.max_abs(V @ g @ V.T),
@@ -313,7 +321,9 @@ def _chk_two_form(config, rng):
     worst = 0
     count = config.samples // 10 + 1
     for a in range(3):
-        wa, Lw = two_form(H.J[a], H.g).scaled
+        # the form of the integer members J[a] and metric g is LJ Lg omega_a
+        wa, Lw = two_form(J[a], g).scaled
+        Lw *= LJ * Lg
         worst = max(worst, Fraction(exactla.max_abs(wa + wa.T), Lw))
         # per row x: wa(x, J_a x) against eps_a g(x, x)
         X = random_integers(rng, (count, 4), -4, 4)
@@ -340,6 +350,14 @@ def _chk_lie_annihilation(config, rng):
     return worst, count
 
 
+def _perturbed(R):
+    """R with one entry changed by 1 in value: a defect that the curvature
+    identities must detect."""
+    out = curv.CurvatureTensor(R.tensor.copy(), R.scale, R.metric)
+    out.tensor[0, 1, 2, 3] += R.scale
+    return out
+
+
 def _chk_bianchi(config, rng):
     H = structure_endos(config.rank)
     Rg = curv.ambient_projective_curvature(config.rank)
@@ -348,10 +366,7 @@ def _chk_bianchi(config, rng):
         [[rng.randint(-3, 3) for _ in range(H.dim)] for _ in range(H.dim)]))
     worst = max(worst, curv.bianchi_residual(
         curv.curvature_from_bilinear(B, H)))
-    # perturbing one entry by 1 in value must break the identity
-    perturbed = curv.CurvatureTensor(Rg.tensor.copy(), Rg.scale, Rg.metric)
-    perturbed.tensor[0, 1, 2, 3] += Rg.scale
-    if curv.bianchi_residual(perturbed) == 0:
+    if curv.bianchi_residual(_perturbed(Rg)) == 0:
         worst = max(worst, 1)
     return worst, 2
 
@@ -359,20 +374,15 @@ def _chk_bianchi(config, rng):
 def _chk_formula_matches_bilinear(config, rng):
     H = structure_endos(config.rank)
     Rg = curv.ambient_projective_curvature(config.rank)
-    RB = curv.curvature_from_bilinear(BilinearForm(H.g), H)
+    RB = curv.curvature_from_bilinear(BilinearForm(*H.scaled_g), H)
     return (Rg - RB).max_abs(), 1
 
 
 def _chk_membership(config, rng):
     H = structure_endos(config.rank)
     Rg = curv.ambient_projective_curvature(config.rank)
-    ok, res = curv.normalizes_structure(Rg, H)
-    worst = res
-    # perturbing one entry by 1 in value must break membership
-    perturbed = curv.CurvatureTensor(Rg.tensor.copy(), Rg.scale, Rg.metric)
-    perturbed.tensor[0, 1, 2, 3] += Rg.scale
-    ok2, _ = curv.normalizes_structure(perturbed, H)
-    if ok2:
+    _, worst = curv.normalizes_structure(Rg, H)
+    if curv.normalizes_structure(_perturbed(Rg), H)[0]:
         worst = max(worst, 1)
     return worst, 2
 
@@ -399,9 +409,7 @@ def _chk_jacobi_spectrum(config, rng):
     # the spectrum -4 (three times), -1 (d - 4 times), as power sums
     H = structure_endos(config.rank)
     Rg = curv.ambient_projective_curvature(config.rank)
-    X = exactla.zeros(H.dim)
-    X[0] = Fraction(1)
-    Kres, _ = curv.restrict_to_complement(Rg, X)
+    Kres, _ = curv.restrict_to_complement(Rg, exactla.eye(H.dim)[0])
     sums = curv.power_sums(Kres)
     worst = max(abs(s - (3 * (-4) ** k + (H.dim - 4) * (-1) ** k))
                 for k, s in enumerate(sums, start=1))
@@ -418,8 +426,7 @@ def _chk_solvable(config, rng):
     worst = max(worst, res)
     traces = curv.structure_traces(Rs, D.structure)
     worst = max(worst, max(exactla.max_abs(t) for t in traces))
-    dirs = [exactla.fracarray([1, 0, 0, 0]), exactla.fracarray([0, 1, 0, 0]),
-            exactla.fracarray([0, 0, 1, 0])]
+    dirs = list(exactla.eye(4)[:3])
     rep = curv.jacobi_spectrum_report(Rs, dirs)
     for entry in rep.directions:
         if not (entry.is_nilpotent and entry.operator_nonzero):

@@ -191,9 +191,10 @@ def add_scaled(A, LA: int, B, LB: int, sign: int = 1):
 
 
 def scaled_distance(A, LA: int, B, LB: int) -> Fraction:
-    """max |A / LA - B / LB| over the entries of two integer arrays."""
+    """max |A / LA - B / LB| over the entries of two integer arrays (of
+    Python ints or machine integers)."""
     N, L = add_scaled(A, LA, B, LB, -1)
-    return Fraction(max_abs(N), L)
+    return Fraction(int(max_abs(N)), L)
 
 
 def contract(T, A, axis: int) -> np.ndarray:

@@ -39,6 +39,13 @@ calls; ``module_scalar_product`` forms one, its result.  The
 ``Fraction`` forms ``PQVector.entries`` and ``to_real()``,
 ``PQMatrix.entries``, ``HermitianStructure.J`` and ``.g`` are views
 formed on request.
+
+Batches and draws.  A coefficient array (4, ..., n, n) is a batch of
+matrices over one scale: ``PQMatrix`` arithmetic, ``batch_matmul`` and
+``real_rep`` act on each matrix at once.  ``random_integers`` is the
+package's one block sampler of uniform integers (one
+``rng.getrandbits`` call per block), and ``_random_coefficients`` draws
+the integer coefficients of a batch of ``random_quaternion`` draws.
 """
 
 from __future__ import annotations
@@ -130,7 +137,9 @@ class PQMatrix:
     L is 1 and Fraction coefficients otherwise.
     The constructor takes rows of SplitQuaternions with int or Fraction
     coefficients (TypeError on any other); ``from_scaled_integers`` takes
-    the pair.  ``==`` compares values, so (2C, 2L) equals (C, L).
+    the pair, or a (4, ..., n, n) array for a batch of matrices, on which
+    +, -, @, the commutator and ``real_rep`` act matrix by matrix.  ``==``
+    compares values, so (2C, 2L) equals (C, L).
     """
 
     __slots__ = ("scaled", "_entries")
@@ -155,7 +164,7 @@ class PQMatrix:
 
     @property
     def rank(self) -> int:
-        return self.scaled[0].shape[1]
+        return self.scaled[0].shape[-1]
 
     @property
     def entries(self) -> tuple:
@@ -473,7 +482,9 @@ def left_structure_endos(n: int) -> HermitianStructure:
 
 def real_rep(A: PQMatrix) -> tuple[np.ndarray, int]:
     """(N, L): the 2n x 2n all-real image N / L of the complex block
-    representation, N an integer array and L the scale of A.
+    representation, N an integer array and L the scale of A; for a batch
+    of matrices (coefficient array (4, ..., n, n)) one image per matrix,
+    N of shape (..., 2n, 2n).
 
     Entry q = a + b i + c j + d k maps to the block
 
@@ -486,11 +497,12 @@ def real_rep(A: PQMatrix) -> tuple[np.ndarray, int]:
     position at a time for all entries.
     """
     (a, b, c, d), L = A.scaled
-    out = np.empty((2 * A.rank, 2 * A.rank), dtype=object)
-    out[0::2, 0::2] = a + d
-    out[0::2, 1::2] = b + c
-    out[1::2, 0::2] = c - b
-    out[1::2, 1::2] = a - d
+    n = A.rank
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * n), dtype=a.dtype)
+    out[..., 0::2, 0::2] = a + d
+    out[..., 0::2, 1::2] = b + c
+    out[..., 1::2, 0::2] = c - b
+    out[..., 1::2, 1::2] = a - d
     return out, L
 
 
@@ -546,9 +558,7 @@ def adopted_basis(H: HermitianStructure, rng=None) -> list[np.ndarray]:
     kept = np.empty((dim, 0), dtype=object)
     candidates = list(np.eye(dim, dtype=object))
     if rng is not None:
-        for _ in range(4 * dim):
-            candidates.append(np.array(
-                [rng.randint(-5, 5) for _ in range(dim)], dtype=object))
+        candidates += list(random_integers(rng, (4 * dim, dim), -5, 5))
     current_rank = 0
     # the images J_a v are taken over the common scale of the J_a, which
     # scales columns only and so leaves every rank unchanged
@@ -689,40 +699,65 @@ def structure_from_text(text: str) -> HermitianStructure:
 # ---------------------------------------------------------------------------
 
 
+# words of rng.getrandbits, the unit of random_integers
+_WORD = 1 << 32
+
+
 def random_quaternion(rng, span: int = 5) -> SplitQuaternion:
     return SplitQuaternion(*[
         Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
         for _ in range(4)])
 
 
-def random_pq_vector(rng, n: int) -> PQVector:
-    """The entries are random_quaternion(rng, 5) draws."""
-    C, L = _random_coefficients(rng, n, 5)
-    return PQVector.from_scaled_integers(C.T.reshape(-1), L)
+def random_integers(rng, shape, low: int, high: int,
+                    dtype=object) -> np.ndarray:
+    """Array of the given shape of independent uniform integers in
+    [low, high], in row-major order: the package's one block sampler.
+
+    The whole block comes from one rng.getrandbits(32 m) call, read as m
+    32-bit words in the order the generator makes them (the first word is
+    the least significant).  A word w below the largest multiple M of the
+    span high - low + 1 that fits in 32 bits gives low + w % span; the
+    words at or above M are rejected and replaced by a further call for
+    as many words, until the block is full, so every value is uniform.
+    The entries are Python ints (dtype object) or machine integers (dtype
+    np.int64).  ValueError on an empty range or a span above 2^32.  No
+    numpy.random generator is formed."""
+    span = high - low + 1
+    if not 1 <= span <= _WORD:
+        raise ValueError(f"cannot draw from [{low}, {high}]: the span must "
+                         f"be between 1 and 2^32")
+    size = math.prod(shape)
+    limit = _WORD - _WORD % span
+    words = np.empty(0, dtype="<i8")
+    while len(words) < size:
+        m = size - len(words)
+        # each 32-bit word into the low half of a little-endian int64
+        fresh = np.zeros(m, dtype="<i8")
+        fresh.view("<u4")[0::2] = np.frombuffer(
+            rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        keep = fresh < limit
+        if not keep.all():
+            fresh = fresh[keep]
+        words = np.concatenate([words, fresh]) if len(words) else fresh
+    words %= span
+    words += low
+    return words.astype(dtype, copy=False).reshape(shape)
 
 
-def random_integers(rng, shape, low: int, high: int) -> np.ndarray:
-    """Object array of Python ints rng.randint(low, high), drawn in
-    row-major order."""
-    return np.array([rng.randint(low, high) for _ in range(math.prod(shape))],
-                    dtype=object).reshape(shape)
-
-
-def _random_coefficients(rng, count: int, span: int):
+def _random_coefficients(rng, count: int, span: int, dtype=object):
     """(C, L): the coefficients of count random_quaternion(rng, span)
     draws, from the same rng calls in the same order, as the columns of a
-    (4, count) integer array C over the scale L; no Fraction is formed."""
-    draws = [(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
-             for _ in range(4 * count)]
-    L = math.lcm(*{den for _, den in draws})
-    C = np.array([num * (L // den) for num, den in draws], dtype=object)
+    (4, count) integer array C over the scale L; no Fraction is formed.
+    C holds Python ints (dtype object) or, with dtype np.int64, machine
+    integers, each at most 6 span."""
+    draws = [x for _ in range(4 * count)
+             for x in (rng.randint(-span, span), rng.choice((1, 1, 2, 3)))]
+    nums, dens = draws[0::2], draws[1::2]
+    L = math.lcm(*set(dens))
+    C = np.array([num * (L // den) for num, den in zip(nums, dens)],
+                 dtype=dtype)
     return C.reshape(count, 4).T, L
-
-
-def random_pq_matrix(rng, n: int) -> PQMatrix:
-    """The entries are random_quaternion(rng, 3) draws, row by row."""
-    C, L = _random_coefficients(rng, n * n, 3)
-    return PQMatrix.from_scaled_integers(C.reshape(4, n, n), L)
 
 
 def random_antihermitian(rng, n: int) -> PQMatrix:

@@ -61,6 +61,15 @@ class DegenerateOrbitError(ValueError):
     diag(1, -1, -1)."""
 
 
+class NullLineError(ValueError):
+    """sphere_point_through was given a null direction."""
+
+
+class TangentLineError(ValueError):
+    """sphere_point_through was given a direction tangent to the sphere at
+    the base point."""
+
+
 class CompletionFailureError(ValueError):
     """Gram-Schmidt completion ran out of non-null candidates."""
 
@@ -106,10 +115,10 @@ def sphere_point_through(base: SpherePoint, direction: PQVector) -> SpherePoint:
     (B, LB), (D, _) = base.x.scaled, direction.scaled
     dd = D @ apply_metric(D)
     if dd == 0:
-        raise ValueError("null direction")
+        raise NullLineError("null direction")
     bd = B @ apply_metric(D)
     if bd == 0:
-        raise ValueError("direction tangent to the sphere at the base")
+        raise TangentLineError("direction tangent to the sphere at the base")
     X, L = dd * B - 2 * bd * D, LB * dd
     g = math.gcd(*X, L) * (1 if L > 0 else -1)
     return SpherePoint(PQVector.from_scaled_integers(X // g, L // g))
@@ -119,14 +128,15 @@ def random_sphere_point(rng, rank: int) -> SpherePoint:
     """Seeded rational point of the unit pseudosphere: the base point
     reflected in directions of random_quaternion(rng, 4) entries, drawn
     on integers by the same rng calls, until one is neither null nor
-    tangent."""
+    tangent.  Only those two refusals are redrawn: any other error of
+    sphere_point_through (a point off the sphere) propagates."""
     o = base_point(rank)
     while True:
         C, L = _random_coefficients(rng, rank, 4)
         try:
             return sphere_point_through(
                 o, PQVector.from_scaled_integers(C.T.reshape(-1), L))
-        except ValueError:
+        except (NullLineError, TangentLineError):
             continue
 
 

@@ -67,7 +67,10 @@ integer coordinates U over a scale L, and every routine reads that
 pair: the moment maps and the level value are quadratic, so they are
 formed at U and compared with L^2 times the level; the flat moment, its
 gradient rows and the flat Killing field take real coordinates, on any
-scalar type.  The definite-axis control ``empty_levelset_check`` runs on
+scalar type, and the moments and the Killing field a leading batch axis,
+on which ``flat_moment_gradient_check`` evaluates all its samples at
+once.  ``flat_level_sample`` builds its point on integers.  The
+definite-axis control ``empty_levelset_check`` runs on int64 blocks of
 integer sphere points.  The reduced-Jacobi chain
 (``admissible_directions``, ``reduced_jacobi``) scales the direction to
 integers once, forms every pairing and product on Python ints, and
@@ -85,7 +88,7 @@ import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -94,8 +97,8 @@ from .algebra import I, J, K, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
 from .linalg import (HermitianStructure, PQVector, apply_metric,
-                     left_mult_matrix, right_mult_matrix, right_unit_action,
-                     structure_endos)
+                     left_mult_matrix, random_integers, right_mult_matrix,
+                     right_unit_action, structure_endos)
 from .projspace import (SpherePoint, frame_structure, random_sphere_point,
                         transitive_action, vertical_frame)
 
@@ -117,8 +120,9 @@ FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
 LEVELS = {"flat-s1": FLAT_LEVEL, "pq": (Fraction(0),) * 3}
 
 # most directions per round of the definite-axis control
-# (empty_levelset_check)
+# (empty_levelset_check), and the largest i-component of its points
 _LEVEL_BLOCK = 256
+_I_COMPONENT_BOUND = 4 * 72 ** 2
 
 
 @dataclass
@@ -144,19 +148,28 @@ class ImValue:
 # ---------------------------------------------------------------------------
 
 
+def _entry_coefficients(x) -> np.ndarray:
+    """The coefficient rows a, b, c, d of the entries of real coordinates
+    x (last axis): shape (4, ..., rank), one row per unit."""
+    x = np.asarray(x)
+    return np.moveaxis(x.reshape(x.shape[:-1] + (-1, 4)), -1, 0)
+
+
 def flat_circle_moment(x):
     """Moment triple (-(|z|^2+|w|^2), -Re(zw), -Im(zw)) of the circle
     action at the point with real coordinates x, on the scalar type of x;
-    see the module docstring for the sign conventions."""
-    a, b, c, d = np.reshape(x, (-1, 4)).T
+    see the module docstring for the sign conventions.  Leading axes of x
+    are a batch of points, with one value per point in each component."""
+    a, b, c, d = _entry_coefficients(x)
     # z = a + b i, w = c - d i:  z w = (ac + bd) + (bc - ad) i
-    return (-(a * a + b * b + c * c + d * d).sum(), -(a * c + b * d).sum(),
-            -(b * c - a * d).sum())
+    return (-(a * a + b * b + c * c + d * d).sum(axis=-1),
+            -(a * c + b * d).sum(axis=-1), -(b * c - a * d).sum(axis=-1))
 
 
 def flat_adapted_moment(x):
     """The component relabelling (-f1/2, f3, f2) whose differentials are
-    omega_a(V, .) for the structure triple."""
+    omega_a(V, .) for the structure triple; batched as
+    flat_circle_moment."""
     f1, f2, f3 = flat_circle_moment(x)
     return (-f1 * Fraction(1, 2), f3, f2)
 
@@ -173,9 +186,10 @@ def flat_level_defect(h: PQVector) -> int:
 def flat_killing(x) -> np.ndarray:
     """Real coordinates of the Killing value i h (left multiplication by
     i) at the point with real coordinates x, on their scalar type:
-    i (a + b i + c j + d k) = -b + a i - d j + c k."""
-    a, b, c, d = np.reshape(x, (-1, 4)).T
-    return np.stack([-b, a, -d, c], axis=1).reshape(-1)
+    i (a + b i + c j + d k) = -b + a i - d j + c k.  Leading axes of x
+    are a batch of points."""
+    a, b, c, d = _entry_coefficients(x)
+    return np.stack([-b, a, -d, c], axis=-1).reshape(np.shape(x))
 
 
 def _moment_gradient_rows(x) -> np.ndarray:
@@ -195,56 +209,58 @@ def flat_level_sample(rng, rank: int) -> PQVector:
     rational Euclidean norms s^2 + t^2 = 1 from a rational circle point,
     avoiding the null-orbit locus s = t.  Rank 1 leaves no room for the
     two supports (ValueError).
+
+    On integers: the slope n / m gives the circle point
+    (s, t) = (m^2 - n^2, 2 n m) / (m^2 + n^2); each direction is drawn as
+    rationals num / den and held as the integers num * (D / den) over
+    their common denominator D, whose unit vector is the same; the unit
+    vector is the reflection (|Z|^2 e_p - 2 Z_p Z) / |Z|^2 of the axis e_p
+    of the first nonzero coordinate of Z in Z, never 0.  The point is then
+    one integer array over (m^2 + n^2) |Z|^2 |W|^2, reduced by its gcd to
+    the lowest common denominator.
     """
     if rank < 2:
         raise ValueError(f"the flat level set has a point with s, t != 0 "
                          f"only at rank >= 2, not {rank}")
     while True:
-        u = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-        den = 1 + u * u
-        s, t = (1 - u * u) / den, 2 * u / den
+        n, m = rng.randint(-6, 6), rng.randint(1, 4)
+        s, t = m * m - n * n, 2 * n * m
         if s == 0 or t == 0 or s * s == t * t:
             continue
         size = rng.randrange(1, rank)
-        support = rng.sample(range(rank), size)
-        zdir = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(2 * rank)]
-        wdir = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                for _ in range(2 * rank)]
-        for v in range(rank):
-            if v in support:
-                wdir[2 * v] = wdir[2 * v + 1] = Fraction(0)
-            else:
-                zdir[2 * v] = zdir[2 * v + 1] = Fraction(0)
-        zn = sum(x * x for x in zdir)
-        wn = sum(x * x for x in wdir)
+        inside = np.repeat(np.isin(np.arange(rank),
+                                   rng.sample(range(rank), size)), 2)
+        Z = np.where(inside, _integer_direction(rng, rank), 0)
+        W = np.where(inside, 0, _integer_direction(rng, rank))
+        zn, wn = Z @ Z, W @ W
         if zn == 0 or wn == 0:
             continue
-        # euclidean-unit rational rescale along the line through the
-        # first coordinate axis of each support block
-        zvec = _euclidean_unit(zdir, zn)
-        wvec = _euclidean_unit(wdir, wn)
-        entries = []
-        for v in range(rank):
-            zr, zi = s * zvec[2 * v], s * zvec[2 * v + 1]
-            wr, wi = t * wvec[2 * v], t * wvec[2 * v + 1]
-            entries.append(SplitQuaternion(zr, zi, wr, -wi))
-        h = PQVector(entries)
+        zu, wu = _reflected_axis(Z, zn), _reflected_axis(W, wn)
+        C = np.empty(4 * rank, dtype=object)
+        C[0::4], C[1::4] = s * wn * zu[0::2], s * wn * zu[1::2]
+        C[2::4], C[3::4] = t * zn * wu[0::2], -t * zn * wu[1::2]
+        L = (m * m + n * n) * zn * wn
+        g = gcd(*C, L)
+        h = PQVector.from_scaled_integers(C // g, L // g)
         assert flat_level_defect(h) == 0
         return h
 
 
-def _euclidean_unit(direction, norm):
-    """Rational Euclidean unit vector via the line trick from the first
-    nonzero axis of the direction's support."""
-    pivot = next(i for i, x in enumerate(direction) if x != 0)
-    base = [Fraction(0)] * len(direction)
-    base[pivot] = Fraction(1)
-    dot = direction[pivot]
-    lam = Fraction(-2) * dot / norm
-    # the reflection of a unit vector: never 0
-    out = [b + lam * d for b, d in zip(base, direction)]
-    assert sum(x * x for x in out) == 1
+def _integer_direction(rng, rank: int) -> np.ndarray:
+    """2 rank rationals num / den (num in [-5, 5], den in [1, 3], drawn in
+    that order) as integers over their common denominator."""
+    draws = [(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(2 * rank)]
+    D = lcm(*{den for _, den in draws})
+    return np.array([num * (D // den) for num, den in draws], dtype=object)
+
+
+def _reflected_axis(Z: np.ndarray, norm: int) -> np.ndarray:
+    """norm times the Euclidean unit vector e_p - 2 Z_p Z / norm, the
+    reflection of the axis e_p of the first nonzero coordinate of Z in Z,
+    with norm = |Z|^2."""
+    pivot = np.flatnonzero(Z)[0]
+    out = -2 * Z[pivot] * Z
+    out[pivot] += norm
     return out
 
 
@@ -720,22 +736,28 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
     """Max |(fhat_a(h + X) - fhat_a(h - X)) / 2 - g(J_a V(h), X)| over
     seeded rational h = A / D, X = B / D (A, B integer vectors); exactly 0,
     because fhat is quadratic.  Both terms are homogeneous of degree 2,
-    so they are formed at (A, B) on integers and divided by D^2."""
+    so they are formed at (A, B) on integers and divided by D^2.
+
+    The samples are one batch: the rows of A and B are one
+    random_integers block and the D another, and the moments and the
+    Killing field take the batch at once, on int64: the entries of A +- B
+    are at most 40, so every moment component and pairing is at most
+    4 rank 40^2, exact below 2^63 at any rank a module can have here.  The
+    halved first adapted component is a Fraction array."""
     J, scale = structure_endos(rank).scaled_J
-    omega = np.stack([apply_metric(Ja).T for Ja in J])
-    worst = Fraction(0)
-    for _ in range(samples):
-        A, B = (np.array([rng.randint(-20, 20) for _ in range(4 * rank)],
-                         dtype=object) for _ in range(2))
-        den = rng.randint(1, 8)
-        fp = flat_adapted_moment(A + B)
-        fm = flat_adapted_moment(A - B)
-        pairing = omega @ B @ flat_killing(A)
-        for a in range(3):
-            residual = abs(Fraction(fp[a] - fm[a], 2)
-                           - Fraction(pairing[a], scale))
-            worst = max(worst, residual / den ** 2)
-    return worst
+    omega = np.stack([apply_metric(Ja).T for Ja in J]).astype(np.int64)
+    A, B = random_integers(rng, (2, samples, 4 * rank), -20, 20, np.int64)
+    den = random_integers(rng, (samples,), 1, 8)
+    fp = np.stack(flat_adapted_moment(A + B))
+    fm = np.stack(flat_adapted_moment(A - B))
+    K = flat_killing(A)
+    pairing = np.stack([((K @ w) * B).sum(axis=-1) for w in omega])
+    # per sample, 2 scale D^2 times the largest residual of a component,
+    # as a Python int or a Fraction
+    defect = np.abs(scale * (fp - fm) - 2 * pairing).max(axis=0)
+    return max((Fraction(x, 2 * scale * d * d)
+                for x, d in zip(defect.astype(object), den) if x),
+               default=Fraction(0))
 
 
 def pq_zero_set_check(p: int, q: int, samples: int, rng) -> int:
@@ -802,30 +824,36 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
     base point o in an integer direction d with L = <d, d>; d is redrawn
     when L = 0 or <o, d> = 0.  The checks <X, X> = L^2 and
     i-component(X) >= min(p, q) L^2 (the value at X is L^2 times the value
-    at X / L) are made on Python ints, the i-components of the conj(X_v) i
+    at X / L) are made on integers, the i-components of the conj(X_v) i
     X_v in the closed form of _sandwich_i, on the whole (12, m) batch.
 
     Every round draws as many directions as points are still missing, up
-    to _LEVEL_BLOCK, with one rng.choices call, so the draws are those of
-    one point at a time.  The cap bounds the object arrays live at once:
-    one round of all 10,000 points raised the peak memory of
+    to _LEVEL_BLOCK, as one random_integers block, and evaluates it on
+    int64: |d| <= 3 gives |L| <= 54, |X| <= 72 and an i-component
+    (a sum of four squares of entries of X) <= 20,736, far below 2^63.
+    The weights stay Python ints: when 3 * 20,736 max(p, q) could pass
+    2^63 the weighted sum and its bound are formed on Python ints, so any
+    weights stay exact.  The cap bounds the arrays live at once: one
+    round of all 10,000 points as Python ints raised the peak memory of
     `pqgeom --suite all` by 5.8 MB."""
     ws = _weights(p, q)
     failures = 0
     while samples > 0:
         m = min(samples, _LEVEL_BLOCK)
-        d = np.array(rng.choices(range(-3, 4), k=12 * m),
-                     dtype=object).reshape(m, 12).T
+        d = random_integers(rng, (m, 12), -3, 3, np.int64).T
         L = (d * apply_metric(d)).sum(axis=0)
         keep = (L != 0) & (d[0] != 0)
         d, L = d[:, keep], L[keep]
         X = -2 * d[0] * d
         X[0] += L
+        on_sphere = (X * apply_metric(X)).sum(axis=0) == L * L
         # the entries X_v as one split quaternion with (3, m) coefficients
         value = _sandwich_i(SplitQuaternion(*X.reshape(3, 4, -1)
                                             .swapaxes(0, 1)))[0]
+        if 3 * _I_COMPONENT_BOUND * max(ws) >= 2 ** 63:
+            value, L = value.astype(object), L.astype(object)
         failures += int(np.count_nonzero(
-            ((X * apply_metric(X)).sum(axis=0) != L * L)
-            | (np.dot(ws, value) < min(ws) * L * L)))
+            ~on_sphere | (sum(c * v for c, v in zip(ws, value))
+                          < min(ws) * L * L)))
         samples -= len(L)
     return failures

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,10 +65,26 @@ def test_seed_zero_residuals_are_exact():
 @pytest.mark.parametrize("name, check", [
     (name, check) for rows in REGISTRY.values() for name, check, _, _ in rows])
 def test_check_returns_exact_residual(name, check):
-    # run_suite converts the residual to a float once, for the report
-    config = CheckConfig(samples=10)
-    residual, _ = check(config, _check_rng(config, name))
-    assert type(residual) in (int, Fraction)
+    # run_suite converts the residual to a float once, for the report; the
+    # batched checks reduce int64 and object arrays, of one sample too
+    for samples in (1, 10):
+        config = CheckConfig(samples=samples)
+        residual, _ = check(config, _check_rng(config, name))
+        assert type(residual) in (int, Fraction)
+
+
+def test_suite_run_imports_no_numpy_random():
+    # the block sampler draws from random.Random alone; importing
+    # numpy.random would cost every run its import time
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from pqgeom.cli import run_suite\n"
+            "assert all(r.status == 'pass' for r in run_suite('all'))\n"
+            "print('numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_empty_level_set_shortfall_is_a_failure(monkeypatch):

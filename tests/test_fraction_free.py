@@ -18,20 +18,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pqgeom import exactla
+from pqgeom import cli, exactla
 from pqgeom.curvature import special_linear_decomposition, weyl_sample
 from pqgeom.forms import (BilinearForm, fundamental_four_form,
                           hermitian_projector, random_rotation,
                           rotate_structure, two_form)
 from pqgeom.linalg import (grassman_split, module_scalar_product,
-                           random_antihermitian, random_pq_matrix,
-                           random_pq_vector, real_rep, structure_endos)
+                           random_antihermitian, real_rep, structure_endos)
 from pqgeom.projspace import (induced_geometry, random_sphere_point,
                               tangent_split)
 from pqgeom.reduction import (_generator_action, _level_gradient_rows,
                               _normal_residual, empty_levelset_check,
                               flat_level_sample, flat_reduced_structure,
                               weighted_level_sample, weighted_level_value)
+
+from test_linalg import random_pq_matrix, random_pq_vector
 
 
 @pytest.fixture
@@ -188,3 +189,30 @@ def test_module_points_form_only_their_results(fraction_count):
         call()
         formed[name] = fraction_count[0]
     assert formed == {name: want for name, (_, want) in calls.items()}
+
+
+def test_batched_sampling_checks_form_only_their_results(fraction_count):
+    # the checks that evaluate their identity on whole integer batches, at
+    # the default configuration and seed 0: the count of shortfalls and the
+    # int64 norm residual form none; the conjugation and scalar-product
+    # checks form their residual, representation-homomorphism its two
+    # distances per rank; moment-gradient forms 6 per sample and 3 more,
+    # because flat_adapted_moment halves the first component (one
+    # Fraction per sample in each of the two moments, and the constant
+    # 1/2), whose difference, rescaling, subtraction of the pairing and
+    # absolute value form one per sample each, and the result is one
+    config = cli.CheckConfig()
+    want = {"norm-multiplicativity": 0, "conjugation-anti-automorphism": 1,
+            "center-is-real-line": 0, "representation-homomorphism": 6,
+            "scalar-product-complex-form": 1,
+            "moment-gradient": 6 * 200 + 3,
+            "definite-axis-empty-level-set": 0}
+    formed = {}
+    for rows in cli.REGISTRY.values():
+        for name, fn, _, _ in rows:
+            if name in want:
+                rng = cli._check_rng(config, name)
+                fraction_count[0] = 0
+                fn(config, rng)
+                formed[name] = fraction_count[0]
+    assert formed == want

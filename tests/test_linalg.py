@@ -13,13 +13,14 @@ from pqgeom.curvature import (curvature_from_bilinear, projective_curvature,
                               ricci, ricci_split, weyl_sample)
 from pqgeom.forms import BilinearForm
 from pqgeom.linalg import (TENSOR_BLOCKS, DegenerateStructureError,
+                           _random_coefficients,
                            HermitianStructure, PQMatrix, PQVector,
                            RankMismatchError, adopted_basis, batch_matmul,
                            format_matrix, grassman_split, left_mult_matrix,
                            left_structure_endos, metric_matrix,
                            module_scalar_product, parse_matrix,
-                           random_antihermitian, random_pq_matrix,
-                           random_pq_vector, random_quaternion, real_rep,
+                           random_antihermitian, random_integers,
+                           random_quaternion, real_rep,
                            sp_membership, structure_endos, structure_from_text,
                            structure_to_text, symplectic_form)
 
@@ -50,6 +51,19 @@ def ref_module_scalar_product(h: PQVector, hp: PQVector):
     """Re sum h_v conj(h'_v) by scalar products of the entries: the
     reference for the integer route of module_scalar_product."""
     return sum(scalar_product(a, b) for a, b in zip(h.entries, hp.entries))
+
+
+def random_pq_vector(rng, n: int) -> PQVector:
+    """A vector of random_quaternion(rng, 5) entries, drawn on integers."""
+    C, L = _random_coefficients(rng, n, 5)
+    return PQVector.from_scaled_integers(C.T.reshape(-1), L)
+
+
+def random_pq_matrix(rng, n: int) -> PQMatrix:
+    """A matrix of random_quaternion(rng, 3) entries, row by row, drawn on
+    integers."""
+    C, L = _random_coefficients(rng, n * n, 3)
+    return PQMatrix.from_scaled_integers(C.reshape(4, n, n), L)
 
 
 def ref_random_pq_vector(rng, n):
@@ -1047,6 +1061,73 @@ def test_random_matrices_match_fraction_draws(seed):
             got, want = draw(rng, n), ref(ref_rng, n)
             assert got == want and got.entries == want.entries
             assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("low, high, dtype", [
+    (-3, 3, object), (1, 8, np.int64), (-99, 99, np.int64), (5, 5, object),
+    (-2 ** 31, 2 ** 31 - 1, object)])
+def test_random_integers_in_range_and_seeded(low, high, dtype):
+    a = random_integers(random.Random(1), (6, 50), low, high, dtype)
+    b = random_integers(random.Random(1), (6, 50), low, high, dtype)
+    assert a.shape == (6, 50) and a.dtype == np.dtype(dtype)
+    assert (a == b).all()
+    assert low <= a.min() and a.max() <= high
+    if dtype is object:
+        assert all(type(x) is int for x in a.reshape(-1))
+    # a small range is covered
+    if high - low < 10:
+        assert set(random_integers(random.Random(2), (200,), low, high)) \
+            == set(range(low, high + 1))
+
+
+def test_random_integers_rejects_words_above_the_last_multiple():
+    # at the span 2^31 + 3 only the words below the span are accepted,
+    # about half of them; each round redraws as many words as were
+    # rejected, by one getrandbits call
+    span, low, size = 2 ** 31 + 3, -5, 40
+    rng, replay = random.Random(3), random.Random(3)
+    got = random_integers(rng, (size,), low, low + span - 1)
+    want, rounds = [], 0
+    while len(want) < size:
+        m = size - len(want)
+        bits = replay.getrandbits(32 * m)
+        want += [low + w for w in ((bits >> (32 * i)) & 0xFFFFFFFF
+                                   for i in range(m)) if w < span]
+        rounds += 1
+    assert rounds > 1
+    assert list(got) == want and rng.getstate() == replay.getstate()
+
+
+def test_random_integers_refuses_empty_and_wide_ranges():
+    rng = random.Random(0)
+    state = rng.getstate()
+    for low, high in ((2, 1), (0, -10), (0, 2 ** 32)):
+        with pytest.raises(ValueError, match="span"):
+            random_integers(rng, (3,), low, high)
+    assert rng.getstate() == state
+    # the widest span, 2^32, accepts every word
+    assert random_integers(rng, (4,), 0, 2 ** 32 - 1).shape == (4,)
+
+
+def test_matrix_batches_match_each_matrix():
+    # a coefficient array (4, S, n, n) is a batch of S matrices over one
+    # scale: products, commutators and real_rep act on each of them
+    rng = random.Random(8)
+    for n in (1, 2, 3):
+        C, L = _random_coefficients(rng, 2 * 4 * n * n, 3)
+        C = C.reshape(4, 4, 2, n, n)
+        A, B = (PQMatrix.from_scaled_integers(C[:, :, k], L) for k in (0, 1))
+        assert A.rank == n
+        RA, LA = real_rep(A)
+        assert RA.shape == (4, 2 * n, 2 * n) and LA == L
+        for s in range(4):
+            As, Bs = (PQMatrix.from_scaled_integers(C[:, s, k], L)
+                      for k in (0, 1))
+            assert (RA[s] == real_rep(As)[0]).all()
+            for batch, single in ((A @ B, As @ Bs),
+                                  (A.commutator(B), As.commutator(Bs))):
+                got, LG = batch.scaled
+                assert PQMatrix.from_scaled_integers(got[:, s], LG) == single
 
 
 def test_real_rep_injective():

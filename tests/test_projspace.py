@@ -7,11 +7,12 @@ import pytest
 from pqgeom import exactla
 from pqgeom.algebra import IMAGINARY_UNITS, UNITS, SplitQuaternion
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
-                           module_scalar_product, random_pq_vector,
+                           module_scalar_product,
                            random_quaternion, right_unit_action,
                            sp_group_membership)
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
-                              SpherePoint, base_point, induced_geometry,
+                              NullLineError, SpherePoint, TangentLineError,
+                              base_point, induced_geometry,
                               random_sphere_point, random_unit_quaternion,
                               sphere_point_through, tangent_split,
                               transitive_element, vertical_frame)
@@ -19,8 +20,8 @@ from pqgeom.reduction import (admissible_directions, reduced_jacobi,
                               weighted_level_sample,
                               weighted_level_sample_float)
 
-from test_linalg import (ref_module_scalar_product, ref_right_mul,
-                         ref_solve, right_mul)
+from test_linalg import (random_pq_vector, ref_module_scalar_product,
+                         ref_right_mul, ref_solve, right_mul)
 
 
 def hermitian_pairing(u, v) -> SplitQuaternion:
@@ -177,6 +178,49 @@ def test_sphere_points_match_fraction_route(seed):
                 sphere_point_through(base, d)
         else:
             assert sphere_point_through(base, d).x == want.x
+
+
+class BudgetRandom(random.Random):
+    """A generator that raises RuntimeError after `budget` getrandbits
+    calls (every draw of random.Random goes through one), so a sampler
+    that would redraw forever fails instead of hanging."""
+
+    def __init__(self, seed, budget):
+        super().__init__(seed)
+        self.budget = budget
+
+    def getrandbits(self, k):
+        self.budget -= 1
+        if self.budget < 0:
+            raise RuntimeError("draw budget exhausted")
+        return super().getrandbits(k)
+
+
+def test_random_sphere_point_redraws_only_null_and_tangent_lines(
+        monkeypatch):
+    o = base_point(2)
+    e = [SplitQuaternion()]
+    with pytest.raises(NullLineError):
+        sphere_point_through(o, PQVector([SplitQuaternion(1, 0, 1)] + e))
+    with pytest.raises(TangentLineError):
+        sphere_point_through(o, PQVector([SplitQuaternion(0, 1)] + e))
+    # with the reflection sign flipped every point is off the sphere (by
+    # 8 <d, d> <o, d>^2): the sampler raises instead of redrawing
+    import pqgeom.projspace as proj
+
+    def flipped(base, direction):
+        (B, LB), (D, _) = base.x.scaled, direction.scaled
+        dd, bd = D @ apply_metric(D), B @ apply_metric(D)
+        if dd == 0:
+            raise NullLineError("null direction")
+        if bd == 0:
+            raise TangentLineError("tangent direction")
+        return SpherePoint(PQVector.from_scaled_integers(dd * B + 2 * bd * D,
+                                                         LB * dd))
+
+    monkeypatch.setattr(proj, "sphere_point_through", flipped)
+    with pytest.raises(ValueError, match="not a unit vector"):
+        random_sphere_point(BudgetRandom(0, 1000), 3)
 
 
 def test_unit_scaling_represents_every_rational():

@@ -13,8 +13,9 @@ from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, restrict_to_complement, ricci)
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
-                           module_scalar_product, right_mult_matrix,
-                           right_unit_action, structure_endos)
+                           module_scalar_product, random_integers,
+                           right_mult_matrix, right_unit_action,
+                           structure_endos)
 from pqgeom.projspace import (SpherePoint, base_point, random_sphere_point,
                               transitive_element, vertical_frame)
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
@@ -64,6 +65,66 @@ def killing_derivative(p, q, u: SpherePoint, X):
 # -- flat circle scene --------------------------------------------------------
 
 
+def ref_flat_level_sample(rng, rank):
+    """The Fraction route of flat_level_sample: the circle point of the
+    slope u, the two directions as Fraction lists with disjoint supports,
+    each rescaled to a Euclidean unit vector by ref_euclidean_unit, and the
+    entries (s z_re, s z_im, t w_re, -t w_im)."""
+    while True:
+        u = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        den = 1 + u * u
+        s, t = (1 - u * u) / den, 2 * u / den
+        if s == 0 or t == 0 or s * s == t * t:
+            continue
+        size = rng.randrange(1, rank)
+        support = rng.sample(range(rank), size)
+        zdir = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(2 * rank)]
+        wdir = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for _ in range(2 * rank)]
+        for v in range(rank):
+            if v in support:
+                wdir[2 * v] = wdir[2 * v + 1] = Fraction(0)
+            else:
+                zdir[2 * v] = zdir[2 * v + 1] = Fraction(0)
+        zn = sum(x * x for x in zdir)
+        wn = sum(x * x for x in wdir)
+        if zn == 0 or wn == 0:
+            continue
+        zvec = ref_euclidean_unit(zdir, zn)
+        wvec = ref_euclidean_unit(wdir, wn)
+        return PQVector([SplitQuaternion(s * zvec[2 * v], s * zvec[2 * v + 1],
+                                         t * wvec[2 * v], -t * wvec[2 * v + 1])
+                         for v in range(rank)])
+
+
+def ref_euclidean_unit(direction, norm):
+    """The reflection of the first axis e_p of the support of the
+    direction in it: e_p - 2 direction_p direction / norm, a rational
+    Euclidean unit vector."""
+    pivot = next(i for i, x in enumerate(direction) if x != 0)
+    lam = Fraction(-2) * direction[pivot] / norm
+    out = [lam * d for d in direction]
+    out[pivot] += 1
+    assert sum(x * x for x in out) == 1
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_flat_level_sample_matches_fraction_route(rank):
+    # the integer route draws by the same rng calls and returns the same
+    # point, in the same lowest-terms pair
+    rng, ref_rng = random.Random(rank), random.Random(rank)
+    for _ in range(20):
+        h, want = flat_level_sample(rng, rank), ref_flat_level_sample(
+            ref_rng, rank)
+        assert h == want
+        assert h.scaled[1] == want.scaled[1]
+        assert list(h.scaled[0]) == list(want.scaled[0])
+        assert all(type(x) is int for x in h.scaled[0])
+    assert rng.getstate() == ref_rng.getstate()
+
+
 def test_flat_moment_values():
     zero = PQVector([SplitQuaternion(), SplitQuaternion()])
     assert flat_circle_moment(zero.to_real()) == (0, 0, 0)
@@ -88,6 +149,18 @@ def test_flat_level_sampler_equations():
         zw_re = sum(z[0] * w[0] - z[1] * w[1] for z, w in zip(zs, ws))
         zw_im = sum(z[0] * w[1] + z[1] * w[0] for z, w in zip(zs, ws))
         assert norm == 1 and zw_re == 0 and zw_im == 0
+
+
+def test_flat_moment_and_killing_take_a_batch():
+    # leading axes of the coordinates are a batch of points
+    rng = random.Random(11)
+    X = np.array([[rng.randint(-9, 9) for _ in range(12)] for _ in range(5)],
+                 dtype=object)
+    batch = flat_circle_moment(X.reshape(5, 1, 12))
+    V = flat_killing(X)
+    for s, x in enumerate(X):
+        assert tuple(f[s, 0] for f in batch) == flat_circle_moment(x)
+        assert (V[s] == flat_killing(x)).all()
 
 
 def test_flat_moment_circle_invariance():
@@ -719,17 +792,19 @@ def test_empty_variant_level_set():
     assert empty_levelset_check(1, 2, 3000, random.Random(22)) == 0
 
 
-def ref_empty_levelset_check(p, q, samples, rng):
-    """The per-sample loop on scalar split quaternions: draw one integer
-    direction d at a time, reflect the base point o in it to the sphere
-    point X / L, and count the points off the sphere or with an
-    i-component of the definite-axis value below min(p, q) L^2.  The
-    value is also compared with its closed form sum c_v |X_v|_E^2."""
+def ref_empty_levelset_check(p, q, samples, rng, shrink=lambda v: v):
+    """The per-sample loop on scalar split quaternions of Python ints: draw
+    one integer direction d at a time through random_integers, reflect the
+    base point o in it to the sphere point X / L, and count the points off
+    the sphere or with an i-component of the definite-axis value below
+    min(p, q) L^2.  The value is also compared with its closed form
+    sum c_v |X_v|_E^2.  shrink maps the i-component of each entry before
+    the weighted sum (a planted defect; the identity by default)."""
     ws = (q, p, p)
     o = [1] + [0] * 11
     failures = 0
     while samples > 0:
-        d = rng.choices(range(-3, 4), k=12)
+        d = list(random_integers(rng, (12,), -3, 3))
         dv = PQVector(SplitQuaternion(*d[4 * v:4 * v + 4]) for v in range(3))
         L = module_scalar_product(dv, dv)
         if L == 0 or d[0] == 0:
@@ -738,13 +813,12 @@ def ref_empty_levelset_check(p, q, samples, rng):
                                        zip(o[4 * v:4 * v + 4],
                                            d[4 * v:4 * v + 4])))
                      for v in range(3))
-        total = SplitQuaternion()
-        for c, h in zip(ws, X.entries):
-            total = total + (h.conj() * I * h).scale(c)
-        assert total.b == sum(c * sum(x * x for x in h.coefficients())
-                              for c, h in zip(ws, X.entries))
+        values = [(h.conj() * I * h).b for h in X.entries]
+        assert values == [sum(x * x for x in h.coefficients())
+                          for h in X.entries]
+        total = sum(c * shrink(v) for c, v in zip(ws, values))
         failures += (module_scalar_product(X, X) != L * L
-                     or total.b < min(ws) * L * L)
+                     or total < min(ws) * L * L)
         samples -= 1
     return failures
 
@@ -753,13 +827,33 @@ def ref_empty_levelset_check(p, q, samples, rng):
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (3, 4)])
 def test_empty_levelset_check_matches_per_sample_loop(p, q, seed, samples):
-    # the batch draws are those of one point at a time: both routes leave
-    # the generator in the same state
+    # a block of random_integers is the per-point blocks in a row (the
+    # words of getrandbits come in generator order) unless a word is
+    # rejected, which at the span 7 has probability 4 / 2^32 per word: both
+    # routes leave the generator in the same state
     rng, ref_rng = random.Random(seed), random.Random(seed)
     got = empty_levelset_check(p, q, samples, rng)
     want = ref_empty_levelset_check(p, q, samples, ref_rng)
     assert type(got) is int and got == want == 0
     assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2 ** 62 - 1, 2 ** 62 - 3),
+                                  (2 ** 62 + 1, 2 ** 61 - 1),
+                                  (2 ** 70 + 3, 2 ** 70 + 1)])
+def test_empty_levelset_check_exact_at_large_weights(monkeypatch, p, q):
+    # the batch runs on int64, whose weighted sum would overflow at weights
+    # near 2^62; with the i-components quartered (on integers) the check
+    # counts shortfalls, and its count equals that of the Python-int loop
+    import pqgeom.reduction as red
+    sandwich = red._sandwich_i
+    monkeypatch.setattr(red, "_sandwich_i", lambda h: (
+        sandwich(h)[0] // 4, *sandwich(h)[1:]))
+    rng, ref_rng = random.Random(5), random.Random(5)
+    got = empty_levelset_check(p, q, 300, rng)
+    want = ref_empty_levelset_check(p, q, 300, ref_rng,
+                                    shrink=lambda v: v // 4)
+    assert type(got) is int and got == want > 0
 
 
 def test_empty_levelset_check_counts_shortfalls(monkeypatch):
