@@ -3,8 +3,7 @@ decompositions, the projective-space model, and two moment-map
 reductions, with exact rational arithmetic as the ground truth and a
 verification CLI (`pqgeom` or `python -m pqgeom`)."""
 
-from .algebra import (NullQuaternionError, SplitQuaternion, conj_norm,
-                      scalar_product)
+from .algebra import NullQuaternionError, SplitQuaternion, scalar_product
 from .linalg import (DegenerateStructureError, HermitianStructure, PQMatrix,
                      PQVector, RankMismatchError, adopted_basis,
                      grassman_split, module_scalar_product, real_rep,

@@ -214,9 +214,3 @@ def _coerce(x):
 def scalar_product(q: SplitQuaternion, qp: SplitQuaternion):
     """Re(q conj(q')) = a a' + b b' - c c' - d d'."""
     return q.a * qp.a + q.b * qp.b - q.c * qp.c - q.d * qp.d
-
-
-def conj_norm(q: SplitQuaternion, qp: SplitQuaternion):
-    """(conj(q), |q|^2, <q, q'>) in one call."""
-    return q.conj(), q.square_norm(), scalar_product(q, qp)
-

@@ -16,30 +16,35 @@ for entry, for the metric of the unit-pseudosphere submersion.
 
 Arithmetic.  A ``CurvatureTensor`` is exact and held as scaled integers:
 ``tensor`` is an object array of Python ints and ``scale`` a positive
-int, and the curvature is tensor / scale.  The builders compute on Python
+int, and the curvature is tensor / scale; its metric is the pair
+``metric`` = (G, LG) of the same kind.  The builders compute on Python
 ints, from the integer pairs of their inputs (``scaled_J`` and
 ``scaled_g`` of a ``HermitianStructure``, ``scaled`` of a
 ``BilinearForm``, the pairs of a ``GrassmanSplit``), and return that
-pair as it is; the diagnostics, sums, differences and multiples
-(``times``) read it directly, and only their small results (Ricci forms,
-Jacobi operators, residuals) become ``Fraction``s.  The inverses of
-``weyl_sample`` and ``scalar_curvature`` are the (X, L) pairs of
-``exactla.inverse``, used as they are.  ``special_linear_decomposition``
-builds its matrices as Python ints, and ``_bracket_coordinates`` returns
-the integer pair of its ``frame_coordinates`` call, from which the
-structure of the pair is built; the structure constants of a
-``SymmetricDecomposition`` are ``Fraction`` arrays, one ``Fraction`` per
-distinct value.  The
-constructor raises TypeError on any entry that is not a Python int and on
-a scale that is not a positive int.  Exact ``Fraction``/int arrays enter
-through ``CurvatureTensor.from_fractions``, and ``fractions()`` is the
-``Fraction`` view that ``curvature_to_text`` writes out; the text format
-has the single mode "exact".  The commutators with the J_a and the
-change of basis of the tensor splitting go through ``exactla.contract``,
-one slice operation per nonzero matrix entry: on the standard structure
-each J_a is a signed permutation and the change of basis has at most two
-nonzeros per row.  The standard model (``ambient_projective_curvature``)
-is built once per rank and shared, and its tensor is read-only.
+pair as it is.  The diagnostics hand pairs on as well: ``ricci``
+returns (N, L), ``structure_traces`` (T, L) with T[x, y, a],
+``jacobi_operator`` (K, L) for an integer direction,
+``restrict_to_complement`` the pair of the restricted operator beside
+the kernel pair of its basis, and ``power_sums`` takes such a pair;
+only scalar results (constants, residuals, power sums) become
+``Fraction``s.  The inverses of ``weyl_sample`` and
+``scalar_curvature`` are the (X, L) pairs of ``exactla.inverse``, used
+as they are.  A ``SymmetricDecomposition`` holds its structure
+constants and its metric as pairs: ``_bracket_coordinates`` returns the
+integer pair of its ``frame_coordinates`` call, which
+``from_matrix_algebra`` keeps, and ``special_linear_decomposition`` and
+``solvable_decomposition`` write their matrices as Python ints.  The
+constructor raises TypeError on any tensor or metric entry that is not
+a Python int and on a scale that is not a positive int.  Exact
+``Fraction``/int arrays enter through ``CurvatureTensor.from_fractions``,
+and ``fractions()`` is the ``Fraction`` view that ``curvature_to_text``
+writes out; the text format has the single mode "exact".  The
+commutators with the J_a and the change of basis of the tensor
+splitting go through ``exactla.contract``, one slice operation per
+nonzero matrix entry: on the standard structure each J_a is a signed
+permutation and the change of basis has at most two nonzeros per row.
+The standard model (``ambient_projective_curvature``) is built once per
+rank and shared, and its tensor is read-only.
 
 Ricci splitting.  ``ricci_split`` inverts the Ricci map of the linear
 family R^B on its three eigenspaces (closed formula); the dense
@@ -47,8 +52,11 @@ Kronecker system of the same map is assembled and solved only in the
 tests, as the reference the closed route is compared with.
 
 Spectra.  A Jacobi spectrum is held as the exact power sums of the
-restricted operator (``power_sums``); float eigenvalues appear only in
-the tests, as the reference the power sums are compared with.
+restricted operator (``power_sums``), and its nilpotency as the degree
+of the minimal polynomial (``minimal_polynomial_degree``, the rank of
+the stacked powers of the integer matrix, which a scale leaves
+unchanged) and a K_X^2 = 0 test on integers; float eigenvalues appear
+only in the tests, as the reference the power sums are compared with.
 """
 
 from __future__ import annotations
@@ -88,28 +96,38 @@ class ComplementLeakError(ValueError):
     curvature tensor."""
 
 
+def _integer_array(arr, what: str, scale: int = 1) -> np.ndarray:
+    """arr as an array; TypeError unless its entries are Python ints and
+    scale is an int >= 1."""
+    if type(scale) is not int or scale < 1:
+        raise TypeError(f"{what} scale must be an int >= 1, not {scale!r}")
+    arr = np.asarray(arr)
+    kinds = set(map(type, arr.reshape(-1)))
+    if not kinds <= {int}:
+        raise TypeError(f"{what} entries must be Python ints, "
+                        f"not {sorted(k.__name__ for k in kinds)}")
+    return arr
+
+
 class CurvatureTensor:
     """Dense (1,3) curvature array tensor / scale with its companion
-    metric: tensor an object array of Python ints, scale an int >= 1.
-    TypeError on any other entry or scale."""
+    metric G / LG, held as the pair ``metric`` = (G, LG): tensor and G
+    object arrays of Python ints, scale and LG ints >= 1.  TypeError on
+    any other entry or scale."""
 
     def __init__(self, tensor, scale: int, metric):
-        if type(scale) is not int or scale < 1:
-            raise TypeError(f"curvature scale must be an int >= 1, "
-                            f"not {scale!r}")
-        self.tensor = np.asarray(tensor)
-        kinds = set(map(type, self.tensor.reshape(-1)))
-        if not kinds <= {int}:
-            raise TypeError(f"curvature tensor entries must be Python ints, "
-                            f"not {sorted(k.__name__ for k in kinds)}")
+        self.tensor = _integer_array(tensor, "curvature tensor", scale)
         self.scale = scale
-        self.metric = np.asarray(metric)
+        G, LG = metric
+        self.metric = (_integer_array(G, "metric", LG), LG)
 
     @classmethod
     def from_fractions(cls, tensor, metric) -> "CurvatureTensor":
-        """The tensor of an exact array; TypeError unless every entry is
-        an int or a Fraction."""
-        return cls(*exactla.scaled_integers(tensor), metric)
+        """The tensor of an exact array and an exact metric, both scaled
+        to integers; TypeError unless every entry is an int or a
+        Fraction."""
+        return cls(*exactla.scaled_integers(tensor),
+                   exactla.scaled_integers(metric))
 
     def fractions(self) -> np.ndarray:
         """The Fraction array tensor / scale."""
@@ -117,7 +135,7 @@ class CurvatureTensor:
 
     @property
     def dim(self) -> int:
-        return self.metric.shape[0]
+        return self.tensor.shape[0]
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -149,26 +167,29 @@ def bianchi_residual(R: CurvatureTensor) -> Fraction:
     return Fraction(exactla.max_abs(cyc), R.scale)
 
 
-def ricci(R: CurvatureTensor) -> np.ndarray:
-    """Ric(Y, Z) = Tr(X -> R(X, Y) Z), traced over the first slot."""
-    return exactla.from_scaled_integers(
-        np.trace(R.tensor, axis1=0, axis2=3), R.scale)
+def ricci(R: CurvatureTensor):
+    """(N, L) with Ric(e_y, e_z) = N[y, z] / L, where
+    Ric(Y, Z) = Tr(X -> R(X, Y) Z) is traced over the first slot."""
+    return np.trace(R.tensor, axis1=0, axis2=3), R.scale
 
 
 def scalar_curvature(R: CurvatureTensor) -> Fraction:
-    """K = Tr(g^-1 Ric), summed elementwise on scaled integers."""
-    G, LG = exactla.inverse(R.metric)
-    ric = np.trace(R.tensor, axis1=0, axis2=3)
-    return Fraction(int((G * ric.T).sum()), LG * R.scale)
+    """K = Tr(g^-1 Ric), summed elementwise on scaled integers: with
+    g = G / LG and G^-1 = Ginv / Linv, g^-1 = LG Ginv / Linv."""
+    G, LG = R.metric
+    Ginv, Linv = exactla.inverse(G)
+    ric, LR = ricci(R)
+    return Fraction(LG * int((Ginv * ric.T).sum()), Linv * LR)
 
 
 def einstein_check(R: CurvatureTensor):
     """(constant, residual) for Ric(R) = constant * g, with the constant
-    K(R)/dim read off the metric trace."""
-    ric = ricci(R)
-    K = scalar_curvature(R)
-    const = Fraction(K) / R.dim
-    residual = exactla.max_abs(ric - const * R.metric)
+    K(R)/dim read off the metric trace; the residual is the max entry of
+    Ric - constant g, formed on integers."""
+    G, LG = R.metric
+    const = scalar_curvature(R) / R.dim
+    residual = exactla.scaled_distance(*ricci(R), G * const.numerator,
+                                       LG * const.denominator)
     return const, residual
 
 
@@ -221,20 +242,14 @@ def curvature_from_bilinear(B: BilinearForm,
     t += K.transpose(0, 2, 1, 3)
     t -= K.transpose(2, 0, 1, 3)
     del K
-    return CurvatureTensor(t, LB * LJ * LJ, H.g)
-
-
-def _integer_traces(t, J) -> np.ndarray:
-    """T[x, y, a] = Tr(J_a R(e_x, e_y)) for integer t and stacked J."""
-    return np.tensordot(t, J, axes=([2, 3], [1, 2]))
+    return CurvatureTensor(t, LB * LJ * LJ, H.scaled_g)
 
 
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
-    """The three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y))."""
+    """(T, L): the three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y)) as
+    Tr(J_a R(e_x, e_y)) = T[x, y, a] / L, on the integer members of H."""
     J, LJ = H.scaled_J
-    T = _integer_traces(R.tensor, J)
-    return [exactla.from_scaled_integers(T[:, :, a], R.scale * LJ)
-            for a in range(3)]
+    return np.tensordot(R.tensor, J, axes=([2, 3], [1, 2])), R.scale * LJ
 
 
 def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
@@ -250,7 +265,7 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
     J, LJ = H.scaled_J
     xs, ys = np.triu_indices(d, 1)
     M = t[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
-    T = _integer_traces(t, J)[xs, ys]
+    T = structure_traces(R, H)[0][xs, ys]
     traces = [T[:, a, None, None] for a in range(3)]
     worst = 0
     for (a, b, c) in CYCLES:
@@ -283,10 +298,9 @@ def ricci_split(R: CurvatureTensor, H: HermitianStructure):
     d = R.dim
     # on integers: ric over LR, its symmetric and antisymmetric parts over
     # 2 LR, herm and mix over S = 4 LJ^2 (2 LR) = 4 LJ^2 times that
-    ric = np.trace(R.tensor, axis1=0, axis2=3)
+    ric, LR = ricci(R)
     LJ = H.scaled_J[1]
-    herm, mix, _ = hermitian_projector(
-        BilinearForm(ric + ric.T, 2 * R.scale), H)
+    herm, mix, _ = hermitian_projector(BilinearForm(ric + ric.T, 2 * LR), H)
     (Nh, S), (Nm, _) = herm.scaled, mix.scaled
     # B = herm / (d+8) + mix / d + alt / (d+4) over S d (d+4) (d+8),
     # reduced by the common gcd
@@ -327,7 +341,7 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     K *= 2   # in place: no third d^4 array
     t -= K
     del K
-    return CurvatureTensor(t, Lg * LJ * LJ, H.g)
+    return CurvatureTensor(t, Lg * LJ * LJ, H.scaled_g)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +351,9 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
 
 @dataclass
 class SymmetricDecomposition:
-    """Structure constants of a Lie algebra split g = m + f.
+    """Structure constants of a Lie algebra split g = m + f, each table
+    and the metric a scaled-integer pair (N, L), N an object array of
+    Python ints and L its scale:
 
     c_mm[i, j, a]: coefficient of f_a in [m_i, m_j]
     c_fm[a, i, j]: coefficient of m_j in [f_a, m_i]
@@ -346,26 +362,29 @@ class SymmetricDecomposition:
     by the membership and spectrum diagnostics.
     """
 
-    c_mm: np.ndarray
-    c_fm: np.ndarray
-    c_ff: np.ndarray
-    g_m: np.ndarray
+    c_mm: tuple
+    c_fm: tuple
+    c_ff: tuple
+    g_m: tuple
     structure: HermitianStructure | None = None
 
     @classmethod
     def from_matrix_algebra(cls, m_mats, f_mats, g_m, structure=None):
-        """Assemble structure constants from explicit real matrices.
+        """Assemble structure constants from explicit real matrices and
+        an exact metric, which is scaled to integers once.
 
         Verifies the closure relations [m,m] within span(f), [f,m] within
         span(m), [f,f] within span(f) exactly; matrix brackets make the
         Jacobi identity automatic.
         """
-        c_mm, c_fm, c_ff = (
-            exactla.from_scaled_integers(*_bracket_coordinates(*args))
-            for args in ((m_mats, m_mats, f_mats, "bracket leaves span(f)"),
-                         (f_mats, m_mats, m_mats, "bracket leaves span(m)"),
-                         (f_mats, f_mats, f_mats, "bracket leaves span(f)")))
-        return cls(c_mm, c_fm, c_ff, g_m, structure)
+        return cls(
+            _bracket_coordinates(m_mats, m_mats, f_mats,
+                                 "bracket leaves span(f)"),
+            _bracket_coordinates(f_mats, m_mats, m_mats,
+                                 "bracket leaves span(m)"),
+            _bracket_coordinates(f_mats, f_mats, f_mats,
+                                 "bracket leaves span(f)"),
+            exactla.scaled_integers(g_m), structure)
 
 
 def _bracket_coordinates(left, right, basis, label):
@@ -391,12 +410,9 @@ def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
     NotSymmetricPairError unless the pair passes the symmetric-pair
     sanity tests: antisymmetry of [m, m], ad(f)-invariance of the metric,
     and the Jacobi identity on tangent triples (which is first Bianchi).
-    The tables are scaled to integers once; the tests are zero tests on
-    them, and the double brackets are formed once, for the Jacobi test
-    and the tensor."""
-    mm, Lmm = exactla.scaled_integers(D.c_mm)
-    fm, Lfm = exactla.scaled_integers(D.c_fm)
-    g, _ = exactla.scaled_integers(D.g_m)
+    The tests are zero tests on the integer tables, and the double
+    brackets are formed once, for the Jacobi test and the tensor."""
+    (mm, Lmm), (fm, Lfm), (g, _) = D.c_mm, D.c_fm, D.g_m
     if exactla.max_abs(mm + mm.transpose(1, 0, 2)) != 0:
         raise NotSymmetricPairError("[m, m] table is not antisymmetric")
     # ad(f) must be g_m-skew; fm[a] = ad(f_a)^T, row i = [f_a, m_i]
@@ -425,28 +441,21 @@ def solvable_decomposition(sign: int = 1) -> SymmetricDecomposition:
 
     Its curvature is nonzero with identically nilpotent Jacobi operators.
     The compatible structure carried along is the left-multiplication
-    triple, which commutes with A.
+    triple, which commutes with A.  The tables are integer pairs, with A
+    written as Python ints over the scale 2.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    half = Fraction(1, 2)
-    A = exactla.fracarray([
-        [0, -half, half, 0],
-        [half, 0, 0, half],
-        [half, 0, 0, half],
-        [0, half, -half, 0],
-    ])
-    c_mm = exactla.zeros((4, 4, 1))
+    A = np.array([[0, -1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, -1, 0]],
+                 dtype=object)
+    c_mm = np.zeros((4, 4, 1), dtype=object)
     for (i, j) in ((0, 1), (2, 0), (3, 1), (2, 3)):
-        c_mm[i, j, 0] = Fraction(sign)
-        c_mm[j, i, 0] = Fraction(-sign)
-    c_fm = exactla.zeros((1, 4, 4))
-    for i in range(4):
-        c_fm[0, i] = A[:, i]
-    c_ff = exactla.zeros((1, 1, 1))
-    g_m = metric_matrix(1)
-    return SymmetricDecomposition(c_mm, c_fm, c_ff, g_m,
-                                  structure=left_structure_endos(1))
+        c_mm[i, j, 0] = sign
+        c_mm[j, i, 0] = -sign
+    # row i of c_fm[0] is column i of A
+    return SymmetricDecomposition(
+        (c_mm, 1), (A.T[None], 2), (np.zeros((1, 1, 1), dtype=object), 1),
+        (metric_matrix(1), 1), structure=left_structure_endos(1))
 
 
 # 2x2 generators with j1^2 = -1, j2^2 = j3^2 = +1 and the cyclic table,
@@ -541,7 +550,7 @@ def projective_pair(n: int):
         out = col[:, :, 1:, 0].transpose(1, 2, 0).reshape(len(xs), d)
         tensor[xs, ys, z] = out
         tensor[ys, xs, z] = -out
-    return CurvatureTensor(tensor, 1, metric_matrix(n))
+    return CurvatureTensor(tensor, 1, (metric_matrix(n), 1))
 
 
 @functools.cache
@@ -567,56 +576,58 @@ def ambient_projective_curvature(n: int) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_integers(R: CurvatureTensor, X: np.ndarray):
-    """(K, LK) with K / LK the matrix of jacobi_operator(R, X)."""
-    N, L = exactla.scaled_integers(X)
-    t1 = np.tensordot(N, R.tensor, axes=([0], [0]))   # (y, z, w)
-    t2 = np.tensordot(N, t1, axes=([0], [1]))         # (y, w)
-    return t2.T, L * L * R.scale
-
-
-def jacobi_operator(R: CurvatureTensor, X: np.ndarray) -> np.ndarray:
-    """Matrix of K_X: Y -> R(X, Y) X; column y is the image of e_y."""
-    return exactla.from_scaled_integers(*_jacobi_integers(R, X))
+def jacobi_operator(R: CurvatureTensor, X: np.ndarray):
+    """(K, L): K / L is the matrix of K_X: Y -> R(X, Y) X for an integer
+    vector X, column y the image of e_y; L is the scale of R.  TypeError
+    unless every entry of X is a Python int (jacobi_spectrum_report
+    scales a rational direction first)."""
+    X = _integer_array(X, "direction")
+    t1 = np.tensordot(X, R.tensor, axes=([0], [0]))   # (y, z, w)
+    t2 = np.tensordot(X, t1, axes=([0], [1]))         # (y, w)
+    return t2.T, R.scale
 
 
 def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
-    """(matrix of K_X on X-orthogonal vectors, basis columns).
+    """((T, LT), (N, L)): the matrix T / LT of K_X on the X-orthogonal
+    vectors, for an integer vector X, in the basis of the columns of N / L.
 
-    The basis is the kernel N / L of g(X, .) (exactla.nullspace), and
-    K_X N / L = T / (LK L) with K_X = K / LK and T = K @ N, so the matrix
-    is T[free] / (LK L), read off with no solve.  ComplementLeakError
-    unless N @ T[free] == L T, that is unless K_X maps the complement of X
-    into itself, as the Jacobi operator of a curvature tensor does."""
-    N, L, free = exactla.nullspace((R.metric @ X).reshape(1, -1))
-    K, LK = _jacobi_integers(R, X)
+    The basis is the kernel N / L of g(X, .) (exactla.nullspace of the
+    integer row G X, G / LG = g), and K_X N / L = K N / (LK L) with
+    K_X = K / LK, so the matrix is (K N)[free] / (LK L), read off with no
+    solve.  ComplementLeakError unless N @ T[free] == L T with T = K N,
+    that is unless K_X maps the complement of X into itself, as the
+    Jacobi operator of a curvature tensor does."""
+    K, LK = jacobi_operator(R, X)
+    G, _ = R.metric
+    N, L, free = exactla.nullspace((G @ X).reshape(1, -1))
     T = K @ N
     if (N @ T[free] != L * T).any():
         raise ComplementLeakError(
             "the Jacobi operator maps the complement of X out of it")
-    return (exactla.from_scaled_integers(T[free], LK * L),
-            exactla.from_scaled_integers(N, L))
+    return (T[free], LK * L), (N, L)
 
 
 def minimal_polynomial_degree(M: np.ndarray) -> int:
-    """Degree of the minimal polynomial of an exact matrix."""
+    """Degree of the minimal polynomial of an integer matrix M, from the
+    rank of its stacked powers; M / L has the same degree for any scale
+    L, whose powers only rescale those of M."""
     d = M.shape[0]
-    powers = [exactla.eye(d).reshape(-1)]
-    cur = exactla.eye(d)
+    powers = [np.eye(d, dtype=object).reshape(-1)]
+    cur = np.eye(d, dtype=object)
     for k in range(1, d + 1):
         cur = cur @ M
         powers.append(cur.reshape(-1))
-        stack = np.stack(powers, axis=1)
-        if exactla.rank(stack) < k + 1:
+        if exactla.rank(np.stack(powers, axis=1)) < k + 1:
             return k
     return d
 
 
-def power_sums(M: np.ndarray) -> tuple:
-    """(tr M, ..., tr M^m) of an exact m x m matrix M = N / L, as the
-    Fractions tr N^k / L^k.  By Newton's identities they fix the m
-    eigenvalues with multiplicity, so equal power sums are equal spectra."""
-    N, L = exactla.scaled_integers(M)
+def power_sums(M) -> tuple:
+    """(tr M, ..., tr M^m) of the m x m matrix N / L of the pair
+    M = (N, L), as the Fractions tr N^k / L^k.  By Newton's identities
+    they fix the m eigenvalues with multiplicity, so equal power sums are
+    equal spectra."""
+    N, L = M
     powers = accumulate([N] * len(N), np.matmul)
     return tuple(Fraction(int(np.trace(P)), L ** k)
                  for k, P in enumerate(powers, start=1))
@@ -646,22 +657,28 @@ def jacobi_spectrum_report(R: CurvatureTensor, directions) -> SpectrumReport:
     direction raises NullDirectionError, any other norm ValueError.
     Nilpotent Jordan structure is detected through the minimal-polynomial
     degree and a K_X^2 = 0 test rather than full Jordan forms.
+
+    Each direction X = N / LX is scaled to integers once, and everything
+    after runs on N: g(X, X) = N^T G N / (LG LX^2), and K_X is the
+    operator of N over LX^2, which changes neither the nilpotency nor
+    the minimal polynomial, so only the power sums read LX.
     """
-    g = R.metric
+    G, LG = R.metric
     entries = []
     for idx, X in enumerate(directions):
-        X = np.asarray(X)
-        norm = X @ g @ X
+        N, LX = exactla.scaled_integers(X)
+        norm = N @ G @ N
         if norm == 0:
             raise NullDirectionError(f"direction {idx} is null")
-        if abs(norm) != 1:
-            raise ValueError(f"direction {idx} is not unit: g(X,X)={norm}")
-        Kres, _ = restrict_to_complement(R, X)
-        Kfull = jacobi_operator(R, X)
+        if abs(norm) != LG * LX * LX:
+            raise ValueError(f"direction {idx} is not unit: "
+                             f"g(X,X)={Fraction(norm, LG * LX * LX)}")
+        (Kres, Lres), _ = restrict_to_complement(R, N)
+        Kfull, _ = jacobi_operator(R, N)
         entries.append(DirectionSpectrum(
             direction_index=idx,
             metric_sign=1 if norm > 0 else -1,
-            power_sums=power_sums(Kres),
+            power_sums=power_sums((Kres, Lres * LX * LX)),
             min_poly_degree=minimal_polynomial_degree(Kres),
             is_nilpotent=exactla.max_abs(Kfull @ Kfull) == 0,
             operator_nonzero=exactla.max_abs(Kfull) != 0))
@@ -721,7 +738,7 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     del tensor
     for axis in range(3):
         t = exactla.contract(t, Cinv.T, axis)
-    return CurvatureTensor(t, Linv * LC * LCinv ** 3, H.g)
+    return CurvatureTensor(t, Linv * LC * LCinv ** 3, H.scaled_g)
 
 
 # ---------------------------------------------------------------------------
@@ -730,10 +747,11 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
 
 
 def curvature_to_text(R: CurvatureTensor) -> str:
-    """Header line, tensor entries, metric entries; TypeError unless every
-    metric entry is an int or a Fraction."""
+    """Header line, tensor entries, metric entries, each entry a
+    Fraction of the view."""
     entries = [str(x) for x in R.fractions().reshape(-1)]
-    gvals = [str(x) for x in exactla.require_exact(R.metric)]
+    gvals = [str(x) for x in
+             exactla.from_scaled_integers(*R.metric).reshape(-1)]
     header = {"n": R.dim // 4, "convention": CONVENTION, "mode": "exact"}
     return json.dumps(header) + "\n" + " ".join(entries) + "\n" + " ".join(gvals) + "\n"
 

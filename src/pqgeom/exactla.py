@@ -2,44 +2,45 @@
 
 numpy object arrays of ``fractions.Fraction`` support +, *, @ and slicing,
 but none of ``numpy.linalg``.  This module supplies the missing pieces
-(elimination-based rank, solve, inverse, nullspace, determinant, inertia)
-with exact pivoting; ``rank`` also serves the full-rank certificates of
-integer matrices.  Everything is deterministic.
+(elimination-based rank, solve, inverse, nullspace, inertia) with exact
+pivoting; ``rank`` also serves the full-rank certificates of integer
+matrices (a square matrix is invertible exactly when its rank is full).
+Everything is deterministic.
 
 Scaled integers.  Every ``Fraction`` operation normalises by a gcd, so
-object arithmetic on Python ints is far cheaper.  The tensor builders
-and the eliminations therefore work on a common-denominator form:
-``scaled_integers(arr)`` returns an object array N of Python ints and the
-lcm L of the entry denominators with arr == N / L (TypeError on any entry
-that is not an int or a Fraction, the check of ``require_exact``), and
-``from_scaled_integers(N, L)`` turns a result back into a ``Fraction``
-array.  Python ints do not overflow, so no magnitude bound is needed.
-Most data stays in that form between calls: ``linalg.PQVector`` (and
-with it every point of ``projspace`` and ``reduction``),
-``linalg.PQMatrix``, ``linalg.HermitianStructure``,
-``linalg.GrassmanSplit``, ``forms.BilinearForm``, ``forms.FourForm`` and
-``curvature.CurvatureTensor`` hold (N, L) pairs, built once where the
-data is made, so ``scaled_integers`` runs where exact data enters (a
-vector, structure, form or matrix built from ``Fraction``s, a rotation
-matrix, a direction handed to ``reduction.reduced_jacobi``) and
-``from_scaled_integers`` where a ``Fraction`` view is asked for (the
-kernel frames of ``projspace.tangent_split`` and
-``reduction.flat_reduced_structure``, the directions of
-``reduction.admissible_directions``, and in ``curvature`` the small
-results of the diagnostics: Ricci forms, structure traces, Jacobi
-operators).  A d^4
-curvature tensor passes through them only when it is read from or
-written to ``Fraction`` form (``CurvatureTensor.from_fractions`` and
-``fractions``, for the text format and the tests): a
-``curvature.CurvatureTensor`` is held as the pair (N, L) from builder to
-residual.
+object arithmetic on Python ints is far cheaper.  The package therefore
+hands one exact format from routine to routine, the common-denominator
+pair: ``scaled_integers(arr)`` returns an object array N of Python ints
+and the lcm L of the entry denominators with arr == N / L (TypeError on
+any entry that is not an int or a Fraction, the check of
+``require_exact``), and ``from_scaled_integers(N, L)`` turns a pair into
+a ``Fraction`` array.  Python ints do not overflow, so no magnitude bound
+is needed.  ``linalg.PQVector`` (and with it every point of
+``projspace`` and ``reduction``), ``linalg.PQMatrix``,
+``linalg.HermitianStructure``, ``linalg.GrassmanSplit``,
+``forms.BilinearForm``, ``forms.FourForm``, the rotations of ``forms``,
+``curvature.CurvatureTensor`` with its metric, the tables of
+``curvature.SymmetricDecomposition``, the diagnostics of ``curvature``
+(Ricci forms, structure traces, Jacobi operators and their restrictions)
+and the directions and frames of ``reduction`` are such pairs, built
+once where the data is made.  So ``scaled_integers`` runs only where
+exact data enters (a vector, structure, form, metric or matrix built
+from ``Fraction``s, a direction handed to ``reduction.reduced_jacobi`` or
+``curvature.jacobi_spectrum_report``), and ``from_scaled_integers`` only
+in the ``Fraction`` views (``fractions()``, ``matrix``, ``array``,
+``entries``, ``to_real()``, ``J``/``g``, ``vertical``/``horizontal``) and
+the text format ``curvature_to_text``; scalar results (residuals,
+constants, power sums) are single ``Fraction``s; the syntax-tree lint
+of tests/test_roundtrip_lint.py holds every module to that.  A d^4
+curvature tensor is held as the pair (N, L) from builder to residual.
 ``contract(T, A, axis)`` contracts one axis of a Python-int tensor with
 a small integer matrix, one slice operation per nonzero entry of A, so a
 product with a sparse matrix (a signed permutation, or at most two
 nonzeros per row) costs about d^4 operations on a d^4 tensor, not d^5.
 Its users: the four change-of-basis contractions of
-``curvature.weyl_sample`` and the commutators [R(X, Y), J_a] of
-``curvature.normalizes_structure``.
+``curvature.weyl_sample``, the commutators [R(X, Y), J_a] of
+``curvature.normalizes_structure`` and the slot contractions of the
+4-form action in ``forms.lie_derivative_residual``.
 
 Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
 scaled integers: it eliminates a pivot column from the rows that are
@@ -53,14 +54,12 @@ array of Python ints and one positive scale: ``solve(a, b)`` and
 residual.  The scale is the lcm of the pivots, the least common
 denominator of the result: every echelon row has content 1, so the
 entries of a pivot row over its pivot are in lowest terms together.
-``rank`` reads only the pivot count.  ``det`` runs Bareiss elimination
-(Math. Comp. 22, 1968), whose divisions are exact, and returns one
-``Fraction``.  ``inertia`` reduces by fraction-free congruences, divides
-each remaining block by its content, and checks that its input is square
-and symmetric.  No routine forms a ``Fraction`` array; the callers keep
-the pairs (``curvature.weyl_sample``, ``scalar_curvature``, the tensor
-splitting of ``linalg``) and form a ``Fraction`` view only where one is
-asked for.
+``rank`` reads only the pivot count.  ``inertia`` reduces by
+fraction-free congruences, divides each remaining block by its content,
+and checks that its input is square and symmetric.  No routine forms a
+``Fraction`` array; the callers keep the pairs (``curvature.weyl_sample``,
+``scalar_curvature``, the tensor splitting of ``linalg``) and form a
+``Fraction`` view only where one is asked for.
 
 Kernel frames.  ``nullspace`` returns (N, L, free): the columns of N / L
 are the reduced-echelon kernel basis, with N[free] == L * I.  A vector
@@ -108,19 +107,6 @@ def fracarray(data) -> np.ndarray:
     for i, x in enumerate(flat):
         flat[i] = frac(x)
     return flat.reshape(arr.shape)
-
-
-def zeros(shape) -> np.ndarray:
-    arr = np.empty(shape, dtype=object)
-    arr.reshape(-1)[:] = [Fraction(0)] * arr.size
-    return arr
-
-
-def eye(n) -> np.ndarray:
-    arr = zeros((n, n))
-    for i in range(n):
-        arr[i, i] = Fraction(1)
-    return arr
 
 
 def max_abs(arr) -> Fraction | int:
@@ -201,10 +187,14 @@ def contract(T, A, axis: int) -> np.ndarray:
     """out[..., i, ...] = sum_j A[i, j] T[..., j, ...] on `axis` of an
     object array T of Python ints, for an integer matrix A: the array
     np.moveaxis(np.tensordot(A, T, axes=([1], [axis])), 0, axis), formed
-    by one slice operation per nonzero entry of A."""
+    by one slice operation per nonzero entry of A.  TypeError on a
+    nonzero entry of A that is not an integer."""
     T = np.moveaxis(np.asarray(T), axis, 0)
     out = np.zeros((len(A),) + T.shape[1:], dtype=object)
     for i, j in zip(*np.nonzero(A)):
+        if not isinstance(A[i, j], (int, np.integer)):
+            raise TypeError(f"contract needs an integer matrix, not "
+                            f"{type(A[i, j]).__name__} entries")
         c = int(A[i, j])
         if c == 1:
             out[i] += T[j]
@@ -323,30 +313,6 @@ def nullspace(mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     # the basis entries of pivot row r are -red[r, free] / heads[r]
     N[pivots] = -red[:len(pivots)][:, free] * (L // heads)[:, None]
     return N, L, free
-
-
-def det(mat: np.ndarray) -> Fraction:
-    """Bareiss fraction-free elimination on the scaled integers N = L mat:
-    det(mat) = det(N) / L^n."""
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("det expects a square matrix")
-    a, L = scaled_integers(mat)
-    n = a.shape[0]
-    sign, prev = 1, 1
-    for c in range(n):
-        below = np.flatnonzero(a[c:, c])
-        if below.size == 0:
-            return Fraction(0)
-        if below[0]:
-            pr = c + below[0]
-            a[[c, pr]] = a[[pr, c]]
-            sign = -sign
-        p = a[c, c]
-        # every entry of the trailing block divides exactly by prev
-        a[c + 1:, c + 1:] = (a[c + 1:, c + 1:] * p
-                             - np.outer(a[c + 1:, c], a[c, c + 1:])) // prev
-        prev = p
-    return Fraction(sign * prev, L ** n)
 
 
 def inertia(sym: np.ndarray) -> tuple[int, int, int]:

@@ -9,21 +9,25 @@ first axis are hyperbolic, the (2, 3) plane is definite (circular
 rotations only).
 
 The fundamental 4-form is the dense coefficient array of its closed
-formula at every rank (dim^4 entries: 256 at rank 1, 20736 at rank 3);
-evaluating it contracts the array.  The six-term evaluator on bilinear
-values is kept in the tests as the reference for the array.
+formula at every rank (dim^4 entries: 256 at rank 1, 20736 at rank 3).
+The infinitesimal action A . Omega of an endomorphism contracts the
+array with A in each of its four slots (``lie_derivative_residual``).
+The six-term evaluator on bilinear values is kept in the tests as the
+reference for the array.
 
 Exact arithmetic runs on scaled integers (see ``exactla``), and the
 results stay in that form: a ``BilinearForm`` and a ``FourForm`` are each
 held as the pair ``scaled`` of an object array of Python ints and one
 positive int scale, and a structure as the pairs of
-``linalg.HermitianStructure``.  The 2-forms, the 4-form array, the
-hermitian projector and the rotated structures are computed on those
-pairs and returned as pairs, with no ``Fraction`` formed; ``matrix`` and
-``array`` are the ``Fraction`` views, formed on request, and a 4-form
-value or a residual is one ``Fraction``.  Exact input enters through
-``exactla.scaled_integers``, so an entry that is not an int or a Fraction
-raises TypeError.
+``linalg.HermitianStructure``.  ``random_rotation`` returns the integer
+pair (R, L) of a rotation, and ``rotate_structure`` takes that pair; the
+endomorphism of ``lie_derivative_residual`` is an integer matrix and its
+scale.  The 2-forms, the 4-form array, the hermitian projector and the
+rotated structures are computed on those pairs and returned as pairs,
+with no ``Fraction`` formed; ``matrix`` and ``array`` are the
+``Fraction`` views, formed on request, and a residual is one
+``Fraction``.  Exact input enters through ``exactla.scaled_integers``, so
+an entry that is not an int or a Fraction raises TypeError.
 """
 
 from __future__ import annotations
@@ -130,15 +134,6 @@ class FourForm:
     def array(self) -> np.ndarray:
         return exactla.from_scaled_integers(*self.scaled)
 
-    def __call__(self, x, y, z, w):
-        """Omega(x, y, z, w): the integer array contracted with the four
-        vectors scaled to integers, as one Fraction."""
-        C, L = self.scaled
-        (X, LX), (Y, LY), (Z, LZ), (W, LW) = (
-            exactla.scaled_integers(v) for v in (x, y, z, w))
-        value = X @ (((C @ W) @ Z) @ Y)
-        return Fraction(value, L * LX * LY * LZ * LW)
-
 
 def fundamental_four_form(H: HermitianStructure) -> FourForm:
     """omega_1 ^ omega_1 - omega_2 ^ omega_2 - omega_3 ^ omega_3, from the
@@ -160,22 +155,17 @@ def _rotation_defect(R, L: int) -> int:
     return max(res, abs(R[0] @ np.cross(R[1], R[2]) - L ** 3))
 
 
-def in_rotation_group(R: np.ndarray):
-    """(bool, residual) for R^T eta R = eta and det R = 1."""
-    Rn, L = exactla.scaled_integers(R)
-    res = Fraction(_rotation_defect(Rn, L), L ** 3)
-    return res == 0, res
-
-
-def rotate_structure(H: HermitianStructure,
-                     R: np.ndarray) -> HermitianStructure:
-    """Replace the basis by J'_a = sum_b R_ab J_b; the defining relation
-    R^T eta R = eta (det 1) guarantees the cyclic table survives.  Runs on
-    integers: the new members are R J over the product of the scales."""
-    Rn, LR = exactla.scaled_integers(R)
-    if _rotation_defect(Rn, LR) != 0:
+def rotate_structure(H: HermitianStructure, rotation) -> HermitianStructure:
+    """Replace the basis by J'_a = sum_b R_ab J_b for the rotation
+    R = Rn / LR given as the integer pair (Rn, LR) of random_rotation;
+    the defining relation R^T eta R = eta (det 1) guarantees the cyclic
+    table survives (NotInGroupError otherwise).  Runs on integers: the
+    new members are Rn J over the product of the scales."""
+    Rn, LR = rotation
+    defect = _rotation_defect(Rn, LR)
+    if defect != 0:
         raise NotInGroupError(
-            f"defining-relation residual {in_rotation_group(R)[1]}")
+            f"defining-relation residual {Fraction(defect, LR ** 3)}")
     J, LJ = H.scaled_J
     g, Lg = H.scaled_g
     return HermitianStructure(*(Rn @ J.reshape(3, -1)).reshape(J.shape), g,
@@ -193,14 +183,14 @@ def _plane_rotation(plane: tuple[int, int], c, s, sign: int,
     return R
 
 
-def random_rotation(rng) -> np.ndarray:
-    """Random exact element of the rotation group: a product of three
-    rational hyperbolic rotations in the (1,2) / (1,3) planes, circular
-    rotations in the (2,3) plane or (1,2)-axis flips, at the rational
-    points of the unit hyperbola and circle of parameter t = p / q.  Each
-    factor is formed as an integer matrix over its scale from p and q, and
-    the factors are composed on Python ints; the product becomes Fractions
-    once, at the end."""
+def random_rotation(rng):
+    """(R, L): a random exact element R / L of the rotation group, R a
+    3 x 3 object array of Python ints and L >= 1.  It is a product of
+    three rational hyperbolic rotations in the (1,2) / (1,3) planes,
+    circular rotations in the (2,3) plane or (1,2)-axis flips, at the
+    rational points of the unit hyperbola and circle of parameter
+    t = p / q.  Each factor is formed as an integer matrix over its scale
+    from p and q, and the factors are composed on Python ints."""
     R, L = np.eye(3, dtype=object), 1
     for _ in range(3):
         kind = rng.randrange(4)
@@ -220,7 +210,7 @@ def random_rotation(rng) -> np.ndarray:
         R, L = R @ F, L * LF
     if L < 0:   # the scale of a hyperbolic factor may be negative
         R, L = -R, -L
-    return exactla.from_scaled_integers(R, L)
+    return R, L
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +246,16 @@ def hermitian_projector(B: BilinearForm, H: HermitianStructure):
 
 
 def lie_derivative_residual(four_form: FourForm, A: np.ndarray,
-                            tuples) -> Fraction | int:
-    """Max of the infinitesimal-invariance defect
-    sum_slots Omega(..., A X_slot, ...) over the sampled 4-tuples."""
-    worst = Fraction(0)
-    for (x, y, z, w) in tuples:
-        val = (four_form(A @ x, y, z, w) + four_form(x, A @ y, z, w)
-               + four_form(x, y, A @ z, w) + four_form(x, y, z, A @ w))
-        worst = max(worst, abs(val))
-    return worst
+                            LA: int) -> Fraction:
+    """Max entry of the infinitesimal action A . Omega of the
+    endomorphism A / LA, for an integer matrix A:
+
+        (A . Omega)(x, y, z, w) = Omega(A x, y, z, w) + Omega(x, A y, z, w)
+                                  + Omega(x, y, A z, w) + Omega(x, y, z, A w),
+
+    the sum of the four slot contractions of the integer coefficient
+    array with A, over the scale of Omega times LA.  0 exactly when A
+    annihilates Omega."""
+    C, L = four_form.scaled
+    action = sum(exactla.contract(C, A.T, axis) for axis in range(4))
+    return Fraction(exactla.max_abs(action), L * LA)

@@ -20,7 +20,8 @@ the documented relabelling
 
 which flat_moment_gradient_check verifies exactly: fhat is quadratic, so
 (fhat(h + X) - fhat(h - X)) / 2 = omega_a(V, X) holds with no remainder
-at rational h and X.
+at rational h and X.  ``flat_adapted_moment`` returns 2 fhat =
+(-f1, 2 f3, 2 f2), which is integer at integer coordinates.
 
 Weighted hyperbolic scene: on the rank-3 sphere model the group
 e^{jt} = cosh t + j sinh t acts through the weights (q, p, p) with
@@ -69,17 +70,21 @@ formed at U and compared with L^2 times the level; the flat moment, its
 gradient rows and the flat Killing field take real coordinates, on any
 scalar type, and the moments and the Killing field a leading batch axis,
 on which ``flat_moment_gradient_check`` evaluates all its samples at
-once.  ``flat_level_sample`` builds its point on integers.  The
-definite-axis control ``empty_levelset_check`` runs on int64 blocks of
-integer sphere points.  The reduced-Jacobi chain
-(``admissible_directions``, ``reduced_jacobi``) scales the direction to
-integers once, forms every pairing and product on Python ints, and
-forms Fractions only for its results.  The tangent frames of the level
-sets (``flat_reduced_structure``, the orthogonality checks) are integer
-kernel bases N / L of ``exactla.nullspace``, taken at the integer
-coordinates of the point (a row-scaled system has the same kernel); a
-vector T / LT of such a span has the coordinates T[free] / LT, so the
-reduced metric and structure are read off on integers, with no solve.
+once, on int64 (the doubled adapted moment is integer there).
+``flat_level_sample`` builds its point on integers.  The definite-axis
+control ``empty_levelset_check`` runs on int64 blocks of integer sphere
+points.  The reduced-Jacobi chain is on Python ints:
+``admissible_directions`` returns integer vectors of the admissible
+space, ``reduced_jacobi`` scales a direction to integers once (its
+ratio is invariant under scaling X), forms every pairing and product on
+Python ints, and forms Fractions only for its results.  The tangent
+frames of the level sets (``flat_reduced_structure``, whose
+``ReducedStructure.frame`` is that kernel pair, and the orthogonality
+checks) are integer kernel bases N / L of ``exactla.nullspace``, taken
+at the integer coordinates of the point (a row-scaled system has the
+same kernel); a vector T / LT of such a span has the coordinates
+T[free] / LT, so the reduced metric and structure are read off on
+integers, with no solve.
 """
 
 from __future__ import annotations
@@ -167,11 +172,12 @@ def flat_circle_moment(x):
 
 
 def flat_adapted_moment(x):
-    """The component relabelling (-f1/2, f3, f2) whose differentials are
-    omega_a(V, .) for the structure triple; batched as
+    """Twice the component relabelling fhat = (-f1/2, f3, f2) whose
+    differentials are omega_a(V, .) for the structure triple:
+    (-f1, 2 f3, 2 f2), integer at integer coordinates; batched as
     flat_circle_moment."""
     f1, f2, f3 = flat_circle_moment(x)
-    return (-f1 * Fraction(1, 2), f3, f2)
+    return (-f1, 2 * f3, 2 * f2)
 
 
 def flat_level_defect(h: PQVector) -> int:
@@ -267,9 +273,10 @@ def _reflected_axis(Z: np.ndarray, norm: int) -> np.ndarray:
 @dataclass
 class ReducedStructure:
     """Pointwise output of a reduction: frame of the descended tangent
-    space, induced metric and structure, diagnostics."""
+    space, as the integer kernel pair (N, L) with basis columns N / L,
+    induced metric and structure, diagnostics."""
 
-    frame: np.ndarray
+    frame: tuple
     structure: HermitianStructure
     comrel_residual: Fraction
     skew_residual: Fraction
@@ -304,7 +311,7 @@ def flat_reduced_structure(h: PQVector) -> ReducedStructure:
     if Hred is None:
         raise DegenerateLevelSetError("structure leaves the frame")
     return ReducedStructure(
-        frame=exactla.from_scaled_integers(*kernel[:2]),
+        frame=kernel[:2],
         structure=Hred,
         comrel_residual=Hred.comrel_residual(),
         skew_residual=Hred.skew_residual(),
@@ -636,13 +643,14 @@ def _killing_span(V: np.ndarray) -> np.ndarray:
 
 def admissible_directions(p: int, q: int, u: SpherePoint, rng,
                           count: int) -> list[np.ndarray]:
-    """Seeded exact horizontal directions orthogonal to the Killing span,
-    with g(X, X) != 0.  u lies on the zero level set, where the Killing
-    field is horizontal (reduced_jacobi).  The kernel basis is that of the
-    integer coordinates U of u, which spans the same space; each direction
-    is formed on scaled integers."""
+    """Seeded horizontal directions orthogonal to the Killing span, with
+    g(X, X) != 0, as integer vectors: integer combinations of the integer
+    kernel basis N, which spans the admissible space (reduced_jacobi is
+    invariant under scaling X).  u lies on the zero level set, where the
+    Killing field is horizontal (reduced_jacobi).  The kernel is that of
+    the integer coordinates U of u, which spans the same space."""
     U, _ = u.x.scaled
-    basis, LB, _ = exactla.nullspace(apply_metric(
+    basis, _, _ = exactla.nullspace(apply_metric(
         np.concatenate([U.reshape(-1, 1), vertical_frame(U),
                         _killing_span(_generator_action(p, q, U))],
                        axis=1)).T)
@@ -651,7 +659,7 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
         X = basis @ np.array([rng.randint(-4, 4)
                               for _ in range(basis.shape[1])], dtype=object)
         if X @ apply_metric(X) != 0:
-            out.append(exactla.from_scaled_integers(X, LB))
+            out.append(X)
     return out
 
 
@@ -736,14 +744,17 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
     """Max |(fhat_a(h + X) - fhat_a(h - X)) / 2 - g(J_a V(h), X)| over
     seeded rational h = A / D, X = B / D (A, B integer vectors); exactly 0,
     because fhat is quadratic.  Both terms are homogeneous of degree 2,
-    so they are formed at (A, B) on integers and divided by D^2.
+    so they are formed at (A, B) on integers and divided by D^2; with the
+    doubled moment 2 fhat of flat_adapted_moment the residual of a
+    component is |scale (fp - fm) - 4 pairing| / (4 scale D^2), fp and fm
+    the doubled moments at A + B and A - B.
 
     The samples are one batch: the rows of A and B are one
     random_integers block and the D another, and the moments and the
     Killing field take the batch at once, on int64: the entries of A +- B
-    are at most 40, so every moment component and pairing is at most
-    4 rank 40^2, exact below 2^63 at any rank a module can have here.  The
-    halved first adapted component is a Fraction array."""
+    are at most 40, so every component of the doubled moment is at most
+    4 rank 40^2 and every pairing at most 4 rank 20^2, exact below 2^63
+    at any rank a module can have here."""
     J, scale = structure_endos(rank).scaled_J
     omega = np.stack([apply_metric(Ja).T for Ja in J]).astype(np.int64)
     A, B = random_integers(rng, (2, samples, 4 * rank), -20, 20, np.int64)
@@ -752,12 +763,14 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
     fm = np.stack(flat_adapted_moment(A - B))
     K = flat_killing(A)
     pairing = np.stack([((K @ w) * B).sum(axis=-1) for w in omega])
-    # per sample, 2 scale D^2 times the largest residual of a component,
-    # as a Python int or a Fraction
-    defect = np.abs(scale * (fp - fm) - 2 * pairing).max(axis=0)
-    return max((Fraction(x, 2 * scale * d * d)
-                for x, d in zip(defect.astype(object), den) if x),
-               default=Fraction(0))
+    # 4 scale D^2 times the residual of each component and sample, read
+    # off as Python ints: an int64 abs and max would touch numpy loops
+    # that no other check of the suite runs, and add their code pages to
+    # the resident memory
+    defect = scale * (fp - fm) - 4 * pairing
+    return max((Fraction(abs(x), 4 * scale * d * d)
+                for column, d in zip(defect.T.tolist(), den)
+                for x in column if x), default=Fraction(0))
 
 
 def pq_zero_set_check(p: int, q: int, samples: int, rng) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom.algebra import (EPS, I, J, K, ONE, NullQuaternionError,
-                            SplitQuaternion, conj_norm, scalar_product)
+                            SplitQuaternion, scalar_product)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 quaternions = st.builds(SplitQuaternion, rationals, rationals, rationals,
@@ -69,14 +69,12 @@ def test_scalar_product_is_real_part(a, b):
 
 
 def test_conj_norm_examples():
-    c, n, _ = conj_norm(ONE, I)
-    assert c == ONE and n == 1
-    c, n, _ = conj_norm(J, I)
-    assert c == -J and n == -1
+    assert ONE.conj() == ONE and ONE.square_norm() == 1
+    assert J.conj() == -J and J.square_norm() == -1
     # coefficient pattern a a' + b b' - c c' - d d'
     q = SplitQuaternion(1, 2, 3, 4)
     qp = SplitQuaternion(5, 6, 7, 8)
-    assert conj_norm(q, qp)[2] == 5 + 12 - 21 - 32
+    assert scalar_product(q, qp) == 5 + 12 - 21 - 32
 
 
 def test_division_by_scalar():

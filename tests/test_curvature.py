@@ -30,10 +30,10 @@ from pqgeom.forms import BilinearForm
 from pqgeom.linalg import (DegenerateStructureError, HermitianStructure,
                            PQMatrix, PQVector, grassman_split,
                            left_structure_endos, metric_matrix,
-                           structure_endos)
+                           right_mult_matrix, structure_endos)
 
-from test_linalg import (ref_grassman_split, ref_inverse, ref_nullspace,
-                         ref_pq_matmul, ref_solve)
+from test_linalg import (eye, fractions_of, ref_grassman_split, ref_inverse,
+                         ref_nullspace, ref_pq_matmul, ref_solve, zeros)
 
 
 def rand_bilinear(rng, dim):
@@ -43,7 +43,7 @@ def rand_bilinear(rng, dim):
 
 def zero_tensor(H):
     d = H.dim
-    return CurvatureTensor.from_fractions(exactla.zeros((d, d, d, d)), H.g)
+    return CurvatureTensor.from_fractions(zeros((d, d, d, d)), H.g)
 
 
 def apply(R, X, Y, Z):
@@ -111,7 +111,7 @@ def test_bilinear_family_bianchi(n):
 def test_bilinear_zero_and_metric():
     H = structure_endos(2)
     assert curvature_from_bilinear(
-        BilinearForm(exactla.zeros((8, 8))), H).max_abs() == 0
+        BilinearForm(zeros((8, 8))), H).max_abs() == 0
     RB = curvature_from_bilinear(BilinearForm(H.g), H)
     assert exactla.max_abs(RB.fractions()
                            - projective_curvature(H).fractions()) == 0
@@ -125,7 +125,7 @@ def test_bilinear_family_injective(n):
     cols = []
     for i in range(d):
         for j in range(d):
-            basis = exactla.zeros((d, d))
+            basis = zeros((d, d))
             basis[i, j] = Fraction(1)
             R = curvature_from_bilinear(BilinearForm(basis), H)
             cols.append([int(x) for x in R.fractions().reshape(-1)])
@@ -177,7 +177,7 @@ def test_ricci_of_model():
         H = structure_endos(n)
         R = projective_curvature(H)
         want = (4 * n + 8)
-        assert exactla.max_abs(ricci(R) - want * H.g) == 0
+        assert exactla.max_abs(fractions_of(ricci(R)) - want * H.g) == 0
         assert scalar_curvature(R) == want * 4 * n
         const, res = einstein_check(R)
         assert const == want and res == 0
@@ -206,7 +206,7 @@ def test_ricci_split_recovers_weyl_sample():
     W = weyl_sample(H, gs, rng)
     R = projective_curvature(H).times(Fraction(3)) + W
     Wp, B = ricci_split(R, H)
-    assert exactla.max_abs(ricci(Wp)) == 0
+    assert exactla.max_abs(ricci(Wp)[0]) == 0
     assert exactla.max_abs(Wp.fractions() - W.fractions()) == 0
     assert exactla.max_abs(B.matrix - 3 * H.g) == 0
 
@@ -229,10 +229,10 @@ def test_ricci_split_singular_system():
     # operator (6 + 3) B - B^T - 4 (B + B^T), which kills symmetric B; the
     # eigenspace inversion holds for real structures only, so it refuses
     d = 6
-    zero = exactla.zeros((d, d))
-    H = HermitianStructure(zero, 2 * exactla.eye(d), zero, exactla.eye(d),
+    zero = zeros((d, d))
+    H = HermitianStructure(zero, 2 * eye(d), zero, eye(d),
                            validate=False)
-    R = CurvatureTensor.from_fractions(exactla.zeros((d, d, d, d)), H.g)
+    R = CurvatureTensor.from_fractions(zeros((d, d, d, d)), H.g)
     with pytest.raises(DegenerateStructureError):
         ricci_split(R, H)
 
@@ -244,7 +244,7 @@ def test_weyl_sample_properties():
     W = weyl_sample(H, gs, rng)
     assert W.max_abs() != 0
     assert bianchi_residual(W) == 0
-    assert exactla.max_abs(ricci(W)) == 0
+    assert exactla.max_abs(ricci(W)[0]) == 0
     # values commute with the whole structure and are metric-skew
     for x in range(8):
         for y in range(8):
@@ -252,8 +252,7 @@ def test_weyl_sample_properties():
             assert exactla.max_abs(M.T @ H.g + H.g @ M) == 0
             for Ja in H.J:
                 assert exactla.max_abs(M @ Ja - Ja @ M) == 0
-    for t in structure_traces(W, H):
-        assert exactla.max_abs(t) == 0
+    assert exactla.max_abs(structure_traces(W, H)[0]) == 0
 
 
 def test_sp_samples_are_einstein():
@@ -278,8 +277,7 @@ def test_line_plus_weyl_trace_realisation():
     Kfull = scalar_curvature(R)
     Kg = scalar_curvature(Rg)
     W = R - Rg.times(Fraction(Kfull) / Fraction(Kg))
-    for t in structure_traces(W, H):
-        assert exactla.max_abs(t) == 0
+    assert exactla.max_abs(structure_traces(W, H)[0]) == 0
 
 
 # -- membership --------------------------------------------------------------
@@ -305,17 +303,17 @@ def test_membership_residual_matches_pairwise_formula():
     assert normalizes_structure(RB, H) == (True, 0)
     for p in range(d):
         for q in range(p + 1, d):
-            noise = exactla.zeros((d, d, d, d))
+            noise = zeros((d, d, d, d))
             noise[p, q] = rand_rational(rng, (d, d))
             noise[q, p] = -noise[p, q]
             R = RB + CurvatureTensor.from_fractions(noise, H.g)
-            traces = structure_traces(R, H)
+            traces = fractions_of(structure_traces(R, H))
             worst = Fraction(0)
             for x in range(d):
                 for y in range(x + 1, d):
                     M = endomorphism(R, x, y)
                     tr = [np.trace(Ja @ M) for Ja in H.J]
-                    assert [t[x, y] for t in traces] == tr
+                    assert list(traces[x, y]) == tr
                     for (a, b, c) in CYCLES:
                         diff = (M @ H.J[a] - H.J[a] @ M
                                 - Fraction(EPS[a], 2) * (tr[c] * H.J[b]
@@ -341,11 +339,11 @@ def test_membership_weyl_commutes():
 def test_jacobi_spectrum_model(n):
     H = structure_endos(n)
     R = projective_curvature(H)
-    X = exactla.zeros(4 * n)
-    X[0] = Fraction(1)
+    X = np.zeros(4 * n, dtype=object)
+    X[0] = 1
     Kres, _ = restrict_to_complement(R, X)
     # float eigenvalues: the reference the exact power sums are checked by
-    eig = np.linalg.eigvals(np.array(Kres, dtype=float))
+    eig = np.linalg.eigvals(np.array(fractions_of(Kres), dtype=float))
     want = sorted([-4.0] * 3 + [-1.0] * (4 * n - 4))
     assert max(abs(a - b) for a, b in zip(sorted(eig.real), want)) < 1e-12
     sums = power_sums(Kres)
@@ -362,10 +360,10 @@ def test_power_sums_match_float_eigenvalues(seed):
     H = structure_endos(1)
     R = projective_curvature(H).times(Fraction(2)) \
         + weyl_sample(H, grassman_split(H), rng)
-    X = exactla.fracarray([rng.randint(1, 3), rng.randint(-3, 3),
-                           rng.randint(-3, 3), 0])
+    X = np.array([rng.randint(1, 3), rng.randint(-3, 3),
+                  rng.randint(-3, 3), 0], dtype=object)
     Kres, _ = restrict_to_complement(R, X)
-    eig = np.linalg.eigvals(np.array(Kres, dtype=float))
+    eig = np.linalg.eigvals(np.array(fractions_of(Kres), dtype=float))
     sums = power_sums(Kres)
     assert len(sums) == 3
     for k, s in enumerate(sums, start=1):
@@ -377,11 +375,11 @@ def test_power_sums_match_float_eigenvalues(seed):
 def test_jacobi_perpendicular_direction():
     H = structure_endos(2)
     R = projective_curvature(H)
-    X = exactla.zeros(8)
-    X[0] = Fraction(1)
-    Y = exactla.zeros(8)
+    X = np.zeros(8, dtype=object)
+    X[0] = 1
+    Y = zeros(8)
     Y[4] = Fraction(1)  # orthogonal to X and to all J_a X
-    K = jacobi_operator(R, X)
+    K = fractions_of(jacobi_operator(R, X))
     assert exactla.max_abs(K @ Y + Y) == 0
 
 
@@ -391,16 +389,16 @@ def test_jacobi_trace_is_minus_ricci():
     H = structure_endos(1)
     gs = grassman_split(H)
     R = projective_curvature(H).times(Fraction(2)) + weyl_sample(H, gs, rng)
-    ric = ricci(R)
+    ric = fractions_of(ricci(R))
     for _ in range(6):
-        X = exactla.fracarray([rng.randint(-3, 3) for _ in range(4)])
-        assert np.trace(jacobi_operator(R, X)) == -(X @ ric @ X)
+        X = np.array([rng.randint(-3, 3) for _ in range(4)], dtype=object)
+        assert np.trace(fractions_of(jacobi_operator(R, X))) == -(X @ ric @ X)
 
 
 def test_jacobi_report_model():
     H = structure_endos(1)
     R = projective_curvature(H)
-    e = exactla.eye(4)
+    e = eye(4)
     rep = jacobi_spectrum_report(R, [e[0], e[1], e[2], e[3],
                                      exactla.fracarray(
                                          [Fraction(5, 4), 0, Fraction(3, 4), 0])])
@@ -419,7 +417,7 @@ def test_jacobi_report_model():
 
 def test_zero_curvature_spectrum():
     H = structure_endos(1)
-    rep = jacobi_spectrum_report(zero_tensor(H), [exactla.eye(4)[0]])
+    rep = jacobi_spectrum_report(zero_tensor(H), [eye(4)[0]])
     entry = rep.directions[0]
     assert entry.power_sums == (0, 0, 0)
     assert not entry.operator_nonzero
@@ -432,8 +430,9 @@ def abelian_decomposition(n=1):
     """All tangent brackets zero: the flat oracle."""
     dm = 4 * n
     return SymmetricDecomposition(
-        exactla.zeros((dm, dm, 1)), exactla.zeros((1, dm, dm)),
-        exactla.zeros((1, 1, 1)), metric_matrix(n),
+        (np.zeros((dm, dm, 1), dtype=object), 1),
+        (np.zeros((1, dm, dm), dtype=object), 1),
+        (np.zeros((1, 1, 1), dtype=object), 1), (metric_matrix(n), 1),
         structure=structure_endos(n))
 
 
@@ -450,8 +449,18 @@ def test_solvable_oracle():
         assert bianchi_residual(R) == 0
         ok, res = normalizes_structure(R, D.structure)
         assert ok and res == 0
-        for t in structure_traces(R, D.structure):
-            assert exactla.max_abs(t) == 0
+        assert exactla.max_abs(structure_traces(R, D.structure)[0]) == 0
+        # the tables against the docstring: A is right multiplication by
+        # (i + j) / 2, with A^2 = 0, and [E1,E2] = [E3,E1] = [E4,E2] =
+        # [E3,E4] = sign * A
+        A = right_mult_matrix(SplitQuaternion(0, Fraction(1, 2),
+                                              Fraction(1, 2), 0))
+        assert (fractions_of(D.c_fm)[0] == A.T).all()
+        assert exactla.max_abs(A @ A) == 0
+        want = zeros((4, 4, 1))
+        for i, j in ((0, 1), (2, 0), (3, 1), (2, 3)):
+            want[i, j, 0], want[j, i, 0] = sign, -sign
+        assert (fractions_of(D.c_mm) == want).all()
         # commutes with the carried structure directly
         for x in range(4):
             for y in range(4):
@@ -463,10 +472,10 @@ def test_solvable_oracle():
 def test_solvable_nilpotent_jacobi():
     D = solvable_decomposition(1)
     R = symmetric_space_curvature(D)
-    e = exactla.eye(4)
+    e = np.eye(4, dtype=object)
     found_nonzero = False
     for X in (e[0], e[1], e[2], e[3]):
-        K = jacobi_operator(R, X)
+        K, _ = jacobi_operator(R, X)
         assert exactla.max_abs(K @ K) == 0
         if exactla.max_abs(K) != 0:
             found_nonzero = True
@@ -506,14 +515,14 @@ def test_from_matrix_algebra_rejects_bracket_outside_f():
     # sl(3) split by the 2 + 1 block involution: without the centre
     # element diag(1, 1, -2), [E02, E20] leaves span(f)
     def unit(p, q):
-        M = exactla.zeros((3, 3))
+        M = zeros((3, 3))
         M[p, q] = Fraction(1)
         return M
 
     m_mats = [unit(0, 2), unit(1, 2), unit(2, 0), unit(2, 1)]
     f_mats = []
     for j in SL2_TRIPLE:
-        M = exactla.zeros((3, 3))
+        M = zeros((3, 3))
         M[:2, :2] = j
         f_mats.append(M)
     g_m = exactla.fracarray([[np.trace(A @ B) for B in m_mats]
@@ -526,15 +535,20 @@ def test_from_matrix_algebra_rejects_bracket_outside_f():
     ref = special_linear_decomposition(1)
     for got, want in ((D.c_mm, ref.c_mm), (D.c_fm, ref.c_fm),
                       (D.c_ff, ref.c_ff), (D.g_m, ref.g_m)):
-        assert exactla.max_abs(got - want) == 0
+        assert (fractions_of(got) == fractions_of(want)).all()
+    # the metric is scaled to an integer pair once, here over the scale 3
+    D = SymmetricDecomposition.from_matrix_algebra(
+        m_mats, f_mats + [centre], g_m * Fraction(1, 3))
+    G, LG = D.g_m
+    assert all(type(x) is int for x in G.reshape(-1)) and LG == 3
+    assert (exactla.from_scaled_integers(G, LG) == g_m / 3).all()
 
 
 def test_symmetric_pair_validation():
     D = solvable_decomposition(1)
-    broken = exactla.zeros(D.c_mm.shape)
-    broken[:] = D.c_mm
+    broken, scale = D.c_mm[0].copy(), D.c_mm[1]
     broken[0, 1, 0] += 1  # destroys antisymmetry
-    D2 = type(D)(broken, D.c_fm, D.c_ff, D.g_m, D.structure)
+    D2 = type(D)((broken, scale), D.c_fm, D.c_ff, D.g_m, D.structure)
     with pytest.raises(NotSymmetricPairError):
         symmetric_space_curvature(D2)
 
@@ -542,14 +556,14 @@ def test_symmetric_pair_validation():
 def test_symmetric_pair_validation_metric_and_jacobi():
     D = solvable_decomposition(1)
     # A = ad(f) is skew for the neutral metric, not for the identity
-    D2 = type(D)(D.c_mm, D.c_fm, D.c_ff, exactla.eye(4))
+    D2 = type(D)(D.c_mm, D.c_fm, D.c_ff, (np.eye(4, dtype=object), 1))
     with pytest.raises(NotSymmetricPairError, match=r"ad\(f\)-invariant"):
         symmetric_space_curvature(D2)
     # an antisymmetric change of one bracket breaks the Jacobi identity
-    c_mm = D.c_mm.copy()
+    c_mm = D.c_mm[0].copy()
     c_mm[0, 1, 0] += 1
     c_mm[1, 0, 0] -= 1
-    D3 = type(D)(c_mm, D.c_fm, D.c_ff, D.g_m)
+    D3 = type(D)((c_mm, D.c_mm[1]), D.c_fm, D.c_ff, D.g_m)
     with pytest.raises(NotSymmetricPairError, match="Jacobi"):
         symmetric_space_curvature(D3)
 
@@ -563,11 +577,14 @@ def test_symmetric_oracles_match_fraction_reference(build):
     # the Fraction tensordot
     D = build()
     R = symmetric_space_curvature(D)
-    want = np.tensordot(-D.c_mm, D.c_fm, axes=([2], [0]))
+    want = np.tensordot(-fractions_of(D.c_mm), fractions_of(D.c_fm),
+                        axes=([2], [0]))
     got = R.fractions()
     assert got.shape == want.shape and (got == want).all()
-    for arr in (got, D.c_mm, D.c_fm, D.c_ff):
-        assert all_fractions(arr)
+    assert all_fractions(got)
+    # the tables and the metric are integer pairs
+    for N, L in (D.c_mm, D.c_fm, D.c_ff, D.g_m, R.metric):
+        assert all(type(x) is int for x in [*N.reshape(-1), L]) and L >= 1
 
 
 # -- bracket normalisation ----------------------------------------------------
@@ -620,7 +637,7 @@ def ref_projective_pair(n):
         return PQMatrix(entries)
 
     d = 4 * n
-    tensor = exactla.zeros((d, d, d, d))
+    tensor = zeros((d, d, d, d))
     embedded = [embed(PQVector.from_scaled_integers(
         np.array([int(r == s) for r in range(d)], dtype=object), 1))
                 for s in range(d)]
@@ -682,7 +699,7 @@ def ref_weyl(split, rng):
     tensordot contractions: the reference for the integer builder."""
     m = len(split.e_basis)
     d = 2 * m
-    s4 = exactla.zeros((m, m, m, m))
+    s4 = zeros((m, m, m, m))
     for idx in combinations_with_replacement(range(m), 4):
         val = Fraction(rng.randint(-3, 3))
         for perm in permutations(idx):
@@ -690,7 +707,7 @@ def ref_weyl(split, rng):
     shat = np.tensordot(s4, ref_inverse(split.omega_e).T,
                         axes=([3], [0]))
     blocks = np.multiply.outer(np.multiply.outer(shat, split.omega_h),
-                               exactla.eye(2))
+                               eye(2))
     tensor = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d, d, d)
     C = split.change
     Cinv = ref_inverse(C)
@@ -722,13 +739,15 @@ def test_integer_path_matches_fraction_reference(kind, n):
              rng, (H.dim, H.dim))), H))
     shifted = R.fractions()
     shifted[0, 1, 2, 3] += Fraction(1, 7)
-    perturbed = CurvatureTensor.from_fractions(shifted, R.metric)
+    perturbed = CurvatureTensor.from_fractions(shifted, H.g)
     # the Fraction reference of the membership test takes seconds at
     # n = 3, so there only the perturbed tensor is compared
     for T, zero in ([(perturbed, False)] if n == 3
                     else [(R, True), (perturbed, False)]):
-        for got, want in zip(structure_traces(T, H), ref_traces(T, H)):
-            assert all_fractions(got) and (got == want).all()
+        got = fractions_of(structure_traces(T, H))
+        assert all_fractions(got)
+        for a, want in enumerate(ref_traces(T, H)):
+            assert (got[:, :, a] == want).all()
         ok, res = normalizes_structure(T, H)
         assert (ok, res) == ref_normalizes(T, H) and ok is zero
         assert type(res) is Fraction
@@ -741,8 +760,8 @@ def ref_restrict(R, X):
     """restrict_to_complement on Fraction arrays: the Fraction kernel
     basis, and the Gram system solved for the coordinates of the image,
     with plain @ chains."""
-    basis = ref_nullspace((R.metric @ X).reshape(1, -1))
-    img = jacobi_operator(R, X) @ basis
+    basis = ref_nullspace((fractions_of(R.metric) @ X).reshape(1, -1))
+    img = fractions_of(jacobi_operator(R, X)) @ basis
     return ref_solve(basis.T @ basis, basis.T @ img), basis
 
 
@@ -754,8 +773,8 @@ def test_restrict_to_complement_matches_fraction_reference(kind, n):
     # structure in a direction off the basis
     if kind == "model":
         R = ambient_projective_curvature(n)
-        X = exactla.zeros(4 * n)
-        X[0] = Fraction(1)
+        X = np.zeros(4 * n, dtype=object)
+        X[0] = 1
     else:
         rng = random.Random(60 + n)
         H = conjugated_structure(n, rng)
@@ -763,8 +782,9 @@ def test_restrict_to_complement_matches_fraction_reference(kind, n):
              + weyl_sample(H, grassman_split(H), rng))
         RB = curvature_from_bilinear(BilinearForm(rand_rational(
             rng, (H.dim, H.dim))), H)
-        X = exactla.fracarray([rng.randint(1, 3)]
-                              + [rng.randint(-3, 3) for _ in range(H.dim - 1)])
+        X = np.array([rng.randint(1, 3)]
+                     + [rng.randint(-3, 3) for _ in range(H.dim - 1)],
+                     dtype=object)
         # R^B of a generic B is not g-skew: its Jacobi operator leaves the
         # complement of X, where the Fraction reference finds only the
         # least-squares matrix of the projected image
@@ -772,9 +792,10 @@ def test_restrict_to_complement_matches_fraction_reference(kind, n):
             restrict_to_complement(R + RB, X)
     coords, basis = restrict_to_complement(R, X)
     want_coords, want_basis = ref_restrict(R, X)
-    for got, want in ((coords, want_coords), (basis, want_basis)):
+    for (N, L), want in ((coords, want_coords), (basis, want_basis)):
+        assert all(type(x) is int for x in [*N.reshape(-1), L])
+        got = exactla.from_scaled_integers(N, L)
         assert got.shape == want.shape and (got == want).all()
-        assert all_fractions(got)
 
 
 def test_restrict_to_complement_rejects_leaking_tensor():
@@ -784,10 +805,26 @@ def test_restrict_to_complement_rejects_leaking_tensor():
     rng = random.Random(0)
     T = np.array([rng.randint(-2, 2) for _ in range(4 ** 4)],
                  dtype=object).reshape(4, 4, 4, 4)
-    R = CurvatureTensor(T, 1, metric_matrix(1))
+    R = CurvatureTensor(T, 1, (metric_matrix(1), 1))
     X = np.array([1, 0, 0, 0], dtype=object)
     with pytest.raises(ComplementLeakError):
         restrict_to_complement(R, X)
+
+
+def test_jacobi_operators_take_integer_directions():
+    # the operator pairs are over the scale of R, so a direction with
+    # denominators (or floats) is refused instead of giving a pair whose
+    # entries power_sums would truncate; the report scales such a
+    # direction to integers itself
+    R = projective_curvature(structure_endos(1))
+    unit = exactla.fracarray([Fraction(5, 4), 0, Fraction(3, 4), 0])
+    for X in (unit, np.array([1.0, 0, 0, 0]),
+              np.array([1, 0, 0, 0], dtype=np.int64)):
+        for routine in (jacobi_operator, restrict_to_complement):
+            with pytest.raises(TypeError, match="direction"):
+                routine(R, X)
+    (entry,) = jacobi_spectrum_report(R, [unit]).directions
+    assert entry.power_sums == (-12, 48, -192)
 
 
 def test_exact_diagnostics_reject_float_tensors():
@@ -799,7 +836,7 @@ def test_exact_diagnostics_reject_float_tensors():
     mixed[0, 1, 2, 3] = 0.5
     for tensor in (np.array(R.fractions(), dtype=float), mixed):
         with pytest.raises(TypeError):
-            CurvatureTensor.from_fractions(tensor, R.metric)
+            CurvatureTensor.from_fractions(tensor, H.g)
         with pytest.raises(TypeError):
             CurvatureTensor(tensor, 1, R.metric)
 
@@ -812,17 +849,18 @@ def test_curvature_text_roundtrip_exact():
     R = projective_curvature(H)
     R2 = curvature_from_text(curvature_to_text(R))
     assert exactla.max_abs(R2.fractions() - R.fractions()) == 0
-    assert exactla.max_abs(R2.metric - R.metric) == 0
-    assert all_fractions(R2.fractions()) and all_fractions(R2.metric)
+    assert (fractions_of(R2.metric) == fractions_of(R.metric)).all()
+    assert all_fractions(R2.fractions())
 
 
 def test_curvature_text_rejects_float_entries():
     R = projective_curvature(structure_endos(1))
     mixed = R.fractions()
     mixed[0, 1, 2, 3] = 0.5
-    for tensor, metric in ((np.array(R.fractions(), dtype=float), R.metric),
-                           (mixed, R.metric),
-                           (R.fractions(), np.array(R.metric, dtype=float))):
+    g = fractions_of(R.metric)
+    for tensor, metric in ((np.array(R.fractions(), dtype=float), g),
+                           (mixed, g),
+                           (R.fractions(), np.array(g, dtype=float))):
         with pytest.raises(TypeError):
             curvature_to_text(CurvatureTensor.from_fractions(tensor, metric))
 
@@ -865,7 +903,7 @@ def test_tensor_sums_and_multiples_match_fraction_arithmetic():
         FA, FB = A.fractions(), B.fractions()
         pairs = [((A + B).fractions(), FA + FB),
                  ((A - B).fractions(), FA - FB),
-                 ((A - A).fractions(), exactla.zeros((4,) * 4))]
+                 ((A - A).fractions(), zeros((4,) * 4))]
         pairs += [(A.times(c).fractions(), c * FA)
                   for c in (2, 0, Fraction(-3, 5))]
         for got, want in pairs:
@@ -909,11 +947,14 @@ def test_integer_tensor_matches_fraction_reference(FA, FB, c, x):
         assert (got.fractions() == want).all()
     assert A.max_abs() == exactla.max_abs(FA)
     assert type(A.max_abs()) is Fraction
-    assert (ricci(A) == np.trace(FA, axis1=0, axis2=3)).all()
+    assert (fractions_of(ricci(A)) == np.trace(FA, axis1=0, axis2=3)).all()
     X = exactla.fracarray(x)
     want = np.tensordot(X, np.tensordot(X, FA, axes=([0], [0])),
                         axes=([0], [1])).T
-    assert (jacobi_operator(A, X) == want).all()
+    # the operator of X = N / LX is that of the integer N over LX^2
+    N, LX = exactla.scaled_integers(X)
+    K, LK = jacobi_operator(A, N)
+    assert (exactla.from_scaled_integers(K, LK * LX * LX) == want).all()
     assert bianchi_residual(A) == exactla.max_abs(
         FA + FA.transpose(1, 2, 0, 3) + FA.transpose(2, 0, 1, 3))
     text = curvature_to_text(A)
@@ -930,6 +971,12 @@ def test_tensor_constructor_rejects_non_integer_data():
                           (R.tensor, Fraction(1)), (R.tensor, True)]:
         with pytest.raises(TypeError):
             CurvatureTensor(tensor, scale, R.metric)
+    # the metric pair is held to the same rules
+    G, LG = R.metric
+    for metric in [(np.array(G, dtype=float), LG), (G.astype(np.int64), LG),
+                   (G, 0), (G, 1.0)]:
+        with pytest.raises(TypeError):
+            CurvatureTensor(R.tensor, R.scale, metric)
     assert (CurvatureTensor(R.tensor, R.scale, R.metric).fractions()
             == R.fractions()).all()
 
@@ -995,11 +1042,11 @@ def test_bracket_coordinates_rebuild_fraction_brackets():
     left = [exactla.fracarray([[Fraction(rng.randint(-5, 5), rng.randint(1, 6))
                                 for _ in range(3)] for _ in range(3)])
             for _ in range(3)]
-    right = left[::-1] + [exactla.eye(3) * Fraction(1, 5)]
+    right = left[::-1] + [eye(3) * Fraction(1, 5)]
     basis = []
     for p in range(3):
         for q in range(3):
-            M = exactla.zeros((3, 3))
+            M = zeros((3, 3))
             M[p, q] = Fraction(1, p + 2 * q + 1)
             basis.append(M)
     C, L = _bracket_coordinates(left, right, basis, "outside")

@@ -1,5 +1,5 @@
 """No Fraction in the integer paths of exactla, linalg, forms, the kernel
-frames, the curvature builders and the reductions.
+frames, the curvature builders and diagnostics, and the reductions.
 
 Split-quaternion matrices, structures, bilinear forms, 4-forms, the tensor
 splitting, elimination results and kernel bases are held as integer
@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from pqgeom import cli, exactla
-from pqgeom.curvature import special_linear_decomposition, weyl_sample
+from pqgeom.curvature import (ambient_projective_curvature, einstein_check,
+                              jacobi_spectrum_report, restrict_to_complement,
+                              solvable_decomposition,
+                              special_linear_decomposition,
+                              symmetric_space_curvature, weyl_sample)
 from pqgeom.forms import (BilinearForm, fundamental_four_form,
                           hermitian_projector, random_rotation,
                           rotate_structure, two_form)
@@ -75,6 +79,7 @@ def test_integer_paths_form_no_fraction(fraction_count):
         "conj_transpose": lambda: A.conj_transpose() == -A,
         "real_rep": lambda: real_rep(A),
         "to_real_action": lambda: A.to_real_action(),
+        "random_rotation": lambda: random_rotation(rng),
         "rotate_structure": lambda: rotate_structure(H, R),
         "fundamental_four_form": lambda: fundamental_four_form(
             rotate_structure(H, R)),
@@ -141,24 +146,26 @@ def test_eliminations_and_tensor_splitting_form_no_fraction(
 
 
 def test_special_linear_decomposition_forms_only_its_results(fraction_count):
-    # the structure constants are Fraction arrays, one Fraction per
-    # distinct value, and each of the four frame_coordinates calls forms
-    # its residual
+    # the structure constants and the metric are integer pairs, and each
+    # of the four frame_coordinates calls forms its residual
     D = special_linear_decomposition(2)
-    distinct = sum(len(set(c.reshape(-1))) for c in (D.c_mm, D.c_fm, D.c_ff))
-    assert fraction_count[0] == distinct + 4
+    assert fraction_count[0] == 4
+    fraction_count[0] = 0
+    symmetric_space_curvature(D)
+    symmetric_space_curvature(solvable_decomposition(1))
+    assert fraction_count[0] == 0
 
 
 def test_reduced_and_induced_structures_form_only_their_results(
         fraction_count):
-    # flat_reduced_structure: the frame view (one Fraction per distinct
-    # value) and the two residuals; induced_geometry: the frame view
+    # flat_reduced_structure: the two residuals (its frame is the kernel
+    # pair); induced_geometry: the frame view
     rng = random.Random(2)
     for _ in range(3):
         h = flat_level_sample(rng, 3)
         fraction_count[0] = 0
-        red = flat_reduced_structure(h)
-        assert fraction_count[0] == len(set(red.frame.reshape(-1))) + 2
+        flat_reduced_structure(h)
+        assert fraction_count[0] == 2
         x = random_sphere_point(rng, 3)
         fraction_count[0] = 0
         _, frame = induced_geometry(x)
@@ -196,16 +203,13 @@ def test_batched_sampling_checks_form_only_their_results(fraction_count):
     # the default configuration and seed 0: the count of shortfalls and the
     # int64 norm residual form none; the conjugation and scalar-product
     # checks form their residual, representation-homomorphism its two
-    # distances per rank; moment-gradient forms 6 per sample and 3 more,
-    # because flat_adapted_moment halves the first component (one
-    # Fraction per sample in each of the two moments, and the constant
-    # 1/2), whose difference, rescaling, subtraction of the pairing and
-    # absolute value form one per sample each, and the result is one
+    # distances per rank; moment-gradient stays on int64, since
+    # flat_adapted_moment doubles the adapted moment instead of halving
+    # its first component, and forms only its result
     config = cli.CheckConfig()
     want = {"norm-multiplicativity": 0, "conjugation-anti-automorphism": 1,
             "center-is-real-line": 0, "representation-homomorphism": 6,
-            "scalar-product-complex-form": 1,
-            "moment-gradient": 6 * 200 + 3,
+            "scalar-product-complex-form": 1, "moment-gradient": 1,
             "definite-axis-empty-level-set": 0}
     formed = {}
     for rows in cli.REGISTRY.values():
@@ -216,3 +220,35 @@ def test_batched_sampling_checks_form_only_their_results(fraction_count):
                 fn(config, rng)
                 formed[name] = fraction_count[0]
     assert formed == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_curvature_diagnostics_form_only_their_scalar_results(
+        fraction_count, n):
+    # on the shared model tensor: einstein_check forms the scalar
+    # curvature, the constant and the residual; restrict_to_complement
+    # hands on integer pairs; jacobi_spectrum_report forms the d - 1
+    # power sums of each direction, in a spacelike and a timelike one
+    R = ambient_projective_curvature(n)
+    e = np.eye(R.dim, dtype=object)
+    calls = {
+        "einstein_check": (lambda: einstein_check(R), 3),
+        "restrict_to_complement": (
+            lambda: restrict_to_complement(R, e[0]), 0),
+        "jacobi_spectrum_report": (
+            lambda: jacobi_spectrum_report(R, [e[0], e[2]]),
+            2 * (R.dim - 1)),
+    }
+    formed = {}
+    for name, (call, _) in calls.items():
+        fraction_count[0] = 0
+        call()
+        formed[name] = fraction_count[0]
+    assert formed == {name: want for name, (_, want) in calls.items()}
+
+
+def test_curvature_suite_forms_few_fractions(fraction_count, capsys):
+    # the whole curvature suite at n = 3 hands pairs between its routines:
+    # the Fractions left are scalar results and the reports
+    assert cli.main(["--suite", "curvature", "--n", "3"]) == 0
+    assert fraction_count[0] < 150

@@ -355,7 +355,7 @@ def test_induced_geometry_generic():
 
 
 def test_lift_independence_of_structure_span():
-    from pqgeom.forms import in_rotation_group
+    from test_forms import in_rotation_group
     rng = random.Random(5)
     x = random_sphere_point(rng, 3)
     q = random_unit_quaternion(rng)

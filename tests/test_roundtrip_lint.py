@@ -24,6 +24,17 @@ integers, so the view is turned back into the integer pair
 Here "directly" looks through unpacking (``*x``), indexing (``x[:2]``,
 ``x[0]``), transposition (``x.T``) and the reshaping methods
 (``x.reshape(...)``, ``x.transpose(...)``).
+
+Across routines the package hands on one exact format, the pair (N, L),
+so a ``Fraction`` array is formed only where one is asked for: in the
+views (``fractions()``, ``matrix``, ``array``, ``entries``,
+``to_real()``, ``J``/``g``, ``vertical``/``horizontal``), the shared
+``_fraction_view`` behind ``J``/``g``, and the text format
+``curvature_to_text``.  The second rule fails on a call of
+``exactla.from_scaled_integers`` (or a bare ``from_scaled_integers``)
+in any other function; the classmethods ``PQVector.from_scaled_integers``
+and ``PQMatrix.from_scaled_integers`` build integer-backed objects and
+are not such calls.
 """
 
 import ast
@@ -40,6 +51,10 @@ RESHAPES = {"reshape", "transpose"}
 # views they must not be handed
 SCALING_CALLS = {"two_form", "BilinearForm"}
 STRUCTURE_VIEWS = {"J", "g"}
+# the functions in which a pair may become a Fraction array
+FRACTION_FORMERS = {"fractions", "matrix", "array", "entries", "to_real",
+                    "J", "g", "vertical", "horizontal", "_fraction_view",
+                    "curvature_to_text"}
 
 
 def _name(node):
@@ -95,6 +110,38 @@ def round_trip_lines(source: str) -> list[int]:
                  and any(map(_is_structure_view, node.args)))]
 
 
+def _forms_fraction_array(func) -> bool:
+    """Is func exactla.from_scaled_integers or a bare
+    from_scaled_integers?"""
+    if isinstance(func, ast.Name):
+        return func.id == "from_scaled_integers"
+    return (isinstance(func, ast.Attribute)
+            and func.attr == "from_scaled_integers"
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "exactla")
+
+
+def fraction_arrays_outside_views(source: str) -> list[str]:
+    """Names of the innermost functions ("<module>" at the top level)
+    that form a Fraction array from a pair outside FRACTION_FORMERS, one
+    name per call."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and _forms_fraction_array(child.func)
+                    and owner not in FRACTION_FORMERS):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_no_round_trip_in_the_package():
     sites = {path.name: round_trip_lines(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
@@ -129,3 +176,29 @@ def test_lint_finds_round_trips():
     # 11 to 14, 18 and 21 to 23 are no round trips
     assert round_trip_lines(source) == [2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16,
                                         17, 19, 20]
+
+
+def test_fraction_arrays_only_in_views():
+    sites = {path.name: fraction_arrays_outside_views(
+        path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in sites.items() if found} == {}
+
+
+def test_lint_finds_fraction_arrays_outside_views():
+    source = ("import exactla\n"
+              "def ricci(R):\n"
+              "    return exactla.from_scaled_integers(R.tensor, R.scale)\n"
+              "def matrix(self):\n"
+              "    return exactla.from_scaled_integers(*self.scaled)\n"
+              "def structure_traces(R, H):\n"
+              "    def inner(T):\n"
+              "        return from_scaled_integers(T, 2)\n"
+              "    return inner(R.tensor)\n"
+              "def curvature_to_text(R):\n"
+              "    return str(exactla.from_scaled_integers(*R.metric))\n"
+              "def weighted_killing(U, L):\n"
+              "    return PQVector.from_scaled_integers(U, L)\n"
+              "view = exactla.from_scaled_integers(N, 1)\n")
+    assert fraction_arrays_outside_views(source) == ["ricci", "inner",
+                                                     "<module>"]
