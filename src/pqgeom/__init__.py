@@ -22,10 +22,9 @@ from .projspace import (CompletionFailureError, DegenerateOrbitError,
                         TangentSplit, induced_geometry, tangent_split,
                         transitive_element)
 from .reduction import (DegenerateLevelSetError, ImValue, NonRegularError,
-                        NullOrbitError, ReductionScene, flat_circle_moment,
+                        NullOrbitError, flat_circle_moment,
                         flat_moment_gradient_check, flat_reduced_structure,
-                        reduced_jacobi, weighted_killing,
-                        weighted_level_value)
+                        reduced_jacobi, weighted_level_value)
 from .cli import CheckReport, emit_report, run_suite
 
 __version__ = "0.1.0"

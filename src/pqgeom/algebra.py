@@ -85,12 +85,6 @@ class SplitQuaternion:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
@@ -103,12 +97,6 @@ class SplitQuaternion:
             a * g - b * h + c * e + d * f,
             a * h + b * g - c * f + d * e,
         )
-
-    def __rmul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self
 
     def __truediv__(self, scalar):
         if isinstance(scalar, SplitQuaternion):

@@ -71,9 +71,6 @@ class BilinearForm:
     def matrix(self) -> np.ndarray:
         return exactla.from_scaled_integers(*self.scaled)
 
-    def __call__(self, x, y):
-        return x @ self.matrix @ y
-
     def __add__(self, other):
         return self._combine(other, 1)
 

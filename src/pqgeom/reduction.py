@@ -1,8 +1,8 @@
 """Moment-map reductions at desk scale.
 
-Two scenes are implemented.
+Two reductions are implemented.
 
-Flat circle scene: the flat module of rank r carries the standard
+Flat circle reduction: the flat module of rank r carries the standard
 para-hyperKahler structure; the circle acts by left multiplication
 with e^{it}.  The moment map used here is
 
@@ -23,7 +23,7 @@ which flat_moment_gradient_check verifies exactly: fhat is quadratic, so
 at rational h and X.  ``flat_adapted_moment`` returns 2 fhat =
 (-f1, 2 f3, 2 f2), which is integer at integer coordinates.
 
-Weighted hyperbolic scene: on the rank-3 sphere model the group
+Weighted hyperbolic reduction: on the rank-3 sphere model the group
 e^{jt} = cosh t + j sinh t acts through the weights (q, p, p) with
 p, q coprime and distinct.  The level function
 
@@ -63,14 +63,15 @@ Arithmetic.  Everything is exact but one route: the rounded image of the
 exact level points (``weighted_level_sample_float``, float64 real
 coordinates), which the benchmark in perfbench/ traces by name and no
 routine of the package calls.  A point is a ``linalg.PQVector`` (the
-flat scene) or a ``projspace.SpherePoint`` (the weighted scene), held as
-integer coordinates U over a scale L, and every routine reads that
-pair: the moment maps and the level value are quadratic, so they are
-formed at U and compared with L^2 times the level; the flat moment, its
-gradient rows and the flat Killing field take real coordinates, on any
-scalar type, and the moments and the Killing field a leading batch axis,
-on which ``flat_moment_gradient_check`` evaluates all its samples at
-once, on int64 (the doubled adapted moment is integer there).
+flat reduction) or a ``projspace.SpherePoint`` (the weighted
+reduction), held as integer coordinates U over a scale L, and every
+routine reads that pair: the moment maps and the level value are
+quadratic, so they are formed at U and compared with L^2 times the
+level; the flat moment, its gradient rows and the flat Killing field
+take real coordinates, on any scalar type, and the moments and the
+Killing field a leading batch axis, on which
+``flat_moment_gradient_check`` evaluates all its samples at once, on
+int64 (the doubled adapted moment is integer there).
 ``flat_level_sample`` builds its point on integers.  The definite-axis
 control ``empty_levelset_check`` runs on int64 blocks of integer sphere
 points.  The reduced-Jacobi chain is on Python ints:
@@ -90,8 +91,7 @@ integers, with no solve.
 from __future__ import annotations
 
 import functools
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -120,9 +120,8 @@ class NonRegularError(ValueError):
     """The sampled point fails the regularity condition."""
 
 
-# the level value xi of each scene
+# the level value xi of the flat reduction
 FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
-LEVELS = {"flat-s1": FLAT_LEVEL, "pq": (Fraction(0),) * 3}
 
 # most directions per round of the definite-axis control
 # (empty_levelset_check), and the largest i-component of its points
@@ -149,7 +148,7 @@ class ImValue:
 
 
 # ---------------------------------------------------------------------------
-# flat circle scene
+# flat circle reduction
 # ---------------------------------------------------------------------------
 
 
@@ -344,7 +343,7 @@ def flat_quotient_residuals(h: PQVector):
 
 
 # ---------------------------------------------------------------------------
-# weighted hyperbolic scene on the rank-3 sphere model
+# weighted hyperbolic reduction on the rank-3 sphere model
 # ---------------------------------------------------------------------------
 
 
@@ -352,13 +351,6 @@ def _weights(p: int, q: int):
     if p == q or p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError("weights must be distinct coprime naturals")
     return (q, p, p)
-
-
-def weighted_killing(p: int, q: int, u: SpherePoint) -> PQVector:
-    """Flow derivative at parameter zero: (j q u0, j p u1, j p u2), on the
-    integer coordinates of u and over its scale."""
-    U, L = u.x.scaled
-    return PQVector.from_scaled_integers(_generator_action(p, q, U), L)
 
 
 def weighted_level_value(p: int, q: int, u: SpherePoint) -> ImValue:
@@ -530,41 +522,6 @@ def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
                  for a in range(3))
 
 
-# -- covariant derivative of the Killing field on the sphere model ----------
-
-
-def _killing_derivative_integers(p: int, q: int, U: np.ndarray, L: int,
-                                 X: np.ndarray) -> np.ndarray:
-    """L^2 times the ambient-model covariant derivative V_X of the quotient
-    Killing field at u = U / L along X, for integer arrays U and X: an
-    integer array.
-
-    The horizontal part of the Killing field extends off the point as
-    Vh(x) = D x - sum_ab Ginv[a,b] <D x, x e_b> x e_a with the constant
-    fiber Gram inverse Ginv = diag(1, -1, -1); its derivative along X is
-    D X - sum_ab Ginv[a,b] (<D X, x e_b> + <D x, X e_b>) x e_a
-    - sum_ab Ginv[a,b] <D x, x e_b> X e_a, quadratic in x (its terms have
-    degree 0, 2 and 2), so L^2 times it is formed at U.
-
-    It is horizontal already at the inputs of reduced_jacobi, a point of
-    the zero level set on the sphere and X orthogonal to the Killing span
-    (V, J1 V, J2 V, J3 V), so no projection follows.  <Vh(x), x> = 0 for
-    every x (D is skew, and x e_a is orthogonal to x), so its derivative
-    gives <V_X, u> = -<V, X> = 0.  <Vh(x), x e_c> = (1 - |x|^2)
-    <D x, x e_c>, whose derivative at u is 0 (|u|^2 = 1 and
-    <V, u e_c> = 0 on the zero level set), so
-    <V_X, u e_c> = -<V, X e_c> = +-<J_c V, X> = 0."""
-    DX = _generator_action(p, q, X)
-    DU = _generator_action(p, q, U)
-    vert_u = vertical_frame(U)
-    vert_X = vertical_frame(X)
-    coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(DU)
-    coef_b = vert_u.T @ apply_metric(DU)
-    # the fiber Gram diag(1, -1, -1) is its own inverse
-    coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
-    return L * L * DX - vert_u @ coef_a - vert_X @ coef_b
-
-
 @dataclass
 class ReducedJacobi:
     eigenvalues: tuple
@@ -597,9 +554,14 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     The chain runs on scaled integers: u = U / L, and X is replaced by its
     integer multiple, which leaves the ratio unchanged.  The span of D U
     is L times the Killing span, with the Gram matrix VV s, where
-    VV = L^2 g(V, V) and s = diag(1, 1, -1, -1); P = L^2 V_X (times the
-    scale of X), and H = VV P - span s (span^T g P) is VV P times the part
-    h(V_X) of V_X orthogonal to the span, so
+    VV = L^2 g(V, V) and s = diag(1, 1, -1, -1).  The Killing field is
+    the linear field D x, so P = L^2 D X is L^2 V_X (times the scale of
+    X): the derivative of its horizontal extension adds vertical terms
+    with the coefficients g(u e_a, D u), the level value, and
+    g(u e_a, D X) + g(X e_a, D u) = 2 g(u e_a, D X) = -2 g(V e_a, X), as D
+    is g-skew and commutes with right multiplication; both are 0 at the
+    inputs accepted here.  H = VV P - span s (span^T g P) is VV P times
+    the part h(V_X) of V_X orthogonal to the span, so
     rho = H^T g H / (VV^3 L^2 g(X, X)) with g(X, X) of the integer X.
     Every guard is an exact comparison with 0; TypeError on an entry of X
     that is not an int or a Fraction.
@@ -623,7 +585,7 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
         raise ValueError("direction not horizontal")
     if (span.T @ gX).any():
         raise ValueError("direction not orthogonal to the Killing span")
-    P = _killing_derivative_integers(p, q, U, L, XN)
+    P = L * L * _generator_action(p, q, XN)
     H = VV * P - span @ apply_metric(g_span.T @ P)
     ratio = Fraction(H @ apply_metric(H), VV ** 3 * L * L * xnorm)
     const = _ambient_constant()
@@ -672,72 +634,8 @@ def weighted_level_sample_float(rng, p: int, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scenes, checks, reports
+# checks
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReductionScene:
-    """One configured reduction run: action data, seed, sampled points
-    with derived quantities; the level value follows from the action."""
-
-    action: str                      # "flat-s1" or "pq"
-    rank: int = 3
-    p: int | None = None
-    q: int | None = None
-    seed: int = 0
-    points: list = field(default_factory=list)
-    derived: list = field(default_factory=list)
-
-    @property
-    def xi(self) -> tuple:
-        return LEVELS[self.action]
-
-    def manifest(self) -> dict:
-        return {
-            "action": self.action, "rank": self.rank,
-            "p": self.p, "q": self.q,
-            "xi": [str(x) for x in self.xi],
-            "seed": self.seed,
-        }
-
-
-def build_flat_scene(rank: int = 3, seed: int = 0,
-                     samples: int = 10) -> ReductionScene:
-    rng = random.Random(seed)
-    scene = ReductionScene(action="flat-s1", rank=rank, seed=seed)
-    for _ in range(samples):
-        h = flat_level_sample(rng, rank)
-        scene.points.append(h)
-        red = flat_reduced_structure(h)
-        qa, qb = flat_quotient_residuals(h)
-        scene.derived.append({
-            "comrel_residual": red.comrel_residual,
-            "skew_residual": red.skew_residual,
-            "signature": red.signature,
-            "quotient_residuals": (qa, qb),
-        })
-    return scene
-
-
-def build_pq_scene(p: int = 1, q: int = 2, seed: int = 0,
-                   samples: int = 10, directions: int = 5) -> ReductionScene:
-    """Sample generic exact points of the zero level set
-    (weighted_level_sample) and attach reduced Jacobi data per point."""
-    _weights(p, q)
-    rng = random.Random(seed)
-    scene = ReductionScene(action="pq", rank=3, p=p, q=q, seed=seed)
-    for _ in range(samples):
-        u = weighted_level_sample(rng, p, q)
-        scene.points.append(u)
-        dirs = admissible_directions(p, q, u, rng, directions)
-        data = [reduced_jacobi(p, q, u, X) for X in dirs]
-        scene.derived.append({
-            "ratios": [d.ratio for d in data],
-            "eigenvalues": [d.eigenvalues for d in data],
-            "killing_norm": data[0].killing_norm if data else None,
-        })
-    return scene
 
 
 def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:

@@ -487,6 +487,17 @@ def test_solvable_nilpotent_jacobi():
         assert entry.power_sums == (0, 0, 0)
 
 
+@pytest.mark.parametrize("M, degree", [
+    (np.diag([1, 1, 2]), 2),
+    (np.diag([1, 2, 3]), 3),
+    (np.eye(3, k=1), 3),
+], ids=["repeated-eigenvalue", "distinct-eigenvalues", "nilpotent-jordan"])
+def test_minimal_polynomial_degree_up_to_the_size(M, degree):
+    # degree d - 1 needs the powers up to M^(d - 1) compared, and degree d
+    # (the characteristic polynomial) all powers up to M^d
+    assert minimal_polynomial_degree(M.astype(int).astype(object)) == degree
+
+
 def test_solvable_weyl_commutes_with_left_structure():
     # rank-1 counterpart of the commutation property: the curvature
     # values commute with the complementary structure

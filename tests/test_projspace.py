@@ -144,6 +144,22 @@ def test_sphere_point_validation():
                               SplitQuaternion(0.0)]))
 
 
+def test_reprs_are_exact():
+    # the reprs print every coefficient exactly, through the text format
+    # of the entries
+    h = SplitQuaternion(1, Fraction(-1, 2), 0, 3)
+    assert repr(h) == "SplitQuaternion(1, Fraction(-1, 2), 0, 3)"
+    v = PQVector([h, SplitQuaternion(0, 0, 1, 0)])
+    assert repr(v) == "PQVector(1 - 1/2 i + 0 j + 3 k, 0 + 0 i + 1 j + 0 k)"
+    m = PQMatrix([[h, SplitQuaternion(2)],
+                  [SplitQuaternion(), SplitQuaternion(0, 0, 0, -1)]])
+    assert repr(m) == ("PQMatrix([1 - 1/2 i + 0 j + 3 k, "
+                       "2 + 0 i + 0 j + 0 k], "
+                       "[0 + 0 i + 0 j + 0 k, 0 + 0 i + 0 j - 1 k])")
+    assert repr(base_point(2)) == ("SpherePoint(PQVector(1 + 0 i + 0 j + 0 k, "
+                                   "0 + 0 i + 0 j + 0 k))")
+
+
 def test_random_sphere_points_exact():
     rng = random.Random(0)
     for _ in range(20):

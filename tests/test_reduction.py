@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from fractions import Fraction
@@ -20,25 +19,21 @@ from pqgeom.projspace import (SpherePoint, base_point, random_sphere_point,
                               transitive_element, vertical_frame)
 from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               NonRegularError, NullOrbitError,
-                              ReductionScene, admissible_directions,
-                              build_flat_scene, build_pq_scene,
-                              empty_levelset_check, flat_circle_moment,
-                              flat_killing, flat_level_sample,
+                              admissible_directions, empty_levelset_check,
+                              flat_circle_moment, flat_killing,
+                              flat_level_sample,
                               flat_moment_gradient_check,
                               flat_orthogonality_check,
                               flat_quotient_coordinates,
                               flat_quotient_residuals, flat_reduced_structure,
                               isotropy_moment_traces,
                               pq_orthogonality_check, pq_zero_set_check,
-                              reduced_jacobi, weighted_killing,
-                              weighted_level_sample,
+                              reduced_jacobi, weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value)
-from pqgeom.reduction import (_generator_action, _killing_derivative_integers,
-                              _killing_span, _level_gradient_rows,
-                              _moment_gradient_rows, _norm_factor, _sandwich,
-                              _sandwich_i, _weights)
-from pqgeom.scenes import scene_from_json, scene_to_json
+from pqgeom.reduction import (_generator_action, _killing_span,
+                              _level_gradient_rows, _moment_gradient_rows,
+                              _norm_factor, _sandwich, _sandwich_i, _weights)
 
 from test_algebra import circle_point
 from test_linalg import (eye, ref_inverse, ref_left_mul, ref_nullspace,
@@ -53,16 +48,23 @@ def weighted_regularity(p, q, u: SpherePoint):
     return val != 0, val
 
 
+def killing_field(p, q, u: SpherePoint) -> PQVector:
+    """The Killing field D u of the weighted action at u: the generator
+    action on the integer coordinates U of u = U / L, over L."""
+    U, L = u.x.scaled
+    return PQVector.from_scaled_integers(_generator_action(p, q, U), L)
+
+
 def killing_derivative(p, q, u: SpherePoint, X):
     """The covariant derivative V_X of the package chain as Fractions:
-    _killing_derivative_integers over L^2 and the scale of X."""
-    U, L = u.x.scaled
+    the P = L^2 D X of reduced_jacobi over L^2 and the scale of X."""
+    _, L = u.x.scaled
     XN, LX = exactla.scaled_integers(X)
     return exactla.from_scaled_integers(
-        _killing_derivative_integers(p, q, U, L, XN), L * L * LX)
+        L * L * _generator_action(p, q, XN), L * L * LX)
 
 
-# -- flat circle scene --------------------------------------------------------
+# -- flat circle reduction ----------------------------------------------------
 
 
 def ref_flat_level_sample(rng, rank):
@@ -210,8 +212,6 @@ def test_flat_level_sample_rejects_rank_one():
     with pytest.raises(ValueError, match="rank >= 2"):
         flat_level_sample(rng, 1)
     assert rng.getstate() == state
-    with pytest.raises(ValueError, match="rank >= 2"):
-        build_flat_scene(rank=1)
 
 
 def test_flat_reduced_structure_exact():
@@ -290,18 +290,7 @@ def test_flat_orthogonality():
     assert flat_orthogonality_check(3, 4, random.Random(7)) == 0
 
 
-def test_flat_scene_build_and_serialise():
-    scene = build_flat_scene(rank=2, seed=8, samples=3)
-    text = scene_to_json(scene)
-    back = scene_from_json(text)
-    assert back.action == "flat-s1" and back.rank == 2
-    assert len(back.points) == 3
-    assert back.points[0] == scene.points[0]
-    payload = json.loads(text)
-    assert payload["manifest"]["seed"] == 8
-
-
-# -- weighted hyperbolic scene ------------------------------------------------
+# -- weighted hyperbolic reduction --------------------------------------------
 
 
 PQ_WEIGHTS = [(1, 2), (2, 1), (3, 4), (1, 3), (2, 5)]
@@ -360,7 +349,7 @@ def weighted_flow_exact(p, q, param, u):
 
 def test_weighted_killing_example():
     u = base_point(3)
-    V = weighted_killing(1, 2, u)
+    V = killing_field(1, 2, u)
     assert V.entries[0] == J.scale(2)
     assert V.entries[1].is_zero() and V.entries[2].is_zero()
     assert module_scalar_product(V, u.x) == 0
@@ -370,17 +359,15 @@ def test_weighted_killing_tangency_generic():
     rng = random.Random(9)
     for _ in range(8):
         u = random_sphere_point(rng, 3)
-        V = weighted_killing(1, 2, u)
+        V = killing_field(1, 2, u)
         assert module_scalar_product(V, u.x) == 0
 
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        weighted_killing(2, 2, base_point(3))
-    with pytest.raises(ValueError):
-        weighted_killing(2, 4, base_point(3))
-    with pytest.raises(ValueError):
-        weighted_killing(0, 1, base_point(3))
+    assert _weights(1, 2) == (2, 1, 1)
+    for p, q in [(2, 2), (2, 4), (0, 1)]:
+        with pytest.raises(ValueError):
+            _weights(p, q)
 
 
 def test_level_value_examples():
@@ -484,13 +471,13 @@ def test_killing_field_horizontal_on_level_set(p, q):
     rng = random.Random(26)
     for _ in range(4):
         u = weighted_level_sample(rng, p, q)
-        V = weighted_killing(p, q, u).to_real()
+        V = killing_field(p, q, u).to_real()
         assert exactla.max_abs(horizontal_project(u, V) - V) == 0
         _, value = weighted_regularity(p, q, u)
         assert apply_metric(V) @ V == -value
     off = random_sphere_point(rng, 3)
     assert not weighted_level_value(p, q, off).is_zero()
-    V = weighted_killing(p, q, off).to_real()
+    V = killing_field(p, q, off).to_real()
     assert exactla.max_abs(horizontal_project(off, V) - V) != 0
 
 
@@ -523,7 +510,7 @@ def test_level_gradient_row_consistency():
     from pqgeom.reduction import _level_gradient_rows
     u = weighted_level_sample(rng, 1, 2)
     rows = _level_gradient_rows(1, 2, u.x.to_real())
-    V = weighted_killing(1, 2, u).to_real()
+    V = killing_field(1, 2, u).to_real()
     # the flow preserves the level function, so its derivative kills V
     assert exactla.max_abs(rows @ V) == 0
 
@@ -550,7 +537,7 @@ def test_generator_action_matches_pq_matrix():
         x = random_sphere_point(rng, 3).x
         want = (_generator_matrix(p, q) @ x).to_real()
         assert (_generator_action(p, q, x.to_real()) == want).all()
-        assert (weighted_killing(p, q, SpherePoint(x)).to_real() == want).all()
+        assert (killing_field(p, q, SpherePoint(x)).to_real() == want).all()
         # on float columns too (dyadic entries, so both routes are exact)
         cols = np.arange(24).reshape(12, 2).astype(object) * Fraction(1, 4)
         got = _generator_action(p, q, np.asarray(cols, dtype=float))
@@ -635,6 +622,21 @@ def ref_reduced_jacobi(p, q, u, X):
 
 @pytest.mark.parametrize("p, q", PQ_WEIGHTS)
 def test_reduced_jacobi_matches_fraction_route(p, q):
+    """The package takes V_X = D X, the ambient derivative of the linear
+    Killing field; the reference keeps the derivative of its horizontal
+    extension Vh(x) = D x - sum_ab Ginv[a,b] <D x, x e_b> x e_a (Ginv =
+    diag(1, -1, -1), the constant fiber Gram inverse), with both vertical
+    terms and a horizontal projection.  They agree at every input
+    reduced_jacobi accepts: the coefficients of the vertical terms are
+    coef_b = <u e_a, D u>, the components of the level value up to sign,
+    0 by the level guard of reduced_jacobi, and
+    coef_a = <u e_a, D X> + <X e_a, D u>, which is 2 <u e_a, D X> =
+    -2 <V e_a, X> because D is g-skew and commutes with right
+    multiplication, and so 0 as X is orthogonal to the Killing span
+    (V, J1 V, J2 V, J3 V) with J_a V = -V e_a.  The derivative is
+    horizontal already: <Vh(x), x> = 0 for every x gives <V_X, u> =
+    -<V, X> = 0, and <Vh(x), x e_c> = (1 - |x|^2) <D x, x e_c> gives
+    <V_X, u e_c> = -<V, X e_c> = +-<J_c V, X> = 0."""
     rng = random.Random(31 + p + q)
     for _ in range(3):
         u = weighted_level_sample(rng, p, q)
@@ -872,130 +874,6 @@ def test_im_value_helpers():
     assert v.is_zero()
     w = ImValue(Fraction(1, 2), Fraction(0), Fraction(-3))
     assert w.max_abs() == 3 and not w.is_zero()
-
-
-def test_pq_scene_build_and_serialise():
-    scene = build_pq_scene(p=1, q=2, seed=23, samples=2, directions=2)
-    assert len(scene.points) == 2
-    text = scene_to_json(scene)
-    back = scene_from_json(text)
-    assert back.p == 1 and back.q == 2
-    assert module_scalar_product(back.points[0].x, back.points[0].x) == 1
-    with pytest.raises(ValueError):
-        build_pq_scene(p=2, q=4, seed=0, samples=1)
-
-
-@pytest.mark.parametrize("sampler, scalar", [("exact", Fraction)])
-def test_pq_scene_json_roundtrip_keeps_points(sampler, scalar):
-    scene = build_pq_scene(samples=2, directions=1)
-    back = scene_from_json(scene_to_json(scene))
-    assert [u.x for u in back.points] == [u.x for u in scene.points]
-    assert all(type(c) is scalar
-               for u in back.points for h in u.x.entries
-               for c in h.coefficients())
-
-
-
-FLAT = ["-1", "0", "0"]
-ZERO = ["0", "0", "0"]
-
-
-@pytest.mark.parametrize("builder, level, other", [
-    (lambda: build_flat_scene(rank=2, seed=8, samples=1), FLAT, ZERO),
-    (lambda: build_pq_scene(samples=1, directions=1),
-     ZERO, FLAT),
-], ids=["flat-s1", "pq"])
-def test_scene_level_follows_action(builder, level, other):
-    payload = json.loads(scene_to_json(builder()))
-    assert payload["manifest"]["xi"] == level
-    scene_from_json(json.dumps(payload))
-    # a manifest whose level does not match its action is rejected
-    payload["manifest"]["xi"] = other
-    with pytest.raises(ValueError, match="does not match"):
-        scene_from_json(json.dumps(payload))
-
-
-def _set(*path_and_value):
-    """A change to a scene payload: the value at the key path."""
-    *path, value = path_and_value
-
-    def change(payload):
-        target = payload
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-    return change
-
-
-def _drop_seed(payload):
-    del payload["manifest"]["seed"]
-
-
-def _both(*changes):
-    """The changes applied in turn."""
-    def change(payload):
-        for one in changes:
-            one(payload)
-    return change
-
-
-def _flat(first):
-    """A change to a flat-s1 scene whose point has the first coefficient
-    `first`: the base point (1, 0, 0) lies on the flat level set, the
-    point (2, 0, 0) has the moment (-4, 0, 0)."""
-    def change(payload):
-        payload["manifest"].update(action="flat-s1", p=None, q=None, xi=FLAT)
-        payload["points"][0][0][0] = first
-    return change
-
-
-@pytest.mark.parametrize("change", [
-    _drop_seed,
-    _set("manifest", "action", "nope"),
-    _set("points", 0, 0, 0, [1]),
-    _set("points", 0, 0, 0, None),
-    _set("manifest", "p", 2),
-    _set("manifest", "rank", 4),
-    _set("points", 0, [["1", "0", "0", "0"], ["0", "0", "0", "0"]]),
-    _set("points", 0, 1, ["0", "0", "0"]),
-    _set("points", 0, 0, 0, True),
-    # scene files are exact: a number coordinate is refused, also the
-    # exact coordinate of a point on the sphere
-    _set("points", 0, 0, 0, 1.0),
-    _set("points", 0, 0, 0, 1),
-    _flat("2"),
-    # a number coordinate is refused, whatever bound the manifest names
-    _both(_set("manifest", "tolerance", 1e9),
-          _set("points", 0, 0, [5.0, 0, 0, 0])),
-], ids=["missing-key", "unknown-action", "list-coordinate",
-        "null-coordinate", "p-equals-q", "pq-rank-4", "two-entry-point",
-        "three-coefficients", "bool-coordinate", "float-coordinate",
-        "int-coordinate", "flat-off-level",
-        "float-off-sphere-loose-tolerance"])
-def test_scene_from_json_rejects_malformed_manifest(change):
-    scene = ReductionScene(action="pq", rank=3, p=1, q=2,
-                           points=[base_point(3)])
-    payload = json.loads(scene_to_json(scene))
-    assert scene_from_json(json.dumps(payload)).points[0].x == scene.points[0].x
-    change(payload)
-    with pytest.raises(ValueError):
-        scene_from_json(json.dumps(payload))
-
-
-def test_flat_scene_from_json_checks_the_level():
-    scene = ReductionScene(action="pq", rank=3, p=1, q=2,
-                           points=[base_point(3)])
-    payload = json.loads(scene_to_json(scene))
-    _flat("1")(payload)
-    assert scene_from_json(json.dumps(payload)).points == [base_point(3).x]
-    # off the level: the moment is (-4, 0, 0)
-    _flat("2")(payload)
-    with pytest.raises(ValueError, match="flat level set"):
-        scene_from_json(json.dumps(payload))
-    # on the level, but a number coordinate: scene files are exact
-    _flat(1.0)(payload)
-    with pytest.raises(ValueError, match="not a rational string"):
-        scene_from_json(json.dumps(payload))
 
 
 # -- quotient-curvature oracle ------------------------------------------------
