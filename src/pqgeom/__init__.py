@@ -21,7 +21,7 @@ from .projspace import (CompletionFailureError, DegenerateOrbitError,
                         NullLineError, SpherePoint, TangentLineError,
                         TangentSplit, induced_geometry, tangent_split,
                         transitive_element)
-from .reduction import (DegenerateLevelSetError, ImValue, NonRegularError,
+from .reduction import (DegenerateLevelSetError, NonRegularError,
                         NullOrbitError, flat_circle_moment,
                         flat_moment_gradient_check, flat_reduced_structure,
                         reduced_jacobi, weighted_level_value)

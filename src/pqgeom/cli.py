@@ -31,8 +31,9 @@ from .algebra import (EPS, IMAGINARY_UNITS, UNITS, NullQuaternionError,
 from .forms import (BilinearForm, fundamental_four_form, hermitian_projector,
                     lie_derivative_residual, random_rotation, rotate_structure,
                     two_form)
-from .linalg import (TENSOR_BLOCKS, HermitianStructure, PQMatrix,
-                     _random_coefficients, adopted_basis, grassman_split,
+from .linalg import (REDRAW_LIMIT, TENSOR_BLOCKS, HermitianStructure,
+                     PQMatrix, RedrawLimitError, _random_coefficients,
+                     adopted_basis, grassman_split,
                      random_antihermitian, random_integers,
                      random_quaternion, real_rep, right_mult_matrix,
                      right_unit_action, sp_membership, sp_group_membership,
@@ -73,6 +74,10 @@ class CheckReport:
     seed: int
     wall_time: float
     anchor: str
+
+
+# rotations per stack of four-form-rotation-invariance
+_ROTATION_BLOCK = 10
 
 
 def _check_rng(config: CheckConfig, name: str) -> random.Random:
@@ -140,9 +145,8 @@ def _chk_center(config, rng):
 
 
 def _chk_inverse(config, rng):
-    worst = 0
-    count = 0
-    while count < config.samples:
+    worst = count = 0
+    for _ in range(REDRAW_LIMIT * config.samples):
         q = random_quaternion(rng)
         try:
             inv = q.inverse()
@@ -151,7 +155,9 @@ def _chk_inverse(config, rng):
         diff = q * inv - SplitQuaternion(1)
         worst = max(worst, max(abs(x) for x in diff.coefficients()))
         count += 1
-    return worst, count
+        if count == config.samples:
+            return worst, count
+    raise RedrawLimitError("inverse-roundtrip: too many null draws")
 
 
 def _chk_parse_roundtrip(config, rng):
@@ -233,10 +239,13 @@ def _chk_adopted_basis(config, rng):
         if k == 0:
             Hc = H
         else:
-            while True:
+            for _ in range(REDRAW_LIMIT):
                 P = random_integers(rng, (H.dim, H.dim), -2, 2)
                 if exactla.rank(P) == H.dim:
                     break
+            else:
+                raise RedrawLimitError("adopted-basis-rank: every change of "
+                                       "basis singular")
             Pinv, LP = exactla.inverse(P)
             Hc = HermitianStructure(*(Pinv @ J @ P), P.T @ g @ P,
                                     scales=(LP * LJ, Lg))
@@ -274,15 +283,34 @@ def _chk_grassman(config, rng):
 
 
 def _chk_omega_invariance(config, rng):
-    H = structure_endos(1)
+    # Omega against the 4-forms of the rotated structures, on int64, the
+    # rotations as stacks of _ROTATION_BLOCK: every factor of
+    # random_rotation has entries of at most 25 and row sums of at most
+    # 49, so a rotation has entries of at most 49^3 and a scale of at most
+    # 25^3; the rotated members (signed permutations of structure_endos(1),
+    # over the scale 1, times the rotation) and their 2-forms have entries
+    # of at most 49^3, the 4-forms entries of at most 18 * 49^6 < 2^38, and
+    # every product below stays under 2^63
+    H = HermitianStructure(*structure_endos(1).scaled_J[0].astype(np.int64),
+                           structure_endos(1).scaled_g[0].astype(np.int64),
+                           scales=(1, 1))
     C, L = fundamental_four_form(H).scaled
-    worst = 0
     rotations = max(100, config.samples)
-    for _ in range(rotations):
-        H2 = rotate_structure(H, random_rotation(rng))
-        worst = max(worst, exactla.scaled_distance(
-            C, L, *fundamental_four_form(H2).scaled))
-    return worst, rotations
+    extremes, scales = [], []
+    for start in range(0, rotations, _ROTATION_BLOCK):
+        draws = [random_rotation(rng)
+                 for _ in range(min(_ROTATION_BLOCK, rotations - start))]
+        stack = (np.array([R for R, _ in draws], dtype=np.int64),
+                 np.array([LR for _, LR in draws], dtype=np.int64))
+        C2, L2 = fundamental_four_form(rotate_structure(H, stack)).scaled
+        # the largest and the least entry of each difference, over L L2
+        defect = (C2 * L - C * L2[:, None, None, None, None]).reshape(
+            len(draws), -1)
+        extremes.append(np.stack([defect.max(axis=1), defect.min(axis=1)],
+                                 axis=1))
+        scales.append(L * L2)
+    return (exactla.stack_max_abs(np.concatenate(extremes),
+                                  np.concatenate(scales)), rotations)
 
 
 def _chk_projector_idempotent(config, rng):

@@ -119,6 +119,19 @@ def max_abs(arr) -> Fraction | int:
     return max(flat.max(), -flat.min())
 
 
+def stack_max_abs(N, L) -> Fraction:
+    """max |N[b] / L[b]| over a stack of integer arrays N[b], one per
+    entry of the scales L (the leading axes of N), or max |N / L| for one
+    scale: one Fraction per array with a nonzero entry, from its max_abs
+    read as a Python int (machine integers need no abs), and Fraction 0
+    when every entry is 0."""
+    scales = np.reshape(L, -1).tolist()
+    N = np.reshape(N, (len(scales), -1))
+    return max((Fraction(int(max_abs(N[b])), scales[b])
+                for b in np.flatnonzero((N != 0).any(axis=1)).tolist()),
+               default=Fraction(0))
+
+
 def require_exact(arr) -> np.ndarray:
     """The entries of arr, flattened; TypeError on any entry that is not
     an int or a Fraction.  The test runs once per entry type."""
@@ -179,8 +192,7 @@ def add_scaled(A, LA: int, B, LB: int, sign: int = 1):
 def scaled_distance(A, LA: int, B, LB: int) -> Fraction:
     """max |A / LA - B / LB| over the entries of two integer arrays (of
     Python ints or machine integers)."""
-    N, L = add_scaled(A, LA, B, LB, -1)
-    return Fraction(int(max_abs(N)), L)
+    return stack_max_abs(*add_scaled(A, LA, B, LB, -1))
 
 
 def contract(T, A, axis: int) -> np.ndarray:

@@ -10,6 +10,12 @@ rotations only).
 
 The fundamental 4-form is the dense coefficient array of its closed
 formula at every rank (dim^4 entries: 256 at rank 1, 20736 at rank 3).
+``FourForm``, the 2-forms and ``rotate_structure`` take a leading axis
+too: a stack of rotations gives a stack of rotated structures (a
+``linalg.HermitianStructure`` whose members have that leading axis, each
+with its own scale), checked for group membership and the cyclic table
+at once, and its stack of 4-forms, on the dtype of the input (int64 in
+the rotation-invariance check, whose bound the check states).
 The infinitesimal action A . Omega of an endomorphism contracts the
 array with A in each of its four slots (``lie_derivative_residual``).
 The six-term evaluator on bilinear values is kept in the tests as the
@@ -82,19 +88,19 @@ class BilinearForm:
                                                 sign))
 
     def max_abs(self) -> Fraction:
-        N, L = self.scaled
-        return Fraction(exactla.max_abs(N), L)
+        return exactla.stack_max_abs(*self.scaled)
 
 
-def _two_forms(J, G, scale: int) -> np.ndarray:
-    """The integer omega_a = J_a^T G of stacked integer members J_a and an
-    integer metric G; NotSkewError unless every J_a is G-skew.  The scale
-    of the J_a times that of G is passed for the message only."""
-    omega = J.transpose(0, 2, 1) @ G
-    res = exactla.max_abs(omega + G @ J)
-    if res != 0:
+def _two_forms(J, G, scale) -> np.ndarray:
+    """The integer omega_a = J_a^T G of stacked integer members J_a (axis
+    -3, leading axes a stack of structures) and an integer metric G;
+    NotSkewError unless every J_a is G-skew.  The scale of the J_a times
+    that of G (one per structure of a stack) is passed for the message
+    only."""
+    omega = J.swapaxes(-1, -2) @ G
+    if (omega + G @ J).any():
         raise NotSkewError(f"endomorphism not skew, residual "
-                           f"{Fraction(res, scale)}")
+                           f"{exactla.stack_max_abs(omega + G @ J, scale)}")
     return omega
 
 
@@ -114,22 +120,32 @@ class FourForm:
         Omega[p,q,r,s] = sum_a 2 eps_a (w[p,q] w[r,s] - w[p,r] w[q,s]
                                         + w[p,s] w[q,r]),  w = omega_a,
 
-    built from the stacked integer 2-forms w over the scale L, so the
-    array is over L^2.  ``array`` is the Fraction view, formed on each
-    access.
+    built from the stacked integer 2-forms w (axis -3) over the scale L,
+    so the array is over L^2, on the dtype of w.  Leading axes of w are a
+    stack of forms, each over its own scale (L an array of that shape):
+    the array then has the same leading axes.  ``array`` is the Fraction
+    view, formed on each access.
     """
 
-    def __init__(self, w, L: int):
-        # S[p,q,r,s] = sum_a 2 eps_a w[p,q] w[r,s]; the three terms of the
-        # formula are S and two transposes of it
-        signed = np.stack([2 * eps * om for eps, om in zip(EPS, w)])
-        S = np.tensordot(signed, w, axes=([0], [0]))
-        self.scaled = (S - S.transpose(0, 2, 1, 3) + S.transpose(0, 2, 3, 1),
+    def __init__(self, w, L):
+        # S[..., p,q,r,s] = sum_a 2 eps_a w[p,q] w[r,s], one product of the
+        # flattened forms over a; the three terms of the formula are S and
+        # two transposes of it
+        lead, d = w.shape[:-3], w.shape[-1]
+        flat = w.reshape(lead + (3, d * d))
+        S = ((2 * np.array(EPS)[:, None] * flat).swapaxes(-1, -2)
+             @ flat).reshape(lead + (d,) * 4)
+        self.scaled = (S - S.swapaxes(-3, -2) + np.moveaxis(S, -3, -1),
                        L * L)
 
     @property
     def array(self) -> np.ndarray:
-        return exactla.from_scaled_integers(*self.scaled)
+        # a stack at the lcm of its scales, where its values repeat
+        N, L = self.scaled
+        L = np.asarray(L, dtype=object)[..., None, None, None, None]
+        return exactla.from_scaled_integers(
+            N * (np.lcm.reduce(L.reshape(-1)) // L),
+            np.lcm.reduce(L.reshape(-1)))
 
 
 def fundamental_four_form(H: HermitianStructure) -> FourForm:
@@ -144,28 +160,30 @@ def fundamental_four_form(H: HermitianStructure) -> FourForm:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_defect(R, L: int) -> int:
-    """L^3 times the residual of R / L in the rotation group, for a 3 x 3
-    integer R: the max of the entries of R^T eta R - eta and of
-    det R - 1, with det R = R_0 . (R_1 x R_2)."""
-    res = exactla.max_abs(R.T @ ETA @ R - ETA * (L * L)) * L
-    return max(res, abs(R[0] @ np.cross(R[1], R[2]) - L ** 3))
-
-
 def rotate_structure(H: HermitianStructure, rotation) -> HermitianStructure:
     """Replace the basis by J'_a = sum_b R_ab J_b for the rotation
     R = Rn / LR given as the integer pair (Rn, LR) of random_rotation;
     the defining relation R^T eta R = eta (det 1) guarantees the cyclic
-    table survives (NotInGroupError otherwise).  Runs on integers: the
-    new members are Rn J over the product of the scales."""
+    table survives (NotInGroupError otherwise).  Runs on integers, on the
+    dtype of Rn and the members: the new members are Rn J over the
+    product of the scales.  A stack of rotations (Rn with leading axes, LR
+    an array of those) gives the stack of the rotated structures, checked
+    at once."""
     Rn, LR = rotation
-    defect = _rotation_defect(Rn, LR)
-    if defect != 0:
-        raise NotInGroupError(
-            f"defining-relation residual {Fraction(defect, LR ** 3)}")
-    J, LJ = H.scaled_J
-    g, Lg = H.scaled_g
-    return HermitianStructure(*(Rn @ J.reshape(3, -1)).reshape(J.shape), g,
+    R, L = Rn.reshape((-1, 3, 3)), np.reshape(np.asarray(LR, Rn.dtype),
+                                              (-1, 1, 1))
+    # L^3 times the deviations of each R / L from the group: the entries
+    # of R^T eta R - eta and det R - 1, with det R = R_0 . (R_1 x R_2)
+    defect = np.concatenate([
+        ((R.swapaxes(1, 2) @ ETA @ R - ETA * L * L) * L).reshape(-1, 9),
+        ((R[:, 0] * np.cross(R[:, 1], R[:, 2])).sum(axis=1)
+         - L[:, 0, 0] ** 3)[:, None]], axis=1)
+    if defect.any():
+        raise NotInGroupError(f"defining-relation residual "
+                              f"{exactla.stack_max_abs(defect, LR ** 3)}")
+    (J, LJ), (g, Lg) = H.scaled_J, H.scaled_g
+    members = (Rn @ J.reshape(3, -1)).reshape(Rn.shape[:-2] + J.shape)
+    return HermitianStructure(*np.moveaxis(members, -3, 0), g,
                               scales=(LR * LJ, Lg))
 
 

@@ -64,6 +64,18 @@ class RankMismatchError(ValueError):
     """Operands live in modules of different rank."""
 
 
+class RedrawLimitError(RuntimeError):
+    """A redraw loop rejected REDRAW_LIMIT draws in a row, or, collecting
+    several results, made REDRAW_LIMIT draws per result: its sampler is
+    degenerate, and the loop raises instead of spinning."""
+
+
+# the bound of every redraw loop: a draw is rejected with probability at
+# most about 0.4 (the weighted level sampler; the others stay below 0.25),
+# so a sampler that reaches the limit is broken, not unlucky
+REDRAW_LIMIT = 100
+
+
 class DegenerateStructureError(ValueError):
     """A structure triple failed validation or basis extraction."""
 
@@ -344,6 +356,11 @@ class HermitianStructure:
     access.  The members and the metric are exact arrays (TypeError on an
     entry that is not an int or a Fraction), or with ``scales=(LJ, Lg)``
     integer arrays over those scales.
+
+    A stack of structures on one metric has members with leading axes,
+    (..., 3, d, d), and one member scale per structure; the relations are
+    checked on the whole stack, on the dtype of the members (machine
+    integers too), and the residuals are the largest over the stack.
     """
 
     def __init__(self, J1, J2, J3, g, validate: bool = True, *,
@@ -352,7 +369,7 @@ class HermitianStructure:
             self.scaled_J = exactla.scaled_integers(np.stack([J1, J2, J3]))
             self.scaled_g = exactla.scaled_integers(g)
         else:
-            self.scaled_J = (np.stack([J1, J2, J3]), scales[0])
+            self.scaled_J = (np.stack([J1, J2, J3], axis=-3), scales[0])
             self.scaled_g = (np.asarray(g), scales[1])
         if validate:
             self.check_relations()
@@ -376,37 +393,40 @@ class HermitianStructure:
     def check_relations(self):
         """DegenerateStructureError unless the cyclic product table and
         the metric skewness hold exactly."""
-        if self._comrel_defect() or self._skew_defect():
+        if self._comrel_defect().any() or self._skew_defect().any():
             res = max(self.comrel_residual(), self.skew_residual())
             raise DegenerateStructureError(
                 f"structure relations violated, residual {res}")
 
-    def _comrel_defect(self) -> int:
-        """LJ^2 times the max deviation of the nine products J_a J_b from
-        the cyclic table, all formed by one batch product."""
+    def _comrel_defect(self) -> np.ndarray:
+        """LJ^2 times the deviations (..., 3, 3, d, d) of the nine
+        products J_a J_b from the cyclic table, all formed by one batch
+        product."""
         J, L = self.scaled_J
+        L = np.asarray(L, dtype=J.dtype)[..., None, None]
         # every product J_a J_b carries the scale L^2, so the table does too
-        table = np.empty((3, 3) + J.shape[1:], dtype=object)
-        eye = np.eye(self.dim, dtype=object)
+        table = np.empty(J.shape[:-3] + (3, 3) + J.shape[-2:], dtype=J.dtype)
+        eye = np.eye(self.dim, dtype=J.dtype)
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            table[a, a] = eye * (-EPS[a] * L * L)
-            table[a, b] = J[c] * (-EPS[c] * L)
-            table[b, a] = -table[a, b]
-        return exactla.max_abs(J[:, None] @ J - table)
+            table[..., a, a, :, :] = eye * (-EPS[a] * L * L)
+            table[..., a, b, :, :] = J[..., c, :, :] * (-EPS[c] * L)
+            table[..., b, a, :, :] = -table[..., a, b, :, :]
+        return J[..., :, None, :, :] @ J[..., None, :, :, :] - table
 
-    def _skew_defect(self) -> int:
-        """LJ Lg times the max entry of J_a^T g + g J_a over the three a."""
+    def _skew_defect(self) -> np.ndarray:
+        """LJ Lg times J_a^T g + g J_a, for the three a."""
         (J, _), (g, _) = self.scaled_J, self.scaled_g
-        return exactla.max_abs(J.transpose(0, 2, 1) @ g + g @ J)
+        return J.swapaxes(-1, -2) @ g + g @ J
 
     def comrel_residual(self) -> Fraction:
         """Max deviation over the nine products J_a J_b from the cyclic
         table."""
-        return Fraction(self._comrel_defect(), self.scaled_J[1] ** 2)
+        return exactla.stack_max_abs(self._comrel_defect(),
+                                     self.scaled_J[1] ** 2)
 
     def skew_residual(self) -> Fraction:
-        return Fraction(self._skew_defect(),
-                        self.scaled_J[1] * self.scaled_g[1])
+        return exactla.stack_max_abs(self._skew_defect(),
+                                     self.scaled_J[1] * self.scaled_g[1])
 
     def signature(self):
         # the scale is positive, so g / Lg has the inertia of g

@@ -28,11 +28,13 @@ group), using Gram-Schmidt for the quaternion-valued hermitian pairing
 s(u, v) = sum conj(u_i) v_i.  The columns are s-orthonormal, so the
 classical and the modified process agree.  One private routine,
 ``_transitive_columns``, runs it fraction-free on the scaled-integer real
-coordinates of the target and returns each column with its right unit
-multiples, which are the column's block of the real action:
-``transitive_element`` stacks the columns into the integer coefficient
-array of a ``PQMatrix``, and ``transitive_action`` returns the real
-action as integers; each is over one scale, with no Fraction.  The
+coordinates of a stack of targets, all points at once (each round offers
+every unfinished point its next candidate and masks out the null ones),
+and returns each column with its right unit multiples, which are the
+column's block of the real action: ``transitive_action`` returns the
+real actions of the stack as integers, each over its own scale, and
+``transitive_element`` reads the coefficient array of a ``PQMatrix`` off
+the action of a stack of one; no Fraction is formed.  The
 candidates are the coordinate vectors e_s and, where those run out, the
 e_s + e_t q; some candidate is always non-null.  Exact rational
 normalisation is always possible because the norm form represents every
@@ -49,9 +51,9 @@ import numpy as np
 
 from . import exactla
 from .algebra import SplitQuaternion
-from .linalg import (HermitianStructure, PQMatrix, PQVector,
-                     _random_coefficients, apply_metric, random_quaternion,
-                     right_unit_action)
+from .linalg import (REDRAW_LIMIT, HermitianStructure, PQMatrix, PQVector,
+                     RedrawLimitError, _random_coefficients, apply_metric,
+                     random_quaternion, right_unit_action)
 
 VERTICAL_GRAM = np.diag(np.array([1, -1, -1], dtype=object))
 
@@ -128,29 +130,31 @@ def random_sphere_point(rng, rank: int) -> SpherePoint:
     """Seeded rational point of the unit pseudosphere: the base point
     reflected in directions of random_quaternion(rng, 4) entries, drawn
     on integers by the same rng calls, until one is neither null nor
-    tangent.  Only those two refusals are redrawn: any other error of
+    tangent.  Only those two refusals are redrawn, at most REDRAW_LIMIT
+    times in a row (RedrawLimitError): any other error of
     sphere_point_through (a point off the sphere) propagates."""
     o = base_point(rank)
-    while True:
+    for _ in range(REDRAW_LIMIT):
         C, L = _random_coefficients(rng, rank, 4)
         try:
             return sphere_point_through(
                 o, PQVector.from_scaled_integers(C.T.reshape(-1), L))
         except (NullLineError, TangentLineError):
             continue
+    raise RedrawLimitError("random_sphere_point: every direction null or "
+                           "tangent")
 
 
 def random_unit_quaternion(rng) -> SplitQuaternion:
-    """Seeded rational element of the unit-norm group."""
-    while True:
+    """Seeded rational element of the unit-norm group: 1 reflected in a
+    random direction d, redrawn (at most REDRAW_LIMIT times in a row) while
+    d is null or orthogonal to 1."""
+    for _ in range(REDRAW_LIMIT):
         d = random_quaternion(rng, 4)
         dd = d.square_norm()
-        if dd == 0:
-            continue
-        t = Fraction(-2) * d.a / dd
-        if t == 0:
-            continue
-        return SplitQuaternion(1) + d.scale(t)
+        if dd != 0 and d.a != 0:
+            return SplitQuaternion(1) + d.scale(Fraction(-2) * d.a / dd)
+    raise RedrawLimitError("random_unit_quaternion: every direction null")
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +251,19 @@ def induced_geometry(x: SpherePoint):
 # ---------------------------------------------------------------------------
 
 
-def _transitive_columns(target: SpherePoint) -> list[tuple[np.ndarray, int]]:
-    """Columns of transitive_element(target) as (F, L): F = [C, C i, C j,
-    C k] holds the integer real coordinates of the column C / L and of its
-    right unit multiples, so that F over L is the column's block of the
-    real action.
+def _unit_blocks(C) -> np.ndarray:
+    """[X, X i, X j, X k] for the rows X of an integer array C (n, 4 rank):
+    shape (n, 4 rank, 4); X e_a = -J_a X."""
+    return np.stack([C] + [-right_unit_action(C.T, a).T for a in range(3)],
+                    axis=-1)
+
+
+def _transitive_columns(C, L) -> tuple[np.ndarray, np.ndarray]:
+    """Columns of transitive_element at a stack of unit lifts C[b] / L[b]
+    (C of shape (B, 4 rank), L of shape (B,), Python ints) as (F, LF):
+    F[b, c] = [X, X i, X j, X k] holds the integer real coordinates of
+    column c = X / LF[b, c] and of its right unit multiples, so that
+    F[b, c] over LF[b, c] is the column's block of the real action.
 
     Gram-Schmidt for the hermitian pairing, from the target through the
     candidates W, on scaled integers: s(c, W) = sum conj(c_r) W_r has the
@@ -266,63 +278,77 @@ def _transitive_columns(target: SpherePoint) -> list[tuple[np.ndarray, int]]:
     e_s + e_t q (s < t, q = 1, i, j, k) is taken.  That one exists: were
     every residual of them null, polarisation would make the hermitian
     pairing vanish on the nondegenerate complement of the columns.
+
+    The points run together: each round offers every point with missing
+    columns its next candidate (``step`` indexes the list e_s, then the
+    pool), and only the points with a non-null residual take a column.
+    The columns not yet taken are 0 over the scale 1, which leaves every
+    sum and lcm unchanged.
     """
-    rank = target.rank
-    cols = []
-
-    def append(C, L):
-        cols.append((np.concatenate([C.reshape(-1, 1), vertical_frame(C)],
-                                    axis=1), L))
-
-    def take(W) -> bool:
-        den = math.lcm(*(L * L for _, L in cols))
-        V = den * W
-        for F, L in cols:
-            V -= (den // (L * L)) * (F @ apply_metric(F.T @ apply_metric(W)))
-        N = V @ apply_metric(V)
-        if N == 0:
-            return False
-        # V k = -J_3 V
-        C = ((N + den * den) * V
-             - (den * den - N) * right_unit_action(V, 2))
-        g = math.gcd(*C, 2 * den * N) * (1 if N > 0 else -1)
-        append(C // g, 2 * den * N // g)
-        return True
-
-    append(*target.x.scaled)
+    B, rank = len(C), C.shape[1] // 4
+    F = np.zeros((B, rank, 4 * rank, 4), dtype=object)
+    LF = np.ones((B, rank), dtype=object)
+    F[:, 0], LF[:, 0] = _unit_blocks(C), L
     e = np.eye(4 * rank, dtype=object)
-    for s in range(rank):
-        if len(cols) == rank:
-            break
-        take(e[4 * s])
-    pool = [e[4 * s] for s in range(rank)]
-    pool += [e[4 * s] + e[4 * t + m] for s in range(rank)
-             for t in range(s + 1, rank) for m in range(4)]
-    while len(cols) < rank:
-        if not any(take(W) for W in pool):
+    # the e_s of the first pass, then the pool: the e_s and the e_s + e_t q
+    candidates = np.stack(
+        [e[4 * s] for s in range(rank)] * 2
+        + [e[4 * s] + e[4 * t + m] for s in range(rank)
+           for t in range(s + 1, rank) for m in range(4)])
+    count, step = np.ones(B, dtype=int), np.zeros(B, dtype=int)
+    while (count < rank).any():
+        act = np.flatnonzero(count < rank)
+        if (step[act] == len(candidates)).any():
             raise CompletionFailureError("candidate pool exhausted")
-    return cols
+        W, Fa, LF2 = candidates[step[act]], F[act], LF[act] ** 2
+        den = np.lcm.reduce(LF2, axis=1)
+        # the pairings s(c, W) = eps * F_c^T g W of every column c (shape
+        # (n, rank, 4)), then V = den W - sum_c (den / LF_c^2) F_c s(c, W)
+        s = apply_metric(
+            (apply_metric(W.T).T[:, None, None] @ Fa)[:, :, 0].T).T
+        V = den[:, None] * W - ((den[:, None] // LF2)[..., None]
+                                * (Fa @ s[..., None])[..., 0]).sum(axis=1)
+        N = (V * apply_metric(V.T).T).sum(axis=1)
+        ok = N != 0
+        # the first pass over the e_s moves on either way; in the pool a
+        # taken column restarts the pool and a null one moves on
+        step[act] = np.where(ok & (step[act] >= rank), rank, step[act] + 1)
+        take, V, N, den = act[ok], V[ok], N[ok], den[ok]
+        # V k = -J_3 V
+        X, LX = ((N + den * den)[:, None] * V
+                 - (den * den - N)[:, None] * right_unit_action(V.T, 2).T,
+                 2 * den * N)
+        g = np.gcd.reduce(np.concatenate([X, LX[:, None]], axis=1),
+                          axis=1) * np.sign(N)
+        F[take, count[take]], LF[take, count[take]] = (
+            _unit_blocks(X // g[:, None]), LX // g)
+        count[take] += 1
+    return F, LF
 
 
-def _common_scale(cols) -> tuple[list, int]:
-    """The blocks F of _transitive_columns brought to their lcm scale."""
-    LA = math.lcm(*(L for _, L in cols))
-    return [F * (LA // L) for F, L in cols], LA
+def _stack(points) -> tuple[np.ndarray, np.ndarray]:
+    """The integer coordinates (B, 4 rank) and scales (B,) of sphere
+    points."""
+    return (np.stack([x.x.scaled[0] for x in points]),
+            np.array([x.x.scaled[1] for x in points], dtype=object))
 
 
 def transitive_element(target: SpherePoint) -> PQMatrix:
     """A scalar-product-preserving matrix sending the base point to target,
     completed by the Gram-Schmidt of _transitive_columns; its coefficient
     array is formed from the integer columns, with no Fraction."""
-    blocks, LA = _common_scale(_transitive_columns(target))
-    # column c of the matrix has interleaved coordinates blocks[c][:, 0]
-    cols = np.stack([F[:, 0] for F in blocks], axis=1)
+    A, LA = transitive_action(*_stack([target]))
+    # column c of the matrix has interleaved coordinates A[:, 4 c]
     return PQMatrix.from_scaled_integers(
-        cols.reshape(target.rank, 4, -1).transpose(1, 0, 2), LA)
+        A[0, :, 0::4].reshape(target.rank, 4, -1).transpose(1, 0, 2), LA[0])
 
 
-def transitive_action(target: SpherePoint) -> tuple[np.ndarray, int]:
-    """(A, LA): the real action of transitive_element(target) is A / LA,
-    with A an integer matrix; no Fraction is formed."""
-    blocks, LA = _common_scale(_transitive_columns(target))
-    return np.concatenate(blocks, axis=1), LA
+def transitive_action(C, L) -> tuple[np.ndarray, np.ndarray]:
+    """(A, LA): the real action of transitive_element at each unit lift
+    C[b] / L[b] of a stack is A[b] / LA[b], with A an integer array
+    (B, 4 rank, 4 rank), the blocks of _transitive_columns brought to
+    their lcm scale; no Fraction is formed."""
+    F, LF = _transitive_columns(C, L)
+    LA = np.lcm.reduce(LF, axis=1)
+    A = F * (LA[:, None] // LF)[..., None, None]
+    return A.transpose(0, 2, 1, 3).reshape(len(C), C.shape[1], -1), LA

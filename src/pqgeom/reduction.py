@@ -35,7 +35,9 @@ the quotient.  The independent cross-check computes the moment value
 through the isotropy decomposition at the base point (the covariant
 derivative of a Killing field at the base point of a symmetric space
 is the adjoint action of the isotropy component) transported by group
-elements, and compares zero sets.
+elements, and compares values, not only zero sets: the traces are
+Tr(J_a L) = c_a mu_a with c = (-8, 8, 8) at every sphere point, on the
+level set and off it.
 
 Reduced Jacobi data: for a regular level point and a non-null
 admissible direction X the three eigenvalues of X -> R(X, Y) X / g(X, X)
@@ -54,10 +56,12 @@ duplicated middle label in the source formula is resolved that way.)
 
 Level points.  ``weighted_level_sample`` draws generic exact rational
 points of the zero level set by a closed construction (a rational point
-of a conic, then a solved last entry; see its docstring), so the ratio
-rho differs from point to point; on the sphere V is horizontal at every
-point of the zero level set, so the reduced-Jacobi routines read V
-directly.
+of a conic, then a solved last entry; see its docstring), on integers,
+so the ratio rho differs from point to point; on the sphere V is
+horizontal at every point of the zero level set, so the reduced-Jacobi
+routines read V directly.  Every redraw loop of the samplers gives up
+after REDRAW_LIMIT rejections in a row (``linalg.RedrawLimitError``), so
+a degenerate sampler fails a check instead of hanging the suite.
 
 Arithmetic.  Everything is exact but one route: the rounded image of the
 exact level points (``weighted_level_sample_float``, float64 real
@@ -72,7 +76,12 @@ take real coordinates, on any scalar type, and the moments and the
 Killing field a leading batch axis, on which
 ``flat_moment_gradient_check`` evaluates all its samples at once, on
 int64 (the doubled adapted moment is integer there).
-``flat_level_sample`` builds its point on integers.  The definite-axis
+``flat_level_sample`` and ``weighted_level_sample`` build their points on
+integers.  The weighted level value, the action generator
+(``_generator_action``) and the isotropy traces take a leading sample
+axis too: ``pq_zero_set_check`` stacks its points in blocks of
+_TRACE_BLOCK and evaluates each block once, the transitive elements by
+the one stacked Gram-Schmidt of ``projspace``.  The definite-axis
 control ``empty_levelset_check`` runs on int64 blocks of integer sphere
 points.  The reduced-Jacobi chain is on Python ints:
 ``admissible_directions`` returns integer vectors of the admissible
@@ -101,11 +110,13 @@ from . import exactla
 from .algebra import I, J, K, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
-from .linalg import (HermitianStructure, PQVector, apply_metric,
-                     left_mult_matrix, random_integers, right_mult_matrix,
-                     right_unit_action, structure_endos)
-from .projspace import (SpherePoint, frame_structure, random_sphere_point,
-                        transitive_action, vertical_frame)
+from .linalg import (REDRAW_LIMIT, HermitianStructure, PQVector,
+                     RedrawLimitError, apply_metric, left_mult_matrix,
+                     random_integers, right_mult_matrix, right_unit_action,
+                     structure_endos)
+from .projspace import (SpherePoint, _stack, frame_structure,
+                        random_sphere_point, transitive_action,
+                        vertical_frame)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -128,23 +139,8 @@ FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
 _LEVEL_BLOCK = 256
 _I_COMPONENT_BOUND = 4 * 72 ** 2
 
-
-@dataclass
-class ImValue:
-    """Element of the imaginary span, as (i, j, k) coefficients."""
-
-    i: Fraction
-    j: Fraction
-    k: Fraction
-
-    def coefficients(self):
-        return (self.i, self.j, self.k)
-
-    def max_abs(self):
-        return max(abs(self.i), abs(self.j), abs(self.k))
-
-    def is_zero(self) -> bool:
-        return self.max_abs() == 0
+# points per stack of the zero-set cross-check
+_TRACE_BLOCK = 10
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +223,7 @@ def flat_level_sample(rng, rank: int) -> PQVector:
     if rank < 2:
         raise ValueError(f"the flat level set has a point with s, t != 0 "
                          f"only at rank >= 2, not {rank}")
-    while True:
+    for _ in range(REDRAW_LIMIT):
         n, m = rng.randint(-6, 6), rng.randint(1, 4)
         s, t = m * m - n * n, 2 * n * m
         if s == 0 or t == 0 or s * s == t * t:
@@ -249,6 +245,7 @@ def flat_level_sample(rng, rank: int) -> PQVector:
         h = PQVector.from_scaled_integers(C // g, L // g)
         assert flat_level_defect(h) == 0
         return h
+    raise RedrawLimitError("flat_level_sample: every draw degenerate")
 
 
 def _integer_direction(rng, rank: int) -> np.ndarray:
@@ -353,20 +350,17 @@ def _weights(p: int, q: int):
     return (q, p, p)
 
 
-def weighted_level_value(p: int, q: int, u: SpherePoint) -> ImValue:
-    """Imaginary value q conj(u0) j u0 + p conj(u1) j u1 + p conj(u2) j u2,
-    by the closed form conj(h) j h = (0, -2(ad + bc), a^2 - b^2 - c^2 + d^2,
-    -2(ab + cd)) of h = a + b i + c j + d k.  The value is quadratic, so it
-    is formed at the integer coordinates U of u = U / L, on the three
-    entries as one batch, and divided by L^2."""
-    U, L = u.x.scaled
-    Y = _sandwich(SplitQuaternion(*np.reshape(U, (-1, 4)).T))
-    return ImValue(*(Fraction(np.dot(_weights(p, q), y), L * L) for y in Y))
-
-
-def _imaginary_form(x, y):
-    """Polarisation of the square norm on imaginary (i, j, k) triples."""
-    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
+def weighted_level_value(p: int, q: int, U) -> np.ndarray:
+    """The imaginary value q conj(u0) j u0 + p conj(u1) j u1 +
+    p conj(u2) j u2 as its (i, j, k) coefficients (last axis), at the
+    integer real coordinates U of points u = U / L (last axis of 12,
+    leading axes a stack), as Python ints.  The value is quadratic, so
+    the result is L^2 times the value at u.  By the closed form
+    conj(h) j h = (0, -2(ad + bc), a^2 - b^2 - c^2 + d^2, -2(ab + cd)) of
+    h = a + b i + c j + d k, on the three entries as one batch."""
+    Y = _sandwich(SplitQuaternion(*_entry_coefficients(U)))
+    return np.stack([y @ np.array(_weights(p, q), dtype=object) for y in Y],
+                    axis=-1, dtype=object)
 
 
 def _sandwich(h: SplitQuaternion):
@@ -384,19 +378,25 @@ def _sandwich_i(h: SplitQuaternion):
             2 * (a * c + b * d))
 
 
-def _norm_factor(r: Fraction, unit: SplitQuaternion) -> SplitQuaternion:
-    """x + y unit of square norm x^2 - y^2 = r, for a unit squaring to +1:
-    x + y = t and x - y = r / t with t = 2^k, k the integer nearest
-    log2|r| / 2 (ties to even), which keeps the coordinates small.  k comes
-    from e = floor(log2|r|), the difference of the bit lengths of the
-    numerator and the denominator of |r|, less one when |r| < 2^e: it is
-    (e + 1) // 2, less one at a tie |r| = 2^e with e = 1 mod 4."""
-    a = abs(r)
-    e = a.numerator.bit_length() - a.denominator.bit_length()
-    e -= a < Fraction(2) ** e
-    tie = e % 4 == 1 and a == Fraction(2) ** e
-    t = Fraction(2) ** ((e + 1) // 2 - tie)
-    return SplitQuaternion((t + r / t) / 2) + unit.scale((t - r / t) / 2)
+def _norm_factor(P: int, Q: int, unit: SplitQuaternion):
+    """(h, LH): h / LH = x + y unit of square norm x^2 - y^2 = r = P / Q
+    (Q != 0), for a unit squaring to +1, with h an integer split
+    quaternion: x + y = t and x - y = r / t with t = 2^k, k the integer
+    nearest log2|r| / 2 (ties to even), which keeps the coordinates small.
+    k comes from e = floor(log2|r|), the difference of the bit lengths of
+    |P| and |Q|, less one when |r| < 2^e: it is (e + 1) // 2, less one at
+    a tie |r| = 2^e with e = 1 mod 4.  With t = T1 / T2 (powers of two),
+    x and y are (T1^2 Q +- P T2^2) / (2 T1 T2 Q)."""
+    if Q < 0:
+        P, Q = -P, -Q
+    # |r| against 2^e as |P| 2^-e against Q, both sides integers
+    e = abs(P).bit_length() - Q.bit_length()
+    e -= abs(P) << max(-e, 0) < Q << max(e, 0)
+    tie = e % 4 == 1 and abs(P) << max(-e, 0) == Q << max(e, 0)
+    k = (e + 1) // 2 - tie
+    T1, T2 = 1 << max(k, 0), 1 << max(-k, 0)
+    return (SplitQuaternion(T1 * T1 * Q + P * T2 * T2)
+            + unit.scale(T1 * T1 * Q - P * T2 * T2)), 2 * T1 * T2 * Q
 
 
 def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
@@ -418,48 +418,56 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
     value, which stays 0.  Only degenerate draws and non-regular points
     are redrawn: m = 0, s = 0, a zero sum of norms, and a conic that
     splits into two lines (<Y0, Y1>^2 = |Y0|^2 |Y1|^2), whose second line
-    carries only points with sum c_v |u_v|^2 = 0, where rho = -p/q.
+    carries only points with sum c_v |u_v|^2 = 0, where rho = -p/q;
+    RedrawLimitError after REDRAW_LIMIT of them in a row.
+
+    On integers: with the slope a / b, m = M / D and s = S / D over
+    D = a^2 + b^2 |Y1|^2 = a^2 - (b c1 |u1|^2)^2, X = Xn / S, u2 is an
+    integer quaternion over S, and every ratio handed to _norm_factor is
+    a pair of integers.  The
+    entries f_v u_v w (f = (1, f1, f2) the j-factors, w the k-factor) are
+    brought to their common scale, and the point is reduced by its gcd.
     """
     c0, c1, c2 = _weights(p, q)
-    while True:
+    for _ in range(REDRAW_LIMIT):
         u0, u1 = (SplitQuaternion(*(rng.randint(-3, 3) for _ in range(4)))
                   for _ in range(2))
         n0, n1 = u0.square_norm(), u1.square_norm()
         if n0 == 0 or n1 == 0:
             continue
-        Y0 = tuple(c0 * x for x in _sandwich(u0))
-        Y1 = tuple(c1 * x for x in _sandwich(u1))
-        s0, cross = c0 * n0, _imaginary_form(Y0, Y1)
+        Y0, Y1 = (tuple(c * x for x in _sandwich(h))
+                  for c, h in ((c0, u0), (c1, u1)))
+        # <Y0, Y1> in the square norm of imaginary triples; that of Y1 is
+        # -c1^2 |u1|^4
+        s0, cross = c0 * n0, Y0[0] * Y1[0] - Y0[1] * Y1[1] - Y0[2] * Y1[2]
         if cross * cross == (s0 * c1 * n1) ** 2:
             # the conic is a pair of lines
             continue
-        slope = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        den = slope * slope + _imaginary_form(Y1, Y1)
-        if den == 0:
+        a, b = rng.randint(-9, 9), rng.randint(1, 5)
+        D = a * a - (b * c1 * n1) ** 2
+        M, S = (-2 * b * (b * cross + a * s0),
+                s0 * D - 2 * a * (b * cross + a * s0))
+        if D == 0 or M == 0 or S == 0:
             continue
-        m = -2 * (cross + s0 * slope) / den
-        s = s0 + slope * m
-        if m == 0 or s == 0:
-            continue
-        nu = s / c2
-        X = SplitQuaternion(0, *(-(y0 + m * y1) / s for y0, y1 in zip(Y0, Y1)))
-        u2 = J + X if X.c >= 0 else I * (X - J)
-        total = n0 + m * n1 + nu
-        regularity = c0 * c0 * n0 + c1 * c1 * m * n1 + c2 * c2 * nu
+        X = SplitQuaternion(0, *(-(y0 * D + M * y1) for y0, y1 in zip(Y0, Y1)))
+        u2 = J.scale(S) + X if X.c * S >= 0 else I * (X - J.scale(S))
+        # the sum of norms and the regularity value, times c2 D and D
+        total, regularity = (c2 * (D * n0 + M * n1) + S,
+                             c0 * c0 * D * n0 + c1 * c1 * M * n1 + c2 * S)
         if total == 0 or regularity == 0:
             continue
-        # the entries f_v u_v unit, with the j-factors f = (1, f1, f2), as
-        # one batch product on scaled integers: Fraction products would
-        # each take a gcd
-        (F, dF), (U, dU), (W, dW) = (
-            exactla.scaled_integers(np.array([h.coefficients() for h in hs],
-                                             dtype=object).T)
-            for hs in ((SplitQuaternion(1), _norm_factor(m, J),
-                        _norm_factor(nu / u2.square_norm(), J)),
-                       (u0, u1, u2), (_norm_factor(1 / total, K),)))
-        x = SplitQuaternion(*F) * SplitQuaternion(*U) * SplitQuaternion(*W)
-        return SpherePoint(PQVector.from_scaled_integers(
-            np.stack(x.coefficients(), axis=1).reshape(-1), dF * dU * dW))
+        (f1, l1), (f2, l2), (w, lw) = (
+            _norm_factor(M, D, J),
+            _norm_factor(S ** 3, c2 * D * u2.square_norm(), J),
+            _norm_factor(c2 * D, total, K))
+        C = np.array([(u0 * w).scale(l1 * l2 * S).coefficients(),
+                      (f1 * u1 * w).scale(l2 * S).coefficients(),
+                      (f2 * u2 * w).scale(l1).coefficients()],
+                     dtype=object).reshape(-1)
+        L = l1 * l2 * S * lw
+        g = gcd(*C, L) * (1 if L > 0 else -1)
+        return SpherePoint(PQVector.from_scaled_integers(C // g, L // g))
+    raise RedrawLimitError("weighted_level_sample: every draw degenerate")
 
 
 def _level_gradient_rows(p: int, q: int, x) -> np.ndarray:
@@ -480,46 +488,54 @@ def _level_gradient_rows(p: int, q: int, x) -> np.ndarray:
 
 def _generator_action(p: int, q: int, X) -> np.ndarray:
     """Real coordinates of D x = (q j x0, p j x1, p j x2), the action
-    generator, on axis 0 of X and on its dtype: left multiplication by j
-    maps the coordinates (a, b, c, d) to (c, -d, a, -b), so D is the
-    weights times a signed row permutation."""
+    generator, on the last axis of X (leading axes a stack) and on its
+    dtype: left multiplication by j maps the coordinates (a, b, c, d) to
+    (c, -d, a, -b), so D is the weights times a signed permutation."""
     signs = np.array([c * e for c in _weights(p, q) for e in (1, -1, 1, -1)],
                      dtype=object)
-    out = np.asarray(X)[[4 * v + r for v in range(3) for r in (2, 3, 0, 1)]]
-    return (out.T * signs).T.astype(out.dtype)
+    out = np.asarray(X)[..., [4 * v + r for v in range(3)
+                              for r in (2, 3, 0, 1)]]
+    return (out * signs).astype(out.dtype)
 
 
-def isotropy_moment_traces(p: int, q: int, u: SpherePoint):
-    """The three structure traces of the transported isotropy action.
+def isotropy_moment_traces(p: int, q: int, U, L):
+    """The three structure traces of the transported isotropy action, at
+    a stack of sphere points U[b] / L[b] (U of shape (B, 12), L of shape
+    (B,), Python ints), as the pair (T, LT): the traces at point b are
+    T[b] / LT[b], with T an integer array (B, 3).
 
     Conjugating the action generator by a group element sending the base
     point to u, the block-diagonal part (s, B) acts on the tangent
     summand as v -> B v + v conj(s); the moment value at the projective
-    point of u is proportional to the triple Tr(J_a L).  Its zero set is
-    the level set, which is what the cross-check consumes.
+    point of u is proportional to the triple Tr(J_a L), with the
+    constants (-8, 8, 8) of pq_zero_set_check.
 
     The conjugated generator eta is formed from real actions: the real
     action is an algebra homomorphism, so that of eta is the product of
     the real actions of the three factors.  With A / LA the real action of
     the group element, integer from its Gram-Schmidt
-    (projspace.transitive_action), that of its conjugate transpose is
-    G A^T G / LA (L(conj q) = G L(q)^T G entrywise, G the neutral
-    metric), so E = G A^T G D A is eta over LA^2, on integers; D is
-    _generator_action.  s is the first column of the top-left 4 x 4 block of
-    E (the left multiplication by s), B acts through its lower-right
-    8 x 8 block, and only these blocks are formed; J_a L is the signed
-    row permutation of right_unit_action, so the traces are sums of
-    integers.
+    (projspace.transitive_action, on the whole stack), that of its
+    conjugate transpose is G A^T G / LA (L(conj q) = G L(q)^T G entrywise,
+    G the neutral metric, a sign per row), so E = G A^T G D A is eta over
+    LA^2, on integers; D is _generator_action, applied to the columns of
+    A.  s is the first column of the top-left 4 x 4 block of E (the left
+    multiplication by s), B acts through its lower-right 8 x 8 block, and
+    only these blocks are formed; J_a L is the signed row permutation of
+    right_unit_action, so the traces are sums of integers.
     """
-    A, LA = transitive_action(u)
-    DA = _generator_action(p, q, A)
-    GAG = apply_metric(apply_metric(A).T)
-    L = GAG[4:] @ DA[:, 4:]
-    rconj = right_mult_matrix(SplitQuaternion(*(GAG[:4] @ DA[:, 0])).conj())
+    A, LA = transitive_action(U, L)
+    At, g = A.swapaxes(1, 2), apply_metric(np.ones(12, dtype=int))
+    # (G D A)^T, D acting on the columns of A; then the blocks of E, with
+    # the stack axis last, where the unit actions act on axis 0
+    GDAt = _generator_action(p, q, At) * g
+    E = (g[4:, None] * (At[:, 4:] @ GDAt[:, 4:].swapaxes(1, 2))).transpose(
+        1, 2, 0)
+    rconj = right_mult_matrix(SplitQuaternion(
+        *(g[:4] * (At[:, :4] @ GDAt[:, 0, :, None])[..., 0]).T).conj())
     for v in range(2):
-        L[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
-    return tuple(Fraction(np.trace(right_unit_action(L, a)), LA * LA)
-                 for a in range(3))
+        E[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
+    return (np.stack([np.trace(right_unit_action(E, a)) for a in range(3)],
+                     axis=-1), LA * LA)
 
 
 @dataclass
@@ -575,7 +591,7 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
         raise NonRegularError("point fails the regularity condition")
     vert_u = vertical_frame(U)
     if (vert_u.T @ g_span[:, 0]).any():
-        off = weighted_level_value(p, q, u).max_abs()
+        off = Fraction(exactla.max_abs(weighted_level_value(p, q, U)), L * L)
         raise DegenerateLevelSetError(f"point off the zero level set by {off}")
     xnorm = XN @ apply_metric(XN)
     if xnorm == 0:
@@ -610,19 +626,22 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     kernel basis N, which spans the admissible space (reduced_jacobi is
     invariant under scaling X).  u lies on the zero level set, where the
     Killing field is horizontal (reduced_jacobi).  The kernel is that of
-    the integer coordinates U of u, which spans the same space."""
+    the integer coordinates U of u, which spans the same space.  At most
+    REDRAW_LIMIT draws per direction (RedrawLimitError)."""
     U, _ = u.x.scaled
     basis, _, _ = exactla.nullspace(apply_metric(
         np.concatenate([U.reshape(-1, 1), vertical_frame(U),
                         _killing_span(_generator_action(p, q, U))],
                        axis=1)).T)
     out = []
-    while len(out) < count:
+    for _ in range(REDRAW_LIMIT * count):
         X = basis @ np.array([rng.randint(-4, 4)
                               for _ in range(basis.shape[1])], dtype=object)
         if X @ apply_metric(X) != 0:
             out.append(X)
-    return out
+        if len(out) == count:
+            return out
+    raise RedrawLimitError("admissible_directions: too many null draws")
 
 
 def weighted_level_sample_float(rng, p: int, q: int) -> np.ndarray:
@@ -662,29 +681,37 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
     K = flat_killing(A)
     pairing = np.stack([((K @ w) * B).sum(axis=-1) for w in omega])
     # 4 scale D^2 times the residual of each component and sample, read
-    # off as Python ints: an int64 abs and max would touch numpy loops
-    # that no other check of the suite runs, and add their code pages to
-    # the resident memory
+    # off as Python ints by stack_max_abs: an int64 abs would touch numpy
+    # loops that no other check of the suite runs, and add their code
+    # pages to the resident memory
     defect = scale * (fp - fm) - 4 * pairing
-    return max((Fraction(abs(x), 4 * scale * d * d)
-                for column, d in zip(defect.T.tolist(), den)
-                for x in column if x), default=Fraction(0))
+    return exactla.stack_max_abs(defect.T, 4 * scale * den * den)
 
 
-def pq_zero_set_check(p: int, q: int, samples: int, rng) -> int:
-    """Number of samples at which the level function and the isotropy
-    traces disagree on vanishing; samples alternate between exact level
-    points and random exact sphere points (off the level set)."""
-    disagreements = 0
-    for k in range(samples):
-        if k % 2 == 0:
-            u = weighted_level_sample(rng, p, q)
-        else:
-            u = random_sphere_point(rng, 3)
-        level_zero = weighted_level_value(p, q, u).is_zero()
-        trace_zero = all(t == 0 for t in isotropy_moment_traces(p, q, u))
-        disagreements += level_zero != trace_zero
-    return disagreements
+def pq_zero_set_check(p: int, q: int, samples: int, rng) -> Fraction:
+    """Max |T_a - c_a mu_a| over the samples, with T_a = Tr(J_a L) the
+    isotropy traces, mu the level value and c = (-8, 8, 8): the two routes
+    agree in value, not only in their zero sets, so the residual is 0
+    exactly.  Samples alternate between exact level points and random
+    exact sphere points (off the level set).
+
+    They are drawn one at a time and evaluated in blocks of _TRACE_BLOCK,
+    each block a stack of isotropy_moment_traces and weighted_level_value,
+    on Python ints: at u = U / L with traces T / LT, the residual of a
+    component is |T L^2 - c LT Y| / (LT L^2), Y the level value at U."""
+    defects, scales = [], []
+    for start in range(0, samples, _TRACE_BLOCK):
+        U, L = _stack([
+            weighted_level_sample(rng, p, q) if k % 2 == 0
+            else random_sphere_point(rng, 3)
+            for k in range(start, min(samples, start + _TRACE_BLOCK))])
+        T, LT = isotropy_moment_traces(p, q, U, L)
+        defects.append(T * (L * L)[:, None]
+                       - np.array([-8, 8, 8], dtype=object) * LT[:, None]
+                       * weighted_level_value(p, q, U))
+        scales.append(LT * L * L)
+    return exactla.stack_max_abs(np.concatenate(defects),
+                                 np.concatenate(scales))
 
 
 def _normal_residual(frame: np.ndarray, killing: np.ndarray) -> int:
@@ -746,9 +773,10 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
     2^63 the weighted sum and its bound are formed on Python ints, so any
     weights stay exact.  The cap bounds the arrays live at once: one
     round of all 10,000 points as Python ints raised the peak memory of
-    `pqgeom --suite all` by 5.8 MB."""
+    `pqgeom --suite all` by 5.8 MB.  RedrawLimitError after REDRAW_LIMIT
+    rounds in a row that keep no direction."""
     ws = _weights(p, q)
-    failures = 0
+    failures = idle = 0
     while samples > 0:
         m = min(samples, _LEVEL_BLOCK)
         d = random_integers(rng, (m, 12), -3, 3, np.int64).T
@@ -767,4 +795,8 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
             ~on_sphere | (sum(c * v for c, v in zip(ws, value))
                           < min(ws) * L * L)))
         samples -= len(L)
+        idle = 0 if len(L) else idle + 1
+        if idle == REDRAW_LIMIT:
+            raise RedrawLimitError("empty_levelset_check: every direction "
+                                   "null or tangent")
     return failures

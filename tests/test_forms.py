@@ -333,6 +333,72 @@ def test_four_form_rotation_invariance():
         assert evaluate(Om, *xs) == evaluate(Om2, *xs)
 
 
+def rotation_stack(rng, count, dtype=np.int64):
+    """count random_rotation draws as one stack (R, L) of the dtype."""
+    draws = [random_rotation(rng) for _ in range(count)]
+    return (np.array([R for R, _ in draws], dtype=dtype),
+            np.array([L for _, L in draws], dtype=dtype))
+
+
+def machine_integer_structure(n):
+    """structure_endos(n) with int64 members and metric."""
+    (J, LJ), (g, Lg) = structure_endos(n).scaled_J, structure_endos(n).scaled_g
+    return HermitianStructure(*J.astype(np.int64), g.astype(np.int64),
+                              scales=(LJ, Lg))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_four_form_stack_matches_one_rotation_at_a_time(dtype):
+    # 100 rotations as one stack: the rotated structures and their 4-forms
+    # equal those of 100 separate fundamental_four_form(rotate_structure(
+    # H, R)) calls, pair for pair, on int64 and on Python ints
+    rng = random.Random(6)
+    R, L = rotation_stack(rng, 100, dtype)
+    H = structure_endos(1)
+    Hs = rotate_structure(machine_integer_structure(1) if dtype is np.int64
+                          else H, (R, L))
+    assert Hs.scaled_J[0].shape == (100, 3, 4, 4)
+    assert Hs.comrel_residual() == 0 and Hs.skew_residual() == 0
+    C, LC = fundamental_four_form(Hs).scaled
+    assert C.dtype == dtype and C.shape == (100, 4, 4, 4, 4)
+    for Rk, Lk, Ck, LCk in zip(R, L, C, LC):
+        want, LW = fundamental_four_form(
+            rotate_structure(H, (Rk.astype(object), int(Lk)))).scaled
+        assert LCk == LW and (Ck == want).all()
+    # the Fraction view of a stack is that of each member
+    view = fundamental_four_form(Hs).array
+    assert view.shape == C.shape
+    assert (view[7] == exactla.from_scaled_integers(C[7], int(LC[7]))).all()
+
+
+def test_rotate_structure_checks_the_whole_stack():
+    # one matrix off the group in a stack of rotations fails the stack,
+    # with the residual of that matrix
+    rng = random.Random(8)
+    R, L = rotation_stack(rng, 10, object)
+    bad = hyperbolic_rotation((1, 2), Fraction(5, 4), Fraction(3, 4))
+    R[4], L[4] = exactla.scaled_integers(bad)
+    with pytest.raises(NotInGroupError,
+                       match=f"residual {in_rotation_group(bad)[1]}$"):
+        rotate_structure(structure_endos(1), (R, L))
+
+
+def test_flipped_eps_is_seen_at_rank_two_only(monkeypatch):
+    # every 4-form on a rank-1 module is a multiple of the volume form,
+    # and sum_a eps_a omega_a ^ omega_a stays invariant for any signs
+    # eps there; at rank 2 a flipped sign breaks the invariance
+    import pqgeom.forms as forms
+    monkeypatch.setattr(forms, "EPS", (1, 1, -1))
+    for n, invariant in ((1, True), (2, False)):
+        H = structure_endos(n)
+        C, L = fundamental_four_form(H).scaled
+        rng = random.Random(0)
+        moved = [exactla.scaled_distance(C, L, *fundamental_four_form(
+            rotate_structure(H, random_rotation(rng))).scaled)
+            for _ in range(10)]
+        assert (max(moved) == 0) is invariant
+
+
 def test_projector_fixes_metric():
     H = structure_endos(2)
     herm, mix, _ = hermitian_projector(BilinearForm(H.g), H)

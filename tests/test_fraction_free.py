@@ -173,10 +173,10 @@ def test_reduced_and_induced_structures_form_only_their_results(
 
 
 def test_module_points_form_only_their_results(fraction_count):
-    # module vectors and sphere points are integer pairs: drawing and
-    # splitting a point and the matrix action form no Fraction, the
-    # scalar product forms its value and the level value its three
-    # components
+    # module vectors and sphere points are integer pairs: drawing a point
+    # (on the sphere, or on the level set), splitting it, the matrix
+    # action and the level value (L^2 times the value, on integers) form
+    # no Fraction, and the scalar product forms its value
     rng = random.Random(4)
     A = random_pq_matrix(rng, 3)
     h, hp = random_pq_vector(rng, 3), random_pq_vector(rng, 3)
@@ -187,8 +187,9 @@ def test_module_points_form_only_their_results(fraction_count):
         "tangent_split": (lambda: tangent_split(x), 0),
         "matrix times vector": (lambda: A @ h, 0),
         "module_scalar_product": (lambda: module_scalar_product(h, hp), 1),
-        "weighted_level_value": (lambda: [weighted_level_value(1, 2, p)
-                                          for p in (u, x)], 6),
+        "weighted_level_sample": (lambda: weighted_level_sample(rng, 1, 2), 0),
+        "weighted_level_value": (lambda: [weighted_level_value(
+            1, 2, p.x.scaled[0]) for p in (u, x)], 0),
     }
     formed = {}
     for name, (call, _) in calls.items():
@@ -205,12 +206,16 @@ def test_batched_sampling_checks_form_only_their_results(fraction_count):
     # checks form their residual, representation-homomorphism its two
     # distances per rank; moment-gradient stays on int64, since
     # flat_adapted_moment doubles the adapted moment instead of halving
-    # its first component, and forms only its result
+    # its first component, and forms only its result; so do
+    # zero-set-cross-check, whose level points are drawn on integers and
+    # whose traces and level values are compared on integer stacks, and
+    # four-form-rotation-invariance, on int64 stacks of 4-forms
     config = cli.CheckConfig()
     want = {"norm-multiplicativity": 0, "conjugation-anti-automorphism": 1,
             "center-is-real-line": 0, "representation-homomorphism": 6,
             "scalar-product-complex-form": 1, "moment-gradient": 1,
-            "definite-axis-empty-level-set": 0}
+            "definite-axis-empty-level-set": 0, "zero-set-cross-check": 1,
+            "four-form-rotation-invariance": 1}
     formed = {}
     for rows in cli.REGISTRY.values():
         for name, fn, _, _ in rows:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,8 @@ from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            sp_group_membership)
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
                               NullLineError, SpherePoint, TangentLineError,
-                              base_point, induced_geometry,
+                              _stack, _transitive_columns, base_point,
+                              induced_geometry,
                               random_sphere_point, random_unit_quaternion,
                               sphere_point_through, tangent_split,
                               transitive_element, vertical_frame)
@@ -123,6 +125,47 @@ def ref_transitive_element(target: SpherePoint) -> PQMatrix:
             raise CompletionFailureError("candidate pool exhausted")
     return PQMatrix([[cols[c][r] for c in range(rank)]
                      for r in range(rank)])
+
+
+def ref_transitive_columns(target: SpherePoint) -> list[tuple]:
+    """The per-point route of _transitive_columns: the same fraction-free
+    Gram-Schmidt on one target, a Python loop over its columns, each
+    column (F, L) with F = [C, C i, C j, C k].  The reference for the
+    stacked route, which runs the points of a stack together."""
+    rank = target.rank
+    cols = []
+
+    def append(C, L):
+        cols.append((np.concatenate([C.reshape(-1, 1), vertical_frame(C)],
+                                    axis=1), L))
+
+    def take(W) -> bool:
+        den = math.lcm(*(L * L for _, L in cols))
+        V = den * W
+        for F, L in cols:
+            V -= (den // (L * L)) * (F @ apply_metric(F.T @ apply_metric(W)))
+        N = V @ apply_metric(V)
+        if N == 0:
+            return False
+        C = ((N + den * den) * V
+             - (den * den - N) * right_unit_action(V, 2))
+        g = math.gcd(*C, 2 * den * N) * (1 if N > 0 else -1)
+        append(C // g, 2 * den * N // g)
+        return True
+
+    append(*target.x.scaled)
+    e = np.eye(4 * rank, dtype=object)
+    for s in range(rank):
+        if len(cols) == rank:
+            break
+        take(e[4 * s])
+    pool = [e[4 * s] for s in range(rank)]
+    pool += [e[4 * s] + e[4 * t + m] for s in range(rank)
+             for t in range(s + 1, rank) for m in range(4)]
+    while len(cols) < rank:
+        if not any(take(W) for W in pool):
+            raise CompletionFailureError("candidate pool exhausted")
+    return cols
 
 
 # targets with two entries of square norm 1: after the first column the
@@ -477,6 +520,43 @@ def test_transitive_element_matches_scalar_gram_schmidt():
     targets += UNIT_ENTRY_TARGETS
     for tgt in targets:
         assert transitive_element(tgt) == ref_transitive_element(tgt)
+
+
+def zero_set_points(seed, p, q, count=20):
+    """The points of the zero-set cross-check at the rng seed: level
+    points and random sphere points, alternating."""
+    rng = random.Random(seed)
+    return [weighted_level_sample(rng, p, q) if k % 2 == 0
+            else random_sphere_point(rng, 3) for k in range(count)]
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("seed", range(5))
+def test_transitive_columns_match_per_point_route(seed, p, q):
+    # the stacked Gram-Schmidt gives every point the columns and scales
+    # of the per-point loop, in the same lowest-terms pairs
+    points = zero_set_points(seed, p, q)
+    F, LF = _transitive_columns(*_stack(points))
+    for x, Fx, LFx in zip(points, F, LF):
+        want = ref_transitive_columns(x)
+        assert list(LFx) == [L for _, L in want]
+        assert all((Fx[c] == Fc).all() for c, (Fc, _) in enumerate(want))
+
+
+def test_transitive_columns_run_points_of_every_kind_together():
+    # one stack of targets that need the pool (the unit-entry targets, a
+    # target whose first candidate is null) and generic ones, over ranks
+    # of one size: each point keeps its own candidate sequence
+    odd = SpherePoint(PQVector([SplitQuaternion(0, 1), SplitQuaternion(),
+                                SplitQuaternion()]))
+    rng = random.Random(32)
+    points = (UNIT_ENTRY_TARGETS + [odd, base_point(3)]
+              + [random_sphere_point(rng, 3) for _ in range(4)])
+    F, LF = _transitive_columns(*_stack(points))
+    for x, Fx, LFx in zip(points, F, LF):
+        want = ref_transitive_columns(x)
+        assert list(LFx) == [L for _, L in want]
+        assert all((Fx[c] == Fc).all() for c, (Fc, _) in enumerate(want))
 
 
 @pytest.mark.parametrize("rank", [1, 3])

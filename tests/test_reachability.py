@@ -54,7 +54,7 @@ ALLOWED = {
         "linalg.HermitianStructure.J", "linalg.HermitianStructure.g",
         "linalg.PQMatrix.entries", "linalg.PQVector.entries",
         "linalg.PQVector.to_real", "linalg._fraction_view",
-        "projspace.TangentSplit.vertical", "reduction.ImValue.coefficients",
+        "projspace.TangentSplit.vertical",
     },
     # the text formats of matrices, structures and curvature tensors:
     # input and output for users; no suite reads or writes a file

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
-from pqgeom.algebra import IMAGINARY_UNITS, I, J, SplitQuaternion
+from pqgeom.algebra import IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, restrict_to_complement, ricci)
@@ -15,9 +15,10 @@ from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, random_integers,
                            right_mult_matrix, right_unit_action,
                            structure_endos)
-from pqgeom.projspace import (SpherePoint, base_point, random_sphere_point,
-                              transitive_element, vertical_frame)
-from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
+from pqgeom.projspace import (SpherePoint, _stack, base_point,
+                              random_sphere_point, transitive_element,
+                              vertical_frame)
+from pqgeom.reduction import (DegenerateLevelSetError,
                               NonRegularError, NullOrbitError,
                               admissible_directions, empty_levelset_check,
                               flat_circle_moment, flat_killing,
@@ -33,12 +34,14 @@ from pqgeom.reduction import (DegenerateLevelSetError, ImValue,
                               weighted_level_value)
 from pqgeom.reduction import (_generator_action, _killing_span,
                               _level_gradient_rows, _moment_gradient_rows,
-                              _norm_factor, _sandwich, _sandwich_i, _weights)
+                              _norm_factor, _sandwich, _sandwich_i,
+                              _weights)
 
 from test_algebra import circle_point
 from test_linalg import (eye, ref_inverse, ref_left_mul, ref_nullspace,
                          ref_right_mul, right_mul)
-from test_projspace import horizontal_project
+from test_projspace import (horizontal_project, ref_transitive_columns,
+                            zero_set_points)
 
 
 def weighted_regularity(p, q, u: SpherePoint):
@@ -46,6 +49,17 @@ def weighted_regularity(p, q, u: SpherePoint):
     by the square norms of the entries."""
     val = sum(c * c * h.square_norm() for c, h in zip((q, p, p), u.x.entries))
     return val != 0, val
+
+
+def level_value(p, q, u: SpherePoint):
+    """The level value at u as three Fractions: weighted_level_value at
+    the integer coordinates U of u = U / L, over L^2."""
+    U, L = u.x.scaled
+    return tuple(Fraction(y, L * L) for y in weighted_level_value(p, q, U))
+
+
+def level_zero(p, q, u: SpherePoint) -> bool:
+    return not any(level_value(p, q, u))
 
 
 def killing_field(p, q, u: SpherePoint) -> PQVector:
@@ -324,7 +338,7 @@ def slice_level_sample(rng, p, q):
         if len(entries) != 3:
             continue
         u = SpherePoint(PQVector(entries))
-        assert weighted_level_value(p, q, u).is_zero()
+        assert level_zero(p, q, u)
         if weighted_regularity(p, q, u)[0]:
             return u
 
@@ -372,8 +386,7 @@ def test_weight_validation():
 
 def test_level_value_examples():
     u = base_point(3)
-    val = weighted_level_value(1, 2, u)
-    assert (val.i, val.j, val.k) == (0, 2, 0)
+    assert level_value(1, 2, u) == (0, 2, 0)
     regular, value = weighted_regularity(1, 2, u)
     assert regular and value == 4
 
@@ -408,9 +421,8 @@ def test_level_value_closed_form_matches_products(p, q):
              + [random_sphere_point(rng, 3) for _ in range(5)])
     for u in exact:
         want = ref_weighted_level_value(p, q, u)
-        val = weighted_level_value(p, q, u)
         assert want.a == 0
-        assert val.coefficients() == (want.b, want.c, want.d)
+        assert level_value(p, q, u) == (want.b, want.c, want.d)
 
 
 def test_level_sampler_and_flow_invariance():
@@ -420,13 +432,13 @@ def test_level_sampler_and_flow_invariance():
         for _ in range(6):
             u = sampler(rng, 1, 2)
             assert module_scalar_product(u.x, u.x) == 1
-            assert weighted_level_value(1, 2, u).is_zero()
+            assert level_zero(1, 2, u)
             regular, value = weighted_regularity(1, 2, u)
             assert regular
             values.add(value)
             moved = weighted_flow_exact(1, 2, Fraction(1, 4), u.x)
             assert module_scalar_product(moved, moved) == 1
-            assert weighted_level_value(1, 2, SpherePoint(moved)).is_zero()
+            assert level_zero(1, 2, SpherePoint(moved))
         # the slice family has the one regularity value -pq; generic
         # points have many
         if sampler is slice_level_sample:
@@ -438,11 +450,11 @@ def test_level_sampler_and_flow_invariance():
 def test_level_sampler_other_weights():
     rng = random.Random(11)
     u = slice_level_sample(rng, 2, 3)
-    assert weighted_level_value(2, 3, u).is_zero()
+    assert level_zero(2, 3, u)
     regular, value = weighted_regularity(2, 3, u)
     assert regular and value == -6
     u = weighted_level_sample(rng, 2, 3)
-    assert weighted_level_value(2, 3, u).is_zero()
+    assert level_zero(2, 3, u)
     regular, value = weighted_regularity(2, 3, u)
     assert regular and value != -6
 
@@ -457,7 +469,7 @@ def test_level_sampler_generic_points(seed, weights):
     assert all(type(c) in (int, Fraction)
                for h in u.x.entries for c in h.coefficients())
     assert module_scalar_product(u.x, u.x) == 1
-    assert weighted_level_value(p, q, u).is_zero()
+    assert level_zero(p, q, u)
     assert weighted_regularity(p, q, u)[0]
     uf = weighted_level_sample_float(random.Random(seed), p, q)
     assert list(uf) == [float(c) for c in u.x.to_real()]
@@ -476,7 +488,7 @@ def test_killing_field_horizontal_on_level_set(p, q):
         _, value = weighted_regularity(p, q, u)
         assert apply_metric(V) @ V == -value
     off = random_sphere_point(rng, 3)
-    assert not weighted_level_value(p, q, off).is_zero()
+    assert not level_zero(p, q, off)
     V = killing_field(p, q, off).to_real()
     assert exactla.max_abs(horizontal_project(off, V) - V) != 0
 
@@ -497,11 +509,10 @@ def test_level_value_fiber_translation():
     from pqgeom.projspace import random_unit_quaternion
     u = random_sphere_point(rng, 3)
     rho = random_unit_quaternion(rng)
-    val = weighted_level_value(1, 2, u)
-    moved = weighted_level_value(1, 2, SpherePoint(right_mul(u.x, rho)))
-    v = SplitQuaternion(0, val.i, val.j, val.k)
+    v = SplitQuaternion(0, *level_value(1, 2, u))
     want = rho.conj() * v * rho
-    assert (moved.i, moved.j, moved.k) == (want.b, want.c, want.d)
+    assert (level_value(1, 2, SpherePoint(right_mul(u.x, rho)))
+            == (want.b, want.c, want.d))
 
 
 def test_level_gradient_row_consistency():
@@ -519,10 +530,29 @@ def test_isotropy_route_zero_set_agreement():
     assert pq_zero_set_check(1, 2, 30, random.Random(15)) == 0
 
 
+def traces(p, q, points):
+    """isotropy_moment_traces on the stack of the points, as one triple of
+    Fractions per point."""
+    T, LT = isotropy_moment_traces(p, q, *_stack(points))
+    return [tuple(Fraction(t, L) for t in row) for row, L in zip(T, LT)]
+
+
 def test_isotropy_traces_nonzero_off_level():
     u = base_point(3)  # not on the level set
-    traces = isotropy_moment_traces(1, 2, u)
-    assert any(t != 0 for t in traces)
+    assert any(t != 0 for t in traces(1, 2, [u])[0])
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (2, 3), (3, 4), (1, 5)])
+@pytest.mark.parametrize("seed", range(5))
+def test_traces_are_a_constant_multiple_of_the_level_value(seed, p, q):
+    # Tr(J_a L) = c_a mu_a(u) with c = (-8, 8, 8), on the level set (both
+    # 0) and off it, at 100 points per row: half level points, half sphere
+    # points; the residual of the cross-check is that difference
+    points = zero_set_points(seed, p, q, 100)
+    for u, T in zip(points, traces(p, q, points)):
+        assert T == tuple(c * m for c, m in zip((-8, 8, 8),
+                                                level_value(p, q, u)))
+    assert pq_zero_set_check(p, q, 100, random.Random(seed)) == 0
 
 
 def _generator_matrix(p, q):
@@ -539,10 +569,14 @@ def test_generator_action_matches_pq_matrix():
         assert (_generator_action(p, q, x.to_real()) == want).all()
         assert (killing_field(p, q, SpherePoint(x)).to_real() == want).all()
         # on float columns too (dyadic entries, so both routes are exact)
-        cols = np.arange(24).reshape(12, 2).astype(object) * Fraction(1, 4)
-        got = _generator_action(p, q, np.asarray(cols, dtype=float))
+        # on a stack of two (the last axis), and on floats too (dyadic
+        # entries, so both routes are exact)
+        rows = np.arange(24).reshape(2, 12).astype(object) * Fraction(1, 4)
+        got = _generator_action(p, q, np.asarray(rows, dtype=float))
         assert got.dtype == float
-        assert (got == _generator_action(p, q, cols)).all()
+        assert (got == _generator_action(p, q, rows)).all()
+        for row, image in zip(rows, _generator_action(p, q, rows)):
+            assert (image == _generator_action(p, q, row)).all()
 
 
 def ref_isotropy_moment_traces(p, q, u):
@@ -566,10 +600,56 @@ def test_isotropy_traces_match_pq_matrix_route(p, q):
     rng = random.Random(17 + p)
     points = ([weighted_level_sample(rng, p, q) for _ in range(20)]
               + [random_sphere_point(rng, 3) for _ in range(20)])
-    for u in points:
-        got = isotropy_moment_traces(p, q, u)
-        assert all(type(t) is Fraction for t in got)
+    for u, got in zip(points, traces(p, q, points)):
         assert got == ref_isotropy_moment_traces(p, q, u)
+
+
+def ref_integer_traces(p, q, u):
+    """The per-point route of isotropy_moment_traces, (T, LT): the real
+    action A / LA of the columns of ref_transitive_columns at their lcm
+    scale, E = G A^T G D A in blocks, one point at a time.  The reference
+    for the stacked route."""
+    cols = ref_transitive_columns(u)
+    LA = math.lcm(*(L for _, L in cols))
+    A = np.concatenate([F * (LA // L) for F, L in cols], axis=1)
+    DA = _generator_action(p, q, A.T).T
+    GAG = apply_metric(apply_metric(A).T)
+    E = GAG[4:] @ DA[:, 4:]
+    rconj = right_mult_matrix(SplitQuaternion(*(GAG[:4] @ DA[:, 0])).conj())
+    for v in range(2):
+        E[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
+    return [np.trace(right_unit_action(E, a)) for a in range(3)], LA * LA
+
+
+@pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (3, 4)])
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_traces_and_points_match_per_point_routes(seed, p, q):
+    # the points of the cross-check at the seed: the integer sampler
+    # returns the point of the Fraction route, in lowest terms, after the
+    # same rng calls; the stacked traces equal the per-point ones, pair
+    # for pair
+    points = zero_set_points(seed, p, q)
+    rng = random.Random(seed)
+    for k, u in enumerate(points):
+        if k % 2 == 0:
+            want = ref_weighted_level_sample(rng, p, q)
+            assert u.x == want.x
+            assert math.gcd(*u.x.scaled[0], u.x.scaled[1]) == 1
+        else:
+            random_sphere_point(rng, 3)
+    assert rng.getstate() == zero_set_rng_state(seed, p, q)
+    T, LT = isotropy_moment_traces(p, q, *_stack(points))
+    for u, row, L in zip(points, T, LT):
+        want, LW = ref_integer_traces(p, q, u)
+        assert list(row) == want and L == LW
+
+
+def zero_set_rng_state(seed, p, q, count=20):
+    rng = random.Random(seed)
+    for k in range(count):
+        (weighted_level_sample if k % 2 == 0 else
+         lambda rng, p, q: random_sphere_point(rng, 3))(rng, p, q)
+    return rng.getstate()
 
 
 def test_killing_derivative_is_skew():
@@ -763,9 +843,70 @@ def test_collapsed_sampler_fails_point_variation(monkeypatch, collapsed):
     assert status() == "fail"
 
 
+def ref_norm_factor(r: Fraction, unit: SplitQuaternion) -> SplitQuaternion:
+    """The Fraction route of _norm_factor: x + y unit of square norm r,
+    x + y = t and x - y = r / t with t = 2^k, k from the bit lengths of
+    the numerator and denominator of |r|."""
+    a = abs(r)
+    e = a.numerator.bit_length() - a.denominator.bit_length()
+    e -= a < Fraction(2) ** e
+    tie = e % 4 == 1 and a == Fraction(2) ** e
+    t = Fraction(2) ** ((e + 1) // 2 - tie)
+    return SplitQuaternion((t + r / t) / 2) + unit.scale((t - r / t) / 2)
+
+
+def _imaginary_form(x, y):
+    """Polarisation of the square norm on imaginary (i, j, k) triples."""
+    return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
+
+
+def ref_weighted_level_sample(rng, p, q) -> SpherePoint:
+    """The Fraction route of weighted_level_sample: the same draws, with
+    the slope, m, s, nu, X and the norm factors as Fractions, and the
+    entries f_v u_v w formed as one batch product on scaled integers."""
+    c0, c1, c2 = _weights(p, q)
+    while True:
+        u0, u1 = (SplitQuaternion(*(rng.randint(-3, 3) for _ in range(4)))
+                  for _ in range(2))
+        n0, n1 = u0.square_norm(), u1.square_norm()
+        if n0 == 0 or n1 == 0:
+            continue
+        Y0 = tuple(c0 * x for x in _sandwich(u0))
+        Y1 = tuple(c1 * x for x in _sandwich(u1))
+        s0, cross = c0 * n0, _imaginary_form(Y0, Y1)
+        if cross * cross == (s0 * c1 * n1) ** 2:
+            continue
+        slope = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        den = slope * slope + _imaginary_form(Y1, Y1)
+        if den == 0:
+            continue
+        m = -2 * (cross + s0 * slope) / den
+        s = s0 + slope * m
+        if m == 0 or s == 0:
+            continue
+        nu = s / c2
+        X = SplitQuaternion(0, *(-(y0 + m * y1) / s for y0, y1 in zip(Y0, Y1)))
+        u2 = J + X if X.c >= 0 else I * (X - J)
+        total = n0 + m * n1 + nu
+        regularity = c0 * c0 * n0 + c1 * c1 * m * n1 + c2 * c2 * nu
+        if total == 0 or regularity == 0:
+            continue
+        (F, dF), (U, dU), (W, dW) = (
+            exactla.scaled_integers(np.array([h.coefficients() for h in hs],
+                                             dtype=object).T)
+            for hs in ((SplitQuaternion(1), ref_norm_factor(m, J),
+                        ref_norm_factor(nu / u2.square_norm(), J)),
+                       (u0, u1, u2), (ref_norm_factor(1 / total, K),)))
+        x = SplitQuaternion(*F) * SplitQuaternion(*U) * SplitQuaternion(*W)
+        return SpherePoint(PQVector.from_scaled_integers(
+            np.stack(x.coefficients(), axis=1).reshape(-1), dF * dU * dW))
+
+
 def test_norm_factor_picks_the_float_power_of_two():
     # the exact exponent is the float rule round(log2|r| / 2), ties at odd
-    # powers of two included, so the level points are those of that rule
+    # powers of two included, so the level points are those of that rule;
+    # the integer pair need not be in lowest terms, and its value is that
+    # of the Fraction route
     rng = random.Random(3)
     values = [Fraction(2) ** e for e in range(-9, 10)]
     values += [Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))
@@ -773,8 +914,11 @@ def test_norm_factor_picks_the_float_power_of_two():
     for r in values:
         t = Fraction(2) ** round(math.log2(r) / 2)
         for s in (r, -r):
-            x = _norm_factor(s, J)
-            assert x.square_norm() == s and x.a + x.c == t
+            for k in (1, -3):
+                x, scale = _norm_factor(k * s.numerator, k * s.denominator, J)
+                assert x.square_norm() == s * scale * scale
+                assert x.a + x.c == t * scale
+                assert x.scale(Fraction(1, scale)) == ref_norm_factor(s, J)
 
 
 def test_float_sampler_quality():
@@ -867,13 +1011,6 @@ def test_empty_levelset_check_counts_shortfalls(monkeypatch):
     monkeypatch.setattr(red, "_sandwich_i",
                         lambda h: sandwich(h.scale(Fraction(1, 2))))
     assert empty_levelset_check(1, 2, 257, random.Random(0)) > 0
-
-
-def test_im_value_helpers():
-    v = ImValue(Fraction(0), Fraction(0), Fraction(0))
-    assert v.is_zero()
-    w = ImValue(Fraction(1, 2), Fraction(0), Fraction(-3))
-    assert w.max_abs() == 3 and not w.is_zero()
 
 
 # -- quotient-curvature oracle ------------------------------------------------
