@@ -381,6 +381,10 @@ def test_rotate_structure_checks_the_whole_stack():
     with pytest.raises(NotInGroupError,
                        match=f"residual {in_rotation_group(bad)[1]}$"):
         rotate_structure(structure_endos(1), (R, L))
+    # a reflection keeps eta but has det -1, the residual 2
+    R[4], L[4] = np.diag(np.array([1, 1, -1], dtype=object)), 1
+    with pytest.raises(NotInGroupError, match="residual 2$"):
+        rotate_structure(structure_endos(1), (R, L))
 
 
 def test_flipped_eps_is_seen_at_rank_two_only(monkeypatch):

@@ -85,6 +85,17 @@ class _FourFormOverTheWrongScale(forms.FourForm):
         self.scaled = (self.scaled[0], L)
 
 
+class _FourFormWithOneWrongEntry(forms.FourForm):
+    """The 4-form array with 1 added to one coefficient."""
+
+    def __init__(self, w, L):
+        super().__init__(w, L)
+        N, L = self.scaled
+        N = N.copy()
+        N[..., 0, 1, 2, 3] += 1
+        self.scaled = (N, L)
+
+
 def _rotation_off_the_group(rng):
     R, L = ROTATION(rng)
     return 2 * R, L
@@ -122,6 +133,9 @@ PLANTED = {
     # scale changes the multiple
     "four-form-rotation-invariance/scale": (
         "forms", forms, "FourForm", _FourFormOverTheWrongScale),
+    # every difference is 0 but one, which is negative
+    "four-form-rotation-invariance/entry": (
+        "forms", forms, "FourForm", _FourFormWithOneWrongEntry),
 }
 PLANTED = {row: (row.split("/")[0], *spec) for row, spec in PLANTED.items()}
 

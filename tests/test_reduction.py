@@ -11,10 +11,10 @@ from pqgeom.algebra import IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, restrict_to_complement, ricci)
-from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
-                           module_scalar_product, random_integers,
-                           right_mult_matrix, right_unit_action,
-                           structure_endos)
+from pqgeom.linalg import (REDRAW_LIMIT, PQMatrix, PQVector, apply_metric,
+                           metric_matrix, module_scalar_product,
+                           random_integers, right_mult_matrix,
+                           right_unit_action, structure_endos)
 from pqgeom.projspace import (SpherePoint, _stack, base_point,
                               random_sphere_point, transitive_element,
                               vertical_frame)
@@ -937,6 +937,13 @@ def test_pq_orthogonality_exact():
 
 def test_empty_variant_level_set():
     assert empty_levelset_check(1, 2, 3000, random.Random(22)) == 0
+
+
+def test_empty_levelset_check_runs_past_the_redraw_limit():
+    # more rounds than REDRAW_LIMIT: only rounds in a row that keep no
+    # direction count towards it
+    samples = (REDRAW_LIMIT + 1) * 256
+    assert empty_levelset_check(1, 2, samples, random.Random(23)) == 0
 
 
 def ref_empty_levelset_check(p, q, samples, rng, shrink=lambda v: v):
