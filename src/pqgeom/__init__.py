@@ -19,8 +19,7 @@ from .curvature import (CurvatureTensor, NotSymmetricPairError,
                         ricci_split, symmetric_space_curvature)
 from .projspace import (CompletionFailureError, DegenerateOrbitError,
                         NullLineError, SpherePoint, TangentLineError,
-                        TangentSplit, induced_geometry, tangent_split,
-                        transitive_element)
+                        induced_geometry, tangent_split, transitive_element)
 from .reduction import (DegenerateLevelSetError, NonRegularError,
                         NullOrbitError, flat_circle_moment,
                         flat_moment_gradient_check, flat_reduced_structure,

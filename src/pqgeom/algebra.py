@@ -16,10 +16,11 @@ multiplicative but has null vectors (1 + j is a zero divisor), so
 inversion exists only off the null cone.
 
 Coefficients are exact (int / fractions.Fraction) in every routine of
-the package.  The arithmetic is the same for floats, and exact inputs
-are never rounded; the module vectors and matrices of ``linalg`` hold
-integer coordinates over one scale, and a float coefficient cannot
-enter them (TypeError).
+the package, and exact inputs are never rounded.  A scalar operand of
+``+``, ``-``, ``*`` and ``==`` is an int or a Fraction: a float operand
+raises TypeError (``==`` is False).  The module vectors and matrices of
+``linalg`` hold integer coordinates over one scale, and a float
+coefficient cannot enter them (TypeError).
 
 Batches.  The coefficients may also be numpy arrays of one shape; the
 SplitQuaternion is then a batch, one element per array position (a
@@ -98,14 +99,6 @@ class SplitQuaternion:
             a * h + b * g - c * f + d * e,
         )
 
-    def __truediv__(self, scalar):
-        if isinstance(scalar, SplitQuaternion):
-            return self * scalar.inverse()
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)   # int / int would round to a float
-        return SplitQuaternion(self.a / scalar, self.b / scalar,
-                               self.c / scalar, self.d / scalar)
-
     def scale(self, s) -> "SplitQuaternion":
         return SplitQuaternion(self.a * s, self.b * s, self.c * s, self.d * s)
 
@@ -117,17 +110,11 @@ class SplitQuaternion:
     def square_norm(self):
         return self.a * self.a + self.b * self.b - self.c * self.c - self.d * self.d
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
-
     def inverse(self) -> "SplitQuaternion":
         n = self.square_norm()
         if n == 0:
             raise NullQuaternionError(f"{self} lies on the null cone")
         return self.conj().scale(Fraction(1) / n)
-
-    def commutator(self, other: "SplitQuaternion") -> "SplitQuaternion":
-        return self * other - other * self
 
     # -- complex picture -------------------------------------------------
 
@@ -194,7 +181,7 @@ IMAGINARY_UNITS = (I, J, K)
 def _coerce(x):
     if isinstance(x, SplitQuaternion):
         return x
-    if isinstance(x, (int, float, Fraction)):
+    if isinstance(x, (int, Fraction)):
         return SplitQuaternion(x)
     return None
 

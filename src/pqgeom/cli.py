@@ -376,7 +376,8 @@ def _chk_lie_annihilation(config, rng):
 def _perturbed(R):
     """R with one entry changed by 1 in value: a defect that the curvature
     identities must detect."""
-    out = curv.CurvatureTensor(R.tensor.copy(), R.scale, R.metric)
+    out = curv.CurvatureTensor._unchecked(R.tensor.copy(), R.scale,
+                                          R.metric)
     out.tensor[0, 1, 2, 3] += R.scale
     return out
 
@@ -519,8 +520,7 @@ def _chk_lift_independence(config, rng):
     for _ in range(count):
         x = proj.random_sphere_point(rng, 3)
         qrot = proj.random_unit_quaternion(rng)
-        Hx, _ = proj.induced_geometry(x)
-        N, L, _ = proj.tangent_split(x).kernel
+        Hx, (N, L, _) = proj.induced_geometry(x)
         # the frame N / L translated along the fiber, each entry times
         # qrot = Q / LQ on the right: FQ / (LQ L), on integers
         Q, LQ = exactla.scaled_integers(right_mult_matrix(qrot))

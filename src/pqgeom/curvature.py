@@ -33,11 +33,16 @@ as they are.  A ``SymmetricDecomposition`` holds its structure
 constants and its metric as pairs: ``_bracket_coordinates`` returns the
 integer pair of its ``frame_coordinates`` call, which
 ``from_matrix_algebra`` keeps, and ``special_linear_decomposition`` and
-``solvable_decomposition`` write their matrices as Python ints.  The
-constructor raises TypeError on any tensor or metric entry that is not
-a Python int and on a scale that is not a positive int.  Exact
-``Fraction``/int arrays enter through ``CurvatureTensor.from_fractions``,
-and ``fractions()`` is the ``Fraction`` view that ``curvature_to_text``
+``solvable_decomposition`` write their matrices as Python ints.
+Entries are checked once, where data enters: the public constructor
+raises TypeError on any tensor or metric entry that is not a Python int
+and on a scale that is not a positive int, and exact ``Fraction``/int
+arrays enter through ``CurvatureTensor.from_fractions`` (and with it
+``curvature_from_text``), which scales them to integers and raises
+TypeError on any other entry.  The builders, ``+``, ``-`` and ``times``
+make only Python ints and positive int scales, and hand their pairs to
+the private ``_unchecked`` constructor, which scans nothing.
+``fractions()`` is the ``Fraction`` view that ``curvature_to_text``
 writes out; the text format has the single mode "exact".  The
 commutators with the J_a and the change of basis of the tensor
 splitting go through ``exactla.contract``, one slice operation per
@@ -52,11 +57,9 @@ Kronecker system of the same map is assembled and solved only in the
 tests, as the reference the closed route is compared with.
 
 Spectra.  A Jacobi spectrum is held as the exact power sums of the
-restricted operator (``power_sums``), and its nilpotency as the degree
-of the minimal polynomial (``minimal_polynomial_degree``, the rank of
-the stacked powers of the integer matrix, which a scale leaves
-unchanged) and a K_X^2 = 0 test on integers; float eigenvalues appear
-only in the tests, as the reference the power sums are compared with.
+restricted operator (``power_sums``), and its nilpotency as a K_X^2 = 0
+test on integers; float eigenvalues appear only in the tests, as the
+reference the power sums are compared with.
 """
 
 from __future__ import annotations
@@ -122,12 +125,20 @@ class CurvatureTensor:
         self.metric = (_integer_array(G, "metric", LG), LG)
 
     @classmethod
+    def _unchecked(cls, tensor, scale: int, metric) -> "CurvatureTensor":
+        """The tensor of integer pairs built by the package, which makes
+        only Python ints and positive int scales: no entry is scanned."""
+        R = cls.__new__(cls)
+        R.tensor, R.scale, R.metric = tensor, scale, metric
+        return R
+
+    @classmethod
     def from_fractions(cls, tensor, metric) -> "CurvatureTensor":
         """The tensor of an exact array and an exact metric, both scaled
         to integers; TypeError unless every entry is an int or a
         Fraction."""
-        return cls(*exactla.scaled_integers(tensor),
-                   exactla.scaled_integers(metric))
+        return cls._unchecked(*exactla.scaled_integers(tensor),
+                              exactla.scaled_integers(metric))
 
     def fractions(self) -> np.ndarray:
         """The Fraction array tensor / scale."""
@@ -145,15 +156,16 @@ class CurvatureTensor:
 
     def _combine(self, other, sign: int) -> "CurvatureTensor":
         """self + sign * other over the lcm of the two scales."""
-        return CurvatureTensor(*exactla.add_scaled(
+        return CurvatureTensor._unchecked(*exactla.add_scaled(
             self.tensor, self.scale, other.tensor, other.scale, sign),
             self.metric)
 
     def times(self, c) -> "CurvatureTensor":
         """The multiple c R; TypeError unless c is an int or a Fraction."""
         c = exactla.frac(c)
-        return CurvatureTensor(self.tensor * c.numerator,
-                               self.scale * c.denominator, self.metric)
+        return CurvatureTensor._unchecked(self.tensor * c.numerator,
+                                          self.scale * c.denominator,
+                                          self.metric)
 
     def max_abs(self) -> Fraction:
         return Fraction(exactla.max_abs(self.tensor), self.scale)
@@ -242,7 +254,7 @@ def curvature_from_bilinear(B: BilinearForm,
     t += K.transpose(0, 2, 1, 3)
     t -= K.transpose(2, 0, 1, 3)
     del K
-    return CurvatureTensor(t, LB * LJ * LJ, H.scaled_g)
+    return CurvatureTensor._unchecked(t, LB * LJ * LJ, H.scaled_g)
 
 
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
@@ -341,7 +353,7 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     K *= 2   # in place: no third d^4 array
     t -= K
     del K
-    return CurvatureTensor(t, Lg * LJ * LJ, H.scaled_g)
+    return CurvatureTensor._unchecked(t, Lg * LJ * LJ, H.scaled_g)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +436,7 @@ def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
     cyc = dbl + dbl.transpose(1, 2, 0, 3) + dbl.transpose(2, 0, 1, 3)
     if exactla.max_abs(cyc) != 0:
         raise NotSymmetricPairError("Jacobi identity fails on m triples")
-    return CurvatureTensor(-dbl, Lmm * Lfm, D.g_m)
+    return CurvatureTensor._unchecked(-dbl, Lmm * Lfm, D.g_m)
 
 
 # -- concrete decompositions ------------------------------------------------
@@ -550,7 +562,7 @@ def projective_pair(n: int):
         out = col[:, :, 1:, 0].transpose(1, 2, 0).reshape(len(xs), d)
         tensor[xs, ys, z] = out
         tensor[ys, xs, z] = -out
-    return CurvatureTensor(tensor, 1, (metric_matrix(n), 1))
+    return CurvatureTensor._unchecked(tensor, 1, (metric_matrix(n), 1))
 
 
 @functools.cache
@@ -607,21 +619,6 @@ def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
     return (T[free], LK * L), (N, L)
 
 
-def minimal_polynomial_degree(M: np.ndarray) -> int:
-    """Degree of the minimal polynomial of an integer matrix M, from the
-    rank of its stacked powers; M / L has the same degree for any scale
-    L, whose powers only rescale those of M."""
-    d = M.shape[0]
-    powers = [np.eye(d, dtype=object).reshape(-1)]
-    cur = np.eye(d, dtype=object)
-    for k in range(1, d + 1):
-        cur = cur @ M
-        powers.append(cur.reshape(-1))
-        if exactla.rank(np.stack(powers, axis=1)) < k + 1:
-            return k
-    return d
-
-
 def power_sums(M) -> tuple:
     """(tr M, ..., tr M^m) of the m x m matrix N / L of the pair
     M = (N, L), as the Fractions tr N^k / L^k.  By Newton's identities
@@ -635,10 +632,8 @@ def power_sums(M) -> tuple:
 
 @dataclass
 class DirectionSpectrum:
-    direction_index: int
     metric_sign: int
     power_sums: tuple
-    min_poly_degree: int
     is_nilpotent: bool
     operator_nonzero: bool
 
@@ -655,13 +650,13 @@ def jacobi_spectrum_report(R: CurvatureTensor, directions) -> SpectrumReport:
     orthogonal complement, with agreement verdicts split by the sign of
     g(X, X).  Directions must satisfy g(X, X) = +-1 exactly: a null
     direction raises NullDirectionError, any other norm ValueError.
-    Nilpotent Jordan structure is detected through the minimal-polynomial
-    degree and a K_X^2 = 0 test rather than full Jordan forms.
+    Nilpotency is decided by a K_X^2 = 0 test rather than full Jordan
+    forms, beside a K_X != 0 test.
 
     Each direction X = N / LX is scaled to integers once, and everything
     after runs on N: g(X, X) = N^T G N / (LG LX^2), and K_X is the
-    operator of N over LX^2, which changes neither the nilpotency nor
-    the minimal polynomial, so only the power sums read LX.
+    operator of N over LX^2, which does not change the nilpotency, so
+    only the power sums read LX.
     """
     G, LG = R.metric
     entries = []
@@ -676,10 +671,8 @@ def jacobi_spectrum_report(R: CurvatureTensor, directions) -> SpectrumReport:
         (Kres, Lres), _ = restrict_to_complement(R, N)
         Kfull, _ = jacobi_operator(R, N)
         entries.append(DirectionSpectrum(
-            direction_index=idx,
             metric_sign=1 if norm > 0 else -1,
             power_sums=power_sums((Kres, Lres * LX * LX)),
-            min_poly_degree=minimal_polynomial_degree(Kres),
             is_nilpotent=exactla.max_abs(Kfull @ Kfull) == 0,
             operator_nonzero=exactla.max_abs(Kfull) != 0))
 
@@ -738,7 +731,7 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     del tensor
     for axis in range(3):
         t = exactla.contract(t, Cinv.T, axis)
-    return CurvatureTensor(t, Linv * LC * LCinv ** 3, H.scaled_g)
+    return CurvatureTensor._unchecked(t, Linv * LC * LCinv ** 3, H.scaled_g)
 
 
 # ---------------------------------------------------------------------------

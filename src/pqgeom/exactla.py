@@ -28,8 +28,8 @@ exact data enters (a vector, structure, form, metric or matrix built
 from ``Fraction``s, a direction handed to ``reduction.reduced_jacobi`` or
 ``curvature.jacobi_spectrum_report``), and ``from_scaled_integers`` only
 in the ``Fraction`` views (``fractions()``, ``matrix``, ``array``,
-``entries``, ``to_real()``, ``J``/``g``, ``vertical``/``horizontal``) and
-the text format ``curvature_to_text``; scalar results (residuals,
+``entries``, ``to_real()``, ``J``/``g``) and the text format
+``curvature_to_text``; scalar results (residuals,
 constants, power sums) are single ``Fraction``s; the syntax-tree lint
 of tests/test_roundtrip_lint.py holds every module to that.  A d^4
 curvature tensor is held as the pair (N, L) from builder to residual.
@@ -65,21 +65,22 @@ Kernel frames.  ``nullspace`` returns (N, L, free): the columns of N / L
 are the reduced-echelon kernel basis, with N[free] == L * I.  A vector
 T / LT of their span therefore has the coordinates T[free] / LT, and
 N @ T[free] == L * T is the integer test that T lies in the span: no
-Gram solve.  Its callers (``projspace.tangent_split`` and
-``induced_geometry``, ``reduction.flat_reduced_structure``, the
-orthogonality checks and ``admissible_directions``,
-``curvature.restrict_to_complement``) read the coordinates off that
-way; ``frame_coordinates`` serves frames that are not kernel bases
-(``HermitianStructure.span_coefficients``, the bracket coordinates of
-``curvature``, and the CLI check lift-independence, whose frame is the
-integer kernel frame of ``tangent_split`` translated along the fiber).
+Gram solve.  Its callers (``projspace.tangent_split``, whose kernel
+triple ``induced_geometry`` hands on beside the induced structure,
+``reduction.flat_reduced_structure``, the orthogonality checks and
+``admissible_directions``, ``curvature.restrict_to_complement``) read
+the coordinates off that way; ``frame_coordinates`` serves frames that
+are not kernel bases (``HermitianStructure.span_coefficients``, the
+bracket coordinates of ``curvature``, and the CLI check
+lift-independence, whose frame is the integer kernel frame of
+``induced_geometry`` translated along the fiber).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -162,16 +163,18 @@ def scaled_integers(arr) -> tuple[np.ndarray, int]:
 
 def from_scaled_integers(N, L: int) -> np.ndarray:
     """The Fraction array N / L of an integer array N and a scale L > 0.
+    Entries are read through operator.index: Python and numpy ints pass,
+    and a float or a Fraction entry raises TypeError, not truncated.
 
     Tensors repeat few values, so each distinct value becomes one
     Fraction, shared by its entries (Fractions are immutable)."""
     out = np.empty(np.shape(N), dtype=object)
     flat = out.reshape(-1)
     made = {}
-    for i, x in enumerate(np.asarray(N).reshape(-1)):
+    for i, x in enumerate(map(index, np.asarray(N).reshape(-1))):
         q = made.get(x)
         if q is None:
-            q = made[x] = Fraction(int(x), L)
+            q = made[x] = Fraction(x, L)
         flat[i] = q
     return out
 

@@ -145,7 +145,7 @@ class PQMatrix:
     Python ints and L an int >= 1, with coefficient u of entry (p, q)
     equal to C[u, p, q] / L, so the matrix is one batch.  The arithmetic
     below runs on C and L; ``entries`` is the view as rows of
-    SplitQuaternions, formed on first access, with int coefficients when
+    SplitQuaternions, formed on each access, with int coefficients when
     L is 1 and Fraction coefficients otherwise.
     The constructor takes rows of SplitQuaternions with int or Fraction
     coefficients (TypeError on any other); ``from_scaled_integers`` takes
@@ -154,7 +154,7 @@ class PQMatrix:
     compares values, so (2C, 2L) equals (C, L).
     """
 
-    __slots__ = ("scaled", "_entries")
+    __slots__ = ("scaled",)
 
     def __init__(self, entries):
         rows = [tuple(row) for row in entries]
@@ -165,13 +165,12 @@ class PQMatrix:
                                  for row in rows], dtype=object)
         self.scaled = exactla.scaled_integers(
             coefficients.reshape(n, n, 4).transpose(2, 0, 1))
-        self._entries = None
 
     @classmethod
     def from_scaled_integers(cls, C, L: int) -> "PQMatrix":
         """The matrix C / L of a (4, n, n) integer array C and a scale L."""
         M = cls.__new__(cls)
-        M.scaled, M._entries = (C, L), None
+        M.scaled = (C, L)
         return M
 
     @property
@@ -180,14 +179,12 @@ class PQMatrix:
 
     @property
     def entries(self) -> tuple:
-        if self._entries is None:
-            C, L = self.scaled
-            if L > 1:
-                C = exactla.from_scaled_integers(C, L)
-            self._entries = tuple(
-                tuple(SplitQuaternion(*C[:, p, q]) for q in range(self.rank))
-                for p in range(self.rank))
-        return self._entries
+        C, L = self.scaled
+        if L > 1:
+            C = exactla.from_scaled_integers(C, L)
+        return tuple(
+            tuple(SplitQuaternion(*C[:, p, q]) for q in range(self.rank))
+            for p in range(self.rank))
 
     @classmethod
     def identity(cls, n: int) -> "PQMatrix":
@@ -330,10 +327,11 @@ def metric_matrix(n: int) -> np.ndarray:
 def apply_metric(X) -> np.ndarray:
     """g @ X for the neutral metric g = metric_matrix(n), on axis 0 of X
     (4n rows): a sign flip of the j and k coordinates, with no product,
-    exact on every dtype.  X @ g is apply_metric(X.T).T."""
-    out = np.array(X)
-    rows = np.flatnonzero(np.arange(len(out)) % 4 > 1)
-    out[rows] = -out[rows]
+    exact on every dtype.  X @ g is apply_metric(X.T).T.  The copy is
+    C-ordered, so its 4-row blocks are one reshaped view of it."""
+    out = np.array(X, order="C")
+    flipped = out.reshape(len(out) // 4, 4, *out.shape[1:])[:, 2:]
+    np.negative(flipped, out=flipped)
     return out
 
 

@@ -20,6 +20,8 @@ is compared with LC^2 diag(1, -1, -1), and the horizontal frame is the
 integer kernel basis (N, L, free) of ``exactla.nullspace``, in which a
 vector T / LT of its span has the coordinates T[free] / LT, so the
 induced metric and structure are integer arrays over L^2 and L.
+``tangent_split`` returns that kernel triple and ``induced_geometry``
+the structure beside it; neither forms a Fraction view of the frame.
 
 The transitive-element construction completes a unit lift to a matrix
 preserving both the neutral scalar product and the quaternionic
@@ -43,7 +45,6 @@ nonzero rational.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -162,41 +163,20 @@ def random_unit_quaternion(rng) -> SplitQuaternion:
 # ---------------------------------------------------------------------------
 
 
-class TangentSplit:
-    """Vertical and horizontal frames at a sphere point x = C / LC, held as
-    integers: ``scaled_vertical`` = (V, LC) with V the real coordinates of
-    (C i, C j, C k), columns of shape (4(n+1), 3); ``kernel`` = (N, L, free)
-    as ``exactla.nullspace`` returns it, whose 4n columns N / L span the
-    orthogonal complement of the fiber frame and the position vector.
-    ``vertical`` and ``horizontal`` are the Fraction views, formed on first
-    access.
-    """
-
-    def __init__(self, base: SpherePoint, scaled_vertical, kernel):
-        self.base = base
-        self.scaled_vertical = scaled_vertical
-        self.kernel = kernel
-
-    @functools.cached_property
-    def vertical(self) -> np.ndarray:
-        return exactla.from_scaled_integers(*self.scaled_vertical)
-
-    @functools.cached_property
-    def horizontal(self) -> np.ndarray:
-        return exactla.from_scaled_integers(*self.kernel[:2])
-
-
 def vertical_frame(coords: np.ndarray) -> np.ndarray:
     """Real coordinates of (x i, x j, x k) from those of x (axis 0), on
     every dtype: x e_a = -J_a x."""
     return np.stack([-right_unit_action(coords, a) for a in range(3)], axis=1)
 
 
-def tangent_split(x: SpherePoint) -> TangentSplit:
-    """Split the tangent space of the sphere at x into the fiber direction
-    frame and its orthogonal complement, at the integer coordinates C of
-    x = C / LC: the fiber Gram is LC^2 times that at x, and the kernel of
-    the rows g (C, C i, C j, C k) is the horizontal space at x."""
+def tangent_split(x: SpherePoint):
+    """The horizontal frame at x, the orthogonal complement of the fiber
+    direction frame and the position vector, as the kernel triple
+    (N, L, free) of ``exactla.nullspace``: its 4n columns N / L span the
+    kernel of the rows g (C, C i, C j, C k) at the integer coordinates C
+    of x = C / LC.  DegenerateOrbitError unless the fiber Gram of
+    (C i, C j, C k) is LC^2 diag(1, -1, -1), that is unless x lies on the
+    unit sphere."""
     # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk)
     C, LC = x.x.scaled
     vert = vertical_frame(C)
@@ -213,7 +193,7 @@ def tangent_split(x: SpherePoint) -> TangentSplit:
         np.concatenate([C.reshape(-1, 1), vert], axis=1)).T)
     if len(kernel[2]) != 4 * x.rank - 4:
         raise DegenerateOrbitError("horizontal frame incomplete")
-    return TangentSplit(x, (vert, LC), kernel)
+    return kernel
 
 
 def frame_structure(kernel) -> HermitianStructure | None:
@@ -231,19 +211,20 @@ def frame_structure(kernel) -> HermitianStructure | None:
 
 
 def induced_geometry(x: SpherePoint):
-    """(HermitianStructure on the horizontal frame, the frame itself).
+    """(HermitianStructure on the horizontal frame, the frame itself as
+    the kernel triple (N, L, free) of tangent_split).
 
     The metric is the restriction of the ambient scalar product; the
     structure is right multiplication by the conjugated units expressed
     in frame coordinates (frame_structure on the kernel of tangent_split).
     Both are exact at rational points.
     """
-    split = tangent_split(x)
-    H = frame_structure(split.kernel)
+    kernel = tangent_split(x)
+    H = frame_structure(kernel)
     if H is None:
         raise DegenerateOrbitError("structure does not preserve the frame")
     H.check_relations()
-    return H, split.horizontal
+    return H, kernel
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ float literal outside three places:
 
 A float conversion is a call ``float(...)`` or ``float`` handed to a call
 as an argument: ``map(float, ...)``, ``dtype=float``, and also the type
-test ``isinstance(x, float)`` of a float branch.
+test ``isinstance(x, float)`` of a float branch, also where ``float`` is
+one entry of a tuple argument, as in ``isinstance(x, (int, float))``.
 """
 
 import ast
@@ -29,15 +30,21 @@ def _is_float_name(node) -> bool:
     return isinstance(node, ast.Name) and node.id == "float"
 
 
+def _operands(call):
+    """The callee and arguments of a call, with the entries of a tuple
+    argument in place of the tuple."""
+    for x in [call.func, *call.args, *(kw.value for kw in call.keywords)]:
+        yield from x.elts if isinstance(x, ast.Tuple) else (x,)
+
+
 def _float_lines(tree) -> list[int]:
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) is float:
             lines.append(node.lineno)
         elif isinstance(node, ast.Call):
-            operands = [node.func, *node.args,
-                        *(kw.value for kw in node.keywords)]
-            lines += [node.lineno for x in operands if _is_float_name(x)]
+            lines += [node.lineno for x in _operands(node)
+                      if _is_float_name(x)]
     return lines
 
 
@@ -71,8 +78,11 @@ def test_lint_finds_float_conversions_and_literals():
               "def rows(xs):\n"
               "    return list(map(float, xs)), isinstance(xs, float)\n"
               "def typed(np):\n"
-              "    return np.zeros(3, dtype=float)\n")
+              "    return np.zeros(3, dtype=float)\n"
+              "def coerce(x):\n"
+              "    return isinstance(x, (int, Fraction, float))\n")
     assert float_sites("m.py", source) == {("m.py", "check"): [2, 2],
                                            ("m.py", "TOL"): [3],
                                            ("m.py", "rows"): [5, 5],
-                                           ("m.py", "typed"): [7]}
+                                           ("m.py", "typed"): [7],
+                                           ("m.py", "coerce"): [9]}

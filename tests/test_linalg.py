@@ -313,6 +313,25 @@ def test_scaled_integers_reject_inexact_entries(arr):
             routine(arr)
 
 
+def test_integer_views_refuse_non_integer_entries():
+    # a view reads its entries through operator.index, where int() would
+    # truncate 0.5 to 0 and 1.7 to 1: a float or a Fraction entry raises
+    for N in (np.array([0.5, 1.7]), np.array([2, 0.5], dtype=object),
+              np.array([1, 1.0], dtype=object),
+              np.array([Fraction(1, 2)], dtype=object)):
+        with pytest.raises(TypeError):
+            exactla.from_scaled_integers(N, 1)
+    with pytest.raises(TypeError):
+        PQVector.from_scaled_integers(np.array([0.5, 0, 0, 0]), 1).to_real()
+    with pytest.raises(TypeError):
+        BilinearForm(np.array([[0.5]]), 1).matrix
+    # Python and numpy ints pass
+    for N in (np.array([3, -4]), np.array([3, -4], dtype=object)):
+        view = exactla.from_scaled_integers(N, 2)
+        assert list(view) == [Fraction(3, 2), -2]
+        assert {type(x) for x in view} == {Fraction}
+
+
 def ref_scaled_integers(arr):
     """The three-pass scaled_integers: a type check per entry, the set of
     denominators, then one numerator at a time.  The reference for the

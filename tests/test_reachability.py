@@ -44,22 +44,24 @@ print(json.dumps(sorted(entered)))
 """
 
 ALLOWED = {
-    # the Fraction views of the integer pairs, and the entry of a
-    # user-built Fraction tensor: read by users and by the tests'
-    # reference routes, never by the package's own chain
+    # the Fraction views of the integer pairs, the routine that forms
+    # them, and the entry of a user-built Fraction tensor: read by users
+    # and by the tests' reference routes, never by the package's own chain
     "views": {
         "curvature.CurvatureTensor.fractions",
         "curvature.CurvatureTensor.from_fractions",
+        "exactla.from_scaled_integers",
         "forms.BilinearForm.matrix", "forms.FourForm.array",
         "linalg.HermitianStructure.J", "linalg.HermitianStructure.g",
         "linalg.PQMatrix.entries", "linalg.PQVector.entries",
         "linalg.PQVector.to_real", "linalg._fraction_view",
-        "projspace.TangentSplit.vertical",
     },
-    # the text formats of matrices, structures and curvature tensors:
-    # input and output for users; no suite reads or writes a file
+    # the text formats of matrices, structures and curvature tensors, and
+    # exactla.fracarray, which reads their entries: input and output for
+    # users; no suite reads or writes a file
     "text formats": {
         "curvature.curvature_from_text", "curvature.curvature_to_text",
+        "exactla.fracarray",
         "linalg.format_matrix", "linalg.format_named_matrices",
         "linalg.parse_matrix", "linalg.parse_named_matrices",
         "linalg.structure_from_text", "linalg.structure_to_text",
@@ -72,18 +74,21 @@ ALLOWED = {
     # the float image of the exact level sampler, a traced span of the
     # benchmark in perfbench/
     "benchmark span": {"reduction.weighted_level_sample_float"},
-    # the arithmetic of quaternions and module elements that the tests
-    # build their references from; the package builds its elements from
-    # integer pairs
-    "algebra API": {
+    # kept as API: the package builds its elements from integer pairs,
+    # and users and the tests build theirs through these
+    "kept as API": {
+        # pairs with __eq__: equal quaternions hash equal
         "algebra.SplitQuaternion.__hash__",
-        "algebra.SplitQuaternion.__truediv__",
-        "algebra.SplitQuaternion.commutator",
-        "algebra.SplitQuaternion.is_zero",
-        "exactla.fracarray", "linalg.PQMatrix.__init__",
-        "linalg.PQMatrix.__add__", "linalg.PQMatrix.__eq__",
+        # the entry of a user-built integer tensor, which scans every
+        # entry; the package's builders skip the scan
+        "curvature.CurvatureTensor.__init__",
+        # the user's matrix API: the entry constructors from exact
+        # SplitQuaternions, equality, sum, negation and exact multiples
+        "linalg.PQMatrix.__init__", "linalg.PQVector.__init__",
+        "linalg.PQMatrix.__eq__", "linalg.PQMatrix.__add__",
         "linalg.PQMatrix.__neg__", "linalg.PQMatrix.scale",
-        "linalg.PQVector.__init__", "linalg.module_scalar_product",
+        # the neutral scalar product on H'^n
+        "linalg.module_scalar_product",
     },
 }
 

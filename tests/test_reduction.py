@@ -365,7 +365,7 @@ def test_weighted_killing_example():
     u = base_point(3)
     V = killing_field(1, 2, u)
     assert V.entries[0] == J.scale(2)
-    assert V.entries[1].is_zero() and V.entries[2].is_zero()
+    assert V.entries[1] == 0 and V.entries[2] == 0
     assert module_scalar_product(V, u.x) == 0
 
 
