@@ -41,7 +41,11 @@ arrays enter through ``CurvatureTensor.from_fractions`` (and with it
 ``curvature_from_text``), which scales them to integers and raises
 TypeError on any other entry.  The builders, ``+``, ``-`` and ``times``
 make only Python ints and positive int scales, and hand their pairs to
-the private ``_unchecked`` constructor, which scans nothing.
+the private ``_unchecked`` constructor, which scans nothing.  The
+integer pairs of their inputs (``BilinearForm(N, L)``, a structure with
+``scales``) are trusted as well; the scalar results read their integer
+sums through ``operator.index``, so a float that came in that way raises
+TypeError there instead of being truncated.
 ``fractions()`` is the ``Fraction`` view that ``curvature_to_text``
 writes out; the text format has the single mode "exact".  The
 commutators with the J_a and the change of basis of the tensor
@@ -70,6 +74,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement, permutations
+from operator import index
 
 import numpy as np
 
@@ -191,7 +196,7 @@ def scalar_curvature(R: CurvatureTensor) -> Fraction:
     G, LG = R.metric
     Ginv, Linv = exactla.inverse(G)
     ric, LR = ricci(R)
-    return Fraction(LG * int((Ginv * ric.T).sum()), Linv * LR)
+    return Fraction(LG * index((Ginv * ric.T).sum()), Linv * LR)
 
 
 def einstein_check(R: CurvatureTensor):
@@ -626,7 +631,7 @@ def power_sums(M) -> tuple:
     equal spectra."""
     N, L = M
     powers = accumulate([N] * len(N), np.matmul)
-    return tuple(Fraction(int(np.trace(P)), L ** k)
+    return tuple(Fraction(index(np.trace(P)), L ** k)
                  for k, P in enumerate(powers, start=1))
 
 

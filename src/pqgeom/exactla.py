@@ -29,9 +29,9 @@ from ``Fraction``s, a direction handed to ``reduction.reduced_jacobi`` or
 ``curvature.jacobi_spectrum_report``), and ``from_scaled_integers`` only
 in the ``Fraction`` views (``fractions()``, ``matrix``, ``array``,
 ``entries``, ``to_real()``, ``J``/``g``) and the text format
-``curvature_to_text``; scalar results (residuals,
-constants, power sums) are single ``Fraction``s; the syntax-tree lint
-of tests/test_roundtrip_lint.py holds every module to that.  A d^4
+``curvature_to_text``; scalar results (residuals, constants, power
+sums) are single ``Fraction``s; the syntax-tree lint of
+tests/test_roundtrip_lint.py holds every module to that.  A d^4
 curvature tensor is held as the pair (N, L) from builder to residual.
 ``contract(T, A, axis)`` contracts one axis of a Python-int tensor with
 a small integer matrix, one slice operation per nonzero entry of A, so a
@@ -124,11 +124,12 @@ def stack_max_abs(N, L) -> Fraction:
     """max |N[b] / L[b]| over a stack of integer arrays N[b], one per
     entry of the scales L (the leading axes of N), or max |N / L| for one
     scale: one Fraction per array with a nonzero entry, from its max_abs
-    read as a Python int (machine integers need no abs), and Fraction 0
-    when every entry is 0."""
+    read as a Python int through operator.index (machine integers need
+    no abs; a float raises TypeError, not truncated), and Fraction 0 when
+    every entry is 0."""
     scales = np.reshape(L, -1).tolist()
     N = np.reshape(N, (len(scales), -1))
-    return max((Fraction(int(max_abs(N[b])), scales[b])
+    return max((Fraction(index(max_abs(N[b])), scales[b])
                 for b in np.flatnonzero((N != 0).any(axis=1)).tolist()),
                default=Fraction(0))
 

@@ -839,6 +839,21 @@ def test_exact_diagnostics_reject_float_tensors():
             CurvatureTensor(tensor, 1, R.metric)
 
 
+def test_float_pairs_fail_loudly_in_the_diagnostics():
+    # BilinearForm(N, L) takes an integer array unchecked, and the
+    # builders trust their pairs; a float that comes in that way raises
+    # where an integer result is read through operator.index, not
+    # truncated (max_abs of this form read 0 through int())
+    H = structure_endos(1)
+    B = BilinearForm(np.full((4, 4), 0.5), 1)
+    R = curvature_from_bilinear(B, H)
+    for diagnostic in (B.max_abs, lambda: einstein_check(R),
+                       lambda: jacobi_spectrum_report(
+                           R, [np.eye(4, dtype=object)[0]])):
+        with pytest.raises(TypeError):
+            diagnostic()
+
+
 # -- serialisation ------------------------------------------------------------
 
 
