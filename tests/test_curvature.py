@@ -843,7 +843,7 @@ def test_float_pairs_fail_loudly_in_the_diagnostics():
     # BilinearForm(N, L) takes an integer array unchecked, and the
     # builders trust their pairs; a float that comes in that way raises
     # where an integer result is read through operator.index, not
-    # truncated (max_abs of this form read 0 through int())
+    # truncated
     H = structure_endos(1)
     B = BilinearForm(np.full((4, 4), 0.5), 1)
     R = curvature_from_bilinear(B, H)
