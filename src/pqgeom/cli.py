@@ -36,8 +36,8 @@ from .linalg import (REDRAW_LIMIT, TENSOR_BLOCKS, HermitianStructure,
                      adopted_basis, grassman_split,
                      random_antihermitian, random_integers,
                      random_quaternion, real_rep, right_mult_matrix,
-                     right_unit_action, sp_membership, sp_group_membership,
-                     structure_endos)
+                     sp_membership, sp_group_membership, structure_endos,
+                     unit_action)
 from . import curvature as curv
 from . import projspace as proj
 from . import reduction as red
@@ -529,7 +529,7 @@ def _chk_lift_independence(config, rng):
             # frame and target share the scale LQ L; the coordinates do
             # not depend on it, the residual is over it
             (coords, _), residual = exactla.frame_coordinates(
-                FQ, right_unit_action(FQ, a))
+                FQ, unit_action(FQ, a, "right"))
             worst = max(worst, residual / (LQ * L))
             # span membership is unchanged by the scale of the coordinates
             if Hx.span_coefficients(coords) is None:
@@ -558,8 +558,11 @@ def _chk_s1_reduced_structure(config, rng):
 
 
 def _chk_s1_orthogonality(config, rng):
+    # the circle action: left multiplication by i, every weight 1
     count = max(3, config.samples // 30)
-    return red.flat_orthogonality_check(config.rank + 1, count, rng), count
+    rank = config.rank + 1
+    points = [red.flat_level_sample(rng, rank) for _ in range(count)]
+    return red.orthogonality_check(0, (1,) * rank, points), count
 
 
 def _chk_pq_zero_sets(config, rng):
@@ -606,8 +609,12 @@ def _chk_pq_point_variation(config, rng):
 
 
 def _chk_pq_orthogonality(config, rng):
+    # the weighted action: left multiplication by j, weights (q, p, p)
     count = max(3, config.samples // 30)
-    return red.pq_orthogonality_check(config.p, config.q, count, rng), count
+    points = [red.weighted_level_sample(rng, config.p, config.q)
+              for _ in range(count)]
+    return (red.orthogonality_check(1, red._weights(config.p, config.q),
+                                    points), count)
 
 
 def _chk_pq_empty_variant(config, rng):

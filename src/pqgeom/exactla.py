@@ -67,8 +67,9 @@ T / LT of their span therefore has the coordinates T[free] / LT, and
 N @ T[free] == L * T is the integer test that T lies in the span: no
 Gram solve.  Its callers (``projspace.tangent_split``, whose kernel
 triple ``induced_geometry`` hands on beside the induced structure,
-``reduction.flat_reduced_structure``, the orthogonality checks and
-``admissible_directions``, ``curvature.restrict_to_complement``) read
+``reduction.flat_reduced_structure``, ``reduction.orthogonality_check``
+and ``reduction.admissible_directions``,
+``curvature.restrict_to_complement``) read
 the coordinates off that way; ``frame_coordinates`` serves frames that
 are not kernel bases (``HermitianStructure.span_coefficients``, the
 bracket coordinates of ``curvature``, and the CLI check

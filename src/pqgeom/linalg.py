@@ -19,6 +19,14 @@ Left multiplications by i, j, k satisfy the cyclic table directly and
 commute with the J_a; for n = 1 they span the complementary structure
 returned by left_structure_endos.
 
+Unit multiplication.  Multiplying every entry by a unit, on either side,
+is a signed permutation of the real coordinates: ``unit_action`` applies
+it by indexing, side "right" the J_a and side "left" the members of
+left_structure_endos, and ``unit_frame`` stacks [x, x i, x j, x k].  They
+are the package's one unit multiplication on real coordinates: the fiber
+frames and transitive columns of ``projspace`` and the Killing fields of
+``reduction`` read them.
+
 Matrices act on column vectors by left multiplication and therefore
 commute with the right scalar action.  real_rep is the composition of
 the complex 2x2-block representation with conjugation by the fixed
@@ -464,23 +472,33 @@ def structure_endos(n: int) -> HermitianStructure:
 
 
 @functools.cache
-def _unit_permutation(n: int, a: int):
-    """(cols, neg) of the signed permutation structure_endos(n).J[a]: row
-    r has its one nonzero entry in column cols[r], and that entry is -1
+def _unit_permutation(n: int, a: int, side: str):
+    """(cols, neg) of the signed permutation _block_structure(n, side).J[a]:
+    row r has its one nonzero entry in column cols[r], and that entry is -1
     exactly for the rows r listed in neg."""
-    Ja = structure_endos(n).scaled_J[0][a]
+    Ja = _block_structure(n, side).scaled_J[0][a]
     cols = np.argmax(Ja != 0, axis=1)
     return cols, np.flatnonzero(Ja[np.arange(4 * n), cols] < 0)
 
 
-def right_unit_action(X, a: int) -> np.ndarray:
-    """J_a @ X, i.e. x -> x conj(e_a) on axis 0 of real coordinates X: a
-    signed permutation, applied by indexing and negation, exact on every
-    dtype.  Right multiplication by e_a itself is its negative."""
-    cols, neg = _unit_permutation(len(X) // 4, a)
+def unit_action(X, a: int, side: str) -> np.ndarray:
+    """Unit multiplication of every entry, on axis 0 of real coordinates
+    X: side "right" is J_a @ X of structure_endos, x -> x conj(e_a) (right
+    multiplication by e_a itself is its negative), and side "left" is the
+    member a of left_structure_endos, x -> e_a x.  A signed permutation,
+    applied by indexing and negation, exact on every dtype."""
+    cols, neg = _unit_permutation(len(X) // 4, a, side)
     out = np.asarray(X)[cols]
     out[neg] = -out[neg]
     return out
+
+
+def unit_frame(X) -> np.ndarray:
+    """[X, X i, X j, X k], the right unit multiples of real coordinates X
+    (axis 0), stacked on a new last axis, on the dtype of X:
+    X e_a = -unit_action(X, a, "right")."""
+    return np.stack([X] + [-unit_action(X, a, "right") for a in range(3)],
+                    axis=-1)
 
 
 def left_structure_endos(n: int) -> HermitianStructure:

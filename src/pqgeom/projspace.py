@@ -10,9 +10,9 @@ and the horizontal complement carries an induced metric of signature
 
 Real coordinates.  The neutral metric g is diagonal with entries
 (1, 1, -1, -1) per entry, so g @ X is a sign flip
-(``linalg.apply_metric``), and right multiplication by a unit is a signed
-permutation (``linalg.right_unit_action``); neither forms a product, and
-both are exact.  A lift x = C / LC is held as its integer pair (C, LC)
+(``linalg.apply_metric``), right multiplication by a unit is a signed
+permutation (``linalg.unit_action``), and the frame (x, x i, x j, x k) is
+``linalg.unit_frame``; none forms a product, and all are exact.  A lift x = C / LC is held as its integer pair (C, LC)
 (``SpherePoint``, on ``linalg.PQVector``), and everything runs on it,
 with no Fraction but the results: the unit check is C^T g C == LC^2,
 the sampled points are reflections formed on integers, the fiber Gram
@@ -54,7 +54,7 @@ from . import exactla
 from .algebra import SplitQuaternion
 from .linalg import (REDRAW_LIMIT, HermitianStructure, PQMatrix, PQVector,
                      RedrawLimitError, _random_coefficients, apply_metric,
-                     random_quaternion, right_unit_action)
+                     random_quaternion, unit_action, unit_frame)
 
 VERTICAL_GRAM = np.diag(np.array([1, -1, -1], dtype=object))
 
@@ -163,12 +163,6 @@ def random_unit_quaternion(rng) -> SplitQuaternion:
 # ---------------------------------------------------------------------------
 
 
-def vertical_frame(coords: np.ndarray) -> np.ndarray:
-    """Real coordinates of (x i, x j, x k) from those of x (axis 0), on
-    every dtype: x e_a = -J_a x."""
-    return np.stack([-right_unit_action(coords, a) for a in range(3)], axis=1)
-
-
 def tangent_split(x: SpherePoint):
     """The horizontal frame at x, the orthogonal complement of the fiber
     direction frame and the position vector, as the kernel triple
@@ -179,8 +173,8 @@ def tangent_split(x: SpherePoint):
     unit sphere."""
     # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk)
     C, LC = x.x.scaled
-    vert = vertical_frame(C)
-    gram = vert.T @ apply_metric(vert)
+    frame = unit_frame(C)
+    gram = frame[:, 1:].T @ apply_metric(frame[:, 1:])
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
     # comparison (not the inertia) detects a positive lift off the sphere
     if (gram != VERTICAL_GRAM * (LC * LC)).any():
@@ -189,8 +183,7 @@ def tangent_split(x: SpherePoint):
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
-    kernel = exactla.nullspace(apply_metric(
-        np.concatenate([C.reshape(-1, 1), vert], axis=1)).T)
+    kernel = exactla.nullspace(apply_metric(frame).T)
     if len(kernel[2]) != 4 * x.rank - 4:
         raise DegenerateOrbitError("horizontal frame incomplete")
     return kernel
@@ -203,7 +196,7 @@ def frame_structure(kernel) -> HermitianStructure | None:
     all on integers.  None unless N @ (J_a N)[free] == L J_a N for every
     a, that is unless every J_a preserves the span."""
     N, L, free = kernel
-    images = np.stack([right_unit_action(N, a) for a in range(3)])
+    images = np.stack([unit_action(N, a, "right") for a in range(3)])
     if (N @ images[:, free] != L * images).any():
         return None
     return HermitianStructure(*images[:, free], N.T @ apply_metric(N),
@@ -230,13 +223,6 @@ def induced_geometry(x: SpherePoint):
 # ---------------------------------------------------------------------------
 # transitivity
 # ---------------------------------------------------------------------------
-
-
-def _unit_blocks(C) -> np.ndarray:
-    """[X, X i, X j, X k] for the rows X of an integer array C (n, 4 rank):
-    shape (n, 4 rank, 4); X e_a = -J_a X."""
-    return np.stack([C] + [-right_unit_action(C.T, a).T for a in range(3)],
-                    axis=-1)
 
 
 def _transitive_columns(C, L) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +255,7 @@ def _transitive_columns(C, L) -> tuple[np.ndarray, np.ndarray]:
     B, rank = len(C), C.shape[1] // 4
     F = np.zeros((B, rank, 4 * rank, 4), dtype=object)
     LF = np.ones((B, rank), dtype=object)
-    F[:, 0], LF[:, 0] = _unit_blocks(C), L
+    F[:, 0], LF[:, 0] = unit_frame(C.T).swapaxes(0, 1), L
     e = np.eye(4 * rank, dtype=object)
     # the e_s of the first pass, then the pool: the e_s and the e_s + e_t q
     candidates = np.stack(
@@ -297,12 +283,12 @@ def _transitive_columns(C, L) -> tuple[np.ndarray, np.ndarray]:
         take, V, N, den = act[ok], V[ok], N[ok], den[ok]
         # V k = -J_3 V
         X, LX = ((N + den * den)[:, None] * V
-                 - (den * den - N)[:, None] * right_unit_action(V.T, 2).T,
+                 - (den * den - N)[:, None] * unit_action(V.T, 2, "right").T,
                  2 * den * N)
         g = np.gcd.reduce(np.concatenate([X, LX[:, None]], axis=1),
                           axis=1) * np.sign(N)
         F[take, count[take]], LF[take, count[take]] = (
-            _unit_blocks(X // g[:, None]), LX // g)
+            unit_frame((X // g[:, None]).T).swapaxes(0, 1), LX // g)
         count[take] += 1
     return F, LF
 

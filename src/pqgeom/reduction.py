@@ -1,31 +1,45 @@
 """Moment-map reductions at desk scale.
 
-Two reductions are implemented.
+Two reductions are implemented, both by the moment map of a linear
+Killing field.  For an imaginary unit e_a (a = 0, 1, 2 for i, j, k) and
+weights w, the field V(x) = (w_v e_a x_v), left multiplication entrywise,
+preserves the neutral metric and commutes with the structure triple
+J_b x = x conj(e_b).  Its moment map is the imaginary value
 
-Flat circle reduction: the flat module of rank r carries the standard
-para-hyperKahler structure; the circle acts by left multiplication
-with e^{it}.  The moment map used here is
+    mu(x) = sum_v w_v conj(x_v) e_a x_v,
 
-    f(h) = ( -(|z|^2 + |w|^2), -Re(z w), -Im(z w) ),
+the hyperKahler moment map of Hitchin, Karlhede, Lindstrom and Rocek
+(Comm. Math. Phys. 108, 1987), with the differential
+d mu_b(X) = 2 eps_b g(J_b V, X), eps = (1, -1, -1).  One core serves both
+reductions: ``_moment`` contracts the coordinates with the table
+``_SANDWICH`` of the products conj(e_s) e_a e_t of the units, formed once
+from SplitQuaternion products (never from the J_b or the left-action
+matrices, so the checks that compare the two sides compare independent
+routes); ``_moment_rows`` is its differential, read off the same table;
+``_killing`` is the field, the weights times ``linalg.unit_action`` on
+the left; and ``orthogonality_check`` checks the Killing images of
+either reduction against its level set.
 
-in the complex coordinates h = z + j w (entrywise), with z w the
-bilinear complex pairing.  The level is fixed at FLAT_LEVEL,
-xi = (-1, 0, 0), the one level the exact sampler implements; with this
-sign convention its level set is literally {|z|^2 + |w|^2 = 1, z w = 0}.
-The components adapted to the structure triple (the ones whose directional
-derivatives equal omega_a(V, .) for the Killing field V(h) = i h) are
-the documented relabelling
+Flat circle reduction: e_a = i and every weight 1, on the flat module of
+rank r with the standard para-hyperKahler structure; the circle e^{it}
+acts by left multiplication.  In the complex coordinates h = z + j w
+(entrywise, z = a + b i and w = c - d i for h = a + b i + c j + d k),
+with z w the bilinear complex pairing, the classical components
 
-    fhat = ( -f1 / 2, f3, f2 ),
+    f(h) = ( -(|z|^2 + |w|^2), -Re(z w), -Im(z w) )
 
-which flat_moment_gradient_check verifies exactly: fhat is quadratic, so
-(fhat(h + X) - fhat(h - X)) / 2 = omega_a(V, X) holds with no remainder
-at rational h and X.  ``flat_adapted_moment`` returns 2 fhat =
-(-f1, 2 f3, 2 f2), which is integer at integer coordinates.
+are a relabelling of the moment: sum_v conj(h_v) i h_v =
+(-f1, -2 f3, -2 f2).  The level is fixed at FLAT_LEVEL, xi = (-1, 0, 0)
+in the components f (the report's xi), the one level the exact sampler
+implements; with this sign convention its level set is literally
+{|z|^2 + |w|^2 = 1, z w = 0}, where the moment is (1, 0, 0).
+flat_moment_gradient_check verifies the defining equation exactly: the
+moment is quadratic, so (mu_b(h + X) - mu_b(h - X)) / 4 =
+eps_b omega_b(V, X) holds with no remainder at rational h and X.
 
 Weighted hyperbolic reduction: on the rank-3 sphere model the group
 e^{jt} = cosh t + j sinh t acts through the weights (q, p, p) with
-p, q coprime and distinct.  The level function
+p, q coprime and distinct, so e_a = j.  The level function
 
     mu(u) = q conj(u0) j u0 + p conj(u1) j u1 + p conj(u2) j u2
 
@@ -69,32 +83,30 @@ coordinates), which the benchmark in perfbench/ traces by name and no
 routine of the package calls.  A point is a ``linalg.PQVector`` (the
 flat reduction) or a ``projspace.SpherePoint`` (the weighted
 reduction), held as integer coordinates U over a scale L, and every
-routine reads that pair: the moment maps and the level value are
-quadratic, so they are formed at U and compared with L^2 times the
-level; the flat moment, its gradient rows and the flat Killing field
-take real coordinates, on any scalar type, and the moments and the
-Killing field a leading batch axis, on which
-``flat_moment_gradient_check`` evaluates all its samples at once, on
-int64 (the doubled adapted moment is integer there).
+routine reads that pair: the moment is quadratic, so it is formed at U
+and compared with L^2 times the level.  The moment, its rows and the
+Killing field take real coordinates on any scalar type and keep it (the
+table and the weights are machine integers, so Python-int coordinates
+give Python ints and int64 coordinates int64), and the moment and the
+Killing field take a leading batch axis: ``flat_moment_gradient_check``
+evaluates all its samples at once, on int64; ``pq_zero_set_check``
+stacks its points in blocks of _TRACE_BLOCK and evaluates the moment
+and the isotropy traces of each block once, the transitive elements by
+the one stacked Gram-Schmidt of ``projspace``; the definite-axis control
+``empty_levelset_check`` runs on int64 blocks of integer sphere points.
 ``flat_level_sample`` and ``weighted_level_sample`` build their points on
-integers.  The weighted level value, the action generator
-(``_generator_action``) and the isotropy traces take a leading sample
-axis too: ``pq_zero_set_check`` stacks its points in blocks of
-_TRACE_BLOCK and evaluates each block once, the transitive elements by
-the one stacked Gram-Schmidt of ``projspace``.  The definite-axis
-control ``empty_levelset_check`` runs on int64 blocks of integer sphere
-points.  The reduced-Jacobi chain is on Python ints:
+integers.  The reduced-Jacobi chain is on Python ints:
 ``admissible_directions`` returns integer vectors of the admissible
 space, ``reduced_jacobi`` scales a direction to integers once (its
 ratio is invariant under scaling X), forms every pairing and product on
 Python ints, and forms Fractions only for its results.  The tangent
 frames of the level sets (``flat_reduced_structure``, whose
-``ReducedStructure.frame`` is that kernel pair, and the orthogonality
-checks) are integer kernel bases N / L of ``exactla.nullspace``, taken
-at the integer coordinates of the point (a row-scaled system has the
-same kernel); a vector T / LT of such a span has the coordinates
-T[free] / LT, so the reduced metric and structure are read off on
-integers, with no solve.
+``ReducedStructure.frame`` is that kernel pair, and
+``orthogonality_check``) are integer kernel bases N / L of
+``exactla.nullspace``, taken at the integer coordinates of the point (a
+row-scaled system has the same kernel); a vector T / LT of such a span
+has the coordinates T[free] / LT, so the reduced metric and structure
+are read off on integers, with no solve.
 """
 
 from __future__ import annotations
@@ -107,16 +119,15 @@ from math import gcd, lcm
 import numpy as np
 
 from . import exactla
-from .algebra import I, J, K, SplitQuaternion
+from .algebra import EPS, I, IMAGINARY_UNITS, J, K, UNITS, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
 from .linalg import (REDRAW_LIMIT, HermitianStructure, PQVector,
-                     RedrawLimitError, apply_metric, left_mult_matrix,
-                     random_integers, right_mult_matrix, right_unit_action,
-                     structure_endos)
+                     RedrawLimitError, apply_metric, random_integers,
+                     right_mult_matrix, structure_endos, unit_action,
+                     unit_frame)
 from .projspace import (SpherePoint, _stack, frame_structure,
-                        random_sphere_point, transitive_action,
-                        vertical_frame)
+                        random_sphere_point, transitive_action)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -131,7 +142,8 @@ class NonRegularError(ValueError):
     """The sampled point fails the regularity condition."""
 
 
-# the level value xi of the flat reduction
+# the level value xi of the flat reduction, in the components f of the
+# module docstring (the report's xi)
 FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
 
 # most directions per round of the definite-axis control
@@ -144,63 +156,68 @@ _TRACE_BLOCK = 10
 
 
 # ---------------------------------------------------------------------------
+# the moment map of the linear Killing field x -> (w_v e_a x_v)
+# ---------------------------------------------------------------------------
+
+
+# _SANDWICH[a, s, t, b]: the coefficient of the imaginary unit e_b in
+# conj(e_s) e_a e_t, for the imaginary unit e_a and the units e_s, e_t of
+# (1, i, j, k); a and b index (i, j, k), and the real part is 0
+_SANDWICH = np.array([[[(es.conj() * ea * et).coefficients()[1:]
+                        for et in UNITS] for es in UNITS]
+                      for ea in IMAGINARY_UNITS])
+
+
+def _moment(a: int, weights, U) -> np.ndarray:
+    """sum_v w_v conj(u_v) e_a u_v as its (i, j, k) coefficients (last
+    axis of the result), at the real coordinates U of points u (last axis,
+    4 per entry; leading axes a batch), on the scalar type of U: the
+    moment of _killing(a, weights, .).  At an entry with coordinates x,
+    coefficient b is x^T _SANDWICH[a, :, :, b] x, contracted by two
+    matmuls; the weights contract the entries.  Quadratic, so at the
+    integer coordinates U of u = U / L it is L^2 times the value at u."""
+    U = np.asarray(U)
+    x = U.reshape(U.shape[:-1] + (U.shape[-1] // 4, 4))
+    xT = (x @ _SANDWICH[a].reshape(4, 12)).reshape(x.shape + (3,))
+    return np.asarray(weights) @ (x[..., None, :] @ xT)[..., 0, :]
+
+
+def _moment_rows(a: int, weights, x) -> np.ndarray:
+    """The differential of _moment(a, weights, .) at the real coordinates
+    x of one point, as the three rows (i, j, k), on the scalar type of x:
+    the entry in row b at coordinate s of entry v is
+    w_v sum_t x_vt (T[s, t, b] + T[t, s, b]) with T = _SANDWICH[a], which
+    is linear in x."""
+    T = _SANDWICH[a]
+    x = np.reshape(x, (-1, 4))
+    rows = (x @ (T + T.swapaxes(0, 1)).reshape(4, 12)).reshape(-1, 4, 3)
+    rows = rows * np.asarray(weights)[:, None, None]
+    return rows.transpose(2, 0, 1).reshape(3, -1)
+
+
+def _killing(a: int, weights, X) -> np.ndarray:
+    """The Killing field x -> (w_v e_a x_v) at the real coordinates X of
+    points (last axis; leading axes a batch), on the scalar type of X: the
+    weights times the signed permutation unit_action(., a, "left")."""
+    X = np.asarray(X)
+    return np.repeat(weights, 4) * unit_action(X.T, a, "left").T
+
+
+# ---------------------------------------------------------------------------
 # flat circle reduction
 # ---------------------------------------------------------------------------
 
 
-def _entry_coefficients(x) -> np.ndarray:
-    """The coefficient rows a, b, c, d of the entries of real coordinates
-    x (last axis): shape (4, ..., rank), one row per unit."""
-    x = np.asarray(x)
-    return np.moveaxis(x.reshape(x.shape[:-1] + (-1, 4)), -1, 0)
-
-
-def flat_circle_moment(x):
-    """Moment triple (-(|z|^2+|w|^2), -Re(zw), -Im(zw)) of the circle
-    action at the point with real coordinates x, on the scalar type of x;
-    see the module docstring for the sign conventions.  Leading axes of x
-    are a batch of points, with one value per point in each component."""
-    a, b, c, d = _entry_coefficients(x)
-    # z = a + b i, w = c - d i:  z w = (ac + bd) + (bc - ad) i
-    return (-(a * a + b * b + c * c + d * d).sum(axis=-1),
-            -(a * c + b * d).sum(axis=-1), -(b * c - a * d).sum(axis=-1))
-
-
-def flat_adapted_moment(x):
-    """Twice the component relabelling fhat = (-f1/2, f3, f2) whose
-    differentials are omega_a(V, .) for the structure triple:
-    (-f1, 2 f3, 2 f2), integer at integer coordinates; batched as
-    flat_circle_moment."""
-    f1, f2, f3 = flat_circle_moment(x)
-    return (-f1, 2 * f3, 2 * f2)
-
-
 def flat_level_defect(h: PQVector) -> int:
     """LU^2 times the largest deviation of the moment of h = U / LU from
-    FLAT_LEVEL: the moment is quadratic, so at U it is LU^2 times its
-    value.  0 exactly on the level set."""
+    its value (-xi1, -2 xi3, -2 xi2) at FLAT_LEVEL: the moment is
+    quadratic, so at U it is LU^2 times its value.  0 exactly on the
+    level set."""
     U, LU = h.scaled
-    return max(abs(a - LU * LU * int(b))
-               for a, b in zip(flat_circle_moment(U), FLAT_LEVEL))
-
-
-def flat_killing(x) -> np.ndarray:
-    """Real coordinates of the Killing value i h (left multiplication by
-    i) at the point with real coordinates x, on their scalar type:
-    i (a + b i + c j + d k) = -b + a i - d j + c k.  Leading axes of x
-    are a batch of points."""
-    a, b, c, d = _entry_coefficients(x)
-    return np.stack([-b, a, -d, c], axis=-1).reshape(np.shape(x))
-
-
-def _moment_gradient_rows(x) -> np.ndarray:
-    """Exact gradients of the three moment components as rows, at the
-    point with real coordinates x and on their scalar type: linear in x,
-    so integer at integer coordinates."""
-    blocks = [[[-2 * a, -2 * b, -2 * c, -2 * d], [-c, -d, -a, -b],
-               [d, -c, -b, a]]
-              for a, b, c, d in np.reshape(x, (-1, 4))]
-    return np.array(blocks, dtype=object).transpose(1, 0, 2).reshape(3, -1)
+    xi1, xi2, xi3 = map(int, FLAT_LEVEL)
+    return max(abs(m - LU * LU * x)
+               for m, x in zip(_moment(0, (1,) * h.rank, U),
+                               (-xi1, -2 * xi3, -2 * xi2)))
 
 
 def flat_level_sample(rng, rank: int) -> PQVector:
@@ -295,10 +312,11 @@ def flat_reduced_structure(h: PQVector) -> ReducedStructure:
     if res != 0:
         raise DegenerateLevelSetError(
             f"point off the level set by {Fraction(res, LU * LU)}")
-    rows = _moment_gradient_rows(U)
+    ones = (1,) * h.rank
+    rows = _moment_rows(0, ones, U)
     if exactla.rank(rows) != 3:
         raise DegenerateLevelSetError("constraint differentials degenerate")
-    V = flat_killing(U)
+    V = _killing(0, ones, U)
     gV = apply_metric(V)
     if gV @ V == 0:
         raise NullOrbitError("orbit direction is null")
@@ -354,28 +372,10 @@ def weighted_level_value(p: int, q: int, U) -> np.ndarray:
     """The imaginary value q conj(u0) j u0 + p conj(u1) j u1 +
     p conj(u2) j u2 as its (i, j, k) coefficients (last axis), at the
     integer real coordinates U of points u = U / L (last axis of 12,
-    leading axes a stack), as Python ints.  The value is quadratic, so
-    the result is L^2 times the value at u.  By the closed form
-    conj(h) j h = (0, -2(ad + bc), a^2 - b^2 - c^2 + d^2, -2(ab + cd)) of
-    h = a + b i + c j + d k, on the three entries as one batch."""
-    Y = _sandwich(SplitQuaternion(*_entry_coefficients(U)))
-    return np.stack([y @ np.array(_weights(p, q), dtype=object) for y in Y],
-                    axis=-1, dtype=object)
-
-
-def _sandwich(h: SplitQuaternion):
-    """conj(h) j h as an (i, j, k) triple; its square norm is -|h|^4."""
-    a, b, c, d = h.coefficients()
-    return (-2 * (a * d + b * c), a * a - b * b - c * c + d * d,
-            -2 * (a * b + c * d))
-
-
-def _sandwich_i(h: SplitQuaternion):
-    """conj(h) i h as an (i, j, k) triple; its i-component is the Euclidean
-    square norm a^2 + b^2 + c^2 + d^2 of h = a + b i + c j + d k."""
-    a, b, c, d = h.coefficients()
-    return (a * a + b * b + c * c + d * d, 2 * (b * c - a * d),
-            2 * (a * c + b * d))
+    leading axes a stack), as Python ints: the moment of the unit j at the
+    weights (q, p, p).  The value is quadratic, so the result is L^2 times
+    the value at u."""
+    return _moment(1, _weights(p, q), U)
 
 
 def _norm_factor(P: int, Q: int, unit: SplitQuaternion):
@@ -435,8 +435,9 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
         n0, n1 = u0.square_norm(), u1.square_norm()
         if n0 == 0 or n1 == 0:
             continue
-        Y0, Y1 = (tuple(c * x for x in _sandwich(h))
-                  for c, h in ((c0, u0), (c1, u1)))
+        # c0 Y(u0) and c1 Y(u1), from one batch of two points of rank 1
+        Y0, Y1 = (c * y for c, y in zip((c0, c1), _moment(1, (1,), np.array(
+            [u0.coefficients(), u1.coefficients()], dtype=object))))
         # <Y0, Y1> in the square norm of imaginary triples; that of Y1 is
         # -c1^2 |u1|^4
         s0, cross = c0 * n0, Y0[0] * Y1[0] - Y0[1] * Y1[1] - Y0[2] * Y1[2]
@@ -470,32 +471,7 @@ def weighted_level_sample(rng, p: int, q: int) -> SpherePoint:
     raise RedrawLimitError("weighted_level_sample: every draw degenerate")
 
 
-def _level_gradient_rows(p: int, q: int, x) -> np.ndarray:
-    """Differential of the three imaginary components of the level value
-    at the point with real coordinates x:
-    d mu(T) = sum c_v (conj(T_v) j u_v + conj(u_v) j T_v)
-            = sum c_v 2 Im(conj(u_v) j T_v),
-    so block v holds 2 c_v times the imaginary rows of left
-    multiplication by conj(u_v) j; on the scalar type of x, and linear
-    in x."""
-    return np.concatenate(
-        [2 * c * left_mult_matrix(SplitQuaternion(*h).conj() * J)[1:]
-         for c, h in zip(_weights(p, q), np.reshape(x, (-1, 4)))], axis=1)
-
-
 # -- independent moment route through the isotropy decomposition ------------
-
-
-def _generator_action(p: int, q: int, X) -> np.ndarray:
-    """Real coordinates of D x = (q j x0, p j x1, p j x2), the action
-    generator, on the last axis of X (leading axes a stack) and on its
-    dtype: left multiplication by j maps the coordinates (a, b, c, d) to
-    (c, -d, a, -b), so D is the weights times a signed permutation."""
-    signs = np.array([c * e for c in _weights(p, q) for e in (1, -1, 1, -1)],
-                     dtype=object)
-    out = np.asarray(X)[..., [4 * v + r for v in range(3)
-                              for r in (2, 3, 0, 1)]]
-    return (out * signs).astype(out.dtype)
 
 
 def isotropy_moment_traces(p: int, q: int, U, L):
@@ -517,25 +493,26 @@ def isotropy_moment_traces(p: int, q: int, U, L):
     (projspace.transitive_action, on the whole stack), that of its
     conjugate transpose is G A^T G / LA (L(conj q) = G L(q)^T G entrywise,
     G the neutral metric, a sign per row), so E = G A^T G D A is eta over
-    LA^2, on integers; D is _generator_action, applied to the columns of
-    A.  s is the first column of the top-left 4 x 4 block of E (the left
-    multiplication by s), B acts through its lower-right 8 x 8 block, and
-    only these blocks are formed; J_a L is the signed row permutation of
-    right_unit_action, so the traces are sums of integers.
+    LA^2, on integers; D is the Killing field _killing of j at the
+    weights, applied to the columns of A.  s is the first column of the
+    top-left 4 x 4 block of E (the left multiplication by s), B acts
+    through its lower-right 8 x 8 block, and only these blocks are formed;
+    J_a L is the signed row permutation unit_action(L, a, "right"), so the
+    traces are sums of integers.
     """
     A, LA = transitive_action(U, L)
     At, g = A.swapaxes(1, 2), apply_metric(np.ones(12, dtype=int))
     # (G D A)^T, D acting on the columns of A; then the blocks of E, with
     # the stack axis last, where the unit actions act on axis 0
-    GDAt = _generator_action(p, q, At) * g
+    GDAt = _killing(1, _weights(p, q), At) * g
     E = (g[4:, None] * (At[:, 4:] @ GDAt[:, 4:].swapaxes(1, 2))).transpose(
         1, 2, 0)
     rconj = right_mult_matrix(SplitQuaternion(
         *(g[:4] * (At[:, :4] @ GDAt[:, 0, :, None])[..., 0]).T).conj())
     for v in range(2):
         E[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
-    return (np.stack([np.trace(right_unit_action(E, a)) for a in range(3)],
-                     axis=-1), LA * LA)
+    return (np.stack([np.trace(unit_action(E, a, "right"))
+                      for a in range(3)], axis=-1), LA * LA)
 
 
 @dataclass
@@ -584,12 +561,13 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     """
     U, L = u.x.scaled
     XN, _ = exactla.scaled_integers(X)
-    span = _killing_span(_generator_action(p, q, U))
+    ws = _weights(p, q)
+    span = unit_frame(_killing(1, ws, U))
     g_span = apply_metric(span)
     VV = span[:, 0] @ g_span[:, 0]
     if VV == 0:
         raise NonRegularError("point fails the regularity condition")
-    vert_u = vertical_frame(U)
+    vert_u = unit_frame(U)[:, 1:]
     if (vert_u.T @ g_span[:, 0]).any():
         off = Fraction(exactla.max_abs(weighted_level_value(p, q, U)), L * L)
         raise DegenerateLevelSetError(f"point off the zero level set by {off}")
@@ -601,7 +579,7 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
         raise ValueError("direction not horizontal")
     if (span.T @ gX).any():
         raise ValueError("direction not orthogonal to the Killing span")
-    P = L * L * _generator_action(p, q, XN)
+    P = L * L * _killing(1, ws, XN)
     H = VV * P - span @ apply_metric(g_span.T @ P)
     ratio = Fraction(H @ apply_metric(H), VV ** 3 * L * L * xnorm)
     const = _ambient_constant()
@@ -611,12 +589,6 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     return ReducedJacobi(eigenvalues=(lam1, lam1, lam3), ratio=ratio,
                          killing_norm=Fraction(VV, L * L),
                          einstein_constant=const)
-
-
-def _killing_span(V: np.ndarray) -> np.ndarray:
-    """Columns V, J1 V, J2 V, J3 V, on the dtype of V."""
-    return np.stack([V] + [right_unit_action(V, a) for a in range(3)],
-                    axis=1)
 
 
 def admissible_directions(p: int, q: int, u: SpherePoint, rng,
@@ -629,10 +601,9 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     the integer coordinates U of u, which spans the same space.  At most
     REDRAW_LIMIT draws per direction (RedrawLimitError)."""
     U, _ = u.x.scaled
-    basis, _, _ = exactla.nullspace(apply_metric(
-        np.concatenate([U.reshape(-1, 1), vertical_frame(U),
-                        _killing_span(_generator_action(p, q, U))],
-                       axis=1)).T)
+    basis, _, _ = exactla.nullspace(apply_metric(np.concatenate(
+        [unit_frame(U), unit_frame(_killing(1, _weights(p, q), U))],
+        axis=1)).T)
     out = []
     for _ in range(REDRAW_LIMIT * count):
         X = basis @ np.array([rng.randint(-4, 4)
@@ -658,34 +629,39 @@ def weighted_level_sample_float(rng, p: int, q: int) -> np.ndarray:
 
 
 def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
-    """Max |(fhat_a(h + X) - fhat_a(h - X)) / 2 - g(J_a V(h), X)| over
-    seeded rational h = A / D, X = B / D (A, B integer vectors); exactly 0,
-    because fhat is quadratic.  Both terms are homogeneous of degree 2,
-    so they are formed at (A, B) on integers and divided by D^2; with the
-    doubled moment 2 fhat of flat_adapted_moment the residual of a
-    component is |scale (fp - fm) - 4 pairing| / (4 scale D^2), fp and fm
-    the doubled moments at A + B and A - B.
+    """Max |(mu_a(h + X) - mu_a(h - X)) / 4 - eps_a g(J_a V(h), X)| over
+    seeded rational h = A / D, X = B / D (A, B integer vectors), mu the
+    flat moment and V the flat Killing field; exactly 0, because mu is
+    quadratic and d mu_a(X) = 2 eps_a g(J_a V, X).  Both terms are
+    homogeneous of degree 2, so they are formed at (A, B) on integers and
+    divided by D^2: the residual of a component is
+    |scale (mp - mm) - 4 pairing| / (4 scale D^2), mp and mm the moments at
+    A + B and A - B and pairing the eps_a g(J_a V(A), B) of the structure
+    over its scale.
 
     The samples are one batch: the rows of A and B are one
     random_integers block and the D another, and the moments and the
     Killing field take the batch at once, on int64: the entries of A +- B
-    are at most 40, so every component of the doubled moment is at most
-    4 rank 40^2 and every pairing at most 4 rank 20^2, exact below 2^63
-    at any rank a module can have here."""
+    are at most 40, so the partial sums of the table contraction are at
+    most 4 * 40, every component of conj(h) i h is at most the Euclidean
+    square norm of h, every component of the moment at most 4 rank 40^2,
+    and every pairing at most 4 rank 20^2, exact below 2^63 at any rank a
+    module can have here."""
     J, scale = structure_endos(rank).scaled_J
-    omega = np.stack([apply_metric(Ja).T for Ja in J]).astype(np.int64)
+    omega = np.stack([EPS[a] * apply_metric(Ja).T
+                      for a, Ja in enumerate(J)]).astype(np.int64)
     A, B = random_integers(rng, (2, samples, 4 * rank), -20, 20, np.int64)
     den = random_integers(rng, (samples,), 1, 8)
-    fp = np.stack(flat_adapted_moment(A + B))
-    fm = np.stack(flat_adapted_moment(A - B))
-    K = flat_killing(A)
-    pairing = np.stack([((K @ w) * B).sum(axis=-1) for w in omega])
-    # 4 scale D^2 times the residual of each component and sample, read
+    ones = (1,) * rank
+    mp, mm = _moment(0, ones, A + B), _moment(0, ones, A - B)
+    K = _killing(0, ones, A)
+    pairing = np.stack([((K @ w) * B).sum(axis=-1) for w in omega], axis=-1)
+    # 4 scale D^2 times the residual of each sample and component, read
     # off as Python ints by stack_max_abs: an int64 abs would touch numpy
     # loops that no other check of the suite runs, and add their code
     # pages to the resident memory
-    defect = scale * (fp - fm) - 4 * pairing
-    return exactla.stack_max_abs(defect.T, 4 * scale * den * den)
+    return exactla.stack_max_abs(scale * (mp - mm) - 4 * pairing,
+                                 4 * scale * den * den)
 
 
 def pq_zero_set_check(p: int, q: int, samples: int, rng) -> Fraction:
@@ -714,39 +690,26 @@ def pq_zero_set_check(p: int, q: int, samples: int, rng) -> Fraction:
                                  np.concatenate(scales))
 
 
-def _normal_residual(frame: np.ndarray, killing: np.ndarray) -> int:
-    """Max |g(J_a V, T)| over the columns T of an integer frame and the
-    three J_a V, from the integer real coordinates of V: 0 exactly when
-    the J_a V are normal to the span of the frame."""
-    return exactla.max_abs(
-        frame.T @ apply_metric(_killing_span(killing)[:, 1:]))
-
-
-def flat_orthogonality_check(rank: int, samples: int, rng) -> int:
-    """Max |<J_a V, T>| over tangents T of the flat level set: the images
-    of the Killing field under the structure triple are normal to it.  At
-    the integer coordinates U of each point: the kernel of the gradient
-    rows at U is the tangent space, the Killing field at U is a multiple
-    of the one at the point, and T runs over the integer kernel basis."""
+def orthogonality_check(a: int, weights, points) -> int:
+    """Max |g(J_b V, T)| over tangents T of the level set of
+    _moment(a, weights, .) through each point, V = _killing(a, weights, .)
+    and b = 1, 2, 3: the images of the Killing field under the structure
+    triple are normal to the level set.  A SpherePoint's tangents lie in
+    the sphere too, so the row g x joins the moment rows there.  At the
+    integer coordinates U of each point: the kernel of the rows at U is
+    the tangent space, the Killing field at U is a multiple of the one at
+    the point, T runs over the integer kernel basis, and the J_b V are the
+    columns V e_b of unit_frame up to sign."""
     worst = 0
-    for _ in range(samples):
-        U, _ = flat_level_sample(rng, rank).scaled
-        frame, _, _ = exactla.nullspace(_moment_gradient_rows(U))
-        worst = max(worst, _normal_residual(frame, flat_killing(U)))
-    return worst
-
-
-def pq_orthogonality_check(p: int, q: int, samples: int, rng) -> int:
-    """Max |<J_a V, T>| over tangents T of the weighted level set inside
-    the sphere, with V the Killing field (horizontal on the level set); on
-    integers as in flat_orthogonality_check."""
-    worst = 0
-    for _ in range(samples):
-        U, _ = weighted_level_sample(rng, p, q).x.scaled
-        rows = _level_gradient_rows(p, q, U)
-        frame, _, _ = exactla.nullspace(
-            np.concatenate([rows, apply_metric(U).reshape(1, -1)]))
-        worst = max(worst, _normal_residual(frame, _generator_action(p, q, U)))
+    for point in points:
+        on_sphere = isinstance(point, SpherePoint)
+        U, _ = (point.x if on_sphere else point).scaled
+        rows = _moment_rows(a, weights, U)
+        if on_sphere:
+            rows = np.concatenate([rows, apply_metric(U).reshape(1, -1)])
+        frame, _, _ = exactla.nullspace(rows)
+        images = unit_frame(_killing(a, weights, U))[:, 1:]
+        worst = max(worst, exactla.max_abs(frame.T @ apply_metric(images)))
     return worst
 
 
@@ -762,19 +725,22 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
     base point o in an integer direction d with L = <d, d>; d is redrawn
     when L = 0 or <o, d> = 0.  The checks <X, X> = L^2 and
     i-component(X) >= min(p, q) L^2 (the value at X is L^2 times the value
-    at X / L) are made on integers, the i-components of the conj(X_v) i
-    X_v in the closed form of _sandwich_i, on the whole (12, m) batch.
+    at X / L) are made on integers, the i-component that of
+    _moment(0, (q, p, p), .), the moment of the variant action, on the
+    whole batch.
 
     Every round draws as many directions as points are still missing, up
     to _LEVEL_BLOCK, as one random_integers block, and evaluates it on
-    int64: |d| <= 3 gives |L| <= 54, |X| <= 72 and an i-component
-    (a sum of four squares of entries of X) <= 20,736, far below 2^63.
-    The weights stay Python ints: when 3 * 20,736 max(p, q) could pass
-    2^63 the weighted sum and its bound are formed on Python ints, so any
-    weights stay exact.  The cap bounds the arrays live at once: one
-    round of all 10,000 points as Python ints raised the peak memory of
-    `pqgeom --suite all` by 5.8 MB.  RedrawLimitError after REDRAW_LIMIT
-    rounds in a row that keep no direction."""
+    int64: |d| <= 3 gives |L| <= 54 and |X| <= 72, so the partial sums of
+    the table contraction are at most 4 * 72, the i-component of an entry
+    (a sum of four squares of its coordinates) at most 20,736 and the
+    weighted sum at most 3 * 20,736 max(p, q), below 2^63 at every weight
+    below 2^47.  When it could pass 2^63 the points and L go to Python
+    ints before the contraction, so any weights stay exact.  The cap
+    bounds the arrays live at once: one round of all 10,000 points as
+    Python ints raised the peak memory of `pqgeom --suite all` by 5.8 MB.
+    RedrawLimitError after REDRAW_LIMIT rounds in a row that keep no
+    direction."""
     ws = _weights(p, q)
     failures = idle = 0
     while samples > 0:
@@ -786,14 +752,11 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
         X = -2 * d[0] * d
         X[0] += L
         on_sphere = (X * apply_metric(X)).sum(axis=0) == L * L
-        # the entries X_v as one split quaternion with (3, m) coefficients
-        value = _sandwich_i(SplitQuaternion(*X.reshape(3, 4, -1)
-                                            .swapaxes(0, 1)))[0]
         if 3 * _I_COMPONENT_BOUND * max(ws) >= 2 ** 63:
-            value, L = value.astype(object), L.astype(object)
-        failures += int(np.count_nonzero(
-            ~on_sphere | (sum(c * v for c, v in zip(ws, value))
-                          < min(ws) * L * L)))
+            X, L = X.astype(object), L.astype(object)
+        value = _moment(0, ws, X.T)[:, 0]
+        failures += int(np.count_nonzero(~on_sphere
+                                         | (value < min(ws) * L * L)))
         samples -= len(L)
         idle = 0 if len(L) else idle + 1
         if idle == REDRAW_LIMIT:

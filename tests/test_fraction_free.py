@@ -31,10 +31,10 @@ from pqgeom.linalg import (grassman_split, module_scalar_product,
                            random_antihermitian, real_rep, structure_endos)
 from pqgeom.projspace import (induced_geometry, random_sphere_point,
                               tangent_split)
-from pqgeom.reduction import (_generator_action, _level_gradient_rows,
-                              _normal_residual, empty_levelset_check,
+from pqgeom.reduction import (_weights, empty_levelset_check,
                               flat_level_sample, flat_reduced_structure,
-                              weighted_level_sample, weighted_level_value)
+                              orthogonality_check, weighted_level_sample,
+                              weighted_level_value)
 
 from test_linalg import random_pq_matrix, random_pq_vector
 
@@ -99,13 +99,11 @@ def test_kernel_frames_form_no_fraction(fraction_count):
     rng = random.Random(1)
     mat = np.array([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for _ in range(7)] for _ in range(3)], dtype=object)
-    u = weighted_level_sample(rng, 1, 2)
-    U, _ = u.x.scaled
-    frame, _, _ = exactla.nullspace(_level_gradient_rows(1, 2, U))
-    killing = _generator_action(1, 2, U)
+    points = [weighted_level_sample(rng, 1, 2) for _ in range(2)]
     calls = {
         "nullspace": lambda: exactla.nullspace(mat),
-        "normal residual": lambda: _normal_residual(frame, killing),
+        "orthogonality_check": lambda: orthogonality_check(
+            1, _weights(1, 2), points),
         "empty_levelset_check": lambda: empty_levelset_check(
             1, 2, 300, random.Random(0)),
     }
@@ -204,9 +202,9 @@ def test_batched_sampling_checks_form_only_their_results(fraction_count):
     # the default configuration and seed 0: the count of shortfalls and the
     # int64 norm residual form none; the conjugation and scalar-product
     # checks form their residual, representation-homomorphism its two
-    # distances per rank; moment-gradient stays on int64, since
-    # flat_adapted_moment doubles the adapted moment instead of halving
-    # its first component, and forms only its result; so do
+    # distances per rank; moment-gradient stays on int64, since the
+    # moment sum conj(h) i h is integer at integer points, and forms only
+    # its result; so do
     # zero-set-cross-check, whose level points are drawn on integers and
     # whose traces and level values are compared on integer stacks, and
     # four-form-rotation-invariance, on int64 stacks of 4-forms

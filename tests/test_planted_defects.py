@@ -3,7 +3,8 @@ broken.
 
 Each row plants one defect in an ingredient of one registry check (one
 sign flipped in a product, a norm, a conjugation, a representation, a
-scalar product, a Killing field, a sandwich or a scale) and runs the
+scalar product, a Killing field, a column of the moment table or a
+scale) and runs the
 check's suite through ``run_suite``; the check must report ``fail``.  A
 check that still passes is vacuous on its samples.  A row of the second
 table plants bad input instead (a rotation off the group), which the
@@ -58,23 +59,16 @@ def _scalar_product_sign_flipped(q, qp):
     return q.a * qp.a + q.b * qp.b - q.c * qp.c + q.d * qp.d
 
 
-def _killing_sign_flipped(x):
-    return -KILLING(x)
+def _killing_sign_flipped(a, weights, X):
+    return -KILLING(a, weights, X)
 
 
-def _sandwich_i_sign_flipped(h):
-    i, j, k = SANDWICH_I(h)
-    return -i, j, k
-
-
-def _sandwich_j_sign_flipped(h):
-    i, j, k = SANDWICH(h)
-    return i, -j, k
-
-
-def _sandwich_k_sign_flipped(h):
-    i, j, k = SANDWICH(h)
-    return i, j, -k
+def _table_column_flipped(a, b):
+    """The moment table with the coefficient of e_b in every
+    conj(e_s) e_a e_t negated (a and b index i, j, k)."""
+    table = SANDWICH.copy()
+    table[a, :, :, b] = -table[a, :, :, b]
+    return table
 
 
 class _FourFormOverTheWrongScale(forms.FourForm):
@@ -102,8 +96,8 @@ def _rotation_off_the_group(rng):
 
 
 PRODUCT, REAL_REP = SplitQuaternion.__mul__, cli.real_rep
-KILLING, SANDWICH_I = red.flat_killing, red._sandwich_i
-SANDWICH, ROTATION = red._sandwich, cli.random_rotation
+KILLING, SANDWICH = red._killing, red._SANDWICH
+ROTATION = cli.random_rotation
 
 # row -> (check name, suite, object, attribute, planted replacement); a row
 # named after its check alone is that check's first row
@@ -118,16 +112,17 @@ PLANTED = {
                                     _real_rep_sign_flipped),
     "scalar-product-complex-form": ("linalg", cli, "scalar_product",
                                     _scalar_product_sign_flipped),
-    "moment-gradient": ("reduce-s1", red, "flat_killing",
+    "moment-gradient": ("reduce-s1", red, "_killing",
                         _killing_sign_flipped),
-    "definite-axis-empty-level-set": ("reduce-pq", red, "_sandwich_i",
-                                      _sandwich_i_sign_flipped),
+    # the i-component of the moment of the variant action through i
+    "definite-axis-empty-level-set": ("reduce-pq", red, "_SANDWICH",
+                                      _table_column_flipped(0, 0)),
     # the level value agrees with the traces in value, so a flipped
-    # component shows although it keeps every zero set
-    "zero-set-cross-check/j": ("reduce-pq", red, "_sandwich",
-                               _sandwich_j_sign_flipped),
-    "zero-set-cross-check/k": ("reduce-pq", red, "_sandwich",
-                               _sandwich_k_sign_flipped),
+    # component of the table for j shows although it keeps every zero set
+    "zero-set-cross-check/j": ("reduce-pq", red, "_SANDWICH",
+                               _table_column_flipped(1, 1)),
+    "zero-set-cross-check/k": ("reduce-pq", red, "_SANDWICH",
+                               _table_column_flipped(1, 2)),
     # the check runs at rank 1, where every 4-form is a multiple of the
     # volume form and a flipped sign of eps leaves it invariant; a wrong
     # scale changes the multiple

@@ -7,17 +7,18 @@ import pytest
 
 from pqgeom import exactla
 from pqgeom.algebra import IMAGINARY_UNITS, UNITS, SplitQuaternion
-from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
-                           module_scalar_product,
-                           random_quaternion, right_unit_action,
-                           sp_group_membership)
+from pqgeom.linalg import (PQMatrix, PQVector, apply_metric,
+                           left_mult_matrix, metric_matrix,
+                           module_scalar_product, random_quaternion,
+                           right_mult_matrix, sp_group_membership,
+                           unit_action, unit_frame)
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
                               NullLineError, SpherePoint, TangentLineError,
                               _stack, _transitive_columns, base_point,
                               induced_geometry,
                               random_sphere_point, random_unit_quaternion,
                               sphere_point_through, tangent_split,
-                              transitive_element, vertical_frame)
+                              transitive_element)
 from pqgeom.reduction import (admissible_directions, reduced_jacobi,
                               weighted_level_sample,
                               weighted_level_sample_float)
@@ -41,7 +42,7 @@ def horizontal_integers(C, L, V):
     for integer arrays C and V: an integer array.  On the unit sphere the
     frame (x, x i, x j, x k) has the Gram matrix diag(1, 1, -1, -1), so the
     coefficients are a sign flip of its pairings with V."""
-    frame4 = np.concatenate([C.reshape(-1, 1), vertical_frame(C)], axis=1)
+    frame4 = unit_frame(C)
     return L * L * V - frame4 @ apply_metric(frame4.T @ apply_metric(V))
 
 
@@ -136,8 +137,7 @@ def ref_transitive_columns(target: SpherePoint) -> list[tuple]:
     cols = []
 
     def append(C, L):
-        cols.append((np.concatenate([C.reshape(-1, 1), vertical_frame(C)],
-                                    axis=1), L))
+        cols.append((unit_frame(C), L))
 
     def take(W) -> bool:
         den = math.lcm(*(L * L for _, L in cols))
@@ -148,7 +148,7 @@ def ref_transitive_columns(target: SpherePoint) -> list[tuple]:
         if N == 0:
             return False
         C = ((N + den * den) * V
-             - (den * den - N) * right_unit_action(V, 2))
+             - (den * den - N) * unit_action(V, 2, "right"))
         g = math.gcd(*C, 2 * den * N) * (1 if N > 0 else -1)
         append(C // g, 2 * den * N // g)
         return True
@@ -303,7 +303,7 @@ def frames(x: SpherePoint):
     """The Fraction views of the fiber frame (x i, x j, x k) and of the
     horizontal frame of tangent_split at x."""
     N, L, _ = tangent_split(x)
-    return (vertical_frame(x.x.to_real()),
+    return (unit_frame(x.x.to_real())[:, 1:],
             exactla.from_scaled_integers(N, L))
 
 
@@ -569,18 +569,28 @@ def test_transitive_columns_run_points_of_every_kind_together():
 
 @pytest.mark.parametrize("rank", [1, 3])
 def test_unit_actions_match_right_multiplication(rank):
-    # right_unit_action is x -> x conj(e_a) and vertical_frame is
-    # x -> x e_a, on exact and on float columns
+    # unit_action is x -> x conj(e_a) (side "right") and x -> e_a x (side
+    # "left") and unit_frame is [x, x i, x j, x k], entrywise, against the
+    # blocks of right_mult_matrix and left_mult_matrix and against the
+    # products of the reference; on exact and on float columns
     rng = random.Random(40 + rank)
     exact = np.stack([random_pq_vector(rng, rank).to_real() for _ in range(3)],
                      axis=1)
+    eye = np.eye(rank, dtype=object)
     for cols in (exact, np.asarray(exact, dtype=float) / 7):
+        frame = unit_frame(cols)
+        assert frame.shape == cols.shape + (4,) and frame.dtype == cols.dtype
+        for a, e in enumerate(UNITS):
+            assert (frame[..., a] == np.kron(eye, right_mult_matrix(e))
+                    @ cols).all()
+            assert (frame[:, 0, a] == ref_right_mul(cols[:, 0], e)).all()
         for a, e in enumerate(IMAGINARY_UNITS):
+            for side, block in (("right", right_mult_matrix(e.conj())),
+                                ("left", left_mult_matrix(e))):
+                got = unit_action(cols, a, side)
+                assert got.dtype == cols.dtype
+                assert (got == np.kron(eye, block) @ cols).all()
             want = np.stack([ref_right_mul(cols[:, c], e.conj())
                              for c in range(cols.shape[1])], axis=1)
-            got = right_unit_action(cols, a)
-            assert got.dtype == cols.dtype
-            assert (got == want).all()
-            frame = vertical_frame(cols[:, 0])
-            assert (frame[:, a] == ref_right_mul(cols[:, 0], e)).all()
+            assert (unit_action(cols, a, "right") == want).all()
         assert (apply_metric(cols) == metric_matrix(rank) @ cols).all()

@@ -7,34 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
-from pqgeom.algebra import IMAGINARY_UNITS, I, J, K, SplitQuaternion
+from pqgeom.algebra import EPS, IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, restrict_to_complement, ricci)
 from pqgeom.linalg import (REDRAW_LIMIT, PQMatrix, PQVector, apply_metric,
                            metric_matrix, module_scalar_product,
                            random_integers, right_mult_matrix,
-                           right_unit_action, structure_endos)
+                           structure_endos, unit_action, unit_frame)
 from pqgeom.projspace import (SpherePoint, _stack, base_point,
-                              random_sphere_point, transitive_element,
-                              vertical_frame)
+                              random_sphere_point, transitive_element)
 from pqgeom.reduction import (DegenerateLevelSetError,
                               NonRegularError, NullOrbitError,
                               admissible_directions, empty_levelset_check,
-                              flat_circle_moment, flat_killing,
                               flat_level_sample,
                               flat_moment_gradient_check,
-                              flat_orthogonality_check,
                               flat_quotient_coordinates,
                               flat_quotient_residuals, flat_reduced_structure,
-                              isotropy_moment_traces,
-                              pq_orthogonality_check, pq_zero_set_check,
+                              isotropy_moment_traces, orthogonality_check,
+                              pq_zero_set_check,
                               reduced_jacobi, weighted_level_sample,
                               weighted_level_sample_float,
                               weighted_level_value)
-from pqgeom.reduction import (_generator_action, _killing_span,
-                              _level_gradient_rows, _moment_gradient_rows,
-                              _norm_factor, _sandwich, _sandwich_i,
+from pqgeom.reduction import (_killing, _moment, _moment_rows, _norm_factor,
                               _weights)
 
 from test_algebra import circle_point
@@ -63,10 +58,10 @@ def level_zero(p, q, u: SpherePoint) -> bool:
 
 
 def killing_field(p, q, u: SpherePoint) -> PQVector:
-    """The Killing field D u of the weighted action at u: the generator
-    action on the integer coordinates U of u = U / L, over L."""
+    """The Killing field D u of the weighted action at u: the field of j at
+    the weights on the integer coordinates U of u = U / L, over L."""
     U, L = u.x.scaled
-    return PQVector.from_scaled_integers(_generator_action(p, q, U), L)
+    return PQVector.from_scaled_integers(_killing(1, _weights(p, q), U), L)
 
 
 def killing_derivative(p, q, u: SpherePoint, X):
@@ -75,10 +70,28 @@ def killing_derivative(p, q, u: SpherePoint, X):
     _, L = u.x.scaled
     XN, LX = exactla.scaled_integers(X)
     return exactla.from_scaled_integers(
-        L * L * _generator_action(p, q, XN), L * L * LX)
+        L * L * _killing(1, _weights(p, q), XN), L * L * LX)
 
 
 # -- flat circle reduction ----------------------------------------------------
+
+
+def ref_flat_moment(x):
+    """The classical components f = (-(|z|^2 + |w|^2), -Re(z w),
+    -Im(z w)) of the circle moment at the real coordinates x (last axis;
+    leading axes a batch), from the complex coordinates z = a + b i and
+    w = c - d i of the entries: the reference for the table contraction,
+    sum conj(h_v) i h_v = (-f1, -2 f3, -2 f2)."""
+    x = np.asarray(x)
+    a, b, c, d = np.moveaxis(x.reshape(x.shape[:-1] + (-1, 4)), -1, 0)
+    # z w = (ac + bd) + (bc - ad) i
+    return (-(a * a + b * b + c * c + d * d).sum(axis=-1),
+            -(a * c + b * d).sum(axis=-1), -(b * c - a * d).sum(axis=-1))
+
+
+def flat_moment(x):
+    """_moment of the circle action (i, every weight 1) at x."""
+    return _moment(0, (1,) * (np.shape(x)[-1] // 4), x)
 
 
 def ref_flat_level_sample(rng, rank):
@@ -143,20 +156,36 @@ def test_flat_level_sample_matches_fraction_route(rank):
 
 def test_flat_moment_values():
     zero = PQVector([SplitQuaternion(), SplitQuaternion()])
-    assert flat_circle_moment(zero.to_real()) == (0, 0, 0)
-    # the first component is the negated euclidean norm of (z, w); the
-    # basis lift therefore evaluates to (-1, 0, 0)
+    assert list(flat_moment(zero.to_real())) == [0, 0, 0]
+    # the first classical component is the negated euclidean norm of
+    # (z, w); the basis lift therefore evaluates to (-1, 0, 0), and the
+    # moment to (1, 0, 0)
     e1 = PQVector([SplitQuaternion(1), SplitQuaternion(), SplitQuaternion()])
-    assert flat_circle_moment(e1.to_real()) == (-1, 0, 0)
-    assert flat_circle_moment(e1.scaled[0]) == (-1, 0, 0)
+    assert ref_flat_moment(e1.to_real()) == (-1, 0, 0)
+    assert list(flat_moment(e1.to_real())) == [1, 0, 0]
+    assert list(flat_moment(e1.scaled[0])) == [1, 0, 0]
+
+
+@pytest.mark.parametrize("dtype", [object, np.int64])
+def test_flat_moment_is_the_complex_coordinate_formula(dtype):
+    # sum conj(h) i h = (-f1, -2 f3, -2 f2) on integer points, as a batch,
+    # on Python ints and on int64, which the moment keeps
+    rng = random.Random(12)
+    X = random_integers(rng, (6, 2, 12), -9, 9, dtype)
+    f1, f2, f3 = ref_flat_moment(X)
+    got = flat_moment(X)
+    assert got.dtype == X.dtype
+    assert (got == np.stack([-f1, -2 * f3, -2 * f2], axis=-1)).all()
 
 
 def test_flat_level_sampler_equations():
     rng = random.Random(0)
     for _ in range(10):
         h = flat_level_sample(rng, 3)
-        f = flat_circle_moment(h.to_real())
+        f = ref_flat_moment(h.to_real())
         assert f == (Fraction(-1), Fraction(0), Fraction(0))
+        U, L = h.scaled
+        assert list(flat_moment(U)) == [L * L, 0, 0]
         # spelled out: unit euclidean norm and vanishing bilinear pairing
         zs = [(q.a, q.b) for q in h.entries]
         ws = [(q.c, -q.d) for q in h.entries]
@@ -172,11 +201,11 @@ def test_flat_moment_and_killing_take_a_batch():
     rng = random.Random(11)
     X = np.array([[rng.randint(-9, 9) for _ in range(12)] for _ in range(5)],
                  dtype=object)
-    batch = flat_circle_moment(X.reshape(5, 1, 12))
-    V = flat_killing(X)
+    batch = flat_moment(X.reshape(5, 1, 12))
+    V = _killing(0, (1, 1, 1), X)
     for s, x in enumerate(X):
-        assert tuple(f[s, 0] for f in batch) == flat_circle_moment(x)
-        assert (V[s] == flat_killing(x)).all()
+        assert (batch[s, 0] == flat_moment(x)).all()
+        assert (V[s] == _killing(0, (1, 1, 1), x)).all()
 
 
 def test_flat_moment_circle_invariance():
@@ -185,36 +214,49 @@ def test_flat_moment_circle_invariance():
     x = h.to_real()
     for t in (Fraction(1, 3), Fraction(-2, 5)):
         rotated = ref_left_mul(x, circle_point(t))
-        assert flat_circle_moment(rotated) == flat_circle_moment(x)
+        assert (flat_moment(rotated) == flat_moment(x)).all()
 
 
 def test_flat_adapted_gradient_exact():
-    # the adapted components satisfy d f(X) = g(J_a V, X) identically,
+    # the moment rows satisfy d mu_a(X) = 2 eps_a g(J_a V, X) identically,
     # checked here with exact differentials rather than differences
     rng = random.Random(2)
-    from pqgeom.linalg import structure_endos
     H = structure_endos(3)
     g = metric_matrix(3)
     for _ in range(6):
         coords = exactla.fracarray([Fraction(rng.randint(-5, 5),
                                              rng.randint(1, 4))
                                     for _ in range(12)])
-        rows = _moment_gradient_rows(coords)
-        adapted = [-rows[0] * Fraction(1, 2), rows[2], rows[1]]
-        V = flat_killing(coords)
+        rows = _moment_rows(0, (1, 1, 1), coords)
+        V = _killing(0, (1, 1, 1), coords)
         # the Killing value is left multiplication by i
         assert (V == ref_left_mul(coords, I)).all()
         for a in range(3):
-            want = (H.J[a] @ V) @ g
-            assert exactla.max_abs(adapted[a] - want) == 0
+            want = 2 * EPS[a] * (H.J[a] @ V) @ g
+            assert exactla.max_abs(rows[a] - want) == 0
+
+
+@pytest.mark.parametrize("a", [0, 1, 2])
+def test_moment_rows_are_the_polarisation_of_the_moment(a):
+    # mu(x + y) - mu(x - y) = 2 d mu_x(y) for the quadratic moment, at
+    # integer points and weights, for every generator unit
+    rng = random.Random(30 + a)
+    for rank in (1, 3):
+        weights = tuple(rng.randint(-4, 4) for _ in range(rank))
+        x, y = random_integers(rng, (2, 4 * rank), -9, 9)
+        want = _moment(a, weights, x + y) - _moment(a, weights, x - y)
+        assert (2 * (_moment_rows(a, weights, x) @ y) == want).all()
 
 
 def test_flat_gradient_check_numeric(monkeypatch):
-    # the halved difference of a quadratic is its differential: exact 0
+    # the quartered difference of a quadratic is half its differential:
+    # exact 0
     assert flat_moment_gradient_check(3, 120, random.Random(3)) == 0
-    # the unrelabelled moment components fail the defining equation
+    # the classical components f in place of the moment fail the
+    # defining equation
     import pqgeom.reduction as red
-    monkeypatch.setattr(red, "flat_adapted_moment", flat_circle_moment)
+    monkeypatch.setattr(red, "_moment", lambda a, weights, x: np.stack(
+        ref_flat_moment(x), axis=-1))
     assert flat_moment_gradient_check(3, 5, random.Random(3)) > 0
 
 
@@ -268,7 +310,7 @@ def test_flat_reduced_structure_guards():
     balanced = PQVector([SplitQuaternion(half, half, 0, 0),
                          SplitQuaternion(0, 0, half, -half),
                          SplitQuaternion()])
-    assert flat_circle_moment(balanced.to_real()) == (-1, 0, 0)
+    assert ref_flat_moment(balanced.to_real()) == (-1, 0, 0)
     with pytest.raises(NullOrbitError):
         flat_reduced_structure(balanced)
 
@@ -301,7 +343,9 @@ def test_flat_quotient_image_equations():
 
 
 def test_flat_orthogonality():
-    assert flat_orthogonality_check(3, 4, random.Random(7)) == 0
+    rng = random.Random(7)
+    points = [flat_level_sample(rng, 3) for _ in range(4)]
+    assert orthogonality_check(0, (1, 1, 1), points) == 0
 
 
 # -- weighted hyperbolic reduction --------------------------------------------
@@ -400,18 +444,40 @@ def ref_weighted_level_value(p, q, u):
     return total
 
 
+def sandwich_i(h: SplitQuaternion):
+    """conj(h) i h as an (i, j, k) triple by its closed form; the
+    i-component is the Euclidean square norm a^2 + b^2 + c^2 + d^2 of
+    h = a + b i + c j + d k."""
+    a, b, c, d = h.coefficients()
+    return (a * a + b * b + c * c + d * d, 2 * (b * c - a * d),
+            2 * (a * c + b * d))
+
+
+def sandwich_j(h: SplitQuaternion):
+    """conj(h) j h as an (i, j, k) triple by its closed form; its square
+    norm is -|h|^4."""
+    a, b, c, d = h.coefficients()
+    return (-2 * (a * d + b * c), a * a - b * b - c * c + d * d,
+            -2 * (a * b + c * d))
+
+
 @given(st.lists(st.integers(-50, 50), min_size=4, max_size=4),
        st.integers(1, 12), st.booleans())
 def test_sandwich_closed_forms_match_products(coefficients, den, rational):
-    # conj(h) i h and conj(h) j h by SplitQuaternion products, on int and
-    # on Fraction coefficients
+    # conj(h) i h and conj(h) j h by SplitQuaternion products, by their
+    # closed forms and by the table contraction of _moment, on int and on
+    # Fraction coefficients
     h = SplitQuaternion(*(Fraction(c, den) if rational else c
                           for c in coefficients))
-    for unit, closed in ((I, _sandwich_i), (J, _sandwich)):
+    x = np.array(h.coefficients(), dtype=object)
+    for a, (unit, closed) in enumerate(((I, sandwich_i), (J, sandwich_j))):
         want = h.conj() * unit * h
         got = closed(h)
         assert want.a == 0 and got == (want.b, want.c, want.d)
+        assert tuple(_moment(a, (1,), x)) == got
         assert all(type(x) is (Fraction if rational else int) for x in got)
+    want = h.conj() * K * h
+    assert tuple(_moment(2, (1,), x)) == (want.b, want.c, want.d)
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (3, 2)])
@@ -518,9 +584,8 @@ def test_level_value_fiber_translation():
 def test_level_gradient_row_consistency():
     # directional derivative of the level value along an exact flow curve
     rng = random.Random(14)
-    from pqgeom.reduction import _level_gradient_rows
     u = weighted_level_sample(rng, 1, 2)
-    rows = _level_gradient_rows(1, 2, u.x.to_real())
+    rows = _moment_rows(1, _weights(1, 2), u.x.to_real())
     V = killing_field(1, 2, u).to_real()
     # the flow preserves the level function, so its derivative kills V
     assert exactla.max_abs(rows @ V) == 0
@@ -564,19 +629,19 @@ def _generator_matrix(p, q):
 def test_generator_action_matches_pq_matrix():
     rng = random.Random(28)
     for p, q in PQ_WEIGHTS:
+        ws = _weights(p, q)
         x = random_sphere_point(rng, 3).x
         want = (_generator_matrix(p, q) @ x).to_real()
-        assert (_generator_action(p, q, x.to_real()) == want).all()
+        assert (_killing(1, ws, x.to_real()) == want).all()
         assert (killing_field(p, q, SpherePoint(x)).to_real() == want).all()
-        # on float columns too (dyadic entries, so both routes are exact)
         # on a stack of two (the last axis), and on floats too (dyadic
         # entries, so both routes are exact)
         rows = np.arange(24).reshape(2, 12).astype(object) * Fraction(1, 4)
-        got = _generator_action(p, q, np.asarray(rows, dtype=float))
+        got = _killing(1, ws, np.asarray(rows, dtype=float))
         assert got.dtype == float
-        assert (got == _generator_action(p, q, rows)).all()
-        for row, image in zip(rows, _generator_action(p, q, rows)):
-            assert (image == _generator_action(p, q, row)).all()
+        assert (got == _killing(1, ws, rows)).all()
+        for row, image in zip(rows, _killing(1, ws, rows)):
+            assert (image == _killing(1, ws, row)).all()
 
 
 def ref_isotropy_moment_traces(p, q, u):
@@ -612,13 +677,14 @@ def ref_integer_traces(p, q, u):
     cols = ref_transitive_columns(u)
     LA = math.lcm(*(L for _, L in cols))
     A = np.concatenate([F * (LA // L) for F, L in cols], axis=1)
-    DA = _generator_action(p, q, A.T).T
+    DA = _killing(1, _weights(p, q), A.T).T
     GAG = apply_metric(apply_metric(A).T)
     E = GAG[4:] @ DA[:, 4:]
     rconj = right_mult_matrix(SplitQuaternion(*(GAG[:4] @ DA[:, 0])).conj())
     for v in range(2):
         E[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
-    return [np.trace(right_unit_action(E, a)) for a in range(3)], LA * LA
+    return ([np.trace(unit_action(E, a, "right")) for a in range(3)],
+            LA * LA)
 
 
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 3), (3, 4)])
@@ -670,16 +736,15 @@ def ref_killing_derivative(p, q, u, X):
     horizontal projection v - F diag(1, 1, -1, -1) F^T g v with the frame
     F = (x, x i, x j, x k).  The reference for the scaled-integer chain."""
     coords = u.x.to_real()
-    DX = _generator_action(p, q, X)
-    Du = _generator_action(p, q, coords)
-    vert_u = vertical_frame(coords)
-    vert_X = vertical_frame(X)
+    DX = _killing(1, _weights(p, q), X)
+    Du = _killing(1, _weights(p, q), coords)
+    vert_u = unit_frame(coords)[:, 1:]
+    vert_X = unit_frame(X)[:, 1:]
     coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(Du)
     coef_b = vert_u.T @ apply_metric(Du)
     coef_a[1:], coef_b[1:] = -coef_a[1:], -coef_b[1:]
     deriv = DX - vert_u @ coef_a - vert_X @ coef_b
-    frame4 = np.concatenate([coords.reshape(-1, 1), vertical_frame(coords)],
-                            axis=1)
+    frame4 = unit_frame(coords)
     return deriv - frame4 @ apply_metric(frame4.T @ apply_metric(deriv))
 
 
@@ -691,7 +756,7 @@ def ref_reduced_jacobi(p, q, u, X):
     reduced_jacobi."""
     vnorm = -weighted_regularity(p, q, u)[1]
     xnorm = apply_metric(X) @ X
-    span = _killing_span(_generator_action(p, q, u.x.to_real()))
+    span = unit_frame(_killing(1, _weights(p, q), u.x.to_real()))
     VX = ref_killing_derivative(p, q, u, X)
     h_part = VX - span @ (apply_metric(span.T @ apply_metric(VX)) / vnorm)
     ratio = (apply_metric(h_part) @ h_part) / (xnorm * vnorm)
@@ -780,7 +845,7 @@ def test_reduced_jacobi_guards():
                for p, q in [(1, 2), (3, 4), (2, 1)]]
     for (p, q), u in zip([(1, 2), (1, 2), (3, 4), (2, 1)], points):
         a = admissible_directions(p, q, u, rng, 1)[0]
-        X = a + right_unit_action(a, 1)
+        X = a + unit_action(a, 1, "right")
         assert X.any() and apply_metric(X) @ X == 0
         with pytest.raises(NullDirectionError):
             reduced_jacobi(p, q, u, X)
@@ -795,7 +860,7 @@ def test_reduced_jacobi_rejects_non_horizontal_directions():
     X = admissible_directions(1, 2, u, rng, 1)[0]
     assert reduced_jacobi(1, 2, u, X).ratio == Fraction(12167, 1458)
     x = u.x.to_real()
-    for shift in (x, *vertical_frame(x).T):
+    for shift in unit_frame(x).T:
         with pytest.raises(ValueError, match="not horizontal"):
             reduced_jacobi(1, 2, u, X + shift)
 
@@ -871,8 +936,8 @@ def ref_weighted_level_sample(rng, p, q) -> SpherePoint:
         n0, n1 = u0.square_norm(), u1.square_norm()
         if n0 == 0 or n1 == 0:
             continue
-        Y0 = tuple(c0 * x for x in _sandwich(u0))
-        Y1 = tuple(c1 * x for x in _sandwich(u1))
+        Y0 = tuple(c0 * x for x in sandwich_j(u0))
+        Y1 = tuple(c1 * x for x in sandwich_j(u1))
         s0, cross = c0 * n0, _imaginary_form(Y0, Y1)
         if cross * cross == (s0 * c1 * n1) ** 2:
             continue
@@ -926,13 +991,15 @@ def test_float_sampler_quality():
     x = weighted_level_sample_float(rng, 1, 2)
     assert abs(x @ apply_metric(x) - 1.0) < 1e-10
     # the level value at the weights (q, p, p) = (2, 1, 1), in floats
-    sandwiches = _sandwich(SplitQuaternion(*x.reshape(3, 4).T))
+    sandwiches = sandwich_j(SplitQuaternion(*x.reshape(3, 4).T))
     value = np.array(sandwiches) @ (2, 1, 1)
     assert np.abs(value).max() < 1e-10
 
 
 def test_pq_orthogonality_exact():
-    assert pq_orthogonality_check(1, 2, 3, random.Random(21)) == 0
+    rng = random.Random(21)
+    points = [weighted_level_sample(rng, 1, 2) for _ in range(3)]
+    assert orthogonality_check(1, _weights(1, 2), points) == 0
 
 
 def test_empty_variant_level_set():
@@ -952,8 +1019,8 @@ def ref_empty_levelset_check(p, q, samples, rng, shrink=lambda v: v):
     base point o in it to the sphere point X / L, and count the points off
     the sphere or with an i-component of the definite-axis value below
     min(p, q) L^2.  The value is also compared with its closed form
-    sum c_v |X_v|_E^2.  shrink maps the i-component of each entry before
-    the weighted sum (a planted defect; the identity by default)."""
+    sum c_v |X_v|_E^2.  shrink maps the weighted i-component (a planted
+    defect; the identity by default)."""
     ws = (q, p, p)
     o = [1] + [0] * 11
     failures = 0
@@ -970,7 +1037,7 @@ def ref_empty_levelset_check(p, q, samples, rng, shrink=lambda v: v):
         values = [(h.conj() * I * h).b for h in X.entries]
         assert values == [sum(x * x for x in h.coefficients())
                           for h in X.entries]
-        total = sum(c * shrink(v) for c, v in zip(ws, values))
+        total = shrink(sum(c * v for c, v in zip(ws, values)))
         failures += (module_scalar_product(X, X) != L * L
                      or total < min(ws) * L * L)
         samples -= 1
@@ -997,12 +1064,12 @@ def test_empty_levelset_check_matches_per_sample_loop(p, q, seed, samples):
                                   (2 ** 70 + 3, 2 ** 70 + 1)])
 def test_empty_levelset_check_exact_at_large_weights(monkeypatch, p, q):
     # the batch runs on int64, whose weighted sum would overflow at weights
-    # near 2^62; with the i-components quartered (on integers) the check
-    # counts shortfalls, and its count equals that of the Python-int loop
+    # near 2^62; with the moment quartered (on integers) the check counts
+    # shortfalls, and its count equals that of the Python-int loop
     import pqgeom.reduction as red
-    sandwich = red._sandwich_i
-    monkeypatch.setattr(red, "_sandwich_i", lambda h: (
-        sandwich(h)[0] // 4, *sandwich(h)[1:]))
+    moment = red._moment
+    monkeypatch.setattr(red, "_moment",
+                        lambda a, weights, X: moment(a, weights, X) // 4)
     rng, ref_rng = random.Random(5), random.Random(5)
     got = empty_levelset_check(p, q, 300, rng)
     want = ref_empty_levelset_check(p, q, 300, ref_rng,
@@ -1011,12 +1078,12 @@ def test_empty_levelset_check_exact_at_large_weights(monkeypatch, p, q):
 
 
 def test_empty_levelset_check_counts_shortfalls(monkeypatch):
-    # at half scale the i-component is a quarter of the sphere value, which
-    # falls below the bound min(p, q) at some points: the count sees them
+    # a quarter of the i-component falls below the bound min(p, q) at some
+    # points: the count sees them
     import pqgeom.reduction as red
-    sandwich = red._sandwich_i
-    monkeypatch.setattr(red, "_sandwich_i",
-                        lambda h: sandwich(h.scale(Fraction(1, 2))))
+    moment = red._moment
+    monkeypatch.setattr(red, "_moment",
+                        lambda a, weights, X: moment(a, weights, X) // 4)
     assert empty_levelset_check(1, 2, 257, random.Random(0)) > 0
 
 
@@ -1071,7 +1138,7 @@ def _weighted_quotient(p, q, u):
 
     def rows_at(x):
         return np.concatenate([(2 * x @ g).reshape(1, -1),
-                               _level_gradient_rows(p, q, x)])
+                               _moment_rows(1, _weights(p, q), x)])
 
     def vector(x):
         return PQVector(SplitQuaternion(*x[4 * v:4 * v + 4]) for v in range(3))
@@ -1121,8 +1188,10 @@ def test_flat_quotient_is_para_hyperkahler(rank):
     rng = random.Random(25)
     h = flat_level_sample(rng, rank)
     x = h.to_real()
+    ones = (1,) * rank
     R, F = _quotient_curvature(metric_matrix(rank), x, *_linear_data(
-        x, _moment_gradient_rows, [flat_killing]))
+        x, lambda y: _moment_rows(0, ones, y),
+        [lambda y: _killing(0, ones, y)]))
     red = flat_reduced_structure(h)
     assert exactla.max_abs(F - exactla.from_scaled_integers(*red.frame)) == 0
     assert R.max_abs() != 0
