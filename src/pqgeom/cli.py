@@ -115,33 +115,49 @@ def _chk_anti_automorphism(config, rng):
                      L * L), config.samples)
 
 
+# e_a e_b for the imaginary units, indexed 1..3 as in UNITS: the table
+# that cyclic-product-table compares the products with, and from which
+# center-is-real-line reads its commutators
+_UNIT_TABLE = {
+    (1, 1): SplitQuaternion(-1), (2, 2): SplitQuaternion(1),
+    (3, 3): SplitQuaternion(1),
+    (1, 2): UNITS[3], (2, 1): -UNITS[3],
+    (2, 3): -UNITS[1], (3, 2): UNITS[1],
+    (3, 1): UNITS[2], (1, 3): -UNITS[2],
+}
+
+
 def _chk_product_table(config, rng):
-    table = {
-        (1, 1): SplitQuaternion(-1), (2, 2): SplitQuaternion(1),
-        (3, 3): SplitQuaternion(1),
-        (1, 2): UNITS[3], (2, 1): -UNITS[3],
-        (2, 3): -UNITS[1], (3, 2): UNITS[1],
-        (3, 1): UNITS[2], (1, 3): -UNITS[2],
-    }
     worst = 0
-    for (a, b), want in table.items():
+    for (a, b), want in _UNIT_TABLE.items():
         diff = UNITS[a] * UNITS[b] - want
         worst = max(worst, max(abs(x) for x in diff.coefficients()))
-    return worst, len(table)
+    return worst, len(_UNIT_TABLE)
 
 
 def _chk_center(config, rng):
+    """Counts the draws q that break one of: q commutes with every unit
+    exactly when it is real; a real q commutes with every unit; and each
+    commutator is q e_a - e_a q = 2 sum_{b != a} q_b e_b e_a over the
+    imaginary b, with e_b e_a read from _UNIT_TABLE.  The formula sees a
+    flipped sign of any term of the imaginary coefficients of the
+    product.  The flips of the real coefficient cancel in every
+    commutator; norm-multiplicativity is their check."""
     # random_quaternion(rng) draws as one batch of int64 coefficients; the
     # common scale leaves every vanishing unchanged
     C, _ = _random_coefficients(rng, config.samples, 5, np.int64)
     q, real_part = SplitQuaternion(*C), SplitQuaternion(C[0])
-    central = np.all([_vanishes(q * u - u * q) for u in IMAGINARY_UNITS],
-                     axis=0)
+    commutators = [q * UNITS[a] - UNITS[a] * q for a in range(1, 4)]
+    central = np.all([_vanishes(c) for c in commutators], axis=0)
     is_real = ~(C[1:] != 0).any(axis=0)
     commutes_real = np.all([_vanishes(real_part * u - u * real_part)
                             for u in UNITS], axis=0)
-    return (int(np.count_nonzero((central != is_real) | ~commutes_real)),
-            config.samples)
+    tabled = np.all([
+        _vanishes(sum((_UNIT_TABLE[b, a].scale(-2 * C[b])
+                       for b in range(1, 4) if b != a), c))
+        for a, c in enumerate(commutators, start=1)], axis=0)
+    return (int(np.count_nonzero((central != is_real) | ~commutes_real
+                                 | ~tabled)), config.samples)
 
 
 def _chk_inverse(config, rng):

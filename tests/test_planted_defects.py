@@ -27,7 +27,7 @@ import pqgeom.cli as cli
 import pqgeom.forms as forms
 import pqgeom.projspace as proj
 import pqgeom.reduction as red
-from pqgeom.algebra import SplitQuaternion
+from pqgeom.algebra import UNITS, SplitQuaternion
 from pqgeom.linalg import REDRAW_LIMIT, RedrawLimitError
 
 
@@ -39,13 +39,21 @@ def _conj_sign_flipped(q):
     return SplitQuaternion(q.a, -q.b, -q.c, q.d)
 
 
-def _product_sign_flipped(q, other):
-    # the term a f of the i-coefficient with its sign flipped: a real
-    # element no longer commutes with i
-    if not isinstance(other, SplitQuaternion):
-        other = SplitQuaternion(other)
-    p = PRODUCT(q, other)
-    return SplitQuaternion(p.a, p.b - 2 * q.a * other.b, p.c, p.d)
+def _product_term_flipped(unit, left, right):
+    """The product with the sign of the term q_left other_right of its
+    coefficient of the unit flipped (coefficients indexed 0..3 in the
+    order 1, i, j, k)."""
+    sign = PRODUCT(UNITS[left], UNITS[right]).coefficients()[unit]
+
+    def product(q, other):
+        if not isinstance(other, SplitQuaternion):
+            other = SplitQuaternion(other)
+        p = list(PRODUCT(q, other).coefficients())
+        x, y = q.coefficients()[left], other.coefficients()[right]
+        p[unit] -= 2 * sign * x * y
+        return SplitQuaternion(*p)
+
+    return product
 
 
 def _real_rep_sign_flipped(A):
@@ -106,8 +114,18 @@ PLANTED = {
                               _norm_sign_flipped),
     "conjugation-anti-automorphism": ("algebra", SplitQuaternion, "conj",
                                       _conj_sign_flipped),
+    # the term a f of the i-coefficient: a real element no longer
+    # commutes with i
     "center-is-real-line": ("algebra", SplitQuaternion, "__mul__",
-                            _product_sign_flipped),
+                            _product_term_flipped(1, 0, 1)),
+    # the six terms of the imaginary coefficients that keep the centre the
+    # real line; each changes a commutator
+    **{f"center-is-real-line/{name}": (
+        "algebra", SplitQuaternion, "__mul__",
+        _product_term_flipped(unit, "abcd".index(name[0]),
+                              "efgh".index(name[1])))
+       for unit, name in ((1, "ch"), (1, "dg"), (2, "bh"), (2, "df"),
+                          (3, "bg"), (3, "cf"))},
     "representation-homomorphism": ("linalg", cli, "real_rep",
                                     _real_rep_sign_flipped),
     "scalar-product-complex-form": ("linalg", cli, "scalar_product",
