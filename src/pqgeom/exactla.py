@@ -15,7 +15,11 @@ and the lcm L of the entry denominators with arr == N / L (TypeError on
 any entry that is not an int or a Fraction, the check of
 ``require_exact``), and ``from_scaled_integers(N, L)`` turns a pair into
 a ``Fraction`` array.  Python ints do not overflow, so no magnitude bound
-is needed.  ``linalg.PQVector`` (and with it every point of
+is needed.  A pair built by its integer array (``PQVector`` and
+``PQMatrix.from_scaled_integers``, ``BilinearForm(N, L)``,
+``HermitianStructure(..., scales=...)``) passes that array through
+``integer_array``, which refuses a float or complex dtype and reads no
+entry, so the int64 and object stacks of the package pass at no cost.  ``linalg.PQVector`` (and with it every point of
 ``projspace`` and ``reduction``), ``linalg.PQMatrix``,
 ``linalg.HermitianStructure``, ``linalg.GrassmanSplit``,
 ``forms.BilinearForm``, ``forms.FourForm``, the rotations of ``forms``,
@@ -144,6 +148,18 @@ def require_exact(arr) -> np.ndarray:
             raise TypeError(f"exact arithmetic needs int or Fraction "
                             f"entries, not {kind.__name__}")
     return flat
+
+
+def integer_array(arr) -> np.ndarray:
+    """arr as an array, the integer half of a scaled pair; TypeError on a
+    float or complex dtype.  Only the dtype is read, no entry, so int64
+    and object arrays pass at no cost; the views read the entries of an
+    object array through operator.index."""
+    arr = np.asarray(arr)
+    if arr.dtype.kind in "fc":
+        raise TypeError(f"a scaled-integer pair needs integer entries, "
+                        f"not {arr.dtype}")
+    return arr
 
 
 def scaled_integers(arr) -> tuple[np.ndarray, int]:

@@ -66,12 +66,13 @@ class BilinearForm:
     of Python ints and L an int >= 1; ``matrix`` is the Fraction view,
     formed on first access.  The constructor takes an exact array
     (TypeError on an entry that is not an int or a Fraction), or with
-    ``scale`` an integer array over that scale.
+    ``scale`` an integer array over that scale (TypeError on a float or
+    complex dtype).
     """
 
     def __init__(self, matrix, scale: int | None = None):
         self.scaled = (exactla.scaled_integers(matrix) if scale is None
-                       else (np.asarray(matrix), scale))
+                       else (exactla.integer_array(matrix), scale))
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:

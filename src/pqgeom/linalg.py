@@ -61,6 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -100,9 +101,10 @@ class PQVector:
     Python ints of the interleaved real coordinates (1, i, j, k per
     entry) and L an int >= 1, the vector being C / L.  The constructor
     takes SplitQuaternions with int or Fraction coefficients (TypeError
-    on any other); ``from_scaled_integers`` takes the pair.  ``entries``
-    is the view as SplitQuaternions, with int coefficients when L is 1,
-    and ``to_real()`` the Fraction coordinates; both are formed on each
+    on any other); ``from_scaled_integers`` takes the pair (TypeError on
+    a float or complex C).  ``entries`` is the view as SplitQuaternions,
+    with int coefficients (read through operator.index) when L is 1, and
+    ``to_real()`` the Fraction coordinates; both are formed on each
     access.  ``==`` compares values.
     """
 
@@ -117,7 +119,7 @@ class PQVector:
     def from_scaled_integers(cls, C, L: int) -> "PQVector":
         """The vector C / L of interleaved integer coordinates C, scale L."""
         v = cls.__new__(cls)
-        v.scaled = (C, L)
+        v.scaled = (exactla.integer_array(C), L)
         return v
 
     @property
@@ -127,8 +129,8 @@ class PQVector:
     @property
     def entries(self) -> tuple:
         C, L = self.scaled
-        if L > 1:
-            C = exactla.from_scaled_integers(C, L)
+        C = (exactla.from_scaled_integers(C, L) if L > 1
+             else list(map(index, C)))
         return tuple(SplitQuaternion(*C[4 * v:4 * v + 4])
                      for v in range(self.rank))
 
@@ -153,13 +155,15 @@ class PQMatrix:
     Python ints and L an int >= 1, with coefficient u of entry (p, q)
     equal to C[u, p, q] / L, so the matrix is one batch.  The arithmetic
     below runs on C and L; ``entries`` is the view as rows of
-    SplitQuaternions, formed on each access, with int coefficients when
-    L is 1 and Fraction coefficients otherwise.
+    SplitQuaternions, formed on each access, with int coefficients (read
+    through operator.index) when L is 1 and Fraction coefficients
+    otherwise.
     The constructor takes rows of SplitQuaternions with int or Fraction
     coefficients (TypeError on any other); ``from_scaled_integers`` takes
-    the pair, or a (4, ..., n, n) array for a batch of matrices, on which
-    +, -, @, the commutator and ``real_rep`` act matrix by matrix.  ``==``
-    compares values, so (2C, 2L) equals (C, L).
+    the pair (TypeError on a float or complex C), or a (4, ..., n, n)
+    array for a batch of matrices, on which +, -, @, the commutator and
+    ``real_rep`` act matrix by matrix.  ``==`` compares values, so
+    (2C, 2L) equals (C, L).
     """
 
     __slots__ = ("scaled",)
@@ -178,7 +182,7 @@ class PQMatrix:
     def from_scaled_integers(cls, C, L: int) -> "PQMatrix":
         """The matrix C / L of a (4, n, n) integer array C and a scale L."""
         M = cls.__new__(cls)
-        M.scaled = (C, L)
+        M.scaled = (exactla.integer_array(C), L)
         return M
 
     @property
@@ -188,8 +192,8 @@ class PQMatrix:
     @property
     def entries(self) -> tuple:
         C, L = self.scaled
-        if L > 1:
-            C = exactla.from_scaled_integers(C, L)
+        C = (exactla.from_scaled_integers(C, L) if L > 1 else np.array(
+            list(map(index, C.reshape(-1))), dtype=object).reshape(C.shape))
         return tuple(
             tuple(SplitQuaternion(*C[:, p, q]) for q in range(self.rank))
             for p in range(self.rank))
@@ -361,7 +365,8 @@ class HermitianStructure:
     three arrays) and ``g`` are the Fraction views, formed on first
     access.  The members and the metric are exact arrays (TypeError on an
     entry that is not an int or a Fraction), or with ``scales=(LJ, Lg)``
-    integer arrays over those scales.
+    integer arrays over those scales (TypeError on a float or complex
+    dtype).
 
     A stack of structures on one metric has members with leading axes,
     (..., 3, d, d), and one member scale per structure; the relations are
@@ -375,8 +380,9 @@ class HermitianStructure:
             self.scaled_J = exactla.scaled_integers(np.stack([J1, J2, J3]))
             self.scaled_g = exactla.scaled_integers(g)
         else:
-            self.scaled_J = (np.stack([J1, J2, J3], axis=-3), scales[0])
-            self.scaled_g = (np.asarray(g), scales[1])
+            self.scaled_J = (exactla.integer_array(
+                np.stack([J1, J2, J3], axis=-3)), scales[0])
+            self.scaled_g = (exactla.integer_array(g), scales[1])
         if validate:
             self.check_relations()
 

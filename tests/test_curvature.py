@@ -840,12 +840,14 @@ def test_exact_diagnostics_reject_float_tensors():
 
 
 def test_float_pairs_fail_loudly_in_the_diagnostics():
-    # BilinearForm(N, L) takes an integer array unchecked, and the
-    # builders trust their pairs; a float that comes in that way raises
-    # where an integer result is read through operator.index, not
-    # truncated
+    # BilinearForm(N, L) refuses a float dtype but reads no entry of an
+    # object array, and the builders trust their pairs; a float entry that
+    # comes in that way raises where an integer result is read through
+    # operator.index, not truncated
     H = structure_endos(1)
-    B = BilinearForm(np.full((4, 4), 0.5), 1)
+    with pytest.raises(TypeError):
+        BilinearForm(np.full((4, 4), 0.5), 1)
+    B = BilinearForm(np.full((4, 4), 0.5, dtype=object), 1)
     R = curvature_from_bilinear(B, H)
     for diagnostic in (B.max_abs, lambda: einstein_check(R),
                        lambda: jacobi_spectrum_report(

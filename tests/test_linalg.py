@@ -332,6 +332,45 @@ def test_integer_views_refuse_non_integer_entries():
         assert {type(x) for x in view} == {Fraction}
 
 
+def test_integer_pairs_refuse_float_and_complex_arrays():
+    # the constructors from integer pairs read the dtype, no entry: a
+    # float or complex array raises TypeError, int64 and object arrays
+    # pass, and the views at scale 1 read their entries through
+    # operator.index, so a float entry of an object array raises there
+    H = structure_endos(1)
+    (Js, _), (g, _) = H.scaled_J, H.scaled_g
+    for dtype in (float, complex):
+        for build in (
+                lambda: PQVector.from_scaled_integers(
+                    np.array([0.5, 0, 0, 0], dtype=dtype), 1),
+                lambda: PQMatrix.from_scaled_integers(
+                    np.zeros((4, 1, 1), dtype=dtype), 1),
+                lambda: BilinearForm(np.full((4, 4), 0.5, dtype=dtype), 1),
+                lambda: HermitianStructure(*Js.astype(dtype), g.astype(dtype),
+                                           scales=(1, 1)),
+                lambda: HermitianStructure(*Js, g.astype(dtype),
+                                           scales=(1, 1))):
+            with pytest.raises(TypeError):
+                build()
+    for dtype in (np.int64, object):
+        v = PQVector.from_scaled_integers(np.array([1, 0, 2, 0], dtype=dtype),
+                                          1)
+        assert v.entries == (SplitQuaternion(1, 0, 2, 0),)
+        assert all(type(c) is int for c in v.entries[0].coefficients())
+        M = PQMatrix.from_scaled_integers(np.arange(4, dtype=dtype).reshape(
+            4, 1, 1), 1)
+        assert all(type(c) is int for c in M.entries[0][0].coefficients())
+        Hs = HermitianStructure(*Js.astype(dtype), g.astype(dtype),
+                                scales=(1, 1))
+        assert Hs.comrel_residual() == 0
+    with pytest.raises(TypeError):
+        PQVector.from_scaled_integers(np.array([0.5, 0, 0, 0], dtype=object),
+                                      1).entries
+    with pytest.raises(TypeError):
+        PQMatrix.from_scaled_integers(
+            np.array([0.5, 0, 0, 0], dtype=object).reshape(4, 1, 1), 1).entries
+
+
 def ref_scaled_integers(arr):
     """The three-pass scaled_integers: a type check per entry, the set of
     denominators, then one numerator at a time.  The reference for the
