@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla
-from .algebra import (EPS, IMAGINARY_UNITS, UNITS, NullQuaternionError,
-                      SplitQuaternion, scalar_product)
+from .algebra import (EPS, UNITS, NullQuaternionError, SplitQuaternion,
+                      scalar_product)
 from .forms import (BilinearForm, fundamental_four_form, hermitian_projector,
                     lie_derivative_residual, random_rotation, rotate_structure,
                     two_form)

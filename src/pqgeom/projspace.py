@@ -12,9 +12,10 @@ Real coordinates.  The neutral metric g is diagonal with entries
 (1, 1, -1, -1) per entry, so g @ X is a sign flip
 (``linalg.apply_metric``), right multiplication by a unit is a signed
 permutation (``linalg.unit_action``), and the frame (x, x i, x j, x k) is
-``linalg.unit_frame``; none forms a product, and all are exact.  A lift x = C / LC is held as its integer pair (C, LC)
-(``SpherePoint``, on ``linalg.PQVector``), and everything runs on it,
-with no Fraction but the results: the unit check is C^T g C == LC^2,
+``linalg.unit_frame``; none forms a product, and all are exact.  A lift
+x = C / LC is held as its integer pair (C, LC) (``SpherePoint``, on
+``linalg.PQVector``), and everything runs on it, with no Fraction but
+the results: the unit check is C^T g C == LC^2,
 the sampled points are reflections formed on integers, the fiber Gram
 is compared with LC^2 diag(1, -1, -1), and the horizontal frame is the
 integer kernel basis (N, L, free) of ``exactla.nullspace``, in which a
