@@ -385,6 +385,13 @@ class SymmetricDecomposition:
     g_m: tuple
     structure: HermitianStructure | None = None
 
+    def __post_init__(self):
+        # TypeError on a float or complex table here, where users build
+        # the pair, not in a later integer read
+        for name in ("c_mm", "c_fm", "c_ff", "g_m"):
+            N, L = getattr(self, name)
+            setattr(self, name, (exactla.integer_array(N), L))
+
     @classmethod
     def from_matrix_algebra(cls, m_mats, f_mats, g_m, structure=None):
         """Assemble structure constants from explicit real matrices and

@@ -69,12 +69,12 @@ Kernel frames.  ``nullspace`` returns (N, L, free): the columns of N / L
 are the reduced-echelon kernel basis, with N[free] == L * I.  A vector
 T / LT of their span therefore has the coordinates T[free] / LT, and
 N @ T[free] == L * T is the integer test that T lies in the span: no
-Gram solve.  Its callers (``projspace.tangent_split``, whose kernel
-triple ``induced_geometry`` hands on beside the induced structure,
-``reduction.flat_reduced_structure``, ``reduction.orthogonality_check``
-and ``reduction.admissible_directions``,
-``curvature.restrict_to_complement``) read
-the coordinates off that way; ``frame_coordinates`` serves frames that
+Gram solve.  Its callers (``projspace.quotient_frame``, the one
+routine that builds the frame of every quotient, for
+``projspace.induced_geometry``, ``reduction.flat_reduced_structure`` and
+``reduction.admissible_directions``; ``reduction.orthogonality_check``
+and ``curvature.restrict_to_complement``) read the coordinates off that
+way; ``frame_coordinates`` serves frames that
 are not kernel bases (``HermitianStructure.span_coefficients``, the
 bracket coordinates of ``curvature``, and the CLI check
 lift-independence, whose frame is the integer kernel frame of

@@ -16,13 +16,21 @@ permutation (``linalg.unit_action``), and the frame (x, x i, x j, x k) is
 x = C / LC is held as its integer pair (C, LC) (``SpherePoint``, on
 ``linalg.PQVector``), and everything runs on it, with no Fraction but
 the results: the unit check is C^T g C == LC^2,
-the sampled points are reflections formed on integers, the fiber Gram
-is compared with LC^2 diag(1, -1, -1), and the horizontal frame is the
-integer kernel basis (N, L, free) of ``exactla.nullspace``, in which a
-vector T / LT of its span has the coordinates T[free] / LT, so the
-induced metric and structure are integer arrays over L^2 and L.
-``tangent_split`` returns that kernel triple and ``induced_geometry``
-the structure beside it; neither forms a Fraction view of the frame.
+the sampled points are reflections formed on integers, and the fiber
+Gram is compared with LC^2 diag(1, -1, -1).
+
+Quotient frames.  One routine, ``quotient_frame``, builds every quotient
+of the package the same way (Hitchin-Karlhede-Lindstrom-Rocek, Comm.
+Math. Phys. 108, 1987; Galicki-Lawson, Math. Ann. 282, 1988): the frame
+is the g-orthogonal complement of the Killing fields inside a level set,
+the integer kernel basis (N, L, free) of ``exactla.nullspace`` of the
+constraint rows stacked over g times the fields, and the structure is
+restricted to it.  A vector T / LT of the span has the coordinates
+T[free] / LT, so the induced metric and structure are integer arrays
+over L^2 and L, and no Fraction view of the frame is formed.
+``induced_geometry`` passes the sphere row g x and the fields x i, x j,
+x k; the flat and the weighted reductions of ``reduction`` pass their
+moment rows and Killing fields.
 
 The transitive-element construction completes a unit lift to a matrix
 preserving both the neutral scalar product and the quaternionic
@@ -61,8 +69,9 @@ VERTICAL_GRAM = np.diag(np.array([1, -1, -1], dtype=object))
 
 
 class DegenerateOrbitError(ValueError):
-    """The lift is not on the unit sphere: its fiber Gram matrix is not
-    diag(1, -1, -1)."""
+    """The lift is not on the unit sphere (its fiber Gram matrix is not
+    diag(1, -1, -1)), or the Killing fields and constraint rows of a
+    quotient frame are dependent."""
 
 
 class NullLineError(ValueError):
@@ -160,22 +169,47 @@ def random_unit_quaternion(rng) -> SplitQuaternion:
 
 
 # ---------------------------------------------------------------------------
-# tangent splitting and induced geometry
+# quotient frames and induced geometry
 # ---------------------------------------------------------------------------
 
 
-def tangent_split(x: SpherePoint):
-    """The horizontal frame at x, the orthogonal complement of the fiber
-    direction frame and the position vector, as the kernel triple
-    (N, L, free) of ``exactla.nullspace``: its 4n columns N / L span the
-    kernel of the rows g (C, C i, C j, C k) at the integer coordinates C
-    of x = C / LC.  DegenerateOrbitError unless the fiber Gram of
-    (C i, C j, C k) is LC^2 diag(1, -1, -1), that is unless x lies on the
-    unit sphere."""
-    # the horizontal space is the g-orthogonal complement of (x, xi, xj, xk)
+def quotient_frame(rows, fields):
+    """(H, (N, L, free)): the tangent frame of a quotient and the
+    structure restricted to it.  The frame is the g-orthogonal complement
+    of the Killing fields inside a level set: the kernel triple of
+    ``exactla.nullspace`` of the constraint rows (k, 4 rank) stacked over
+    g times the field columns (4 rank, m), all on integers.  H is the
+    structure v -> v conj(e_a) and the neutral metric on its span,
+    unvalidated: J_a has the coordinates (J_a N)[free] / L and the metric
+    is N^T g N / L^2.  DegenerateOrbitError unless the kernel has the
+    dimension 4 rank - k - m, that is unless the rows and the g-dual
+    fields are independent, and unless N @ (J_a N)[free] == L J_a N for
+    every a, that is unless every J_a preserves the span."""
+    kernel = exactla.nullspace(np.concatenate([rows, apply_metric(fields).T]))
+    N, L, free = kernel
+    want = len(N) - len(rows) - fields.shape[1]
+    if len(free) != want:
+        raise DegenerateOrbitError(
+            f"quotient frame has dimension {len(free)}, not {want}")
+    images = np.stack([unit_action(N, a, "right") for a in range(3)])
+    if (N @ images[:, free] != L * images).any():
+        raise DegenerateOrbitError("structure does not preserve the frame")
+    return HermitianStructure(*images[:, free], N.T @ apply_metric(N),
+                              validate=False, scales=(L, L * L)), kernel
+
+
+def induced_geometry(x: SpherePoint):
+    """(HermitianStructure on the horizontal frame, the frame itself as
+    the kernel triple (N, L, free) of exactla.nullspace), from
+    quotient_frame of the sphere row g x and the fields x i, x j, x k: the
+    horizontal space is the orthogonal complement of the position vector
+    and the fiber, and its 4n columns N / L span the kernel at the integer
+    coordinates C of x = C / LC.  Both are exact at rational points.
+    DegenerateOrbitError unless the fiber Gram of (C i, C j, C k) is
+    LC^2 diag(1, -1, -1), that is unless x lies on the unit sphere."""
     C, LC = x.x.scaled
-    frame = unit_frame(C)
-    gram = frame[:, 1:].T @ apply_metric(frame[:, 1:])
+    fiber = unit_frame(C)[:, 1:]
+    gram = fiber.T @ apply_metric(fiber)
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
     # comparison (not the inertia) detects a positive lift off the sphere
     if (gram != VERTICAL_GRAM * (LC * LC)).any():
@@ -184,39 +218,7 @@ def tangent_split(x: SpherePoint):
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
-    kernel = exactla.nullspace(apply_metric(frame).T)
-    if len(kernel[2]) != 4 * x.rank - 4:
-        raise DegenerateOrbitError("horizontal frame incomplete")
-    return kernel
-
-
-def frame_structure(kernel) -> HermitianStructure | None:
-    """The structure v -> v conj(e_a) and the neutral metric on the span
-    of a kernel frame (N, L, free) of exactla.nullspace, unvalidated: J_a
-    has the coordinates (J_a N)[free] / L and the metric is N^T g N / L^2,
-    all on integers.  None unless N @ (J_a N)[free] == L J_a N for every
-    a, that is unless every J_a preserves the span."""
-    N, L, free = kernel
-    images = np.stack([unit_action(N, a, "right") for a in range(3)])
-    if (N @ images[:, free] != L * images).any():
-        return None
-    return HermitianStructure(*images[:, free], N.T @ apply_metric(N),
-                              validate=False, scales=(L, L * L))
-
-
-def induced_geometry(x: SpherePoint):
-    """(HermitianStructure on the horizontal frame, the frame itself as
-    the kernel triple (N, L, free) of tangent_split).
-
-    The metric is the restriction of the ambient scalar product; the
-    structure is right multiplication by the conjugated units expressed
-    in frame coordinates (frame_structure on the kernel of tangent_split).
-    Both are exact at rational points.
-    """
-    kernel = tangent_split(x)
-    H = frame_structure(kernel)
-    if H is None:
-        raise DegenerateOrbitError("structure does not preserve the frame")
+    H, kernel = quotient_frame(apply_metric(C).reshape(1, -1), fiber)
     H.check_relations()
     return H, kernel
 

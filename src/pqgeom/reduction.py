@@ -99,14 +99,17 @@ integers.  The reduced-Jacobi chain is on Python ints:
 ``admissible_directions`` returns integer vectors of the admissible
 space, ``reduced_jacobi`` scales a direction to integers once (its
 ratio is invariant under scaling X), forms every pairing and product on
-Python ints, and forms Fractions only for its results.  The tangent
-frames of the level sets (``flat_reduced_structure``, whose
-``ReducedStructure.frame`` is that kernel pair, and
-``orthogonality_check``) are integer kernel bases N / L of
-``exactla.nullspace``, taken at the integer coordinates of the point (a
-row-scaled system has the same kernel); a vector T / LT of such a span
-has the coordinates T[free] / LT, so the reduced metric and structure
-are read off on integers, with no solve.
+Python ints, and forms Fractions only for its results.  The quotient
+frames of both reductions come from the one routine
+``projspace.quotient_frame``, of the constraint rows and the Killing
+fields at the integer coordinates of the point (a row-scaled system has
+the same kernel): ``flat_reduced_structure`` passes the moment rows of i
+and V, and ``admissible_directions`` the sphere row and the moment rows
+of j, with V, x i, x j and x k.  The frame is an integer kernel basis
+N / L of ``exactla.nullspace``, in which a vector T / LT of the span has
+the coordinates T[free] / LT, so the reduced metric and structure are
+read off on integers, with no solve.  The tangent frames of
+``orthogonality_check`` are such kernels of the level-set rows alone.
 """
 
 from __future__ import annotations
@@ -122,11 +125,10 @@ from . import exactla
 from .algebra import EPS, I, IMAGINARY_UNITS, J, K, UNITS, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
-from .linalg import (REDRAW_LIMIT, HermitianStructure, PQVector,
-                     RedrawLimitError, apply_metric, random_integers,
-                     right_mult_matrix, structure_endos, unit_action,
-                     unit_frame)
-from .projspace import (SpherePoint, _stack, frame_structure,
+from .linalg import (REDRAW_LIMIT, PQVector, RedrawLimitError,
+                     apply_metric, random_integers, right_mult_matrix,
+                     structure_endos, unit_action, unit_frame)
+from .projspace import (SpherePoint, _stack, quotient_frame,
                         random_sphere_point, transitive_action)
 
 
@@ -283,53 +285,32 @@ def _reflected_axis(Z: np.ndarray, norm: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class ReducedStructure:
-    """Pointwise output of a reduction: frame of the descended tangent
-    space, as the integer kernel pair (N, L) with basis columns N / L,
-    induced metric and structure, diagnostics."""
-
-    frame: tuple
-    structure: HermitianStructure
-    comrel_residual: Fraction
-    skew_residual: Fraction
-    signature: tuple[int, int]
-
-
-def flat_reduced_structure(h: PQVector) -> ReducedStructure:
-    """Descend metric and structure to the quotient tangent space at a
-    level point: kernel of the constraint differentials, minus the orbit
+def flat_reduced_structure(h: PQVector):
+    """(H, (N, L, free)): the metric and structure descended to the
+    quotient tangent space at a level point, and its frame, from
+    projspace.quotient_frame of the moment rows and the Killing field V:
+    the kernel of the constraint differentials, minus the orbit
     direction, with the structure restricted (the complement of the span
     (V, J1 V, J2 V, J3 V) is invariant, so no projection loss occurs).
+    DegenerateLevelSetError off the level set, NullOrbitError where
+    g(V, V) = 0.  The moment rows are g J_b V up to scale, so they then
+    have full rank: were V q = 0 for an imaginary q != 0, every entry of
+    V, and so V, would be null.
 
     All on the integer coordinates U of h = U / LU: the moment map is
     quadratic, so at U it is LU^2 times the level value; the gradient rows
     and the Killing field are linear, so their kernel (exactla.nullspace)
-    is the one at h, and projspace.frame_structure reads the reduced
-    metric and structure off it on integers."""
+    is the one at h."""
     U, LU = h.scaled
     res = flat_level_defect(h)
     if res != 0:
         raise DegenerateLevelSetError(
             f"point off the level set by {Fraction(res, LU * LU)}")
     ones = (1,) * h.rank
-    rows = _moment_rows(0, ones, U)
-    if exactla.rank(rows) != 3:
-        raise DegenerateLevelSetError("constraint differentials degenerate")
     V = _killing(0, ones, U)
-    gV = apply_metric(V)
-    if gV @ V == 0:
+    if V @ apply_metric(V) == 0:
         raise NullOrbitError("orbit direction is null")
-    kernel = exactla.nullspace(np.concatenate([rows, gV.reshape(1, -1)]))
-    Hred = frame_structure(kernel)
-    if Hred is None:
-        raise DegenerateLevelSetError("structure leaves the frame")
-    return ReducedStructure(
-        frame=kernel[:2],
-        structure=Hred,
-        comrel_residual=Hred.comrel_residual(),
-        skew_residual=Hred.skew_residual(),
-        signature=Hred.signature())
+    return quotient_frame(_moment_rows(0, ones, U), V.reshape(-1, 1))
 
 
 def flat_quotient_coordinates(x):
@@ -567,15 +548,15 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     VV = span[:, 0] @ g_span[:, 0]
     if VV == 0:
         raise NonRegularError("point fails the regularity condition")
-    vert_u = unit_frame(U)[:, 1:]
-    if (vert_u.T @ g_span[:, 0]).any():
-        off = Fraction(exactla.max_abs(weighted_level_value(p, q, U)), L * L)
+    level = weighted_level_value(p, q, U)
+    if level.any():
+        off = Fraction(exactla.max_abs(level), L * L)
         raise DegenerateLevelSetError(f"point off the zero level set by {off}")
     xnorm = XN @ apply_metric(XN)
     if xnorm == 0:
         raise NullDirectionError("direction is null")
     gX = apply_metric(XN)
-    if U @ gX != 0 or (vert_u.T @ gX).any():
+    if (unit_frame(U).T @ gX).any():
         raise ValueError("direction not horizontal")
     if (span.T @ gX).any():
         raise ValueError("direction not orthogonal to the Killing span")
@@ -595,15 +576,21 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
                           count: int) -> list[np.ndarray]:
     """Seeded horizontal directions orthogonal to the Killing span, with
     g(X, X) != 0, as integer vectors: integer combinations of the integer
-    kernel basis N, which spans the admissible space (reduced_jacobi is
-    invariant under scaling X).  u lies on the zero level set, where the
-    Killing field is horizontal (reduced_jacobi).  The kernel is that of
-    the integer coordinates U of u, which spans the same space.  At most
-    REDRAW_LIMIT draws per direction (RedrawLimitError)."""
+    kernel basis N of projspace.quotient_frame, which spans the admissible
+    space (reduced_jacobi is invariant under scaling X).  Its rows are the
+    sphere row g x and the moment rows of j, which are g J_b V up to
+    scale, and its fields V, x i, x j, x k.  u lies on the zero level
+    set, where the Killing field is horizontal (reduced_jacobi).  The
+    kernel is that of the integer coordinates U of u, which spans the
+    same space.  At most REDRAW_LIMIT draws per direction
+    (RedrawLimitError)."""
     U, _ = u.x.scaled
-    basis, _, _ = exactla.nullspace(apply_metric(np.concatenate(
-        [unit_frame(U), unit_frame(_killing(1, _weights(p, q), U))],
-        axis=1)).T)
+    ws = _weights(p, q)
+    _, (basis, _, _) = quotient_frame(
+        np.concatenate([apply_metric(U).reshape(1, -1),
+                        _moment_rows(1, ws, U)]),
+        np.concatenate([_killing(1, ws, U).reshape(-1, 1),
+                        unit_frame(U)[:, 1:]], axis=1))
     out = []
     for _ in range(REDRAW_LIMIT * count):
         X = basis @ np.array([rng.randint(-4, 4)

@@ -190,7 +190,7 @@ def test_run_suite_rejects_bad_config(config):
 
 
 def test_wrong_fiber_gram_is_a_failure(monkeypatch):
-    # tangent_split raises DegenerateOrbitError when the fiber Gram is not
+    # induced_geometry raises DegenerateOrbitError when the fiber Gram is not
     # VERTICAL_GRAM; fiber-gram-signature counts each such sample as bad
     from pqgeom import exactla, projspace
     monkeypatch.setattr(projspace, "VERTICAL_GRAM",

@@ -440,6 +440,19 @@ def test_abelian_oracle_flat():
     assert R.max_abs() == 0
 
 
+@pytest.mark.parametrize("table", ["c_mm", "c_fm", "c_ff", "g_m"])
+def test_symmetric_decomposition_refuses_float_tables(table):
+    # a float table is refused where the decomposition is built, not by
+    # an opaque error of a later diagnostic
+    D = abelian_decomposition(1)
+    pairs = {name: getattr(D, name) for name in ("c_mm", "c_fm", "c_ff",
+                                                   "g_m")}
+    N, L = pairs[table]
+    pairs[table] = (np.asarray(N, dtype=float), L)
+    with pytest.raises(TypeError, match="integer entries"):
+        SymmetricDecomposition(**pairs, structure=D.structure)
+
+
 def test_solvable_oracle():
     for sign in (1, -1):
         D = solvable_decomposition(sign)

@@ -27,10 +27,11 @@ from pqgeom.curvature import (ambient_projective_curvature, einstein_check,
 from pqgeom.forms import (BilinearForm, fundamental_four_form,
                           hermitian_projector, random_rotation,
                           rotate_structure, two_form)
-from pqgeom.linalg import (grassman_split, module_scalar_product,
-                           random_antihermitian, real_rep, structure_endos)
-from pqgeom.projspace import (induced_geometry, random_sphere_point,
-                              tangent_split)
+from pqgeom.linalg import (apply_metric, grassman_split,
+                           module_scalar_product, random_antihermitian,
+                           real_rep, structure_endos, unit_frame)
+from pqgeom.projspace import (induced_geometry, quotient_frame,
+                              random_sphere_point)
 from pqgeom.reduction import (_weights, empty_levelset_check,
                               flat_level_sample, flat_reduced_structure,
                               orthogonality_check, weighted_level_sample,
@@ -156,14 +157,14 @@ def test_special_linear_decomposition_forms_only_its_results(fraction_count):
 
 def test_reduced_and_induced_structures_form_only_their_results(
         fraction_count):
-    # flat_reduced_structure: the two residuals; induced_geometry: none
-    # (both frames are kernel pairs)
+    # neither forms one: both frames are kernel pairs of quotient_frame,
+    # and the residuals are left to the caller
     rng = random.Random(2)
     for _ in range(3):
         h = flat_level_sample(rng, 3)
         fraction_count[0] = 0
         flat_reduced_structure(h)
-        assert fraction_count[0] == 2
+        assert fraction_count[0] == 0
         x = random_sphere_point(rng, 3)
         fraction_count[0] = 0
         induced_geometry(x)
@@ -172,7 +173,7 @@ def test_reduced_and_induced_structures_form_only_their_results(
 
 def test_module_points_form_only_their_results(fraction_count):
     # module vectors and sphere points are integer pairs: drawing a point
-    # (on the sphere, or on the level set), splitting it, the matrix
+    # (on the sphere, or on the level set), its quotient frame, the matrix
     # action and the level value (L^2 times the value, on integers) form
     # no Fraction, and the scalar product forms its value
     rng = random.Random(4)
@@ -180,9 +181,11 @@ def test_module_points_form_only_their_results(fraction_count):
     h, hp = random_pq_vector(rng, 3), random_pq_vector(rng, 3)
     x = random_sphere_point(rng, 3)
     u = weighted_level_sample(rng, 1, 2)
+    C, _ = x.x.scaled
     calls = {
         "random_sphere_point": (lambda: random_sphere_point(rng, 3), 0),
-        "tangent_split": (lambda: tangent_split(x), 0),
+        "quotient_frame": (lambda: quotient_frame(
+            apply_metric(C).reshape(1, -1), unit_frame(C)[:, 1:]), 0),
         "matrix times vector": (lambda: A @ h, 0),
         "module_scalar_product": (lambda: module_scalar_product(h, hp), 1),
         "weighted_level_sample": (lambda: weighted_level_sample(rng, 1, 2), 0),

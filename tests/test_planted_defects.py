@@ -4,7 +4,7 @@ broken.
 Each row plants one defect in an ingredient of one registry check (one
 sign flipped in a product, a norm, a conjugation, a representation, a
 scalar product, a Killing field, a column of the moment table or a
-scale) and runs the
+scale, or an element off the unit group) and runs the
 check's suite through ``run_suite``; the check must report ``fail``.  A
 check that still passes is vacuous on its samples.  A row of the second
 table plants bad input instead (a rotation off the group), which the
@@ -98,6 +98,10 @@ class _FourFormWithOneWrongEntry(forms.FourForm):
         self.scaled = (N, L)
 
 
+def _twice_a_unit_quaternion(rng):
+    return UNIT_QUATERNION(rng).scale(2)
+
+
 def _rotation_off_the_group(rng):
     R, L = ROTATION(rng)
     return 2 * R, L
@@ -106,6 +110,7 @@ def _rotation_off_the_group(rng):
 PRODUCT, REAL_REP = SplitQuaternion.__mul__, cli.real_rep
 KILLING, SANDWICH = red._killing, red._SANDWICH
 ROTATION = cli.random_rotation
+UNIT_QUATERNION = proj.random_unit_quaternion
 
 # row -> (check name, suite, object, attribute, planted replacement); a row
 # named after its check alone is that check's first row
@@ -149,6 +154,10 @@ PLANTED = {
     # every difference is 0 but one, which is negative
     "four-form-rotation-invariance/entry": (
         "forms", forms, "FourForm", _FourFormWithOneWrongEntry),
+    # right multiplication by any invertible element keeps the span of
+    # the translated frame; only the norm of the element sees it
+    "lift-independence": ("projspace", proj, "random_unit_quaternion",
+                          _twice_a_unit_quaternion),
 }
 PLANTED = {row: (row.split("/")[0], *spec) for row, spec in PLANTED.items()}
 

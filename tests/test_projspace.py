@@ -15,10 +15,9 @@ from pqgeom.linalg import (PQMatrix, PQVector, apply_metric,
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
                               NullLineError, SpherePoint, TangentLineError,
                               _stack, _transitive_columns, base_point,
-                              induced_geometry,
+                              induced_geometry, quotient_frame,
                               random_sphere_point, random_unit_quaternion,
-                              sphere_point_through, tangent_split,
-                              transitive_element)
+                              sphere_point_through, transitive_element)
 from pqgeom.reduction import (admissible_directions, reduced_jacobi,
                               weighted_level_sample,
                               weighted_level_sample_float)
@@ -301,8 +300,8 @@ def test_fiber_translation():
 
 def frames(x: SpherePoint):
     """The Fraction views of the fiber frame (x i, x j, x k) and of the
-    horizontal frame of tangent_split at x."""
-    N, L, _ = tangent_split(x)
+    horizontal frame of induced_geometry at x."""
+    _, (N, L, _) = induced_geometry(x)
     return (unit_frame(x.x.to_real())[:, 1:],
             exactla.from_scaled_integers(N, L))
 
@@ -340,7 +339,7 @@ def test_tangent_split_degenerate_guard():
                                 SplitQuaternion(), SplitQuaternion()]),
                       check=False)
     with pytest.raises(DegenerateOrbitError):
-        tangent_split(bad)
+        induced_geometry(bad)
 
 
 @pytest.mark.parametrize("first", [
@@ -352,7 +351,7 @@ def test_tangent_split_rejects_exact_off_sphere_lifts(first):
     bad = SpherePoint(PQVector([first, SplitQuaternion(), SplitQuaternion()]),
                       check=False)
     with pytest.raises(DegenerateOrbitError, match="fiber Gram"):
-        tangent_split(bad)
+        induced_geometry(bad)
 
 
 def _float_lift(x: SpherePoint, scale: float = 1.0) -> SpherePoint:
@@ -368,7 +367,7 @@ def test_tangent_split_float_lifts():
     for point, scale in ((x, 1.0), (base_point(3), 1.0), (x, 1 + 1e-6)):
         with pytest.raises(TypeError, match="exact arithmetic"):
             _float_lift(point, scale)
-    assert tangent_split(x)[0].shape == (12, 8)
+    assert induced_geometry(x)[1][0].shape == (12, 8)
 
 
 @pytest.mark.parametrize("seed", [5, 8, 18])
@@ -401,6 +400,17 @@ def test_horizontal_spaces_structure_invariant():
         # images stay horizontal: orthogonal to the fiber frame and x
         assert exactla.max_abs(img.T @ g @ vertical) == 0
         assert exactla.max_abs(img.T @ g @ x.x.to_real().reshape(-1, 1)) == 0
+
+
+def test_quotient_frame_guards():
+    C, _ = random_sphere_point(random.Random(6), 3).x.scaled
+    sphere, fiber = apply_metric(C).reshape(1, -1), unit_frame(C)[:, 1:]
+    # without the fiber fields, the complement of x is not invariant
+    with pytest.raises(DegenerateOrbitError, match="does not preserve"):
+        quotient_frame(sphere, fiber[:, :0])
+    # a repeated field leaves one dimension too many
+    with pytest.raises(DegenerateOrbitError, match="dimension 8, not 7"):
+        quotient_frame(sphere, np.concatenate([fiber, fiber[:, :1]], axis=1))
 
 
 def test_induced_geometry_at_base():

@@ -10,12 +10,14 @@ from pqgeom import exactla
 from pqgeom.algebra import EPS, IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
+                              projective_curvature,
                               einstein_check, restrict_to_complement, ricci)
 from pqgeom.linalg import (REDRAW_LIMIT, PQMatrix, PQVector, apply_metric,
                            metric_matrix, module_scalar_product,
                            random_integers, right_mult_matrix,
                            structure_endos, unit_action, unit_frame)
-from pqgeom.projspace import (SpherePoint, _stack, base_point,
+from pqgeom.projspace import (DegenerateOrbitError, SpherePoint, _stack,
+                              base_point, induced_geometry, quotient_frame,
                               random_sphere_point, transitive_element)
 from pqgeom.reduction import (DegenerateLevelSetError,
                               NonRegularError, NullOrbitError,
@@ -275,10 +277,10 @@ def test_flat_reduced_structure_exact():
     for rank in (2, 3):
         for _ in range(4):
             h = flat_level_sample(rng, rank)
-            red = flat_reduced_structure(h)
-            assert red.comrel_residual == 0
-            assert red.skew_residual == 0
-            assert red.signature == (2 * (rank - 1), 2 * (rank - 1))
+            H, _ = flat_reduced_structure(h)
+            assert H.comrel_residual() == 0
+            assert H.skew_residual() == 0
+            assert H.signature() == (2 * (rank - 1), 2 * (rank - 1))
 
 
 def test_flat_reduced_structure_matches_fraction_products():
@@ -288,14 +290,13 @@ def test_flat_reduced_structure_matches_fraction_products():
     for rank in (2, 3):
         for _ in range(3):
             h = flat_level_sample(rng, rank)
-            red = flat_reduced_structure(h)
-            F = exactla.from_scaled_integers(*red.frame)
+            H, (N, L, _) = flat_reduced_structure(h)
+            F = exactla.from_scaled_integers(N, L)
             g = metric_matrix(rank)
-            for Ja, Jred in zip(structure_endos(rank).J, red.structure.J):
+            for Ja, Jred in zip(structure_endos(rank).J, H.J):
                 assert (F @ Jred == Ja @ F).all()
-            assert (red.structure.g == F.T @ g @ F).all()
-            assert all(type(x) is Fraction
-                       for x in red.structure.g.reshape(-1))
+            assert (H.g == F.T @ g @ F).all()
+            assert all(type(x) is Fraction for x in H.g.reshape(-1))
 
 
 def test_flat_reduced_structure_guards():
@@ -878,6 +879,14 @@ def test_reduced_jacobi_rejects_points_off_the_level_set(p, q):
         reduced_jacobi(p, q, off, X)
 
 
+def test_admissible_directions_refuse_a_dependent_frame():
+    # off the zero level set, at the base point, the Killing field
+    # V = x (q j) and its unit multiples span the fiber with x, so the rows
+    # and fields of the quotient frame are dependent
+    with pytest.raises(DegenerateOrbitError, match="dimension 8, not 4"):
+        admissible_directions(1, 2, base_point(3), random.Random(0), 1)
+
+
 def test_ratio_varies_across_generic_points():
     rng = random.Random(19)
     ratios = []
@@ -1149,6 +1158,23 @@ def _weighted_quotient(p, q, u):
     return _quotient_curvature(g, x, *_linear_data(x, rows_at, fields))
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_model_is_the_sphere_quotient(rank):
+    # the pseudosphere reduced by the three right unit actions: the
+    # oracle's frame is the kernel of induced_geometry, and Gauss for the
+    # sphere row plus O'Neill for the fiber give the closed formula of
+    # projective_curvature exactly
+    x = random_sphere_point(random.Random(26), rank)
+    g, coords = metric_matrix(rank), x.x.to_real()
+    R, F = _quotient_curvature(g, coords, *_linear_data(
+        coords, lambda y: (2 * y @ g).reshape(1, -1),
+        [lambda y, e=e: ref_right_mul(y, e) for e in IMAGINARY_UNITS]))
+    H, (N, L, _) = induced_geometry(x)
+    assert (F == exactla.from_scaled_integers(N, L)).all()
+    assert R.max_abs() != 0
+    assert (R - projective_curvature(H)).max_abs() == 0
+
+
 @pytest.mark.parametrize("p, q", [(1, 2), (2, 1), (3, 4)])
 def test_reduced_jacobi_matches_quotient_curvature(p, q):
     rng = random.Random(24)
@@ -1156,6 +1182,16 @@ def test_reduced_jacobi_matches_quotient_curvature(p, q):
     for _ in range(3):
         u = weighted_level_sample(rng, p, q)
         R, F = _weighted_quotient(p, q, u)
+        # the frame of admissible_directions: quotient_frame of the sphere
+        # row and the moment rows of j, with V, x i, x j and x k
+        U, _ = u.x.scaled
+        ws = _weights(p, q)
+        _, (N, L, _) = quotient_frame(
+            np.concatenate([apply_metric(U).reshape(1, -1),
+                            _moment_rows(1, ws, U)]),
+            np.concatenate([_killing(1, ws, U).reshape(-1, 1),
+                            unit_frame(U)[:, 1:]], axis=1))
+        assert (F == exactla.from_scaled_integers(N, L)).all()
         assert R.dim == 4
         assert bianchi_residual(R) == 0
         # Einstein with 12 = nu (n + 2): the reduced scalar curvature
@@ -1192,12 +1228,12 @@ def test_flat_quotient_is_para_hyperkahler(rank):
     R, F = _quotient_curvature(metric_matrix(rank), x, *_linear_data(
         x, lambda y: _moment_rows(0, ones, y),
         [lambda y: _killing(0, ones, y)]))
-    red = flat_reduced_structure(h)
-    assert exactla.max_abs(F - exactla.from_scaled_integers(*red.frame)) == 0
+    H, (N, L, _) = flat_reduced_structure(h)
+    assert exactla.max_abs(F - exactla.from_scaled_integers(N, L)) == 0
     assert R.max_abs() != 0
     assert bianchi_residual(R) == 0
     assert exactla.max_abs(ricci(R)[0]) == 0
     # every R(X, Y) commutes with the descended structure
     M = R.fractions().transpose(0, 1, 3, 2)
-    for Ja in red.structure.J:
+    for Ja in H.J:
         assert exactla.max_abs(M @ Ja - Ja @ M) == 0
