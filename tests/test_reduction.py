@@ -10,8 +10,8 @@ from pqgeom import exactla
 from pqgeom.algebra import EPS, IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
-                              projective_curvature,
-                              einstein_check, restrict_to_complement, ricci)
+                              einstein_check, projective_curvature,
+                              restrict_to_complement, ricci)
 from pqgeom.linalg import (REDRAW_LIMIT, PQMatrix, PQVector, apply_metric,
                            metric_matrix, module_scalar_product,
                            random_integers, right_mult_matrix,

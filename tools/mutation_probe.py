@@ -10,10 +10,12 @@ Each mutant runs ``pqgeom --suite all`` and then ``pqgeom --suite
 curvature --n 3``, one process at a time, each with a 60 s timeout.  A
 mutant is killed when a run exits nonzero (a check fails or errors) or
 times out; it survives when both runs pass.  The surviving sites are
-printed as ``module.py:line:column``, the line and column of the
-operation in the unmutated file, followed by the counts per module.
+printed as ``module.py:line:column expression``: the line and column of
+the operation in the unmutated file (nested operations can share them)
+and the unmutated expression, followed by the counts per module.
 
-The probe is outside tier-1: it takes about two seconds per site.
+The probe is outside tier-1: it starts up to two CLI processes per site,
+so all seven modules take a few minutes.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ def sites(tree: ast.AST) -> list[ast.BinOp]:
     return sorted(found, key=lambda node: (node.lineno, node.col_offset))
 
 
-def mutant(source: str, index: int) -> tuple[str, ast.BinOp]:
-    """The source with the operator of site `index` flipped, and that
-    site as parsed from the unmutated source."""
+def mutant(source: str, index: int) -> tuple[str, str]:
+    """The source with the operator of site `index` flipped, and the
+    site's position and expression in the unmutated source."""
     tree = ast.parse(source)
     node = sites(tree)[index]
-    original = (node.lineno, node.col_offset)
+    site = f"{node.lineno}:{node.col_offset} {ast.unparse(node)}"
     node.op = FLIP[type(node.op)]()
-    return ast.unparse(tree), original
+    return ast.unparse(tree), site
 
 
 def killed(root: Path) -> bool:
@@ -89,11 +91,11 @@ def main(argv: list[str]) -> int:
             total = len(sites(ast.parse(source)))
             survivors = 0
             for index in range(total):
-                text, (line, col) = mutant(source, index)
+                text, site = mutant(source, index)
                 path.write_text(text, encoding="utf-8")
                 if not killed(root):
                     survivors += 1
-                    print(f"{module}.py:{line}:{col}", flush=True)
+                    print(f"{module}.py:{site}", flush=True)
             path.write_text(source, encoding="utf-8")
             counts.append((module, total, survivors))
     for module, total, survivors in counts:
