@@ -391,11 +391,15 @@ def _chk_lie_annihilation(config, rng):
 
 def _perturbed(R):
     """R with one entry changed by 1 in value: a defect that the curvature
-    identities must detect."""
-    out = curv.CurvatureTensor._unchecked(R.tensor.copy(), R.scale,
-                                          R.metric)
-    out.tensor[0, 1, 2, 3] += R.scale
-    return out
+    identities must detect.  The scale is added to an int64 copy when
+    (1 + scale) max|R| stays below the word bound (exactla.words), and to
+    a copy of Python ints otherwise."""
+    if exactla.words(R.tensor, 1 + R.scale) is None:
+        tensor = R.tensor.astype(object)
+    else:
+        tensor = R.tensor.copy()
+    tensor[0, 1, 2, 3] += R.scale
+    return curv.CurvatureTensor._unchecked(tensor, R.scale, R.metric)
 
 
 def _chk_bianchi(config, rng):
@@ -435,14 +439,22 @@ def _chk_einstein(config, rng):
 
 
 def _chk_ricci_split(config, rng):
+    # R = 2 R_0 + R^B0 + W = R^(2g + B0) + W with a random integer B0,
+    # whose hermitian, mixed and antisymmetric parts are all nonzero, so
+    # that the split reads each eigenvalue of the Ricci map
     H = structure_endos(config.rank)
     gs = grassman_split(H)
     W = curv.weyl_sample(H, gs, rng)
-    R = curv.ambient_projective_curvature(config.rank).times(2) + W
+    B0 = np.array(
+        [[rng.randint(-3, 3) for _ in range(H.dim)] for _ in range(H.dim)],
+        dtype=object)
+    R = (curv.ambient_projective_curvature(config.rank).times(2)
+         + curv.curvature_from_bilinear(BilinearForm(B0, 1), H) + W)
     Wp, B = curv.ricci_split(R, H)
     G, LG = H.scaled_g
     worst = exactla.max_abs(curv.ricci(Wp)[0])
-    worst = max(worst, exactla.scaled_distance(*B.scaled, 2 * G, LG))
+    worst = max(worst, exactla.scaled_distance(*B.scaled, 2 * G + LG * B0,
+                                               LG))
     worst = max(worst, (Wp - W).max_abs())
     return worst, 1
 

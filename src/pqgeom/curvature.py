@@ -15,19 +15,18 @@ curvature of the projective-space model equals its closed formula entry
 for entry, for the metric of the unit-pseudosphere submersion.
 
 Arithmetic.  A ``CurvatureTensor`` is exact and held as scaled integers:
-``tensor`` is an object array of Python ints and ``scale`` a positive
-int, and the curvature is tensor / scale; its metric is the pair
-``metric`` = (G, LG) of the same kind.  The builders compute on Python
-ints, from the integer pairs of their inputs (``scaled_J`` and
-``scaled_g`` of a ``HermitianStructure``, ``scaled`` of a
-``BilinearForm``, the pairs of a ``GrassmanSplit``), and return that
-pair as it is.  The diagnostics hand pairs on as well: ``ricci``
-returns (N, L), ``structure_traces`` (T, L) with T[x, y, a],
-``jacobi_operator`` (K, L) for an integer direction,
-``restrict_to_complement`` the pair of the restricted operator beside
-the kernel pair of its basis, and ``power_sums`` takes such a pair;
-only scalar results (constants, residuals, power sums) become
-``Fraction``s.  The inverses of ``weyl_sample`` and
+``tensor`` is an integer array and ``scale`` a positive int, and the
+curvature is tensor / scale; its metric is the pair ``metric`` = (G, LG)
+with G an object array of Python ints.  The builders compute from the
+integer pairs of their inputs (``scaled_J`` and ``scaled_g`` of a
+``HermitianStructure``, ``scaled`` of a ``BilinearForm``, the pairs of a
+``GrassmanSplit``), and return that pair as it is.  The diagnostics
+hand pairs on as well: ``ricci`` returns (N, L), ``structure_traces``
+(T, L) with T[x, y, a], ``jacobi_operator`` (K, L) for an integer
+direction, ``restrict_to_complement`` the pair of the restricted
+operator beside the kernel pair of its basis, and ``power_sums`` takes
+such a pair; only scalar results (constants, residuals, power sums)
+become ``Fraction``s.  The inverses of ``weyl_sample`` and
 ``scalar_curvature`` are the (X, L) pairs of ``exactla.inverse``, used
 as they are.  A ``SymmetricDecomposition`` holds its structure
 constants and its metric as pairs: ``_bracket_coordinates`` returns the
@@ -35,25 +34,47 @@ integer pair of its ``frame_coordinates`` call, which
 ``from_matrix_algebra`` keeps, and ``special_linear_decomposition`` and
 ``solvable_decomposition`` write their matrices as Python ints.
 Entries are checked once, where data enters: the public constructor
-raises TypeError on any tensor or metric entry that is not a Python int
-and on a scale that is not a positive int, and exact ``Fraction``/int
-arrays enter through ``CurvatureTensor.from_fractions`` (and with it
+takes an int64 tensor or one of Python ints and raises TypeError on any
+other tensor entry, on a metric entry that is not a Python int and on a
+scale that is not a positive int, and exact ``Fraction``/int arrays
+enter through ``CurvatureTensor.from_fractions`` (and with it
 ``curvature_from_text``), which scales them to integers and raises
 TypeError on any other entry.  The builders, ``+``, ``-`` and ``times``
-make only Python ints and positive int scales, and hand their pairs to
-the private ``_unchecked`` constructor, which scans nothing.  The
-integer pairs of their inputs (``BilinearForm(N, L)``, a structure with
-``scales``) are trusted as well; the scalar results read their integer
-sums through ``operator.index``, so a float that came in that way raises
-TypeError there instead of being truncated.
-``fractions()`` is the ``Fraction`` view that ``curvature_to_text``
-writes out; the text format has the single mode "exact".  The
-commutators with the J_a and the change of basis of the tensor
-splitting go through ``exactla.contract``, one slice operation per
-nonzero matrix entry: on the standard structure each J_a is a signed
-permutation and the change of basis has at most two nonzeros per row.
-The standard model (``ambient_projective_curvature``) is built once per
-rank and shared, and its tensor is read-only.
+make only integer arrays and positive int scales, and hand their pairs
+to the private ``_unchecked`` constructor, which scans no entry type and
+only decides the width.  The integer pairs of their inputs
+(``BilinearForm(N, L)``, a structure with ``scales``) are trusted as
+well; the scalar results read their integer sums through
+``operator.index``, so a float that came in that way raises TypeError
+there instead of being truncated.  ``fractions()`` is the ``Fraction``
+view that ``curvature_to_text`` writes out; the text format has the
+single mode "exact".  The commutators with the J_a and the change of
+basis of the tensor splitting go through ``exactla.contract``, one slice
+operation per nonzero matrix entry: on the standard structure each J_a
+is a signed permutation and the change of basis has at most two
+nonzeros per row.  The standard model (``ambient_projective_curvature``)
+is built once per rank and shared, and its tensor is read-only.
+
+Width.  The tensor is int64 when every entry is below 2^62 in absolute
+value, and Python ints otherwise (``exactla.words``; there is no
+setting, the width comes from the data).  Each builder and kernel states
+its growth, a bound on every entry and partial sum it forms per unit of
+its largest input entry.  The builders read their small inputs through
+``exactla.words`` with it (``projective_curvature`` 14 d max(LJ,
+max|J|)^2 per unit of the metric, ``curvature_from_bilinear``
+16 d max(LJ, max|J|)^2 per unit of B; ``weyl_sample``,
+``projective_pair`` and ``symmetric_space_curvature`` state theirs), and
+the kernels check theirs before they compute (3 for
+``bianchi_residual``, d for ``ricci``, d^2 max|J| for
+``structure_traces``, 6 d^2 max|J| max(LJ, max|J|) for
+``normalizes_structure``, d^2 max|X|^2 for ``jacobi_operator``, twice
+the larger rescaling for ``+`` and ``-``, |c| for ``times``, 1 for
+``max_abs``).  Under 2^62 they run on int64; above it
+the same expressions run on Python ints, which do not overflow.
+Results of size d^2 or less (Ricci forms, structure traces, Jacobi
+operators) are object arrays of Python ints, and every scalar is read
+through ``operator.index``, so no numpy integer reaches a ``Fraction``,
+an elimination of ``exactla``, ``forms`` or ``linalg``.
 
 Ricci splitting.  ``ricci_split`` inverts the Ricci map of the linear
 family R^B on its three eigenspaces (closed formula); the dense
@@ -104,6 +125,33 @@ class ComplementLeakError(ValueError):
     curvature tensor."""
 
 
+def _python_ints(arr) -> np.ndarray:
+    """An integer array as an object array of Python ints: a machine
+    integer array is cast entry by entry (exact), an object array is
+    returned as it is."""
+    return arr if arr.dtype == object else arr.astype(object)
+
+
+def _top(arr) -> int:
+    """max(1, max |arr|) of a nonempty integer array, as a Python int,
+    from its max and min: no copy of a strided tensor is made."""
+    return max(1, index(arr.max()), -index(arr.min()))
+
+
+def _operands(growth: int, *arrays) -> list:
+    """The integer arrays as int64 (exactla.words) when growth *
+    max(1, max |arrays[0]|) < 2^62 and every other array fits, else all
+    of them as Python ints, on which the same expressions are exact.
+    growth is the caller's bound on every entry and partial sum it forms,
+    per unit of the entries of arrays[0]; it includes the max entries of
+    the other arrays that the formula multiplies in."""
+    words = [exactla.words(arrays[0], growth),
+             *map(exactla.words, arrays[1:])]
+    if any(w is None for w in words):
+        return [_python_ints(np.asarray(a)) for a in arrays]
+    return words
+
+
 def _integer_array(arr, what: str, scale: int = 1) -> np.ndarray:
     """arr as an array; TypeError unless its entries are Python ints and
     scale is an int >= 1."""
@@ -119,23 +167,40 @@ def _integer_array(arr, what: str, scale: int = 1) -> np.ndarray:
 
 class CurvatureTensor:
     """Dense (1,3) curvature array tensor / scale with its companion
-    metric G / LG, held as the pair ``metric`` = (G, LG): tensor and G
-    object arrays of Python ints, scale and LG ints >= 1.  TypeError on
-    any other entry or scale."""
+    metric G / LG, held as the pair ``metric`` = (G, LG): scale and LG
+    ints >= 1, G an object array of Python ints, and tensor an int64
+    array when every entry is below 2^62 in absolute value
+    (exactla.words), an object array of Python ints otherwise.  The
+    public constructor takes an array of Python ints or an int64 array,
+    which is exact by its dtype; TypeError on any other entry (a numpy
+    int inside an object array among them, which would wrap in object
+    arithmetic), on a metric that is not of Python ints, or on a scale
+    that is not an int >= 1."""
 
     def __init__(self, tensor, scale: int, metric):
-        self.tensor = _integer_array(tensor, "curvature tensor", scale)
-        self.scale = scale
+        tensor = np.asarray(tensor)
+        if tensor.dtype == np.int64:
+            tensor = tensor.astype(object)
+        tensor = _integer_array(tensor, "curvature tensor", scale)
         G, LG = metric
-        self.metric = (_integer_array(G, "metric", LG), LG)
+        self._hold(tensor, scale, (_integer_array(G, "metric", LG), LG))
 
     @classmethod
     def _unchecked(cls, tensor, scale: int, metric) -> "CurvatureTensor":
         """The tensor of integer pairs built by the package, which makes
-        only Python ints and positive int scales: no entry is scanned."""
+        only integer arrays and positive int scales: no entry type is
+        scanned."""
         R = cls.__new__(cls)
-        R.tensor, R.scale, R.metric = tensor, scale, metric
+        R._hold(tensor, scale, metric)
         return R
+
+    def _hold(self, tensor, scale: int, metric):
+        """Hold tensor as int64 when it fits (exactla.words: the max and
+        min of a machine integer array, the entries of an object array
+        read once through operator.index), as Python ints otherwise."""
+        words = exactla.words(tensor)
+        self.tensor = _python_ints(tensor) if words is None else words
+        self.scale, self.metric = scale, metric
 
     @classmethod
     def from_fractions(cls, tensor, metric) -> "CurvatureTensor":
@@ -160,34 +225,46 @@ class CurvatureTensor:
         return self._combine(other, -1)
 
     def _combine(self, other, sign: int) -> "CurvatureTensor":
-        """self + sign * other over the lcm of the two scales."""
-        return CurvatureTensor._unchecked(*exactla.add_scaled(
-            self.tensor, self.scale, other.tensor, other.scale, sign),
-            self.metric)
+        """self + sign * other over the lcm L of the two scales: every
+        entry is at most 2 max(L / LA, L / LB) max|A| max|B| for the
+        tensors A / LA and B / LB."""
+        LA, LB = self.scale, other.scale
+        L = math.lcm(LA, LB)
+        A, B = _operands(2 * max(L // LA, L // LB) * _top(other.tensor),
+                         self.tensor, other.tensor)
+        return CurvatureTensor._unchecked(
+            *exactla.add_scaled(A, LA, B, LB, sign), self.metric)
 
     def times(self, c) -> "CurvatureTensor":
-        """The multiple c R; TypeError unless c is an int or a Fraction."""
+        """The multiple c R, each entry |c.numerator| times one of R;
+        TypeError unless c is an int or a Fraction."""
         c = exactla.frac(c)
-        return CurvatureTensor._unchecked(self.tensor * c.numerator,
+        t, = _operands(abs(c.numerator), self.tensor)
+        return CurvatureTensor._unchecked(t * c.numerator,
                                           self.scale * c.denominator,
                                           self.metric)
 
     def max_abs(self) -> Fraction:
-        return Fraction(exactla.max_abs(self.tensor), self.scale)
+        """The max |entry| / scale (growth 1)."""
+        t, = _operands(1, self.tensor)
+        return Fraction(index(exactla.max_abs(t)), self.scale)
 
 
 def bianchi_residual(R: CurvatureTensor) -> Fraction:
-    """Max-norm of the cyclic sum R(X,Y)Z + R(Y,Z)X + R(Z,X)Y."""
-    t = R.tensor
+    """Max-norm of the cyclic sum R(X,Y)Z + R(Y,Z)X + R(Z,X)Y: each entry
+    a sum of 3 entries of R (growth 3)."""
+    t, = _operands(3, R.tensor)
     cyc = t + t.transpose(1, 2, 0, 3)
     cyc += t.transpose(2, 0, 1, 3)
-    return Fraction(exactla.max_abs(cyc), R.scale)
+    return Fraction(index(exactla.max_abs(cyc)), R.scale)
 
 
 def ricci(R: CurvatureTensor):
     """(N, L) with Ric(e_y, e_z) = N[y, z] / L, where
-    Ric(Y, Z) = Tr(X -> R(X, Y) Z) is traced over the first slot."""
-    return np.trace(R.tensor, axis1=0, axis2=3), R.scale
+    Ric(Y, Z) = Tr(X -> R(X, Y) Z) is traced over the first slot: N a
+    sum of d entries of R (growth d), returned as Python ints."""
+    t, = _operands(R.dim, R.tensor)
+    return _python_ints(np.trace(t, axis1=0, axis2=3)), R.scale
 
 
 def scalar_curvature(R: CurvatureTensor) -> Fraction:
@@ -218,9 +295,9 @@ def einstein_check(R: CurvatureTensor):
 def _metric_terms(S) -> np.ndarray:
     """t[x, y, z, w] = S[y, z] delta[x, w] - S[x, z] delta[y, w], the
     leading terms of both the model formula and the R^B family, for an
-    integer matrix S."""
+    integer matrix S, in its dtype; each entry is at most 2 max|S|."""
     d = S.shape[0]
-    t = np.zeros((d, d, d, d), dtype=object)
+    t = np.zeros((d, d, d, d), dtype=S.dtype)
     diag = np.arange(d)
     t[diag, :, :, diag] += S
     t[:, diag, :, diag] -= S
@@ -244,9 +321,15 @@ def curvature_from_bilinear(B: BilinearForm,
 
     Satisfies the first Bianchi identity for every B, is injective in B,
     and sends the metric itself to the projective-space curvature.
+
+    Width: per unit of max|B| (the integer form M), the metric and trace
+    terms reach 4 LJ^2 and the four structure terms 3 d max|J|^2 each,
+    so 16 d max(LJ, max|J|)^2 bounds every entry and partial sum; under
+    2^62 the build runs on int64, otherwise on Python ints.
     """
     M, LB = B.scaled
     J, LJ = H.scaled_J
+    M, J = _operands(16 * H.dim * max(LJ, _top(J)) ** 2, M, J)
     t = _metric_terms(M)
     diag = np.arange(H.dim)
     t[:, :, diag, diag] += (M.T - M)[:, :, None]
@@ -264,9 +347,13 @@ def curvature_from_bilinear(B: BilinearForm,
 
 def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     """(T, L): the three scalar 2-forms (X, Y) -> Tr(J_a R(X, Y)) as
-    Tr(J_a R(e_x, e_y)) = T[x, y, a] / L, on the integer members of H."""
+    Tr(J_a R(e_x, e_y)) = T[x, y, a] / L, on the integer members of H:
+    each entry a sum of d^2 products (growth d^2 max|J|), returned as
+    Python ints."""
     J, LJ = H.scaled_J
-    return np.tensordot(R.tensor, J, axes=([2, 3], [1, 2])), R.scale * LJ
+    t, J = _operands(R.dim ** 2 * _top(J), R.tensor, J)
+    return (_python_ints(np.tensordot(t, J, axes=([2, 3], [1, 2]))),
+            R.scale * LJ)
 
 
 def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
@@ -276,13 +363,22 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
         [R(X,Y), J_a] = (eps_a / 2n) (Tr(J_c R(X,Y)) J_b
                                       - Tr(J_b R(X,Y)) J_c)
 
-    over cyclic (a, b, c).  Returns (bool, residual)."""
+    over cyclic (a, b, c).  Returns (bool, residual).
+
+    Width: per unit of max|R|, with m = max|J|, the traces reach d^2 m,
+    the commutators 2 d m, the trace terms 2 d^2 m^2 and the residual
+    2 d^2 m LJ + 4 d^2 m^2, so 6 d^2 m max(LJ, m) bounds every entry and
+    partial sum; under 2^62 the test runs on int64, otherwise on Python
+    ints."""
     d = R.dim
-    t, LR = R.tensor, R.scale
+    LR = R.scale
     J, LJ = H.scaled_J
+    m = _top(J)
+    t, J = _operands(6 * d * d * m * max(LJ, m), R.tensor, J)
     xs, ys = np.triu_indices(d, 1)
     M = t[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
-    T = structure_traces(R, H)[0][xs, ys]
+    # the structure traces of those pairs, as in structure_traces
+    T = np.tensordot(t[xs, ys], J, axes=([1, 2], [1, 2]))
     traces = [T[:, a, None, None] for a in range(3)]
     worst = 0
     for (a, b, c) in CYCLES:
@@ -291,7 +387,7 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
         rhs = traces[c] * J[b] - traces[b] * J[c]           # scale LR LJ^2
         # lhs - (eps_a / 2n) rhs over the scale LR LJ^2 d, as d = 4n
         residual = (d * LJ) * lhs - (2 * EPS[a]) * rhs
-        worst = max(worst, exactla.max_abs(residual))
+        worst = max(worst, index(exactla.max_abs(residual)))
     worst = Fraction(worst, LR * LJ * LJ * d)
     return worst == 0, worst
 
@@ -344,9 +440,15 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
 
     Evaluates the formula for any hermitian structure (any comrel triple
     with its metric), not only the standard one.
+
+    Width: per unit of max|g|, the metric terms reach 2 LJ^2 and the four
+    structure terms (2 K counts twice) 3 d max|J|^2 each, so
+    14 d max(LJ, max|J|)^2 bounds every entry and partial sum; under
+    2^62 the build runs on int64, otherwise on Python ints.
     """
     g, Lg = H.scaled_g
     J, LJ = H.scaled_J
+    g, J = _operands(14 * H.dim * max(LJ, _top(J)) ** 2, g, J)
     t = _metric_terms(g)
     t *= LJ * LJ   # to the scale Lg LJ^2 of K
     # with A_a = J_a^T g, A_a[x, y] = g(J_a e_x, e_y), the permutations of
@@ -435,20 +537,24 @@ def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
     sanity tests: antisymmetry of [m, m], ad(f)-invariance of the metric,
     and the Jacobi identity on tangent triples (which is first Bianchi).
     The tests are zero tests on the integer tables, and the double
-    brackets are formed once, for the Jacobi test and the tensor."""
+    brackets are formed once, for the Jacobi test and the tensor: each
+    entry of their cyclic sum is at most 3 nf max|c_mm| max|c_fm| for nf
+    isotropy generators, on int64 under 2^62, on Python ints otherwise."""
     (mm, Lmm), (fm, Lfm), (g, _) = D.c_mm, D.c_fm, D.g_m
     if exactla.max_abs(mm + mm.transpose(1, 0, 2)) != 0:
         raise NotSymmetricPairError("[m, m] table is not antisymmetric")
     # ad(f) must be g_m-skew; fm[a] = ad(f_a)^T, row i = [f_a, m_i]
     if exactla.max_abs(fm @ g + g @ fm.transpose(0, 2, 1)) != 0:
         raise NotSymmetricPairError("metric is not ad(f)-invariant")
-    # dbl / (Lmm Lfm) is the coefficient of m_l in [[m_i, m_j], m_k];
+    # dbl / (Lmm Lfm) is the coefficient of m_l in [[m_j, m_i], m_k] =
+    # -[[m_i, m_j], m_k], as [m, m] is antisymmetric (tested above);
     # Jacobi on (m, m, m): sum_cyc [[m_i, m_j], m_k] = 0
-    dbl = np.tensordot(mm, fm, axes=([2], [0]))
+    mm, fm = _operands(3 * len(fm) * _top(fm), mm, fm)
+    dbl = np.tensordot(mm.transpose(1, 0, 2), fm, axes=([2], [0]))
     cyc = dbl + dbl.transpose(1, 2, 0, 3) + dbl.transpose(2, 0, 1, 3)
     if exactla.max_abs(cyc) != 0:
         raise NotSymmetricPairError("Jacobi identity fails on m triples")
-    return CurvatureTensor._unchecked(-dbl, Lmm * Lfm, D.g_m)
+    return CurvatureTensor._unchecked(dbl, Lmm * Lfm, D.g_m)
 
 
 # -- concrete decompositions ------------------------------------------------
@@ -552,6 +658,11 @@ def projective_pair(n: int):
     would hold d times larger intermediates for no fewer operations, so
     the per-z slices bound the peak memory of the build by that of the
     bracket batch.
+
+    Width: the slices have entries 0 and +-1; an entry of a product of
+    two coefficient arrays is a signed sum of 4 (n+1) products, so the
+    brackets reach 8 (n+1) and the double brackets 64 (n+1)^2, at most
+    256 n^2: on int64 under 2^62, on Python ints otherwise.
     """
     d = 4 * n
     # basis[u, s, r]: coefficient u of entry r of e_s (interleaved coordinates)
@@ -561,20 +672,22 @@ def projective_pair(n: int):
     M = np.zeros((4, d, n + 1, n + 1), dtype=object)
     M[:, :, 1:, 0] = basis
     M[:, :, 0, 1:] = (-SplitQuaternion(*basis).conj()).coefficients()
+    M, = _operands(256 * n * n, M)
     xs, ys = np.triu_indices(d, 1)
     # [M(e_y), M(e_x)] negates the double bracket
     inner = (batch_matmul(M[:, ys], M[:, xs])
              - batch_matmul(M[:, xs], M[:, ys]))
-    tensor = np.zeros((d, d, d, d), dtype=object)
+    tensor = np.zeros((d, d, d, d), dtype=M.dtype)
     for z in range(d):
         Mz = M[:, z]
         # first column of [inner, M(e_z)], rows 1..n in real coordinates
         col = (batch_matmul(inner, Mz[..., :1])
                - batch_matmul(Mz, inner[..., :1]))
-        out = col[:, :, 1:, 0].transpose(1, 2, 0).reshape(len(xs), d)
-        tensor[xs, ys, z] = out
-        tensor[ys, xs, z] = -out
-    return CurvatureTensor._unchecked(tensor, 1, (metric_matrix(n), 1))
+        tensor[xs, ys, z] = col[:, :, 1:, 0].transpose(1, 2, 0).reshape(
+            len(xs), d)
+    # the pairs y < x by antisymmetry, R(e_y, e_x) = -R(e_x, e_y)
+    return CurvatureTensor._unchecked(tensor - tensor.transpose(1, 0, 2, 3),
+                                      1, (metric_matrix(n), 1))
 
 
 @functools.cache
@@ -604,11 +717,13 @@ def jacobi_operator(R: CurvatureTensor, X: np.ndarray):
     """(K, L): K / L is the matrix of K_X: Y -> R(X, Y) X for an integer
     vector X, column y the image of e_y; L is the scale of R.  TypeError
     unless every entry of X is a Python int (jacobi_spectrum_report
-    scales a rational direction first)."""
+    scales a rational direction first).  Each entry of K is a sum of d^2
+    products (growth d^2 max|X|^2); K is returned as Python ints."""
     X = _integer_array(X, "direction")
-    t1 = np.tensordot(X, R.tensor, axes=([0], [0]))   # (y, z, w)
-    t2 = np.tensordot(X, t1, axes=([0], [1]))         # (y, w)
-    return t2.T, R.scale
+    t, X = _operands(R.dim ** 2 * _top(X) ** 2, R.tensor, X)
+    t1 = np.tensordot(X, t, axes=([0], [0]))   # (y, z, w)
+    t2 = np.tensordot(X, t1, axes=([0], [1]))  # (y, w)
+    return _python_ints(t2.T), R.scale
 
 
 def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
@@ -713,11 +828,17 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     antisymmetric, satisfies Bianchi (the dim-2 identity on the H factor
     against the full symmetry of s), takes values commuting with every
     J_a, and is traceless in the Ricci sense.
+
+    Width: per unit of max|s| (at most 3), the raised s reaches m max|O|
+    (O the scaled inverse of omega_E), the blocks max|omega_H| times that,
+    and each of the four changes of basis d times the max entry of its
+    matrix, which bounds every entry and partial sum; under 2^62 the
+    build runs on int64, otherwise on Python ints.
     """
     Oe, Le = split.omega_e
     m = len(Oe)                     # 2n
     d = 2 * m
-    s4 = np.zeros((m, m, m, m), dtype=object)   # Python ints
+    s4 = np.zeros((m, m, m, m), dtype=np.int64)   # entries in [-3, 3]
     for idx in combinations_with_replacement(range(m), 4):
         val = rng.randint(-3, 3)
         for perm in permutations(idx):
@@ -727,14 +848,19 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     # its inverse is Le Oinv / Linv, and with change = C / LC the inverse
     # of the change of basis is LC Cinv / LCinv
     Oinv, Linv = exactla.inverse(Oe)
-    # shat[i, j, k, l] = sum_t s4[i, j, k, t] omega_E^-1[l, t]
-    shat = s4 @ (Oinv.T * Le)
+    O = Oinv.T * Le
     C, LC = split.change
     Cinv, LCinv = exactla.inverse(C)
     Cinv *= LC
+    oh = split.omega_h
+    s4, O, oh, C, Cinv = _operands(
+        m * _top(O) * _top(oh) * d ** 4 * _top(C) * _top(Cinv) ** 3,
+        s4, O, oh, C, Cinv)
+    # shat[i, j, k, l] = sum_t s4[i, j, k, t] omega_E^-1[l, t]
+    shat = s4 @ O
     # tensor[(i,a), (j,b), (k,c), (l,d)] = omega_h[a,b] shat[i,j,k,l] delta[c,d]
-    blocks = np.multiply.outer(np.multiply.outer(shat, split.omega_h),
-                               np.eye(2, dtype=object))
+    blocks = np.multiply.outer(np.multiply.outer(shat, oh),
+                               np.eye(2, dtype=shat.dtype))
     tensor = blocks.transpose(0, 4, 1, 5, 2, 6, 3, 7).reshape(d, d, d, d)
     del blocks
     # transform from tensor coordinates to the ambient basis:

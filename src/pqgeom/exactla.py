@@ -14,8 +14,18 @@ pair: ``scaled_integers(arr)`` returns an object array N of Python ints
 and the lcm L of the entry denominators with arr == N / L (TypeError on
 any entry that is not an int or a Fraction, the check of
 ``require_exact``), and ``from_scaled_integers(N, L)`` turns a pair into
-a ``Fraction`` array.  Python ints do not overflow, so no magnitude bound
-is needed.  A pair built by its integer array (``PQVector`` and
+a ``Fraction`` array.  Python ints do not overflow; machine integers do,
+silently, so an int64 array is used only under a checked bound, and
+``words(arr, growth)`` is the one place that decides it: arr as an int64
+array when its entries are integers and growth * max(1, max|arr|) < 2^62,
+None otherwise, with growth the caller's bound on every entry and partial
+sum it forms per unit of the entries of arr.  Object entries are read
+through ``operator.index`` (never truncated), and an int64 array is only
+bounded by its max and min.  A caller whose bound fails runs the same
+expressions on Python ints.  The d^4 curvature tensors use it
+(``curvature.CurvatureTensor``, its builders and its kernels, each of
+which states its growth), and ``contract`` keeps the dtype of its tensor.
+A pair built by its integer array (``PQVector`` and
 ``PQMatrix.from_scaled_integers``, ``BilinearForm(N, L)``,
 ``HermitianStructure(..., scales=...)``) passes that array through
 ``integer_array``, which refuses a float or complex dtype and reads no
@@ -37,7 +47,7 @@ in the ``Fraction`` views (``fractions()``, ``matrix``, ``array``,
 sums) are single ``Fraction``s; the syntax-tree lint of
 tests/test_roundtrip_lint.py holds every module to that.  A d^4
 curvature tensor is held as the pair (N, L) from builder to residual.
-``contract(T, A, axis)`` contracts one axis of a Python-int tensor with
+``contract(T, A, axis)`` contracts one axis of an integer tensor with
 a small integer matrix, one slice operation per nonzero entry of A, so a
 product with a sparse matrix (a signed permutation, or at most two
 nonzeros per row) costs about d^4 operations on a d^4 tensor, not d^5.
@@ -139,6 +149,36 @@ def stack_max_abs(N, L) -> Fraction:
                default=Fraction(0))
 
 
+def words(arr, growth: int = 1) -> np.ndarray | None:
+    """arr as an int64 array when its entries are integers and
+    growth * max(1, max|arr|) < 2^62; None otherwise (an entry that is not
+    an integer, a float or complex dtype, or a failed bound).  growth is
+    the caller's bound on every entry and partial sum it forms, per unit
+    of the entries of arr; the max(1, .) keeps the growth itself, which
+    the caller's int64 expressions read as a scalar, below 2^62 too.
+    Object entries are read through operator.index (Python and numpy ints
+    pass, a Fraction or a float gives None, never truncated); an integer
+    dtype is bounded by its max and min alone, and an int64 array is
+    returned as it is."""
+    arr = np.asarray(arr)
+    if arr.dtype == object:
+        try:
+            ints = list(map(index, arr.reshape(-1)))
+        except TypeError:
+            return None
+        top = max(max(ints, default=0), -min(ints, default=0))
+    elif arr.dtype.kind in "biu":
+        ints = arr
+        top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+    else:
+        return None
+    if growth * max(1, top) >= 2 ** 62:
+        return None
+    if arr.dtype == np.int64:
+        return arr
+    return np.array(ints, dtype=np.int64).reshape(arr.shape)
+
+
 def require_exact(arr) -> np.ndarray:
     """The entries of arr, flattened; TypeError on any entry that is not
     an int or a Fraction.  The test runs once per entry type."""
@@ -218,12 +258,14 @@ def scaled_distance(A, LA: int, B, LB: int) -> Fraction:
 
 def contract(T, A, axis: int) -> np.ndarray:
     """out[..., i, ...] = sum_j A[i, j] T[..., j, ...] on `axis` of an
-    object array T of Python ints, for an integer matrix A: the array
+    integer array T, for an integer matrix A: the array
     np.moveaxis(np.tensordot(A, T, axes=([1], [axis])), 0, axis), formed
-    by one slice operation per nonzero entry of A.  TypeError on a
-    nonzero entry of A that is not an integer."""
+    by one slice operation per nonzero entry of A, in the dtype of T (an
+    int64 T is the caller's to bound: each entry is at most the max
+    absolute row sum of A times max|T|).  TypeError on a nonzero entry of
+    A that is not an integer."""
     T = np.moveaxis(np.asarray(T), axis, 0)
-    out = np.zeros((len(A),) + T.shape[1:], dtype=object)
+    out = np.zeros((len(A),) + T.shape[1:], dtype=T.dtype)
     for i, j in zip(*np.nonzero(A)):
         if not isinstance(A[i, j], (int, np.integer)):
             raise TypeError(f"contract needs an integer matrix, not "

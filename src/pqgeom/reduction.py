@@ -496,6 +496,16 @@ def isotropy_moment_traces(p: int, q: int, U, L):
                       for a in range(3)], axis=-1), LA * LA)
 
 
+def _require_zero_level(p: int, q: int, U, L: int):
+    """DegenerateLevelSetError unless the point U / L lies on the zero
+    level set of the weights (p, q): the one level guard of
+    reduced_jacobi and admissible_directions."""
+    level = weighted_level_value(p, q, U)
+    if level.any():
+        off = Fraction(exactla.max_abs(level), L * L)
+        raise DegenerateLevelSetError(f"point off the zero level set by {off}")
+
+
 @dataclass
 class ReducedJacobi:
     eigenvalues: tuple
@@ -548,10 +558,7 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     VV = span[:, 0] @ g_span[:, 0]
     if VV == 0:
         raise NonRegularError("point fails the regularity condition")
-    level = weighted_level_value(p, q, U)
-    if level.any():
-        off = Fraction(exactla.max_abs(level), L * L)
-        raise DegenerateLevelSetError(f"point off the zero level set by {off}")
+    _require_zero_level(p, q, U, L)
     xnorm = XN @ apply_metric(XN)
     if xnorm == 0:
         raise NullDirectionError("direction is null")
@@ -579,18 +586,21 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     kernel basis N of projspace.quotient_frame, which spans the admissible
     space (reduced_jacobi is invariant under scaling X).  Its rows are the
     sphere row g x and the moment rows of j, which are g J_b V up to
-    scale, and its fields V, x i, x j, x k.  u lies on the zero level
-    set, where the Killing field is horizontal (reduced_jacobi).  The
+    scale, and its fields V, x i, x j, x k.  u must lie on the zero level
+    set, where the Killing field is horizontal (reduced_jacobi):
+    DegenerateOrbitError where the frame is dependent, then
+    DegenerateLevelSetError off the level set, before any draw.  The
     kernel is that of the integer coordinates U of u, which spans the
     same space.  At most REDRAW_LIMIT draws per direction
     (RedrawLimitError)."""
-    U, _ = u.x.scaled
+    U, L = u.x.scaled
     ws = _weights(p, q)
     _, (basis, _, _) = quotient_frame(
         np.concatenate([apply_metric(U).reshape(1, -1),
                         _moment_rows(1, ws, U)]),
         np.concatenate([_killing(1, ws, U).reshape(-1, 1),
                         unit_frame(U)[:, 1:]], axis=1))
+    _require_zero_level(p, q, U, L)
     out = []
     for _ in range(REDRAW_LIMIT * count):
         X = basis @ np.array([rng.randint(-4, 4)

@@ -669,10 +669,11 @@ def ref_projective_pair(n):
 def test_projective_pair_matches_scalar_commutators(n):
     want = ref_projective_pair(n)
     R = projective_pair(n)
-    # the bracket curvature is integral: scale 1, Python int entries
+    # the bracket curvature is integral: scale 1, int64 entries (every
+    # entry is far below the word bound)
     assert R.scale == 1
+    assert R.tensor.dtype == np.int64
     assert R.tensor.shape == want.shape and (R.tensor == want).all()
-    assert all(type(a) is int for a in R.tensor.reshape(-1))
 
 
 # -- the scaled-integer path against a plain Fraction reference --------------
@@ -993,8 +994,11 @@ def test_integer_tensor_matches_fraction_reference(FA, FB, c, x):
 def test_tensor_constructor_rejects_non_integer_data():
     R = projective_curvature(structure_endos(1))
     floats = np.array(R.fractions(), dtype=float)
-    for tensor, scale in [(floats, 1), (R.fractions(), 1),
-                          (R.tensor.astype(np.int64), 1),
+    # numpy ints inside an object array would wrap in object arithmetic
+    numpy_ints = np.fromiter(R.tensor.astype(np.int64).reshape(-1),
+                             dtype=object).reshape(R.tensor.shape)
+    assert type(numpy_ints[0, 1, 0, 1]) is np.int64
+    for tensor, scale in [(floats, 1), (R.fractions(), 1), (numpy_ints, 1),
                           (R.tensor, 0), (R.tensor, -2), (R.tensor, 1.0),
                           (R.tensor, Fraction(1)), (R.tensor, True)]:
         with pytest.raises(TypeError):
@@ -1005,8 +1009,10 @@ def test_tensor_constructor_rejects_non_integer_data():
                    (G, 0), (G, 1.0)]:
         with pytest.raises(TypeError):
             CurvatureTensor(R.tensor, R.scale, metric)
-    assert (CurvatureTensor(R.tensor, R.scale, R.metric).fractions()
-            == R.fractions()).all()
+    # an int64 tensor is exact by its dtype, and so is one of Python ints
+    for tensor in (R.tensor.astype(np.int64), R.tensor.astype(object)):
+        assert (CurvatureTensor(tensor, R.scale, R.metric).fractions()
+                == R.fractions()).all()
 
 
 def test_curvature_suite_scans_no_tensor_it_builds(monkeypatch, capsys):
@@ -1030,6 +1036,137 @@ def test_curvature_suite_scans_no_tensor_it_builds(monkeypatch, capsys):
     R = ambient_projective_curvature(1)
     CurvatureTensor(R.tensor, R.scale, R.metric)
     assert scanned[-2:] == ["curvature tensor", "metric"]
+
+
+# -- word width: the int64 path against the Python-int path -----------------
+#
+# A tensor is held as int64 when its entries fit (exactla.words), and each
+# builder and kernel runs on int64 under its growth bound and on Python
+# ints above it.  With exactla.words refusing every array, the same
+# expressions run on Python ints: the reference the word path must equal.
+
+
+def python_ints(values):
+    """The flat entries of nested pairs, arrays and Fractions; each array
+    must be an object array, and every entry a Python int (or bool)."""
+    out = []
+    for v in values:
+        if isinstance(v, tuple):
+            out += python_ints(v)
+        elif isinstance(v, np.ndarray):
+            assert v.dtype == object
+            out += list(v.reshape(-1))
+        elif isinstance(v, Fraction):
+            out += [v.numerator, v.denominator]
+        else:
+            out.append(v)
+    assert all(type(x) in (int, bool) for x in out)
+    return out
+
+
+def width_run(n):
+    """The tensors of every builder, sums and multiples at rank n, and the
+    integer and scalar results of every kernel on them."""
+    H = structure_endos(n)
+    rng = random.Random(60 + n)
+    B = BilinearForm(np.array([[rng.randint(-4, 4) for _ in range(H.dim)]
+                               for _ in range(H.dim)], dtype=object), 3)
+    model = projective_curvature(H)
+    W = weyl_sample(H, grassman_split(H), random.Random(7))
+    family = curvature_from_bilinear(B, H)
+    Wp, Bp = ricci_split(model.times(2) + family + W, H)
+    solvable = solvable_decomposition()
+    special = special_linear_decomposition(n)
+    tensors = [(model, H), (family, H), (W, H), (projective_pair(n), H),
+               (model + W, H), (family - W, H),
+               (W.times(Fraction(-5, 3)), H), (cli._perturbed(model), H),
+               (Wp, H), (symmetric_space_curvature(solvable),
+                         solvable.structure),
+               (symmetric_space_curvature(special), special.structure)]
+    results = [Bp.scaled, einstein_check(model), scalar_curvature(model)]
+    for R, Hs in tensors:
+        X = np.array([rng.randint(-2, 2) for _ in range(R.dim)],
+                     dtype=object)
+        results += [R.max_abs(), bianchi_residual(R), ricci(R),
+                    structure_traces(R, Hs), normalizes_structure(R, Hs),
+                    jacobi_operator(R, X)]
+    return [R for R, _ in tensors], results
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_word_path_matches_python_int_path(monkeypatch, n):
+    tensors, results = width_run(n)
+    monkeypatch.setattr(exactla, "words", lambda arr, growth=1: None)
+    wide_tensors, wide_results = width_run(n)
+    for R, wide in zip(tensors, wide_tensors):
+        assert R.tensor.dtype == np.int64
+        python_ints([wide.tensor])
+        assert R.scale == wide.scale and (R.tensor == wide.tensor).all()
+    # the residuals, traces, Ricci forms and Jacobi operators are Python
+    # ints on both paths, and equal
+    assert python_ints(results) == python_ints(wide_results)
+
+
+def ref_jacobi(R, X):
+    F = R.fractions()
+    return np.tensordot(X, np.tensordot(X, F, axes=([0], [0])),
+                        axes=([0], [1])).T
+
+
+def test_kernels_widen_above_their_bound():
+    H = structure_endos(1)
+    (J, LJ), (g, Lg) = H.scaled_J, H.scaled_g
+    model = projective_curvature(H)
+    top = model.max_abs() * model.scale
+    # held as int64 at growth 1, but a cyclic sum of 3 entries, a Ricci
+    # trace of 4 or the commutators could leave the bound
+    near = model.times((2 ** 62 - 1) // top)
+    above = model.times(2 ** 61)
+    assert near.tensor.dtype == np.int64 and above.tensor.dtype == object
+    # a structure with entries near 2^31: the same members over a larger
+    # scale, whose builders leave the bound
+    big = HermitianStructure(*(J * 2 ** 31), g, scales=(LJ * 2 ** 31, Lg))
+    B = rand_bilinear(random.Random(5), 4)
+    for got, want in [(projective_curvature(big), model),
+                      (curvature_from_bilinear(B, big),
+                       curvature_from_bilinear(B, H))]:
+        assert got.tensor.dtype == object
+        assert (got.fractions() == want.fractions()).all()
+    # every entry at the largest word: sums, cyclic sums and traces of
+    # entries of one sign leave int64 itself
+    flat = CurvatureTensor(np.full((4, 4, 4, 4), 2 ** 62 - 1, dtype=np.int64),
+                           1, model.metric)
+    assert flat.tensor.dtype == np.int64
+    for got, want in [(near + near, 2 * near.fractions()),
+                      (near - above, near.fractions() - above.fractions()),
+                      (flat + flat.times(Fraction(1, 2)),
+                       Fraction(3, 2) * flat.fractions()),
+                      (near.times(3), 3 * near.fractions())]:
+        assert (got.fractions() == want).all()
+    X = np.array([1, -2, 0, 3], dtype=object)
+    for R in (near, above, flat, near + near, near - above, near.times(3),
+              cli._perturbed(near)):
+        F = R.fractions()
+        assert R.max_abs() == exactla.max_abs(F)
+        assert bianchi_residual(R) == ref_bianchi(R)
+        assert (fractions_of(ricci(R))
+                == np.trace(F, axis1=0, axis2=3)).all()
+        assert (fractions_of(jacobi_operator(R, X)) == ref_jacobi(R, X)).all()
+        for Hs in (H, big):
+            got = fractions_of(structure_traces(R, Hs))
+            for a, want in enumerate(ref_traces(R, Hs)):
+                assert (got[:, :, a] == want).all()
+            assert normalizes_structure(R, Hs) == ref_normalizes(R, Hs)
+        python_ints([R.max_abs(), bianchi_residual(R), ricci(R),
+                     jacobi_operator(R, X), structure_traces(R, big),
+                     normalizes_structure(R, big)])
+    assert normalizes_structure(cli._perturbed(near), H)[0] is False
+    # the CLI's perturbation adds the scale to one entry: over the scale
+    # 2^63 that sum leaves int64, so it is formed on Python ints
+    tiny = flat.times(Fraction(1, 2 ** 63))
+    want = tiny.fractions()
+    want[0, 1, 2, 3] += 1
+    assert (cli._perturbed(tiny).fractions() == want).all()
 
 
 def replace_line(text, index, line):

@@ -770,6 +770,50 @@ def test_contract_matches_tensordot():
         assert not exactla.contract(T, zero, axis).any()
 
 
+def test_words_bound_and_entry_types():
+    # int64 when the entries are integers and growth * max(1, max|arr|)
+    # is below 2^62, None otherwise; nothing is truncated
+    top = 2 ** 62
+    ints = np.array([3, -(top - 1), 0], dtype=object)
+    w = exactla.words(ints)
+    assert w.dtype == np.int64 and (w == ints).all()
+    machine = np.array([1, -2], dtype=np.int64)
+    assert exactla.words(machine) is machine
+    for arr, dtype in [(np.array([np.int64(5), 7], dtype=object), object),
+                       (np.array([5, 7], dtype=np.int32), np.int32),
+                       (np.array([True, False]), bool)]:
+        assert arr.dtype == dtype
+        assert (exactla.words(arr, 3) == arr).all()
+        assert exactla.words(arr, 3).dtype == np.int64
+    assert exactla.words(np.array([2 ** 61 - 1], dtype=object), 2) is not None
+    assert exactla.words(np.zeros((2, 0), dtype=object)).shape == (2, 0)
+    for arr, growth in [(np.array([top], dtype=object), 1),
+                        (np.array([-top], dtype=object), 1),
+                        (np.array([2 ** 61], dtype=object), 2),
+                        (ints, 2),
+                        (np.array([np.iinfo(np.int64).min]), 1),
+                        (np.zeros(3, dtype=np.int64), top),
+                        (np.array([Fraction(1, 2)], dtype=object), 1),
+                        (np.array([Fraction(2)], dtype=object), 1),
+                        (np.array([0.5, 1], dtype=object), 1),
+                        (np.array([1.0]), 1), (np.array([1j]), 1)]:
+        assert exactla.words(arr, growth) is None
+
+
+def test_contract_keeps_machine_integers():
+    # an int64 tensor is contracted on int64, with the values of the
+    # Python-int contraction
+    rng = random.Random(4)
+    T = np.array([rng.randint(-9, 9) for _ in range(3 ** 4)],
+                 dtype=object).reshape(3, 3, 3, 3)
+    A = np.array([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)],
+                 dtype=object)
+    for axis in range(4):
+        got = exactla.contract(T.astype(np.int64), A, axis)
+        assert got.dtype == np.int64
+        assert (got == exactla.contract(T, A, axis)).all()
+
+
 def ref_ricci_operator(H):
     """The Ricci map B -> Ric(R^B) of the linear family on the row-major
     vec(B), assembled on Fractions: (d + 3) I - P + Psi + P Psi with

@@ -4,7 +4,8 @@ broken.
 Each row plants one defect in an ingredient of one registry check (one
 sign flipped in a product, a norm, a conjugation, a representation, a
 scalar product, a Killing field, a column of the moment table or a
-scale, or an element off the unit group) and runs the
+scale, an element off the unit group, or a curvature ingredient: a
+term, a slot, a cyclic order, a projector part or a sign) and runs the
 check's suite through ``run_suite``; the check must report ``fail``.  A
 check that still passes is vacuous on its samples.  A row of the second
 table plants bad input instead (a rotation off the group), which the
@@ -21,10 +22,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pqgeom.cli as cli
+import pqgeom.curvature as curv
 import pqgeom.forms as forms
+import pqgeom.linalg as linalg
 import pqgeom.projspace as proj
 import pqgeom.reduction as red
 from pqgeom.algebra import UNITS, SplitQuaternion
@@ -98,6 +102,39 @@ class _FourFormWithOneWrongEntry(forms.FourForm):
         self.scaled = (N, L)
 
 
+def _unit_product_sign_flipped(s, t):
+    """The product table of linalg.batch_matmul with the sign of e_s e_t
+    flipped."""
+    return tuple((a, b, u, -sign if (a, b) == (s, t) else sign)
+                 for a, b, u, sign in linalg._UNIT_PRODUCTS)
+
+
+def _metric_terms_doubled(S):
+    return 2 * METRIC_TERMS(S)
+
+
+def _ricci_missing_a_term(R):
+    """The Ricci trace over every basis vector but the last, an
+    off-by-one range."""
+    t = np.asarray(R.tensor, dtype=object)[:-1, :, :, :-1]
+    return np.trace(t, axis1=0, axis2=3), R.scale
+
+
+def _projector_parts_swapped(B, H):
+    herm, mix, fourway = PROJECTOR(B, H)
+    return mix, herm, fourway
+
+
+def _difference_as_a_sum(R, other, sign):
+    return COMBINE(R, other, 1)
+
+
+def _jacobi_slots_swapped(R, X):
+    """K_X(Y) = R(Y, X) X, which is -R(X, Y) X."""
+    K, L = JACOBI(R, X)
+    return -K, L
+
+
 def _twice_a_unit_quaternion(rng):
     return UNIT_QUATERNION(rng).scale(2)
 
@@ -108,6 +145,8 @@ def _rotation_off_the_group(rng):
 
 
 PRODUCT, REAL_REP = SplitQuaternion.__mul__, cli.real_rep
+METRIC_TERMS, PROJECTOR = curv._metric_terms, curv.hermitian_projector
+COMBINE, JACOBI = curv.CurvatureTensor._combine, curv.jacobi_operator
 KILLING, SANDWICH = red._killing, red._SANDWICH
 ROTATION = cli.random_rotation
 UNIT_QUATERNION = proj.random_unit_quaternion
@@ -158,6 +197,38 @@ PLANTED = {
     # the translated frame; only the norm of the element sees it
     "lift-independence": ("projspace", proj, "random_unit_quaternion",
                           _twice_a_unit_quaternion),
+    # i j = -k: the bracket curvature leaves the closed formula
+    "bracket-formula-proportional": ("curvature", linalg, "_UNIT_PRODUCTS",
+                                     _unit_product_sign_flipped(1, 2)),
+    # (a, c, b) in place of each cyclic (a, b, c)
+    "structure-membership": ("curvature", curv, "CYCLES",
+                             tuple((a, c, b) for a, b, c in curv.CYCLES)),
+    # B is Ric(R) divided by d + 8 on the mixed part and by d on the
+    # hermitian one
+    "ricci-splitting": ("curvature", curv, "hermitian_projector",
+                        _projector_parts_swapped),
+    # the trace term of R^B no longer cancels the cyclic sum of the
+    # metric terms of an asymmetric B
+    "first-bianchi": ("curvature", curv, "_metric_terms",
+                      _metric_terms_doubled),
+    # every term of the model is Sp(n)Sp(1)-invariant, and so is its
+    # Ricci form under any sign or term defect; a trace that misses one
+    # basis vector is not
+    "einstein-property": ("curvature", curv, "ricci",
+                          _ricci_missing_a_term),
+    # both tensors are built from the same terms, so only the difference
+    # of the check sees a sign
+    "bilinear-family-matches-model": ("curvature", curv.CurvatureTensor,
+                                      "_combine", _difference_as_a_sum),
+    # the spectrum -4, -1 of the model becomes 4, 1
+    "jacobi-spectrum-model": ("curvature", curv, "jacobi_operator",
+                              _jacobi_slots_swapped),
+    # the right-multiplication triple, which does not commute with the
+    # isotropy generator, in place of the left one
+    "solvable-oracle-nilpotent": ("curvature", curv, "left_structure_endos",
+                                  linalg.structure_endos),
+    "special-linear-oracle": ("curvature", curv, "ricci",
+                              _ricci_missing_a_term),
 }
 PLANTED = {row: (row.split("/")[0], *spec) for row, spec in PLANTED.items()}
 
@@ -169,10 +240,22 @@ REFUSED = {
 }
 
 
+@pytest.fixture(autouse=True)
+def _fresh_model():
+    """The model tensor is built once per rank (functools.cache): a row
+    that plants a defect in its builder must see it rebuilt, and the rows
+    after it the sound model again, after monkeypatch has undone the
+    plant."""
+    curv._model_curvature.cache_clear()
+    yield
+    curv._model_curvature.cache_clear()
+
+
 def _status_before_and_after(monkeypatch, spec):
     name, suite, owner, attribute, planted = spec
     before = {r.name: r for r in cli.run_suite(suite)}[name]
     monkeypatch.setattr(owner, attribute, planted)
+    curv._model_curvature.cache_clear()
     return before, {r.name: r for r in cli.run_suite(suite)}[name]
 
 

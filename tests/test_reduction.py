@@ -879,6 +879,20 @@ def test_reduced_jacobi_rejects_points_off_the_level_set(p, q):
         reduced_jacobi(p, q, off, X)
 
 
+@pytest.mark.parametrize("p, q", [(1, 2), (3, 4)])
+def test_admissible_directions_reject_points_off_the_level_set(p, q):
+    # the directions are horizontal only where the Killing field is, on
+    # the zero level set: a generic sphere point, whose quotient frame is
+    # independent, is refused before any direction is drawn
+    off = random_sphere_point(random.Random(3), 3)
+    assert weighted_level_value(p, q, off.x.scaled[0]).any()
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(DegenerateLevelSetError, match="off the zero level"):
+        admissible_directions(p, q, off, rng, 1)
+    assert rng.getstate() == state
+
+
 def test_admissible_directions_refuse_a_dependent_frame():
     # off the zero level set, at the base point, the Killing field
     # V = x (q j) and its unit multiples span the fiber with x, so the rows
