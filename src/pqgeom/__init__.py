@@ -24,6 +24,7 @@ from .reduction import (DegenerateLevelSetError, NonRegularError,
                         NullOrbitError, flat_moment_gradient_check,
                         flat_reduced_structure, reduced_jacobi,
                         weighted_level_value)
+from .workers import map_units
 from .cli import CheckReport, emit_report, run_suite
 
 __version__ = "0.1.0"

@@ -7,6 +7,15 @@ anchor tag so reports can be traced back to the property they certify.
 Reports are deterministic for a fixed (suite, seed, config) triple,
 except for the wall_time field.
 
+``--suite all`` runs its suites at once, one process per CPU that the
+process may use (``workers.map_units``): this process and forked
+workers, each taking whole suites, the reductions first.  Whole suites,
+because the checks of one suite share cached model data.  Every check
+seeds its own generator from the seed and its name, so the report is the
+same on any number of CPUs; ``taskset -c 0 pqgeom --suite all`` runs
+every suite in this process.  A suite whose worker died before reporting
+it reports each of its checks as an error.
+
 Exit codes: 0 all checks pass, 1 at least one failure, 2 bad
 configuration (unknown suite or option, invalid weights, a sample count
 or rank below 1, a report path that cannot be written).
@@ -41,6 +50,7 @@ from .linalg import (REDRAW_LIMIT, TENSOR_BLOCKS, HermitianStructure,
 from . import curvature as curv
 from . import projspace as proj
 from . import reduction as red
+from .workers import map_units
 
 
 class UnknownSuiteError(ValueError):
@@ -493,7 +503,13 @@ def _chk_solvable(config, rng):
 def _chk_special_linear(config, rng):
     D = curv.special_linear_decomposition(2)
     R = curv.symmetric_space_curvature(D)
-    worst = curv.bianchi_residual(R)
+    # R(X, Y) = -R(Y, X): the cyclic sum and the Ricci form alone pass R
+    # with its second and third slots swapped.  Two entries below 2^62
+    # sum within int64.
+    t = R.tensor
+    worst = Fraction(int(exactla.max_abs(t + t.transpose(1, 0, 2, 3))),
+                     R.scale)
+    worst = max(worst, curv.bianchi_residual(R))
     _, res = curv.einstein_check(R)
     worst = max(worst, res)
     return worst, 1
@@ -506,13 +522,12 @@ def _chk_bracket_formula(config, rng):
 
 
 def _chk_vertical_gram(config, rng):
-    # induced_geometry compares the fiber Gram with diag(1, -1, -1)
-    # entrywise before it builds the quotient frame
+    # unit_fiber compares the fiber Gram with diag(1, -1, -1) entrywise
     bad = 0
     count = max(5, config.samples // 10)
     for _ in range(count):
         try:
-            proj.induced_geometry(proj.random_sphere_point(rng, 3))
+            proj.unit_fiber(proj.random_sphere_point(rng, 3))
         except proj.DegenerateOrbitError:
             bad += 1
     return bad, count
@@ -741,7 +756,8 @@ REGISTRY: dict[str, list] = {
 
 
 def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckReport]:
-    """Run one suite (or 'all'); returns reports ordered by check name."""
+    """Run one suite (or 'all', its suites spread over the allowed CPUs by
+    workers.map_units); returns reports ordered by check name."""
     config = config or CheckConfig()
     try:
         red._weights(config.p, config.q)
@@ -754,14 +770,17 @@ def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckRep
     if config.rank < 1:
         raise InvalidConfigError(f"rank {config.rank} must be at least 1")
     if selector == "all":
-        suites = list(REGISTRY)
+        # the longest suites, the reductions, are dealt first, which
+        # bounds the time at which the last process finishes
+        suites = list(reversed(REGISTRY))
     elif selector in REGISTRY:
         suites = [selector]
     else:
         raise UnknownSuiteError(
             f"unknown suite {selector!r}; choose from {(*REGISTRY, 'all')}")
-    reports = []
-    for suite in suites:
+
+    def run(suite):
+        reports = []
         for name, fn, anchor, tol in REGISTRY[suite]:
             rng = _check_rng(config, name)
             start = time.perf_counter()
@@ -776,6 +795,16 @@ def run_suite(selector: str, config: CheckConfig | None = None) -> list[CheckRep
                 name=name, status=status, max_residual=residual,
                 tolerance=tol, sample_count=count, seed=config.seed,
                 wall_time=time.perf_counter() - start, anchor=anchor))
+        return reports
+
+    reports = []
+    for suite, done in zip(suites, map_units(run, suites)):
+        # a suite whose worker died unreported: each check is an error
+        reports += done if done is not None else [
+            CheckReport(name=name, status="error", max_residual=float("nan"),
+                        tolerance=tol, sample_count=0, seed=config.seed,
+                        wall_time=0.0, anchor=anchor)
+            for name, _, anchor, tol in REGISTRY[suite]]
     reports.sort(key=lambda r: r.name)
     return reports
 

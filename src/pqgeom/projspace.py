@@ -198,14 +198,10 @@ def quotient_frame(rows, fields):
                               validate=False, scales=(L, L * L)), kernel
 
 
-def induced_geometry(x: SpherePoint):
-    """(HermitianStructure on the horizontal frame, the frame itself as
-    the kernel triple (N, L, free) of exactla.nullspace), from
-    quotient_frame of the sphere row g x and the fields x i, x j, x k: the
-    horizontal space is the orthogonal complement of the position vector
-    and the fiber, and its 4n columns N / L span the kernel at the integer
-    coordinates C of x = C / LC.  Both are exact at rational points.
-    DegenerateOrbitError unless the fiber Gram of (C i, C j, C k) is
+def unit_fiber(x: SpherePoint):
+    """(C, fiber): the integer coordinates C of x = C / LC and the fiber
+    frame (C i, C j, C k) as the columns of an integer array.
+    DegenerateOrbitError unless the fiber Gram of the frame is
     LC^2 diag(1, -1, -1), that is unless x lies on the unit sphere."""
     C, LC = x.x.scaled
     fiber = unit_frame(C)[:, 1:]
@@ -218,6 +214,19 @@ def induced_geometry(x: SpherePoint):
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
+    return C, fiber
+
+
+def induced_geometry(x: SpherePoint):
+    """(HermitianStructure on the horizontal frame, the frame itself as
+    the kernel triple (N, L, free) of exactla.nullspace), from
+    quotient_frame of the sphere row g x and the fields x i, x j, x k: the
+    horizontal space is the orthogonal complement of the position vector
+    and the fiber, and its 4n columns N / L span the kernel at the integer
+    coordinates C of x = C / LC.  Both are exact at rational points.
+    DegenerateOrbitError from unit_fiber unless x lies on the unit
+    sphere."""
+    C, fiber = unit_fiber(x)
     H, kernel = quotient_frame(apply_metric(C).reshape(1, -1), fiber)
     H.check_relations()
     return H, kernel

@@ -135,6 +135,13 @@ def _jacobi_slots_swapped(R, X):
     return -K, L
 
 
+def _second_and_third_slots_swapped(D):
+    """R[x, z, y, w] in place of R[x, y, z, w]."""
+    R = SYMMETRIC(D)
+    return curv.CurvatureTensor._unchecked(R.tensor.transpose(0, 2, 1, 3),
+                                           R.scale, R.metric)
+
+
 def _twice_a_unit_quaternion(rng):
     return UNIT_QUATERNION(rng).scale(2)
 
@@ -147,6 +154,7 @@ def _rotation_off_the_group(rng):
 PRODUCT, REAL_REP = SplitQuaternion.__mul__, cli.real_rep
 METRIC_TERMS, PROJECTOR = curv._metric_terms, curv.hermitian_projector
 COMBINE, JACOBI = curv.CurvatureTensor._combine, curv.jacobi_operator
+SYMMETRIC = curv.symmetric_space_curvature
 KILLING, SANDWICH = red._killing, red._SANDWICH
 ROTATION = cli.random_rotation
 UNIT_QUATERNION = proj.random_unit_quaternion
@@ -229,6 +237,11 @@ PLANTED = {
                                   linalg.structure_endos),
     "special-linear-oracle": ("curvature", curv, "ricci",
                               _ricci_missing_a_term),
+    # the cyclic sum and the Ricci form of the swapped tensor vanish and
+    # are g-proportional as before; only R(X, Y) = -R(Y, X) sees it
+    "special-linear-oracle/slots": ("curvature", curv,
+                                    "symmetric_space_curvature",
+                                    _second_and_third_slots_swapped),
 }
 PLANTED = {row: (row.split("/")[0], *spec) for row, spec in PLANTED.items()}
 

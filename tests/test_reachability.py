@@ -10,7 +10,10 @@ run now reaches.
 
 The runs go to a fresh interpreter because a second run in one process
 would not enter the functions that ``functools.cache`` has answered
-already, and so that the imports of the package are profiled too.
+already, and so that the imports of the package are profiled too.  The
+interpreter pins itself to one CPU, so that ``--suite all`` runs every
+suite in-process: ``sys.setprofile`` does not see into the workers that
+the CLI forks on more CPUs.
 """
 
 import ast
@@ -26,9 +29,10 @@ RUNS = (["--suite", "all", "--seed", "0"],
         ["--suite", "curvature", "--n", "1", "--seed", "0"])
 
 # (file, first line, name) of every code object entered during the runs,
-# with the report output of the CLI discarded
+# on one CPU, with the report output of the CLI discarded
 PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 entered = set()
 def profile(frame, event, arg):
     if event == "call":

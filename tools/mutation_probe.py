@@ -7,9 +7,10 @@ edited), and for every ``+`` or ``-`` binary operation of the named
 modules (default: algebra, exactla, linalg, forms, curvature, projspace
 and reduction) writes a mutant in which that one operator is flipped.
 Each mutant runs ``pqgeom --suite all`` and then ``pqgeom --suite
-curvature --n 3``, one process at a time, each with a 60 s timeout.  A
-mutant is killed when a run exits nonzero (a check fails or errors) or
-times out; it survives when both runs pass.  The surviving sites are
+curvature --n 3``, one CLI at a time (each forks its own workers), each
+with a 60 s timeout that kills the CLI's whole process group.  A mutant
+is killed when a run exits nonzero (a check fails or errors) or times
+out; it survives when both runs pass.  The surviving sites are
 printed as ``module.py:line:column expression``: the line and column of
 the operation in the unmutated file (nested operations can share them)
 and the unmutated expression, followed by the counts per module.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -59,14 +61,19 @@ def killed(root: Path) -> bool:
     env = dict(os.environ, PYTHONPATH=str(root),
                PYTHONDONTWRITEBYTECODE="1")
     for argv in RUNS:
+        # its own session, so that a timeout kills the workers the CLI
+        # forked along with it
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pqgeom", *argv], cwd=root, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True)
         try:
-            result = subprocess.run(
-                [sys.executable, "-m", "pqgeom", *argv], cwd=root, env=env,
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                timeout=TIMEOUT_S)
+            code = proc.wait(timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
             return True
-        if result.returncode != 0:
+        if code != 0:
             return True
     return False
 
