@@ -18,12 +18,14 @@ from .curvature import (CurvatureTensor, NotSymmetricPairError,
                         normalizes_structure, projective_curvature,
                         ricci_split, symmetric_space_curvature)
 from .projspace import (CompletionFailureError, DegenerateOrbitError,
-                        NullLineError, SpherePoint, TangentLineError,
-                        induced_geometry, transitive_element)
+                        NullLineError, Quotient, SpherePoint,
+                        TangentLineError, induced_geometry, quotient_frame,
+                        sphere_quotient, transitive_element)
 from .reduction import (DegenerateLevelSetError, NonRegularError,
                         NullOrbitError, flat_moment_gradient_check,
-                        flat_reduced_structure, reduced_jacobi,
-                        weighted_level_value)
+                        flat_reduced_structure, moment_quotient,
+                        reduced_jacobi, weighted_level_value,
+                        weighted_quotient)
 from .workers import map_units
 from .cli import CheckReport, emit_report, run_suite
 

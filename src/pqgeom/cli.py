@@ -609,7 +609,8 @@ def _chk_s1_orthogonality(config, rng):
     count = max(3, config.samples // 30)
     rank = config.rank + 1
     points = [red.flat_level_sample(rng, rank) for _ in range(count)]
-    return red.orthogonality_check(0, (1,) * rank, points), count
+    return (red.orthogonality_check(red.moment_quotient(0, (1,) * rank),
+                                    points), count)
 
 
 def _chk_pq_zero_sets(config, rng):
@@ -658,9 +659,9 @@ def _chk_pq_point_variation(config, rng):
 def _chk_pq_orthogonality(config, rng):
     # the weighted action: left multiplication by j, weights (q, p, p)
     count = max(3, config.samples // 30)
-    points = [red.weighted_level_sample(rng, config.p, config.q)
+    points = [red.weighted_level_sample(rng, config.p, config.q).x
               for _ in range(count)]
-    return (red.orthogonality_check(1, red._weights(config.p, config.q),
+    return (red.orthogonality_check(red.weighted_quotient(config.p, config.q),
                                     points), count)
 
 

@@ -53,8 +53,12 @@ product with a sparse matrix (a signed permutation, or at most two
 nonzeros per row) costs about d^4 operations on a d^4 tensor, not d^5.
 Its users: the four change-of-basis contractions of
 ``curvature.weyl_sample``, the commutators [R(X, Y), J_a] of
-``curvature.normalizes_structure`` and the slot contractions of the
-4-form action in ``forms.lie_derivative_residual``.
+``curvature.normalizes_structure``, the slot contractions of the
+4-form action in ``forms.lie_derivative_residual``, and the Killing
+fields of the quotient records on stacks of points
+(``reduction.flat_moment_gradient_check`` on int64,
+``reduction.isotropy_moment_traces`` on Python ints), each a weighted
+signed permutation.
 
 Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
 scaled integers: it eliminates a pivot column from the rows that are
@@ -80,11 +84,12 @@ are the reduced-echelon kernel basis, with N[free] == L * I.  A vector
 T / LT of their span therefore has the coordinates T[free] / LT, and
 N @ T[free] == L * T is the integer test that T lies in the span: no
 Gram solve.  Its callers (``projspace.quotient_frame``, the one
-routine that builds the frame of every quotient, for
-``projspace.induced_geometry``, ``reduction.flat_reduced_structure`` and
-``reduction.admissible_directions``; ``reduction.orthogonality_check``
-and ``curvature.restrict_to_complement``) read the coordinates off that
-way; ``frame_coordinates`` serves frames that
+routine that builds the frame of every quotient from its
+``projspace.Quotient`` record, for ``projspace.induced_geometry``,
+``reduction.flat_reduced_structure`` and
+``reduction.admissible_directions``; ``reduction.orthogonality_check``,
+on the rows of a record, and ``curvature.restrict_to_complement``) read
+the coordinates off that way; ``frame_coordinates`` serves frames that
 are not kernel bases (``HermitianStructure.span_coefficients``, the
 bracket coordinates of ``curvature``, and the CLI check
 lift-independence, whose frame is the integer kernel frame of

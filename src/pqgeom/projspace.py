@@ -19,18 +19,23 @@ the results: the unit check is C^T g C == LC^2,
 the sampled points are reflections formed on integers, and the fiber
 Gram is compared with LC^2 diag(1, -1, -1).
 
-Quotient frames.  One routine, ``quotient_frame``, builds every quotient
-of the package the same way (Hitchin-Karlhede-Lindstrom-Rocek, Comm.
-Math. Phys. 108, 1987; Galicki-Lawson, Math. Ann. 282, 1988): the frame
-is the g-orthogonal complement of the Killing fields inside a level set,
-the integer kernel basis (N, L, free) of ``exactla.nullspace`` of the
-constraint rows stacked over g times the fields, and the structure is
-restricted to it.  A vector T / LT of the span has the coordinates
-T[free] / LT, so the induced metric and structure are integer arrays
-over L^2 and L, and no Fraction view of the frame is formed.
-``induced_geometry`` passes the sphere row g x and the fields x i, x j,
-x k; the flat and the weighted reductions of ``reduction`` pass their
-moment rows and Killing fields.
+Quotients are data.  A quotient is the record ``Quotient(rows,
+generators)`` of two read-only integer tensors: constraint i is
+1/2 x^T rows[i] x, so rows[i] is its Hessian and ``rows @ x`` stacks the
+constraint rows at x, and ``generators @ x`` stacks the linear Killing
+fields at x (Hitchin-Karlhede-Lindstrom-Rocek, Comm. Math. Phys. 108,
+1987; Galicki-Lawson, Math. Ann. 282, 1988).  Three cached constructors
+build every quotient of the package: ``sphere_quotient`` here (the row g
+and the fiber fields x i, x j, x k), ``reduction.moment_quotient`` and
+``reduction.weighted_quotient``; no other routine forms a constraint row
+or a Killing field.  One routine, ``quotient_frame``, reads a record at
+the integer coordinates of a point: the frame is the g-orthogonal
+complement of the Killing fields inside the level set, the integer kernel
+basis (N, L, free) of ``exactla.nullspace`` of the constraint rows
+stacked over g times the fields, and the structure is restricted to it.
+A vector T / LT of the span has the coordinates T[free] / LT, so the
+induced metric and structure are integer arrays over L^2 and L, and no
+Fraction view of the frame is formed.
 
 The transitive-element construction completes a unit lift to a matrix
 preserving both the neutral scalar product and the quaternionic
@@ -54,7 +59,9 @@ nonzero rational.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -63,7 +70,8 @@ from . import exactla
 from .algebra import SplitQuaternion
 from .linalg import (REDRAW_LIMIT, HermitianStructure, PQMatrix, PQVector,
                      RedrawLimitError, _random_coefficients, apply_metric,
-                     random_quaternion, unit_action, unit_frame)
+                     metric_matrix, random_quaternion, structure_endos,
+                     unit_action, unit_frame)
 
 VERTICAL_GRAM = np.diag(np.array([1, -1, -1], dtype=object))
 
@@ -173,21 +181,48 @@ def random_unit_quaternion(rng) -> SplitQuaternion:
 # ---------------------------------------------------------------------------
 
 
-def quotient_frame(rows, fields):
-    """(H, (N, L, free)): the tangent frame of a quotient and the
-    structure restricted to it.  The frame is the g-orthogonal complement
-    of the Killing fields inside a level set: the kernel triple of
-    ``exactla.nullspace`` of the constraint rows (k, 4 rank) stacked over
-    g times the field columns (4 rank, m), all on integers.  H is the
-    structure v -> v conj(e_a) and the neutral metric on its span,
+@dataclass(frozen=True, eq=False)
+class Quotient:
+    """A quotient as data: ``rows`` (k, D, D), the Hessians of the
+    constraints 1/2 x^T rows[i] x, and ``generators`` (m, D, D), the
+    matrices of the linear Killing fields x -> generators[a] @ x, both
+    integer arrays on the real coordinates of the module (D = 4 rank).
+    The arrays are made read-only."""
+
+    rows: np.ndarray
+    generators: np.ndarray
+
+    def __post_init__(self):
+        self.rows.flags.writeable = self.generators.flags.writeable = False
+
+
+@functools.cache
+def sphere_quotient(rank: int) -> Quotient:
+    """The pseudosphere |x|^2 = 1 of the rank-`rank` module divided by the
+    fiber: the one row g, and the generators x -> x e_a, the -J_a of
+    structure_endos.  Built once per rank."""
+    return Quotient(metric_matrix(rank)[None],
+                    -structure_endos(rank).scaled_J[0])
+
+
+def quotient_frame(quotient: Quotient, x):
+    """(H, (N, L, free)): the tangent frame of a quotient at the integer
+    coordinates x of a point, and the structure restricted to it.  The
+    frame is the g-orthogonal complement of the Killing fields inside the
+    level set: the kernel triple of ``exactla.nullspace`` of the
+    constraint rows ``quotient.rows @ x`` stacked over g times the fields
+    ``quotient.generators @ x``, all on integers (a row-scaled system has
+    the same kernel, so the integer multiple x of a point serves).  H is
+    the structure v -> v conj(e_a) and the neutral metric on its span,
     unvalidated: J_a has the coordinates (J_a N)[free] / L and the metric
     is N^T g N / L^2.  DegenerateOrbitError unless the kernel has the
-    dimension 4 rank - k - m, that is unless the rows and the g-dual
-    fields are independent, and unless N @ (J_a N)[free] == L J_a N for
-    every a, that is unless every J_a preserves the span."""
-    kernel = exactla.nullspace(np.concatenate([rows, apply_metric(fields).T]))
+    dimension D - k - m, that is unless the rows and the g-dual fields are
+    independent, and unless N @ (J_a N)[free] == L J_a N for every a, that
+    is unless every J_a preserves the span."""
+    kernel = exactla.nullspace(np.concatenate(
+        [quotient.rows @ x, apply_metric((quotient.generators @ x).T).T]))
     N, L, free = kernel
-    want = len(N) - len(rows) - fields.shape[1]
+    want = len(N) - len(quotient.rows) - len(quotient.generators)
     if len(free) != want:
         raise DegenerateOrbitError(
             f"quotient frame has dimension {len(free)}, not {want}")
@@ -199,13 +234,13 @@ def quotient_frame(rows, fields):
 
 
 def unit_fiber(x: SpherePoint):
-    """(C, fiber): the integer coordinates C of x = C / LC and the fiber
-    frame (C i, C j, C k) as the columns of an integer array.
-    DegenerateOrbitError unless the fiber Gram of the frame is
-    LC^2 diag(1, -1, -1), that is unless x lies on the unit sphere."""
+    """The integer coordinates C of x = C / LC, once the fiber frame
+    (C i, C j, C k), the generators of sphere_quotient at C, has the Gram
+    matrix LC^2 diag(1, -1, -1): DegenerateOrbitError unless x lies on the
+    unit sphere."""
     C, LC = x.x.scaled
-    fiber = unit_frame(C)[:, 1:]
-    gram = fiber.T @ apply_metric(fiber)
+    fiber = sphere_quotient(x.rank).generators @ C
+    gram = fiber @ apply_metric(fiber.T)
     # any lift has fiber Gram |x|^2 diag(1, -1, -1), so only an entrywise
     # comparison (not the inertia) detects a positive lift off the sphere
     if (gram != VERTICAL_GRAM * (LC * LC)).any():
@@ -214,20 +249,18 @@ def unit_fiber(x: SpherePoint):
         raise DegenerateOrbitError(
             f"lift is off the unit sphere: fiber Gram is [{found}], "
             "not diag(1, -1, -1)")
-    return C, fiber
+    return C
 
 
 def induced_geometry(x: SpherePoint):
     """(HermitianStructure on the horizontal frame, the frame itself as
     the kernel triple (N, L, free) of exactla.nullspace), from
-    quotient_frame of the sphere row g x and the fields x i, x j, x k: the
-    horizontal space is the orthogonal complement of the position vector
-    and the fiber, and its 4n columns N / L span the kernel at the integer
-    coordinates C of x = C / LC.  Both are exact at rational points.
-    DegenerateOrbitError from unit_fiber unless x lies on the unit
-    sphere."""
-    C, fiber = unit_fiber(x)
-    H, kernel = quotient_frame(apply_metric(C).reshape(1, -1), fiber)
+    quotient_frame of sphere_quotient at the integer coordinates C of
+    x = C / LC: the horizontal space is the orthogonal complement of the
+    position vector and the fiber, spanned by the 4n columns N / L.  Both
+    are exact at rational points.  DegenerateOrbitError from unit_fiber
+    unless x lies on the unit sphere."""
+    H, kernel = quotient_frame(sphere_quotient(x.rank), unit_fiber(x))
     H.check_relations()
     return H, kernel
 

@@ -15,10 +15,13 @@ reductions: ``_moment`` contracts the coordinates with the table
 ``_SANDWICH`` of the products conj(e_s) e_a e_t of the units, formed once
 from SplitQuaternion products (never from the J_b or the left-action
 matrices, so the checks that compare the two sides compare independent
-routes); ``_moment_rows`` is its differential, read off the same table;
-``_killing`` is the field, the weights times ``linalg.unit_action`` on
-the left; and ``orthogonality_check`` checks the Killing images of
-either reduction against its level set.
+routes).  Each reduction is a ``projspace.Quotient`` record, built once
+by its cached constructor: ``moment_quotient(a, weights)`` holds the
+Hessians of the moment, read off the same table, and the field, the
+weights times left multiplication by e_a; ``weighted_quotient(p, q)``
+stacks the rank-3 sphere of ``projspace.sphere_quotient`` with the
+moment of j.  Every routine reads the records: ``orthogonality_check``
+checks the Killing images of either record against its level set.
 
 Flat circle reduction: e_a = i and every weight 1, on the flat module of
 rank r with the standard para-hyperKahler structure; the circle e^{it}
@@ -84,32 +87,34 @@ routine of the package calls.  A point is a ``linalg.PQVector`` (the
 flat reduction) or a ``projspace.SpherePoint`` (the weighted
 reduction), held as integer coordinates U over a scale L, and every
 routine reads that pair: the moment is quadratic, so it is formed at U
-and compared with L^2 times the level.  The moment, its rows and the
-Killing field take real coordinates on any scalar type and keep it (the
-table and the weights are machine integers, so Python-int coordinates
-give Python ints and int64 coordinates int64), and the moment and the
-Killing field take a leading batch axis: ``flat_moment_gradient_check``
-evaluates all its samples at once, on int64; ``pq_zero_set_check``
-stacks its points in blocks of _TRACE_BLOCK and evaluates the moment
-and the isotropy traces of each block once, the transitive elements by
-the one stacked Gram-Schmidt of ``projspace``; the definite-axis control
-``empty_levelset_check`` runs on int64 blocks of integer sphere points.
-``flat_level_sample`` and ``weighted_level_sample`` build their points on
-integers.  The reduced-Jacobi chain is on Python ints:
-``admissible_directions`` returns integer vectors of the admissible
-space, ``reduced_jacobi`` scales a direction to integers once (its
-ratio is invariant under scaling X), forms every pairing and product on
-Python ints, and forms Fractions only for its results.  The quotient
-frames of both reductions come from the one routine
-``projspace.quotient_frame``, of the constraint rows and the Killing
-fields at the integer coordinates of the point (a row-scaled system has
-the same kernel): ``flat_reduced_structure`` passes the moment rows of i
-and V, and ``admissible_directions`` the sphere row and the moment rows
-of j, with V, x i, x j and x k.  The frame is an integer kernel basis
-N / L of ``exactla.nullspace``, in which a vector T / LT of the span has
-the coordinates T[free] / LT, so the reduced metric and structure are
-read off on integers, with no solve.  The tangent frames of
-``orthogonality_check`` are such kernels of the level-set rows alone.
+and compared with L^2 times the level.  The moment takes real
+coordinates on any scalar type and keeps it (the table and the weights
+are machine integers, so Python-int coordinates give Python ints and
+int64 coordinates int64), with a leading batch axis; the records hold
+Python ints, the rows and the fields at one point are ``rows @ U`` and
+``generators @ U``, and a stack takes a generator through
+``exactla.contract``, which keeps the dtype of the stack:
+``flat_moment_gradient_check`` evaluates all its samples at once, on
+int64; ``pq_zero_set_check`` stacks its points in blocks of _TRACE_BLOCK
+and evaluates the moment and the isotropy traces of each block once, the
+transitive elements by the one stacked Gram-Schmidt of ``projspace``;
+the definite-axis control ``empty_levelset_check`` runs on int64 blocks
+of integer sphere points.  ``flat_level_sample`` and
+``weighted_level_sample`` build their points on integers.  The
+reduced-Jacobi chain is on Python ints: ``admissible_directions``
+returns integer vectors of the admissible space, ``reduced_jacobi``
+scales a direction to integers once (its ratio is invariant under
+scaling X), forms every pairing and product on Python ints, and forms
+Fractions only for its results.  The quotient frames of both reductions
+come from the one routine ``projspace.quotient_frame`` of their records,
+at the integer coordinates of the point (a row-scaled system has the
+same kernel): ``flat_reduced_structure`` reads ``moment_quotient`` of i
+and ``admissible_directions`` reads ``weighted_quotient``.  The frame is
+an integer kernel basis N / L of ``exactla.nullspace``, in which a
+vector T / LT of the span has the coordinates T[free] / LT, so the
+reduced metric and structure are read off on integers, with no solve.
+The tangent frames of ``orthogonality_check`` are such kernels of the
+rows of a record alone.
 """
 
 from __future__ import annotations
@@ -126,10 +131,12 @@ from .algebra import EPS, I, IMAGINARY_UNITS, J, K, UNITS, SplitQuaternion
 from .curvature import (NullDirectionError, ambient_projective_curvature,
                         einstein_check)
 from .linalg import (REDRAW_LIMIT, PQVector, RedrawLimitError,
-                     apply_metric, random_integers, right_mult_matrix,
-                     structure_endos, unit_action, unit_frame)
-from .projspace import (SpherePoint, _stack, quotient_frame,
-                        random_sphere_point, transitive_action)
+                     apply_metric, left_structure_endos, random_integers,
+                     right_mult_matrix, structure_endos, unit_action,
+                     unit_frame)
+from .projspace import (Quotient, SpherePoint, _stack, quotient_frame,
+                        random_sphere_point, sphere_quotient,
+                        transitive_action)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -174,7 +181,7 @@ def _moment(a: int, weights, U) -> np.ndarray:
     """sum_v w_v conj(u_v) e_a u_v as its (i, j, k) coefficients (last
     axis of the result), at the real coordinates U of points u (last axis,
     4 per entry; leading axes a batch), on the scalar type of U: the
-    moment of _killing(a, weights, .).  At an entry with coordinates x,
+    moment of the generator of moment_quotient(a, weights).  At an entry with coordinates x,
     coefficient b is x^T _SANDWICH[a, :, :, b] x, contracted by two
     matmuls; the weights contract the entries.  Quadratic, so at the
     integer coordinates U of u = U / L it is L^2 times the value at u."""
@@ -184,25 +191,21 @@ def _moment(a: int, weights, U) -> np.ndarray:
     return np.asarray(weights) @ (x[..., None, :] @ xT)[..., 0, :]
 
 
-def _moment_rows(a: int, weights, x) -> np.ndarray:
-    """The differential of _moment(a, weights, .) at the real coordinates
-    x of one point, as the three rows (i, j, k), on the scalar type of x:
-    the entry in row b at coordinate s of entry v is
-    w_v sum_t x_vt (T[s, t, b] + T[t, s, b]) with T = _SANDWICH[a], which
-    is linear in x."""
-    T = _SANDWICH[a]
-    x = np.reshape(x, (-1, 4))
-    rows = (x @ (T + T.swapaxes(0, 1)).reshape(4, 12)).reshape(-1, 4, 3)
-    rows = rows * np.asarray(weights)[:, None, None]
-    return rows.transpose(2, 0, 1).reshape(3, -1)
-
-
-def _killing(a: int, weights, X) -> np.ndarray:
-    """The Killing field x -> (w_v e_a x_v) at the real coordinates X of
-    points (last axis; leading axes a batch), on the scalar type of X: the
-    weights times the signed permutation unit_action(., a, "left")."""
-    X = np.asarray(X)
-    return np.repeat(weights, 4) * unit_action(X.T, a, "left").T
+@functools.cache
+def moment_quotient(a: int, weights: tuple) -> Quotient:
+    """The record of the moment of x -> (w_v e_a x_v): its three rows
+    (i, j, k), the Hessians of _moment(a, weights, .), are block diagonal
+    with the blocks w_v (T + T^T)[:, :, b], T = _SANDWICH[a], and its one
+    generator is the weights times left multiplication by e_a, the
+    member a of left_structure_endos.  Python ints; built once per
+    (a, weights)."""
+    T = _SANDWICH[a].astype(object)
+    w = np.array(weights, dtype=object)
+    return Quotient(
+        np.stack([np.kron(np.diag(w), block)
+                  for block in (T + T.swapaxes(0, 1)).transpose(2, 0, 1)]),
+        (np.repeat(w, 4)[:, None]
+         * left_structure_endos(len(w)).scaled_J[0][a])[None])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +291,8 @@ def _reflected_axis(Z: np.ndarray, norm: int) -> np.ndarray:
 def flat_reduced_structure(h: PQVector):
     """(H, (N, L, free)): the metric and structure descended to the
     quotient tangent space at a level point, and its frame, from
-    projspace.quotient_frame of the moment rows and the Killing field V:
+    projspace.quotient_frame of moment_quotient(0, (1, ..., 1)), the
+    moment rows and the Killing field V:
     the kernel of the constraint differentials, minus the orbit
     direction, with the structure restricted (the complement of the span
     (V, J1 V, J2 V, J3 V) is invariant, so no projection loss occurs).
@@ -306,11 +310,11 @@ def flat_reduced_structure(h: PQVector):
     if res != 0:
         raise DegenerateLevelSetError(
             f"point off the level set by {Fraction(res, LU * LU)}")
-    ones = (1,) * h.rank
-    V = _killing(0, ones, U)
+    quotient = moment_quotient(0, (1,) * h.rank)
+    V = quotient.generators[0] @ U
     if V @ apply_metric(V) == 0:
         raise NullOrbitError("orbit direction is null")
-    return quotient_frame(_moment_rows(0, ones, U), V.reshape(-1, 1))
+    return quotient_frame(quotient, U)
 
 
 def flat_quotient_coordinates(x):
@@ -347,6 +351,17 @@ def _weights(p: int, q: int):
     if p == q or p < 1 or q < 1 or gcd(p, q) != 1:
         raise ValueError("weights must be distinct coprime naturals")
     return (q, p, p)
+
+
+@functools.cache
+def weighted_quotient(p: int, q: int) -> Quotient:
+    """The record of the weighted reduction: the rank-3 sphere stacked
+    with the moment of j at the weights (q, p, p), so the rows are g and
+    the three moment rows, and the generators V, x i, x j and x k.  Built
+    once per (p, q); ValueError from _weights."""
+    sphere, moment = sphere_quotient(3), moment_quotient(1, _weights(p, q))
+    return Quotient(np.concatenate([sphere.rows, moment.rows]),
+                    np.concatenate([moment.generators, sphere.generators]))
 
 
 def weighted_level_value(p: int, q: int, U) -> np.ndarray:
@@ -474,10 +489,12 @@ def isotropy_moment_traces(p: int, q: int, U, L):
     (projspace.transitive_action, on the whole stack), that of its
     conjugate transpose is G A^T G / LA (L(conj q) = G L(q)^T G entrywise,
     G the neutral metric, a sign per row), so E = G A^T G D A is eta over
-    LA^2, on integers; D is the Killing field _killing of j at the
-    weights, applied to the columns of A.  s is the first column of the
-    top-left 4 x 4 block of E (the left multiplication by s), B acts
-    through its lower-right 8 x 8 block, and only these blocks are formed;
+    LA^2, on integers; D is the first generator of weighted_quotient(p, q),
+    the Killing field of j at the weights, applied to the columns of A by
+    exactla.contract (a weighted signed permutation).  s is the first
+    column of the top-left 4 x 4 block of E (the left multiplication by
+    s), B acts through its lower-right 8 x 8 block, and only these blocks
+    are formed;
     J_a L is the signed row permutation unit_action(L, a, "right"), so the
     traces are sums of integers.
     """
@@ -485,7 +502,8 @@ def isotropy_moment_traces(p: int, q: int, U, L):
     At, g = A.swapaxes(1, 2), apply_metric(np.ones(12, dtype=int))
     # (G D A)^T, D acting on the columns of A; then the blocks of E, with
     # the stack axis last, where the unit actions act on axis 0
-    GDAt = _killing(1, _weights(p, q), At) * g
+    GDAt = exactla.contract(
+        At, weighted_quotient(p, q).generators[0], 2) * g
     E = (g[4:, None] * (At[:, 4:] @ GDAt[:, 4:].swapaxes(1, 2))).transpose(
         1, 2, 0)
     rconj = right_mult_matrix(SplitQuaternion(
@@ -536,8 +554,9 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     off the reduced scalar curvature nu of the ambient model.
 
     The chain runs on scaled integers: u = U / L, and X is replaced by its
-    integer multiple, which leaves the ratio unchanged.  The span of D U
-    is L times the Killing span, with the Gram matrix VV s, where
+    integer multiple, which leaves the ratio unchanged.  D is the first
+    generator of weighted_quotient(p, q), and the span of D U (its right
+    unit multiples) is L times the Killing span, with the Gram matrix VV s, where
     VV = L^2 g(V, V) and s = diag(1, 1, -1, -1).  The Killing field is
     the linear field D x, so P = L^2 D X is L^2 V_X (times the scale of
     X): the derivative of its horizontal extension adds vertical terms
@@ -552,8 +571,8 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     """
     U, L = u.x.scaled
     XN, _ = exactla.scaled_integers(X)
-    ws = _weights(p, q)
-    span = unit_frame(_killing(1, ws, U))
+    Q = weighted_quotient(p, q)
+    span = unit_frame(Q.generators[0] @ U)
     g_span = apply_metric(span)
     VV = span[:, 0] @ g_span[:, 0]
     if VV == 0:
@@ -563,11 +582,12 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     if xnorm == 0:
         raise NullDirectionError("direction is null")
     gX = apply_metric(XN)
-    if (unit_frame(U).T @ gX).any():
+    # g(x, X) and g(x e_a, X): the sphere row and the fiber fields
+    if Q.rows[0] @ U @ XN or (Q.generators[1:] @ U @ gX).any():
         raise ValueError("direction not horizontal")
     if (span.T @ gX).any():
         raise ValueError("direction not orthogonal to the Killing span")
-    P = L * L * _killing(1, ws, XN)
+    P = L * L * (Q.generators[0] @ XN)
     H = VV * P - span @ apply_metric(g_span.T @ P)
     ratio = Fraction(H @ apply_metric(H), VV ** 3 * L * L * xnorm)
     const = _ambient_constant()
@@ -583,23 +603,18 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
                           count: int) -> list[np.ndarray]:
     """Seeded horizontal directions orthogonal to the Killing span, with
     g(X, X) != 0, as integer vectors: integer combinations of the integer
-    kernel basis N of projspace.quotient_frame, which spans the admissible
-    space (reduced_jacobi is invariant under scaling X).  Its rows are the
-    sphere row g x and the moment rows of j, which are g J_b V up to
-    scale, and its fields V, x i, x j, x k.  u must lie on the zero level
-    set, where the Killing field is horizontal (reduced_jacobi):
-    DegenerateOrbitError where the frame is dependent, then
-    DegenerateLevelSetError off the level set, before any draw.  The
+    kernel basis N of projspace.quotient_frame of weighted_quotient(p, q),
+    which spans the admissible space (reduced_jacobi is invariant under
+    scaling X).  Its rows are the sphere row g x and the moment rows of j,
+    which are g J_b V up to scale, and its fields V, x i, x j, x k.  u
+    must lie on the zero level set, where the Killing field is horizontal
+    (reduced_jacobi): DegenerateOrbitError where the frame is dependent,
+    then DegenerateLevelSetError off the level set, before any draw.  The
     kernel is that of the integer coordinates U of u, which spans the
     same space.  At most REDRAW_LIMIT draws per direction
     (RedrawLimitError)."""
     U, L = u.x.scaled
-    ws = _weights(p, q)
-    _, (basis, _, _) = quotient_frame(
-        np.concatenate([apply_metric(U).reshape(1, -1),
-                        _moment_rows(1, ws, U)]),
-        np.concatenate([_killing(1, ws, U).reshape(-1, 1),
-                        unit_frame(U)[:, 1:]], axis=1))
+    _, (basis, _, _) = quotient_frame(weighted_quotient(p, q), U)
     _require_zero_level(p, q, U, L)
     out = []
     for _ in range(REDRAW_LIMIT * count):
@@ -651,7 +666,7 @@ def flat_moment_gradient_check(rank: int, samples: int, rng) -> Fraction:
     den = random_integers(rng, (samples,), 1, 8)
     ones = (1,) * rank
     mp, mm = _moment(0, ones, A + B), _moment(0, ones, A - B)
-    K = _killing(0, ones, A)
+    K = exactla.contract(A, moment_quotient(0, ones).generators[0], 1)
     pairing = np.stack([((K @ w) * B).sum(axis=-1) for w in omega], axis=-1)
     # 4 scale D^2 times the residual of each sample and component, read
     # off as Python ints by stack_max_abs: an int64 abs would touch numpy
@@ -687,25 +702,20 @@ def pq_zero_set_check(p: int, q: int, samples: int, rng) -> Fraction:
                                  np.concatenate(scales))
 
 
-def orthogonality_check(a: int, weights, points) -> int:
-    """Max |g(J_b V, T)| over tangents T of the level set of
-    _moment(a, weights, .) through each point, V = _killing(a, weights, .)
-    and b = 1, 2, 3: the images of the Killing field under the structure
-    triple are normal to the level set.  A SpherePoint's tangents lie in
-    the sphere too, so the row g x joins the moment rows there.  At the
-    integer coordinates U of each point: the kernel of the rows at U is
-    the tangent space, the Killing field at U is a multiple of the one at
-    the point, T runs over the integer kernel basis, and the J_b V are the
-    columns V e_b of unit_frame up to sign."""
+def orthogonality_check(quotient: Quotient, points) -> int:
+    """Max |g(J_b V, T)| over tangents T of the level set of the record
+    through each point (a PQVector), V its first generator, the Killing
+    field whose moment the rows hold, and b = 1, 2, 3: the images of the
+    Killing field under the structure triple are normal to the level set.
+    At the integer coordinates U of each point: the kernel of the rows at
+    U is the tangent space, the Killing field at U is a multiple of the
+    one at the point, T runs over the integer kernel basis, and the J_b V
+    are the columns V e_b of unit_frame up to sign."""
     worst = 0
     for point in points:
-        on_sphere = isinstance(point, SpherePoint)
-        U, _ = (point.x if on_sphere else point).scaled
-        rows = _moment_rows(a, weights, U)
-        if on_sphere:
-            rows = np.concatenate([rows, apply_metric(U).reshape(1, -1)])
-        frame, _, _ = exactla.nullspace(rows)
-        images = unit_frame(_killing(a, weights, U))[:, 1:]
+        U, _ = point.scaled
+        frame, _, _ = exactla.nullspace(quotient.rows @ U)
+        images = unit_frame(quotient.generators[0] @ U)[:, 1:]
         worst = max(worst, exactla.max_abs(frame.T @ apply_metric(images)))
     return worst
 

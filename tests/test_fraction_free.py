@@ -27,15 +27,14 @@ from pqgeom.curvature import (ambient_projective_curvature, einstein_check,
 from pqgeom.forms import (BilinearForm, fundamental_four_form,
                           hermitian_projector, random_rotation,
                           rotate_structure, two_form)
-from pqgeom.linalg import (apply_metric, grassman_split,
-                           module_scalar_product, random_antihermitian,
-                           real_rep, structure_endos, unit_frame)
+from pqgeom.linalg import (grassman_split, module_scalar_product,
+                           random_antihermitian, real_rep, structure_endos)
 from pqgeom.projspace import (induced_geometry, quotient_frame,
-                              random_sphere_point)
-from pqgeom.reduction import (_weights, empty_levelset_check,
-                              flat_level_sample, flat_reduced_structure,
-                              orthogonality_check, weighted_level_sample,
-                              weighted_level_value)
+                              random_sphere_point, sphere_quotient)
+from pqgeom.reduction import (empty_levelset_check, flat_level_sample,
+                              flat_reduced_structure, orthogonality_check,
+                              weighted_level_sample, weighted_level_value,
+                              weighted_quotient)
 
 from test_linalg import random_pq_matrix, random_pq_vector
 
@@ -100,11 +99,11 @@ def test_kernel_frames_form_no_fraction(fraction_count):
     rng = random.Random(1)
     mat = np.array([[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                      for _ in range(7)] for _ in range(3)], dtype=object)
-    points = [weighted_level_sample(rng, 1, 2) for _ in range(2)]
+    points = [weighted_level_sample(rng, 1, 2).x for _ in range(2)]
     calls = {
         "nullspace": lambda: exactla.nullspace(mat),
         "orthogonality_check": lambda: orthogonality_check(
-            1, _weights(1, 2), points),
+            weighted_quotient(1, 2), points),
         "empty_levelset_check": lambda: empty_levelset_check(
             1, 2, 300, random.Random(0)),
     }
@@ -184,8 +183,8 @@ def test_module_points_form_only_their_results(fraction_count):
     C, _ = x.x.scaled
     calls = {
         "random_sphere_point": (lambda: random_sphere_point(rng, 3), 0),
-        "quotient_frame": (lambda: quotient_frame(
-            apply_metric(C).reshape(1, -1), unit_frame(C)[:, 1:]), 0),
+        "quotient_frame": (lambda: quotient_frame(sphere_quotient(3), C),
+                           0),
         "matrix times vector": (lambda: A @ h, 0),
         "module_scalar_product": (lambda: module_scalar_product(h, hp), 1),
         "weighted_level_sample": (lambda: weighted_level_sample(rng, 1, 2), 0),

@@ -3,8 +3,8 @@ broken.
 
 Each row plants one defect in an ingredient of one registry check (one
 sign flipped in a product, a norm, a conjugation, a representation, a
-scalar product, a Killing field, a column of the moment table or a
-scale, an element off the unit group, or a curvature ingredient: a
+scalar product, a record of a quotient, a column of the moment table
+or a scale, an element off the unit group, or a curvature ingredient: a
 term, a slot, a cyclic order, a projector part or a sign) and runs the
 check's suite through ``run_suite``; the check must report ``fail``.  A
 check that still passes is vacuous on its samples.  A row of the second
@@ -71,8 +71,10 @@ def _scalar_product_sign_flipped(q, qp):
     return q.a * qp.a + q.b * qp.b - q.c * qp.c + q.d * qp.d
 
 
-def _killing_sign_flipped(a, weights, X):
-    return -KILLING(a, weights, X)
+def _generator_negated(a, weights):
+    """The moment record with the Killing field -V."""
+    return proj.Quotient(MOMENT(a, weights).rows,
+                         -MOMENT(a, weights).generators)
 
 
 def _table_column_flipped(a, b):
@@ -155,7 +157,9 @@ PRODUCT, REAL_REP = SplitQuaternion.__mul__, cli.real_rep
 METRIC_TERMS, PROJECTOR = curv._metric_terms, curv.hermitian_projector
 COMBINE, JACOBI = curv.CurvatureTensor._combine, curv.jacobi_operator
 SYMMETRIC = curv.symmetric_space_curvature
-KILLING, SANDWICH = red._killing, red._SANDWICH
+SANDWICH = red._SANDWICH
+MOMENT, WEIGHTED = red.moment_quotient, red.weighted_quotient
+SPHERE = proj.sphere_quotient
 ROTATION = cli.random_rotation
 UNIT_QUATERNION = proj.random_unit_quaternion
 
@@ -182,8 +186,8 @@ PLANTED = {
                                     _real_rep_sign_flipped),
     "scalar-product-complex-form": ("linalg", cli, "scalar_product",
                                     _scalar_product_sign_flipped),
-    "moment-gradient": ("reduce-s1", red, "_killing",
-                        _killing_sign_flipped),
+    "moment-gradient": ("reduce-s1", red, "moment_quotient",
+                        _generator_negated),
     # the i-component of the moment of the variant action through i
     "definite-axis-empty-level-set": ("reduce-pq", red, "_SANDWICH",
                                       _table_column_flipped(0, 0)),
@@ -253,22 +257,27 @@ REFUSED = {
 }
 
 
+def _clear_caches():
+    """The model tensor and the records of the quotients are built once
+    (functools.cache): a row that plants a defect in their builders must
+    see them rebuilt, and the rows and tests after it the sound ones
+    again, after monkeypatch has undone the plant."""
+    for cached in (curv._model_curvature, MOMENT, WEIGHTED, SPHERE):
+        cached.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_model():
-    """The model tensor is built once per rank (functools.cache): a row
-    that plants a defect in its builder must see it rebuilt, and the rows
-    after it the sound model again, after monkeypatch has undone the
-    plant."""
-    curv._model_curvature.cache_clear()
+    _clear_caches()
     yield
-    curv._model_curvature.cache_clear()
+    _clear_caches()
 
 
 def _status_before_and_after(monkeypatch, spec):
     name, suite, owner, attribute, planted = spec
     before = {r.name: r for r in cli.run_suite(suite)}[name]
     monkeypatch.setattr(owner, attribute, planted)
-    curv._model_curvature.cache_clear()
+    _clear_caches()
     return before, {r.name: r for r in cli.run_suite(suite)}[name]
 
 

@@ -13,11 +13,12 @@ from pqgeom.linalg import (PQMatrix, PQVector, apply_metric,
                            right_mult_matrix, sp_group_membership,
                            unit_action, unit_frame)
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
-                              NullLineError, SpherePoint, TangentLineError,
-                              _stack, _transitive_columns, base_point,
-                              induced_geometry, quotient_frame,
+                              NullLineError, Quotient, SpherePoint,
+                              TangentLineError, _stack, _transitive_columns,
+                              base_point, induced_geometry, quotient_frame,
                               random_sphere_point, random_unit_quaternion,
-                              sphere_point_through, transitive_element)
+                              sphere_point_through, sphere_quotient,
+                              transitive_element)
 from pqgeom.reduction import (admissible_directions, reduced_jacobi,
                               weighted_level_sample,
                               weighted_level_sample_float)
@@ -404,13 +405,14 @@ def test_horizontal_spaces_structure_invariant():
 
 def test_quotient_frame_guards():
     C, _ = random_sphere_point(random.Random(6), 3).x.scaled
-    sphere, fiber = apply_metric(C).reshape(1, -1), unit_frame(C)[:, 1:]
+    sphere = sphere_quotient(3)
     # without the fiber fields, the complement of x is not invariant
     with pytest.raises(DegenerateOrbitError, match="does not preserve"):
-        quotient_frame(sphere, fiber[:, :0])
+        quotient_frame(Quotient(sphere.rows, sphere.generators[:0]), C)
     # a repeated field leaves one dimension too many
     with pytest.raises(DegenerateOrbitError, match="dimension 8, not 7"):
-        quotient_frame(sphere, np.concatenate([fiber, fiber[:, :1]], axis=1))
+        quotient_frame(Quotient(sphere.rows, np.concatenate(
+            [sphere.generators, sphere.generators[:1]])), C)
 
 
 def test_induced_geometry_at_base():

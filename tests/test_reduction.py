@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
-from pqgeom.algebra import EPS, IMAGINARY_UNITS, I, J, K, SplitQuaternion
+from pqgeom.algebra import EPS, I, J, K, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, projective_curvature,
@@ -18,7 +18,8 @@ from pqgeom.linalg import (REDRAW_LIMIT, PQMatrix, PQVector, apply_metric,
                            structure_endos, unit_action, unit_frame)
 from pqgeom.projspace import (DegenerateOrbitError, SpherePoint, _stack,
                               base_point, induced_geometry, quotient_frame,
-                              random_sphere_point, transitive_element)
+                              random_sphere_point, sphere_quotient,
+                              transitive_element)
 from pqgeom.reduction import (DegenerateLevelSetError,
                               NonRegularError, NullOrbitError,
                               admissible_directions, empty_levelset_check,
@@ -26,17 +27,16 @@ from pqgeom.reduction import (DegenerateLevelSetError,
                               flat_moment_gradient_check,
                               flat_quotient_coordinates,
                               flat_quotient_residuals, flat_reduced_structure,
-                              isotropy_moment_traces, orthogonality_check,
-                              pq_zero_set_check,
+                              isotropy_moment_traces, moment_quotient,
+                              orthogonality_check, pq_zero_set_check,
                               reduced_jacobi, weighted_level_sample,
                               weighted_level_sample_float,
-                              weighted_level_value)
-from pqgeom.reduction import (_killing, _moment, _moment_rows, _norm_factor,
-                              _weights)
+                              weighted_level_value, weighted_quotient)
+from pqgeom.reduction import _moment, _norm_factor, _weights
 
 from test_algebra import circle_point
 from test_linalg import (eye, ref_inverse, ref_left_mul, ref_nullspace,
-                         ref_right_mul, right_mul)
+                         right_mul)
 from test_projspace import (horizontal_project, ref_transitive_columns,
                             zero_set_points)
 
@@ -59,11 +59,17 @@ def level_zero(p, q, u: SpherePoint) -> bool:
     return not any(level_value(p, q, u))
 
 
+def generator(p, q):
+    """The matrix D of the Killing field of the weighted action, the
+    first generator of its record."""
+    return weighted_quotient(p, q).generators[0]
+
+
 def killing_field(p, q, u: SpherePoint) -> PQVector:
-    """The Killing field D u of the weighted action at u: the field of j at
-    the weights on the integer coordinates U of u = U / L, over L."""
+    """The Killing field D u of the weighted action at u: D on the integer
+    coordinates U of u = U / L, over L."""
     U, L = u.x.scaled
-    return PQVector.from_scaled_integers(_killing(1, _weights(p, q), U), L)
+    return PQVector.from_scaled_integers(generator(p, q) @ U, L)
 
 
 def killing_derivative(p, q, u: SpherePoint, X):
@@ -71,8 +77,8 @@ def killing_derivative(p, q, u: SpherePoint, X):
     the P = L^2 D X of reduced_jacobi over L^2 and the scale of X."""
     _, L = u.x.scaled
     XN, LX = exactla.scaled_integers(X)
-    return exactla.from_scaled_integers(
-        L * L * _killing(1, _weights(p, q), XN), L * L * LX)
+    return exactla.from_scaled_integers(L * L * (generator(p, q) @ XN),
+                                        L * L * LX)
 
 
 # -- flat circle reduction ----------------------------------------------------
@@ -199,15 +205,18 @@ def test_flat_level_sampler_equations():
 
 
 def test_flat_moment_and_killing_take_a_batch():
-    # leading axes of the coordinates are a batch of points
+    # leading axes of the coordinates are a batch of points; the field
+    # takes the batch through exactla.contract, on its dtype
     rng = random.Random(11)
-    X = np.array([[rng.randint(-9, 9) for _ in range(12)] for _ in range(5)],
-                 dtype=object)
-    batch = flat_moment(X.reshape(5, 1, 12))
-    V = _killing(0, (1, 1, 1), X)
-    for s, x in enumerate(X):
-        assert (batch[s, 0] == flat_moment(x)).all()
-        assert (V[s] == _killing(0, (1, 1, 1), x)).all()
+    D = moment_quotient(0, (1, 1, 1)).generators[0]
+    for dtype in (object, np.int64):
+        X = random_integers(rng, (5, 12), -9, 9, dtype)
+        batch = flat_moment(X.reshape(5, 1, 12))
+        V = exactla.contract(X, D, 1)
+        assert V.dtype == X.dtype
+        for s, x in enumerate(X):
+            assert (batch[s, 0] == flat_moment(x)).all()
+            assert (V[s] == D @ x).all()
 
 
 def test_flat_moment_circle_invariance():
@@ -229,8 +238,8 @@ def test_flat_adapted_gradient_exact():
         coords = exactla.fracarray([Fraction(rng.randint(-5, 5),
                                              rng.randint(1, 4))
                                     for _ in range(12)])
-        rows = _moment_rows(0, (1, 1, 1), coords)
-        V = _killing(0, (1, 1, 1), coords)
+        quotient = moment_quotient(0, (1, 1, 1))
+        rows, V = quotient.rows @ coords, quotient.generators[0] @ coords
         # the Killing value is left multiplication by i
         assert (V == ref_left_mul(coords, I)).all()
         for a in range(3):
@@ -241,13 +250,17 @@ def test_flat_adapted_gradient_exact():
 @pytest.mark.parametrize("a", [0, 1, 2])
 def test_moment_rows_are_the_polarisation_of_the_moment(a):
     # mu(x + y) - mu(x - y) = 2 d mu_x(y) for the quadratic moment, at
-    # integer points and weights, for every generator unit
+    # integer points and weights, for every generator unit: the rows of
+    # the record at x are the differential, and the rows are the
+    # Hessians, 1/2 x^T rows x = mu(x)
     rng = random.Random(30 + a)
     for rank in (1, 3):
         weights = tuple(rng.randint(-4, 4) for _ in range(rank))
+        rows = moment_quotient(a, weights).rows
         x, y = random_integers(rng, (2, 4 * rank), -9, 9)
         want = _moment(a, weights, x + y) - _moment(a, weights, x - y)
-        assert (2 * (_moment_rows(a, weights, x) @ y) == want).all()
+        assert (2 * (rows @ x) @ y == want).all()
+        assert (x @ rows @ x == 2 * _moment(a, weights, x)).all()
 
 
 def test_flat_gradient_check_numeric(monkeypatch):
@@ -346,7 +359,7 @@ def test_flat_quotient_image_equations():
 def test_flat_orthogonality():
     rng = random.Random(7)
     points = [flat_level_sample(rng, 3) for _ in range(4)]
-    assert orthogonality_check(0, (1, 1, 1), points) == 0
+    assert orthogonality_check(moment_quotient(0, (1, 1, 1)), points) == 0
 
 
 # -- weighted hyperbolic reduction --------------------------------------------
@@ -586,7 +599,7 @@ def test_level_gradient_row_consistency():
     # directional derivative of the level value along an exact flow curve
     rng = random.Random(14)
     u = weighted_level_sample(rng, 1, 2)
-    rows = _moment_rows(1, _weights(1, 2), u.x.to_real())
+    rows = moment_quotient(1, _weights(1, 2)).rows @ u.x.to_real()
     V = killing_field(1, 2, u).to_real()
     # the flow preserves the level function, so its derivative kills V
     assert exactla.max_abs(rows @ V) == 0
@@ -628,21 +641,24 @@ def _generator_matrix(p, q):
 
 
 def test_generator_action_matches_pq_matrix():
+    # the generator of the record is the real action of the PQMatrix
+    # diag(q j, p j, p j), and so is the field at a point
     rng = random.Random(28)
     for p, q in PQ_WEIGHTS:
-        ws = _weights(p, q)
+        A, LA = _generator_matrix(p, q).to_real_action()
+        assert LA == 1 and (generator(p, q) == A).all()
         x = random_sphere_point(rng, 3).x
         want = (_generator_matrix(p, q) @ x).to_real()
-        assert (_killing(1, ws, x.to_real()) == want).all()
         assert (killing_field(p, q, SpherePoint(x)).to_real() == want).all()
-        # on a stack of two (the last axis), and on floats too (dyadic
-        # entries, so both routes are exact)
+        # on a stack of two (the last axis) through exactla.contract, and
+        # on floats too (dyadic entries, so both routes are exact)
         rows = np.arange(24).reshape(2, 12).astype(object) * Fraction(1, 4)
-        got = _killing(1, ws, np.asarray(rows, dtype=float))
+        got = exactla.contract(np.asarray(rows, dtype=float),
+                               generator(p, q), 1)
         assert got.dtype == float
-        assert (got == _killing(1, ws, rows)).all()
-        for row, image in zip(rows, _killing(1, ws, rows)):
-            assert (image == _killing(1, ws, row)).all()
+        assert (got == exactla.contract(rows, generator(p, q), 1)).all()
+        for row, image in zip(rows, got):
+            assert (image == generator(p, q) @ row).all()
 
 
 def ref_isotropy_moment_traces(p, q, u):
@@ -678,7 +694,7 @@ def ref_integer_traces(p, q, u):
     cols = ref_transitive_columns(u)
     LA = math.lcm(*(L for _, L in cols))
     A = np.concatenate([F * (LA // L) for F, L in cols], axis=1)
-    DA = _killing(1, _weights(p, q), A.T).T
+    DA = generator(p, q) @ A
     GAG = apply_metric(apply_metric(A).T)
     E = GAG[4:] @ DA[:, 4:]
     rconj = right_mult_matrix(SplitQuaternion(*(GAG[:4] @ DA[:, 0])).conj())
@@ -737,8 +753,7 @@ def ref_killing_derivative(p, q, u, X):
     horizontal projection v - F diag(1, 1, -1, -1) F^T g v with the frame
     F = (x, x i, x j, x k).  The reference for the scaled-integer chain."""
     coords = u.x.to_real()
-    DX = _killing(1, _weights(p, q), X)
-    Du = _killing(1, _weights(p, q), coords)
+    DX, Du = generator(p, q) @ X, generator(p, q) @ coords
     vert_u = unit_frame(coords)[:, 1:]
     vert_X = unit_frame(X)[:, 1:]
     coef_a = vert_u.T @ apply_metric(DX) + vert_X.T @ apply_metric(Du)
@@ -757,7 +772,7 @@ def ref_reduced_jacobi(p, q, u, X):
     reduced_jacobi."""
     vnorm = -weighted_regularity(p, q, u)[1]
     xnorm = apply_metric(X) @ X
-    span = unit_frame(_killing(1, _weights(p, q), u.x.to_real()))
+    span = unit_frame(generator(p, q) @ u.x.to_real())
     VX = ref_killing_derivative(p, q, u, X)
     h_part = VX - span @ (apply_metric(span.T @ apply_metric(VX)) / vnorm)
     ratio = (apply_metric(h_part) @ h_part) / (xnorm * vnorm)
@@ -1022,7 +1037,8 @@ def test_float_sampler_quality():
 def test_pq_orthogonality_exact():
     rng = random.Random(21)
     points = [weighted_level_sample(rng, 1, 2) for _ in range(3)]
-    assert orthogonality_check(1, _weights(1, 2), points) == 0
+    assert orthogonality_check(weighted_quotient(1, 2),
+                               [u.x for u in points]) == 0
 
 
 def test_empty_variant_level_set():
@@ -1129,7 +1145,8 @@ def _quotient_curvature(g, u, rows, hessians, generators):
     """(curvature, horizontal frame) of the quotient at the level point u.
 
     rows: constraint differentials df_i at u; hessians: the Hessians H_i;
-    generators: matrices L_a of the linear Killing fields u -> L_a u.
+    generators: matrices L_a of the linear Killing fields u -> L_a u.  A
+    record Q gives them as (Q.rows @ u, Q.rows, Q.generators).
     """
     killing = np.stack([L @ u for L in generators])
     F = ref_nullspace(np.concatenate([rows, killing @ g]))
@@ -1146,32 +1163,6 @@ def _quotient_curvature(g, u, rows, hessians, generators):
     return CurvatureTensor.from_fractions(tensor, gF), F
 
 
-def _linear_data(u, rows_at, fields):
-    """Rows at u, Hessians (column k of H_i is row i at e_k) and the
-    matrices (column k is the field at e_k) of linear Killing fields."""
-    basis = list(eye(len(u)))
-    hessians = list(np.stack([rows_at(e) for e in basis], axis=2))
-    generators = [np.stack([field(e) for e in basis], axis=1)
-                  for field in fields]
-    return rows_at(u), hessians, generators
-
-
-def _weighted_quotient(p, q, u):
-    g = metric_matrix(3)
-
-    def rows_at(x):
-        return np.concatenate([(2 * x @ g).reshape(1, -1),
-                               _moment_rows(1, _weights(p, q), x)])
-
-    def vector(x):
-        return PQVector(SplitQuaternion(*x[4 * v:4 * v + 4]) for v in range(3))
-
-    fields = [lambda x: (_generator_matrix(p, q) @ vector(x)).to_real()]
-    fields += [lambda x, e=e: ref_right_mul(x, e) for e in IMAGINARY_UNITS]
-    x = u.x.to_real()
-    return _quotient_curvature(g, x, *_linear_data(x, rows_at, fields))
-
-
 @pytest.mark.parametrize("rank", [2, 3])
 def test_model_is_the_sphere_quotient(rank):
     # the pseudosphere reduced by the three right unit actions: the
@@ -1179,10 +1170,9 @@ def test_model_is_the_sphere_quotient(rank):
     # sphere row plus O'Neill for the fiber give the closed formula of
     # projective_curvature exactly
     x = random_sphere_point(random.Random(26), rank)
-    g, coords = metric_matrix(rank), x.x.to_real()
-    R, F = _quotient_curvature(g, coords, *_linear_data(
-        coords, lambda y: (2 * y @ g).reshape(1, -1),
-        [lambda y, e=e: ref_right_mul(y, e) for e in IMAGINARY_UNITS]))
+    coords, Q = x.x.to_real(), sphere_quotient(rank)
+    R, F = _quotient_curvature(metric_matrix(rank), coords, Q.rows @ coords,
+                               Q.rows, Q.generators)
     H, (N, L, _) = induced_geometry(x)
     assert (F == exactla.from_scaled_integers(N, L)).all()
     assert R.max_abs() != 0
@@ -1195,16 +1185,11 @@ def test_reduced_jacobi_matches_quotient_curvature(p, q):
     ratios = set()
     for _ in range(3):
         u = weighted_level_sample(rng, p, q)
-        R, F = _weighted_quotient(p, q, u)
-        # the frame of admissible_directions: quotient_frame of the sphere
-        # row and the moment rows of j, with V, x i, x j and x k
-        U, _ = u.x.scaled
-        ws = _weights(p, q)
-        _, (N, L, _) = quotient_frame(
-            np.concatenate([apply_metric(U).reshape(1, -1),
-                            _moment_rows(1, ws, U)]),
-            np.concatenate([_killing(1, ws, U).reshape(-1, 1),
-                            unit_frame(U)[:, 1:]], axis=1))
+        x, Q = u.x.to_real(), weighted_quotient(p, q)
+        R, F = _quotient_curvature(metric_matrix(3), x, Q.rows @ x, Q.rows,
+                                   Q.generators)
+        # the frame of admissible_directions: quotient_frame of the record
+        _, (N, L, _) = quotient_frame(Q, u.x.scaled[0])
         assert (F == exactla.from_scaled_integers(N, L)).all()
         assert R.dim == 4
         assert bianchi_residual(R) == 0
@@ -1237,11 +1222,9 @@ def test_reduced_jacobi_matches_quotient_curvature(p, q):
 def test_flat_quotient_is_para_hyperkahler(rank):
     rng = random.Random(25)
     h = flat_level_sample(rng, rank)
-    x = h.to_real()
-    ones = (1,) * rank
-    R, F = _quotient_curvature(metric_matrix(rank), x, *_linear_data(
-        x, lambda y: _moment_rows(0, ones, y),
-        [lambda y: _killing(0, ones, y)]))
+    x, Q = h.to_real(), moment_quotient(0, (1,) * rank)
+    R, F = _quotient_curvature(metric_matrix(rank), x, Q.rows @ x, Q.rows,
+                               Q.generators)
     H, (N, L, _) = flat_reduced_structure(h)
     assert exactla.max_abs(F - exactla.from_scaled_integers(N, L)) == 0
     assert R.max_abs() != 0
