@@ -388,7 +388,11 @@ def _chk_lie_annihilation(config, rng):
     H = structure_endos(1)
     Om = fundamental_four_form(H)
     J, LJ = H.scaled_J
-    worst = 0
+    # Omega + Omega^s for the three adjacent slot swaps s: 0 exactly when
+    # Omega alternates
+    N, L = Om.scaled
+    worst = Fraction(max(exactla.max_abs(N + N.swapaxes(k, k + 1))
+                         for k in range(3)), L)
     count = max(3, config.samples // 20)
     for _ in range(count):
         A, LA = random_antihermitian(rng, 1).to_real_action()

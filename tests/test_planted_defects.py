@@ -3,8 +3,8 @@ broken.
 
 Each row plants one defect in an ingredient of one registry check (one
 sign flipped in a product, a norm, a conjugation, a representation, a
-scalar product, a record of a quotient, a column of the moment table
-or a scale, an element off the unit group, or a curvature ingredient: a
+scalar product, a record of a quotient, a column of the moment table,
+a term or a scale of the 4-form, an element off the unit group, or a curvature ingredient: a
 term, a slot, a cyclic order, a projector part or a sign) and runs the
 check's suite through ``run_suite``; the check must report ``fail``.  A
 check that still passes is vacuous on its samples.  A row of the second
@@ -31,7 +31,7 @@ import pqgeom.forms as forms
 import pqgeom.linalg as linalg
 import pqgeom.projspace as proj
 import pqgeom.reduction as red
-from pqgeom.algebra import UNITS, SplitQuaternion
+from pqgeom.algebra import EPS, UNITS, SplitQuaternion
 from pqgeom.linalg import REDRAW_LIMIT, RedrawLimitError
 
 
@@ -91,6 +91,31 @@ class _FourFormOverTheWrongScale(forms.FourForm):
     def __init__(self, w, L):
         super().__init__(w, L)
         self.scaled = (self.scaled[0], L)
+
+
+def _first_term(w):
+    """S[..., p, q, r, s] = sum_a 2 eps_a w[p, q] w[r, s], the term of the
+    FourForm formula that the other two transpose."""
+    return sum(2 * e * w[..., a, :, :, None, None]
+               * w[..., a, None, None, :, :] for a, e in enumerate(EPS))
+
+
+class _FourFormWithTheSecondTermFlipped(forms.FourForm):
+    """The formula with + w[p, r] w[q, s]: Omega does not alternate."""
+
+    def __init__(self, w, L):
+        super().__init__(w, L)
+        N, L = self.scaled
+        self.scaled = (N + 2 * _first_term(w).swapaxes(-3, -2), L)
+
+
+class _FourFormWithTheThirdTermFlipped(forms.FourForm):
+    """The formula with - w[p, s] w[q, r]: Omega does not alternate."""
+
+    def __init__(self, w, L):
+        super().__init__(w, L)
+        N, L = self.scaled
+        self.scaled = (N - 2 * np.moveaxis(_first_term(w), -3, -1), L)
 
 
 class _FourFormWithOneWrongEntry(forms.FourForm):
@@ -205,6 +230,12 @@ PLANTED = {
     # every difference is 0 but one, which is negative
     "four-form-rotation-invariance/entry": (
         "forms", forms, "FourForm", _FourFormWithOneWrongEntry),
+    # Omega + Omega^s is 8 for a swap s of adjacent slots; the Lie
+    # derivatives of the rank-1 form do not see it
+    "four-form-infinitesimal-invariance/second-term": (
+        "forms", forms, "FourForm", _FourFormWithTheSecondTermFlipped),
+    "four-form-infinitesimal-invariance/third-term": (
+        "forms", forms, "FourForm", _FourFormWithTheThirdTermFlipped),
     # right multiplication by any invertible element keeps the span of
     # the translated frame; only the norm of the element sees it
     "lift-independence": ("projspace", proj, "random_unit_quaternion",
