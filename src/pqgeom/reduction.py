@@ -528,7 +528,6 @@ def _require_zero_level(p: int, q: int, U, L: int):
 class ReducedJacobi:
     eigenvalues: tuple
     ratio: Fraction
-    killing_norm: Fraction
     einstein_constant: Fraction
 
 
@@ -595,7 +594,6 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     lam1 = -(nu - 2 * ratio)
     lam3 = -(nu + 4 * ratio)
     return ReducedJacobi(eigenvalues=(lam1, lam1, lam3), ratio=ratio,
-                         killing_norm=Fraction(VV, L * L),
                          einstein_constant=const)
 
 
