@@ -4,15 +4,16 @@ broken.
 Each row plants one defect in an ingredient of one registry check (one
 sign flipped in a product, a norm, a conjugation, a representation, a
 scalar product, a record of a quotient, a column of the moment table,
-a term or a scale of the 4-form, an element off the unit group, or a curvature ingredient: a
-term, a slot, a cyclic order, a projector part or a sign) and runs the
-check's suite through ``run_suite``; the check must report ``fail``.  A
-check that still passes is vacuous on its samples.  A row of the second
-table plants bad input instead (a rotation off the group), which the
-check must refuse loudly: it reports ``error``.  The rows cover the
-checks that evaluate their identity on whole batches of samples.  A
-degenerate sampler must not hang a suite either: its redraw loops give up
-with an error.
+a term or a scale of the 4-form, an element off the unit group, or a
+curvature ingredient: a term, a slot, a cyclic order, a projector part
+or a sign) and runs the check's suite through ``run_suite``; the check
+must report ``fail``.  A check that still passes is vacuous on its
+samples.  A row of the second table plants bad input instead (a
+rotation off the group, a record whose frame the structure does not
+preserve), which a named guard of the check must refuse loudly: it
+reports ``error``, and the check raises that guard's error.  A
+degenerate sampler must not hang a suite either: its redraw loops give
+up with an error.
 """
 
 import json
@@ -75,6 +76,22 @@ def _generator_negated(a, weights):
     """The moment record with the Killing field -V."""
     return proj.Quotient(MOMENT(a, weights).rows,
                          -MOMENT(a, weights).generators)
+
+
+def _field_of_the_next_unit(a, weights):
+    """The moment rows of e_a with the Killing field of e_(a+1): the
+    images J_b V leave the normal space of the level set, and the frame
+    of the quotient is no longer invariant.  weighted_quotient stacks the
+    moment record, so the weighted reduction sees it too."""
+    return proj.Quotient(MOMENT(a, weights).rows,
+                         MOMENT((a + 1) % 3, weights).generators)
+
+
+def _euclidean_sphere(rank):
+    """The sphere record with the Euclidean Hessian in place of g: the
+    complement of the row and the fiber is not invariant."""
+    return proj.Quotient(np.eye(4 * rank, dtype=object)[None],
+                         SPHERE(rank).generators)
 
 
 def _table_column_flipped(a, b):
@@ -213,6 +230,10 @@ PLANTED = {
                                     _scalar_product_sign_flipped),
     "moment-gradient": ("reduce-s1", red, "moment_quotient",
                         _generator_negated),
+    "killing-images-normal": ("reduce-s1", red, "moment_quotient",
+                              _field_of_the_next_unit),
+    "killing-images-normal-pq": ("reduce-pq", red, "moment_quotient",
+                                 _field_of_the_next_unit),
     # the i-component of the moment of the variant action through i
     "definite-axis-empty-level-set": ("reduce-pq", red, "_SANDWICH",
                                       _table_column_flipped(0, 0)),
@@ -280,11 +301,21 @@ PLANTED = {
 }
 PLANTED = {row: (row.split("/")[0], *spec) for row, spec in PLANTED.items()}
 
-# row -> (check name, suite, object, attribute, planted bad input)
+# row -> (check name, suite, object, attribute, planted bad input, the
+# error of the guard that refuses it)
 REFUSED = {
     "four-form-rotation-invariance/off-group": (
         "four-form-rotation-invariance", "forms", cli, "random_rotation",
-        _rotation_off_the_group),
+        _rotation_off_the_group, forms.NotInGroupError),
+    # any record whose frame the structure preserves restricts a valid
+    # structure of neutral signature, so a perturbed record can only be
+    # refused by the frame's guard
+    "reduced-structure-relations": (
+        "reduced-structure-relations", "reduce-s1", red, "moment_quotient",
+        _field_of_the_next_unit, proj.DegenerateOrbitError),
+    "induced-structure-valid": (
+        "induced-structure-valid", "projspace", proj, "sphere_quotient",
+        _euclidean_sphere, proj.DegenerateOrbitError),
 }
 
 
@@ -305,7 +336,7 @@ def _fresh_model():
 
 
 def _status_before_and_after(monkeypatch, spec):
-    name, suite, owner, attribute, planted = spec
+    name, suite, owner, attribute, planted = spec[:5]
     before = {r.name: r for r in cli.run_suite(suite)}[name]
     monkeypatch.setattr(owner, attribute, planted)
     _clear_caches()
@@ -325,6 +356,11 @@ def test_planted_bad_input_errors_its_check(monkeypatch, name):
     before, after = _status_before_and_after(monkeypatch, REFUSED[name])
     assert before.status == "pass"
     assert after.status == "error" and after.sample_count == 0
+    check, suite, *_, error = REFUSED[name]
+    fn = {row[0]: row[1] for row in cli.REGISTRY[suite]}[check]
+    config = cli.CheckConfig()
+    with pytest.raises(error):
+        fn(config, cli._check_rng(config, check))
 
 
 # random_integers with the span high + low + 1: on a symmetric range every

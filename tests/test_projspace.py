@@ -9,9 +9,9 @@ from pqgeom import exactla
 from pqgeom.algebra import IMAGINARY_UNITS, UNITS, SplitQuaternion
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric,
                            left_mult_matrix, metric_matrix,
-                           module_scalar_product, random_quaternion,
-                           right_mult_matrix, sp_group_membership,
-                           unit_action, unit_frame)
+                           module_scalar_product, random_integers,
+                           random_quaternion, right_mult_matrix,
+                           sp_group_membership, unit_action, unit_frame)
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
                               NullLineError, Quotient, SpherePoint,
                               TangentLineError, _stack, _transitive_columns,
@@ -401,6 +401,18 @@ def test_horizontal_spaces_structure_invariant():
         # images stay horizontal: orthogonal to the fiber frame and x
         assert exactla.max_abs(img.T @ g @ vertical) == 0
         assert exactla.max_abs(img.T @ g @ x.x.to_real().reshape(-1, 1)) == 0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_sphere_quotient_is_the_norm_and_the_right_units(rank):
+    # the one row is the Hessian g of 1/2 |x|^2, and the generators are
+    # x -> x e_a, against the SplitQuaternion products of ref_right_mul
+    Q = sphere_quotient(rank)
+    x = random_integers(random.Random(rank), (4 * rank,), -9, 9)
+    assert (Q.rows == metric_matrix(rank)[None]).all()
+    assert len(Q.generators) == 3
+    for G, e in zip(Q.generators, IMAGINARY_UNITS):
+        assert (G @ x == ref_right_mul(x, e)).all()
 
 
 def test_quotient_frame_guards():

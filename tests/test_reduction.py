@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pqgeom import exactla
-from pqgeom.algebra import EPS, I, J, K, SplitQuaternion
+from pqgeom.algebra import EPS, IMAGINARY_UNITS, I, J, K, SplitQuaternion
 from pqgeom.curvature import (CurvatureTensor, NullDirectionError,
                               ambient_projective_curvature, bianchi_residual,
                               einstein_check, projective_curvature,
@@ -36,7 +36,7 @@ from pqgeom.reduction import _moment, _norm_factor, _weights
 
 from test_algebra import circle_point
 from test_linalg import (eye, ref_inverse, ref_left_mul, ref_nullspace,
-                         right_mul)
+                         ref_right_mul, right_mul)
 from test_projspace import (horizontal_project, ref_transitive_columns,
                             zero_set_points)
 
@@ -257,10 +257,25 @@ def test_moment_rows_are_the_polarisation_of_the_moment(a):
     for rank in (1, 3):
         weights = tuple(rng.randint(-4, 4) for _ in range(rank))
         rows = moment_quotient(a, weights).rows
+        assert rows.shape == (3, 4 * rank, 4 * rank)
         x, y = random_integers(rng, (2, 4 * rank), -9, 9)
         want = _moment(a, weights, x + y) - _moment(a, weights, x - y)
         assert (2 * (rows @ x) @ y == want).all()
         assert (x @ rows @ x == 2 * _moment(a, weights, x)).all()
+        # the generator: the weights times e_a x_v, entrywise
+        D = moment_quotient(a, weights).generators[0]
+        assert (D @ x == np.repeat(weights, 4)
+                * ref_left_mul(x, IMAGINARY_UNITS[a])).all()
+
+
+def test_records_are_cached_read_only_python_ints():
+    for make in (lambda: sphere_quotient(2), lambda: weighted_quotient(1, 2),
+                 lambda: moment_quotient(0, (1, 1))):
+        Q = make()
+        assert make() is Q
+        for arr in (Q.rows, Q.generators):
+            assert not arr.flags.writeable
+            assert all(type(v) is int for v in arr.reshape(-1))
 
 
 def test_flat_gradient_check_numeric(monkeypatch):
@@ -659,6 +674,19 @@ def test_generator_action_matches_pq_matrix():
         assert (got == exactla.contract(rows, generator(p, q), 1)).all()
         for row, image in zip(rows, got):
             assert (image == generator(p, q) @ row).all()
+
+
+@pytest.mark.parametrize("p, q", PQ_WEIGHTS)
+def test_weighted_quotient_is_the_sphere_and_the_moment_of_j(p, q):
+    # the rows are g and the Hessians of the level value at (q, p, p), the
+    # generators V (test_generator_action_matches_pq_matrix) and x e_a
+    Q = weighted_quotient(p, q)
+    assert Q.rows.shape == Q.generators.shape == (4, 12, 12)
+    assert (Q.rows[0] == metric_matrix(3)).all()
+    x = random_integers(random.Random(p + 10 * q), (12,), -9, 9)
+    assert (x @ Q.rows[1:] @ x == 2 * weighted_level_value(p, q, x)).all()
+    for G, e in zip(Q.generators[1:], IMAGINARY_UNITS):
+        assert (G @ x == ref_right_mul(x, e)).all()
 
 
 def ref_isotropy_moment_traces(p, q, u):
