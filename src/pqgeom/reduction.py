@@ -181,10 +181,11 @@ def _moment(a: int, weights, U) -> np.ndarray:
     """sum_v w_v conj(u_v) e_a u_v as its (i, j, k) coefficients (last
     axis of the result), at the real coordinates U of points u (last axis,
     4 per entry; leading axes a batch), on the scalar type of U: the
-    moment of the generator of moment_quotient(a, weights).  At an entry with coordinates x,
-    coefficient b is x^T _SANDWICH[a, :, :, b] x, contracted by two
-    matmuls; the weights contract the entries.  Quadratic, so at the
-    integer coordinates U of u = U / L it is L^2 times the value at u."""
+    moment of the generator of moment_quotient(a, weights).  At an entry
+    with coordinates x, coefficient b is x^T _SANDWICH[a, :, :, b] x,
+    contracted by two matmuls; the weights contract the entries.
+    Quadratic, so at the integer coordinates U of u = U / L it is L^2
+    times the value at u."""
     U = np.asarray(U)
     x = U.reshape(U.shape[:-1] + (U.shape[-1] // 4, 4))
     xT = (x @ _SANDWICH[a].reshape(4, 12)).reshape(x.shape + (3,))
@@ -555,18 +556,19 @@ def reduced_jacobi(p: int, q: int, u: SpherePoint,
     The chain runs on scaled integers: u = U / L, and X is replaced by its
     integer multiple, which leaves the ratio unchanged.  D is the first
     generator of weighted_quotient(p, q), and the span of D U (its right
-    unit multiples) is L times the Killing span, with the Gram matrix VV s, where
-    VV = L^2 g(V, V) and s = diag(1, 1, -1, -1).  The Killing field is
-    the linear field D x, so P = L^2 D X is L^2 V_X (times the scale of
-    X): the derivative of its horizontal extension adds vertical terms
-    with the coefficients g(u e_a, D u), the level value, and
+    unit multiples) is L times the Killing span, with the Gram matrix
+    VV s, where VV = L^2 g(V, V) and s = diag(1, 1, -1, -1).  The Killing
+    field is the linear field D x, so P = L^2 D X is L^2 V_X (times the
+    scale of X): the derivative of its horizontal extension adds vertical
+    terms with the coefficients g(u e_a, D u), the level value, and
     g(u e_a, D X) + g(X e_a, D u) = 2 g(u e_a, D X) = -2 g(V e_a, X), as D
     is g-skew and commutes with right multiplication; both are 0 at the
     inputs accepted here.  H = VV P - span s (span^T g P) is VV P times
     the part h(V_X) of V_X orthogonal to the span, so
     rho = H^T g H / (VV^3 L^2 g(X, X)) with g(X, X) of the integer X.
-    Every guard is an exact comparison with 0; TypeError on an entry of X
-    that is not an int or a Fraction.
+    Horizontality reads the sphere row and the fiber fields of the same
+    record.  Every guard is an exact comparison with 0; TypeError on an
+    entry of X that is not an int or a Fraction.
     """
     U, L = u.x.scaled
     XN, _ = exactla.scaled_integers(X)
