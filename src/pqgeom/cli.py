@@ -405,13 +405,9 @@ def _chk_lie_annihilation(config, rng):
 
 def _perturbed(R):
     """R with one entry changed by 1 in value: a defect that the curvature
-    identities must detect.  The scale is added to an int64 copy when
-    (1 + scale) max|R| stays below the word bound (exactla.words), and to
-    a copy of Python ints otherwise."""
-    if exactla.words(R.tensor, 1 + R.scale) is None:
-        tensor = R.tensor.astype(object)
-    else:
-        tensor = R.tensor.copy()
+    identities must detect.  The scale is added to a copy of the tensor
+    in the width that exactla.words gives it at the growth 1 + scale."""
+    tensor, = exactla.words(1 + R.scale, R.tensor.copy())
     tensor[0, 1, 2, 3] += R.scale
     return curv.CurvatureTensor._unchecked(tensor, R.scale, R.metric)
 
@@ -580,7 +576,7 @@ def _chk_lift_independence(config, rng):
             # frame and target share the scale LQ L; the coordinates do
             # not depend on it, the residual is over it
             (coords, _), residual = exactla.frame_coordinates(
-                FQ, unit_action(FQ, a, "right"))
+                FQ, unit_action(FQ, a))
             worst = max(worst, residual / (LQ * L))
             # span membership is unchanged by the scale of the coordinates
             if Hx.span_coefficients(coords) is None:

@@ -33,20 +33,22 @@ constants and its metric as pairs: ``_bracket_coordinates`` returns the
 integer pair of its ``frame_coordinates`` call, which
 ``from_matrix_algebra`` keeps, and ``special_linear_decomposition`` and
 ``solvable_decomposition`` write their matrices as Python ints.
-Entries are checked once, where data enters: the public constructor
-takes an int64 tensor or one of Python ints and raises TypeError on any
-other tensor entry, on a metric entry that is not a Python int and on a
-scale that is not a positive int, and exact ``Fraction``/int arrays
-enter through ``CurvatureTensor.from_fractions`` (and with it
-``curvature_from_text``), which scales them to integers and raises
-TypeError on any other entry.  The builders, ``+``, ``-`` and ``times``
-make only integer arrays and positive int scales, and hand their pairs
-to the private ``_unchecked`` constructor, which scans no entry type and
-only decides the width.  The integer pairs of their inputs
-(``BilinearForm(N, L)``, a structure with ``scales``) are trusted as
-well; the scalar results read their integer sums through
-``operator.index``, so a float that came in that way raises TypeError
-there instead of being truncated.  ``fractions()`` is the ``Fraction``
+Entry types are checked once, where data enters, by
+``exactla.require_python_ints``: the public constructor takes an int64
+tensor, held as it is, or one of Python ints, and raises TypeError on
+any other tensor entry, on a metric entry that is not a Python int and
+on a scale that is not a positive int; a Jacobi direction must be of
+Python ints.  Exact ``Fraction``/int arrays enter through
+``CurvatureTensor.from_fractions`` (and with it ``curvature_from_text``),
+which scales them to integers and raises TypeError on any other entry.
+The builders, ``+``, ``-`` and ``times`` make only integer arrays and
+positive int scales, and hand their pairs to the private ``_unchecked``
+constructor, which scans no entry type and only decides the width.  The
+integer pairs of their inputs (``BilinearForm(N, L)``, a structure with
+``scales``) are trusted as well; the width decision and the scalar
+results read their entries through ``operator.index``, so a float that
+came in that way raises TypeError there instead of being truncated.
+``fractions()`` is the ``Fraction``
 view that ``curvature_to_text`` writes out; the text format has the
 single mode "exact".  The commutators with the J_a and the change of
 basis of the tensor splitting go through ``exactla.contract``, one slice
@@ -56,21 +58,24 @@ nonzeros per row.  The standard model (``ambient_projective_curvature``)
 is built once per rank and shared, and its tensor is read-only.
 
 Width.  The tensor is int64 when every entry is below 2^62 in absolute
-value, and Python ints otherwise (``exactla.words``; there is no
+value, and Python ints otherwise: ``exactla.words(1, tensor)`` decides
+it when the tensor is held, and this module reads no dtype (there is no
 setting, the width comes from the data).  Each builder and kernel states
 its growth, a bound on every entry and partial sum it forms per unit of
-its largest input entry.  The builders read their small inputs through
-``exactla.words`` with it (``projective_curvature`` 14 d max(LJ,
-max|J|)^2 per unit of the metric, ``curvature_from_bilinear``
-16 d max(LJ, max|J|)^2 per unit of B; ``weyl_sample``,
-``projective_pair`` and ``symmetric_space_curvature`` state theirs), and
-the kernels check theirs before they compute (3 for
+its largest input entry, with the largest entries of its other inputs
+(``exactla.top``) multiplied in, and hands it to ``exactla.words`` with
+all its integer operands, which come back all as int64 or all as Python
+ints.  The builders read their small inputs that way
+(``projective_curvature`` 14 d max(LJ, max|J|)^2 per unit of the
+metric, ``curvature_from_bilinear`` 16 d max(LJ, max|J|)^2 per unit of
+B; ``weyl_sample``, ``projective_pair`` and ``symmetric_space_curvature``
+state theirs), and the kernels check theirs before they compute (3 for
 ``bianchi_residual``, d for ``ricci``, d^2 max|J| for
 ``structure_traces``, 6 d^2 max|J| max(LJ, max|J|) for
 ``normalizes_structure``, d^2 max|X|^2 for ``jacobi_operator``, twice
 the larger rescaling for ``+`` and ``-``, |c| for ``times``, 1 for
-``max_abs``).  Under 2^62 they run on int64; above it
-the same expressions run on Python ints, which do not overflow.
+``max_abs``).  Under 2^62 they run on int64; above it the same
+expressions run on Python ints, which do not overflow.
 Results of size d^2 or less (Ricci forms, structure traces, Jacobi
 operators) are object arrays of Python ints, and every scalar is read
 through ``operator.index``, so no numpy integer reaches a ``Fraction``,
@@ -125,46 +130,6 @@ class ComplementLeakError(ValueError):
     curvature tensor."""
 
 
-def _python_ints(arr) -> np.ndarray:
-    """An integer array as an object array of Python ints: a machine
-    integer array is cast entry by entry (exact), an object array is
-    returned as it is."""
-    return arr if arr.dtype == object else arr.astype(object)
-
-
-def _top(arr) -> int:
-    """max(1, max |arr|) of a nonempty integer array, as a Python int,
-    from its max and min: no copy of a strided tensor is made."""
-    return max(1, index(arr.max()), -index(arr.min()))
-
-
-def _operands(growth: int, *arrays) -> list:
-    """The integer arrays as int64 (exactla.words) when growth *
-    max(1, max |arrays[0]|) < 2^62 and every other array fits, else all
-    of them as Python ints, on which the same expressions are exact.
-    growth is the caller's bound on every entry and partial sum it forms,
-    per unit of the entries of arrays[0]; it includes the max entries of
-    the other arrays that the formula multiplies in."""
-    words = [exactla.words(arrays[0], growth),
-             *map(exactla.words, arrays[1:])]
-    if any(w is None for w in words):
-        return [_python_ints(np.asarray(a)) for a in arrays]
-    return words
-
-
-def _integer_array(arr, what: str, scale: int = 1) -> np.ndarray:
-    """arr as an array; TypeError unless its entries are Python ints and
-    scale is an int >= 1."""
-    if type(scale) is not int or scale < 1:
-        raise TypeError(f"{what} scale must be an int >= 1, not {scale!r}")
-    arr = np.asarray(arr)
-    kinds = set(map(type, arr.reshape(-1)))
-    if not kinds <= {int}:
-        raise TypeError(f"{what} entries must be Python ints, "
-                        f"not {sorted(k.__name__ for k in kinds)}")
-    return arr
-
-
 class CurvatureTensor:
     """Dense (1,3) curvature array tensor / scale with its companion
     metric G / LG, held as the pair ``metric`` = (G, LG): scale and LG
@@ -178,12 +143,11 @@ class CurvatureTensor:
     that is not an int >= 1."""
 
     def __init__(self, tensor, scale: int, metric):
-        tensor = np.asarray(tensor)
-        if tensor.dtype == np.int64:
-            tensor = tensor.astype(object)
-        tensor = _integer_array(tensor, "curvature tensor", scale)
+        tensor = exactla.require_python_ints(tensor, "curvature tensor",
+                                             scale, int64=True)
         G, LG = metric
-        self._hold(tensor, scale, (_integer_array(G, "metric", LG), LG))
+        self._hold(tensor, scale,
+                   (exactla.require_python_ints(G, "metric", LG), LG))
 
     @classmethod
     def _unchecked(cls, tensor, scale: int, metric) -> "CurvatureTensor":
@@ -195,11 +159,11 @@ class CurvatureTensor:
         return R
 
     def _hold(self, tensor, scale: int, metric):
-        """Hold tensor as int64 when it fits (exactla.words: the max and
-        min of a machine integer array, the entries of an object array
-        read once through operator.index), as Python ints otherwise."""
-        words = exactla.words(tensor)
-        self.tensor = _python_ints(tensor) if words is None else words
+        """Hold tensor as int64 when it fits (exactla.words at growth 1:
+        the max and min of a machine integer array, the entries of an
+        object array read once through operator.index), as Python ints
+        otherwise."""
+        self.tensor, = exactla.words(1, tensor)
         self.scale, self.metric = scale, metric
 
     @classmethod
@@ -230,8 +194,9 @@ class CurvatureTensor:
         tensors A / LA and B / LB."""
         LA, LB = self.scale, other.scale
         L = math.lcm(LA, LB)
-        A, B = _operands(2 * max(L // LA, L // LB) * _top(other.tensor),
-                         self.tensor, other.tensor)
+        A, B = exactla.words(
+            2 * max(L // LA, L // LB) * exactla.top(other.tensor),
+            self.tensor, other.tensor)
         return CurvatureTensor._unchecked(
             *exactla.add_scaled(A, LA, B, LB, sign), self.metric)
 
@@ -239,21 +204,21 @@ class CurvatureTensor:
         """The multiple c R, each entry |c.numerator| times one of R;
         TypeError unless c is an int or a Fraction."""
         c = exactla.frac(c)
-        t, = _operands(abs(c.numerator), self.tensor)
+        t, = exactla.words(abs(c.numerator), self.tensor)
         return CurvatureTensor._unchecked(t * c.numerator,
                                           self.scale * c.denominator,
                                           self.metric)
 
     def max_abs(self) -> Fraction:
         """The max |entry| / scale (growth 1)."""
-        t, = _operands(1, self.tensor)
+        t, = exactla.words(1, self.tensor)
         return Fraction(index(exactla.max_abs(t)), self.scale)
 
 
 def bianchi_residual(R: CurvatureTensor) -> Fraction:
     """Max-norm of the cyclic sum R(X,Y)Z + R(Y,Z)X + R(Z,X)Y: each entry
     a sum of 3 entries of R (growth 3)."""
-    t, = _operands(3, R.tensor)
+    t, = exactla.words(3, R.tensor)
     cyc = t + t.transpose(1, 2, 0, 3)
     cyc += t.transpose(2, 0, 1, 3)
     return Fraction(index(exactla.max_abs(cyc)), R.scale)
@@ -263,8 +228,8 @@ def ricci(R: CurvatureTensor):
     """(N, L) with Ric(e_y, e_z) = N[y, z] / L, where
     Ric(Y, Z) = Tr(X -> R(X, Y) Z) is traced over the first slot: N a
     sum of d entries of R (growth d), returned as Python ints."""
-    t, = _operands(R.dim, R.tensor)
-    return _python_ints(np.trace(t, axis1=0, axis2=3)), R.scale
+    t, = exactla.words(R.dim, R.tensor)
+    return exactla.python_ints(np.trace(t, axis1=0, axis2=3)), R.scale
 
 
 def scalar_curvature(R: CurvatureTensor) -> Fraction:
@@ -329,7 +294,7 @@ def curvature_from_bilinear(B: BilinearForm,
     """
     M, LB = B.scaled
     J, LJ = H.scaled_J
-    M, J = _operands(16 * H.dim * max(LJ, _top(J)) ** 2, M, J)
+    M, J = exactla.words(16 * H.dim * max(LJ, exactla.top(J)) ** 2, M, J)
     t = _metric_terms(M)
     diag = np.arange(H.dim)
     t[:, :, diag, diag] += (M.T - M)[:, :, None]
@@ -351,8 +316,8 @@ def structure_traces(R: CurvatureTensor, H: HermitianStructure):
     each entry a sum of d^2 products (growth d^2 max|J|), returned as
     Python ints."""
     J, LJ = H.scaled_J
-    t, J = _operands(R.dim ** 2 * _top(J), R.tensor, J)
-    return (_python_ints(np.tensordot(t, J, axes=([2, 3], [1, 2]))),
+    t, J = exactla.words(R.dim ** 2 * exactla.top(J), R.tensor, J)
+    return (exactla.python_ints(np.tensordot(t, J, axes=([2, 3], [1, 2]))),
             R.scale * LJ)
 
 
@@ -373,8 +338,8 @@ def normalizes_structure(R: CurvatureTensor, H: HermitianStructure):
     d = R.dim
     LR = R.scale
     J, LJ = H.scaled_J
-    m = _top(J)
-    t, J = _operands(6 * d * d * m * max(LJ, m), R.tensor, J)
+    m = exactla.top(J)
+    t, J = exactla.words(6 * d * d * m * max(LJ, m), R.tensor, J)
     xs, ys = np.triu_indices(d, 1)
     M = t[xs, ys].transpose(0, 2, 1)   # stacked R(e_x, e_y), x < y
     # the structure traces of those pairs, as in structure_traces
@@ -448,7 +413,7 @@ def projective_curvature(H: HermitianStructure) -> CurvatureTensor:
     """
     g, Lg = H.scaled_g
     J, LJ = H.scaled_J
-    g, J = _operands(14 * H.dim * max(LJ, _top(J)) ** 2, g, J)
+    g, J = exactla.words(14 * H.dim * max(LJ, exactla.top(J)) ** 2, g, J)
     t = _metric_terms(g)
     t *= LJ * LJ   # to the scale Lg LJ^2 of K
     # with A_a = J_a^T g, A_a[x, y] = g(J_a e_x, e_y), the permutations of
@@ -549,7 +514,7 @@ def symmetric_space_curvature(D: SymmetricDecomposition) -> CurvatureTensor:
     # dbl / (Lmm Lfm) is the coefficient of m_l in [[m_j, m_i], m_k] =
     # -[[m_i, m_j], m_k], as [m, m] is antisymmetric (tested above);
     # Jacobi on (m, m, m): sum_cyc [[m_i, m_j], m_k] = 0
-    mm, fm = _operands(3 * len(fm) * _top(fm), mm, fm)
+    mm, fm = exactla.words(3 * len(fm) * exactla.top(fm), mm, fm)
     dbl = np.tensordot(mm.transpose(1, 0, 2), fm, axes=([2], [0]))
     cyc = dbl + dbl.transpose(1, 2, 0, 3) + dbl.transpose(2, 0, 1, 3)
     if exactla.max_abs(cyc) != 0:
@@ -626,7 +591,7 @@ def special_linear_decomposition(n: int = 2) -> SymmetricDecomposition:
                 f_mats.append(unit(p, q))
     for p in range(2, N - 1):
         f_mats.append(unit(p, p) - unit(p + 1, p + 1))
-    f_mats.append(np.diag([n] * 2 + [-2] * n).astype(object))
+    f_mats.append(np.diag(np.array([n] * 2 + [-2] * n, dtype=object)))
 
     # g_m[i, j] = Tr(m_i m_j), a sum over entries of m_i and m_j^T
     g_m = (np.stack([M.reshape(-1) for M in m_mats])
@@ -672,7 +637,7 @@ def projective_pair(n: int):
     M = np.zeros((4, d, n + 1, n + 1), dtype=object)
     M[:, :, 1:, 0] = basis
     M[:, :, 0, 1:] = (-SplitQuaternion(*basis).conj()).coefficients()
-    M, = _operands(256 * n * n, M)
+    M, = exactla.words(256 * n * n, M)
     xs, ys = np.triu_indices(d, 1)
     # [M(e_y), M(e_x)] negates the double bracket
     inner = (batch_matmul(M[:, ys], M[:, xs])
@@ -719,11 +684,11 @@ def jacobi_operator(R: CurvatureTensor, X: np.ndarray):
     unless every entry of X is a Python int (jacobi_spectrum_report
     scales a rational direction first).  Each entry of K is a sum of d^2
     products (growth d^2 max|X|^2); K is returned as Python ints."""
-    X = _integer_array(X, "direction")
-    t, X = _operands(R.dim ** 2 * _top(X) ** 2, R.tensor, X)
+    X = exactla.require_python_ints(X, "direction")
+    t, X = exactla.words(R.dim ** 2 * exactla.top(X) ** 2, R.tensor, X)
     t1 = np.tensordot(X, t, axes=([0], [0]))   # (y, z, w)
     t2 = np.tensordot(X, t1, axes=([0], [1]))  # (y, w)
-    return _python_ints(t2.T), R.scale
+    return exactla.python_ints(t2.T), R.scale
 
 
 def restrict_to_complement(R: CurvatureTensor, X: np.ndarray):
@@ -853,9 +818,9 @@ def weyl_sample(H: HermitianStructure, split: GrassmanSplit,
     Cinv, LCinv = exactla.inverse(C)
     Cinv *= LC
     oh = split.omega_h
-    s4, O, oh, C, Cinv = _operands(
-        m * _top(O) * _top(oh) * d ** 4 * _top(C) * _top(Cinv) ** 3,
-        s4, O, oh, C, Cinv)
+    s4, O, oh, C, Cinv = exactla.words(
+        m * exactla.top(O) * exactla.top(oh) * d ** 4
+        * exactla.top(C) * exactla.top(Cinv) ** 3, s4, O, oh, C, Cinv)
     # shat[i, j, k, l] = sum_t s4[i, j, k, t] omega_E^-1[l, t]
     shat = s4 @ O
     # tensor[(i,a), (j,b), (k,c), (l,d)] = omega_h[a,b] shat[i,j,k,l] delta[c,d]

@@ -15,22 +15,31 @@ and the lcm L of the entry denominators with arr == N / L (TypeError on
 any entry that is not an int or a Fraction, the check of
 ``require_exact``), and ``from_scaled_integers(N, L)`` turns a pair into
 a ``Fraction`` array.  Python ints do not overflow; machine integers do,
-silently, so an int64 array is used only under a checked bound, and
-``words(arr, growth)`` is the one place that decides it: arr as an int64
-array when its entries are integers and growth * max(1, max|arr|) < 2^62,
-None otherwise, with growth the caller's bound on every entry and partial
-sum it forms per unit of the entries of arr.  Object entries are read
-through ``operator.index`` (never truncated), and an int64 array is only
-bounded by its max and min.  A caller whose bound fails runs the same
-expressions on Python ints.  The d^4 curvature tensors use it
+silently, so an int64 array is used only under a checked bound, and this
+module is the one place that decides it and the one that reads dtypes
+and entry types (the syntax-tree lint of tests/test_width_lint.py holds
+every other module to that).  ``words(growth, *arrays)`` returns every
+array as int64 when growth * max(1, max|arrays[0]|) < 2^62 and every
+other array fits below 2^62, and every array as Python ints
+(``python_ints``) otherwise, on which the caller runs the same
+expressions; growth is the caller's bound on every entry and partial sum
+it forms per unit of the entries of arrays[0], with the max entries of
+the others (``top``) multiplied in.  Object entries are read through
+``operator.index`` (never truncated), and an integer dtype is bounded by
+its max and min alone.  Its users: the d^4 curvature tensors
 (``curvature.CurvatureTensor``, its builders and its kernels, each of
-which states its growth), and ``contract`` keeps the dtype of its tensor.
-A pair built by its integer array (``PQVector`` and
-``PQMatrix.from_scaled_integers``, ``BilinearForm(N, L)``,
-``HermitianStructure(..., scales=...)``) passes that array through
-``integer_array``, which refuses a float or complex dtype and reads no
-entry, so the int64 and object stacks of the package pass at no cost.  ``linalg.PQVector`` (and with it every point of
-``projspace`` and ``reduction``), ``linalg.PQMatrix``,
+which states its growth, and the perturbed tensor of the CLI) and the
+batches of the definite-axis control ``reduction.empty_levelset_check``;
+``contract`` keeps the dtype of its tensor.  A pair built by its integer
+array (``PQVector`` and ``PQMatrix.from_scaled_integers``,
+``BilinearForm(N, L)``, ``HermitianStructure(..., scales=...)``) passes
+that array through ``integer_array``, which refuses a float or complex
+dtype and reads no entry, so the int64 and object stacks of the package
+pass at no cost; where integer data enters from outside (the public
+``curvature.CurvatureTensor`` constructor, a Jacobi direction),
+``require_python_ints`` reads every entry type.  ``linalg.PQVector``
+(and with it every point of ``projspace`` and ``reduction``),
+``linalg.PQMatrix``,
 ``linalg.HermitianStructure``, ``linalg.GrassmanSplit``,
 ``forms.BilinearForm``, ``forms.FourForm``, the rotations of ``forms``,
 ``curvature.CurvatureTensor`` with its metric, the tables of
@@ -83,11 +92,12 @@ Kernel frames.  ``nullspace`` returns (N, L, free): the columns of N / L
 are the reduced-echelon kernel basis, with N[free] == L * I.  A vector
 T / LT of their span therefore has the coordinates T[free] / LT, and
 N @ T[free] == L * T is the integer test that T lies in the span: no
-Gram solve.  Its callers (``projspace.quotient_frame``, the one
+Gram solve.  Its callers (``projspace.quotient_kernel``, the one
 routine that builds the frame of every quotient from its
-``projspace.Quotient`` record, for ``projspace.induced_geometry``,
-``reduction.flat_reduced_structure`` and
-``reduction.admissible_directions``; ``reduction.orthogonality_check``,
+``projspace.Quotient`` record, for ``reduction.admissible_directions``
+and, through ``projspace.quotient_frame``, for
+``projspace.induced_geometry`` and
+``reduction.flat_reduced_structure``; ``reduction.orthogonality_check``,
 on the rows of a record, and ``curvature.restrict_to_complement``) read
 the coordinates off that way; ``frame_coordinates`` serves frames that
 are not kernel bases (``HermitianStructure.span_coefficients``, the
@@ -154,34 +164,57 @@ def stack_max_abs(N, L) -> Fraction:
                default=Fraction(0))
 
 
-def words(arr, growth: int = 1) -> np.ndarray | None:
-    """arr as an int64 array when its entries are integers and
-    growth * max(1, max|arr|) < 2^62; None otherwise (an entry that is not
-    an integer, a float or complex dtype, or a failed bound).  growth is
-    the caller's bound on every entry and partial sum it forms, per unit
-    of the entries of arr; the max(1, .) keeps the growth itself, which
-    the caller's int64 expressions read as a scalar, below 2^62 too.
-    Object entries are read through operator.index (Python and numpy ints
-    pass, a Fraction or a float gives None, never truncated); an integer
-    dtype is bounded by its max and min alone, and an int64 array is
+def top(arr) -> int:
+    """max(1, max |arr|) of an integer array, as a Python int, from its
+    max and min (no copy of a strided tensor is made); 1 when arr is
+    empty.  Entries are read through operator.index, so a float or a
+    Fraction raises TypeError."""
+    arr = np.asarray(arr)
+    if arr.size == 0:
+        return 1
+    return max(1, index(arr.max()), -index(arr.min()))
+
+
+def python_ints(arr) -> np.ndarray:
+    """An integer array as an object array of Python ints: a machine
+    integer array is cast entry by entry (exact), an object array is
     returned as it is."""
     arr = np.asarray(arr)
-    if arr.dtype == object:
-        try:
+    return arr if arr.dtype == object else arr.astype(object)
+
+
+def words(growth: int, *arrays) -> list[np.ndarray]:
+    """The integer arrays, all as int64 when growth * max(1, max|arrays[0]|)
+    < 2^62 and max|a| < 2^62 for every other array a, all as Python ints
+    otherwise (python_ints), on which the same expressions are exact.
+    growth is the caller's bound on every entry and partial sum it forms,
+    per unit of the entries of arrays[0]; it includes the max entries of
+    the other arrays that the formula multiplies in, and the max(1, .)
+    keeps the growth itself, which the caller's int64 expressions read as
+    a scalar, below 2^62 too.  An int64 array that fits is returned as it
+    is, an object array of Python ints that does not.  Object entries are
+    read through operator.index (Python and numpy ints pass, never
+    truncated) and an integer dtype is bounded by its max and min alone;
+    TypeError on a float or complex dtype or on an object entry that is
+    not an integer."""
+    arrays = [np.asarray(a) for a in arrays]
+    entries, tops = [], []
+    for arr in arrays:
+        if arr.dtype == object:
             ints = list(map(index, arr.reshape(-1)))
-        except TypeError:
-            return None
-        top = max(max(ints, default=0), -min(ints, default=0))
-    elif arr.dtype.kind in "biu":
-        ints = arr
-        top = max(int(arr.max()), -int(arr.min())) if arr.size else 0
-    else:
-        return None
-    if growth * max(1, top) >= 2 ** 62:
-        return None
-    if arr.dtype == np.int64:
-        return arr
-    return np.array(ints, dtype=np.int64).reshape(arr.shape)
+            tops.append(max(1, max(ints, default=0), -min(ints, default=0)))
+        elif arr.dtype.kind in "biu":
+            ints = arr
+            tops.append(max(1, int(arr.max()), -int(arr.min()))
+                        if arr.size else 1)
+        else:
+            raise TypeError(f"words needs integer arrays, not {arr.dtype}")
+        entries.append(ints)
+    if growth * tops[0] >= 2 ** 62 or max(tops) >= 2 ** 62:
+        return [python_ints(arr) for arr in arrays]
+    return [arr if arr.dtype == np.int64
+            else np.array(ints, dtype=np.int64).reshape(arr.shape)
+            for arr, ints in zip(arrays, entries)]
 
 
 def require_exact(arr) -> np.ndarray:
@@ -204,6 +237,25 @@ def integer_array(arr) -> np.ndarray:
     if arr.dtype.kind in "fc":
         raise TypeError(f"a scaled-integer pair needs integer entries, "
                         f"not {arr.dtype}")
+    return arr
+
+
+def require_python_ints(arr, what: str, scale: int = 1,
+                        int64: bool = False) -> np.ndarray:
+    """arr as an array, checked where integer data enters a pair;
+    TypeError unless scale is an int >= 1 and every entry of arr is a
+    Python int, or, with int64, arr is an int64 array, exact by its dtype
+    (no entry is read).  A numpy int inside an object array is refused:
+    it would wrap in object arithmetic."""
+    if type(scale) is not int or scale < 1:
+        raise TypeError(f"{what} scale must be an int >= 1, not {scale!r}")
+    arr = np.asarray(arr)
+    if int64 and arr.dtype == np.int64:
+        return arr
+    kinds = set(map(type, arr.reshape(-1)))
+    if not kinds <= {int}:
+        raise TypeError(f"{what} entries must be Python ints, "
+                        f"not {sorted(k.__name__ for k in kinds)}")
     return arr
 
 

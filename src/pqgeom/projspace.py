@@ -28,11 +28,12 @@ fields at x (Hitchin-Karlhede-Lindstrom-Rocek, Comm. Math. Phys. 108,
 build every quotient of the package: ``sphere_quotient`` here (the row g
 and the fiber fields x i, x j, x k), ``reduction.moment_quotient`` and
 ``reduction.weighted_quotient``; no other routine forms a constraint row
-or a Killing field.  One routine, ``quotient_frame``, reads a record at
+or a Killing field.  One routine, ``quotient_kernel``, reads a record at
 the integer coordinates of a point: the frame is the g-orthogonal
 complement of the Killing fields inside the level set, the integer kernel
 basis (N, L, free) of ``exactla.nullspace`` of the constraint rows
-stacked over g times the fields, and the structure is restricted to it.
+stacked over g times the fields; ``quotient_frame`` restricts the
+structure to it.
 A vector T / LT of the span has the coordinates T[free] / LT, so the
 induced metric and structure are integer arrays over L^2 and L, and no
 Fraction view of the frame is formed.
@@ -205,28 +206,35 @@ def sphere_quotient(rank: int) -> Quotient:
                     -structure_endos(rank).scaled_J[0])
 
 
-def quotient_frame(quotient: Quotient, x):
-    """(H, (N, L, free)): the tangent frame of a quotient at the integer
-    coordinates x of a point, and the structure restricted to it.  The
-    frame is the g-orthogonal complement of the Killing fields inside the
-    level set: the kernel triple of ``exactla.nullspace`` of the
+def quotient_kernel(quotient: Quotient, x) -> tuple[np.ndarray, int, list]:
+    """The kernel triple (N, L, free) of ``exactla.nullspace`` of the
     constraint rows ``quotient.rows @ x`` stacked over g times the fields
-    ``quotient.generators @ x``, all on integers (a row-scaled system has
-    the same kernel, so the integer multiple x of a point serves).  H is
-    the structure v -> v conj(e_a) and the neutral metric on its span,
-    unvalidated: J_a has the coordinates (J_a N)[free] / L and the metric
-    is N^T g N / L^2.  DegenerateOrbitError unless the kernel has the
-    dimension D - k - m, that is unless the rows and the g-dual fields are
-    independent, and unless N @ (J_a N)[free] == L J_a N for every a, that
-    is unless every J_a preserves the span."""
+    ``quotient.generators @ x``, at the integer coordinates x of a point,
+    all on integers (a row-scaled system has the same kernel, so the
+    integer multiple x of a point serves): the g-orthogonal complement of
+    the Killing fields inside the level set.  DegenerateOrbitError unless
+    the kernel has the dimension D - k - m, that is unless the rows and
+    the g-dual fields are independent."""
     kernel = exactla.nullspace(np.concatenate(
         [quotient.rows @ x, apply_metric((quotient.generators @ x).T).T]))
-    N, L, free = kernel
+    N, _, free = kernel
     want = len(N) - len(quotient.rows) - len(quotient.generators)
     if len(free) != want:
         raise DegenerateOrbitError(
             f"quotient frame has dimension {len(free)}, not {want}")
-    images = np.stack([unit_action(N, a, "right") for a in range(3)])
+    return kernel
+
+
+def quotient_frame(quotient: Quotient, x):
+    """(H, (N, L, free)): the tangent frame of a quotient at the integer
+    coordinates x of a point (quotient_kernel, with its guard), and the
+    structure restricted to it.  H is the structure v -> v conj(e_a) and
+    the neutral metric on its span, unvalidated: J_a has the coordinates
+    (J_a N)[free] / L and the metric is N^T g N / L^2.
+    DegenerateOrbitError unless N @ (J_a N)[free] == L J_a N for every a,
+    that is unless every J_a preserves the span."""
+    kernel = N, L, free = quotient_kernel(quotient, x)
+    images = np.stack([unit_action(N, a) for a in range(3)])
     if (N @ images[:, free] != L * images).any():
         raise DegenerateOrbitError("structure does not preserve the frame")
     return HermitianStructure(*images[:, free], N.T @ apply_metric(N),
@@ -328,7 +336,7 @@ def _transitive_columns(C, L) -> tuple[np.ndarray, np.ndarray]:
         take, V, N, den = act[ok], V[ok], N[ok], den[ok]
         # V k = -J_3 V
         X, LX = ((N + den * den)[:, None] * V
-                 - (den * den - N)[:, None] * unit_action(V.T, 2, "right").T,
+                 - (den * den - N)[:, None] * unit_action(V.T, 2).T,
                  2 * den * N)
         g = np.gcd.reduce(np.concatenate([X, LX[:, None]], axis=1),
                           axis=1) * np.sign(N)

@@ -95,24 +95,29 @@ Python ints, the rows and the fields at one point are ``rows @ U`` and
 ``generators @ U``, and a stack takes a generator through
 ``exactla.contract``, which keeps the dtype of the stack:
 ``flat_moment_gradient_check`` evaluates all its samples at once, on
-int64; ``pq_zero_set_check`` stacks its points in blocks of _TRACE_BLOCK
-and evaluates the moment and the isotropy traces of each block once, the
-transitive elements by the one stacked Gram-Schmidt of ``projspace``;
-the definite-axis control ``empty_levelset_check`` runs on int64 blocks
-of integer sphere points.  ``flat_level_sample`` and
+int64 draws whose range bounds every sum; ``pq_zero_set_check`` stacks
+its points in blocks of _TRACE_BLOCK and evaluates the moment and the
+isotropy traces of each block once, the transitive elements by the one
+stacked Gram-Schmidt of ``projspace``; the definite-axis control
+``empty_levelset_check`` runs on blocks of integer sphere points whose
+width ``exactla.words`` decides from the weights (int64 below 2^46),
+and this module reads no dtype: ``moment_quotient`` casts the table to
+Python ints with ``exactla.python_ints``.  ``flat_level_sample`` and
 ``weighted_level_sample`` build their points on integers.  The
 reduced-Jacobi chain is on Python ints: ``admissible_directions``
 returns integer vectors of the admissible space, ``reduced_jacobi``
 scales a direction to integers once (its ratio is invariant under
 scaling X), forms every pairing and product on Python ints, and forms
 Fractions only for its results.  The quotient frames of both reductions
-come from the one routine ``projspace.quotient_frame`` of their records,
-at the integer coordinates of the point (a row-scaled system has the
-same kernel): ``flat_reduced_structure`` reads ``moment_quotient`` of i
-and ``admissible_directions`` reads ``weighted_quotient``.  The frame is
-an integer kernel basis N / L of ``exactla.nullspace``, in which a
-vector T / LT of the span has the coordinates T[free] / LT, so the
-reduced metric and structure are read off on integers, with no solve.
+come from the one routine ``projspace.quotient_kernel`` of their
+records, at the integer coordinates of the point (a row-scaled system
+has the same kernel): ``flat_reduced_structure`` reads the
+``projspace.quotient_frame`` of ``moment_quotient`` of i, and
+``admissible_directions`` the kernel of ``weighted_quotient``.  The
+frame is an integer kernel basis N / L of ``exactla.nullspace``, in
+which a vector T / LT of the span has the coordinates T[free] / LT, so
+the reduced metric and structure are read off on integers, with no
+solve.
 The tangent frames of ``orthogonality_check`` are such kernels of the
 rows of a record alone.
 """
@@ -135,8 +140,8 @@ from .linalg import (REDRAW_LIMIT, PQVector, RedrawLimitError,
                      right_mult_matrix, structure_endos, unit_action,
                      unit_frame)
 from .projspace import (Quotient, SpherePoint, _stack, quotient_frame,
-                        random_sphere_point, sphere_quotient,
-                        transitive_action)
+                        quotient_kernel, random_sphere_point,
+                        sphere_quotient, transitive_action)
 
 
 class DegenerateLevelSetError(ValueError):
@@ -156,9 +161,8 @@ class NonRegularError(ValueError):
 FLAT_LEVEL = (Fraction(-1), Fraction(0), Fraction(0))
 
 # most directions per round of the definite-axis control
-# (empty_levelset_check), and the largest i-component of its points
+# (empty_levelset_check)
 _LEVEL_BLOCK = 256
-_I_COMPONENT_BOUND = 4 * 72 ** 2
 
 # points per stack of the zero-set cross-check
 _TRACE_BLOCK = 10
@@ -200,7 +204,7 @@ def moment_quotient(a: int, weights: tuple) -> Quotient:
     generator is the weights times left multiplication by e_a, the
     member a of left_structure_endos.  Python ints; built once per
     (a, weights)."""
-    T = _SANDWICH[a].astype(object)
+    T = exactla.python_ints(_SANDWICH[a])
     w = np.array(weights, dtype=object)
     return Quotient(
         np.stack([np.kron(np.diag(w), block)
@@ -496,7 +500,7 @@ def isotropy_moment_traces(p: int, q: int, U, L):
     column of the top-left 4 x 4 block of E (the left multiplication by
     s), B acts through its lower-right 8 x 8 block, and only these blocks
     are formed;
-    J_a L is the signed row permutation unit_action(L, a, "right"), so the
+    J_a L is the signed row permutation unit_action(L, a), so the
     traces are sums of integers.
     """
     A, LA = transitive_action(U, L)
@@ -511,7 +515,7 @@ def isotropy_moment_traces(p: int, q: int, U, L):
         *(g[:4] * (At[:, :4] @ GDAt[:, 0, :, None])[..., 0]).T).conj())
     for v in range(2):
         E[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
-    return (np.stack([np.trace(unit_action(E, a, "right"))
+    return (np.stack([np.trace(unit_action(E, a))
                       for a in range(3)], axis=-1), LA * LA)
 
 
@@ -603,7 +607,7 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
                           count: int) -> list[np.ndarray]:
     """Seeded horizontal directions orthogonal to the Killing span, with
     g(X, X) != 0, as integer vectors: integer combinations of the integer
-    kernel basis N of projspace.quotient_frame of weighted_quotient(p, q),
+    kernel basis N of projspace.quotient_kernel of weighted_quotient(p, q),
     which spans the admissible space (reduced_jacobi is invariant under
     scaling X).  Its rows are the sphere row g x and the moment rows of j,
     which are g J_b V up to scale, and its fields V, x i, x j, x k.  u
@@ -611,10 +615,10 @@ def admissible_directions(p: int, q: int, u: SpherePoint, rng,
     (reduced_jacobi): DegenerateOrbitError where the frame is dependent,
     then DegenerateLevelSetError off the level set, before any draw.  The
     kernel is that of the integer coordinates U of u, which spans the
-    same space.  At most REDRAW_LIMIT draws per direction
-    (RedrawLimitError)."""
+    same space; the structure restricted to it is not formed.  At most
+    REDRAW_LIMIT draws per direction (RedrawLimitError)."""
     U, L = u.x.scaled
-    _, (basis, _, _) = quotient_frame(weighted_quotient(p, q), U)
+    basis, _, _ = quotient_kernel(weighted_quotient(p, q), U)
     _require_zero_level(p, q, U, L)
     out = []
     for _ in range(REDRAW_LIMIT * count):
@@ -737,13 +741,14 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
     whole batch.
 
     Every round draws as many directions as points are still missing, up
-    to _LEVEL_BLOCK, as one random_integers block, and evaluates it on
-    int64: |d| <= 3 gives |L| <= 54 and |X| <= 72, so the partial sums of
-    the table contraction are at most 4 * 72, the i-component of an entry
-    (a sum of four squares of its coordinates) at most 20,736 and the
-    weighted sum at most 3 * 20,736 max(p, q), below 2^63 at every weight
-    below 2^47.  When it could pass 2^63 the points and L go to Python
-    ints before the contraction, so any weights stay exact.  The cap
+    to _LEVEL_BLOCK, as one random_integers block of int64: |d| <= 3 gives
+    |L| <= 54 and |X| <= 72, so the partial sums of the table contraction
+    are at most 4 max|X|, the i-component of an entry (a sum of four
+    squares of its coordinates) at most 4 max|X|^2 and the weighted sum at
+    most 12 max|X|^2 max(p, q), that is at most 12 * 72 max(p, q) per
+    unit of max|X|: the growth with which exactla.words decides the width
+    of the points and L, int64 at every weight below 2^46 and Python ints
+    above, so any weights stay exact.  The cap
     bounds the arrays live at once: one round of all 10,000 points as
     Python ints raised the peak memory of `pqgeom --suite all` by 5.8 MB.
     RedrawLimitError after REDRAW_LIMIT rounds in a row that keep no
@@ -759,8 +764,7 @@ def empty_levelset_check(p: int, q: int, samples: int, rng) -> int:
         X = -2 * d[0] * d
         X[0] += L
         on_sphere = (X * apply_metric(X)).sum(axis=0) == L * L
-        if 3 * _I_COMPONENT_BOUND * max(ws) >= 2 ** 63:
-            X, L = X.astype(object), L.astype(object)
+        X, L = exactla.words(12 * 72 * max(ws), X, L)
         value = _moment(0, ws, X.T)[:, 0]
         failures += int(np.count_nonzero(~on_sphere
                                          | (value < min(ws) * L * L)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from pqgeom import cli, curvature, exactla
+from pqgeom import cli, exactla, reduction
 from pqgeom.algebra import EPS, SplitQuaternion
 from pqgeom.curvature import (CYCLES, SL2_TRIPLE, ComplementLeakError,
                               CurvatureTensor,
@@ -855,15 +855,18 @@ def test_exact_diagnostics_reject_float_tensors():
 
 def test_float_pairs_fail_loudly_in_the_diagnostics():
     # BilinearForm(N, L) refuses a float dtype but reads no entry of an
-    # object array, and the builders trust their pairs; a float entry that
-    # comes in that way raises where an integer result is read through
-    # operator.index, not truncated
+    # object array; a float entry that comes in that way raises where its
+    # entries are read through operator.index, not truncated: in the width
+    # decision of a builder (exactla.words) and in the diagnostics of a
+    # tensor that holds such entries (set here past the constructor)
     H = structure_endos(1)
     with pytest.raises(TypeError):
         BilinearForm(np.full((4, 4), 0.5), 1)
     B = BilinearForm(np.full((4, 4), 0.5, dtype=object), 1)
-    R = curvature_from_bilinear(B, H)
-    for diagnostic in (B.max_abs, lambda: einstein_check(R),
+    R = projective_curvature(H)
+    R.tensor = np.full(R.tensor.shape, 0.5, dtype=object)
+    for diagnostic in (B.max_abs, lambda: curvature_from_bilinear(B, H),
+                       lambda: einstein_check(R),
                        lambda: jacobi_spectrum_report(
                            R, [np.eye(4, dtype=object)[0]])):
         with pytest.raises(TypeError):
@@ -1021,13 +1024,13 @@ def test_curvature_suite_scans_no_tensor_it_builds(monkeypatch, capsys):
     # multiples of the suite hand on the package's own integer pairs, so
     # no tensor or metric is scanned; the Jacobi directions still are
     scanned = []
-    scan = curvature._integer_array
+    scan = exactla.require_python_ints
 
-    def counted(arr, what, scale=1):
+    def counted(arr, what, scale=1, int64=False):
         scanned.append(what)
-        return scan(arr, what, scale)
+        return scan(arr, what, scale, int64)
 
-    monkeypatch.setattr(curvature, "_integer_array", counted)
+    monkeypatch.setattr(exactla, "require_python_ints", counted)
     assert cli.main(["--suite", "curvature", "--n", "3"]) == 0
     capsys.readouterr()
     assert "direction" in scanned
@@ -1042,8 +1045,9 @@ def test_curvature_suite_scans_no_tensor_it_builds(monkeypatch, capsys):
 #
 # A tensor is held as int64 when its entries fit (exactla.words), and each
 # builder and kernel runs on int64 under its growth bound and on Python
-# ints above it.  With exactla.words refusing every array, the same
-# expressions run on Python ints: the reference the word path must equal.
+# ints above it; so does the batch of the definite-axis control.  With
+# exactla.words widening every array, the same expressions run on Python
+# ints: the reference the word path must equal.
 
 
 def python_ints(values):
@@ -1093,18 +1097,47 @@ def width_run(n):
     return [R for R, _ in tensors], results
 
 
+def level_run(seen):
+    """The count of empty_levelset_check at (1, 2) and (3, 4) with the
+    moment quartered, so that some points fall short, and the state of
+    its generator after it; seen collects the dtype of every batch."""
+    moment = reduction._moment
+
+    def quartered(a, weights, X):
+        seen.append(X.dtype)
+        return moment(a, weights, X) // 4
+
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reduction, "_moment", quartered)
+        for p, q in [(1, 2), (3, 4)]:
+            rng = random.Random(70 + p)
+            out.append((reduction.empty_levelset_check(p, q, 300, rng),
+                        rng.getstate()))
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_word_path_matches_python_int_path(monkeypatch, n):
     tensors, results = width_run(n)
-    monkeypatch.setattr(exactla, "words", lambda arr, growth=1: None)
+    narrow, wide = [], []
+    levels = level_run(narrow)
+    monkeypatch.setattr(exactla, "words", lambda growth, *arrays: [
+        exactla.python_ints(arr) for arr in arrays])
     wide_tensors, wide_results = width_run(n)
-    for R, wide in zip(tensors, wide_tensors):
+    for R, wide_R in zip(tensors, wide_tensors):
         assert R.tensor.dtype == np.int64
-        python_ints([wide.tensor])
-        assert R.scale == wide.scale and (R.tensor == wide.tensor).all()
+        python_ints([wide_R.tensor])
+        assert R.scale == wide_R.scale and (R.tensor == wide_R.tensor).all()
     # the residuals, traces, Ricci forms and Jacobi operators are Python
     # ints on both paths, and equal
     assert python_ints(results) == python_ints(wide_results)
+    # the one patch drives the definite-axis batches onto Python ints too,
+    # with the same counts and draws
+    assert level_run(wide) == levels
+    assert all(count > 0 for count, _ in levels)
+    assert set(narrow) == {np.dtype(np.int64)}
+    assert set(wide) == {np.dtype(object)}
 
 
 def ref_jacobi(R, X):

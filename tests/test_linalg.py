@@ -771,33 +771,52 @@ def test_contract_matches_tensordot():
 
 
 def test_words_bound_and_entry_types():
-    # int64 when the entries are integers and growth * max(1, max|arr|)
-    # is below 2^62, None otherwise; nothing is truncated
+    # every array as int64 when the entries are integers, growth *
+    # max(1, max|arrays[0]|) is below 2^62 and every other array fits,
+    # every array as Python ints otherwise; nothing is truncated, and a
+    # non-integer entry or dtype raises TypeError
     top = 2 ** 62
     ints = np.array([3, -(top - 1), 0], dtype=object)
-    w = exactla.words(ints)
+    w, = exactla.words(1, ints)
     assert w.dtype == np.int64 and (w == ints).all()
     machine = np.array([1, -2], dtype=np.int64)
-    assert exactla.words(machine) is machine
+    assert exactla.words(1, machine)[0] is machine
     for arr, dtype in [(np.array([np.int64(5), 7], dtype=object), object),
                        (np.array([5, 7], dtype=np.int32), np.int32),
                        (np.array([True, False]), bool)]:
         assert arr.dtype == dtype
-        assert (exactla.words(arr, 3) == arr).all()
-        assert exactla.words(arr, 3).dtype == np.int64
-    assert exactla.words(np.array([2 ** 61 - 1], dtype=object), 2) is not None
-    assert exactla.words(np.zeros((2, 0), dtype=object)).shape == (2, 0)
+        w, = exactla.words(3, arr)
+        assert (w == arr).all() and w.dtype == np.int64
+    assert exactla.words(
+        2, np.array([2 ** 61 - 1], dtype=object))[0].dtype == np.int64
+    empty, = exactla.words(1, np.zeros((2, 0), dtype=object))
+    assert empty.shape == (2, 0) and empty.dtype == np.int64
     for arr, growth in [(np.array([top], dtype=object), 1),
                         (np.array([-top], dtype=object), 1),
                         (np.array([2 ** 61], dtype=object), 2),
                         (ints, 2),
                         (np.array([np.iinfo(np.int64).min]), 1),
-                        (np.zeros(3, dtype=np.int64), top),
-                        (np.array([Fraction(1, 2)], dtype=object), 1),
-                        (np.array([Fraction(2)], dtype=object), 1),
-                        (np.array([0.5, 1], dtype=object), 1),
-                        (np.array([1.0]), 1), (np.array([1j]), 1)]:
-        assert exactla.words(arr, growth) is None
+                        (np.zeros(3, dtype=np.int64), top)]:
+        wide, = exactla.words(growth, arr)
+        assert wide.dtype == object and (wide == arr).all()
+        assert all(isinstance(x, int) for x in wide)
+    for arr in [np.array([Fraction(1, 2)], dtype=object),
+                np.array([Fraction(2)], dtype=object),
+                np.array([0.5, 1], dtype=object),
+                np.array([1.0]), np.array([1j])]:
+        with pytest.raises(TypeError):
+            exactla.words(1, arr)
+    # all or none: the other arrays are bounded at growth 1, and one that
+    # does not fit widens the first, as the growth of the first does
+    small = np.array([1, -2], dtype=np.int64)
+    for growth, other in [(1, np.array([top], dtype=object)),
+                          (top, np.array([1], dtype=object))]:
+        got = exactla.words(growth, small, other)
+        assert [a.dtype for a in got] == [object, object]
+        assert (got[0] == small).all() and (got[1] == other).all()
+    got = exactla.words(2 ** 61 - 1, np.array([1], dtype=object),
+                        np.array([top - 1], dtype=object))
+    assert [a.dtype for a in got] == [np.int64, np.int64]
 
 
 def test_contract_keeps_machine_integers():

@@ -2,18 +2,21 @@
 broken.
 
 Each row plants one defect in an ingredient of one registry check (one
-sign flipped in a product, a norm, a conjugation, a representation, a
-scalar product, a record of a quotient, a column of the moment table,
-a term or a scale of the 4-form, an element off the unit group, or a
-curvature ingredient: a term, a slot, a cyclic order, a projector part
-or a sign) and runs the check's suite through ``run_suite``; the check
-must report ``fail``.  A check that still passes is vacuous on its
-samples.  A row of the second table plants bad input instead (a
-rotation off the group, a record whose frame the structure does not
-preserve), which a named guard of the check must refuse loudly: it
-reports ``error``, and the check raises that guard's error.  A
-degenerate sampler must not hang a suite either: its redraw loops give
-up with an error.
+sign flipped in a product, a norm, a conjugation, an inverse, a printed
+coefficient, a representation, a scalar product, a record of a quotient,
+a column of the moment table, a term or a scale of the 4-form, an
+element off the unit group, or a curvature ingredient: a term, a slot, a
+cyclic order, a projector part or a sign; a representation that loses a
+coordinate, a bracket, a repeated seed, a swapped column of the tensor
+basis, a projector's scale or signs, the slots of a 2-form) and runs the
+check's suite through ``run_suite``; the check must report ``fail``.  A
+check that still passes is vacuous on its samples.  A row of the second
+table plants bad input instead (a rotation off the group, a record whose
+frame the structure does not preserve), which a named guard of the check
+must refuse loudly: it reports ``error``, and the check raises that
+guard's error.  The registry checks with a row in neither table are
+listed in ``NO_ROW_YET``.  A degenerate sampler must not hang a suite
+either: its redraw loops give up with an error.
 """
 
 import json
@@ -61,11 +64,70 @@ def _product_term_flipped(unit, left, right):
     return product
 
 
+def _inverse_negated(q):
+    return -INVERSE(q)
+
+
+def _printed_with_k_negated(q):
+    """The text of q with the coefficient of k negated: a printer that
+    loses one sign."""
+    return PRINT(SplitQuaternion(q.a, q.b, q.c, -q.d))
+
+
 def _real_rep_sign_flipped(A):
     N, L = REAL_REP(A)
     N = N.copy()
     N[..., 1::2, 0::2] = -N[..., 1::2, 0::2]
     return N, L
+
+
+def _real_rep_lower_left_zeroed(A):
+    """The image with the entries c - b of every block set to 0: the
+    blocks [[a + d, b + c], [0, a - d]] hold three coordinates of four,
+    so the map is not injective."""
+    N, L = REAL_REP(A)
+    N = N.copy()
+    N[..., 1::2, 0::2] = 0
+    return N, L
+
+
+def _anticommutator(A, B):
+    """A B + B A in place of the bracket: hermitian for anti-hermitian A
+    and B, so outside the skew algebra."""
+    return A @ B + B @ A
+
+
+def _adopted_basis_with_a_repeated_seed(H, rng=None):
+    """Every seed replaced by the first: the quadruples span one submodule,
+    not the whole space."""
+    seeds = ADOPTED(H, rng=rng)
+    return [seeds[0]] * len(seeds)
+
+
+def _tensor_columns_swapped(H):
+    """The change of basis with the columns h1 e and h2 e of the first
+    vector e of E swapped: in the new coordinates the first 2 x 2 block
+    of each J_a is conjugated by the swap."""
+    split = GRASSMAN(H)
+    C, LC = split.change
+    C = C.copy()
+    C[:, [0, 1]] = C[:, [1, 0]]
+    return linalg.GrassmanSplit(split.e_basis, split.h_endos, (C, LC),
+                                split.omega_e, split.omega_h)
+
+
+def _hermitian_part_doubled(B, H):
+    """The hermitian part over half its scale: 2 Pi is not idempotent."""
+    herm, mix, fourway = PROJECTOR(B, H)
+    N, S = herm.scaled
+    return forms.BilinearForm(N, S // 2), mix, fourway
+
+
+def _two_form_slots_swapped(Jop, g):
+    """g(X, J Y) in place of g(J X, Y): skew as well, but the pairing
+    omega(X, J X) changes sign."""
+    N, L = TWO_FORM(Jop, g).scaled
+    return forms.BilinearForm(N.T, L)
 
 
 def _scalar_product_sign_flipped(q, qp):
@@ -196,6 +258,9 @@ def _rotation_off_the_group(rng):
 
 
 PRODUCT, REAL_REP = SplitQuaternion.__mul__, cli.real_rep
+INVERSE, PRINT = SplitQuaternion.inverse, SplitQuaternion.__str__
+ADOPTED, GRASSMAN, TWO_FORM = (cli.adopted_basis, cli.grassman_split,
+                               cli.two_form)
 METRIC_TERMS, PROJECTOR = curv._metric_terms, curv.hermitian_projector
 COMBINE, JACOBI = curv.CurvatureTensor._combine, curv.jacobi_operator
 SYMMETRIC = curv.symmetric_space_curvature
@@ -224,8 +289,31 @@ PLANTED = {
                               "efgh".index(name[1])))
        for unit, name in ((1, "ch"), (1, "dg"), (2, "bh"), (2, "df"),
                           (3, "bg"), (3, "cf"))},
+    # i j = -k against the table
+    "cyclic-product-table": ("algebra", SplitQuaternion, "__mul__",
+                             _product_term_flipped(3, 1, 2)),
+    "inverse-roundtrip": ("algebra", SplitQuaternion, "inverse",
+                          _inverse_negated),
+    "parse-print-roundtrip": ("algebra", SplitQuaternion, "__str__",
+                              _printed_with_k_negated),
     "representation-homomorphism": ("linalg", cli, "real_rep",
                                     _real_rep_sign_flipped),
+    "representation-injective": ("linalg", cli, "real_rep",
+                                 _real_rep_lower_left_zeroed),
+    "sp-bracket-closure": ("linalg", linalg.PQMatrix, "commutator",
+                           _anticommutator),
+    "adopted-basis-rank": ("linalg", cli, "adopted_basis",
+                           _adopted_basis_with_a_repeated_seed),
+    "tensor-split-blocks": ("linalg", cli, "grassman_split",
+                            _tensor_columns_swapped),
+    "projector-idempotent": ("forms", cli, "hermitian_projector",
+                             _hermitian_part_doubled),
+    # eps = (1, 1, -1): the sum of the J_a^T B J_a is no longer invariant
+    # under the rotations of the span, which preserve diag(-eps) only for
+    # the true signs
+    "projector-basis-independence": ("forms", forms, "EPS", (1, 1, -1)),
+    "two-form-skew-pairing": ("forms", cli, "two_form",
+                              _two_form_slots_swapped),
     "scalar-product-complex-form": ("linalg", cli, "scalar_product",
                                     _scalar_product_sign_flipped),
     "moment-gradient": ("reduce-s1", red, "moment_quotient",
@@ -317,6 +405,20 @@ REFUSED = {
         "induced-structure-valid", "projspace", proj, "sphere_quotient",
         _euclidean_sphere, proj.DegenerateOrbitError),
 }
+
+
+# the registry checks with no row in either table yet; a new check comes
+# with its row, and a check that gets one leaves this set
+NO_ROW_YET = {"fiber-gram-signature", "transitive-element",
+              "eigenvalue-trace-identity", "ratio-direction-independence",
+              "ratio-point-variation"}
+
+
+def test_every_check_has_a_row_but_the_listed_ones():
+    names = {row[0] for rows in cli.REGISTRY.values() for row in rows}
+    covered = {spec[0] for spec in [*PLANTED.values(), *REFUSED.values()]}
+    assert covered <= names
+    assert names - covered == NO_ROW_YET
 
 
 def _clear_caches():

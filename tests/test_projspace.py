@@ -7,8 +7,7 @@ import pytest
 
 from pqgeom import exactla
 from pqgeom.algebra import IMAGINARY_UNITS, UNITS, SplitQuaternion
-from pqgeom.linalg import (PQMatrix, PQVector, apply_metric,
-                           left_mult_matrix, metric_matrix,
+from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, random_integers,
                            random_quaternion, right_mult_matrix,
                            sp_group_membership, unit_action, unit_frame)
@@ -148,7 +147,7 @@ def ref_transitive_columns(target: SpherePoint) -> list[tuple]:
         if N == 0:
             return False
         C = ((N + den * den) * V
-             - (den * den - N) * unit_action(V, 2, "right"))
+             - (den * den - N) * unit_action(V, 2))
         g = math.gcd(*C, 2 * den * N) * (1 if N > 0 else -1)
         append(C // g, 2 * den * N // g)
         return True
@@ -593,9 +592,8 @@ def test_transitive_columns_run_points_of_every_kind_together():
 
 @pytest.mark.parametrize("rank", [1, 3])
 def test_unit_actions_match_right_multiplication(rank):
-    # unit_action is x -> x conj(e_a) (side "right") and x -> e_a x (side
-    # "left") and unit_frame is [x, x i, x j, x k], entrywise, against the
-    # blocks of right_mult_matrix and left_mult_matrix and against the
+    # unit_action is x -> x conj(e_a) and unit_frame is [x, x i, x j, x k],
+    # entrywise, against the blocks of right_mult_matrix and against the
     # products of the reference; on exact and on float columns
     rng = random.Random(40 + rank)
     exact = np.stack([random_pq_vector(rng, rank).to_real() for _ in range(3)],
@@ -609,12 +607,11 @@ def test_unit_actions_match_right_multiplication(rank):
                     @ cols).all()
             assert (frame[:, 0, a] == ref_right_mul(cols[:, 0], e)).all()
         for a, e in enumerate(IMAGINARY_UNITS):
-            for side, block in (("right", right_mult_matrix(e.conj())),
-                                ("left", left_mult_matrix(e))):
-                got = unit_action(cols, a, side)
-                assert got.dtype == cols.dtype
-                assert (got == np.kron(eye, block) @ cols).all()
+            got = unit_action(cols, a)
+            assert got.dtype == cols.dtype
+            assert (got == np.kron(eye, right_mult_matrix(e.conj()))
+                    @ cols).all()
             want = np.stack([ref_right_mul(cols[:, c], e.conj())
                              for c in range(cols.shape[1])], axis=1)
-            assert (unit_action(cols, a, "right") == want).all()
+            assert (unit_action(cols, a) == want).all()
         assert (apply_metric(cols) == metric_matrix(rank) @ cols).all()

@@ -728,7 +728,7 @@ def ref_integer_traces(p, q, u):
     rconj = right_mult_matrix(SplitQuaternion(*(GAG[:4] @ DA[:, 0])).conj())
     for v in range(2):
         E[4 * v:4 * v + 4, 4 * v:4 * v + 4] += rconj
-    return ([np.trace(unit_action(E, a, "right")) for a in range(3)],
+    return ([np.trace(unit_action(E, a)) for a in range(3)],
             LA * LA)
 
 
@@ -888,7 +888,7 @@ def test_reduced_jacobi_guards():
                for p, q in [(1, 2), (3, 4), (2, 1)]]
     for (p, q), u in zip([(1, 2), (1, 2), (3, 4), (2, 1)], points):
         a = admissible_directions(p, q, u, rng, 1)[0]
-        X = a + unit_action(a, 1, "right")
+        X = a + unit_action(a, 1)
         assert X.any() and apply_metric(X) @ X == 0
         with pytest.raises(NullDirectionError):
             reduced_jacobi(p, q, u, X)
