@@ -48,13 +48,12 @@ integer pairs of their inputs (``BilinearForm(N, L)``, a structure with
 ``scales``) are trusted as well; the width decision and the scalar
 results read their entries through ``operator.index``, so a float that
 came in that way raises TypeError there instead of being truncated.
-``fractions()`` is the ``Fraction``
-view that ``curvature_to_text`` writes out; the text format has the
-single mode "exact".  The commutators with the J_a and the change of
-basis of the tensor splitting go through ``exactla.contract``, one slice
-operation per nonzero matrix entry: on the standard structure each J_a
-is a signed permutation and the change of basis has at most two
-nonzeros per row.  The standard model (``ambient_projective_curvature``)
+``fractions()`` is the ``Fraction`` view that ``curvature_to_text``
+writes out; the text format has the single mode "exact".  The
+commutators with the J_a and the change of basis of the tensor splitting
+go through ``exactla.contract``, one slice operation per nonzero matrix
+entry: on the standard structure each J_a is a signed permutation and
+the change of basis has at most two nonzeros per row.  The standard model (``ambient_projective_curvature``)
 is built once per rank and shared, and its tensor is read-only.
 
 Width.  The tensor is int64 when every entry is below 2^62 in absolute

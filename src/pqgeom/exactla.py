@@ -20,7 +20,7 @@ module is the one place that decides it and the one that reads dtypes
 and entry types (the syntax-tree lint of tests/test_width_lint.py holds
 every other module to that).  ``words(growth, *arrays)`` returns every
 array as int64 when growth * max(1, max|arrays[0]|) < 2^62 and every
-other array fits below 2^62, and every array as Python ints
+array fits below 2^62, and every array as Python ints
 (``python_ints``) otherwise, on which the caller runs the same
 expressions; growth is the caller's bound on every entry and partial sum
 it forms per unit of the entries of arrays[0], with the max entries of
@@ -39,10 +39,10 @@ pass at no cost; where integer data enters from outside (the public
 ``curvature.CurvatureTensor`` constructor, a Jacobi direction),
 ``require_python_ints`` reads every entry type.  ``linalg.PQVector``
 (and with it every point of ``projspace`` and ``reduction``),
-``linalg.PQMatrix``,
-``linalg.HermitianStructure``, ``linalg.GrassmanSplit``,
-``forms.BilinearForm``, ``forms.FourForm``, the rotations of ``forms``,
-``curvature.CurvatureTensor`` with its metric, the tables of
+``linalg.PQMatrix``, ``linalg.HermitianStructure``,
+``linalg.GrassmanSplit``, ``forms.BilinearForm``, ``forms.FourForm``,
+the rotations of ``forms``, ``curvature.CurvatureTensor`` with its
+metric, the tables of
 ``curvature.SymmetricDecomposition``, the diagnostics of ``curvature``
 (Ricci forms, structure traces, Jacobi operators and their restrictions)
 and the directions and frames of ``reduction`` are such pairs, built
@@ -184,9 +184,10 @@ def python_ints(arr) -> np.ndarray:
 
 
 def words(growth: int, *arrays) -> list[np.ndarray]:
-    """The integer arrays, all as int64 when growth * max(1, max|arrays[0]|)
-    < 2^62 and max|a| < 2^62 for every other array a, all as Python ints
-    otherwise (python_ints), on which the same expressions are exact.
+    """The integer arrays, all as int64 when every array a has
+    max|a| < 2^62 and growth * max(1, max|arrays[0]|) < 2^62, all as
+    Python ints otherwise (python_ints), on which the same expressions
+    are exact.
     growth is the caller's bound on every entry and partial sum it forms,
     per unit of the entries of arrays[0]; it includes the max entries of
     the other arrays that the formula multiplies in, and the max(1, .)

@@ -1174,7 +1174,8 @@ def test_kernels_widen_above_their_bound():
                       (near - above, near.fractions() - above.fractions()),
                       (flat + flat.times(Fraction(1, 2)),
                        Fraction(3, 2) * flat.fractions()),
-                      (near.times(3), 3 * near.fractions())]:
+                      (near.times(3), 3 * near.fractions()),
+                      (above.times(0), 0 * above.fractions())]:
         assert (got.fractions() == want).all()
     X = np.array([1, -2, 0, 3], dtype=object)
     for R in (near, above, flat, near + near, near - above, near.times(3),

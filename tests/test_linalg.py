@@ -796,7 +796,9 @@ def test_words_bound_and_entry_types():
                         (np.array([2 ** 61], dtype=object), 2),
                         (ints, 2),
                         (np.array([np.iinfo(np.int64).min]), 1),
-                        (np.zeros(3, dtype=np.int64), top)]:
+                        (np.zeros(3, dtype=np.int64), top),
+                        # growth 0 (a multiple by 0) keeps the entry bound
+                        (np.array([top], dtype=object), 0)]:
         wide, = exactla.words(growth, arr)
         assert wide.dtype == object and (wide == arr).all()
         assert all(isinstance(x, int) for x in wide)
