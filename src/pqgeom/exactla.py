@@ -165,13 +165,10 @@ def stack_max_abs(N, L) -> Fraction:
 
 
 def top(arr) -> int:
-    """max(1, max |arr|) of an integer array, as a Python int, from its
-    max and min (no copy of a strided tensor is made); 1 when arr is
-    empty.  Entries are read through operator.index, so a float or a
-    Fraction raises TypeError."""
-    arr = np.asarray(arr)
-    if arr.size == 0:
-        return 1
+    """max(1, max |arr|) of a nonempty integer array, as a Python int,
+    from its max and min (no copy of a strided tensor is made).  Entries
+    are read through operator.index, so a float or a Fraction raises
+    TypeError."""
     return max(1, index(arr.max()), -index(arr.min()))
 
 
