@@ -573,11 +573,14 @@ def _chk_lift_independence(config, rng):
         Q, LQ = exactla.scaled_integers(right_mult_matrix(qrot))
         FQ = (Q @ N.reshape(-1, 4, N.shape[1])).reshape(N.shape)
         for a in range(3):
-            # frame and target share the scale LQ L; the coordinates do
-            # not depend on it, the residual is over it
-            (coords, _), residual = exactla.frame_coordinates(
-                FQ, unit_action(FQ, a))
-            worst = max(worst, residual / (LQ * L))
+            # frame and target share the scale LQ L, so the coordinates do
+            # not depend on it; solve refuses a unit action that leaves
+            # the span of the translated frame, scored 1 as a membership
+            try:
+                coords, _ = exactla.solve(FQ, unit_action(FQ, a))
+            except ValueError:
+                worst = max(worst, 1)
+                continue
             # span membership is unchanged by the scale of the coordinates
             if Hx.span_coefficients(coords) is None:
                 worst = max(worst, 1)

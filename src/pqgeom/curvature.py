@@ -30,7 +30,7 @@ become ``Fraction``s.  The inverses of ``weyl_sample`` and
 ``scalar_curvature`` are the (X, L) pairs of ``exactla.inverse``, used
 as they are.  A ``SymmetricDecomposition`` holds its structure
 constants and its metric as pairs: ``_bracket_coordinates`` returns the
-integer pair of its ``frame_coordinates`` call, which
+integer pair of its tall ``exactla.solve``, which
 ``from_matrix_algebra`` keeps, and ``special_linear_decomposition`` and
 ``solvable_decomposition`` write their matrices as Python ints.
 Entry types are checked once, where data enters, by
@@ -479,17 +479,18 @@ class SymmetricDecomposition:
 
 def _bracket_coordinates(left, right, basis, label):
     """(c, L): c[i, j, k] / L is the coefficient of basis[k] in
-    [left[i], right[j]], from one frame_coordinates call on integers;
+    [left[i], right[j]], from one tall solve on integers;
     NotSymmetricPairError(label) if a bracket leaves span(basis)."""
     A, LA = exactla.scaled_integers(np.stack(left))
     B, LB = exactla.scaled_integers(np.stack(right))
     # brackets[i, j] = [left[i], right[j]], on integers over LA * LB
     brackets = A[:, None] @ B[None] - B[None] @ A[:, None]
-    (c, Lc), residual = exactla.frame_coordinates(
-        np.stack([M.reshape(-1) for M in basis], axis=1),
-        brackets.reshape(len(left) * len(right), -1).T)
-    if residual != 0:
-        raise NotSymmetricPairError(label)
+    try:
+        c, Lc = exactla.solve(
+            np.stack([M.reshape(-1) for M in basis], axis=1),
+            brackets.reshape(len(left) * len(right), -1).T)
+    except ValueError:
+        raise NotSymmetricPairError(label) from None
     return c.T.reshape(len(left), len(right), len(basis)), Lc * LA * LB
 
 

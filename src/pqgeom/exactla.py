@@ -70,40 +70,45 @@ fields of the quotient records on stacks of points
 signed permutation.
 
 Integer elimination.  ``_echelon`` runs fraction-free Gauss-Jordan on the
-scaled integers: it eliminates a pivot column from the rows that are
-nonzero there, row_i <- row_i * (p / g) - row_r * (f / g) with
-g = gcd(p, f), and divides each new row by its content.  It returns the
-integer rows and the pivot list, without dividing by the pivots.  Every
-elimination result is then read off those rows in one format, an object
-array of Python ints and one positive scale: ``solve(a, b)`` and
-``inverse(a)`` return (X, L), ``nullspace`` returns (N, L, free), and
-``frame_coordinates`` returns its coordinates as such a pair beside the
-residual.  The scale is the lcm of the pivots, the least common
-denominator of the result: every echelon row has content 1, so the
-entries of a pivot row over its pivot are in lowest terms together.
-``rank`` reads only the pivot count.  ``inertia`` reduces by
-fraction-free congruences, divides each remaining block by its content,
-and checks that its input is square and symmetric.  No routine forms a
-``Fraction`` array; the callers keep the pairs (``curvature.weyl_sample``,
+scaled integers, held as a list of rows of Python ints: it eliminates a
+pivot column from the rows that are nonzero there,
+row_i <- row_i * (p / g) - row_r * (f / g) with g = gcd(p, f), and
+divides each new row by its content.  It returns the integer rows and
+the pivot list, without dividing by the pivots.  Every elimination
+result is then read off those rows in one format, an object array of
+Python ints and one positive scale: ``solve(a, b)`` and ``inverse(a)``
+return (X, L) and ``nullspace`` returns (N, L, free).  The scale is the
+lcm of the pivots, the least common denominator of the result: every
+echelon row has content 1, so the entries of a pivot row over its pivot
+are in lowest terms together.  ``rank`` reads only the pivot count.
+``inertia`` reduces a list of rows by fraction-free congruences,
+divides each remaining block by its content, and checks that its input
+is square and symmetric.  No routine forms a ``Fraction`` array; the
+callers keep the pairs (``curvature.weyl_sample``,
 ``scalar_curvature``, the tensor splitting of ``linalg``) and form a
 ``Fraction`` view only where one is asked for.
 
-Kernel frames.  ``nullspace`` returns (N, L, free): the columns of N / L
-are the reduced-echelon kernel basis, with N[free] == L * I.  A vector
-T / LT of their span therefore has the coordinates T[free] / LT, and
-N @ T[free] == L * T is the integer test that T lies in the span: no
-Gram solve.  Its callers (``projspace.quotient_kernel``, the one
-routine that builds the frame of every quotient from its
+Coordinates in a span.  ``solve(a, b)`` takes a square or tall a of full
+column rank: the columns of a are a frame, and the one echelon form of
+[a | b] reads off the coordinates of the columns of b in it, or raises
+ValueError when the frame has a kernel or b leaves its span.  That is
+the one route to coordinates in a frame that is not a kernel basis:
+``HermitianStructure.span_coefficients`` (None on ValueError), the
+bracket coordinates of ``curvature`` (NotSymmetricPairError on
+ValueError) and the CLI check lift-independence, whose frame is the
+integer kernel frame of ``induced_geometry`` translated along the fiber.
+A kernel frame needs no elimination: ``nullspace`` returns (N, L, free),
+the columns of N / L are the reduced-echelon kernel basis, with
+N[free] == L * I.  A vector T / LT of their span therefore has the
+coordinates T[free] / LT, and N @ T[free] == L * T is the integer test
+that T lies in the span.  Its callers (``projspace.quotient_kernel``,
+the one routine that builds the frame of every quotient from its
 ``projspace.Quotient`` record, for ``reduction.admissible_directions``
 and, through ``projspace.quotient_frame``, for
 ``projspace.induced_geometry`` and
 ``reduction.flat_reduced_structure``; ``reduction.orthogonality_check``,
 on the rows of a record, and ``curvature.restrict_to_complement``) read
-the coordinates off that way; ``frame_coordinates`` serves frames that
-are not kernel bases (``HermitianStructure.span_coefficients``, the
-bracket coordinates of ``curvature``, and the CLI check
-lift-independence, whose frame is the integer kernel frame of
-``induced_geometry`` translated along the fiber).
+the coordinates off that way.
 """
 
 from __future__ import annotations
@@ -335,92 +340,81 @@ def contract(T, A, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _echelon(mat: np.ndarray):
-    """Fraction-free Gauss-Jordan elimination: (a, pivots).
+def _primitive(row: list) -> list:
+    """An integer row divided by its content (a zero row as it is)."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    a is an object array of Python ints, row-equivalent to `mat`; row r
-    has the pivot a[r, pivots[r]] and zeros in every other pivot column,
-    so the reduced row echelon form is a[r] / a[r, pivots[r]].  Each
-    combination is divided by its row content, which keeps the entries
-    small and sparse rows sparse.  TypeError on an entry that is not an
-    int or a Fraction.
+
+def _echelon(mat: np.ndarray):
+    """Fraction-free Gauss-Jordan elimination: (rows, pivots).
+
+    rows is a list of lists of Python ints, row-equivalent to the 2-D
+    array `mat`; row r has the pivot rows[r][pivots[r]] and zeros in every
+    other pivot column, so the reduced row echelon form is
+    rows[r] / rows[r][pivots[r]].  A pivot column is eliminated from the
+    rows that are nonzero there, row_i <- row_i * (p / g) - row_r * (f / g)
+    with g = gcd(p, f), and each new row is divided by its content, which
+    keeps the entries small and sparse rows sparse.  TypeError on an entry
+    that is not an int or a Fraction.
     """
-    a, _ = scaled_integers(mat)
-    rows, cols = a.shape
-    for i in range(rows):
-        g = math.gcd(*a[i])
-        if g > 1:
-            a[i] //= g
+    rows = [_primitive(row) for row in scaled_integers(mat)[0].tolist()]
     pivots = []
-    r = 0
-    for c in range(cols):
-        below = np.flatnonzero(a[r:, c])
-        if below.size == 0:
+    for c in range(mat.shape[1]):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
             continue
-        if below[0]:
-            pr = r + below[0]
-            a[[r, pr]] = a[[pr, r]]
-        p = a[r, c]
-        for i in np.flatnonzero(a[:, c]):
-            if i != r:
-                f = a[i, c]
+        rows[r], rows[pr] = rows[pr], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
                 g = math.gcd(p, f)
-                row = a[i] * (p // g) - a[r] * (f // g)
-                g = math.gcd(*row)
-                a[i] = row // g if g > 1 else row
+                p_g, f_g = p // g, f // g
+                rows[i] = _primitive([x * p_g - y * f_g
+                                      for x, y in zip(row, top)])
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if len(pivots) == len(rows):
             break
-    return a, pivots
+    return rows, pivots
 
 
 def rank(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    _, pivots = _echelon(mat)
-    return len(pivots)
+    return len(_echelon(mat)[1])
 
 
-def _pivot_scale(red: np.ndarray, pivots: list[int]):
-    """(heads, L): the pivots red[r, pivots[r]] of an echelon form and
-    their lcm L, over which every reduced-echelon entry is an integer."""
-    heads = np.array([red[r, c] for r, c in enumerate(pivots)], dtype=object)
-    return heads, math.lcm(*heads)
+def _pivot_scale(rows: list, pivots: list[int]) -> int:
+    """The lcm of the pivots rows[r][pivots[r]] of an echelon form, over
+    which every reduced-echelon entry is an integer."""
+    return math.lcm(*(row[c] for row, c in zip(rows, pivots)))
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """(X, L) with a (X / L) = b exactly: X an object array of Python ints
-    of the shape of b, L the least common denominator of the solution.
-    ValueError if a is singular."""
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise ValueError("solve expects a square matrix")
-    red, pivots = _echelon(np.concatenate([a, b.reshape(n, -1)], axis=1))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular system")
-    heads, L = _pivot_scale(red, pivots)
-    # row r of the solution is red[r, n:] / heads[r]
-    X = red[:n, n:] * (L // heads)[:, None]
-    return X.reshape(b.shape), L
+    """(X, L) with a (X / L) = b exactly, for a square or tall a of full
+    column rank: X an object array of Python ints with one row per column
+    of a and the columns of b, L the least common denominator of the
+    solution.  ValueError if a has a kernel or b leaves its column span:
+    both show in the one echelon form of [a | b] as pivots other than
+    0, ..., n - 1 for the n columns of a."""
+    m, n = a.shape
+    rows, pivots = _echelon(np.concatenate([a, b.reshape(m, -1)], axis=1))
+    if pivots != list(range(n)):
+        raise ValueError("a has a kernel or b leaves its column span")
+    L = _pivot_scale(rows, pivots)
+    # row r of the solution is rows[r][n:] / rows[r][r]
+    X = np.array([[x * (L // row[r]) for x in row[n:]]
+                  for r, row in enumerate(rows[:n])], dtype=object)
+    return X.reshape((n,) + b.shape[1:]), L
 
 
 def inverse(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(X, L) with X / L the inverse of a; ValueError if a is singular."""
+    """(X, L) with X / L the inverse of a; ValueError if a is not square
+    or is singular."""
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("inverse expects a square matrix")
     return solve(a, np.eye(a.shape[0], dtype=object))
-
-
-def frame_coordinates(frame: np.ndarray, target: np.ndarray):
-    """((C, LC), residual): C / LC solves the Gram system frame^T frame
-    coords = frame^T target, and the residual is the max-abs entry of
-    frame @ coords - target, 0 exactly when target lies in the frame's
-    span."""
-    F, LF = scaled_integers(frame)
-    T, LT = scaled_integers(target)
-    # both sides times LF^2 LT: F^T F LT coords = F^T T LF
-    C, LC = solve((F.T @ F) * LT, (F.T @ T) * LF)
-    residual = max_abs((F @ C) * LT - T * (LF * LC))
-    return (C, LC), Fraction(residual, LF * LC * LT)
 
 
 def nullspace(mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
@@ -435,59 +429,66 @@ def nullspace(mat: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     by nonzero factors have the same reduced echelon form, so the kernel
     of a system can be taken at integer multiples of its rows."""
     cols = mat.shape[1]
-    red, pivots = _echelon(mat)
+    rows, pivots = _echelon(mat)
     free = [c for c in range(cols) if c not in pivots]
-    heads, L = _pivot_scale(red, pivots)
+    L = _pivot_scale(rows, pivots)
     N = np.zeros((cols, len(free)), dtype=object)
     N[free, range(len(free))] = L
-    # the basis entries of pivot row r are -red[r, free] / heads[r]
-    N[pivots] = -red[:len(pivots)][:, free] * (L // heads)[:, None]
+    # the basis entries of pivot row r are -rows[r][free] / rows[r][c]
+    for row, c in zip(rows, pivots):
+        N[c] = [-row[f] * (L // row[c]) for f in free]
     return N, L, free
 
 
 def inertia(sym: np.ndarray) -> tuple[int, int, int]:
     """(n_plus, n_minus, n_zero) of an exact symmetric matrix.
 
-    Fraction-free symmetric reduction on the scaled integers.  A nonzero
-    diagonal pivot d = a[i, i] counts by its sign.  The congruence that
-    takes every other row r to d * row r - a[r, i] * row i, and the same
-    for the columns, clears row and column i and leaves d (d B - f f^T)
-    on the other rows, with B the block without i and f = a[rest, i].
-    That block is divisible by |d|; the reduction keeps the quotient
+    Fraction-free symmetric reduction on the scaled integers, held as a
+    list of rows of Python ints.  A nonzero diagonal pivot d = a[i][i]
+    counts by its sign.  The congruence that takes every other row r to
+    d * row r - a[r][i] * row i, and the same for the columns, clears row
+    and column i and leaves d (d B - f f^T) on the other rows, with B the
+    block without i and f the column i without a[i][i].  That block is
+    divisible by |d|; the reduction keeps the quotient
     |d| B - sign(d) f f^T divided by its content, a positive multiple, so
     the entries stay integral and small.  With no nonzero diagonal left,
-    a coupling a[r, s] becomes a hyperbolic (+1, -1) pair by adding row
+    a coupling a[r][s] becomes a hyperbolic (+1, -1) pair by adding row
     and column s to r.  Sylvester's law makes the signs basis independent.
     """
     if sym.ndim != 2 or sym.shape[0] != sym.shape[1]:
         raise ValueError("inertia expects a square matrix")
     # the scale is positive, so N has the inertia of sym
-    a, _ = scaled_integers(sym)
-    if (a != a.T).any():
+    N, _ = scaled_integers(sym)
+    if (N != N.T).any():
         raise ValueError("inertia expects a symmetric matrix")
+    a = N.tolist()
     plus = minus = 0
-    while a.size:
-        pivots = np.flatnonzero(a.diagonal())
-        if pivots.size == 0:
-            coupled = np.argwhere(a != 0)
-            if coupled.size == 0:
+    while a:
+        i = next((k for k, row in enumerate(a) if row[k]), None)
+        if i is None:
+            coupled = next(((r, s) for r, row in enumerate(a)
+                            for s, x in enumerate(row) if x), None)
+            if coupled is None:
                 break
-            r, s = coupled[0]
-            a[r] += a[s]
-            a[:, r] += a[:, s]
+            r, s = coupled
+            a[r] = [x + y for x, y in zip(a[r], a[s])]
+            for row in a:
+                row[r] += row[s]
             continue
-        i = pivots[0]
-        d = a[i, i]
+        d = a.pop(i)[i]
         if d > 0:
             plus += 1
         else:
             minus += 1
-        rest = np.delete(np.arange(len(a)), i)
-        f = a[rest, i]
-        a = a[np.ix_(rest, rest)] * abs(d) - np.outer(f, f) * (d // abs(d))
-        g = math.gcd(*a.reshape(-1))
+        f = [row.pop(i) for row in a]
+        # |d| B - sign(d) f f^T
+        e = abs(d)
+        signed = [y * (d // e) for y in f]
+        a = [[x * e - y * fr for x, y in zip(row, signed)]
+             for row, fr in zip(a, f)]
+        g = math.gcd(*(x for row in a for x in row))
         if g > 1:
-            a //= g
+            a = [[x // g for x in row] for row in a]
     return plus, minus, len(a)
 
 

@@ -53,8 +53,9 @@ Batches and draws.  A coefficient array (4, ..., n, n) is a batch of
 matrices over one scale: ``PQMatrix`` arithmetic, ``batch_matmul`` and
 ``real_rep`` act on each matrix at once.  ``random_integers`` is the
 package's one block sampler of uniform integers (one
-``rng.getrandbits`` call per block), and ``_random_coefficients`` draws
-the integer coefficients of a batch of ``random_quaternion`` draws.
+``rng.getrandbits`` call per block), and ``_random_coefficients`` is
+its one sampler of split-quaternion coefficients: a batch of draws on
+integers, of which ``random_quaternion`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -446,12 +447,17 @@ class HermitianStructure:
         return exactla.signature(self.scaled_g[0])
 
     def span_coefficients(self, A: np.ndarray):
-        """Exact coefficients (c1, c2, c3) with A = sum c_a J_a, or None."""
+        """Exact coefficients (c1, c2, c3) with A = sum c_a J_a, or None
+        when A leaves the span: the tall solve of the integer frame of the
+        J_a refuses it.  ValueError on a matrix of another size."""
         J, LJ = self.scaled_J
-        (C, LC), residual = exactla.frame_coordinates(J.reshape(3, -1).T,
-                                                      A.reshape(-1))
-        return None if residual != 0 else tuple(Fraction(c * LJ, LC)
-                                                for c in C)
+        frame = J.reshape(3, -1).T
+        target = A.reshape(len(frame))
+        try:
+            C, LC = exactla.solve(frame, target)
+        except ValueError:
+            return None
+        return tuple(Fraction(c * LJ, LC) for c in C)
 
 
 @functools.cache
@@ -746,9 +752,9 @@ _WORD = 1 << 32
 
 
 def random_quaternion(rng, span: int = 5) -> SplitQuaternion:
-    return SplitQuaternion(*[
-        Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
-        for _ in range(4)])
+    """One draw of _random_coefficients(rng, 1, span), as Fractions."""
+    C, L = _random_coefficients(rng, 1, span)
+    return SplitQuaternion(*(Fraction(c, L) for c in C[:, 0]))
 
 
 def random_integers(rng, shape, low: int, high: int,
@@ -788,11 +794,12 @@ def random_integers(rng, shape, low: int, high: int,
 
 
 def _random_coefficients(rng, count: int, span: int, dtype=object):
-    """(C, L): the coefficients of count random_quaternion(rng, span)
-    draws, from the same rng calls in the same order, as the columns of a
+    """(C, L): count random split quaternions as the columns of a
     (4, count) integer array C over the scale L; no Fraction is formed.
-    C holds Python ints (dtype object) or, with dtype np.int64, machine
-    integers, each at most 6 span."""
+    Each coefficient n / m takes n = rng.randint(-span, span), then
+    m = rng.choice((1, 1, 2, 3)), draw after draw.  C holds Python ints
+    (dtype object) or, with dtype np.int64, machine integers, each at most
+    6 span."""
     draws = [x for _ in range(4 * count)
              for x in (rng.randint(-span, span), rng.choice((1, 1, 2, 3)))]
     nums, dens = draws[0::2], draws[1::2]

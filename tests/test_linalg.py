@@ -80,9 +80,17 @@ def random_pq_matrix(rng, n: int) -> PQMatrix:
     return PQMatrix.from_scaled_integers(C.reshape(4, n, n), L)
 
 
+def ref_random_quaternion(rng, span: int = 5) -> SplitQuaternion:
+    """The per-entry Fraction draw random_quaternion made before it read
+    one draw of the batch sampler: the reference of the sampled draws."""
+    return SplitQuaternion(*[
+        Fraction(rng.randint(-span, span), rng.choice((1, 1, 2, 3)))
+        for _ in range(4)])
+
+
 def ref_random_pq_vector(rng, n):
     """The Fraction draws random_pq_vector made before it drew integers."""
-    return PQVector(random_quaternion(rng, 5) for _ in range(n))
+    return PQVector(ref_random_quaternion(rng, 5) for _ in range(n))
 
 
 def test_module_scalar_product_examples():
@@ -168,6 +176,18 @@ def test_vector_products_match_entry_loops():
             assert A @ h == want
 
 
+@pytest.mark.parametrize("span", [3, 4, 5, 9, 12])
+def test_random_quaternion_matches_fraction_draws(span):
+    # the same values from the same rng calls, and the same state after
+    for seed in range(40):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got, want = random_quaternion(rng, span), ref_random_quaternion(
+            ref_rng, span)
+        assert got == want
+        assert all(type(c) is Fraction for c in got.coefficients())
+        assert rng.getstate() == ref_rng.getstate()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_random_vectors_match_fraction_draws(seed):
     for n in (1, 2, 3):
@@ -222,13 +242,21 @@ def test_span_coefficients_member_and_non_member():
 
 
 def test_frame_coordinates_residual():
+    # a tall solve reads the coordinates of a target in the span of a
+    # frame, and refuses one off the span or a frame with a kernel
     frame = exactla.fracarray([[1, 0], [1, 1], [0, 2]])
     inside = exactla.fracarray([[2], [5], [6]])
-    (C, LC), residual = exactla.frame_coordinates(frame, inside)
-    assert residual == 0 and (C[:, 0].tolist(), LC) == ([2, 3], 1)
-    _, residual = exactla.frame_coordinates(
-        frame, exactla.fracarray([[1], [0], [0]]))
-    assert residual > 0
+    C, LC = exactla.solve(frame, inside)
+    assert (C[:, 0].tolist(), LC) == ([2, 3], 1)
+    C, LC = exactla.solve(frame, inside[:, 0] / 2)
+    assert (C.tolist(), LC) == ([2, 3], 2)
+    with pytest.raises(ValueError, match="span"):
+        exactla.solve(frame, exactla.fracarray([[1], [0], [0]]))
+    with pytest.raises(ValueError, match="kernel"):
+        exactla.solve(np.concatenate([frame, frame[:, :1]], axis=1),
+                      inside)
+    with pytest.raises(ValueError, match="square"):
+        exactla.inverse(frame)
 
 
 def test_exact_elimination_keeps_int_inputs_exact():
@@ -409,9 +437,9 @@ def test_scaled_integers_matches_three_pass_reference(entries):
 @pytest.mark.parametrize("routine", [
     exactla.rank, exactla.nullspace, exactla.inertia, exactla.inverse,
     lambda a: exactla.solve(a, np.array([1, 1], dtype=object)),
-    lambda a: exactla.frame_coordinates(a, np.array([1, 1], dtype=object)),
-], ids=["rank", "nullspace", "inertia", "inverse", "solve",
-        "frame_coordinates"])
+    lambda a: exactla.solve(np.concatenate([a, a]),
+                            np.array([1, 1, 1, 1], dtype=object)),
+], ids=["rank", "nullspace", "inertia", "inverse", "solve", "tall-solve"])
 def test_exact_routines_reject_object_arrays_holding_floats(routine):
     # the float used to ride along: solve returned [0.5, Fraction(1)]
     with pytest.raises(TypeError):
@@ -458,12 +486,14 @@ def ref_echelon(mat):
 
 
 def ref_solve(a, b):
-    n = a.shape[0]
-    red, pivots = ref_echelon(np.concatenate([a, b.reshape(n, -1)], axis=1))
-    if pivots[:n] != list(range(n)):
-        raise ValueError("singular system")
+    """The solution of a x = b for a square or tall a of full column rank
+    and b in its column span; ValueError otherwise."""
+    m, n = a.shape
+    red, pivots = ref_echelon(np.concatenate([a, b.reshape(m, -1)], axis=1))
+    if pivots != list(range(n)):
+        raise ValueError("a has a kernel or b leaves its column span")
     x = red[:n, n:]
-    return x.reshape(b.shape) if b.ndim == 1 else x
+    return x[:, 0] if b.ndim == 1 else x
 
 
 def ref_inverse(a):
@@ -597,11 +627,20 @@ def rational_matrices(draw, rows=None, cols=None):
 
 
 @st.composite
-def square_systems(draw):
+def linear_systems(draw):
+    """(a, b) for solve: a square, or tall with b drawn at random (off the
+    span of a, but for a rank-deficient a) or as a @ x (consistent); the
+    kinds of rational_matrices make a rank-deficient a either way."""
     n = draw(st.integers(1, 6))
-    a = draw(rational_matrices(n, n))
-    b = draw(rational_matrices(n, draw(st.integers(1, 3))))
-    return a, b
+    kind = draw(st.sampled_from(["square", "tall", "tall-consistent"]))
+    rows = n if kind == "square" else n + draw(st.integers(1, 3))
+    a = draw(rational_matrices(rows, n))
+    cols = draw(st.integers(1, 3))
+    if kind == "tall-consistent":
+        # Python ints: int64 products of 2^40-sized entries would overflow
+        return a, a.astype(object) @ draw(
+            rational_matrices(n, cols)).astype(object)
+    return a, draw(rational_matrices(rows, cols))
 
 
 def ref_max_abs(arr):
@@ -644,8 +683,8 @@ def test_rank_and_nullspace_match_fraction_reference(mat):
     assert L == exactla.scaled_integers(ref_nullspace(mat))[1]
 
 
-@settings(max_examples=150)
-@given(square_systems())
+@settings(max_examples=200)
+@given(linear_systems())
 def test_solve_inverse_match_fraction_reference(system):
     # solve and inverse return (X, L): X / L must be the Fraction solution,
     # and L its least common denominator
@@ -694,25 +733,42 @@ def test_inertia_matches_fraction_reference(sym):
     assert sum(got) == len(sym)
 
 
+def ref_frame_coordinates(frame, target):
+    """(coords, residual) by the Gram normal equations
+    frame^T frame coords = frame^T target, solved with Fractions, and the
+    least-squares residual max |frame coords - target|, 0 exactly when
+    target lies in the span: the route the tall solve replaced.
+    ValueError when the frame has a kernel."""
+    # Python ints: int64 products of 2^40-sized entries would overflow
+    f, t = frame.astype(object), target.astype(object)
+    coords = ref_solve(f.T @ f, f.T @ t)
+    return coords, ref_max_abs(f @ coords - t)
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_frame_coordinates_match_fraction_reference(data):
+    # the tall solve against the Gram route: both give the coordinates of
+    # a target in the span, and solve refuses a target the Gram residual
+    # puts off the span or a frame with a kernel
     rows = data.draw(st.integers(1, 6))
     frame = data.draw(rational_matrices(rows, data.draw(st.integers(1, rows))))
-    target = data.draw(rational_matrices(rows, data.draw(st.integers(1, 3))))
+    cols = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        target = frame.astype(object) @ data.draw(
+            rational_matrices(frame.shape[1], cols)).astype(object)
+    else:
+        target = data.draw(rational_matrices(rows, cols))
     if data.draw(st.booleans()):
         target = target[:, 0]
-    # Python ints: int64 products of 2^40-sized entries would overflow
-    f, t = frame.astype(object), target.astype(object)
-    want = ref_outcome(ref_solve, f.T @ f, f.T @ t)
-    if want is ValueError:
+    want = ref_outcome(ref_frame_coordinates, frame, target)
+    if want is ValueError or want[1] != 0:
         with pytest.raises(ValueError):
-            exactla.frame_coordinates(frame, target)
+            exactla.solve(frame, target)
         return
-    (C, LC), residual = exactla.frame_coordinates(frame, target)
-    assert_same_fractions(exactla.from_scaled_integers(C, LC), want)
-    assert LC == exactla.scaled_integers(want)[1]
-    assert_same_fractions(residual, exactla.max_abs(f @ want - t))
+    C, LC = exactla.solve(frame, target)
+    assert_same_fractions(exactla.from_scaled_integers(C, LC), want[0])
+    assert LC == exactla.scaled_integers(want[0])[1]
 
 
 @settings(max_examples=100)
@@ -730,12 +786,14 @@ def test_kernel_coordinates_read_off_match_frame_coordinates(data):
     LT = data.draw(st.integers(1, 50))
     T = N @ mix
     assert (N @ T[free] == L * T).all()
-    coords, residual = exactla.frame_coordinates(
-        exactla.from_scaled_integers(N, L),
-        exactla.from_scaled_integers(T, LT))
+    frame = exactla.from_scaled_integers(N, L)
+    target = exactla.from_scaled_integers(T, LT)
+    coords = exactla.solve(frame, target)
+    want, residual = ref_frame_coordinates(frame, target)
     assert residual == 0
     assert_same_fractions(exactla.from_scaled_integers(T[free], LT),
                           exactla.from_scaled_integers(*coords))
+    assert_same_fractions(exactla.from_scaled_integers(*coords), want)
     # a target off the span fails the integer test
     if len(free) < mat.shape[1]:
         off = T.copy()
@@ -1156,17 +1214,17 @@ def test_batch_matmul_matches_broadcast_product():
 
 def ref_random_pq_matrix(rng, n):
     """The Fraction draws random_pq_matrix made before it drew integers."""
-    return PQMatrix([[random_quaternion(rng, 3) for _ in range(n)]
+    return PQMatrix([[ref_random_quaternion(rng, 3) for _ in range(n)]
                      for _ in range(n)])
 
 
 def ref_random_antihermitian(rng, n):
     entries = [[SplitQuaternion() for _ in range(n)] for _ in range(n)]
     for p in range(n):
-        x = random_quaternion(rng, 3)
+        x = ref_random_quaternion(rng, 3)
         entries[p][p] = SplitQuaternion(0, x.b, x.c, x.d)
         for q in range(p + 1, n):
-            x = random_quaternion(rng, 3)
+            x = ref_random_quaternion(rng, 3)
             entries[p][q] = x
             entries[q][p] = -x.conj()
     return PQMatrix(entries)

@@ -257,6 +257,27 @@ def _rotation_off_the_group(rng):
     return 2 * R, L
 
 
+def _frame_without_its_last_column(x):
+    """The induced structure with its horizontal frame short of one
+    column: the unit actions leave the span of what is left."""
+    H, (N, L, free) = INDUCED(x)
+    return H, (N[:, :-1], L, free[:-1])
+
+
+def _second_column_doubled(C, L):
+    F, LF = TRANSITIVE_COLUMNS(C, L)
+    F = F.copy()
+    F[:, 1] *= 2
+    return F, LF
+
+
+def _twice_the_lift(rng, rank):
+    """A lift of norm 4, built past the unit check of SpherePoint."""
+    C, L = SPHERE_POINT(rng, rank).x.scaled
+    return proj.SpherePoint(linalg.PQVector.from_scaled_integers(2 * C, L),
+                            check=False)
+
+
 PRODUCT, REAL_REP = SplitQuaternion.__mul__, cli.real_rep
 INVERSE, PRINT = SplitQuaternion.inverse, SplitQuaternion.__str__
 ADOPTED, GRASSMAN, TWO_FORM = (cli.adopted_basis, cli.grassman_split,
@@ -269,6 +290,8 @@ MOMENT, WEIGHTED = red.moment_quotient, red.weighted_quotient
 SPHERE = proj.sphere_quotient
 ROTATION = cli.random_rotation
 UNIT_QUATERNION = proj.random_unit_quaternion
+INDUCED, SPHERE_POINT = proj.induced_geometry, proj.random_sphere_point
+TRANSITIVE_COLUMNS = proj._transitive_columns
 
 # row -> (check name, suite, object, attribute, planted replacement); a row
 # named after its check alone is that check's first row
@@ -349,6 +372,17 @@ PLANTED = {
     # the translated frame; only the norm of the element sees it
     "lift-independence": ("projspace", proj, "random_unit_quaternion",
                           _twice_a_unit_quaternion),
+    # the unit actions of the translated frame leave its span, which the
+    # tall solve refuses
+    "lift-independence/span": ("projspace", proj, "induced_geometry",
+                               _frame_without_its_last_column),
+    # the completed matrix no longer preserves the scalar product
+    "transitive-element": ("projspace", proj, "_transitive_columns",
+                           _second_column_doubled),
+    # every fiber Gram is 4 diag(1, -1, -1), which only the entrywise
+    # comparison with the unit Gram sees
+    "fiber-gram-signature": ("projspace", proj, "random_sphere_point",
+                             _twice_the_lift),
     # i j = -k: the bracket curvature leaves the closed formula
     "bracket-formula-proportional": ("curvature", linalg, "_UNIT_PRODUCTS",
                                      _unit_product_sign_flipped(1, 2)),
@@ -409,8 +443,7 @@ REFUSED = {
 
 # the registry checks with no row in either table yet; a new check comes
 # with its row, and a check that gets one leaves this set
-NO_ROW_YET = {"fiber-gram-signature", "transitive-element",
-              "eigenvalue-trace-identity", "ratio-direction-independence",
+NO_ROW_YET = {"eigenvalue-trace-identity", "ratio-direction-independence",
               "ratio-point-variation"}
 
 

@@ -9,7 +9,7 @@ from pqgeom import exactla
 from pqgeom.algebra import IMAGINARY_UNITS, UNITS, SplitQuaternion
 from pqgeom.linalg import (PQMatrix, PQVector, apply_metric, metric_matrix,
                            module_scalar_product, random_integers,
-                           random_quaternion, right_mult_matrix,
+                           right_mult_matrix,
                            sp_group_membership, unit_action, unit_frame)
 from pqgeom.projspace import (CompletionFailureError, DegenerateOrbitError,
                               NullLineError, Quotient, SpherePoint,
@@ -23,7 +23,8 @@ from pqgeom.reduction import (admissible_directions, reduced_jacobi,
                               weighted_level_sample_float)
 
 from test_linalg import (random_pq_vector, ref_module_scalar_product,
-                         ref_right_mul, ref_solve, right_mul)
+                         ref_random_quaternion, ref_right_mul, ref_solve,
+                         right_mul)
 
 
 def hermitian_pairing(u, v) -> SplitQuaternion:
@@ -70,10 +71,10 @@ def ref_sphere_point_through(base: SpherePoint, direction: PQVector):
 
 def ref_random_sphere_point(rng, rank: int) -> SpherePoint:
     """The Fraction draws random_sphere_point made before it drew
-    integers: random_quaternion entries, through the Fraction route."""
+    integers: ref_random_quaternion entries, through the Fraction route."""
     o = base_point(rank)
     while True:
-        d = PQVector(random_quaternion(rng, 4) for _ in range(rank))
+        d = PQVector(ref_random_quaternion(rng, 4) for _ in range(rank))
         try:
             return ref_sphere_point_through(o, d)
         except ValueError:

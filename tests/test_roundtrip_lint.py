@@ -1,17 +1,16 @@
 """No Fraction round trip of an exact result in the package.
 
-``exactla.solve``, ``inverse``, ``nullspace`` and ``frame_coordinates``
-return scaled integers, an object array of Python ints and one positive
-scale, and the module vectors, matrices and structures hold such pairs
-with ``Fraction`` views formed on request.  Scaling a view back to
+``exactla.solve``, ``inverse`` and ``nullspace`` return scaled integers,
+an object array of Python ints and one positive scale, and the module
+vectors, matrices and structures hold such pairs with ``Fraction`` views
+formed on request.  Scaling a view back to
 integers, or turning an elimination result into ``Fraction``s only to
 hand it on, is a conversion the design removed.  This test walks the
 syntax tree of each module of src/pqgeom and fails on a call
 ``scaled_integers(...)`` or
 ``from_scaled_integers(...)`` whose argument is directly
 
-- the result of a call of ``solve``, ``inverse``, ``nullspace`` or
-  ``frame_coordinates``, or
+- the result of a call of ``solve``, ``inverse`` or ``nullspace``, or
 - a ``Fraction`` view: an attribute ``.J``, ``.g``, ``.matrix``,
   ``.horizontal`` or ``.entries``, or a call of ``.fractions()`` or
   ``.to_real()``,
@@ -43,7 +42,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pqgeom"
 
 CONVERSIONS = {"scaled_integers", "from_scaled_integers"}
-ELIMINATIONS = {"solve", "inverse", "nullspace", "frame_coordinates"}
+ELIMINATIONS = {"solve", "inverse", "nullspace"}
 VIEWS = {"J", "g", "matrix", "horizontal", "entries"}
 VIEW_CALLS = {"fractions", "to_real"}
 RESHAPES = {"reshape", "transpose"}
@@ -156,7 +155,7 @@ def test_lint_finds_round_trips():
               "    d = exactla.from_scaled_integers(*exactla.solve(P, X))\n"
               "    e = exactla.from_scaled_integers(*nullspace(P)[:2])\n"
               "    f = exactla.scaled_integers(R.fractions())\n"
-              "    g = exactla.scaled_integers(frame_coordinates(P, X)[0])\n"
+              "    g = exactla.scaled_integers(solve(P, X)[0])\n"
               "    h = exactla.scaled_integers(split.horizontal)\n"
               "    i = exactla.scaled_integers(B.matrix.T)\n"
               "    N, L = exactla.inverse(P)\n"
