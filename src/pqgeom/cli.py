@@ -567,10 +567,10 @@ def _chk_lift_independence(config, rng):
         # right multiplication by any invertible element keeps the span,
         # so only the norm sees an element off the unit group
         worst = max(worst, abs(qrot.square_norm() - 1))
-        Hx, (N, L, _) = proj.induced_geometry(x)
+        Hx, (N, _, _) = proj.induced_geometry(x)
         # the frame N / L translated along the fiber, each entry times
         # qrot = Q / LQ on the right: FQ / (LQ L), on integers
-        Q, LQ = exactla.scaled_integers(right_mult_matrix(qrot))
+        Q, _ = exactla.scaled_integers(right_mult_matrix(qrot))
         FQ = (Q @ N.reshape(-1, 4, N.shape[1])).reshape(N.shape)
         for a in range(3):
             # frame and target share the scale LQ L, so the coordinates do
