@@ -5,9 +5,9 @@ perfbench/run.py), reads FourForm.array to count 4-form entries and
 CurvatureTensor.tensor to count curvature entries, and counts the cells
 of the matrices that the module-global exactla._echelon and
 exactla.inertia receive; a refactor that drops one of them, or inlines or
-renames the elimination, must fail here, not only in a benchmark run.  The checks run
-in subprocesses, because installing the tracer rebinds the pqgeom
-functions of the process.
+renames the elimination, must fail here, not only in a benchmark run.
+The checks run in subprocesses, because installing the tracer rebinds
+the pqgeom functions of the process.
 """
 
 import json

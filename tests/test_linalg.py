@@ -628,9 +628,9 @@ def rational_matrices(draw, rows=None, cols=None):
 
 @st.composite
 def linear_systems(draw):
-    """(a, b) for solve: a square, or tall with b drawn at random (off the
-    span of a, but for a rank-deficient a) or as a @ x (consistent); the
-    kinds of rational_matrices make a rank-deficient a either way."""
+    """(a, b) for solve: a square, or tall with b drawn at random (almost
+    always off the span of a) or as a @ x (in the span); the kinds of
+    rational_matrices make a rank-deficient a in each case."""
     n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["square", "tall", "tall-consistent"]))
     rows = n if kind == "square" else n + draw(st.integers(1, 3))
