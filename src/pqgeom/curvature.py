@@ -480,16 +480,21 @@ class SymmetricDecomposition:
 def _bracket_coordinates(left, right, basis, label):
     """(c, L): c[i, j, k] / L is the coefficient of basis[k] in
     [left[i], right[j]], from one tall solve on integers;
-    NotSymmetricPairError(label) if a bracket leaves span(basis)."""
+    NotSymmetricPairError(label) if a bracket leaves span(basis), and
+    ValueError if the basis is linearly dependent."""
     A, LA = exactla.scaled_integers(np.stack(left))
     B, LB = exactla.scaled_integers(np.stack(right))
     # brackets[i, j] = [left[i], right[j]], on integers over LA * LB
     brackets = A[:, None] @ B[None] - B[None] @ A[:, None]
+    frame = np.stack([M.reshape(-1) for M in basis], axis=1)
     try:
         c, Lc = exactla.solve(
-            np.stack([M.reshape(-1) for M in basis], axis=1),
-            brackets.reshape(len(left) * len(right), -1).T)
+            frame, brackets.reshape(len(left) * len(right), -1).T)
     except ValueError:
+        # solve refuses a frame with a kernel as it refuses a bracket
+        # off the span; only the first is bad input, not a failed closure
+        if exactla.rank(frame) < len(basis):
+            raise ValueError("linearly dependent basis") from None
         raise NotSymmetricPairError(label) from None
     return c.T.reshape(len(left), len(right), len(basis)), Lc * LA * LB
 

@@ -541,6 +541,11 @@ def test_from_matrix_algebra_rejects_bracket_outside_f():
     with pytest.raises(NotSymmetricPairError, match=r"leaves span\(f\)"):
         SymmetricDecomposition.from_matrix_algebra(m_mats, f_mats, g_m)
     centre = exactla.fracarray([[1, 0, 0], [0, 1, 0], [0, 0, -2]])
+    # a repeated basis element is bad input, not a failed closure
+    with pytest.raises(ValueError, match="dependent") as refused:
+        SymmetricDecomposition.from_matrix_algebra(
+            m_mats, f_mats + [centre, centre], g_m)
+    assert not isinstance(refused.value, NotSymmetricPairError)
     D = SymmetricDecomposition.from_matrix_algebra(m_mats, f_mats + [centre],
                                                    g_m)
     ref = special_linear_decomposition(1)
